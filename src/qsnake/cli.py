@@ -434,7 +434,7 @@ def lattice_reports(n=2, max_L=3, N=1, max_m=3, seed=0):
     one = identity_matrix(d)
     for L in range(2, max_L + 1):
         beta = seeded_rationals(seed + L, 1, avoid=[0])[0]
-        spec = LatticeSpec(n, L, N, [Fraction(0)] * L, [beta])
+        spec = LatticeSpec.staggered(n, L, N, [Fraction(0)] * L, beta)
         mtop = min(L, max_m)
         labels = seeded_rationals(seed + L + 100, mtop, avoid=[0, beta])
 
@@ -544,7 +544,7 @@ def lattice_reports(n=2, max_L=3, N=1, max_m=3, seed=0):
         wfull = seeded_rationals(seed + L + 300, L, avoid=[0, beta])
         a = density_matrix(spec, L, wfull, 0)
         shifted_spec = LatticeSpec(n, L, N, [Fraction(0)] * L,
-                                   [beta + delta])
+                                   [b + delta for b in spec.betas])
         b = density_matrix(shifted_spec, L, [x + delta for x in wfull], 0)
         resid = max_abs_diff(a.matrix, b.matrix)
         reports.append(VerificationReport(

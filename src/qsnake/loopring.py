@@ -5,9 +5,28 @@ Monomials are finitely supported exponent maps, combinations are integer
 linear combinations of monomials.  This ring is the codomain of the
 q-character map; everything downstream (snake characters, the dominant
 monomial census, composition series) is computed inside it.
+
+Monomials are stored packed (Kronecker substitution, as in Monagan and
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007): each variable owns a W-bit slot of one
+Python int and holds its exponent there as a signed digit, so the
+product of two monomials is the sum of their codes and hashing is int
+hashing.  Every monomial and combination carries a bound on the absolute
+value of its exponents; an operation whose bound could leave the digit
+range is recomputed exactly from the decoded exponents instead, so
+neighbouring slots never alias.  Codes depend on the order in which
+variables were first seen in the process; nothing is ordered by them.
 """
 
+import sys
+from collections.abc import Mapping
 from fractions import Fraction
+from itertools import compress
+
+W = 16                    # bits per exponent slot
+_DIGIT = "h"              # memoryview format of one slot: signed 16-bit
+_HALF = 1 << (W - 1)
+MAX_EXPONENT = _HALF - 1  # exponents lie in -MAX_EXPONENT..MAX_EXPONENT
 
 
 class CartanData:
@@ -69,10 +88,71 @@ def simple_root(cartan, i):
     return ClassicalWeight(cartan.a(j, i) for j in range(1, cartan.n + 1))
 
 
-class LoopMonomial:
-    """Product of Y[i,k]^e factors, stored as a map (i,k) -> e, no zeros."""
+class _SlotTable:
+    """The slot of each variable (i, k), assigned in first-seen order.
 
-    __slots__ = ("exps",)
+    ``bias`` holds _HALF in every assigned slot.  Added to a code it turns
+    every digit e into e + _HALF, which lies in 1..2^W-1 without carries:
+    its top bit is set exactly when e >= 0, and xoring the bias back
+    leaves e as a W-bit two's complement number in its slot.
+    """
+
+    def __init__(self):
+        self.slot = {}
+        self.variables = []
+        self.bias = 0
+
+    def index(self, v):
+        s = self.slot.get(v)
+        if s is None:
+            s = self.slot[v] = len(self.variables)
+            self.variables.append(v)
+            self.bias |= _HALF << (W * s)
+        return s
+
+    def pack(self, exps):
+        """(code, bound) of a {(i, k): e} map without zero exponents."""
+        code = bound = 0
+        for v, e in exps.items():
+            if abs(e) > bound:
+                bound = abs(e)
+            code += e << (W * self.index(v))
+        if bound > MAX_EXPONENT:
+            raise OverflowError(
+                f"exponent {bound} exceeds the packed range +-{MAX_EXPONENT}")
+        return code, bound
+
+    def unpack(self, code):
+        """The {(i, k): e} map of a code, in slot order."""
+        slots = (code + self.bias) ^ self.bias
+        nbytes = -(-slots.bit_length() // W) * (W // 8)
+        digits = memoryview(slots.to_bytes(nbytes, sys.byteorder)).cast(_DIGIT)
+        return dict(compress(zip(self.variables, digits), digits))
+
+
+_SLOTS = _SlotTable()
+
+
+def _nonnegative(code):
+    """True when no exponent packed in code is negative."""
+    bias = _SLOTS.bias
+    return (code + bias) & bias == bias
+
+
+def _max_exponent(codes):
+    """Exact largest |exponent| over the given codes."""
+    return max((abs(e) for code in codes for e in _SLOTS.unpack(code).values()),
+               default=0)
+
+
+class LoopMonomial:
+    """Product of Y[i,k]^e factors, packed into one int ``code``.
+
+    ``bound`` is at least the largest |e|; products add bounds, and once a
+    sum could leave the digit range the result is repacked exactly.
+    """
+
+    __slots__ = ("code", "bound")
 
     def __init__(self, exps=None):
         clean = {}
@@ -81,32 +161,51 @@ class LoopMonomial:
                 i, k = key
                 if e:
                     clean[(int(i), int(k))] = int(e)
-        self.exps = clean
+        self.code, self.bound = _SLOTS.pack(clean)
+
+    @classmethod
+    def _wrap(cls, code, bound):
+        m = object.__new__(cls)
+        m.code = code
+        m.bound = bound
+        return m
+
+    @property
+    def exps(self):
+        """The exponent map (i, k) -> e, decoded into a fresh dict."""
+        return _SLOTS.unpack(self.code)
 
     def key(self):
         """Canonical sort key: the sorted (i, k, exponent) triples."""
         return tuple((i, k, e) for (i, k), e in sorted(self.exps.items()))
 
     def __mul__(self, other):
-        exps = dict(self.exps)
-        for key, e in other.exps.items():
-            exps[key] = exps.get(key, 0) + e
+        if not isinstance(other, LoopMonomial):
+            return NotImplemented
+        bound = self.bound + other.bound
+        if bound <= MAX_EXPONENT:
+            return LoopMonomial._wrap(self.code + other.code, bound)
+        exps = self.exps
+        for v, e in other.exps.items():
+            exps[v] = exps.get(v, 0) + e
         return LoopMonomial(exps)
 
     def inverse(self):
-        return LoopMonomial({key: -e for key, e in self.exps.items()})
+        return LoopMonomial._wrap(-self.code, self.bound)
 
     def __pow__(self, p):
-        return LoopMonomial({key: p * e for key, e in self.exps.items()})
+        if self.bound * abs(p) <= MAX_EXPONENT:
+            return LoopMonomial._wrap(self.code * p, self.bound * abs(p))
+        return LoopMonomial({v: p * e for v, e in self.exps.items()})
 
     def __eq__(self, other):
-        return isinstance(other, LoopMonomial) and self.exps == other.exps
+        return isinstance(other, LoopMonomial) and self.code == other.code
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self.code)
 
     def __repr__(self):
-        if not self.exps:
+        if not self.code:
             return "1"
         return " ".join(f"Y[{i},{k}]^{e}" for (i, k), e in sorted(self.exps.items()))
 
@@ -139,56 +238,135 @@ def wt_of(m, n):
 
 
 def is_dominant(m):
-    return all(e > 0 for e in m.exps.values())
+    return _nonnegative(m.code)
 
 
 def is_antidominant(m):
-    return all(e < 0 for e in m.exps.values())
+    return _nonnegative(-m.code)
+
+
+class Terms(Mapping):
+    """Read-only view {LoopMonomial: coefficient} of a combination."""
+
+    __slots__ = ("_terms", "_bound")
+
+    def __init__(self, terms, bound):
+        self._terms = terms
+        self._bound = bound
+
+    def __getitem__(self, m):
+        if not isinstance(m, LoopMonomial):
+            raise KeyError(m)
+        return self._terms[m.code]
+
+    def __iter__(self):
+        bound = self._bound
+        for code in self._terms:
+            yield LoopMonomial._wrap(code, bound)
+
+    def __len__(self):
+        return len(self._terms)
+
+    def values(self):
+        return self._terms.values()
+
+    def __repr__(self):
+        return f"Terms({dict(self.items())!r})"
 
 
 class LaurentCombination:
-    """Integer combination of loop monomials, stored monomial -> coefficient."""
+    """Integer combination of loop monomials.
 
-    __slots__ = ("terms",)
+    Held as {code: coefficient} without zeros, plus ``_bound``, at least
+    the largest |exponent| of any term.  Instances are never changed after
+    construction, so the character caches can hand them out; ``terms`` is
+    a read-only view keyed by LoopMonomial.
+    """
+
+    __slots__ = ("_terms", "_bound")
 
     def __init__(self, terms=None):
         clean = {}
+        bound = 0
         if terms:
             for m, c in dict(terms).items():
                 if c:
-                    clean[m] = int(c)
-        self.terms = clean
+                    clean[m.code] = int(c)
+                    if m.bound > bound:
+                        bound = m.bound
+        self._terms = clean
+        self._bound = bound
+
+    @classmethod
+    def _new(cls, terms, bound):
+        """Combination over a {code: coeff} dict that has no zero coefficient."""
+        p = object.__new__(cls)
+        p._terms = terms
+        p._bound = bound
+        return p
+
+    @property
+    def terms(self):
+        return Terms(self._terms, self._bound)
 
     @staticmethod
     def from_monomial(m, c=1):
-        return LaurentCombination({m: c})
+        return LaurentCombination._new({m.code: int(c)} if c else {}, m.bound)
 
     @staticmethod
     def unit():
-        return LaurentCombination({ONE: 1})
+        return LaurentCombination.from_monomial(ONE)
 
     @staticmethod
     def zero():
-        return LaurentCombination()
+        return LaurentCombination._new({}, 0)
+
+    def _merge(self, other, sign):
+        terms = dict(self._terms)
+        get = terms.get
+        for code, c in other._terms.items():
+            terms[code] = get(code, 0) + sign * c
+        return LaurentCombination._new(
+            {code: c for code, c in terms.items() if c},
+            max(self._bound, other._bound))
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return LaurentCombination(terms)
+        return self._merge(other, 1)
 
     def __sub__(self, other):
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) - c
-        return LaurentCombination(terms)
+        return self._merge(other, -1)
 
     def __neg__(self):
-        return LaurentCombination({m: -c for m, c in self.terms.items()})
+        return LaurentCombination._new(
+            {code: -c for code, c in self._terms.items()}, self._bound)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentCombination({m: other * c for m, c in self.terms.items()})
+            if not other:
+                return LaurentCombination.zero()
+            return LaurentCombination._new(
+                {code: other * c for code, c in self._terms.items()}, self._bound)
+        if not isinstance(other, LaurentCombination):
+            return NotImplemented
+        bound = self._bound + other._bound
+        if bound > MAX_EXPONENT:
+            bound = _max_exponent(self._terms) + _max_exponent(other._terms)
+            if bound > MAX_EXPONENT:
+                return self._mul_exact(other)
+        out = {}
+        get = out.get
+        right = list(other._terms.items())
+        for code1, c1 in self._terms.items():
+            for code2, c2 in right:
+                code = code1 + code2
+                out[code] = get(code, 0) + c1 * c2
+        return LaurentCombination._new(
+            {code: c for code, c in out.items() if c}, bound)
+
+    __rmul__ = __mul__
+
+    def _mul_exact(self, other):
+        """Product through the monomials' exact fallback, term by term."""
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -196,40 +374,39 @@ class LaurentCombination:
                 out[m] = out.get(m, 0) + c1 * c2
         return LaurentCombination(out)
 
-    __rmul__ = __mul__
-
     def __eq__(self, other):
-        return isinstance(other, LaurentCombination) and self.terms == other.terms
+        return isinstance(other, LaurentCombination) and self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._terms.items()))
 
     def __len__(self):
-        return len(self.terms)
+        return len(self._terms)
 
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     def coeff(self, m):
-        return self.terms.get(m, 0)
+        return self._terms.get(m.code, 0)
 
     def shifted(self, s):
         """Shift every second index k by s."""
+        # the shift is injective on monomials, so no two terms merge
         out = {}
-        for m, c in self.terms.items():
-            ms = LoopMonomial({(i, k + s): e for (i, k), e in m.exps.items()})
-            out[ms] = out.get(ms, 0) + c
-        return LaurentCombination(out)
+        for code, c in self._terms.items():
+            exps = {(i, k + s): e for (i, k), e in _SLOTS.unpack(code).items()}
+            out[_SLOTS.pack(exps)[0]] = c
+        return LaurentCombination._new(out, self._bound)
 
     def total(self):
         """Sum of coefficients, i.e. the evaluation at all Y[i,k] = 1.
 
         For the q-character of a module this is the dimension.
         """
-        return sum(self.terms.values())
+        return sum(self._terms.values())
 
     def __repr__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
         parts = [f"{c}*({m!r})" for m, c in sorted(self.terms.items(), key=lambda t: t[0].key())]
         return " + ".join(parts)
@@ -239,20 +416,23 @@ def multiply(p, q):
     return p * q
 
 
+def _sorted_terms(p, keep):
+    out = [(LoopMonomial._wrap(code, p._bound), c)
+           for code, c in p._terms.items() if keep(code)]
+    out.sort(key=lambda t: t[0].key())
+    return out
+
+
 def dominant_monomials(p):
     """Dominant monomials of a combination with their coefficients.
 
     Deterministic order: lexicographic on the canonical monomial key.
     """
-    out = [(m, c) for m, c in p.terms.items() if is_dominant(m)]
-    out.sort(key=lambda t: t[0].key())
-    return out
+    return _sorted_terms(p, _nonnegative)
 
 
 def antidominant_monomials(p):
-    out = [(m, c) for m, c in p.terms.items() if is_antidominant(m)]
-    out.sort(key=lambda t: t[0].key())
-    return out
+    return _sorted_terms(p, lambda code: _nonnegative(-code))
 
 
 def a_decompose(cartan, m):
@@ -265,17 +445,18 @@ def a_decompose(cartan, m):
     independent over any finite window); it is solved exactly by Gaussian
     elimination over Q and accepted only if integral and nonnegative.
     """
-    if not m.exps:
+    mexps = m.exps
+    if not mexps:
         return {}
     n = cartan.n
-    ks = [k for (_i, k) in m.exps]
+    ks = [k for (_i, k) in mexps]
     kmin, kmax = min(ks) - 1, max(ks) + 1
     unknowns = [(i, k) for i in range(1, n + 1) for k in range(kmin, kmax + 1)]
-    avars = {u: a_var(cartan, *u) for u in unknowns}
-    rows = sorted(set(key for a in avars.values() for key in a.exps) | set(m.exps))
+    avars = {u: a_var(cartan, *u).exps for u in unknowns}
+    rows = sorted(set(key for a in avars.values() for key in a) | set(mexps))
     # columns: -exponent vectors of the A-monomials; rhs: exponents of m
-    mat = [[Fraction(-avars[u].exps.get(r, 0)) for u in unknowns] for r in rows]
-    rhs = [Fraction(m.exps.get(r, 0)) for r in rows]
+    mat = [[Fraction(-avars[u].get(r, 0)) for u in unknowns] for r in rows]
+    rhs = [Fraction(mexps.get(r, 0)) for r in rows]
     sol = _solve_exact(mat, rhs)
     if sol is None:
         return None
@@ -333,11 +514,10 @@ def to_text(p):
     Lines are sorted by the canonical monomial key, so equal combinations
     serialize byte-identically.
     """
-    lines = []
-    for m, c in sorted(p.terms.items(), key=lambda t: t[0].key()):
-        parts = [str(c)]
-        parts += [f"Y[{i},{k}]^{e}" for (i, k), e in sorted(m.exps.items())]
-        lines.append(" ".join(parts))
+    rows = sorted((sorted(_SLOTS.unpack(code).items()), c)
+                  for code, c in p._terms.items())
+    lines = [" ".join([str(c)] + [f"Y[{i},{k}]^{e}" for (i, k), e in exps])
+             for exps, c in rows]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -352,7 +532,8 @@ def from_text(text):
         exps = {}
         for f in fields[1:]:
             head, e = f.split("^")
-            assert head.startswith("Y[") and head.endswith("]"), f"bad variable {f}"
+            if not (head.startswith("Y[") and head.endswith("]")):
+                raise ValueError(f"bad variable {f}")
             i, k = head[2:-1].split(",")
             key = (int(i), int(k))
             exps[key] = exps.get(key, 0) + int(e)

@@ -159,14 +159,18 @@ def _snake_rec(n, p, l, shift):
 
 
 def _lex_lead(comb, varlist):
-    return max(comb.terms, key=lambda m: tuple(m.exps.get(v, 0) for v in varlist))
+    def vector(m):
+        exps = m.exps
+        return tuple(exps.get(v, 0) for v in varlist)
+    return max(comb.terms, key=vector)
 
 
 def _monomial_shift(comb, varlist):
     # monomial clearing all negative exponents of comb
+    rows = [m.exps for m in comb.terms]
     shift = {}
     for v in varlist:
-        low = min((m.exps.get(v, 0) for m in comb.terms), default=0)
+        low = min((exps.get(v, 0) for exps in rows), default=0)
         if low < 0:
             shift[v] = -low
     return LoopMonomial(shift)
@@ -192,13 +196,15 @@ def laurent_divide(p, q):
     qq = LaurentCombination.from_monomial(sq) * q
     qlead = _lex_lead(qq, varlist)
     qc = qq.terms[qlead]
+    qlead_exps = qlead.exps
     quot = LaurentCombination.zero()
     rem = LaurentCombination.zero()
     while not work.is_zero():
         m = _lex_lead(work, varlist)
         c = work.terms[m]
+        exps = m.exps
         reducible = c % qc == 0 and all(
-            m.exps.get(v, 0) >= e for v, e in qlead.exps.items()
+            exps.get(v, 0) >= e for v, e in qlead_exps.items()
         )
         if reducible:
             t = LaurentCombination.from_monomial(m * qlead.inverse(), c // qc)

@@ -56,6 +56,15 @@ def test_json_byte_identical(tmp_path):
     assert p1.read_bytes() != p3.read_bytes()
 
 
+def test_lattice_two_horizontal_pairs(capsys):
+    # the staggered pairs +beta, -beta; a second pair used to be refused
+    # as a usage error
+    assert main(["lattice", "--N", "2", "--L", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "6 checks: 6 pass, 0 fail" in out
+    assert "[pass] window translation covariance (L=2 N=2" in out
+
+
 def test_scenario_flags_and_precedence(tmp_path, capsys):
     scn = tmp_path / "scn.txt"
     scn.write_text("# window run\nsnake-l=3\nn=2\n")

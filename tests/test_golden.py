@@ -1,9 +1,17 @@
+import hashlib
 from pathlib import Path
 
+from qsnake.cli import main
 from qsnake.loopring import from_text, to_text
 from qsnake.qchar import fundamental_qchar, snake_qchar
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# sha256 of the standard output of `qsnake qchar --n 3 --snake-l 7`,
+# 10,866 lines, as printed by the plain exponent-map monomials; a change
+# of monomial representation must reproduce it byte for byte
+SNAKE_N3_L7_SHA256 = (
+    "950506e41e26f047c86bc3a3155604ce8a2836dbfceeed3c7d322b51d375943b")
 
 
 def check(name, char):
@@ -19,3 +27,10 @@ def test_fundamental_golden():
 
 def test_snake_golden():
     check("snake_n2_even_l2_s0.txt", snake_qchar(2, "even", 2, 0).char)
+
+
+def test_snake_listing_byte_identical(capsys):
+    assert main(["qchar", "--n", "3", "--snake-l", "7"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 10866
+    assert hashlib.sha256(out.encode()).hexdigest() == SNAKE_N3_L7_SHA256

@@ -1,7 +1,9 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsnake.loopring import (
+    MAX_EXPONENT,
     ONE,
     CartanData,
     ClassicalWeight,
@@ -153,6 +155,13 @@ def test_text_roundtrip_and_canonical_form():
     assert from_text("1\n") == LaurentCombination.unit()
 
 
+def test_from_text_rejects_bad_variable():
+    with pytest.raises(ValueError, match="bad variable X\\[1,0\\]"):
+        from_text("1 X[1,0]^1\n")
+    with pytest.raises(ValueError, match="bad variable"):
+        from_text("2 Y[1,0]^1 Y[2,1^-1\n")
+
+
 def test_shifted():
     assert W1_N2.shifted(3).coeff(y_var(1, 3)) == 1
     assert W1_N2.shifted(0) == W1_N2
@@ -184,3 +193,179 @@ def test_multiply_commutative(p, q):
 def test_multiply_associative_distributive(p, q, r):
     assert multiply(multiply(p, q), r) == multiply(p, multiply(q, r))
     assert multiply(p, q + r) == multiply(p, q) + multiply(p, r)
+
+
+# ---------------------------------------------------------------------------
+# packed monomials against a plain-dict reference model
+#
+# The reference keeps a monomial as {(i, k): e} without zero exponents and
+# a combination as {frozenset of its exponent items: coefficient}.  A
+# result the packed form cannot hold (an exponent beyond MAX_EXPONENT)
+# must raise OverflowError rather than spill into a neighbouring slot.
+
+VARIABLES = st.tuples(st.integers(1, 6), st.integers(-40, 40))
+# mostly small exponents, plus ones large enough that two of them add
+# past the digit range and force the exact fallback
+EXPONENTS = st.one_of(st.integers(-3, 3),
+                      st.integers(-MAX_EXPONENT, MAX_EXPONENT))
+exponent_maps = st.dictionaries(VARIABLES, EXPONENTS, max_size=5)
+# few variables and exponents, so that equal monomials are drawn often
+crowded_maps = st.dictionaries(
+    st.sampled_from([(1, 0), (2, -3), (6, 40)]), st.integers(-2, 2),
+    max_size=3)
+term_lists = st.lists(st.tuples(exponent_maps, st.integers(-3, 3)),
+                      max_size=4)
+
+
+def ref_clean(exps):
+    return {v: e for v, e in exps.items() if e}
+
+
+def ref_mul(a, b):
+    out = dict(a)
+    for v, e in b.items():
+        out[v] = out.get(v, 0) + e
+    return ref_clean(out)
+
+
+def ref_fits(exps):
+    return all(abs(e) <= MAX_EXPONENT for e in exps.values())
+
+
+def ref_key(exps):
+    return tuple((i, k, e) for (i, k), e in sorted(exps.items()))
+
+
+def ref_comb(terms):
+    out = {}
+    for exps, c in terms:
+        key = frozenset(ref_clean(exps).items())
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def as_ref(p):
+    return {frozenset(m.exps.items()): c for m, c in p.terms.items()}
+
+
+def build(terms):
+    return comb(*[(LoopMonomial(exps), c) for exps, c in terms])
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponent_maps, exponent_maps)
+def test_packed_product_and_inverse_match_reference(a, b):
+    ma, mb = LoopMonomial(a), LoopMonomial(b)
+    assert ma.exps == ref_clean(a)
+    assert ma.inverse().exps == {v: -e for v, e in ref_clean(a).items()}
+    assert ma * ma.inverse() == ONE
+    want = ref_mul(a, b)
+    if ref_fits(want):
+        got = ma * mb
+        assert got.exps == want
+        assert got == LoopMonomial(want)
+        assert hash(got) == hash(LoopMonomial(want))
+        assert max(map(abs, want.values()), default=0) <= got.bound
+    else:
+        with pytest.raises(OverflowError):
+            ma * mb
+
+
+@settings(max_examples=100, deadline=None)
+@given(exponent_maps, st.integers(-4, 4))
+def test_packed_power_matches_reference(a, p):
+    want = ref_clean({v: p * e for v, e in a.items()})
+    if ref_fits(want):
+        assert (LoopMonomial(a) ** p).exps == want
+    else:
+        with pytest.raises(OverflowError):
+            LoopMonomial(a) ** p
+
+
+@settings(max_examples=200, deadline=None)
+@given(crowded_maps, crowded_maps)
+def test_packed_equality_and_hash_match_reference(a, b):
+    ma, mb = LoopMonomial(a), LoopMonomial(b)
+    assert (ma == mb) == (ref_clean(a) == ref_clean(b))
+    if ma == mb:
+        assert hash(ma) == hash(mb)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(exponent_maps, max_size=6))
+def test_packed_key_order_and_dominance_match_reference(maps):
+    monos = [LoopMonomial(a) for a in maps]
+    for m, a in zip(monos, maps):
+        a = ref_clean(a)
+        assert m.key() == ref_key(a)
+        assert is_dominant(m) == all(e > 0 for e in a.values())
+        assert is_antidominant(m) == all(e < 0 for e in a.values())
+    got = [m.key() for m in sorted(monos, key=LoopMonomial.key)]
+    assert got == sorted(ref_key(ref_clean(a)) for a in maps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_lists, term_lists)
+def test_packed_combination_product_matches_reference(s, t):
+    p, q = build(s), build(t)
+    assert as_ref(p) == ref_comb(s)
+    want = {}
+    overflow = False
+    for a, c1 in ref_comb(s).items():
+        for b, c2 in ref_comb(t).items():
+            m = ref_mul(dict(a), dict(b))
+            overflow |= not ref_fits(m)
+            key = frozenset(m.items())
+            want[key] = want.get(key, 0) + c1 * c2
+    if overflow:
+        with pytest.raises(OverflowError):
+            p * q
+    else:
+        assert as_ref(p * q) == {k: c for k, c in want.items() if c}
+
+
+@settings(max_examples=100, deadline=None)
+@given(term_lists, st.integers(-40, 40))
+def test_packed_shift_and_text_match_reference(terms, s):
+    p = build(terms)
+    want = {frozenset(((i, k + s), e) for (i, k), e in key): c
+            for key, c in ref_comb(terms).items()}
+    assert as_ref(p.shifted(s)) == want
+    lines = sorted((ref_key(dict(key)), c) for key, c in ref_comb(terms).items())
+    assert to_text(p) == "".join(
+        " ".join([str(c)] + [f"Y[{i},{k}]^{e}" for i, k, e in key]) + "\n"
+        for key, c in lines)
+    assert from_text(to_text(p)) == p
+
+
+def test_overflow_fallback_is_exact():
+    big = MAX_EXPONENT - 1
+    a = y_var(1, 0, big)
+    b = y_var(1, 0, -big) * y_var(2, 5)
+    # the bounds add past the digit range, so the product is recomputed
+    # from the decoded exponents
+    assert a.bound + b.bound > MAX_EXPONENT
+    assert a * b == y_var(2, 5)
+    assert (a * b).exps == {(2, 5): 1}
+    with pytest.raises(OverflowError):
+        a * a
+    with pytest.raises(OverflowError):
+        a ** 2
+    with pytest.raises(OverflowError):
+        LoopMonomial({(1, 0): MAX_EXPONENT + 1})
+    # a loose bound left by cancellation is tightened, not trusted
+    half = y_var(3, -7, 10000)
+    ghost = half * half.inverse()
+    assert ghost == ONE and ghost.bound == 20000
+    assert ghost * y_var(3, -7, 20000) == y_var(3, -7, 20000)
+    # the same at combination level: exact path, tightened path, overflow
+    p = LaurentCombination.from_monomial(a) + LaurentCombination.unit()
+    q = LaurentCombination.from_monomial(b)
+    assert p * q == comb((y_var(2, 5), 1), (b, 1))
+    with pytest.raises(OverflowError):
+        p * p
+    loose = (LaurentCombination.from_monomial(half)
+             * LaurentCombination.from_monomial(half.inverse()))
+    assert loose == LaurentCombination.unit()
+    far = y_var(3, -7, 20000)
+    assert loose * LaurentCombination.from_monomial(far) == comb((far, 1))

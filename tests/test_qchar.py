@@ -9,6 +9,7 @@ from qsnake.loopring import (
     a_decompose,
     antidominant_monomials,
     dominant_monomials,
+    to_text,
     wt_of,
     y_var,
 )
@@ -192,6 +193,29 @@ def test_kr_t_system_residual():
                 rhs = kr_qchar(2, node, k + 1, s).char * kr_qchar(2, node, k - 1, s + 2).char
                 rhs = rhs + kr_qchar(2, other, k, s + 1).char
                 assert (lhs - rhs).is_zero()
+
+
+def test_cached_characters_are_read_only():
+    # snake_qchar and kr_qchar hand every caller the combination their
+    # cache holds, so no caller may be able to change it
+    for get in (lambda: snake_qchar(2, "even", 3, 0),
+                lambda: kr_qchar(2, 1, 2, 0)):
+        char = get().char
+        before = to_text(char)
+        m = next(iter(char.terms))
+        with pytest.raises(TypeError):
+            char.terms[m] = 5
+        with pytest.raises(TypeError):
+            char.terms[ONE] = 1
+        with pytest.raises(TypeError):
+            del char.terms[m]
+        with pytest.raises(AttributeError):
+            char.terms.clear()
+        with pytest.raises(AttributeError):
+            char.terms = {}
+        again = get().char
+        assert again is char
+        assert to_text(again) == before
 
 
 def test_alternating_product():
