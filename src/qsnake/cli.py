@@ -24,10 +24,10 @@ from fractions import Fraction
 import numpy as np
 
 from .exactlin import RatFun, matrix_rank, tensor_from_matrix
-from .lattice import (LatticeSpec, _sp_embed, _sp_mul, a_residue_closed,
-                      colour_conserving, density_matrix, embed_pair,
-                      max_abs_diff, ptrace_slot, projected_reduction_check,
-                      verify_finite_rqkz)
+from .lattice import (LatticeSpec, _dense_to_sp, _sp_embed, _sp_mul,
+                      _sp_ptrace, _sp_scale, _sp_site_sum, a_residue_closed,
+                      colour_conserving, density_matrix, max_abs_diff,
+                      projected_reduction_check, verify_finite_rqkz)
 from .loopring import (ONE, LaurentCombination, antidominant_monomials,
                        dominant_monomials, to_text, y_var)
 from .qchar import (alternating_product, binomial_census_sum,
@@ -43,9 +43,6 @@ from .snail import (SnailSpec, _snail_matrix, contraction_order_check,
                     snake_rank_check)
 
 X = RatFun.x()
-
-SUBCOMMANDS = ("qchar", "census", "tsystem", "rmatrix", "lattice", "rqkz",
-               "pole", "snail", "all")
 
 
 def seeded_rationals(seed, count, avoid=(), span=12, denom=9):
@@ -408,41 +405,31 @@ def pole_reports(n_values=(2, 3, 4), k_values=(1, 2)):
     return reports
 
 
-def pole_single_report(n, k, l):
-    f, order = pole_profile(n, k, l)
-    want = 1 if l in (0, 1) else 0
-    return VerificationReport(
-        check="pole profile",
-        params={"n": n, "k": k, "l": l},
-        status="pass" if order == want else "fail",
-        anchor="the fused weight keeps a simple pole at coincidence for "
-               "the first two shifts and none for the rest",
-        witness={"order": order, "expected": want, "profile": str(f)})
-
-
 # ---------------------------------------------------------------------------
 # finite-strip window suite
 
-def _dual_action(g):
-    c = charge_conj_matrix(g.shape[0] - 1)
-    return -(c @ g.T @ c)
+def _sp_window(spec, m, labels, variant):
+    return _dense_to_sp(density_matrix(spec, m, labels, variant).matrix)
 
 
 def lattice_reports(n=2, max_L=3, N=1, max_m=3, seed=0):
     reports = []
     d = n + 1
-    one = identity_matrix(d)
+    cc = charge_conj_matrix(n)
     for L in range(2, max_L + 1):
         beta = seeded_rationals(seed + L, 1, avoid=[0])[0]
         spec = LatticeSpec.staggered(n, L, N, [Fraction(0)] * L, beta)
         mtop = min(L, max_m)
         labels = seeded_rationals(seed + L + 100, mtop, avoid=[0, beta])
+        top = {}  # the two windows on labels[:mtop], by variant
 
         traces = {}
         colours = {}
         for m in range(1, mtop + 1):
             for variant in (0, 1):
                 win = density_matrix(spec, m, labels[:m], variant)
+                if m == mtop:
+                    top[variant] = _dense_to_sp(win.matrix)
                 traces[f"m={m},variant={variant}"] = win.trace() == 1
                 colours[f"m={m},variant={variant}"] = colour_conserving(win)
         reports.append(VerificationReport(
@@ -463,23 +450,16 @@ def lattice_reports(n=2, max_L=3, N=1, max_m=3, seed=0):
         resid = Fraction(0)
         cases = 0
         if mtop >= 2:
-            small = density_matrix(spec, mtop - 1, labels[1:mtop], 0)
-            big = density_matrix(
-                spec, mtop, [Fraction(0)] + labels[1:mtop], 0)
-            resid = max(resid, max_abs_diff(
-                ptrace_slot(big.matrix, mtop - 1, mtop, n), small.matrix))
-            cases += 1
-            big = density_matrix(
-                spec, mtop, labels[1:mtop] + [Fraction(0)], 0)
-            resid = max(resid, max_abs_diff(
-                ptrace_slot(big.matrix, 0, mtop, n), small.matrix))
-            cases += 1
-            small1 = density_matrix(spec, mtop - 1, labels[1:mtop], 1)
-            big1 = density_matrix(
-                spec, mtop, labels[1:mtop] + [Fraction(0)], 1)
-            resid = max(resid, max_abs_diff(
-                ptrace_slot(big1.matrix, 0, mtop, n), small1.matrix))
-            cases += 1
+            rest = labels[1:mtop]
+            small = {v: _sp_window(spec, mtop - 1, rest, v) for v in (0, 1)}
+            # (variant, labels of the big window, slot of the traced site)
+            for variant, big, slot in ((0, [Fraction(0)] + rest, mtop - 1),
+                                       (0, rest + [Fraction(0)], 0),
+                                       (1, rest + [Fraction(0)], 0)):
+                traced = _sp_ptrace(_sp_window(spec, mtop, big, variant),
+                                    slot, mtop, d)
+                resid = max(resid, _sp_diff(traced, small[variant]))
+                cases += 1
         reports.append(VerificationReport(
             check="window reduction",
             params={"n": n, "L": L, "N": N, "seed": seed},
@@ -490,23 +470,14 @@ def lattice_reports(n=2, max_L=3, N=1, max_m=3, seed=0):
 
         resid = Fraction(0)
         count = 0
-        for variant in (0, 1):
-            win = density_matrix(spec, mtop, labels[:mtop], variant)
-            for e, f, hgen in chevalley_generators(n):
-                for g in (e, f, hgen):
-                    tot = np.full((d ** mtop, d ** mtop), Fraction(0),
-                                  dtype=object)
-                    for slot in range(mtop):
-                        site = mtop - slot
-                        gg = (_dual_action(g)
-                              if variant == 1 and site == 1 else g)
-                        full = np.full((1, 1), Fraction(1), dtype=object)
-                        for s2 in range(mtop):
-                            full = np.kron(full, gg if s2 == slot else one)
-                        tot = tot + full
-                    resid = max(resid, max_abs_diff(
-                        tot @ win.matrix, win.matrix @ tot))
-                    count += 1
+        for variant, win in top.items():
+            for g in (g for gens in chevalley_generators(n) for g in gens):
+                # in variant 1 site 1, the last slot, carries the dual
+                dual = [-(cc @ g.T @ cc)] if variant == 1 else [g]
+                tot = _sp_site_sum([g] * (mtop - 1) + dual, d)
+                resid = max(resid, _sp_diff(_sp_mul(tot, win),
+                                            _sp_mul(win, tot)))
+                count += 1
         reports.append(VerificationReport(
             check="window global invariance",
             params={"n": n, "L": L, "N": N, "m": mtop, "seed": seed},
@@ -519,19 +490,19 @@ def lattice_reports(n=2, max_L=3, N=1, max_m=3, seed=0):
             resid = Fraction(0)
             p = permutation_matrix(n)
             w = labels[:mtop]
-            win = density_matrix(spec, mtop, w, 0)
+            win = top[0]
             for i in range(1, mtop):
-                ws = list(w)
-                ws[i - 1], ws[i] = ws[i], ws[i - 1]
-                swapped = density_matrix(spec, mtop, ws, 0)
+                ws = w[:i - 1] + [w[i], w[i - 1]] + w[i + 1:]
                 lo = mtop - (i + 1)
                 x = w[i] - w[i - 1]
-                braid = embed_pair(p @ vertex_matrix(n, "f", "f", x),
-                                   (lo, lo + 1), mtop, n)
-                inv = embed_pair(vertex_matrix(n, "f", "f", -x) @ p,
-                                 (lo, lo + 1), mtop, n)
-                conj = (braid @ win.matrix @ inv) / (1 - x * x)
-                resid = max(resid, max_abs_diff(conj, swapped.matrix))
+                braid = _sp_embed(p @ vertex_matrix(n, "f", "f", x),
+                                  (lo, lo + 1), mtop, d)
+                inv = _sp_embed(vertex_matrix(n, "f", "f", -x) @ p,
+                                (lo, lo + 1), mtop, d)
+                conj = _sp_scale(_sp_mul(_sp_mul(braid, win), inv),
+                                 1 / (1 - x * x))
+                resid = max(resid,
+                            _sp_diff(conj, _sp_window(spec, mtop, ws, 0)))
             reports.append(VerificationReport(
                 check="window exchange relation",
                 params={"n": n, "L": L, "N": N, "m": mtop, "seed": seed},
@@ -542,11 +513,11 @@ def lattice_reports(n=2, max_L=3, N=1, max_m=3, seed=0):
 
         delta = seeded_rationals(seed + L + 200, 1, avoid=[0])[0]
         wfull = seeded_rationals(seed + L + 300, L, avoid=[0, beta])
-        a = density_matrix(spec, L, wfull, 0)
         shifted_spec = LatticeSpec(n, L, N, [Fraction(0)] * L,
                                    [b + delta for b in spec.betas])
-        b = density_matrix(shifted_spec, L, [x + delta for x in wfull], 0)
-        resid = max_abs_diff(a.matrix, b.matrix)
+        resid = _sp_diff(
+            _sp_window(spec, L, wfull, 0),
+            _sp_window(shifted_spec, L, [x + delta for x in wfull], 0))
         reports.append(VerificationReport(
             check="window translation covariance",
             params={"n": n, "L": L, "N": N, "seed": seed},
@@ -557,9 +528,13 @@ def lattice_reports(n=2, max_L=3, N=1, max_m=3, seed=0):
     return reports
 
 
+class OutOfScope(ValueError):
+    """A family's claim is not stated at the requested options."""
+
+
 def rqkz_reports(n=2, max_L=3, N=1, seed=0):
     if N != 1:
-        raise ValueError("the window difference equations run at N=1")
+        raise OutOfScope("the window difference equations run at N=1")
     reports = []
     for L in range(2, max_L + 1):
         for m in range(2, L + 1):
@@ -592,8 +567,9 @@ def snail_wellformed_reports(seed=0):
     mu = seeded_rationals(seed + 7, 1, avoid=[0])[0]
     reports = [contraction_order_check(SnailSpec(2, 1, 2, [mu]))]
 
-    resid = max_abs_diff(_snail_matrix(SnailSpec(2, 1, 2, [mu])),
-                         a_residue_closed(2, [mu]))
+    towers = {k: _dense_to_sp(_snail_matrix(SnailSpec(2, k, 2, [mu])))
+              for k in (1, 2)}
+    resid = _sp_diff(towers[1], _dense_to_sp(a_residue_closed(2, [mu])))
     reports.append(VerificationReport(
         check="tower against single-level assembly",
         params={"n": 2, "k": 1, "m": 2, "mu2": mu, "seed": seed},
@@ -602,14 +578,11 @@ def snail_wellformed_reports(seed=0):
                "of the lowering chain",
         witness={"max_residual": resid}))
 
-    one = identity_matrix(3)
     resid = Fraction(0)
-    for k in (1, 2):
-        x = _snail_matrix(SnailSpec(2, k, 2, [mu]))
-        for e, f, hgen in chevalley_generators(2):
-            for g in (e, f, hgen):
-                tot = np.kron(g, one) + np.kron(one, g)
-                resid = max(resid, max_abs_diff(tot @ x, x @ tot))
+    for x in towers.values():
+        for g in (g for gens in chevalley_generators(2) for g in gens):
+            tot = _sp_site_sum([g, g], 3)
+            resid = max(resid, _sp_diff(_sp_mul(tot, x), _sp_mul(x, tot)))
     reports.append(VerificationReport(
         check="fused window invariance",
         params={"n": 2, "k_values": [1, 2], "m": 2, "mu2": mu, "seed": seed},
@@ -638,98 +611,130 @@ def exploratory_reports(seed=0):
 # ---------------------------------------------------------------------------
 # dispatch
 
-def _print_snake_monomials(n, snake_l, parity, shift):
-    char = snake_qchar(n, parity, snake_l, shift)
-    text = to_text(char.char)
-    sys.stdout.write(text)
+def _ranks(o):
+    """n_values of a rank sweep: the one rank --n names, else the
+    family's own sweep."""
+    return {} if o["n"] is None else {"n_values": (o["n"],)}
+
+
+def _snail_suite(o):
+    # k runs up to its bound at every rank of the default pairs, or at
+    # the rank --n names; the extended pairs join the default pairs only
+    ranks = sorted({r for r, _k in DEFAULT_RANK_PAIRS} if o["n"] is None
+                   else {o["n"]})
+    pairs = tuple((r, k) for r in ranks for k in range(1, o["k"] + 1))
+    extended = None if pairs == DEFAULT_RANK_PAIRS else False
+    return (snail_rank_reports(pairs, extended)
+            + snail_wellformed_reports(o["seed"])
+            + exploratory_reports(o["seed"]))
+
+
+def _snake_listing(o):
+    char = snake_qchar(o["n"], o["parity"], o["snake_l"], o["shift"])
+    sys.stdout.write(to_text(char.char))
     return VerificationReport(
         check="snake character monomials",
-        params={"n": n, "l": snake_l, "parity": parity, "shift": shift},
+        params={"n": o["n"], "l": o["snake_l"], "parity": o["parity"],
+                "shift": o["shift"]},
         status="pass",
         anchor="canonical monomial listing of one snake character",
         witness={"monomials": len(char.char)})
 
 
+def _pole_single(o):
+    f, order = pole_profile(o["n"], o["k"], o["l"])
+    want = 1 if o["l"] in (0, 1) else 0
+    print(f"pole order {order} (expected {want})")
+    return VerificationReport(
+        check="pole profile",
+        params={"n": o["n"], "k": o["k"], "l": o["l"]},
+        status="pass" if order == want else "fail",
+        anchor="the fused weight keeps a simple pole at coincidence for "
+               "the first two shifts and none for the rest",
+        witness={"order": order, "expected": want, "profile": str(f)})
+
+
+# subcommand -> (builder, {option: (default, least value accepted)}).  A
+# default stands in for an unset (None) option only; n=None keeps each
+# family's own sweep of ranks.  `all` runs every entry.
+SUITES = {
+    "qchar": (lambda o: qchar_fundamental_reports(**_ranks(o))
+              + snake_trio_reports(max_l=o["l"], **_ranks(o)),
+              {"n": (None, 1), "l": (6, 0)}),
+    # the composition factors stop at l=4
+    "census": (lambda o: census_reports(max_l=o["l"], **_ranks(o))
+               + factor_reports(max_l=min(o["l"], 4), **_ranks(o)),
+               {"n": (None, 1), "l": (5, 1)}),
+    "tsystem": (lambda o: tsystem_reports(max_l=o["l"], **_ranks(o))
+                + kr_reports(),
+                {"n": (None, 1), "l": (4, 1)}),
+    "rmatrix": (lambda o: rmatrix_reports(**_ranks(o)), {"n": (None, 1)}),
+    "lattice": (lambda o: lattice_reports(o["n"], o["L"], o["N"], o["m"],
+                                          o["seed"]),
+                {"n": (2, 1), "L": (3, 2), "N": (1, 1), "m": (3, 1),
+                 "seed": (0, None)}),
+    "rqkz": (lambda o: rqkz_reports(o["n"], o["L"], o["N"], o["seed"]),
+             {"n": (2, 1), "L": (3, 2), "N": (1, 1), "seed": (0, None)}),
+    "pole": (lambda o: pole_reports(k_values=tuple(range(1, o["k"] + 1)),
+                                    **_ranks(o)),
+             {"n": (None, 1), "k": (2, 1)}),
+    "snail": (_snail_suite, {"n": (None, 1), "k": (2, 1), "seed": (0, None)}),
+}
+
+# single-item modes that take a subcommand over when their flag is set;
+# the builder checks the flag's own value, and `all` never runs them
+MODES = {
+    "qchar": ("snake_l", _snake_listing,
+              {"n": (2, 1), "parity": ("even", None), "shift": (0, None)}),
+    "pole": ("l", _pole_single, {"n": (2, 1), "k": (1, 1)}),
+}
+
+SUBCOMMANDS = (*SUITES, "all")
+
+CAPS = {"l": "max_l", "k": "max_k"}
+
+
+def _options(name, table, opt, capped):
+    """The options one suite runs with.  An unset option takes the
+    table's default.  In a subcommand --max-l/--max-k set l/k like
+    --l/--k and win over them; capped (under `all`) they cap the l/k
+    defaults, and --l/--k are not read.  A value below the least one the
+    suite accepts is a usage error that names its flag."""
+    out = dict(opt)
+    for key, (default, least) in table.items():
+        flag = CAPS.get(key, key)
+        if capped and flag != key:
+            val = default if opt[flag] is None else min(opt[flag], default)
+        else:
+            flag = key if opt[flag] is None else flag
+            val = default if opt[flag] is None else opt[flag]
+        if least is not None and val is not None and val < least:
+            raise ValueError(f"--{flag.replace('_', '-')} must be at least "
+                             f"{least} for {name}, got {val}")
+        out[key] = val
+    return out
+
+
 def run_subcommand(cmd, opt):
-    """Build the report list for one subcommand.  opt is a plain dict."""
-    n = opt.get("n")
-    seed = opt.get("seed") or 0
-    reports = []
-    if cmd == "qchar":
-        if opt.get("snake_l") is not None:
-            reports.append(_print_snake_monomials(
-                n if n is not None else 2, opt["snake_l"],
-                opt.get("parity") or "even", opt.get("shift") or 0))
-            return reports
-        wide = (n,) if n is not None else (2, 3, 4, 5)
-        small = (n,) if n is not None else (2, 3)
-        reports += qchar_fundamental_reports(wide)
-        reports += snake_trio_reports(small, opt.get("l") or 6)
-    elif cmd == "census":
-        small = (n,) if n is not None else (2, 3)
-        reports += census_reports(small, opt.get("l") or 5)
-        reports += factor_reports(small, min(opt.get("l") or 4, 4))
-    elif cmd == "tsystem":
-        small = (n,) if n is not None else (2, 3)
-        reports += tsystem_reports(small, opt.get("l") or 4)
-        reports += kr_reports()
-    elif cmd == "rmatrix":
-        small = (n,) if n is not None else (2, 3)
-        reports += rmatrix_reports(small)
-    elif cmd == "lattice":
-        reports += lattice_reports(
-            n if n is not None else 2, opt.get("L") or 3,
-            opt.get("N") or 1, opt.get("m") or 3, seed)
-    elif cmd == "rqkz":
-        reports += rqkz_reports(
-            n if n is not None else 2, opt.get("L") or 3,
-            opt.get("N") or 1, seed)
-    elif cmd == "pole":
-        if opt.get("l") is not None:
-            reports.append(pole_single_report(
-                n if n is not None else 2, opt.get("k") or 1, opt["l"]))
-            print(f"pole order {reports[-1].witness['order']} "
-                  f"(expected {reports[-1].witness['expected']})")
-        else:
-            ns = (n,) if n is not None else (2, 3, 4)
-            kmax = opt.get("k") or 2
-            reports += pole_reports(ns, tuple(range(1, kmax + 1)))
-    elif cmd == "snail":
-        if n is not None:
-            kmax = opt.get("max_k") or opt.get("k") or 2
-            pairs = tuple((n, k) for k in range(1, kmax + 1))
-            reports += snail_rank_reports(pairs, extended=False)
-        else:
-            reports += snail_rank_reports()
-        reports += snail_wellformed_reports(seed)
-        reports += exploratory_reports(seed)
-    elif cmd == "all":
-        wide = (n,) if n is not None else (2, 3, 4, 5)
-        small = (n,) if n is not None else (2, 3)
-        pole_ns = (n,) if n is not None else (2, 3, 4)
-        max_l = opt.get("max_l")
-        max_k = opt.get("max_k") or 2
-        L = opt.get("L") or 3
-        N = opt.get("N") or 1
-        lat_n = n if n is not None else 2
-        reports += qchar_fundamental_reports(wide)
-        reports += snake_trio_reports(small, min(max_l or 6, 6))
-        reports += tsystem_reports(small, min(max_l or 4, 4))
-        reports += kr_reports()
-        reports += census_reports(small, min(max_l or 5, 5))
-        reports += factor_reports(small, min(max_l or 4, 4))
-        reports += rmatrix_reports(small)
-        reports += pole_reports(pole_ns, tuple(range(1, max_k + 1)))
-        reports += lattice_reports(lat_n, L, N, opt.get("m") or 3, seed)
-        if N == 1:
-            reports += rqkz_reports(lat_n, L, N, seed)
-        pairs = tuple(p for p in DEFAULT_RANK_PAIRS if p[1] <= max_k
-                      and (n is None or p[0] == n))
-        reports += snail_rank_reports(pairs)
-        reports += snail_wellformed_reports(seed)
-        reports += exploratory_reports(seed)
-    else:
+    """Build the report list for one subcommand.  opt maps option names
+    to values; an absent or None option is unset."""
+    opt = {**dict.fromkeys(INT_OPTIONS + STR_OPTIONS), **opt}
+    if cmd in MODES and opt[MODES[cmd][0]] is not None:
+        _flag, builder, table = MODES[cmd]
+        return [builder(_options(cmd, table, opt, False))]
+    if cmd not in SUBCOMMANDS:
         raise ValueError(f"unknown subcommand {cmd!r}")
+    names = list(SUITES) if cmd == "all" else [cmd]
+    runs = [(name, _options(name, SUITES[name][1], opt, cmd == "all"))
+            for name in names]
+    reports = []
+    for name, o in runs:
+        try:
+            reports += SUITES[name][0](o)
+        except OutOfScope as exc:
+            if cmd != "all":
+                raise
+            print(f"all: skipped {name}: {exc}", file=sys.stderr)
     return reports
 
 
@@ -762,9 +767,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name in SUBCOMMANDS:
         p = sub.add_parser(name)
-        for flag in ("--n", "--l", "--snake-l", "--k", "--m", "--L", "--N",
-                     "--shift", "--seed", "--max-l", "--max-k"):
-            p.add_argument(flag, type=int, default=None)
+        for key in INT_OPTIONS:
+            p.add_argument("--" + key.replace("_", "-"), type=int,
+                           default=None)
         p.add_argument("--parity", choices=("even", "odd"), default=None)
         p.add_argument("--json", metavar="PATH", default=None)
         p.add_argument("--scenario", metavar="PATH", default=None)
@@ -772,23 +777,15 @@ def build_parser():
 
 
 def _merge_options(args):
-    opt = {}
-    scenario = {}
-    if args.scenario:
-        scenario = read_scenario(args.scenario)
-    known = set(INT_OPTIONS) | set(STR_OPTIONS)
+    scenario = read_scenario(args.scenario) if args.scenario else {}
     for key in scenario:
-        if key not in known:
+        if key not in INT_OPTIONS + STR_OPTIONS:
             raise ValueError(f"unknown scenario option {key!r}")
-    for key in INT_OPTIONS:
+    opt = {}
+    for key in INT_OPTIONS + STR_OPTIONS:
         val = getattr(args, key)
         if val is None and key in scenario:
-            val = int(scenario[key])
-        opt[key] = val
-    for key in STR_OPTIONS:
-        val = getattr(args, key)
-        if val is None and key in scenario:
-            val = scenario[key]
+            val = int(scenario[key]) if key in INT_OPTIONS else scenario[key]
         opt[key] = val
     if opt["parity"] not in (None, "even", "odd"):
         raise ValueError("parity must be even or odd")

@@ -74,6 +74,26 @@ def _sp_mul(a, b):
     return out
 
 
+def _sp_site_sum(mats, d):
+    """Sum over slots s of the one-slot operator mats[s] on slot s, the
+    identity on every other slot."""
+    nslots = len(mats)
+    out = {}
+    for r in range(d ** nslots):
+        row = {}
+        for s, g in enumerate(mats):
+            w = d ** (nslots - 1 - s)
+            a = r // w % d
+            for b in range(d):
+                if g[a, b] != 0:
+                    c = r + (b - a) * w
+                    row[c] = row.get(c, 0) + g[a, b]
+        row = {c: v for c, v in row.items() if v != 0}
+        if row:
+            out[r] = row
+    return out
+
+
 def _sp_scale(a, s):
     if s == 0:
         return {}
@@ -425,32 +445,35 @@ def a_prefactor_expr(which, n, mu_rest, shift=0):
     return expr
 
 
-def _a_chain_sp(which, n, nu, mu_rest, m):
-    """Chain parts (CL, K, CR) of the shift sandwich on m+1 slots.
+def level_chain(which, n, nu, mus, m, ins, nsl):
+    """Chain parts (CL, K, CR) of one window-shift level on nsl slots.
 
-    The distinguished input line sits on slot m-1, the fresh output line
-    on slot m; passive site j = 2..m on slot m-j."""
+    The consumed line sits on slot ins, the fresh output line on slot
+    ins+1 and passive site j = 2..m, parameter mus[j-2], on slot m-j.
+    which=1 is the raising level (fundamental line), which=2 the
+    lowering one (antifundamental line)."""
+    if which not in (1, 2):
+        raise ValueError("which must be 1 or 2")
     d = n + 1
-    nsl = m + 1
     cl = _sp_identity(d ** nsl)
     cr = _sp_identity(d ** nsl)
     js = list(range(2, m + 1))
     if which == 1:
         for j in js:
-            v = vertex_matrix(n, "f", "f", nu - mu_rest[j - 2])
-            cl = _sp_mul(cl, _sp_embed(v, (m - 1, m - j), nsl, d))
+            v = vertex_matrix(n, "f", "f", nu - mus[j - 2])
+            cl = _sp_mul(cl, _sp_embed(v, (ins, m - j), nsl, d))
         for j in reversed(js):
-            v = vertex_matrix(n, "f", "f", mu_rest[j - 2] - nu)
-            cr = _sp_mul(cr, _sp_embed(v, (m - j, m - 1), nsl, d))
-        ks = _sp_embed(k_matrix(n), (m - 1, m), nsl, d)
+            v = vertex_matrix(n, "f", "f", mus[j - 2] - nu)
+            cr = _sp_mul(cr, _sp_embed(v, (m - j, ins), nsl, d))
+        ks = _sp_embed(k_matrix(n), (ins, ins + 1), nsl, d)
     else:
         for j in reversed(js):
-            v = vertex_matrix(n, "f", "fbar", mu_rest[j - 2] - nu)
-            cl = _sp_mul(cl, _sp_embed(v, (m - j, m - 1), nsl, d))
+            v = vertex_matrix(n, "f", "fbar", mus[j - 2] - nu)
+            cl = _sp_mul(cl, _sp_embed(v, (m - j, ins), nsl, d))
         for j in js:
-            v = vertex_matrix(n, "f", "fbar", nu - mu_rest[j - 2])
-            cr = _sp_mul(cr, _sp_embed(v, (m - j, m - 1), nsl, d))
-        ks = _sp_embed(k_matrix(n), (m, m - 1), nsl, d)
+            v = vertex_matrix(n, "f", "fbar", nu - mus[j - 2])
+            cr = _sp_mul(cr, _sp_embed(v, (m - j, ins), nsl, d))
+        ks = _sp_embed(k_matrix(n), (ins + 1, ins), nsl, d)
     return cl, ks, cr
 
 
@@ -498,7 +521,8 @@ class AOperator:
         d = n + 1
         nsl = m + 1
         big = _sp_extend(_dense_to_sp(win.matrix), d)
-        cl, ks, cr = _a_chain_sp(self.which, n, self.lam1, self.mu_rest, m)
+        cl, ks, cr = level_chain(self.which, n, self.lam1, self.mu_rest, m,
+                                  m - 1, nsl)
         prod = _sp_mul(_sp_mul(_sp_mul(cl, big), ks), cr)
         out = _sp_ptrace(prod, m - 1, nsl, d)
         mat = _sp_to_dense(_sp_scale(out, self.prefactor), d ** m)
@@ -554,7 +578,7 @@ def a_residue_parts(n, mu_rest):
         raise ArithmeticError(
             f"pole order {order} != 1 at {pole}; residue undefined")
     res = residue_at(red, pole)
-    cl, ks, cr = _a_chain_sp(2, n, pole, mu_rest, m)
+    cl, ks, cr = level_chain(2, n, pole, mu_rest, m, m - 1, m + 1)
     return res, _sp_mul(_sp_mul(cl, ks), cr)
 
 

@@ -130,14 +130,12 @@ def snake_qchar(n, parity, l, shift=0):
     that point with the remaining snake overshoots by exactly the snake
     with the first two points removed.  The result must come out thin; a
     coefficient other than 1 is an internal inconsistency and aborts.
+    Thinness is checked once per snake, when the recursion builds it.
     """
     if l < 0:
         raise ValueError("snake length must be >= 0")
     p = _parity_start(parity)
-    char = _snake_rec(n, p, l, shift)
-    if any(c != 1 for c in char.terms.values()):
-        raise ArithmeticError("snake recursion produced a non-thin character")
-    return ModuleChar(char, "snake")
+    return ModuleChar(_snake_rec(n, p, l, shift), "snake")
 
 
 def _snake_rec(n, p, l, shift):
@@ -154,6 +152,8 @@ def _snake_rec(n, p, l, shift):
         head = fundamental_qchar(n, node, shift).char
         out = head * _snake_rec(n, p + 1, l - 1, shift + n + 1)
         out = out - _snake_rec(n, p, l - 2, shift + 2 * (n + 1))
+    if any(c != 1 for c in out.terms.values()):
+        raise ArithmeticError("snake recursion produced a non-thin character")
     _snake_cache[key] = out
     return out
 

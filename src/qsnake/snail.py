@@ -23,7 +23,7 @@ from .exactlin import (RatFun, contract, matrix_rank, pole_order_at,
                        residue_at, tensor_from_matrix)
 from .lattice import (_sp_embed, _sp_extend, _sp_identity, _sp_mul,
                       _sp_ptrace, _sp_scale, _sp_to_dense, a_prefactor_expr,
-                      density_matrix, max_abs_diff)
+                      density_matrix, level_chain, max_abs_diff)
 from .qchar import SnakeSpec, module_dim, snake_qchar
 from .report import VerificationReport
 from .rmat import (PrefactorExpr, antisym_fusion, h_shift, k_matrix,
@@ -139,42 +139,19 @@ def _tower_chain(spec):
 
     Slot layout on m + 2k - 1 coordinates: passive site j = 2..m on slot
     m-j, the level-t line on slot m-2+t, the final output line on the
-    last slot.  Left factors collect descending over levels, right
-    factors (singlet insertion then returning chain) ascending; this is
-    the order in which the levels compose."""
+    last slot.  Odd levels lower, even levels raise.  Left factors
+    collect descending over levels, right factors (singlet insertion
+    then returning chain) ascending; this is the order in which the
+    levels compose."""
     n, m = spec.n, spec.m
-    d = n + 1
-    loops = spec.loops
-    nsl = m + loops
+    nsl = m + spec.loops
     h = h_shift(n)
-    pole = spec.mus[0]
-    left = _sp_identity(d ** nsl)
-    right = _sp_identity(d ** nsl)
-    js = list(range(2, m + 1))
-    for t in range(1, loops + 1):
-        nu = pole - t * h
-        ins = m - 2 + t
-        outs = ins + 1
-        cl = _sp_identity(d ** nsl)
-        cr = _sp_identity(d ** nsl)
-        if t % 2 == 1:
-            # lowering level: the consumed line is antifundamental
-            for j in reversed(js):
-                v = vertex_matrix(n, "f", "fbar", spec.mus[j - 2] - nu)
-                cl = _sp_mul(cl, _sp_embed(v, (m - j, ins), nsl, d))
-            for j in js:
-                v = vertex_matrix(n, "f", "fbar", nu - spec.mus[j - 2])
-                cr = _sp_mul(cr, _sp_embed(v, (m - j, ins), nsl, d))
-            ks = _sp_embed(k_matrix(n), (outs, ins), nsl, d)
-        else:
-            # raising level: the consumed line is fundamental
-            for j in js:
-                v = vertex_matrix(n, "f", "f", nu - spec.mus[j - 2])
-                cl = _sp_mul(cl, _sp_embed(v, (ins, m - j), nsl, d))
-            for j in reversed(js):
-                v = vertex_matrix(n, "f", "f", spec.mus[j - 2] - nu)
-                cr = _sp_mul(cr, _sp_embed(v, (m - j, ins), nsl, d))
-            ks = _sp_embed(k_matrix(n), (ins, outs), nsl, d)
+    left = _sp_identity((n + 1) ** nsl)
+    right = _sp_identity((n + 1) ** nsl)
+    for t in range(1, spec.loops + 1):
+        cl, ks, cr = level_chain(2 if t % 2 == 1 else 1, n,
+                                 spec.mus[0] - t * h, spec.mus, m,
+                                 m - 2 + t, nsl)
         left = _sp_mul(cl, left)
         right = _sp_mul(right, _sp_mul(ks, cr))
     return _sp_mul(left, right)

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -120,6 +121,9 @@ def test_all_narrowed(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "0 fail" in out
+    # stdout as printed before the suite table replaced the if-chain
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "375223524610d993c4617a597098fc2f961ce0dc97621db17daad0b6d3e773b7")
     # every hard family shows up even in the narrowed profile
     for name in ("fundamental closed form", "snake structural trio",
                  "extended t-system recursion", "pairwise snake identity",
@@ -130,3 +134,50 @@ def test_all_narrowed(capsys):
                  "fused loop rank against snake dimension",
                  "tower contraction order"):
         assert name in out, name
+
+
+def test_all_at_two_pairs_names_the_skipped_family(capsys):
+    code = main(["all", "--n", "2", "--max-l", "2", "--max-k", "1",
+                 "--L", "2", "--N", "2", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "window difference equations" not in captured.out
+    assert "[pass] window unit trace (L=2 N=2" in captured.out
+    assert captured.err == ("all: skipped rqkz: the window difference "
+                            "equations run at N=1\n")
+
+
+def test_qchar_l_zero_is_the_l_zero_trio(capsys):
+    # 0 is a length, not "unset"
+    assert main(["qchar", "--n", "2", "--l", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "[pass] snake structural trio (max_l=0 n=2)" in out
+    assert "2 checks: 2 pass" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lattice", "--N", "0", "--L", "2"],
+     "--N must be at least 1 for lattice, got 0"),
+    (["pole", "--k", "0", "--n", "2"],
+     "--k must be at least 1 for pole, got 0"),
+    (["lattice", "--L", "1"], "--L must be at least 2 for lattice, got 1"),
+    (["rqkz", "--L", "1"], "--L must be at least 2 for rqkz, got 1"),
+    (["census", "--l", "-3"], "--l must be at least 1 for census, got -3"),
+])
+def test_value_with_no_checks_is_a_usage_error(argv, message, capsys):
+    # each of these used to run a default in its place or print
+    # "0 checks" (or a vacuous pass) and exit 0
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_snail_max_k_without_n_bounds_every_rank(capsys, monkeypatch):
+    # the default ranks 1 and 2 used to keep k=2 whatever --max-k said
+    monkeypatch.delenv("QSNAKE_EXTENDED", raising=False)
+    assert main(["snail", "--max-k", "1"]) == 0
+    ranks = [l for l in capsys.readouterr().out.splitlines()
+             if "fused loop rank" in l]
+    assert len(ranks) == 2
+    assert all("(k=1 loops=1 n=" in l for l in ranks)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from qsnake.exactlin import RatFun
 from qsnake.lattice import (
+    _sp_site_sum,
+    _sp_to_dense,
     AOperator,
     DensityWindow,
     LatticeSpec,
@@ -83,6 +85,19 @@ def test_embed_ptrace_roundtrip():
     # tracing the fresh slot recovers dim * original
     back = ptrace_slot(emb, 2, 3, 2)
     assert max_abs_diff(back, 3 * v) == 0
+
+
+def test_site_sum_matches_kron_sum():
+    # one generator per slot, a different one on each, against the dense
+    # sum of Kronecker products; a single slot is the generator itself
+    one = identity_matrix(3)
+    e, f, h = chevalley_generators(2)[0]
+    mats = [e, f, h]
+    want = (np.kron(np.kron(e, one), one) + np.kron(np.kron(one, f), one)
+            + np.kron(np.kron(one, one), h))
+    assert max_abs_diff(_sp_to_dense(_sp_site_sum(mats, 3), 27), want) == 0
+    assert max_abs_diff(_sp_to_dense(_sp_site_sum([h], 3), 3), h) == 0
+    assert _sp_site_sum([h - h, e - e], 3) == {}
 
 
 # ---------------------------------------------------------------------------
