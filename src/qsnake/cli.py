@@ -16,7 +16,6 @@ canonicalized, so identical invocations give byte-identical JSON.
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -552,15 +551,11 @@ def rqkz_reports(n=2, max_L=3, N=1, seed=0):
 # ---------------------------------------------------------------------------
 # tower suite
 
-DEFAULT_RANK_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
-EXTENDED_RANK_PAIRS = ((2, 3),)
+DEFAULT_RANK_PAIRS = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3))
 
 
-def snail_rank_reports(pairs=DEFAULT_RANK_PAIRS, extended=None):
-    if extended is None:
-        extended = bool(os.environ.get("QSNAKE_EXTENDED"))
-    todo = list(pairs) + (list(EXTENDED_RANK_PAIRS) if extended else [])
-    return [snake_rank_check(n, k) for n, k in todo]
+def snail_rank_reports(pairs=DEFAULT_RANK_PAIRS):
+    return [snake_rank_check(n, k) for n, k in pairs]
 
 
 def snail_wellformed_reports(seed=0):
@@ -619,12 +614,11 @@ def _ranks(o):
 
 def _snail_suite(o):
     # k runs up to its bound at every rank of the default pairs, or at
-    # the rank --n names; the extended pairs join the default pairs only
+    # the rank --n names
     ranks = sorted({r for r, _k in DEFAULT_RANK_PAIRS} if o["n"] is None
                    else {o["n"]})
     pairs = tuple((r, k) for r in ranks for k in range(1, o["k"] + 1))
-    extended = None if pairs == DEFAULT_RANK_PAIRS else False
-    return (snail_rank_reports(pairs, extended)
+    return (snail_rank_reports(pairs)
             + snail_wellformed_reports(o["seed"])
             + exploratory_reports(o["seed"]))
 
@@ -642,6 +636,8 @@ def _snake_listing(o):
 
 
 def _pole_single(o):
+    if not 0 <= o["l"] <= o["n"]:
+        raise ValueError(f"--l must be in 0..{o['n']} for pole, got {o['l']}")
     f, order = pole_profile(o["n"], o["k"], o["l"])
     want = 1 if o["l"] in (0, 1) else 0
     print(f"pole order {order} (expected {want})")
@@ -678,7 +674,7 @@ SUITES = {
     "pole": (lambda o: pole_reports(k_values=tuple(range(1, o["k"] + 1)),
                                     **_ranks(o)),
              {"n": (None, 1), "k": (2, 1)}),
-    "snail": (_snail_suite, {"n": (None, 1), "k": (2, 1), "seed": (0, None)}),
+    "snail": (_snail_suite, {"n": (None, 1), "k": (3, 1), "seed": (0, None)}),
 }
 
 # single-item modes that take a subcommand over when their flag is set;
@@ -724,6 +720,13 @@ def run_subcommand(cmd, opt):
         return [builder(_options(cmd, table, opt, False))]
     if cmd not in SUBCOMMANDS:
         raise ValueError(f"unknown subcommand {cmd!r}")
+    if cmd == "all":
+        read = {CAPS.get(key, key) for _b, table in SUITES.values()
+                for key in table}
+        for key, val in opt.items():
+            if val is not None and key not in read:
+                raise ValueError(f"all does not read "
+                                 f"--{key.replace('_', '-')}")
     names = list(SUITES) if cmd == "all" else [cmd]
     runs = [(name, _options(name, SUITES[name][1], opt, cmd == "all"))
             for name in names]

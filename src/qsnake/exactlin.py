@@ -7,6 +7,7 @@ oriented legs; contraction pairs an in-leg with an out-leg and is
 independent of pairing order.  No floating point anywhere.
 """
 
+import heapq
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -364,33 +365,44 @@ def contract(ts, pairings):
     return LabeledTensor(legs, data)
 
 
+def echelon(rows):
+    """Row echelon form of sparse rational rows {column: value}.
+
+    Returns {pivot column: row scaled to 1 at its pivot}, holding only
+    nonzero entries.  Every returned row is zero left of its pivot, so
+    the pivots are the leading columns of the row space and their number
+    is the rank.  Only nonzero entries are touched: rows with disjoint
+    supports never meet.  The input rows are not modified."""
+    piv = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        todo = [c for c in row if c in piv]
+        heapq.heapify(todo)
+        while todo:  # ascending, so a reduction never refills a done column
+            c = heapq.heappop(todo)
+            f = row.pop(c, 0)
+            if not f:  # pushed twice, or cancelled since
+                continue
+            for j, v in piv[c].items():
+                if j == c:
+                    continue
+                w = row.get(j, 0) - f * v
+                if not w:
+                    del row[j]
+                    continue
+                if j not in row and j in piv:
+                    heapq.heappush(todo, j)
+                row[j] = w
+        if row:
+            c = min(row)
+            inv = 1 / Fraction(row[c])
+            piv[c] = {j: v * inv for j, v in row.items()}
+    return piv
+
+
 def _frac_rank(mat):
-    """Exact rank of a 2d object array of Fractions by Gaussian elimination."""
-    rows = [list(map(Fraction, row)) for row in mat]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    rank = 0
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for rr in range(r, nrows):
-            if rows[rr][c]:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for rr in range(nrows):
-            if rr != r and rows[rr][c]:
-                f = rows[rr][c]
-                rows[rr] = [x - f * y for x, y in zip(rows[rr], rows[r])]
-        rank += 1
-        r += 1
-        if r == nrows:
-            break
-    return rank
+    """Exact rank of a 2d array of rationals."""
+    return len(echelon({j: v for j, v in enumerate(row) if v} for row in mat))
 
 
 def matrix_rank(t, row_legs, col_legs, samples=3, seed=7):

@@ -293,10 +293,6 @@ class DensityWindow:
         self.site_labels = [Fraction(x) for x in site_labels]
         if len(self.site_labels) != self.m:
             raise ValueError("need one label per window site")
-        labels = [f"s{m - j}" for j in range(self.m)]
-        self.tensor = tensor_from_matrix(
-            self.matrix, [l + "_out" for l in labels],
-            [l + "_in" for l in labels], [d] * self.m)
 
     def site_kind(self, i):
         return "fbar" if (self.variant == 1 and i == 1) else "f"

@@ -20,8 +20,9 @@ variables were first seen in the process; nothing is ordered by them.
 
 import sys
 from collections.abc import Mapping
-from fractions import Fraction
 from itertools import compress
+
+from .exactlin import echelon
 
 W = 16                    # bits per exponent slot
 _DIGIT = "h"              # memoryview format of one slot: signed 16-bit
@@ -442,8 +443,9 @@ def a_decompose(cartan, m):
     contribute only if one of its five variables meets the support of m,
     so k ranges over [kmin-1, kmax+1].  The resulting integer linear
     system has at most one solution (A-monomials are multiplicatively
-    independent over any finite window); it is solved exactly by Gaussian
-    elimination over Q and accepted only if integral and nonnegative.
+    independent over any finite window); it is solved exactly over Q by
+    echelon form with m's exponents as one extra column, then back
+    substitution, and accepted only if integral and nonnegative.
     """
     mexps = m.exps
     if not mexps:
@@ -454,58 +456,25 @@ def a_decompose(cartan, m):
     unknowns = [(i, k) for i in range(1, n + 1) for k in range(kmin, kmax + 1)]
     avars = {u: a_var(cartan, *u).exps for u in unknowns}
     rows = sorted(set(key for a in avars.values() for key in a) | set(mexps))
-    # columns: -exponent vectors of the A-monomials; rhs: exponents of m
-    mat = [[Fraction(-avars[u].get(r, 0)) for u in unknowns] for r in rows]
-    rhs = [Fraction(mexps.get(r, 0)) for r in rows]
-    sol = _solve_exact(mat, rhs)
-    if sol is None:
+    # columns: -exponent vectors of the A-monomials, then m's exponents
+    rhs = len(unknowns)
+    ech = echelon(
+        {**{c: -avars[u][r] for c, u in enumerate(unknowns) if r in avars[u]},
+         rhs: mexps.get(r, 0)} for r in rows)
+    if rhs in ech:
         return None
+    sol = {}
+    for c in sorted(ech, reverse=True):  # free unknowns stay 0
+        sol[c] = ech[c].get(rhs, 0) - sum(
+            v * sol.get(j, 0) for j, v in ech[c].items() if c < j < rhs)
     out = {}
-    for u, c in zip(unknowns, sol):
-        if c.denominator != 1 or c < 0:
+    for c, u in enumerate(unknowns):
+        x = sol.get(c, 0)
+        if x.denominator != 1 or x < 0:
             return None
-        if c:
-            out[u] = int(c)
+        if x:
+            out[u] = int(x)
     return out
-
-
-def _solve_exact(mat, rhs):
-    """Solve an overdetermined rational system; None if inconsistent.
-
-    Assumes full column rank on the consistent part (true for A-monomial
-    systems); free columns are set to zero.
-    """
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    aug = [row[:] + [rhs[r]] for r, row in enumerate(mat)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for rr in range(r, nrows):
-            if aug[rr][c]:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for rr in range(nrows):
-            if rr != r and aug[rr][c]:
-                f = aug[rr][c]
-                aug[rr] = [x - f * y for x, y in zip(aug[rr], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for rr in range(r, nrows):
-        if aug[rr][ncols]:
-            return None
-    sol = [Fraction(0)] * ncols
-    for row_i, c in enumerate(pivots):
-        sol[c] = aug[row_i][ncols]
-    return sol
 
 
 def to_text(p):

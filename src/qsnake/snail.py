@@ -21,9 +21,10 @@ import numpy as np
 
 from .exactlin import (RatFun, contract, matrix_rank, pole_order_at,
                        residue_at, tensor_from_matrix)
-from .lattice import (_sp_embed, _sp_extend, _sp_identity, _sp_mul,
-                      _sp_ptrace, _sp_scale, _sp_to_dense, a_prefactor_expr,
-                      density_matrix, level_chain, max_abs_diff)
+from .lattice import (_dense_to_sp, _sp_embed, _sp_extend, _sp_identity,
+                      _sp_mul, _sp_ptrace, _sp_scale, _sp_to_dense,
+                      a_prefactor_expr, density_matrix, level_chain,
+                      max_abs_diff)
 from .qchar import SnakeSpec, module_dim, snake_qchar
 from .report import VerificationReport
 from .rmat import (PrefactorExpr, antisym_fusion, h_shift, k_matrix,
@@ -313,14 +314,18 @@ def singlet_insertion_check(n, loop_count):
     The stepwise sandwich identities are not asserted anywhere."""
     l = int(loop_count)
     d = n + 1
-    f = fusion_matrix(n, l)
+    f = _dense_to_sp(fusion_matrix(n, l))
     km = k_matrix(n)
+
+    def largest(a):
+        return max((abs(v) for row in a.values() for v in row.values()),
+                   default=Fraction(0))
+
     witness = {}
     for t in range(1, l):
-        emb = _sp_to_dense(_sp_embed(km, (t - 1, t), l, d), d ** l)
-        after = max(abs(x) for x in (emb @ f).flat)
-        before = max(abs(x) for x in (f @ emb).flat)
-        witness[f"pair_{t}_{t + 1}"] = {"K.F": after, "F.K": before}
+        emb = _sp_embed(km, (t - 1, t), l, d)
+        witness[f"pair_{t}_{t + 1}"] = {"K.F": largest(_sp_mul(emb, f)),
+                                        "F.K": largest(_sp_mul(f, emb))}
     return VerificationReport(
         check="singlet insertions on the fused product",
         params={"n": n, "loops": l},

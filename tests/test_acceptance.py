@@ -6,7 +6,6 @@ the wall-clock budget.  Exploratory findings are printed but never
 gate.  Run with -s to see the lines during the run; they also appear
 in captured output."""
 
-import os
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -29,7 +28,6 @@ from qsnake.cli import (
 )
 from qsnake.loopring import y_var
 from qsnake.qchar import fundamental_qchar
-from qsnake.snail import snake_rank_check
 
 
 @contextmanager
@@ -144,18 +142,14 @@ def test_criterion_10_window_difference_equations():
 
 def test_criterion_11_fused_loop_rank_signature():
     with criterion(11, "fused loop rank equals the snake dimension for "
-                       "(n,k) in {(1,1),(1,2),(2,1),(2,2)}", 120.0):
-        reports = all_pass(snail_rank_reports(DEFAULT_RANK_PAIRS,
-                                              extended=False))
-        frozen = {(1, 1): 2, (1, 2): 4, (2, 1): 3, (2, 2): 21}
+                       "n in {1,2}, k in {1,2,3}", 120.0):
+        reports = all_pass(snail_rank_reports(DEFAULT_RANK_PAIRS))
+        frozen = {(1, 1): 2, (1, 2): 4, (1, 3): 6, (2, 1): 3, (2, 2): 21,
+                  (2, 3): 144}
+        assert len(reports) == len(frozen)
         for r in reports:
             key = (r.params["n"], r.params["k"])
             assert r.witness["rank"] == r.witness["snake_dim"] == frozen[key]
-    if os.environ.get("QSNAKE_EXTENDED"):
-        rep = snake_rank_check(2, 3)
-        print(f"  extended profile: {rep.summary()} {rep.witness}")
-        assert rep.status == "pass"
-        assert rep.witness["rank"] == rep.witness["snake_dim"] == 144
 
 
 def test_criterion_12_tower_well_formedness():

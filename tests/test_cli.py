@@ -163,19 +163,34 @@ def test_qchar_l_zero_is_the_l_zero_trio(capsys):
     (["lattice", "--L", "1"], "--L must be at least 2 for lattice, got 1"),
     (["rqkz", "--L", "1"], "--L must be at least 2 for rqkz, got 1"),
     (["census", "--l", "-3"], "--l must be at least 1 for census, got -3"),
+    (["pole", "--l", "5", "--n", "2"], "--l must be in 0..2 for pole, got 5"),
+    (["pole", "--l", "-1"], "--l must be in 0..2 for pole, got -1"),
+    (["all", "--l", "3", "--k", "1"], "all does not read --l"),
+    (["all", "--k", "1"], "all does not read --k"),
+    (["all", "--snake-l", "3"], "all does not read --snake-l"),
+    (["all", "--parity", "odd"], "all does not read --parity"),
+    (["all", "--shift", "2"], "all does not read --shift"),
 ])
 def test_value_with_no_checks_is_a_usage_error(argv, message, capsys):
-    # each of these used to run a default in its place or print
-    # "0 checks" (or a vacuous pass) and exit 0
+    # each of these used to run a default in its place, print "0 checks"
+    # (or a vacuous pass) and exit 0, or fail without naming its flag
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
 
 
-def test_snail_max_k_without_n_bounds_every_rank(capsys, monkeypatch):
+def test_all_rejects_scenario_options_it_does_not_read(tmp_path, capsys):
+    scn = tmp_path / "scn.txt"
+    scn.write_text("max-k=1\nsnake-l=3\n")
+    assert main(["all", "--scenario", str(scn)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: all does not read --snake-l\n"
+
+
+def test_snail_max_k_without_n_bounds_every_rank(capsys):
     # the default ranks 1 and 2 used to keep k=2 whatever --max-k said
-    monkeypatch.delenv("QSNAKE_EXTENDED", raising=False)
     assert main(["snail", "--max-k", "1"]) == 0
     ranks = [l for l in capsys.readouterr().out.splitlines()
              if "fused loop rank" in l]

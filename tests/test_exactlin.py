@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from qsnake.exactlin import (
     LabeledTensor,
     Leg,
     RatFun,
+    _frac_rank,
     contract,
+    echelon,
     matrix_rank,
     pole_order_at,
     ratfun_arith,
@@ -193,3 +196,45 @@ def test_matrix_rank_ratfun_sampling():
     # stability across independent seeds
     ranks = {matrix_rank(t3, {"r"}, {"c"}, seed=s) for s in (1, 2, 3)}
     assert ranks == {2}
+
+
+def det_laplace(mat):
+    if not mat:
+        return Fraction(1)
+    return sum((-1) ** j * mat[0][j]
+               * det_laplace([row[:j] + row[j + 1:] for row in mat[1:]])
+               for j in range(len(mat)) if mat[0][j])
+
+
+def rank_by_minors(mat):
+    """Largest order of a nonvanishing minor."""
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    for k in range(min(rows, cols), 0, -1):
+        for rs in combinations(range(rows), k):
+            for cs in combinations(range(cols), k):
+                if det_laplace([[mat[r][c] for c in cs] for r in rs]):
+                    return k
+    return 0
+
+
+sparse_matrices = st.integers(0, 5).flatmap(
+    lambda r: st.integers(1, 5).flatmap(
+        lambda c: st.lists(
+            st.lists(st.one_of(st.just(Fraction(0)), rationals),
+                     min_size=c, max_size=c),
+            min_size=r, max_size=r)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices)
+def test_frac_rank_matches_minor_oracle(mat):
+    assert _frac_rank(mat) == rank_by_minors(mat)
+    rows = [{c: v for c, v in enumerate(row)} for row in mat]
+    before = [dict(row) for row in rows]
+    piv = echelon(rows)
+    assert rows == before
+    for p, row in piv.items():
+        assert row[p] == 1
+        assert min(row) == p
+        assert all(row.values())

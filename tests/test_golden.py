@@ -13,11 +13,11 @@ GOLDEN = Path(__file__).parent / "golden"
 SNAKE_N3_L7_SHA256 = (
     "950506e41e26f047c86bc3a3155604ce8a2836dbfceeed3c7d322b51d375943b")
 
-# sha256 of the standard output of `qsnake all --json -` at seed 0 without
-# QSNAKE_EXTENDED, as printed by the per-subcommand if-chain dispatcher
-# and the dense window checks; the suite table must reproduce it
+# sha256 of the standard output of `qsnake all --json -` at seed 0 (58
+# checks, fused loop ranks at k <= 3); it is the output of the suite table
+# with the dense elimination loops, plus the (1,3) and (2,3) rank reports
 ALL_JSON_SHA256 = (
-    "3605c0f08a01f757da8e285b3db9734f8ff4347a3cb5ca730caa0e1b5a23153e")
+    "50b3920d8275949e7ecb002b6fd164a42c9f7487fef6e6af9864adcba9ea95a5")
 
 
 def check(name, char):
@@ -42,8 +42,7 @@ def test_snake_listing_byte_identical(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SNAKE_N3_L7_SHA256
 
 
-def test_all_json_byte_identical(capsys, monkeypatch):
-    monkeypatch.delenv("QSNAKE_EXTENDED", raising=False)
+def test_all_json_byte_identical(capsys):
     assert main(["all", "--json", "-"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == ALL_JSON_SHA256

@@ -135,6 +135,25 @@ def test_a_decompose_examples():
     assert a_decompose(c2, ONE) == {}
 
 
+a_counts = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.dictionaries(st.tuples(st.integers(1, n), st.integers(-6, 6)),
+                    st.integers(0, 3), max_size=6),
+    st.tuples(st.integers(1, n), st.integers(-9, 9), st.sampled_from((-1, 1)))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(a_counts)
+def test_a_decompose_round_trip(case):
+    n, counts, (i, k, e) = case
+    cartan = CartanData(n)
+    m = ONE
+    for (j, s), c in counts.items():
+        m = m * a_var(cartan, j, s).inverse() ** c
+    assert a_decompose(cartan, m) == {u: c for u, c in counts.items() if c}
+    assert a_decompose(cartan, m * y_var(i, k, e)) is None
+
+
 def test_a_decompose_products():
     c3 = CartanData(3)
     m = (a_var(c3, 1, 0) * a_var(c3, 2, 5) * a_var(c3, 2, 5) * a_var(c3, 3, -2)).inverse()

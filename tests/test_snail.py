@@ -155,7 +155,8 @@ def test_fusion_exchange_covariance():
 
 
 def test_snake_rank_reports():
-    frozen = {(2, 1): 3, (1, 1): 2, (1, 2): 4, (2, 2): 21}
+    # (3, 3) is the 1024-dim fused product of five loops at rank 3
+    frozen = {(2, 1): 3, (1, 1): 2, (1, 2): 4, (2, 2): 21, (3, 3): 780}
     for (n, k), dim in frozen.items():
         rep = snake_rank_check(n, k)
         assert rep.status == "pass", rep.summary()
