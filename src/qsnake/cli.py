@@ -23,8 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from .exactlin import RatFun, matrix_rank, tensor_from_matrix
-from .lattice import (LatticeSpec, _dense_to_sp, _sp_embed, _sp_mul,
-                      _sp_ptrace, _sp_scale, _sp_site_sum, a_residue_closed,
+from .lattice import (LatticeSpec, _sp_diff, _sp_embed, _sp_mul, _sp_ptrace,
+                      _sp_scale, _sp_site_sum, a_residue_closed,
                       colour_conserving, density_matrix, max_abs_diff,
                       projected_reduction_check, verify_finite_rqkz)
 from .loopring import (ONE, LaurentCombination, antidominant_monomials,
@@ -61,18 +61,6 @@ def seeded_rationals(seed, count, avoid=(), span=12, denom=9):
             out.append(q)
             have.append(q)
     return out
-
-
-def _sp_diff(a, b):
-    """Largest absolute entry difference of two sparse row maps."""
-    best = Fraction(0)
-    for r in set(a) | set(b):
-        ra, rb = a.get(r, {}), b.get(r, {})
-        for c in set(ra) | set(rb):
-            d = abs(ra.get(c, 0) - rb.get(c, 0))
-            if d > best:
-                best = d
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +395,9 @@ def pole_reports(n_values=(2, 3, 4), k_values=(1, 2)):
 # ---------------------------------------------------------------------------
 # finite-strip window suite
 
-def _sp_window(spec, m, labels, variant):
-    return _dense_to_sp(density_matrix(spec, m, labels, variant).matrix)
-
-
 def lattice_reports(n=2, max_L=3, N=1, max_m=3, seed=0):
     reports = []
     d = n + 1
-    cc = charge_conj_matrix(n)
     for L in range(2, max_L + 1):
         beta = seeded_rationals(seed + L, 1, avoid=[0])[0]
         spec = LatticeSpec.staggered(n, L, N, [Fraction(0)] * L, beta)
@@ -428,7 +411,7 @@ def lattice_reports(n=2, max_L=3, N=1, max_m=3, seed=0):
             for variant in (0, 1):
                 win = density_matrix(spec, m, labels[:m], variant)
                 if m == mtop:
-                    top[variant] = _dense_to_sp(win.matrix)
+                    top[variant] = win.matrix
                 traces[f"m={m},variant={variant}"] = win.trace() == 1
                 colours[f"m={m},variant={variant}"] = colour_conserving(win)
         reports.append(VerificationReport(
@@ -450,13 +433,15 @@ def lattice_reports(n=2, max_L=3, N=1, max_m=3, seed=0):
         cases = 0
         if mtop >= 2:
             rest = labels[1:mtop]
-            small = {v: _sp_window(spec, mtop - 1, rest, v) for v in (0, 1)}
+            small = {v: density_matrix(spec, mtop - 1, rest, v).matrix
+                     for v in (0, 1)}
             # (variant, labels of the big window, slot of the traced site)
             for variant, big, slot in ((0, [Fraction(0)] + rest, mtop - 1),
                                        (0, rest + [Fraction(0)], 0),
                                        (1, rest + [Fraction(0)], 0)):
-                traced = _sp_ptrace(_sp_window(spec, mtop, big, variant),
-                                    slot, mtop, d)
+                traced = _sp_ptrace(
+                    density_matrix(spec, mtop, big, variant).matrix, slot,
+                    mtop, d)
                 resid = max(resid, _sp_diff(traced, small[variant]))
                 cases += 1
         reports.append(VerificationReport(
@@ -472,7 +457,8 @@ def lattice_reports(n=2, max_L=3, N=1, max_m=3, seed=0):
         for variant, win in top.items():
             for g in (g for gens in chevalley_generators(n) for g in gens):
                 # in variant 1 site 1, the last slot, carries the dual
-                dual = [-(cc @ g.T @ cc)] if variant == 1 else [g]
+                # -C g^T C, C the index reversal
+                dual = [-g.T[::-1, ::-1]] if variant == 1 else [g]
                 tot = _sp_site_sum([g] * (mtop - 1) + dual, d)
                 resid = max(resid, _sp_diff(_sp_mul(tot, win),
                                             _sp_mul(win, tot)))
@@ -487,21 +473,22 @@ def lattice_reports(n=2, max_L=3, N=1, max_m=3, seed=0):
 
         if mtop >= 2:
             resid = Fraction(0)
-            p = permutation_matrix(n)
             w = labels[:mtop]
             win = top[0]
             for i in range(1, mtop):
                 ws = w[:i - 1] + [w[i], w[i - 1]] + w[i + 1:]
                 lo = mtop - (i + 1)
                 x = w[i] - w[i - 1]
-                braid = _sp_embed(p @ vertex_matrix(n, "f", "f", x),
-                                  (lo, lo + 1), mtop, d)
-                inv = _sp_embed(vertex_matrix(n, "f", "f", -x) @ p,
-                                (lo, lo + 1), mtop, d)
+                pair = (lo, lo + 1)
+                p = _sp_embed(permutation_matrix(n), pair, mtop, d)
+                braid = _sp_mul(p, _sp_embed(vertex_matrix(n, "f", "f", x),
+                                             pair, mtop, d))
+                inv = _sp_mul(_sp_embed(vertex_matrix(n, "f", "f", -x),
+                                        pair, mtop, d), p)
                 conj = _sp_scale(_sp_mul(_sp_mul(braid, win), inv),
                                  1 / (1 - x * x))
-                resid = max(resid,
-                            _sp_diff(conj, _sp_window(spec, mtop, ws, 0)))
+                resid = max(resid, _sp_diff(
+                    conj, density_matrix(spec, mtop, ws, 0).matrix))
             reports.append(VerificationReport(
                 check="window exchange relation",
                 params={"n": n, "L": L, "N": N, "m": mtop, "seed": seed},
@@ -515,8 +502,9 @@ def lattice_reports(n=2, max_L=3, N=1, max_m=3, seed=0):
         shifted_spec = LatticeSpec(n, L, N, [Fraction(0)] * L,
                                    [b + delta for b in spec.betas])
         resid = _sp_diff(
-            _sp_window(spec, L, wfull, 0),
-            _sp_window(shifted_spec, L, [x + delta for x in wfull], 0))
+            density_matrix(spec, L, wfull, 0).matrix,
+            density_matrix(shifted_spec, L, [x + delta for x in wfull],
+                           0).matrix)
         reports.append(VerificationReport(
             check="window translation covariance",
             params={"n": n, "L": L, "N": N, "seed": seed},
@@ -562,9 +550,8 @@ def snail_wellformed_reports(seed=0):
     mu = seeded_rationals(seed + 7, 1, avoid=[0])[0]
     reports = [contraction_order_check(SnailSpec(2, 1, 2, [mu]))]
 
-    towers = {k: _dense_to_sp(_snail_matrix(SnailSpec(2, k, 2, [mu])))
-              for k in (1, 2)}
-    resid = _sp_diff(towers[1], _dense_to_sp(a_residue_closed(2, [mu])))
+    towers = {k: _snail_matrix(SnailSpec(2, k, 2, [mu])) for k in (1, 2)}
+    resid = _sp_diff(towers[1], a_residue_closed(2, [mu]))
     reports.append(VerificationReport(
         check="tower against single-level assembly",
         params={"n": 2, "k": 1, "m": 2, "mu2": mu, "seed": seed},

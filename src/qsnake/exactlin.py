@@ -8,7 +8,6 @@ independent of pairing order.  No floating point anywhere.
 """
 
 import heapq
-import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -366,7 +365,7 @@ def contract(ts, pairings):
 
 
 def echelon(rows):
-    """Row echelon form of sparse rational rows {column: value}.
+    """Row echelon form of sparse rows {column: value} over Q or Q(x).
 
     Returns {pivot column: row scaled to 1 at its pivot}, holding only
     nonzero entries.  Every returned row is zero left of its pivot, so
@@ -395,23 +394,21 @@ def echelon(rows):
                 row[j] = w
         if row:
             c = min(row)
-            inv = 1 / Fraction(row[c])
+            inv = Fraction(1) / row[c]
             piv[c] = {j: v * inv for j, v in row.items()}
     return piv
 
 
 def _frac_rank(mat):
-    """Exact rank of a 2d array of rationals."""
+    """Exact rank of a 2d array of rationals or rational functions."""
     return len(echelon({j: v for j, v in enumerate(row) if v} for row in mat))
 
 
-def matrix_rank(t, row_legs, col_legs, samples=3, seed=7):
+def matrix_rank(t, row_legs, col_legs):
     """Exact rank of the tensor flattened to a row_legs x col_legs matrix.
 
-    Rational entries are eliminated directly.  RatFun entries are ranked
-    by evaluation at generic rational points: the generic rank is the
-    maximum over sample points (specialization can only lose rank), and
-    several independent points are tried.
+    RatFun entries are eliminated over Q(x), so their rank is the exact
+    generic rank.
     """
     row_legs = list(row_legs)
     col_legs = list(col_legs)
@@ -423,19 +420,4 @@ def matrix_rank(t, row_legs, col_legs, samples=3, seed=7):
     nrow = 1
     for l in row_legs:
         nrow *= t.legs[t.leg_index(l)].dim
-    mat = data.reshape(nrow, -1)
-    has_fun = any(isinstance(v, RatFun) for v in mat.flat)
-    if not has_fun:
-        return _frac_rank(mat)
-    rng = random.Random(seed)
-    best = 0
-    tried = 0
-    while tried < samples:
-        a = Fraction(rng.randint(10**6, 10**7), rng.randint(1, 97))
-        try:
-            inst = [[RatFun.coerce(v)(a) for v in row] for row in mat]
-        except ZeroDivisionError:
-            continue  # hit a pole, resample
-        best = max(best, _frac_rank(inst))
-        tried += 1
-    return best
+    return _frac_rank(data.reshape(nrow, -1))

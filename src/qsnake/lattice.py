@@ -9,9 +9,13 @@ window of m adjacent sites gives the window operator.  Variant 1 means
 the first (rightmost) window line is antifundamental; its displayed site
 label is minus its additive line parameter.
 
-Internally operators on k coordinate slots are kept as sparse
-dict-of-rows over exact Fractions; slot j of a window carries site m-j,
-so site 1 sits on the last slot.  All functions are pure.
+Operators on k coordinate slots are sparse row maps {row: {col: value}}
+over exact Fractions, storing no zero and no empty row; slot j of a
+window carries site m-j, so site 1 sits on the last slot.  Windows,
+window-shift maps and residues are built, returned and compared in that
+form.  The dense forms (embed_pair, ptrace_slot, monodromy_matrix,
+transfer_matrix and their labeled tensors) are kept as independent
+oracles for the tests.  All functions are pure.
 """
 
 from fractions import Fraction
@@ -136,6 +140,18 @@ def _sp_extend(a, d):
     return out
 
 
+def _sp_diff(a, b):
+    """Largest absolute entry difference of two sparse row maps."""
+    best = Fraction(0)
+    for r in set(a) | set(b):
+        ra, rb = a.get(r, {}), b.get(r, {})
+        for c in set(ra) | set(rb):
+            d = abs(ra.get(c, 0) - rb.get(c, 0))
+            if d > best:
+                best = d
+    return best
+
+
 def _sp_to_dense(a, dim):
     m = np.full((dim, dim), Fraction(0), dtype=object)
     for r, row in a.items():
@@ -173,8 +189,12 @@ def ptrace_slot(mat, slot, nslots, n):
 
 
 def max_abs_diff(a, b):
+    """Largest absolute entry difference of two dense arrays of one shape."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError(f"shapes {a.shape} and {b.shape} differ")
     delta = Fraction(0)
-    for x, y in zip(np.asarray(a).flat, np.asarray(b).flat):
+    for x, y in zip(a.flat, b.flat):
         delta = max(delta, abs(x - y))
     return delta
 
@@ -276,7 +296,8 @@ def transfer(spec, lam, direction="T", aux_kind="f"):
 class DensityWindow:
     """Normalized window operator on sites 1..m.
 
-    matrix slot j carries site m-j (site 1 last); site_labels lists the
+    matrix is a sparse row map {row: {col: Fraction}} on d^m coordinates;
+    slot j carries site m-j (site 1 last).  site_labels lists the
     displayed labels left to right as (site 1, ..., site m).  variant 1
     means site 1 is the antifundamental line."""
 
@@ -286,10 +307,11 @@ class DensityWindow:
         if variant not in (0, 1):
             raise ValueError("variant must be 0 or 1")
         self.variant = int(variant)
-        self.matrix = np.asarray(matrix, dtype=object)
-        d = self.n + 1
-        if self.matrix.shape != (d ** self.m, d ** self.m):
-            raise ValueError("matrix shape does not fit the window")
+        dim = (self.n + 1) ** self.m
+        if not all(0 <= r < dim and all(0 <= c < dim for c in row)
+                   for r, row in matrix.items()):
+            raise ValueError("matrix index outside the window")
+        self.matrix = matrix
         self.site_labels = [Fraction(x) for x in site_labels]
         if len(self.site_labels) != self.m:
             raise ValueError("need one label per window site")
@@ -298,7 +320,7 @@ class DensityWindow:
         return "fbar" if (self.variant == 1 and i == 1) else "f"
 
     def trace(self):
-        return sum(self.matrix[i, i] for i in range(self.matrix.shape[0]))
+        return _sp_trace(self.matrix)
 
     def __repr__(self):
         return (f"DensityWindow(n={self.n}, m={self.m}, "
@@ -376,12 +398,11 @@ def density_matrix(spec, m, mu_window, variant=0):
         raise ArithmeticError(
             f"vanishing normalization: n={n} L={L} N={spec.N} "
             f"betas={spec.betas} window={labels} variant={variant}")
-    mat = _sp_to_dense(_sp_scale(t, 1 / z), d ** m)
-    return DensityWindow(n, m, variant, mat, labels)
+    return DensityWindow(n, m, variant, _sp_scale(t, 1 / z), labels)
 
 
 def colour_conserving(win):
-    """Weight conservation across all nonzero entries.
+    """Weight conservation across the stored nonzero entries.
 
     A fundamental slot with digit i carries weight +e_i, an
     antifundamental slot with digit j carries -e_{n-j}; every nonzero
@@ -404,11 +425,10 @@ def colour_conserving(win):
                 w[n - t] -= 1
         return tuple(w)
 
-    dim = d ** m
-    for r in range(dim):
-        for c in range(dim):
-            if win.matrix[r, c] != 0 and weight(r) != weight(c):
-                return False
+    for r, row in win.matrix.items():
+        w = weight(r)
+        if any(v != 0 and weight(c) != w for c, v in row.items()):
+            return False
     return True
 
 
@@ -516,12 +536,11 @@ class AOperator:
         n, m = self.n, self.m
         d = n + 1
         nsl = m + 1
-        big = _sp_extend(_dense_to_sp(win.matrix), d)
+        big = _sp_extend(win.matrix, d)
         cl, ks, cr = level_chain(self.which, n, self.lam1, self.mu_rest, m,
                                   m - 1, nsl)
         prod = _sp_mul(_sp_mul(_sp_mul(cl, big), ks), cr)
         out = _sp_ptrace(prod, m - 1, nsl, d)
-        mat = _sp_to_dense(_sp_scale(out, self.prefactor), d ** m)
         h = h_shift(n)
         if self.which == 1:
             labels = [h - self.lam1] + self.mu_rest
@@ -529,7 +548,8 @@ class AOperator:
         else:
             labels = [self.lam1 + h] + self.mu_rest
             variant = 0
-        return DensityWindow(n, m, variant, mat, labels)
+        return DensityWindow(n, m, variant, _sp_scale(out, self.prefactor),
+                             labels)
 
     def __repr__(self):
         return (f"AOperator(which={self.which}, n={self.n}, "
@@ -580,13 +600,13 @@ def a_residue_parts(n, mu_rest):
 
 def a_residue_closed(n, mu_rest):
     """The residue chain with the consumed slot closed by its trace,
-    as a dense operator on the m window sites (site m first)."""
+    as a sparse row map on the m window sites (site m first)."""
     mu_rest = [Fraction(x) for x in mu_rest]
     m = len(mu_rest) + 1
     d = n + 1
     res, big = a_residue_parts(n, mu_rest)
     closed = _sp_ptrace(big, m - 1, m + 1, d)
-    return _sp_to_dense(_sp_scale(closed, res), d ** m)
+    return _sp_scale(closed, res)
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +632,8 @@ def verify_finite_rqkz(spec, m, j=1):
     d1 = density_matrix(spec, m, [h - beta] + mu_rest, 1)
     lhs1 = a_operator(1, n, beta, mu_rest)(d0)
     lhs2 = a_operator(2, n, beta - h, mu_rest)(d1)
-    r1 = max_abs_diff(lhs1.matrix, d1.matrix)
-    r2 = max_abs_diff(lhs2.matrix, d0.matrix)
+    r1 = _sp_diff(lhs1.matrix, d1.matrix)
+    r2 = _sp_diff(lhs2.matrix, d0.matrix)
     status = "pass" if (r1 == 0 and r2 == 0) else "fail"
     return VerificationReport(
         check="window difference equations",
@@ -639,13 +659,10 @@ def projected_reduction_check(spec, m):
     labels = [h - mu2, mu2] + rest
     d1 = density_matrix(spec, m, labels, 1)
     ksp = _sp_embed(k_matrix(n), (m - 1, m - 2), m, d)
-    lhs = _sp_mul(ksp, _dense_to_sp(d1.matrix))
+    lhs = _sp_mul(ksp, d1.matrix)
     small = density_matrix(spec, m - 2, rest, 0)
-    rsp = _dense_to_sp(small.matrix)
-    rsp = _sp_extend(_sp_extend(rsp, d), d)
-    rhs = _sp_mul(ksp, rsp)
-    dim = d ** m
-    resid = max_abs_diff(_sp_to_dense(lhs, dim), _sp_to_dense(rhs, dim))
+    rhs = _sp_mul(ksp, _sp_extend(_sp_extend(small.matrix, d), d))
+    resid = _sp_diff(lhs, rhs)
     return VerificationReport(
         check="singlet-projected window reduction",
         params={"n": n, "L": spec.L, "N": spec.N, "m": m,

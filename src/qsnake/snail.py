@@ -19,16 +19,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactlin import (RatFun, contract, matrix_rank, pole_order_at,
-                       residue_at, tensor_from_matrix)
-from .lattice import (_dense_to_sp, _sp_embed, _sp_extend, _sp_identity,
-                      _sp_mul, _sp_ptrace, _sp_scale, _sp_to_dense,
-                      a_prefactor_expr, density_matrix, level_chain,
-                      max_abs_diff)
+from .exactlin import (RatFun, contract, echelon, pole_order_at, residue_at,
+                       tensor_from_matrix)
+from .lattice import (_sp_diff, _sp_embed, _sp_extend, _sp_identity, _sp_mul,
+                      _sp_ptrace, _sp_scale, _sp_to_dense, a_prefactor_expr,
+                      density_matrix, level_chain, max_abs_diff)
 from .qchar import SnakeSpec, module_dim, snake_qchar
 from .report import VerificationReport
-from .rmat import (PrefactorExpr, antisym_fusion, h_shift, k_matrix,
-                   permutation_matrix, prefactor_reduce, vertex_matrix)
+from .rmat import (PrefactorExpr, antisym_fusion, h_shift, identity_matrix,
+                   k_matrix, permutation_matrix, prefactor_reduce,
+                   vertex_matrix)
 
 
 def loop_kinds(n, l):
@@ -159,7 +159,7 @@ def _tower_chain(spec):
 
 
 def _snail_matrix(spec, inserted=False):
-    """Dense closed tower on the m window coordinates.
+    """Closed tower as a sparse row map on the m window coordinates.
 
     All loop lines are traced out; the fresh line of the last level
     becomes site 1.  With inserted=True the output line is instead kept
@@ -186,7 +186,7 @@ def _snail_matrix(spec, inserted=False):
     for slot in range(hi, lo - 1, -1):
         big = _sp_ptrace(big, slot, nsl, d)
         nsl -= 1
-    return _sp_to_dense(_sp_scale(big, res), d ** m)
+    return _sp_scale(big, res)
 
 
 def snail_operator(spec):
@@ -194,8 +194,8 @@ def snail_operator(spec):
 
     Site 1 carries the fresh fundamental line created by the last level;
     sites 2..m are the passive window sites, site m on the first slot."""
-    mat = _snail_matrix(spec)
     d = spec.n + 1
+    mat = _sp_to_dense(_snail_matrix(spec), d ** spec.m)
     labels = [f"s{spec.m - j}" for j in range(spec.m)]
     return tensor_from_matrix(mat, [s + "_out" for s in labels],
                               [s + "_in" for s in labels], [d] * spec.m)
@@ -254,8 +254,8 @@ def contraction_order_check(spec):
 # fused loop operators
 
 def fusion_matrix(n, loop_count):
-    """Dense form of fusion_operator: lexicographic product over loop
-    pairs of the kind-dispatched vertex at the shift difference."""
+    """Sparse row map of fusion_operator: lexicographic product over
+    loop pairs of the kind-dispatched vertex at the shift difference."""
     l = int(loop_count)
     if l < 1:
         raise ValueError("need at least one loop")
@@ -267,7 +267,7 @@ def fusion_matrix(n, loop_count):
         for j in range(i + 1, l + 1):
             v = vertex_matrix(n, kinds[i - 1], kinds[j - 1], (j - i) * h)
             mat = _sp_mul(mat, _sp_embed(v, (i - 1, j - 1), l, d))
-    return _sp_to_dense(mat, d ** l)
+    return mat
 
 
 def fusion_operator(n, loop_count):
@@ -280,7 +280,7 @@ def fusion_operator(n, loop_count):
     l = int(loop_count)
     d = n + 1
     labels = [f"a{t}" for t in range(1, l + 1)]
-    return tensor_from_matrix(fusion_matrix(n, l),
+    return tensor_from_matrix(_sp_to_dense(fusion_matrix(n, l), d ** l),
                               [s + "_out" for s in labels],
                               [s + "_in" for s in labels], [d] * l)
 
@@ -292,10 +292,7 @@ def snake_rank_check(n, k):
     carries the alternating snake module with 2k-1 points.  A mismatch
     is reported, not raised."""
     l = 2 * k - 1
-    fus = fusion_operator(n, l)
-    labels = [f"a{t}" for t in range(1, l + 1)]
-    rank = matrix_rank(fus, [s + "_out" for s in labels],
-                       [s + "_in" for s in labels])
+    rank = len(echelon(fusion_matrix(n, l).values()))
     dim = module_dim(snake_qchar(n, "odd", l))
     status = "pass" if rank == dim else "fail"
     return VerificationReport(
@@ -309,23 +306,19 @@ def snake_rank_check(n, k):
 def singlet_insertion_check(n, loop_count):
     """Exploratory: singlet insertions on adjacent loop pairs.
 
-    Records the largest entry of K.F and F.K for each adjacent pair; a
-    zero means the singlet annihilates the fused product from that side.
-    The stepwise sandwich identities are not asserted anywhere."""
+    Records the largest entry of K.F and F.K for each adjacent pair (its
+    distance from the zero map); a zero means the singlet annihilates the
+    fused product from that side.  The stepwise sandwich identities are
+    not asserted anywhere."""
     l = int(loop_count)
     d = n + 1
-    f = _dense_to_sp(fusion_matrix(n, l))
+    f = fusion_matrix(n, l)
     km = k_matrix(n)
-
-    def largest(a):
-        return max((abs(v) for row in a.values() for v in row.values()),
-                   default=Fraction(0))
-
     witness = {}
     for t in range(1, l):
         emb = _sp_embed(km, (t - 1, t), l, d)
-        witness[f"pair_{t}_{t + 1}"] = {"K.F": largest(_sp_mul(emb, f)),
-                                        "F.K": largest(_sp_mul(f, emb))}
+        witness[f"pair_{t}_{t + 1}"] = {"K.F": _sp_diff(_sp_mul(emb, f), {}),
+                                        "F.K": _sp_diff(_sp_mul(f, emb), {})}
     return VerificationReport(
         check="singlet insertions on the fused product",
         params={"n": n, "loops": l},
@@ -353,68 +346,57 @@ def l1_fusion_check(n, spec, m):
         raise ValueError("the fused window relation needs rank 2")
     if not 2 <= m <= spec.L:
         raise ValueError(f"window m={m} needs 2 <= m <= L={spec.L}")
-    from .exactlin import _frac_rank
-
     d = 3
     h = h_shift(2)
     lam = spec.mus[1]
     rest = [spec.mus[j] for j in range(2, m)]
     win = density_matrix(spec, m, [lam - 1, lam] + rest, 0)
-    rm1 = vertex_matrix(2, "f", "f", Fraction(-1))
-    emb = _sp_to_dense(_sp_embed(rm1, (m - 1, m - 2), m, d), d ** m)
-    lhs = emb @ win.matrix
-
-    p = permutation_matrix(2)
-    sym = (np.asarray([[Fraction(int(i == j)) for j in range(9)]
-                       for i in range(9)], dtype=object) + p) / 2
-    sym_emb = _sp_to_dense(_sp_embed(sym, (m - 1, m - 2), m, d), d ** m)
-    sym_resid = max(abs(x) for x in (sym_emb @ lhs).flat)
-    rank = _frac_rank(lhs)
+    pair = (m - 1, m - 2)
+    lhs = _sp_mul(_sp_embed(vertex_matrix(2, "f", "f", Fraction(-1)), pair,
+                            m, d), win.matrix)
+    sym = (identity_matrix(9) + permutation_matrix(2)) / 2
+    sym_resid = _sp_diff(_sp_mul(_sp_embed(sym, pair, m, d), lhs), {})
+    rank = len(echelon(lhs.values()))
 
     small = density_matrix(spec, m - 1, [lam - h + 1] + rest, 1)
+
+    def rows(block):
+        return {r: {c: v for c, v in enumerate(row) if v}
+                for r, row in enumerate(block) if any(row)}
+
+    def on_pair(x, p, q):
+        # a p x q map x on the first pair, the identity on sites m..3:
+        # block diagonal, one block per digit string of the other sites
+        return {i * p + r: {i * q + c: v for c, v in row.items()}
+                for i in range(d ** (m - 2)) for r, row in x.items()}
+
     f_de, f_fu = antisym_fusion(2)
-    de_mat = f_de.data.reshape(3, 9)
-    fu_mat = f_fu.data.reshape(9, 3)
-    # wedge pair (a, b) maps to the missing index with the alternating sign
-    w = np.full((3, 3), Fraction(0), dtype=object)
-    w[2, 0] = Fraction(1)   # (0,1)
-    w[1, 1] = Fraction(-1)  # (0,2)
-    w[0, 2] = Fraction(1)   # (1,2)
-    w_inv = np.full((3, 3), Fraction(0), dtype=object)
-    for a in range(3):
-        for b in range(3):
-            if w[a, b] != 0:
-                w_inv[b, a] = 1 / w[a, b]
-    eye_rest = np.asarray(
-        [[Fraction(int(i == j)) for j in range(d ** (m - 2))]
-         for i in range(d ** (m - 2))], dtype=object)
+    de = rows(f_de.data.reshape(3, 9))
+    fu = rows(f_fu.data.reshape(9, 3))
+    # wedge pair (a, b) maps to the missing index with the alternating sign:
+    # rows are dual indices, columns the wedge pairs (0,1), (0,2), (1,2)
+    w = {2: {0: Fraction(1)}, 1: {1: Fraction(-1)}, 0: {2: Fraction(1)}}
 
-    def transported(wmat, wmat_inv):
-        e_full = np.kron(eye_rest, fu_mat @ wmat_inv)
-        r_full = np.kron(eye_rest, wmat @ de_mat)
-        return e_full @ small.matrix @ r_full
+    def transported(wmat):
+        wmat_inv = {c: {r: 1 / v} for r, row in wmat.items()
+                    for c, v in row.items()}
+        e_full = on_pair(_sp_mul(fu, wmat_inv), 9, 3)
+        r_full = on_pair(_sp_mul(wmat, de), 3, 9)
+        return _sp_mul(_sp_mul(e_full, small.matrix), r_full)
 
-    rhs = transported(w, w_inv)
-    residual = max_abs_diff(lhs, rhs)
-    cw = np.full((3, 3), Fraction(0), dtype=object)
-    for a in range(3):
-        for b in range(3):
-            cw[2 - a, b] = w[a, b]
-    cw_inv = np.full((3, 3), Fraction(0), dtype=object)
-    for a in range(3):
-        for b in range(3):
-            if cw[a, b] != 0:
-                cw_inv[b, a] = 1 / cw[a, b]
-    residual_flipped = max_abs_diff(lhs, transported(cw, cw_inv))
+    rhs = transported(w)
+    residual = _sp_diff(lhs, rhs)
+    # the same identification with the wedge index reversed
+    residual_flipped = _sp_diff(
+        lhs, transported({2 - a: row for a, row in w.items()}))
 
-    ratios = set()
-    mismatch = False
-    for x, y in zip(lhs.flat, rhs.flat):
-        if x != 0 and y != 0:
-            ratios.add(x / y)
-        elif (x == 0) != (y == 0):
-            mismatch = True
-    constant = ratios.pop() if (len(ratios) == 1 and not mismatch) else None
+    # stored entries are nonzero, so equal supports mean no entry vanishes
+    # on one side only
+    ratios = {lhs[r][c] / rhs[r][c] for r in lhs.keys() & rhs.keys()
+              for c in lhs[r].keys() & rhs[r].keys()}
+    same_support = ({r: row.keys() for r, row in lhs.items()}
+                    == {r: row.keys() for r, row in rhs.items()})
+    constant = ratios.pop() if (len(ratios) == 1 and same_support) else None
 
     return VerificationReport(
         check="fused window relation at one loop",

@@ -9,7 +9,9 @@ from qsnake.cli import (
     run_subcommand,
     seeded_rationals,
 )
+from qsnake.lattice import AOperator
 from qsnake.report import VerificationReport
+from qsnake.rmat import h_shift
 
 
 def test_seeded_rationals_deterministic_and_clear():
@@ -22,6 +24,23 @@ def test_seeded_rationals_deterministic_and_clear():
     for i, x in enumerate(vals):
         for y in vals[i + 1:]:
             assert (x - y).denominator > 2
+
+
+def test_seeded_rationals_avoid_prefactor_degeneration():
+    # drawn as the window difference equations draw them: beta clear of
+    # the environment value 0, then the passive sites clear of 0 and beta;
+    # both window-shift maps must build with a finite nonzero scalar at
+    # every rank up to 5 and up to three passive sites
+    for n in range(1, 6):
+        h = h_shift(n)
+        for seed in range(24):
+            beta = seeded_rationals(seed, 1, avoid=[0])[0]
+            mus = seeded_rationals(seed + 1, 3, avoid=[0, beta])
+            for count in (1, 2, 3):
+                for which, lam in ((1, beta), (2, beta - h)):
+                    op = AOperator(which, n, lam, mus[:count])
+                    assert isinstance(op.prefactor, Fraction), op
+                    assert op.prefactor != 0, op
 
 
 def test_snake_monomial_listing(capsys):

@@ -180,7 +180,7 @@ def test_matrix_rank_rational_examples():
     assert matrix_rank(t2, {"a", "b"}, {"c", "d"}) == 3
 
 
-def test_matrix_rank_ratfun_sampling():
+def test_matrix_rank_ratfun_exact():
     m = np.array(
         [[X, X * 2], [X * 3, X * 6]], dtype=object
     )
@@ -193,9 +193,20 @@ def test_matrix_rank_ratfun_sampling():
     m3 = np.array([[X, RatFun.const(1)], [RatFun.const(1), X]], dtype=object)
     t3 = LabeledTensor([Leg("r", "out", 2), Leg("c", "in", 2)], m3)
     assert matrix_rank(t3, {"r"}, {"c"}) == 2
-    # stability across independent seeds
-    ranks = {matrix_rank(t3, {"r"}, {"c"}, seed=s) for s in (1, 2, 3)}
-    assert ranks == {2}
+    # the rank is read off exact pivots over Q(x), not from sample points:
+    # the echelon rows carry rational functions
+    piv = echelon([{0: X, 1: RatFun.const(1)}, {0: RatFun.const(1), 1: X}])
+    assert set(piv) == {0, 1}
+    assert piv[0] == {0: 1, 1: 1 / X}
+    assert piv[1] == {1: 1}
+
+
+def test_echelon_int_rows_give_fractions():
+    piv = echelon([{0: 2, 1: 3}, {0: 4, 2: 1}])
+    assert piv == {0: {0: 1, 1: Fraction(3, 2)},
+                   1: {1: 1, 2: Fraction(-1, 6)}}
+    for row in piv.values():
+        assert all(type(v) is Fraction for v in row.values())
 
 
 def det_laplace(mat):

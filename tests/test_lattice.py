@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qsnake.exactlin import RatFun
 from qsnake.lattice import (
+    _sp_identity,
     _sp_site_sum,
     _sp_to_dense,
     AOperator,
@@ -55,6 +56,11 @@ def seeded_labels(seed, count, taboo=()):
     return out
 
 
+def dense(win):
+    """A window's sparse row map as a dense array, for the dense oracles."""
+    return _sp_to_dense(win.matrix, (win.n + 1) ** win.m)
+
+
 def scalar_matrix(c, dim):
     return np.asarray(
         [[c if i == j else Fraction(0) for j in range(dim)] for i in range(dim)],
@@ -98,6 +104,17 @@ def test_site_sum_matches_kron_sum():
     assert max_abs_diff(_sp_to_dense(_sp_site_sum(mats, 3), 27), want) == 0
     assert max_abs_diff(_sp_to_dense(_sp_site_sum([h], 3), 3), h) == 0
     assert _sp_site_sum([h - h, e - e], 3) == {}
+
+
+def test_max_abs_diff_rejects_unequal_shapes():
+    a = np.full((2, 2), Fraction(0), dtype=object)
+    b = np.full((3, 3), Fraction(0), dtype=object)
+    b[2, 2] = Fraction(5)
+    with pytest.raises(ValueError, match="shapes"):
+        max_abs_diff(a, b)
+    with pytest.raises(ValueError, match="shapes"):
+        max_abs_diff(b, a)
+    assert max_abs_diff(b, np.zeros((3, 3), dtype=object)) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +203,7 @@ def test_density_unit_trace():
 def test_density_homogeneous_single_site():
     spec = LatticeSpec(2, 2, 1, [0, 0], [Fraction(3, 11)])
     win = density_matrix(spec, 1, [0], 0)
-    assert max_abs_diff(win.matrix, scalar_matrix(Fraction(1, 3), 3)) == 0
+    assert max_abs_diff(dense(win), scalar_matrix(Fraction(1, 3), 3)) == 0
 
 
 def test_density_site_kinds():
@@ -205,7 +222,12 @@ def test_density_validation():
     with pytest.raises(ValueError):
         density_matrix(spec, 2, [0, 0], variant=2)
     with pytest.raises(ValueError):
-        DensityWindow(2, 2, 0, identity_matrix(9), [0])
+        DensityWindow(2, 2, 0, _sp_identity(9), [0])
+    # indices must fit d^m coordinates
+    with pytest.raises(ValueError, match="outside"):
+        DensityWindow(2, 1, 0, {0: {3: Fraction(1)}}, [0])
+    with pytest.raises(ValueError, match="outside"):
+        DensityWindow(2, 1, 0, {3: {0: Fraction(1)}}, [0])
 
 
 def test_density_vanishing_normalization():
@@ -222,28 +244,28 @@ def test_density_reduction_traced_site_at_env_value():
     spec = LatticeSpec(2, 3, 1, [0, 0, 0], [Fraction(3, 11)])
     w2, w3 = seeded_labels(11, 2)
     big = density_matrix(spec, 3, [Fraction(0), w2, w3], 0)
-    red = ptrace_slot(big.matrix, 2, 3, 2)  # site 1 sits on the last slot
+    red = ptrace_slot(dense(big), 2, 3, 2)  # site 1 sits on the last slot
     small = density_matrix(spec, 2, [w2, w3], 0)
-    assert max_abs_diff(red, small.matrix) == 0
+    assert max_abs_diff(red, dense(small)) == 0
 
     big = density_matrix(spec, 3, [w2, w3, Fraction(0)], 0)
-    red = ptrace_slot(big.matrix, 0, 3, 2)  # site m sits on slot 0
+    red = ptrace_slot(dense(big), 0, 3, 2)  # site m sits on slot 0
     small = density_matrix(spec, 2, [w2, w3], 0)
-    assert max_abs_diff(red, small.matrix) == 0
+    assert max_abs_diff(red, dense(small)) == 0
 
     big = density_matrix(spec, 3, [w2, w3, Fraction(0)], 1)
-    red = ptrace_slot(big.matrix, 0, 3, 2)
+    red = ptrace_slot(dense(big), 0, 3, 2)
     small = density_matrix(spec, 2, [w2, w3], 1)
-    assert max_abs_diff(red, small.matrix) == 0
+    assert max_abs_diff(red, dense(small)) == 0
 
 
 def test_density_reduction_both_window_sizes():
     spec = LatticeSpec(2, 2, 1, [0, 0], [Fraction(3, 11)])
     (w,) = seeded_labels(13, 1)
     big = density_matrix(spec, 2, [Fraction(0), w], 0)
-    red = ptrace_slot(big.matrix, 1, 2, 2)
+    red = ptrace_slot(dense(big), 1, 2, 2)
     small = density_matrix(spec, 1, [w], 0)
-    assert max_abs_diff(red, small.matrix) == 0
+    assert max_abs_diff(red, dense(small)) == 0
 
 
 def test_density_exchange_braid():
@@ -261,8 +283,8 @@ def test_density_exchange_braid():
         x = w[i] - w[i - 1]
         braid = embed_pair(p @ vertex_matrix(2, "f", "f", x), (lo, lo + 1), 3, 2)
         inv = embed_pair(vertex_matrix(2, "f", "f", -x) @ p, (lo, lo + 1), 3, 2)
-        conj = (braid @ win.matrix @ inv) / (1 - x * x)
-        assert max_abs_diff(conj, swapped.matrix) == 0
+        conj = (braid @ dense(win) @ inv) / (1 - x * x)
+        assert max_abs_diff(conj, dense(swapped)) == 0
 
 
 def test_density_exchange_braid_variant1():
@@ -275,8 +297,8 @@ def test_density_exchange_braid_variant1():
     x = w[2] - w[1]
     braid = embed_pair(p @ vertex_matrix(2, "f", "f", x), (0, 1), 3, 2)
     inv = embed_pair(vertex_matrix(2, "f", "f", -x) @ p, (0, 1), 3, 2)
-    conj = (braid @ win.matrix @ inv) / (1 - x * x)
-    assert max_abs_diff(conj, swapped.matrix) == 0
+    conj = (braid @ dense(win) @ inv) / (1 - x * x)
+    assert max_abs_diff(conj, dense(swapped)) == 0
 
 
 def dual_action(g):
@@ -295,7 +317,7 @@ def test_density_global_invariance():
                 g_last = dual_action(g) if variant == 1 else g
                 tot = (embed_pair(np.kron(g, one), (0, 1), 2, 2)
                        + embed_pair(np.kron(one, g_last), (0, 1), 2, 2))
-                assert max_abs_diff(tot @ win.matrix, win.matrix @ tot) == 0
+                assert max_abs_diff(tot @ dense(win), dense(win) @ tot) == 0
 
 
 def test_density_colour_conserving():
@@ -303,8 +325,8 @@ def test_density_colour_conserving():
     w = seeded_labels(19, 2)
     for variant in (0, 1):
         assert colour_conserving(density_matrix(spec, 2, w, variant))
-    bad = identity_matrix(9)
-    bad[0, 4] = Fraction(1)  # weight (2,0,0) against (0,2,0)
+    bad = _sp_identity(9)
+    bad[0][4] = Fraction(1)  # weight (2,0,0) against (0,2,0)
     assert not colour_conserving(DensityWindow(2, 2, 0, bad, [0, 0]))
 
 
@@ -316,7 +338,7 @@ def test_density_translation_covariance():
     b = density_matrix(
         LatticeSpec(2, 2, 1, [0, 0], [Fraction(3, 11) + delta]), 2,
         [x + delta for x in w], 0)
-    assert max_abs_diff(a.matrix, b.matrix) == 0
+    assert max_abs_diff(dense(a), dense(b)) == 0
 
 
 # ---------------------------------------------------------------------------

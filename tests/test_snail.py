@@ -3,15 +3,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qsnake.cli import seeded_rationals
 from qsnake.exactlin import _frac_rank, contract, matrix_rank
 from qsnake.lattice import (
+    AOperator,
     LatticeSpec,
+    _sp_to_dense,
     a_residue_closed,
+    density_matrix,
     embed_pair,
     max_abs_diff,
 )
 from qsnake.qchar import SnakeSpec, module_dim, snake_qchar
+from qsnake.report import jsonable
 from qsnake.rmat import (
+    antisym_fusion,
     chevalley_generators,
     h_shift,
     identity_matrix,
@@ -32,6 +38,11 @@ from qsnake.snail import (
     snail_operator,
     snake_rank_check,
 )
+
+
+def dense(sp, n, slots):
+    """A sparse row map on `slots` coordinates as a dense array."""
+    return _sp_to_dense(sp, (n + 1) ** slots)
 
 
 def axes_by_label(t, order):
@@ -103,10 +114,10 @@ def test_pole_profile_validation():
 # fused loop products
 
 def test_fusion_two_loops():
-    f2 = fusion_matrix(2, 2)
+    f2 = dense(fusion_matrix(2, 2), 2, 2)
     assert max_abs_diff(f2, 3 * identity_matrix(9) - k_matrix(2)) == 0
     assert _frac_rank(f2) == 8
-    f2a = fusion_matrix(1, 2)
+    f2a = dense(fusion_matrix(1, 2), 1, 2)
     assert max_abs_diff(f2a, vertex_matrix(1, "f", "f", Fraction(1))) == 0
     assert _frac_rank(f2a) == 3
 
@@ -137,7 +148,8 @@ def test_fusion_lex_equals_reversed():
         v13 = embed_pair(vertex_matrix(n, k1, k3, 2 * h), (0, 2), 3, n)
         v23 = embed_pair(vertex_matrix(n, k2, k3, h), (1, 2), 3, n)
         assert max_abs_diff(v12 @ v13 @ v23, v23 @ v13 @ v12) == 0
-        assert max_abs_diff(fusion_matrix(n, 3), v12 @ v13 @ v23) == 0
+        assert max_abs_diff(dense(fusion_matrix(n, 3), n, 3),
+                            v12 @ v13 @ v23) == 0
 
 
 def test_fusion_exchange_covariance():
@@ -147,7 +159,7 @@ def test_fusion_exchange_covariance():
     h = h_shift(n)
     k1, k2, k3 = loop_kinds(n, 3)
     p = embed_pair(permutation_matrix(n), (0, 1), 3, n)
-    lhs = p @ fusion_matrix(n, 3) @ p
+    lhs = p @ dense(fusion_matrix(n, 3), n, 3) @ p
     rhs = (embed_pair(vertex_matrix(n, k2, k1, h), (0, 1), 3, n)
            @ embed_pair(vertex_matrix(n, k1, k3, 2 * h), (1, 2), 3, n)
            @ embed_pair(vertex_matrix(n, k2, k3, h), (0, 2), 3, n))
@@ -179,7 +191,8 @@ def test_singlet_insertion_exploratory():
 def test_snail_agrees_with_single_lowering_assembly():
     mu2 = Fraction(2, 7)
     spec = SnailSpec(2, 1, 2, [mu2])
-    assert max_abs_diff(_snail_matrix(spec), a_residue_closed(2, [mu2])) == 0
+    assert max_abs_diff(dense(_snail_matrix(spec), 2, 2),
+                        dense(a_residue_closed(2, [mu2]), 2, 2)) == 0
 
 
 def test_snail_operator_legs():
@@ -191,8 +204,8 @@ def test_snail_operator_legs():
 def test_snail_insertion_realization():
     for k in (1, 2):
         spec = SnailSpec(2, k, 2, [Fraction(2, 7)])
-        direct = _snail_matrix(spec)
-        inserted = _snail_matrix(spec, inserted=True)
+        direct = dense(_snail_matrix(spec), 2, 2)
+        inserted = dense(_snail_matrix(spec, inserted=True), 2, 2)
         assert max_abs_diff(direct, inserted) == 0
 
 
@@ -200,7 +213,7 @@ def test_snail_global_invariance():
     one = identity_matrix(3)
     for k in (1, 2):
         spec = SnailSpec(2, k, 2, [Fraction(2, 7)])
-        x = _snail_matrix(spec)
+        x = dense(_snail_matrix(spec), 2, 2)
         for e, f, h in chevalley_generators(2):
             for g in (e, f, h):
                 tot = (embed_pair(np.kron(g, one), (0, 1), 2, 2)
@@ -211,8 +224,9 @@ def test_snail_global_invariance():
 def test_snail_three_site_window():
     spec = SnailSpec(2, 1, 3, [Fraction(2, 7), Fraction(5, 9)])
     x = _snail_matrix(spec)
-    assert x.shape == (27, 27)
-    assert max_abs_diff(x, _snail_matrix(spec, inserted=True)) == 0
+    assert max(x) < 27 and max(max(row) for row in x.values()) < 27
+    assert max_abs_diff(dense(x, 2, 3),
+                        dense(_snail_matrix(spec, inserted=True), 2, 3)) == 0
 
 
 def test_snail_pole_collision():
@@ -282,3 +296,93 @@ def test_l1_fusion_validation():
     spec2 = LatticeSpec(2, 2, 1, [0, 0], [Fraction(3, 11)])
     with pytest.raises(ValueError):
         l1_fusion_check(2, spec2, 3)
+
+
+# ---------------------------------------------------------------------------
+# the sparse row map contract
+
+def assert_sparse_contract(sp, dim):
+    """No stored zero, no empty row, every index below dim."""
+    for r, row in sp.items():
+        assert 0 <= r < dim and row, r
+        for c, v in row.items():
+            assert 0 <= c < dim and v != 0, (r, c)
+
+
+def test_sparse_row_map_contract():
+    mu2, mu3 = Fraction(2, 7), Fraction(5, 9)
+    spec = LatticeSpec(2, 3, 1, [0, mu2, mu3], [Fraction(3, 11)])
+    for m in (1, 2, 3):
+        for variant in (0, 1):
+            win = density_matrix(spec, m, [Fraction(1, 4), mu2, mu3][:m],
+                                 variant)
+            assert_sparse_contract(win.matrix, 3 ** m)
+    beta = Fraction(3, 11)
+    h = h_shift(2)
+    d0 = density_matrix(spec, 3, [beta, mu2, mu3], 0)
+    d1 = density_matrix(spec, 3, [h - beta, mu2, mu3], 1)
+    assert_sparse_contract(AOperator(1, 2, beta, [mu2, mu3])(d0).matrix, 27)
+    assert_sparse_contract(AOperator(2, 2, beta - h, [mu2, mu3])(d1).matrix,
+                           27)
+    for k, m, mus in ((1, 2, [mu2]), (2, 2, [mu2]), (1, 3, [mu2, mu3])):
+        tower = SnailSpec(2, k, m, mus)
+        assert_sparse_contract(_snail_matrix(tower), 3 ** m)
+        assert_sparse_contract(_snail_matrix(tower, inserted=True), 3 ** m)
+    assert_sparse_contract(a_residue_closed(2, [mu2]), 9)
+    assert_sparse_contract(a_residue_closed(2, [mu2, mu3]), 27)
+    for n, l in ((1, 3), (2, 1), (2, 3), (3, 3)):
+        assert_sparse_contract(fusion_matrix(n, l), (n + 1) ** l)
+
+
+def dense_l1_reference(spec, m):
+    """The fused window witnesses from dense products, as an oracle."""
+    d = 3
+    lam = spec.mus[1]
+    rest = [spec.mus[j] for j in range(2, m)]
+    win = dense(density_matrix(spec, m, [lam - 1, lam] + rest, 0).matrix,
+                2, m)
+    lhs = embed_pair(vertex_matrix(2, "f", "f", Fraction(-1)),
+                     (m - 1, m - 2), m, 2) @ win
+    sym = (identity_matrix(9) + permutation_matrix(2)) / 2
+    sym_part = max(abs(x) for x in
+                   (embed_pair(sym, (m - 1, m - 2), m, 2) @ lhs).flat)
+    small = dense(density_matrix(spec, m - 1,
+                                 [lam - h_shift(2) + 1] + rest, 1).matrix,
+                  2, m - 1)
+    f_de, f_fu = antisym_fusion(2)
+    de, fu = f_de.data.reshape(3, 9), f_fu.data.reshape(9, 3)
+    eye = identity_matrix(d ** (m - 2))
+    w = np.full((3, 3), Fraction(0), dtype=object)
+    w[2, 0], w[1, 1], w[0, 2] = Fraction(1), Fraction(-1), Fraction(1)
+
+    def transported(wm):
+        inv = np.full((3, 3), Fraction(0), dtype=object)
+        for a in range(3):
+            for b in range(3):
+                if wm[a, b] != 0:
+                    inv[b, a] = 1 / wm[a, b]
+        return np.kron(eye, fu @ inv) @ small @ np.kron(eye, wm @ de)
+
+    rhs = transported(w)
+    pairs = list(zip(lhs.flat, rhs.flat))
+    ratios = {x / y for x, y in pairs if x != 0 and y != 0}
+    mismatch = any((x == 0) != (y == 0) for x, y in pairs)
+    return {"residual": max_abs_diff(lhs, rhs),
+            "residual_flipped": max_abs_diff(lhs, transported(w[::-1])),
+            "constant_ratio": (ratios.pop()
+                               if len(ratios) == 1 and not mismatch
+                               else None),
+            "lhs_rank": _frac_rank(lhs),
+            "rank_bound": d ** (m - 1),
+            "symmetric_part": sym_part}
+
+
+def test_l1_fusion_witnesses_match_dense_reference():
+    beta = seeded_rationals(61, 1, avoid=[0])[0]
+    extra = seeded_rationals(62, 2, avoid=[0, beta])
+    for m in (2, 3):
+        spec = LatticeSpec(2, m, 1, [Fraction(0)] + extra[:m - 1], [beta])
+        got = l1_fusion_check(2, spec, m).witness
+        want = dense_l1_reference(spec, m)
+        assert got == want
+        assert jsonable(got) == jsonable(want)
