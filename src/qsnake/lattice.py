@@ -20,13 +20,15 @@ oracles for the tests.  All functions are pure.
 
 from fractions import Fraction
 import itertools
+import random
 
 import numpy as np
 
-from .exactlin import (RatFun, pole_order_at, residue_at, tensor_from_matrix)
-from .report import VerificationReport
-from .rmat import (PrefactorExpr, h_shift, k_matrix, prefactor_reduce,
-                   vertex_matrix)
+from .exactlin import (RatFun, echelon, pole_order_at, residue_at,
+                       tensor_from_matrix)
+from .report import OutOfScope, VerificationReport
+from .rmat import (PrefactorExpr, chevalley_generators, h_shift, k_matrix,
+                   permutation_matrix, prefactor_reduce, vertex_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +164,10 @@ def _sp_to_dense(a, dim):
 
 def _dense_to_sp(mat):
     out = {}
-    dim = mat.shape[0]
-    for r in range(dim):
+    nrow, ncol = mat.shape
+    for r in range(nrow):
         row = {}
-        for c in range(dim):
+        for c in range(ncol):
             v = mat[r, c]
             if v != 0:
                 row[c] = v
@@ -362,6 +364,10 @@ def _torus(n, kinds, params, betas):
     return m
 
 
+class VanishingNormalization(ArithmeticError):
+    """A window whose trace before normalization is zero."""
+
+
 def density_matrix(spec, m, mu_window, variant=0):
     """Window operator over m adjacent sites of the strip.
 
@@ -395,7 +401,7 @@ def density_matrix(spec, m, mu_window, variant=0):
         t = _sp_ptrace(t, slot, slot + 1, d)
     z = _sp_trace(t)
     if z == 0:
-        raise ArithmeticError(
+        raise VanishingNormalization(
             f"vanishing normalization: n={n} L={L} N={spec.N} "
             f"betas={spec.betas} window={labels} variant={variant}")
     return DensityWindow(n, m, variant, _sp_scale(t, 1 / z), labels)
@@ -670,3 +676,272 @@ def projected_reduction_check(spec, m):
         status="exploratory",
         anchor="projected variant-1 window conjectured to drop its first pair",
         witness={"residual": resid})
+
+
+# ---------------------------------------------------------------------------
+# verification reports: vertex identities, windows, difference equations
+
+def seeded_rationals(seed, count, avoid=(), span=12, denom=9):
+    """Deterministic small rationals clear of the vertex poles.
+
+    A candidate is rejected when its difference with any previously
+    accepted value or any entry of avoid is a half-integer: vertex
+    poles (difference +-1, +-(n+1)/2) and prefactor collisions live on
+    such differences for every supported rank.  A window normalization
+    can still vanish at a draw: at n=2, L=3 and beta=2/3 the label 1/3
+    does (lattice --seed 31)."""
+    rng = random.Random(seed)
+    have = [Fraction(a) for a in avoid]
+    out = []
+    while len(out) < count:
+        q = Fraction(rng.randint(-span, span), rng.randint(1, denom))
+        if all((q - v).denominator > 2 for v in have):
+            out.append(q)
+            have.append(q)
+    return out
+
+
+# Every entry of R12(x-y)R13(x)R23(y) - R23(y)R13(x)R12(x-y) lies in
+# span{x^a y^b : a <= 2, b <= 2, a + b <= 3}, of dimension 8.  The 3x3
+# grid less its last corner is unisolvent for that span, so the identity
+# holds identically once it holds at these points.
+YBE_XS = (Fraction(2), Fraction(3, 2), Fraction(-4, 3))
+YBE_YS = (Fraction(5), Fraction(7, 3), Fraction(9, 5))
+YBE_POINTS = tuple(itertools.product(YBE_XS, YBE_YS))[:-1]
+
+
+def _mismatches(a, b):
+    """Number of entries in which two sparse row maps differ."""
+    return sum(1 for r in a.keys() | b.keys()
+               for c in a.get(r, {}).keys() | b.get(r, {}).keys()
+               if a.get(r, {}).get(c, 0) != b.get(r, {}).get(c, 0))
+
+
+def rmatrix_reports(n_values=(2, 3)):
+    """The vertex identities on sparse row maps; the spectral parameter
+    is RatFun.x() where it stays symbolic."""
+    x = RatFun.x()
+    reports = []
+    for n in n_values:
+        d = n + 1
+        h = h_shift(n)
+
+        def vertex(k1, k2, arg):
+            return _dense_to_sp(vertex_matrix(n, k1, k2, arg))
+
+        bad = []
+        for k1, k2, k3 in itertools.product(("f", "fbar"), repeat=3):
+            r13 = {xv: _sp_embed(vertex_matrix(n, k1, k3, xv), (0, 2), 3, d)
+                   for xv in YBE_XS}
+            r23 = {yv: _sp_embed(vertex_matrix(n, k2, k3, yv), (1, 2), 3, d)
+                   for yv in YBE_YS}
+            for xv, yv in YBE_POINTS:
+                r12 = _sp_embed(vertex_matrix(n, k1, k2, xv - yv), (0, 1), 3,
+                                d)
+                if (_sp_mul(_sp_mul(r12, r13[xv]), r23[yv])
+                        != _sp_mul(_sp_mul(r23[yv], r13[xv]), r12)):
+                    bad.append((k1, k2, k3, str(xv), str(yv)))
+        reports.append(VerificationReport(
+            check="vertex yang-baxter",
+            params={"n": n, "points": len(YBE_POINTS)},
+            status="pass" if not bad else "fail",
+            anchor="the three-line exchange identity holds identically for "
+                   "every kind combination: its entries vanish on a point "
+                   "set unisolvent for their degrees",
+            witness={"violations": bad}))
+
+        one = _sp_identity(d * d)
+        bad_same = _mismatches(
+            _sp_mul(vertex("f", "f", x), vertex("f", "f", -x)),
+            _sp_scale(one, 1 - x * x))
+        bad_mixed = _mismatches(
+            _sp_mul(vertex("f", "fbar", x), vertex("fbar", "f", -x)),
+            _sp_scale(one, RatFun.const(h * h) - x * x))
+        reports.append(VerificationReport(
+            check="vertex unitarity",
+            params={"n": n},
+            status="pass" if bad_same == 0 and bad_mixed == 0 else "fail",
+            anchor="opposite-argument products are scalar polynomials, "
+                   "quadratic with the expected roots",
+            witness={"same_kind_mismatches": bad_same,
+                     "mixed_kind_mismatches": bad_mixed}))
+
+        # partial transpose on line 2 conjugated by the index reversal
+        # there: entry (a,b; c,e) moves to (a,n-e; c,n-b); crossing says
+        # it is then minus the mixed vertex
+        crossed = {}
+        for r, row in vertex("f", "f", -x - RatFun.const(h)).items():
+            a, b = divmod(r, d)
+            for col, v in row.items():
+                c, e = divmod(col, d)
+                crossed.setdefault(a * d + n - e, {})[c * d + n - b] = -v
+        bad_cross = _mismatches(crossed, vertex("f", "fbar", x))
+        reports.append(VerificationReport(
+            check="vertex crossing",
+            params={"n": n},
+            status="pass" if bad_cross == 0 else "fail",
+            anchor="conjugating one line and reflecting the argument about "
+                   "the mixed pole turns one kind into the other, with a "
+                   "single scalar",
+            witness={"mismatches": bad_cross}))
+
+        rbh = vertex("f", "fbar", -h)
+        rank1 = len(echelon(rbh.values()))
+        matches_k = rbh == _dense_to_sp(-k_matrix(n))
+        reports.append(VerificationReport(
+            check="singlet vertex rank",
+            params={"n": n},
+            status="pass" if rank1 == 1 and matches_k else "fail",
+            anchor="the mixed vertex at the crossing point is minus the "
+                   "rank-one pairing operator",
+            witness={"rank": rank1}))
+
+        pi = _sp_scale(vertex("f", "f", Fraction(-1)), Fraction(-1, 2))
+        idem = _sp_mul(pi, pi) == pi
+        rank_pi = len(echelon(pi.values()))
+        reports.append(VerificationReport(
+            check="antisymmetrizer idempotent",
+            params={"n": n},
+            status=("pass" if idem and rank_pi == n * (n + 1) // 2
+                    else "fail"),
+            anchor="the same-kind vertex at minus one is minus twice the "
+                   "antisymmetric projector",
+            witness={"rank": rank_pi, "expected_rank": n * (n + 1) // 2}))
+    return reports
+
+
+def lattice_reports(n=2, max_L=3, N=1, max_m=3, seed=0):
+    reports = []
+    d = n + 1
+    for L in range(2, max_L + 1):
+        beta = seeded_rationals(seed + L, 1, avoid=[0])[0]
+        spec = LatticeSpec.staggered(n, L, N, [Fraction(0)] * L, beta)
+        mtop = min(L, max_m)
+        labels = seeded_rationals(seed + L + 100, mtop, avoid=[0, beta])
+        top = {}  # the two windows on labels[:mtop], by variant
+
+        traces = {}
+        colours = {}
+        for m in range(1, mtop + 1):
+            for variant in (0, 1):
+                win = density_matrix(spec, m, labels[:m], variant)
+                if m == mtop:
+                    top[variant] = win.matrix
+                traces[f"m={m},variant={variant}"] = win.trace() == 1
+                colours[f"m={m},variant={variant}"] = colour_conserving(win)
+        reports.append(VerificationReport(
+            check="window unit trace",
+            params={"n": n, "L": L, "N": N, "seed": seed},
+            status="pass" if all(traces.values()) else "fail",
+            anchor="closed-strip normalization leaves every window with "
+                   "trace one",
+            witness=traces))
+        reports.append(VerificationReport(
+            check="window colour conservation",
+            params={"n": n, "L": L, "N": N, "seed": seed},
+            status="pass" if all(colours.values()) else "fail",
+            anchor="window entries vanish unless row and column weights "
+                   "agree",
+            witness=colours))
+
+        resid = Fraction(0)
+        cases = 0
+        if mtop >= 2:
+            rest = labels[1:mtop]
+            small = {v: density_matrix(spec, mtop - 1, rest, v).matrix
+                     for v in (0, 1)}
+            # (variant, labels of the big window, slot of the traced site)
+            for variant, big, slot in ((0, [Fraction(0)] + rest, mtop - 1),
+                                       (0, rest + [Fraction(0)], 0),
+                                       (1, rest + [Fraction(0)], 0)):
+                traced = _sp_ptrace(
+                    density_matrix(spec, mtop, big, variant).matrix, slot,
+                    mtop, d)
+                resid = max(resid, _sp_diff(traced, small[variant]))
+                cases += 1
+        reports.append(VerificationReport(
+            check="window reduction",
+            params={"n": n, "L": L, "N": N, "seed": seed},
+            status="pass" if resid == 0 else "fail",
+            anchor="tracing an edge site whose label sits at the "
+                   "environment value reproduces the smaller window",
+            witness={"cases": cases, "max_residual": resid}))
+
+        resid = Fraction(0)
+        count = 0
+        for variant, win in top.items():
+            for g in (g for gens in chevalley_generators(n) for g in gens):
+                # in variant 1 site 1, the last slot, carries the dual
+                # -C g^T C, C the index reversal
+                dual = [-g.T[::-1, ::-1]] if variant == 1 else [g]
+                tot = _sp_site_sum([g] * (mtop - 1) + dual, d)
+                resid = max(resid, _sp_diff(_sp_mul(tot, win),
+                                            _sp_mul(win, tot)))
+                count += 1
+        reports.append(VerificationReport(
+            check="window global invariance",
+            params={"n": n, "L": L, "N": N, "m": mtop, "seed": seed},
+            status="pass" if resid == 0 else "fail",
+            anchor="every diagonal symmetry generator commutes with the "
+                   "window exactly",
+            witness={"commutators": count, "max_residual": resid}))
+
+        if mtop >= 2:
+            resid = Fraction(0)
+            w = labels[:mtop]
+            win = top[0]
+            for i in range(1, mtop):
+                ws = w[:i - 1] + [w[i], w[i - 1]] + w[i + 1:]
+                lo = mtop - (i + 1)
+                x = w[i] - w[i - 1]
+                pair = (lo, lo + 1)
+                p = _sp_embed(permutation_matrix(n), pair, mtop, d)
+                braid = _sp_mul(p, _sp_embed(vertex_matrix(n, "f", "f", x),
+                                             pair, mtop, d))
+                inv = _sp_mul(_sp_embed(vertex_matrix(n, "f", "f", -x),
+                                        pair, mtop, d), p)
+                conj = _sp_scale(_sp_mul(_sp_mul(braid, win), inv),
+                                 1 / (1 - x * x))
+                resid = max(resid, _sp_diff(
+                    conj, density_matrix(spec, mtop, ws, 0).matrix))
+            reports.append(VerificationReport(
+                check="window exchange relation",
+                params={"n": n, "L": L, "N": N, "m": mtop, "seed": seed},
+                status="pass" if resid == 0 else "fail",
+                anchor="swapping adjacent window labels conjugates the "
+                       "window by the braided vertex",
+                witness={"pairs": mtop - 1, "max_residual": resid}))
+
+        delta = seeded_rationals(seed + L + 200, 1, avoid=[0])[0]
+        wfull = seeded_rationals(seed + L + 300, L, avoid=[0, beta])
+        shifted_spec = LatticeSpec(n, L, N, [Fraction(0)] * L,
+                                   [b + delta for b in spec.betas])
+        resid = _sp_diff(
+            density_matrix(spec, L, wfull, 0).matrix,
+            density_matrix(shifted_spec, L, [x + delta for x in wfull],
+                           0).matrix)
+        reports.append(VerificationReport(
+            check="window translation covariance",
+            params={"n": n, "L": L, "N": N, "seed": seed},
+            status="pass" if resid == 0 else "fail",
+            anchor="shifting all labels and the staggering together leaves "
+                   "the full-strip window unchanged",
+            witness={"delta": delta, "max_residual": resid}))
+    return reports
+
+
+def rqkz_reports(n=2, max_L=3, N=1, seed=0):
+    if N != 1:
+        raise OutOfScope("the window difference equations run at N=1")
+    reports = []
+    for L in range(2, max_L + 1):
+        for m in range(2, L + 1):
+            sd = seed + 10 * L + m
+            beta = seeded_rationals(sd, 1, avoid=[0])[0]
+            mus = ([Fraction(0)]
+                   + seeded_rationals(sd + 1, L - 1, avoid=[0, beta]))
+            spec = LatticeSpec(n, L, 1, mus, [beta])
+            rep = verify_finite_rqkz(spec, m)
+            rep.params["seed"] = sd
+            reports.append(rep)
+    return reports

@@ -12,6 +12,10 @@ import json
 STATUS_VALUES = ("pass", "fail", "exploratory")
 
 
+class OutOfScope(ValueError):
+    """A family's claim is not stated at the requested options."""
+
+
 def jsonable(v):
     """Recursively convert a value to canonical JSON material."""
     if isinstance(v, bool) or v is None:

@@ -21,14 +21,17 @@ import numpy as np
 
 from .exactlin import (RatFun, contract, echelon, pole_order_at, residue_at,
                        tensor_from_matrix)
-from .lattice import (_sp_diff, _sp_embed, _sp_extend, _sp_identity, _sp_mul,
-                      _sp_ptrace, _sp_scale, _sp_to_dense, a_prefactor_expr,
-                      density_matrix, level_chain, max_abs_diff)
+from .lattice import (LatticeSpec, _dense_to_sp, _sp_diff, _sp_embed,
+                      _sp_extend, _sp_identity, _sp_mul, _sp_ptrace,
+                      _sp_scale, _sp_site_sum, _sp_to_dense,
+                      a_prefactor_expr, a_residue_closed, density_matrix,
+                      level_chain, max_abs_diff, projected_reduction_check,
+                      seeded_rationals)
 from .qchar import SnakeSpec, module_dim, snake_qchar
 from .report import VerificationReport
-from .rmat import (PrefactorExpr, antisym_fusion, h_shift, identity_matrix,
-                   k_matrix, permutation_matrix, prefactor_reduce,
-                   vertex_matrix)
+from .rmat import (PrefactorExpr, antisym_fusion, chevalley_generators,
+                   h_shift, identity_matrix, k_matrix, permutation_matrix,
+                   prefactor_reduce, vertex_matrix)
 
 
 def loop_kinds(n, l):
@@ -360,10 +363,6 @@ def l1_fusion_check(n, spec, m):
 
     small = density_matrix(spec, m - 1, [lam - h + 1] + rest, 1)
 
-    def rows(block):
-        return {r: {c: v for c, v in enumerate(row) if v}
-                for r, row in enumerate(block) if any(row)}
-
     def on_pair(x, p, q):
         # a p x q map x on the first pair, the identity on sites m..3:
         # block diagonal, one block per digit string of the other sites
@@ -371,8 +370,8 @@ def l1_fusion_check(n, spec, m):
                 for i in range(d ** (m - 2)) for r, row in x.items()}
 
     f_de, f_fu = antisym_fusion(2)
-    de = rows(f_de.data.reshape(3, 9))
-    fu = rows(f_fu.data.reshape(9, 3))
+    de = _dense_to_sp(f_de.data.reshape(3, 9))
+    fu = _dense_to_sp(f_fu.data.reshape(9, 3))
     # wedge pair (a, b) maps to the missing index with the alternating sign:
     # rows are dual indices, columns the wedge pairs (0,1), (0,2), (1,2)
     w = {2: {0: Fraction(1)}, 1: {1: Fraction(-1)}, 0: {2: Fraction(1)}}
@@ -410,3 +409,90 @@ def l1_fusion_check(n, spec, m):
                  "lhs_rank": rank,
                  "rank_bound": d ** (m - 1),
                  "symmetric_part": sym_resid})
+
+
+# ---------------------------------------------------------------------------
+# verification reports: pole profiles and the tower suite
+
+def pole_reports(n_values=(2, 3, 4), k_values=(1, 2)):
+    reports = []
+    for n in n_values:
+        orders = {}
+        bad = []
+        for k in k_values:
+            for l in range(0, n + 1):
+                _f, order = pole_profile(n, k, l)
+                orders[f"k={k},l={l}"] = order
+                if order != (1 if l in (0, 1) else 0):
+                    bad.append((k, l))
+        reports.append(VerificationReport(
+            check="pole profile sweep",
+            params={"n": n, "k_values": list(k_values)},
+            status="pass" if not bad else "fail",
+            anchor="the fused weight keeps a simple pole at coincidence "
+                   "for the first two shifts and none for the rest",
+            witness={"orders": orders, "violations": bad}))
+    return reports
+
+
+DEFAULT_RANK_PAIRS = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3))
+
+
+def snail_rank_reports(pairs=DEFAULT_RANK_PAIRS):
+    return [snake_rank_check(n, k) for n, k in pairs]
+
+
+def snail_wellformed_reports(seed=0):
+    mu = seeded_rationals(seed + 7, 1, avoid=[0])[0]
+    reports = [contraction_order_check(SnailSpec(2, 1, 2, [mu]))]
+
+    towers = {k: _snail_matrix(SnailSpec(2, k, 2, [mu])) for k in (1, 2)}
+    resid = _sp_diff(towers[1], a_residue_closed(2, [mu]))
+    reports.append(VerificationReport(
+        check="tower against single-level assembly",
+        params={"n": 2, "k": 1, "m": 2, "mu2": mu, "seed": seed},
+        status="pass" if resid == 0 else "fail",
+        anchor="the one-level tower equals the directly assembled residue "
+               "of the lowering chain",
+        witness={"max_residual": resid}))
+
+    resid = Fraction(0)
+    for x in towers.values():
+        for g in (g for gens in chevalley_generators(2) for g in gens):
+            tot = _sp_site_sum([g, g], 3)
+            resid = max(resid, _sp_diff(_sp_mul(tot, x), _sp_mul(x, tot)))
+    reports.append(VerificationReport(
+        check="fused window invariance",
+        params={"n": 2, "k_values": [1, 2], "m": 2, "mu2": mu, "seed": seed},
+        status="pass" if resid == 0 else "fail",
+        anchor="the closed tower commutes with every diagonal symmetry "
+               "generator",
+        witness={"max_residual": resid}))
+    return reports
+
+
+def exploratory_reports(seed=0):
+    beta = seeded_rationals(seed + 31, 1, avoid=[0])[0]
+    extra = seeded_rationals(seed + 32, 2, avoid=[0, beta])
+    reports = []
+    spec2 = LatticeSpec(2, 2, 1, [Fraction(0), extra[0]], [beta])
+    reports.append(l1_fusion_check(2, spec2, 2))
+    spec3 = LatticeSpec(2, 3, 1, [Fraction(0)] + extra, [beta])
+    reports.append(l1_fusion_check(2, spec3, 3))
+    reports.append(projected_reduction_check(spec3, 3))
+    reports.append(singlet_insertion_check(2, 3))
+    for rep in reports:
+        rep.params["seed"] = seed
+    return reports
+
+
+def snail_reports(n, max_k, seed):
+    """The tower suite: fused loop ranks for k = 1..max_k at rank n, or
+    at every rank of DEFAULT_RANK_PAIRS when n is None, then the
+    well-formedness and exploratory reports."""
+    ranks = sorted({r for r, _k in DEFAULT_RANK_PAIRS} if n is None
+                   else {n})
+    pairs = tuple((r, k) for r in ranks for k in range(1, max_k + 1))
+    return (snail_rank_reports(pairs)
+            + snail_wellformed_reports(seed)
+            + exploratory_reports(seed))

@@ -10,24 +10,24 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from qsnake.cli import (
-    DEFAULT_RANK_PAIRS,
+from qsnake.lattice import lattice_reports, rmatrix_reports, rqkz_reports
+from qsnake.loopring import y_var
+from qsnake.qchar import (
     census_reports,
-    exploratory_reports,
     factor_reports,
+    fundamental_qchar,
     kr_reports,
-    lattice_reports,
-    pole_reports,
     qchar_fundamental_reports,
-    rmatrix_reports,
-    rqkz_reports,
-    snail_rank_reports,
-    snail_wellformed_reports,
     snake_trio_reports,
     tsystem_reports,
 )
-from qsnake.loopring import y_var
-from qsnake.qchar import fundamental_qchar
+from qsnake.snail import (
+    DEFAULT_RANK_PAIRS,
+    exploratory_reports,
+    pole_reports,
+    snail_rank_reports,
+    snail_wellformed_reports,
+)
 
 
 @contextmanager

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsnake.exactlin import RatFun
+from qsnake.exactlin import RatFun, _frac_rank
 from qsnake.lattice import (
+    _dense_to_sp,
     _sp_identity,
     _sp_site_sum,
     _sp_to_dense,
@@ -26,12 +27,15 @@ from qsnake.lattice import (
     monodromy_matrix,
     ptrace_slot,
     projected_reduction_check,
+    seeded_rationals,
     transfer_matrix,
     verify_finite_rqkz,
+    YBE_POINTS,
 )
 from qsnake.rmat import (
     charge_conj_matrix,
     chevalley_generators,
+    h_shift,
     identity_matrix,
     permutation_matrix,
     prefactor_reduce,
@@ -104,6 +108,25 @@ def test_site_sum_matches_kron_sum():
     assert max_abs_diff(_sp_to_dense(_sp_site_sum(mats, 3), 27), want) == 0
     assert max_abs_diff(_sp_to_dense(_sp_site_sum([h], 3), 3), h) == 0
     assert _sp_site_sum([h - h, e - e], 3) == {}
+
+
+def test_dense_to_sp_reads_both_dimensions():
+    # a wide array used to be read as its leading square block
+    a = np.full((3, 9), Fraction(0), dtype=object)
+    a[0, 7] = Fraction(5)
+    a[2, 1] = Fraction(1)
+    assert _dense_to_sp(a) == {0: {7: 5}, 2: {1: 1}}
+    assert _dense_to_sp(a.T) == {7: {0: 5}, 1: {2: 1}}
+
+
+def test_ybe_points_unisolvent():
+    # the Yang-Baxter difference has its entries in span{x^a y^b : a <= 2,
+    # b <= 2, a + b <= 3}; only the zero polynomial there vanishes on the
+    # points
+    monomials = [(a, b) for a in range(3) for b in range(3) if a + b <= 3]
+    rows = [[x ** a * y ** b for a, b in monomials] for x, y in YBE_POINTS]
+    assert len(monomials) == len(YBE_POINTS) == 8
+    assert _frac_rank(rows) == 8
 
 
 def test_max_abs_diff_rejects_unequal_shapes():
@@ -236,6 +259,33 @@ def test_density_vanishing_normalization():
     spec = LatticeSpec(2, 1, 1, [0], [Fraction(3, 11)])
     with pytest.raises(ArithmeticError, match="vanishing normalization"):
         density_matrix(spec, 1, [Fraction(-2, 33)], 0)
+
+
+def test_seeded_labels_normalize_at_the_first_seeds():
+    # labels drawn as the window suite draws them (beta clear of 0, the
+    # window labels clear of 0 and beta) and as the difference equations
+    # draw them (first label beta or (n+1)/2 - beta): every window, at
+    # every m and in both variants, normalizes.  Seeds 0 and 1 are the
+    # ones the pinned reports and the benchmark run at; a seed whose
+    # draw does vanish is redrawn by the command line (seed 31, test_cli)
+    for seed in range(3):
+        for n, max_L in ((1, 4), (2, 4), (3, 3)):
+            h = h_shift(n)
+            for L in range(2, max_L + 1):
+                beta = seeded_rationals(seed + L, 1, avoid=[0])[0]
+                spec = LatticeSpec(n, L, 1, [Fraction(0)] * L, [beta])
+                labels = seeded_rationals(seed + L + 100, L,
+                                          avoid=[0, beta])
+                for m in range(1, L + 1):
+                    for variant in (0, 1):
+                        density_matrix(spec, m, labels[:m], variant)
+                for m in range(2, L + 1):
+                    sd = seed + 10 * L + m
+                    beta = seeded_rationals(sd, 1, avoid=[0])[0]
+                    mus = seeded_rationals(sd + 1, m - 1, avoid=[0, beta])
+                    spec = LatticeSpec(n, L, 1, [Fraction(0)] * L, [beta])
+                    density_matrix(spec, m, [beta] + mus, 0)
+                    density_matrix(spec, m, [h - beta] + mus, 1)
 
 
 def test_density_reduction_traced_site_at_env_value():
@@ -451,8 +501,6 @@ def test_finite_rqkz_validation():
 def test_a_residue_rank_one():
     # at the pole the chain reads only a one-dimensional functional of
     # the (passive site, consumed line) input pair
-    from qsnake.exactlin import _frac_rank
-
     res, chain = a_residue_parts(2, [Fraction(2, 7)])
     assert res != 0
     d = 3

@@ -3,7 +3,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qsnake.cli import seeded_rationals
 from qsnake.exactlin import _frac_rank, contract, matrix_rank
 from qsnake.lattice import (
     AOperator,
@@ -13,6 +12,7 @@ from qsnake.lattice import (
     density_matrix,
     embed_pair,
     max_abs_diff,
+    seeded_rationals,
 )
 from qsnake.qchar import SnakeSpec, module_dim, snake_qchar
 from qsnake.report import jsonable
