@@ -251,6 +251,8 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         opt = _merge_options(args)
+        if args.json not in (None, "-"):
+            open(args.json, "a").close()  # fail before any suite runs
         reports = run_subcommand(args.command, opt)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

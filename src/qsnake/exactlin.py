@@ -9,7 +9,7 @@ independent of pairing order.  No floating point anywhere.
 
 import heapq
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -300,14 +300,17 @@ class LabeledTensor:
 
 
 def tensor_from_matrix(mat, out_labels, in_labels, dims):
-    """Wrap a (prod dims) x (prod dims) matrix as a tensor.
+    """Wrap a row map {row: {col: value}} on prod(dims) coordinates.
 
     Row index factors over out_labels, column index over in_labels.
     """
-    mat = np.asarray(mat, dtype=object)
+    data = np.full((prod(dims),) * 2, Fraction(0), dtype=object)
+    for r, row in mat.items():
+        for c, v in row.items():
+            data[r, c] = v
     legs = [Leg(l, "out", d) for l, d in zip(out_labels, dims)]
     legs += [Leg(l, "in", d) for l, d in zip(in_labels, dims)]
-    return LabeledTensor(legs, mat.reshape(tuple(d for d in dims) * 2))
+    return LabeledTensor(legs, data.reshape(tuple(dims) * 2))
 
 
 def contract(ts, pairings):

@@ -27,20 +27,21 @@ import numpy as np
 from .exactlin import (RatFun, echelon, pole_order_at, residue_at,
                        tensor_from_matrix)
 from .report import OutOfScope, VerificationReport
-from .rmat import (PrefactorExpr, chevalley_generators, h_shift, k_matrix,
-                   permutation_matrix, prefactor_reduce, vertex_matrix)
+from .rmat import (PrefactorExpr, chevalley_generators, h_shift,
+                   identity_matrix, k_matrix, permutation_matrix,
+                   prefactor_reduce, vertex_matrix)
 
 
 # ---------------------------------------------------------------------------
 # sparse operators on d^nslots coordinates: {row: {col: Fraction}}
 
 def _sp_identity(dim):
-    one = Fraction(1)
-    return {r: {r: one} for r in range(dim)}
+    return identity_matrix(dim)
 
 
 def _sp_embed(mat2, slots, nslots, d):
-    """Embed a two-slot operator at slots (p, q), identity elsewhere."""
+    """Embed a two-slot operator (a row map on d^2 coordinates) at slots
+    (p, q), identity elsewhere."""
     p, q = slots
     if p == q or not (0 <= p < nslots and 0 <= q < nslots):
         raise ValueError(f"bad slot pair {slots} for {nslots} slots")
@@ -49,13 +50,11 @@ def _sp_embed(mat2, slots, nslots, d):
     wq = d ** (nslots - 1 - q)
     wrest = [d ** (nslots - 1 - s) for s in rest]
     ent = []
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                for e in range(d):
-                    v = mat2[a * d + b, c * d + e]
-                    if v != 0:
-                        ent.append((wp * a + wq * b, wp * c + wq * e, v))
+    for r, row in mat2.items():
+        a, b = divmod(r, d)
+        for col, v in row.items():
+            c, e = divmod(col, d)
+            ent.append((wp * a + wq * b, wp * c + wq * e, v))
     out = {}
     for digits in itertools.product(range(d), repeat=len(rest)):
         base = sum(w * t for w, t in zip(wrest, digits))
@@ -81,7 +80,7 @@ def _sp_mul(a, b):
 
 
 def _sp_site_sum(mats, d):
-    """Sum over slots s of the one-slot operator mats[s] on slot s, the
+    """Sum over slots s of the one-slot row map mats[s] on slot s, the
     identity on every other slot."""
     nslots = len(mats)
     out = {}
@@ -90,10 +89,9 @@ def _sp_site_sum(mats, d):
         for s, g in enumerate(mats):
             w = d ** (nslots - 1 - s)
             a = r // w % d
-            for b in range(d):
-                if g[a, b] != 0:
-                    c = r + (b - a) * w
-                    row[c] = row.get(c, 0) + g[a, b]
+            for b, v in g.get(a, {}).items():
+                c = r + (b - a) * w
+                row[c] = row.get(c, 0) + v
         row = {c: v for c, v in row.items() if v != 0}
         if row:
             out[r] = row
@@ -164,30 +162,34 @@ def _sp_to_dense(a, dim):
 
 def _dense_to_sp(mat):
     out = {}
-    nrow, ncol = mat.shape
-    for r in range(nrow):
-        row = {}
-        for c in range(ncol):
-            v = mat[r, c]
-            if v != 0:
-                row[c] = v
+    for r, line in enumerate(mat):
+        row = {c: v for c, v in enumerate(line) if v != 0}
         if row:
             out[r] = row
     return out
 
 
 def embed_pair(mat2, slots, nslots, n):
-    """Dense embedding of a two-slot operator into nslots coordinates."""
+    """Dense embedding of a dense two-slot operator: its Kronecker
+    product with the identity, the axes then put in slot order."""
     d = n + 1
-    mat2 = np.asarray(mat2, dtype=object)
-    return _sp_to_dense(_sp_embed(mat2, slots, nslots, d), d ** nslots)
+    rest = [s for s in range(nslots) if s not in slots]
+    if len(rest) != nslots - 2:
+        raise ValueError(f"bad slot pair {slots} for {nslots} slots")
+    perm = list(np.argsort([*slots, *rest]))
+    full = np.kron(np.asarray(mat2, dtype=object),
+                   np.eye(d ** len(rest), dtype=object))
+    full = full.reshape((d,) * (2 * nslots))
+    return full.transpose(perm + [nslots + i for i in perm]).reshape(
+        d ** nslots, d ** nslots)
 
 
 def ptrace_slot(mat, slot, nslots, n):
-    """Dense partial trace over one slot."""
+    """Dense partial trace over one slot's row and column axes."""
     d = n + 1
-    sp = _sp_ptrace(_dense_to_sp(np.asarray(mat, dtype=object)), slot, nslots, d)
-    return _sp_to_dense(sp, d ** (nslots - 1))
+    full = np.asarray(mat, dtype=object).reshape((d,) * (2 * nslots))
+    out = np.trace(full, axis1=slot, axis2=nslots + slot)
+    return out.reshape(d ** (nslots - 1), d ** (nslots - 1))
 
 
 def max_abs_diff(a, b):
@@ -268,7 +270,7 @@ def monodromy_matrix(spec, lam, direction="T", aux_kind="f", aux_slot=None,
 
 def monodromy(spec, lam, direction="T", aux_kind="f"):
     """Monodromy as a labeled tensor: legs s1..sL and aux, in/out each."""
-    mat = monodromy_matrix(spec, lam, direction, aux_kind)
+    mat = _dense_to_sp(monodromy_matrix(spec, lam, direction, aux_kind))
     d = spec.n + 1
     labels = [f"s{i}" for i in range(1, spec.L + 1)] + ["aux"]
     return tensor_from_matrix(mat, [l + "_out" for l in labels],
@@ -278,14 +280,13 @@ def monodromy(spec, lam, direction="T", aux_kind="f"):
 def transfer_matrix(spec, lam, direction="T", aux_kind="f"):
     """Dense transfer operator on the row: auxiliary trace of the
     monodromy."""
-    d = spec.n + 1
     mat = monodromy_matrix(spec, lam, direction, aux_kind)
     return ptrace_slot(mat, spec.L, spec.L + 1, spec.n)
 
 
 def transfer(spec, lam, direction="T", aux_kind="f"):
     """Transfer operator as a labeled tensor on sites 1..L."""
-    mat = transfer_matrix(spec, lam, direction, aux_kind)
+    mat = _dense_to_sp(transfer_matrix(spec, lam, direction, aux_kind))
     d = spec.n + 1
     labels = [f"s{i}" for i in range(1, spec.L + 1)]
     return tensor_from_matrix(mat, [l + "_out" for l in labels],
@@ -618,13 +619,13 @@ def a_residue_closed(n, mu_rest):
 # ---------------------------------------------------------------------------
 # finite-strip verification of the two window difference equations
 
-def verify_finite_rqkz(spec, m, j=1):
+def verify_finite_rqkz(spec, m):
     """Entrywise check of both window difference equations.
 
-    The window's first vertical is pinned to the j-th horizontal
-    parameter: the raising map at beta_j takes the variant-0 window at
-    (beta_j, mu_2..mu_m) to the variant-1 window whose first label is
-    (n+1)/2 - beta_j, and the lowering map at beta_j - (n+1)/2 takes it
+    The window's first vertical is pinned to the horizontal parameter
+    beta: the raising map at beta takes the variant-0 window at
+    (beta, mu_2..mu_m) to the variant-1 window whose first label is
+    (n+1)/2 - beta, and the lowering map at beta - (n+1)/2 takes it
     back.  Exact residuals over the full matrix-unit basis."""
     if spec.N != 1:
         raise ValueError("finite verification covers one horizontal pair")
@@ -632,7 +633,7 @@ def verify_finite_rqkz(spec, m, j=1):
         raise ValueError(f"window m={m} needs 2 <= m <= L={spec.L}")
     n = spec.n
     h = h_shift(n)
-    beta = spec.betas[j - 1]
+    beta = spec.betas[0]
     mu_rest = [spec.mus[i] for i in range(1, m)]
     d0 = density_matrix(spec, m, [beta] + mu_rest, 0)
     d1 = density_matrix(spec, m, [h - beta] + mu_rest, 1)
@@ -643,7 +644,7 @@ def verify_finite_rqkz(spec, m, j=1):
     status = "pass" if (r1 == 0 and r2 == 0) else "fail"
     return VerificationReport(
         check="window difference equations",
-        params={"n": n, "L": spec.L, "N": spec.N, "m": m, "j": j,
+        params={"n": n, "L": spec.L, "N": spec.N, "m": m, "j": 1,
                 "beta": beta, "mu_rest": mu_rest},
         status=status,
         anchor="finite-strip window operators satisfy both variant-shift equations exactly",
@@ -726,9 +727,6 @@ def rmatrix_reports(n_values=(2, 3)):
         d = n + 1
         h = h_shift(n)
 
-        def vertex(k1, k2, arg):
-            return _dense_to_sp(vertex_matrix(n, k1, k2, arg))
-
         bad = []
         for k1, k2, k3 in itertools.product(("f", "fbar"), repeat=3):
             r13 = {xv: _sp_embed(vertex_matrix(n, k1, k3, xv), (0, 2), 3, d)
@@ -752,10 +750,12 @@ def rmatrix_reports(n_values=(2, 3)):
 
         one = _sp_identity(d * d)
         bad_same = _mismatches(
-            _sp_mul(vertex("f", "f", x), vertex("f", "f", -x)),
+            _sp_mul(vertex_matrix(n, "f", "f", x),
+                    vertex_matrix(n, "f", "f", -x)),
             _sp_scale(one, 1 - x * x))
         bad_mixed = _mismatches(
-            _sp_mul(vertex("f", "fbar", x), vertex("fbar", "f", -x)),
+            _sp_mul(vertex_matrix(n, "f", "fbar", x),
+                    vertex_matrix(n, "fbar", "f", -x)),
             _sp_scale(one, RatFun.const(h * h) - x * x))
         reports.append(VerificationReport(
             check="vertex unitarity",
@@ -770,12 +770,12 @@ def rmatrix_reports(n_values=(2, 3)):
         # there: entry (a,b; c,e) moves to (a,n-e; c,n-b); crossing says
         # it is then minus the mixed vertex
         crossed = {}
-        for r, row in vertex("f", "f", -x - RatFun.const(h)).items():
+        for r, row in vertex_matrix(n, "f", "f", -x - h).items():
             a, b = divmod(r, d)
             for col, v in row.items():
                 c, e = divmod(col, d)
                 crossed.setdefault(a * d + n - e, {})[c * d + n - b] = -v
-        bad_cross = _mismatches(crossed, vertex("f", "fbar", x))
+        bad_cross = _mismatches(crossed, vertex_matrix(n, "f", "fbar", x))
         reports.append(VerificationReport(
             check="vertex crossing",
             params={"n": n},
@@ -785,9 +785,9 @@ def rmatrix_reports(n_values=(2, 3)):
                    "single scalar",
             witness={"mismatches": bad_cross}))
 
-        rbh = vertex("f", "fbar", -h)
+        rbh = vertex_matrix(n, "f", "fbar", -h)
         rank1 = len(echelon(rbh.values()))
-        matches_k = rbh == _dense_to_sp(-k_matrix(n))
+        matches_k = rbh == _sp_scale(k_matrix(n), -1)
         reports.append(VerificationReport(
             check="singlet vertex rank",
             params={"n": n},
@@ -796,7 +796,7 @@ def rmatrix_reports(n_values=(2, 3)):
                    "rank-one pairing operator",
             witness={"rank": rank1}))
 
-        pi = _sp_scale(vertex("f", "f", Fraction(-1)), Fraction(-1, 2))
+        pi = _sp_scale(vertex_matrix(n, "f", "f", -1), Fraction(-1, 2))
         idem = _sp_mul(pi, pi) == pi
         rank_pi = len(echelon(pi.values()))
         reports.append(VerificationReport(
@@ -872,9 +872,13 @@ def lattice_reports(n=2, max_L=3, N=1, max_m=3, seed=0):
         for variant, win in top.items():
             for g in (g for gens in chevalley_generators(n) for g in gens):
                 # in variant 1 site 1, the last slot, carries the dual
-                # -C g^T C, C the index reversal
-                dual = [-g.T[::-1, ::-1]] if variant == 1 else [g]
-                tot = _sp_site_sum([g] * (mtop - 1) + dual, d)
+                # -C g^T C, C the index reversal: (r, c) -> (n-c, n-r)
+                dual = {}
+                for r, row in g.items():
+                    for c, v in row.items():
+                        dual.setdefault(n - c, {})[n - r] = -v
+                tot = _sp_site_sum(
+                    [g] * (mtop - 1) + [dual if variant else g], d)
                 resid = max(resid, _sp_diff(_sp_mul(tot, win),
                                             _sp_mul(win, tot)))
                 count += 1

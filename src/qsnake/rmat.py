@@ -5,6 +5,8 @@ basis e_0..e_n, the antifundamental is carried on the same coordinates
 through the dual basis, with the charge conjugation C (index reversal)
 mediating between them.  Same-kind vertices are x*1 + P, mixed-kind
 vertices are (x + (n+1)/2)*1 - K where K is the rank-1 singlet operator.
+Operators are sparse row maps {row: {col: value}} storing no zero and
+no empty row; only the labeled tensors hold dense arrays.
 The transcendental scalar prefactor rho is never evaluated; it is carried
 formally and removed through its two functional relations.
 """
@@ -47,58 +49,50 @@ def h_shift(n):
 
 
 def identity_matrix(dim):
-    m = np.full((dim, dim), Fraction(0), dtype=object)
-    for i in range(dim):
-        m[i, i] = Fraction(1)
-    return m
+    one = Fraction(1)
+    return {r: {r: one} for r in range(dim)}
 
 
 def permutation_matrix(n):
     d = n + 1
-    m = np.full((d * d, d * d), Fraction(0), dtype=object)
-    for i in range(d):
-        for j in range(d):
-            m[i * d + j, j * d + i] = Fraction(1)
-    return m
+    return {i * d + j: {j * d + i: Fraction(1)}
+            for i in range(d) for j in range(d)}
 
 
 def k_matrix(n):
     """The rank-1 operator |s><s| with s the invariant pair vector."""
     d = n + 1
-    m = np.full((d * d, d * d), Fraction(0), dtype=object)
-    for i in range(d):
-        for k in range(d):
-            m[i * d + (n - i), k * d + (n - k)] = Fraction(1)
-    return m
+    return {i * d + n - i: {k * d + n - k: Fraction(1) for k in range(d)}
+            for i in range(d)}
 
 
 def charge_conj_matrix(n):
-    d = n + 1
-    m = np.full((d, d), Fraction(0), dtype=object)
-    for i in range(d):
-        m[i, n - i] = Fraction(1)
-    return m
+    return {i: {n - i: Fraction(1)} for i in range(n + 1)}
 
 
 def vertex_matrix(n, kind1, kind2, x):
     """Numerical vertex for the requested pair of kinds.
 
     Same kinds: x*1 + P.  Mixed kinds: (x + h)*1 - K, h = (n+1)/2.  The
-    argument may be a Fraction or a RatFun; entries inherit the type.
+    argument may be a Fraction or a RatFun; entries inherit the type, and
+    entries that vanish (x = 0, or x = -h when mixed) are not stored.
     """
     for k in (kind1, kind2):
         if k not in ("f", "fbar"):
             raise ValueError(f"kind must be 'f' or 'fbar', got {k!r}")
-    d = n + 1
     if kind1 == kind2:
-        base = permutation_matrix(n)
-        shift = x
+        base, shift = permutation_matrix(n), x
     else:
-        base = -k_matrix(n)
+        base = {r: {c: -v for c, v in row.items()}
+                for r, row in k_matrix(n).items()}
         shift = x + h_shift(n)
-    out = base.copy()
-    for i in range(d * d):
-        out[i, i] = out[i, i] + shift
+    out = {}
+    for i in range((n + 1) ** 2):
+        row = base.get(i, {})
+        row[i] = row.get(i, Fraction(0)) + shift
+        row = {c: v for c, v in row.items() if v}
+        if row:
+            out[i] = row
     return out
 
 
@@ -139,8 +133,8 @@ def singlet_projector(n, side="fbar-f"):
     """(singlet x dual)/(n+1): the rank-1 idempotent onto the pair singlet."""
     if side not in ("fbar-f", "f-fbar"):
         raise ValueError("side must be 'fbar-f' or 'f-fbar'")
-    mat = k_matrix(n) * Fraction(1, n + 1)
-    return _wrap(mat, n)
+    return _wrap({r: {c: v / (n + 1) for c, v in row.items()}
+                  for r, row in k_matrix(n).items()}, n)
 
 
 def rbar_num(n, lam, kind="f-fbar"):
@@ -154,11 +148,12 @@ def rbar_num(n, lam, kind="f-fbar"):
 def r_dual_dual(n, lam):
     """R on two antifundamental spaces: conjugate both legs of r.
 
-    (C x C) r(lam) (C x C); numerically this lands back on lam*1 + P.
+    (C x C) r(lam) (C x C), the index relabelling i -> d^2-1-i on rows
+    and columns; numerically this lands back on lam*1 + P.
     """
-    cc = np.kron(charge_conj_matrix(n), charge_conj_matrix(n))
-    mat = cc @ vertex_matrix(n, "f", "f", lam) @ cc
-    return _wrap(mat, n)
+    top = (n + 1) ** 2 - 1
+    return _wrap({top - r: {top - c: v for c, v in row.items()}
+                  for r, row in vertex_matrix(n, "f", "f", lam).items()}, n)
 
 
 def antisym_fusion(n):
@@ -189,17 +184,9 @@ def antisym_fusion(n):
 
 def chevalley_generators(n):
     """Triples (e_i, f_i, h_i) of the standard action on V, i = 1..n."""
-    d = n + 1
-
-    def unit(r, c):
-        m = np.full((d, d), Fraction(0), dtype=object)
-        m[r, c] = Fraction(1)
-        return m
-
-    out = []
-    for i in range(1, n + 1):
-        out.append((unit(i - 1, i), unit(i, i - 1), unit(i - 1, i - 1) - unit(i, i)))
-    return out
+    one = Fraction(1)
+    return [({i - 1: {i: one}}, {i: {i - 1: one}},
+             {i - 1: {i - 1: one}, i: {i: -one}}) for i in range(1, n + 1)]
 
 
 class PrefactorExpr:

@@ -23,15 +23,15 @@ from .exactlin import (RatFun, contract, echelon, pole_order_at, residue_at,
                        tensor_from_matrix)
 from .lattice import (LatticeSpec, _dense_to_sp, _sp_diff, _sp_embed,
                       _sp_extend, _sp_identity, _sp_mul, _sp_ptrace,
-                      _sp_scale, _sp_site_sum, _sp_to_dense,
-                      a_prefactor_expr, a_residue_closed, density_matrix,
-                      level_chain, max_abs_diff, projected_reduction_check,
+                      _sp_scale, _sp_site_sum, a_prefactor_expr,
+                      a_residue_closed, density_matrix, level_chain,
+                      max_abs_diff, projected_reduction_check,
                       seeded_rationals)
 from .qchar import SnakeSpec, module_dim, snake_qchar
 from .report import VerificationReport
 from .rmat import (PrefactorExpr, antisym_fusion, chevalley_generators,
-                   h_shift, identity_matrix, k_matrix, permutation_matrix,
-                   prefactor_reduce, vertex_matrix)
+                   h_shift, k_matrix, permutation_matrix, prefactor_reduce,
+                   vertex_matrix)
 
 
 def loop_kinds(n, l):
@@ -198,9 +198,9 @@ def snail_operator(spec):
     Site 1 carries the fresh fundamental line created by the last level;
     sites 2..m are the passive window sites, site m on the first slot."""
     d = spec.n + 1
-    mat = _sp_to_dense(_snail_matrix(spec), d ** spec.m)
     labels = [f"s{spec.m - j}" for j in range(spec.m)]
-    return tensor_from_matrix(mat, [s + "_out" for s in labels],
+    return tensor_from_matrix(_snail_matrix(spec),
+                              [s + "_out" for s in labels],
                               [s + "_in" for s in labels], [d] * spec.m)
 
 
@@ -283,7 +283,7 @@ def fusion_operator(n, loop_count):
     l = int(loop_count)
     d = n + 1
     labels = [f"a{t}" for t in range(1, l + 1)]
-    return tensor_from_matrix(_sp_to_dense(fusion_matrix(n, l), d ** l),
+    return tensor_from_matrix(fusion_matrix(n, l),
                               [s + "_out" for s in labels],
                               [s + "_in" for s in labels], [d] * l)
 
@@ -357,7 +357,7 @@ def l1_fusion_check(n, spec, m):
     pair = (m - 1, m - 2)
     lhs = _sp_mul(_sp_embed(vertex_matrix(2, "f", "f", Fraction(-1)), pair,
                             m, d), win.matrix)
-    sym = (identity_matrix(9) + permutation_matrix(2)) / 2
+    sym = _sp_scale(vertex_matrix(2, "f", "f", 1), Fraction(1, 2))
     sym_resid = _sp_diff(_sp_mul(_sp_embed(sym, pair, m, d), lhs), {})
     rank = len(echelon(lhs.values()))
 

@@ -121,6 +121,15 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unwritable_json_path_is_a_usage_error(tmp_path, capsys):
+    # the target is opened before any suite runs: no summaries, exit 2
+    path = tmp_path / "missing" / "out.json"
+    assert main(["pole", "--json", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

@@ -23,6 +23,16 @@ from qsnake.exactlin import (
 X = RatFun.x()
 
 
+def row_map(mat):
+    """A dense matrix as the sparse row map tensor_from_matrix takes."""
+    out = {}
+    for r, row in enumerate(np.asarray(mat, dtype=object)):
+        row = {c: v for c, v in enumerate(row) if v != 0}
+        if row:
+            out[r] = row
+    return out
+
+
 def lin(a):
     # x - a with integer-cleared coefficients
     return X - RatFun.const(a)
@@ -163,20 +173,20 @@ def test_contract_errors():
 
 def test_matrix_rank_rational_examples():
     d = 3
-    ident = tensor_from_matrix(np.eye(d * d, dtype=object), ["a", "b"], ["c", "d"], [d, d])
+    ident = tensor_from_matrix(row_map(np.eye(d * d, dtype=object)), ["a", "b"], ["c", "d"], [d, d])
     assert matrix_rank(ident, {"a", "b"}, {"c", "d"}) == 9
     # singlet projector and antisymmetrizer on C^3 x C^3
     s = [[Fraction(int(i + j == d - 1)) for j in range(d)] for i in range(d)]
     flat = [s[i][j] for i in range(d) for j in range(d)]
     proj = np.array([[a * b / d for b in flat] for a in flat], dtype=object)
-    t = tensor_from_matrix(proj, ["a", "b"], ["c", "d"], [d, d])
+    t = tensor_from_matrix(row_map(proj), ["a", "b"], ["c", "d"], [d, d])
     assert matrix_rank(t, {"a", "b"}, {"c", "d"}) == 1
     perm = np.zeros((9, 9), dtype=object)
     for i in range(d):
         for j in range(d):
             perm[i * d + j, j * d + i] = Fraction(1)
     anti = (np.eye(9, dtype=object) - perm) * Fraction(1, 2)
-    t2 = tensor_from_matrix(anti, ["a", "b"], ["c", "d"], [d, d])
+    t2 = tensor_from_matrix(row_map(anti), ["a", "b"], ["c", "d"], [d, d])
     assert matrix_rank(t2, {"a", "b"}, {"c", "d"}) == 3
 
 

@@ -20,7 +20,7 @@ ALLOWED = {
     ("snail", "lattice"): {
         "_dense_to_sp", "_sp_diff", "_sp_embed", "_sp_extend",
         "_sp_identity", "_sp_mul", "_sp_ptrace", "_sp_scale",
-        "_sp_site_sum", "_sp_to_dense"},
+        "_sp_site_sum"},
 }
 
 

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from qsnake.exactlin import RatFun, _frac_rank
 from qsnake.lattice import (
     _dense_to_sp,
+    _sp_embed,
     _sp_identity,
+    _sp_ptrace,
     _sp_site_sum,
     _sp_to_dense,
     AOperator,
@@ -89,25 +91,55 @@ def test_spec_validation():
 
 def test_embed_ptrace_roundtrip():
     # embedding at (0,1) of a two-slot operator is kron with identity
-    v = vertex_matrix(2, "f", "f", Fraction(1, 2))
+    v = _sp_to_dense(vertex_matrix(2, "f", "f", Fraction(1, 2)), 9)
     emb = embed_pair(v, (0, 1), 3, 2)
-    assert max_abs_diff(emb, np.kron(v, identity_matrix(3))) == 0
+    assert max_abs_diff(emb, np.kron(v, _sp_to_dense(identity_matrix(3), 3))) == 0
     # tracing the fresh slot recovers dim * original
     back = ptrace_slot(emb, 2, 3, 2)
     assert max_abs_diff(back, 3 * v) == 0
+
+    # every ordered pair on four slots, reversed ones included (the level
+    # chains embed at (m - j, ins)), with an operator that is not
+    # symmetric under the swap of its factors: the numpy oracles agree
+    # with the sparse kernels, and tracing the other two slots returns
+    # d^2 times the operator, its factors swapped when p > q
+    rng = random.Random(7)
+    for n in (1, 2):
+        d = n + 1
+        v = np.asarray(
+            [[Fraction(rng.choice((0, 0, rng.randint(-3, 3))), rng.randint(1, 4))
+              for _ in range(d * d)] for _ in range(d * d)], dtype=object)
+        swapped = v.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
+        for p in range(4):
+            for q in range(4):
+                if p == q:
+                    continue
+                emb = embed_pair(v, (p, q), 4, n)
+                sp = _sp_embed(_dense_to_sp(v), (p, q), 4, d)
+                assert max_abs_diff(emb, _sp_to_dense(sp, d ** 4)) == 0
+                for slot in range(4):
+                    assert max_abs_diff(
+                        ptrace_slot(emb, slot, 4, n),
+                        _sp_to_dense(_sp_ptrace(sp, slot, 4, d), d ** 3)) == 0
+                back, nsl = emb, 4
+                for slot in sorted({0, 1, 2, 3} - {p, q}, reverse=True):
+                    back = ptrace_slot(back, slot, nsl, n)
+                    nsl -= 1
+                want = v if p < q else swapped
+                assert max_abs_diff(back, d * d * want) == 0
 
 
 def test_site_sum_matches_kron_sum():
     # one generator per slot, a different one on each, against the dense
     # sum of Kronecker products; a single slot is the generator itself
-    one = identity_matrix(3)
-    e, f, h = chevalley_generators(2)[0]
-    mats = [e, f, h]
+    one = _sp_to_dense(identity_matrix(3), 3)
+    mats = list(chevalley_generators(2)[0])
+    e, f, h = (_sp_to_dense(g, 3) for g in mats)
     want = (np.kron(np.kron(e, one), one) + np.kron(np.kron(one, f), one)
             + np.kron(np.kron(one, one), h))
     assert max_abs_diff(_sp_to_dense(_sp_site_sum(mats, 3), 27), want) == 0
-    assert max_abs_diff(_sp_to_dense(_sp_site_sum([h], 3), 3), h) == 0
-    assert _sp_site_sum([h - h, e - e], 3) == {}
+    assert max_abs_diff(_sp_to_dense(_sp_site_sum(mats[2:], 3), 3), h) == 0
+    assert _sp_site_sum([_dense_to_sp(h - h), _dense_to_sp(e - e)], 3) == {}
 
 
 def test_dense_to_sp_reads_both_dimensions():
@@ -149,8 +181,9 @@ def test_monodromy_single_site_is_vertex(lam):
     spec = LatticeSpec(2, 1, 1, [Fraction(1, 5)], [0])
     got = monodromy_matrix(spec, lam)
     # auxiliary slot is the last one; the vertex acts (aux, site)
-    want = embed_pair(vertex_matrix(2, "f", "f", lam - Fraction(1, 5)),
-                      (1, 0), 2, 2)
+    want = embed_pair(
+        _sp_to_dense(vertex_matrix(2, "f", "f", lam - Fraction(1, 5)), 9),
+        (1, 0), 2, 2)
     assert max_abs_diff(got, want) == 0
 
 
@@ -198,7 +231,8 @@ def test_rtt_exchange():
     nsl = 4
     ta = monodromy_matrix(spec, lam, aux_slot=2, nslots=nsl)
     tb = monodromy_matrix(spec, nu, aux_slot=3, nslots=nsl)
-    r = embed_pair(vertex_matrix(2, "f", "f", lam - nu), (2, 3), nsl, 2)
+    r = embed_pair(_sp_to_dense(vertex_matrix(2, "f", "f", lam - nu), 9),
+                   (2, 3), nsl, 2)
     assert max_abs_diff(r @ ta @ tb, tb @ ta @ r) == 0
 
 
@@ -324,15 +358,17 @@ def test_density_exchange_braid():
     spec = LatticeSpec(2, 3, 1, [0, 0, 0], [Fraction(3, 11)])
     w = [Fraction(2, 7), Fraction(5, 9), Fraction(-1, 4)]
     win = density_matrix(spec, 3, w, 0)
-    p = permutation_matrix(2)
+    p = _sp_to_dense(permutation_matrix(2), 9)
     for i in (1, 2):
         ws = list(w)
         ws[i - 1], ws[i] = ws[i], ws[i - 1]
         swapped = density_matrix(spec, 3, ws, 0)
         lo = 3 - (i + 1)  # site i+1 occupies the lower slot
         x = w[i] - w[i - 1]
-        braid = embed_pair(p @ vertex_matrix(2, "f", "f", x), (lo, lo + 1), 3, 2)
-        inv = embed_pair(vertex_matrix(2, "f", "f", -x) @ p, (lo, lo + 1), 3, 2)
+        braid = embed_pair(p @ _sp_to_dense(vertex_matrix(2, "f", "f", x), 9),
+                           (lo, lo + 1), 3, 2)
+        inv = embed_pair(_sp_to_dense(vertex_matrix(2, "f", "f", -x), 9) @ p,
+                         (lo, lo + 1), 3, 2)
         conj = (braid @ dense(win) @ inv) / (1 - x * x)
         assert max_abs_diff(conj, dense(swapped)) == 0
 
@@ -343,27 +379,30 @@ def test_density_exchange_braid_variant1():
     w = [Fraction(2, 7), Fraction(5, 9), Fraction(-1, 4)]
     win = density_matrix(spec, 3, w, 1)
     swapped = density_matrix(spec, 3, [w[0], w[2], w[1]], 1)
-    p = permutation_matrix(2)
+    p = _sp_to_dense(permutation_matrix(2), 9)
     x = w[2] - w[1]
-    braid = embed_pair(p @ vertex_matrix(2, "f", "f", x), (0, 1), 3, 2)
-    inv = embed_pair(vertex_matrix(2, "f", "f", -x) @ p, (0, 1), 3, 2)
+    braid = embed_pair(p @ _sp_to_dense(vertex_matrix(2, "f", "f", x), 9),
+                       (0, 1), 3, 2)
+    inv = embed_pair(_sp_to_dense(vertex_matrix(2, "f", "f", -x), 9) @ p,
+                     (0, 1), 3, 2)
     conj = (braid @ dense(win) @ inv) / (1 - x * x)
     assert max_abs_diff(conj, dense(swapped)) == 0
 
 
 def dual_action(g):
-    c = charge_conj_matrix(g.shape[0] - 1)
+    c = _sp_to_dense(charge_conj_matrix(g.shape[0] - 1), g.shape[0])
     return -(c @ g.T @ c)
 
 
 def test_density_global_invariance():
     spec = LatticeSpec(2, 2, 1, [0, 0], [Fraction(3, 11)])
     w = seeded_labels(17, 2)
-    one = identity_matrix(3)
+    one = _sp_to_dense(identity_matrix(3), 3)
     for variant in (0, 1):
         win = density_matrix(spec, 2, w, variant)
         for e, f, h in chevalley_generators(2):
-            for g in (e, f, h):
+            for g in (_sp_to_dense(e, 3), _sp_to_dense(f, 3),
+                      _sp_to_dense(h, 3)):
                 g_last = dual_action(g) if variant == 1 else g
                 tot = (embed_pair(np.kron(g, one), (0, 1), 2, 2)
                        + embed_pair(np.kron(one, g_last), (0, 1), 2, 2))

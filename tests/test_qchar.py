@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from qsnake.loopring import (
     ONE,
     CartanData,
+    LaurentCombination,
     LoopMonomial,
     a_decompose,
     antidominant_monomials,
@@ -193,6 +195,28 @@ def test_kr_t_system_residual():
                 rhs = kr_qchar(2, node, k + 1, s).char * kr_qchar(2, node, k - 1, s + 2).char
                 rhs = rhs + kr_qchar(2, other, k, s + 1).char
                 assert (lhs - rhs).is_zero()
+
+
+def test_kr_characters_are_one_row_tableau_sums():
+    # an oracle apart from the T-system that builds them: the level-k
+    # character at shift s sums, over i_1 <= ... <= i_k, the product over
+    # j = 0..k-1 of term i_j of the fundamental at shift s + 2j, its terms
+    # taken in closed-form order
+    for node in (1, 2):
+        for k in range(5):
+            for s in (0, 1, -3):
+                boxes = [list(fundamental_qchar(2, node, s + 2 * j).char.terms)
+                         for j in range(k)]
+                want = {}
+                for row in combinations_with_replacement(range(3), k):
+                    exps = {}
+                    for j, i in enumerate(row):
+                        for v, e in boxes[j][i].exps.items():
+                            exps[v] = exps.get(v, 0) + e
+                    m = LoopMonomial({v: e for v, e in exps.items() if e})
+                    want[m] = want.get(m, 0) + 1
+                got = kr_qchar(2, node, k, s).char
+                assert got == LaurentCombination(want), (node, k, s)
 
 
 def test_cached_characters_are_read_only():

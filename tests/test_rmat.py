@@ -28,6 +28,16 @@ from qsnake.rmat import (
 X = RatFun.x()
 
 
+def dense(rows, dim):
+    """A sparse row map on dim coordinates as a dense array, for the
+    numpy algebra of these tests."""
+    m = np.full((dim, dim), Fraction(0), dtype=object)
+    for r, row in rows.items():
+        for c, v in row.items():
+            m[r, c] = v
+    return m
+
+
 def test_rkind():
     assert RKind("ff").first == "f" and RKind("ff").second == "f"
     assert RKind("f-fbar").second == "fbar"
@@ -40,13 +50,16 @@ def test_rkind():
 
 def test_r_at_zero_is_permutation():
     for n in (2, 3):
-        assert (vertex_matrix(n, "f", "f", Fraction(0)) == permutation_matrix(n)).all()
+        d2 = (n + 1) ** 2
+        assert (dense(vertex_matrix(n, "f", "f", Fraction(0)), d2)
+                == dense(permutation_matrix(n), d2)).all()
 
 
 def test_unitarity_polynomial_identity():
     for n in (2, 3):
         d = n + 1
-        prod = vertex_matrix(n, "f", "f", X) @ vertex_matrix(n, "f", "f", -X)
+        prod = (dense(vertex_matrix(n, "f", "f", X), d * d)
+                @ dense(vertex_matrix(n, "f", "f", -X), d * d))
         want = (1 - X * X)
         for i in range(d * d):
             for j in range(d * d):
@@ -58,7 +71,8 @@ def test_mixed_unitarity_scalar_polynomial():
     for n in (2, 3):
         d = n + 1
         h = h_shift(n)
-        prod = vertex_matrix(n, "f", "fbar", X) @ vertex_matrix(n, "fbar", "f", -X)
+        prod = (dense(vertex_matrix(n, "f", "fbar", X), d * d)
+                @ dense(vertex_matrix(n, "fbar", "f", -X), d * d))
         want = (RatFun.const(h * h) - X * X)
         for i in range(d * d):
             for j in range(d * d):
@@ -126,16 +140,19 @@ def test_ybe_all_kind_combinations():
         d = n + 1
         for k1, k2, k3 in itertools.product(("f", "fbar"), repeat=3):
             for x, y in YBE_POINTS:
-                r12 = sparse_embed3(vertex_matrix(n, k1, k2, x - y), 0, 1, d)
-                r13 = sparse_embed3(vertex_matrix(n, k1, k3, x), 0, 2, d)
-                r23 = sparse_embed3(vertex_matrix(n, k2, k3, y), 1, 2, d)
+                r12 = sparse_embed3(
+                    dense(vertex_matrix(n, k1, k2, x - y), d * d), 0, 1, d)
+                r13 = sparse_embed3(
+                    dense(vertex_matrix(n, k1, k3, x), d * d), 0, 2, d)
+                r23 = sparse_embed3(
+                    dense(vertex_matrix(n, k2, k3, y), d * d), 1, 2, d)
                 lhs = sparse_mul(sparse_mul(r12, r13), r23)
                 rhs = sparse_mul(sparse_mul(r23, r13), r12)
                 assert sparse_eq(lhs, rhs), (n, k1, k2, k3, x, y)
 
 
 def dual_action(n, x):
-    c = charge_conj_matrix(n)
+    c = dense(charge_conj_matrix(n), n + 1)
     return -(c @ x.T @ c)
 
 
@@ -143,12 +160,12 @@ def test_sl_invariance():
     lams = [Fraction(3, 7), Fraction(-5, 2), Fraction(9)]
     for n in (2, 3):
         d = n + 1
-        ident = identity_matrix(d)
+        ident = dense(identity_matrix(d), d)
         for lam in lams:
-            r = vertex_matrix(n, "f", "f", lam)
-            rb = vertex_matrix(n, "f", "fbar", lam)
+            r = dense(vertex_matrix(n, "f", "f", lam), d * d)
+            rb = dense(vertex_matrix(n, "f", "fbar", lam), d * d)
             for e, f, h in chevalley_generators(n):
-                for g in (e, f, h):
+                for g in (dense(e, d), dense(f, d), dense(h, d)):
                     diag = np.kron(g, ident) + np.kron(ident, g)
                     assert ((r @ diag - diag @ r) == 0).all()
                     diagbar = np.kron(g, ident) + np.kron(ident, dual_action(n, g))
@@ -165,11 +182,12 @@ def test_crossing_single_scalar():
     for n in (2, 3):
         d = n + 1
         h = h_shift(n)
-        oc = np.kron(identity_matrix(d), charge_conj_matrix(n))
+        oc = np.kron(dense(identity_matrix(d), d),
+                     dense(charge_conj_matrix(n), d))
         crossed = oc @ partial_transpose_second(
-            vertex_matrix(n, "f", "f", -X - RatFun.const(h)), d
+            dense(vertex_matrix(n, "f", "f", -X - RatFun.const(h)), d * d), d
         ) @ oc
-        rb = vertex_matrix(n, "f", "fbar", X)
+        rb = dense(vertex_matrix(n, "f", "fbar", X), d * d)
         assert ((crossed + rb) == RatFun((0,))).all()
 
 
@@ -177,7 +195,7 @@ def test_charge_conj():
     for n in (2, 3):
         c = charge_conj(n)
         mat = c.data
-        assert ((mat @ mat) == identity_matrix(n + 1)).all()
+        assert ((mat @ mat) == dense(identity_matrix(n + 1), n + 1)).all()
     m2 = charge_conj(2).data
     assert all(m2[i, 2 - i] == 1 for i in range(3))
     # det is the sign of one transposition on three letters
@@ -199,7 +217,7 @@ def test_singlet_normalization_and_sign():
         mat = proj.data.reshape((n + 1) ** 2, (n + 1) ** 2)
         assert ((mat @ mat) == mat).all()
         assert sum(mat[i, i] for i in range((n + 1) ** 2)) == 1
-        assert ((mat * (n + 1)) == k_matrix(n)).all()
+        assert ((mat * (n + 1)) == dense(k_matrix(n), (n + 1) ** 2)).all()
 
 
 def test_singlet_invariance():
@@ -207,7 +225,7 @@ def test_singlet_invariance():
         d = n + 1
         s = singlet_vector(n, "fbar-f").data
         for e, f, h in chevalley_generators(n):
-            for g in (e, f, h):
+            for g in (dense(e, d), dense(f, d), dense(h, d)):
                 # first slot antifundamental, second fundamental
                 acted = dual_action(n, g) @ s + s @ g.T
                 assert (acted == 0).all()
@@ -218,8 +236,9 @@ def test_rbar_at_minus_h():
         h = h_shift(n)
         rb = rbar_num(n, -h)
         mat = rb.data.reshape((n + 1) ** 2, (n + 1) ** 2)
-        assert ((mat + k_matrix(n)) == 0).all()
-        t = tensor_from_matrix(mat, ["a", "b"], ["c", "d"], [n + 1, n + 1])
+        assert ((mat + dense(k_matrix(n), (n + 1) ** 2)) == 0).all()
+        t = tensor_from_matrix(sparse_rows(mat), ["a", "b"], ["c", "d"],
+                               [n + 1, n + 1])
         assert matrix_rank(t, {"a", "b"}, {"c", "d"}) == 1
     with pytest.raises(ValueError):
         rbar_num(2, Fraction(1), "ff")
@@ -236,10 +255,10 @@ def test_r_dual_dual_matches_r():
 def test_antisymmetrizer_rank():
     for n in (2, 3):
         d = n + 1
-        rm1 = vertex_matrix(n, "f", "f", Fraction(-1))
+        rm1 = dense(vertex_matrix(n, "f", "f", Fraction(-1)), d * d)
         pi = rm1 * Fraction(-1, 2)
         assert ((pi @ pi) == pi).all()
-        t = tensor_from_matrix(pi, ["a", "b"], ["c", "d"], [d, d])
+        t = tensor_from_matrix(sparse_rows(pi), ["a", "b"], ["c", "d"], [d, d])
         assert matrix_rank(t, {"a", "b"}, {"c", "d"}) == n * (n + 1) // 2
 
 
@@ -250,13 +269,14 @@ def test_antisym_fusion_factorization():
         fused = contract([f_fu, f_de], [("wedge_out", "wedge_in")])
         # legs: a_out, b_out, a_in, b_in
         mat = fused.data.reshape(d * d, d * d)
-        assert (mat == vertex_matrix(n, "f", "f", Fraction(-1))).all()
+        assert (mat == dense(vertex_matrix(n, "f", "f", Fraction(-1)),
+                             d * d)).all()
         gram = contract(
             [f_de, f_fu], [("a_out", "a_in"), ("b_out", "b_in")]
         )
         nw = n * (n + 1) // 2
         g = gram.data.reshape(nw, nw)
-        assert ((g + 2 * identity_matrix(nw)) == 0).all()
+        assert ((g + 2 * dense(identity_matrix(nw), nw)) == 0).all()
 
 
 def test_prefactor_examples():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qsnake.exactlin import _frac_rank, contract, matrix_rank
+from qsnake.exactlin import RatFun, _frac_rank, contract, matrix_rank
 from qsnake.lattice import (
     AOperator,
     LatticeSpec,
@@ -115,10 +115,12 @@ def test_pole_profile_validation():
 
 def test_fusion_two_loops():
     f2 = dense(fusion_matrix(2, 2), 2, 2)
-    assert max_abs_diff(f2, 3 * identity_matrix(9) - k_matrix(2)) == 0
+    assert max_abs_diff(f2, 3 * dense(identity_matrix(9), 2, 2)
+                        - dense(k_matrix(2), 2, 2)) == 0
     assert _frac_rank(f2) == 8
     f2a = dense(fusion_matrix(1, 2), 1, 2)
-    assert max_abs_diff(f2a, vertex_matrix(1, "f", "f", Fraction(1))) == 0
+    assert max_abs_diff(
+        f2a, dense(vertex_matrix(1, "f", "f", Fraction(1)), 1, 2)) == 0
     assert _frac_rank(f2a) == 3
 
 
@@ -144,9 +146,12 @@ def test_fusion_lex_equals_reversed():
         h = h_shift(n)
         kinds = loop_kinds(n, 3)
         (k1, k2, k3) = kinds
-        v12 = embed_pair(vertex_matrix(n, k1, k2, h), (0, 1), 3, n)
-        v13 = embed_pair(vertex_matrix(n, k1, k3, 2 * h), (0, 2), 3, n)
-        v23 = embed_pair(vertex_matrix(n, k2, k3, h), (1, 2), 3, n)
+        v12 = embed_pair(dense(vertex_matrix(n, k1, k2, h), n, 2),
+                         (0, 1), 3, n)
+        v13 = embed_pair(dense(vertex_matrix(n, k1, k3, 2 * h), n, 2),
+                         (0, 2), 3, n)
+        v23 = embed_pair(dense(vertex_matrix(n, k2, k3, h), n, 2),
+                         (1, 2), 3, n)
         assert max_abs_diff(v12 @ v13 @ v23, v23 @ v13 @ v12) == 0
         assert max_abs_diff(dense(fusion_matrix(n, 3), n, 3),
                             v12 @ v13 @ v23) == 0
@@ -158,11 +163,13 @@ def test_fusion_exchange_covariance():
     n = 2
     h = h_shift(n)
     k1, k2, k3 = loop_kinds(n, 3)
-    p = embed_pair(permutation_matrix(n), (0, 1), 3, n)
+    p = embed_pair(dense(permutation_matrix(n), n, 2), (0, 1), 3, n)
     lhs = p @ dense(fusion_matrix(n, 3), n, 3) @ p
-    rhs = (embed_pair(vertex_matrix(n, k2, k1, h), (0, 1), 3, n)
-           @ embed_pair(vertex_matrix(n, k1, k3, 2 * h), (1, 2), 3, n)
-           @ embed_pair(vertex_matrix(n, k2, k3, h), (0, 2), 3, n))
+    rhs = (embed_pair(dense(vertex_matrix(n, k2, k1, h), n, 2), (0, 1), 3, n)
+           @ embed_pair(dense(vertex_matrix(n, k1, k3, 2 * h), n, 2),
+                        (1, 2), 3, n)
+           @ embed_pair(dense(vertex_matrix(n, k2, k3, h), n, 2),
+                        (0, 2), 3, n))
     assert max_abs_diff(lhs, rhs) == 0
 
 
@@ -210,12 +217,12 @@ def test_snail_insertion_realization():
 
 
 def test_snail_global_invariance():
-    one = identity_matrix(3)
+    one = dense(identity_matrix(3), 2, 1)
     for k in (1, 2):
         spec = SnailSpec(2, k, 2, [Fraction(2, 7)])
         x = dense(_snail_matrix(spec), 2, 2)
         for e, f, h in chevalley_generators(2):
-            for g in (e, f, h):
+            for g in (dense(e, 2, 1), dense(f, 2, 1), dense(h, 2, 1)):
                 tot = (embed_pair(np.kron(g, one), (0, 1), 2, 2)
                        + embed_pair(np.kron(one, g), (0, 1), 2, 2))
                 assert max_abs_diff(tot @ x, x @ tot) == 0
@@ -332,6 +339,24 @@ def test_sparse_row_map_contract():
     assert_sparse_contract(a_residue_closed(2, [mu2, mu3]), 27)
     for n, l in ((1, 3), (2, 1), (2, 3), (3, 3)):
         assert_sparse_contract(fusion_matrix(n, l), (n + 1) ** l)
+    # the vertex constructors, where a diagonal entry vanishes too: same
+    # kinds at 0 and -1, mixed kinds at -h and 1 - h, over Q and Q(x)
+    x = RatFun.x()
+    for n in (1, 2, 3):
+        d = n + 1
+        h = h_shift(n)
+        args = (Fraction(0), Fraction(-1), -h, 1 - h, Fraction(2, 7), x,
+                RatFun.const(-1), RatFun.const(-h), -x - RatFun.const(h))
+        for k1 in ("f", "fbar"):
+            for k2 in ("f", "fbar"):
+                for arg in args:
+                    assert_sparse_contract(vertex_matrix(n, k1, k2, arg),
+                                           d * d)
+        assert_sparse_contract(k_matrix(n), d * d)
+        assert_sparse_contract(permutation_matrix(n), d * d)
+        for gens in chevalley_generators(n):
+            for g in gens:
+                assert_sparse_contract(g, d)
 
 
 def dense_l1_reference(spec, m):
@@ -341,9 +366,10 @@ def dense_l1_reference(spec, m):
     rest = [spec.mus[j] for j in range(2, m)]
     win = dense(density_matrix(spec, m, [lam - 1, lam] + rest, 0).matrix,
                 2, m)
-    lhs = embed_pair(vertex_matrix(2, "f", "f", Fraction(-1)),
+    lhs = embed_pair(dense(vertex_matrix(2, "f", "f", Fraction(-1)), 2, 2),
                      (m - 1, m - 2), m, 2) @ win
-    sym = (identity_matrix(9) + permutation_matrix(2)) / 2
+    sym = (dense(identity_matrix(9), 2, 2)
+           + dense(permutation_matrix(2), 2, 2)) / 2
     sym_part = max(abs(x) for x in
                    (embed_pair(sym, (m - 1, m - 2), m, 2) @ lhs).flat)
     small = dense(density_matrix(spec, m - 1,
@@ -351,7 +377,7 @@ def dense_l1_reference(spec, m):
                   2, m - 1)
     f_de, f_fu = antisym_fusion(2)
     de, fu = f_de.data.reshape(3, 9), f_fu.data.reshape(9, 3)
-    eye = identity_matrix(d ** (m - 2))
+    eye = dense(identity_matrix(d ** (m - 2)), 2, m - 2)
     w = np.full((3, 3), Fraction(0), dtype=object)
     w[2, 0], w[1, 1], w[0, 2] = Fraction(1), Fraction(-1), Fraction(1)
 
