@@ -468,16 +468,19 @@ def a_prefactor_expr(which, n, mu_rest, shift=0):
     return expr
 
 
-def level_chain(which, n, nu, mus, m, ins, nsl):
-    """Chain parts (CL, K, CR) of one window-shift level on nsl slots.
+def level_chain(which, n, nu, mus):
+    """Chain parts (CL, K, CR) of one window-shift level on m+1 slots,
+    m = len(mus) + 1.
 
-    The consumed line sits on slot ins, the fresh output line on slot
-    ins+1 and passive site j = 2..m, parameter mus[j-2], on slot m-j.
+    Passive site j = 2..m, parameter mus[j-2], sits on slot m-j, the
+    consumed line on slot m-1 and the fresh output line on slot m.
     which=1 is the raising level (fundamental line), which=2 the
     lowering one (antifundamental line)."""
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
     d = n + 1
+    m = len(mus) + 1
+    ins, nsl = m - 1, m + 1
     cl = _sp_identity(d ** nsl)
     cr = _sp_identity(d ** nsl)
     js = list(range(2, m + 1))
@@ -498,6 +501,20 @@ def level_chain(which, n, nu, mus, m, ins, nsl):
             cr = _sp_mul(cr, _sp_embed(v, (m - j, ins), nsl, d))
         ks = _sp_embed(k_matrix(n), (ins + 1, ins), nsl, d)
     return cl, ks, cr
+
+
+def level_step(which, n, nu, mus, mat):
+    """One window-shift level applied to a row map on the m window slots.
+
+    The last slot of mat is the line the level consumes.  mat is
+    extended by the fresh line, multiplied as CL . mat . K . CR (see
+    level_chain) and the consumed slot is traced, so the fresh line
+    takes the last slot.  No scalar prefactor is applied."""
+    m = len(mus) + 1
+    d = n + 1
+    cl, ks, cr = level_chain(which, n, nu, mus)
+    prod = _sp_mul(_sp_mul(_sp_mul(cl, _sp_extend(mat, d)), ks), cr)
+    return _sp_ptrace(prod, m - 1, m + 1, d)
 
 
 class AOperator:
@@ -541,13 +558,7 @@ class AOperator:
             raise ValueError(
                 f"which={self.which} consumes variant-{want} windows")
         n, m = self.n, self.m
-        d = n + 1
-        nsl = m + 1
-        big = _sp_extend(win.matrix, d)
-        cl, ks, cr = level_chain(self.which, n, self.lam1, self.mu_rest, m,
-                                  m - 1, nsl)
-        prod = _sp_mul(_sp_mul(_sp_mul(cl, big), ks), cr)
-        out = _sp_ptrace(prod, m - 1, nsl, d)
+        out = level_step(self.which, n, self.lam1, self.mu_rest, win.matrix)
         h = h_shift(n)
         if self.which == 1:
             labels = [h - self.lam1] + self.mu_rest
@@ -590,7 +601,6 @@ def a_residue_parts(n, mu_rest):
     minus the rank-1 singlet.  Returns (scalar residue, sparse chain
     product CL.K.CR on m+1 slots evaluated at the pole)."""
     mu_rest = [Fraction(x) for x in mu_rest]
-    m = len(mu_rest) + 1
     h = h_shift(n)
     pole = mu_rest[0] - h
     red = prefactor_reduce(a_prefactor_expr(2, n, mu_rest))
@@ -601,7 +611,7 @@ def a_residue_parts(n, mu_rest):
         raise ArithmeticError(
             f"pole order {order} != 1 at {pole}; residue undefined")
     res = residue_at(red, pole)
-    cl, ks, cr = level_chain(2, n, pole, mu_rest, m, m - 1, m + 1)
+    cl, ks, cr = level_chain(2, n, pole, mu_rest)
     return res, _sp_mul(_sp_mul(cl, ks), cr)
 
 
@@ -844,9 +854,9 @@ def lattice_reports(n=2, max_L=3, N=1, max_m=3, seed=0):
                    "agree",
             witness=colours))
 
-        resid = Fraction(0)
-        cases = 0
         if mtop >= 2:
+            resid = Fraction(0)
+            cases = 0
             rest = labels[1:mtop]
             small = {v: density_matrix(spec, mtop - 1, rest, v).matrix
                      for v in (0, 1)}
@@ -859,13 +869,13 @@ def lattice_reports(n=2, max_L=3, N=1, max_m=3, seed=0):
                     mtop, d)
                 resid = max(resid, _sp_diff(traced, small[variant]))
                 cases += 1
-        reports.append(VerificationReport(
-            check="window reduction",
-            params={"n": n, "L": L, "N": N, "seed": seed},
-            status="pass" if resid == 0 else "fail",
-            anchor="tracing an edge site whose label sits at the "
-                   "environment value reproduces the smaller window",
-            witness={"cases": cases, "max_residual": resid}))
+            reports.append(VerificationReport(
+                check="window reduction",
+                params={"n": n, "L": L, "N": N, "seed": seed},
+                status="pass" if resid == 0 else "fail",
+                anchor="tracing an edge site whose label sits at the "
+                       "environment value reproduces the smaller window",
+                witness={"cases": cases, "max_residual": resid}))
 
         resid = Fraction(0)
         count = 0

@@ -159,27 +159,20 @@ def r_dual_dual(n, lam):
 def antisym_fusion(n):
     """Split r(-1) = P - 1 through the antisymmetric square.
 
-    Returns (F_de, F_fu) with F_fu . F_de = r(-1) on V x V and
-    F_de . F_fu = -2 on the wedge space.
+    Returns the row maps (de, fu): de is wedge x pair (nw x d^2), fu is
+    pair x wedge, with the wedge pairs a < b in lexicographic order;
+    fu . de = r(-1) on V x V and de . fu = -2 on the wedge space.
     """
     d = n + 1
     pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
-    nw = len(pairs)
-    de = np.full((nw, d, d), Fraction(0), dtype=object)
+    one = Fraction(1)
+    de = {p: {a * d + b: one, b * d + a: -one}
+          for p, (a, b) in enumerate(pairs)}
+    fu = {}
     for p, (a, b) in enumerate(pairs):
-        de[p, a, b] = Fraction(1)
-        de[p, b, a] = Fraction(-1)
-    f_de = LabeledTensor(
-        [Leg("wedge_out", "out", nw), Leg("a_in", "in", d), Leg("b_in", "in", d)], de
-    )
-    fu = np.full((d, d, nw), Fraction(0), dtype=object)
-    for p, (a, b) in enumerate(pairs):
-        fu[a, b, p] = Fraction(-1)
-        fu[b, a, p] = Fraction(1)
-    f_fu = LabeledTensor(
-        [Leg("a_out", "out", d), Leg("b_out", "out", d), Leg("wedge_in", "in", nw)], fu
-    )
-    return f_de, f_fu
+        fu[a * d + b] = {p: -one}
+        fu[b * d + a] = {p: one}
+    return de, fu
 
 
 def chevalley_generators(n):

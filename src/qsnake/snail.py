@@ -4,11 +4,15 @@ The lowering map of the window chain has a simple pole when its line
 parameter reaches the second window site.  Taking the residue there and
 then alternately raising and lowering, 2k-1 levels in all with the line
 parameter stepped down by (n+1)/2 at each level, leaves one operator on
-the window.  The consumed lines (the loops) alternate antifundamental,
-fundamental, ...; their positions sit in minimal snake position in the
-parity lattice, which ties the construction to the alternating snake
-characters: the ordered product of vertex matrices over the loop pairs
-has rank equal to the snake dimension.
+the window.  The tower is built that way: the window-shift level step of
+lattice.level_step, applied 2k-1 times to an operator on the m window
+slots.  Each level consumes the line the previous one created and closes
+it by the trace, so no level ever holds more than m+1 slots.  The
+consumed lines (the loops) alternate antifundamental, fundamental, ...;
+their positions sit in minimal snake position in the parity lattice,
+which ties the construction to the alternating snake characters: the
+ordered product of vertex matrices over the loop pairs has rank equal to
+the snake dimension.
 
 Scalars are handled symbolically: the product of per-level prefactors
 reduces through the rho ladder to an explicit rational function whose
@@ -21,12 +25,11 @@ import numpy as np
 
 from .exactlin import (RatFun, contract, echelon, pole_order_at, residue_at,
                        tensor_from_matrix)
-from .lattice import (LatticeSpec, _dense_to_sp, _sp_diff, _sp_embed,
-                      _sp_extend, _sp_identity, _sp_mul, _sp_ptrace,
-                      _sp_scale, _sp_site_sum, a_prefactor_expr,
-                      a_residue_closed, density_matrix, level_chain,
-                      max_abs_diff, projected_reduction_check,
-                      seeded_rationals)
+from .lattice import (LatticeSpec, _sp_diff, _sp_embed, _sp_extend,
+                      _sp_identity, _sp_mul, _sp_ptrace, _sp_scale,
+                      _sp_site_sum, a_prefactor_expr, a_residue_closed,
+                      density_matrix, level_step, max_abs_diff,
+                      projected_reduction_check, seeded_rationals)
 from .qchar import SnakeSpec, module_dim, snake_qchar
 from .report import VerificationReport
 from .rmat import (PrefactorExpr, antisym_fusion, chevalley_generators,
@@ -51,10 +54,11 @@ def loop_points(n, l):
 class SnailSpec:
     """Data of the residue tower.
 
-    Rank n, loop parameter k (the tower has 2k-1 levels), window size m,
-    and the passive window parameters mus = (mu_2, ..., mu_m); mu_2
-    anchors the residue.  Loop t carries the additive shift
-    mu_2 - t(n+1)/2."""
+    Rank n, loop parameter k (the tower has 2k-1 level steps), window
+    size m, and the passive window parameters mus = (mu_2, ..., mu_m);
+    mu_2 anchors the residue.  Level t consumes loop t, which carries the
+    additive shift mu_2 - t(n+1)/2, and creates the line level t+1
+    consumes."""
 
     def __init__(self, n, k, m, mus):
         self.n = int(n)
@@ -138,58 +142,30 @@ def _tower_scalar(spec):
 # ---------------------------------------------------------------------------
 # the tower itself
 
-def _tower_chain(spec):
-    """Sparse product of all level chains at the pole point.
-
-    Slot layout on m + 2k - 1 coordinates: passive site j = 2..m on slot
-    m-j, the level-t line on slot m-2+t, the final output line on the
-    last slot.  Odd levels lower, even levels raise.  Left factors
-    collect descending over levels, right factors (singlet insertion
-    then returning chain) ascending; this is the order in which the
-    levels compose."""
-    n, m = spec.n, spec.m
-    nsl = m + spec.loops
-    h = h_shift(n)
-    left = _sp_identity((n + 1) ** nsl)
-    right = _sp_identity((n + 1) ** nsl)
-    for t in range(1, spec.loops + 1):
-        cl, ks, cr = level_chain(2 if t % 2 == 1 else 1, n,
-                                 spec.mus[0] - t * h, spec.mus, m,
-                                 m - 2 + t, nsl)
-        left = _sp_mul(cl, left)
-        right = _sp_mul(right, _sp_mul(ks, cr))
-    return _sp_mul(left, right)
-
-
 def _snail_matrix(spec, inserted=False):
     """Closed tower as a sparse row map on the m window coordinates.
 
-    All loop lines are traced out; the fresh line of the last level
-    becomes site 1.  With inserted=True the output line is instead kept
-    as a loop, a permutation against one extra coordinate is appended,
-    and both are closed by the trace: A on the new coordinate equals
-    tr(A P), so the result must be identical."""
+    Starting from the identity on the window, whose last slot is the
+    first loop, level t = 1..2k-1 applies lattice.level_step (lowering
+    for odd t, raising for even t) at nu = mu_2 - t(n+1)/2.  Each level
+    closes the loop it consumes and leaves its fresh line on the last
+    slot, where the next level consumes it; the fresh line of the last
+    level becomes site 1.  The result is scaled by the tower residue.
+    With inserted=True the output line is instead kept as a loop, a
+    permutation against one extra coordinate is appended, and both are
+    closed by the trace: A on the new coordinate equals tr(A P), so the
+    result must be identical."""
     n, m = spec.n, spec.m
     d = n + 1
-    loops = spec.loops
     _, res = _tower_scalar(spec)
-    big = _tower_chain(spec)
-    nsl = m + loops
+    mat = _sp_identity(d ** m)
+    for t, nu in enumerate(spec.loop_shifts(), 1):
+        mat = level_step(2 if t % 2 == 1 else 1, n, nu, spec.mus, mat)
     if inserted:
-        big = _sp_extend(big, d)
-        nsl += 1
-        out_slot = m + loops - 1
-        big = _sp_mul(big, _sp_embed(permutation_matrix(n),
-                                     (out_slot, nsl - 1), nsl, d))
-        lo = m - 1
-        hi = out_slot
-    else:
-        lo = m - 1
-        hi = m + loops - 2
-    for slot in range(hi, lo - 1, -1):
-        big = _sp_ptrace(big, slot, nsl, d)
-        nsl -= 1
-    return _sp_scale(big, res)
+        mat = _sp_mul(_sp_extend(mat, d),
+                      _sp_embed(permutation_matrix(n), (m - 1, m), m + 1, d))
+        mat = _sp_ptrace(mat, m - 1, m + 1, d)
+    return _sp_scale(mat, res)
 
 
 def snail_operator(spec):
@@ -369,9 +345,7 @@ def l1_fusion_check(n, spec, m):
         return {i * p + r: {i * q + c: v for c, v in row.items()}
                 for i in range(d ** (m - 2)) for r, row in x.items()}
 
-    f_de, f_fu = antisym_fusion(2)
-    de = _dense_to_sp(f_de.data.reshape(3, 9))
-    fu = _dense_to_sp(f_fu.data.reshape(9, 3))
+    de, fu = antisym_fusion(2)
     # wedge pair (a, b) maps to the missing index with the alternating sign:
     # rows are dual indices, columns the wedge pairs (0,1), (0,2), (1,2)
     w = {2: {0: Fraction(1)}, 1: {1: Fraction(-1)}, 0: {2: Fraction(1)}}

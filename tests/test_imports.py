@@ -18,9 +18,8 @@ MODULES = {p.stem for p in SRC.glob("*.py")}
 # (perfbench/spans.py TRACED), which wraps them under these names.
 ALLOWED = {
     ("snail", "lattice"): {
-        "_dense_to_sp", "_sp_diff", "_sp_embed", "_sp_extend",
-        "_sp_identity", "_sp_mul", "_sp_ptrace", "_sp_scale",
-        "_sp_site_sum"},
+        "_sp_diff", "_sp_embed", "_sp_extend", "_sp_identity", "_sp_mul",
+        "_sp_ptrace", "_sp_scale", "_sp_site_sum"},
 }
 
 

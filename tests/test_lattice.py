@@ -25,6 +25,7 @@ from qsnake.lattice import (
     composite_prefactor,
     density_matrix,
     embed_pair,
+    lattice_reports,
     max_abs_diff,
     monodromy_matrix,
     ptrace_slot,
@@ -350,6 +351,23 @@ def test_density_reduction_both_window_sizes():
     red = ptrace_slot(dense(big), 1, 2, 2)
     small = density_matrix(spec, 1, [w], 0)
     assert max_abs_diff(red, dense(small)) == 0
+
+
+def test_window_reports_at_one_site_windows():
+    # with windows of one site there is no edge site to trace: no window
+    # reduction report is emitted, and the other window reports still run
+    for max_m, reductions in ((1, 0), (2, 2)):
+        reps = lattice_reports(2, 3, 1, max_m, seed=0)
+        checks = [r.check for r in reps]
+        assert checks.count("window reduction") == reductions
+        for r in reps:
+            if r.check == "window reduction":
+                assert r.witness["cases"] == 3
+        for check in ("window unit trace", "window colour conservation",
+                      "window global invariance",
+                      "window translation covariance"):
+            assert checks.count(check) == 2, check
+        assert all(r.status == "pass" for r in reps)
 
 
 def test_density_exchange_braid():

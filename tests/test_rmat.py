@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qsnake.exactlin import RatFun, contract, matrix_rank, tensor_from_matrix
+from qsnake.exactlin import RatFun, matrix_rank, tensor_from_matrix
 from qsnake.rmat import (
     PrefactorExpr,
     RKind,
@@ -265,18 +265,16 @@ def test_antisymmetrizer_rank():
 def test_antisym_fusion_factorization():
     for n in (2, 3):
         d = n + 1
-        f_de, f_fu = antisym_fusion(n)
-        fused = contract([f_fu, f_de], [("wedge_out", "wedge_in")])
-        # legs: a_out, b_out, a_in, b_in
-        mat = fused.data.reshape(d * d, d * d)
-        assert (mat == dense(vertex_matrix(n, "f", "f", Fraction(-1)),
-                             d * d)).all()
-        gram = contract(
-            [f_de, f_fu], [("a_out", "a_in"), ("b_out", "b_in")]
-        )
         nw = n * (n + 1) // 2
-        g = gram.data.reshape(nw, nw)
-        assert ((g + 2 * dense(identity_matrix(nw), nw)) == 0).all()
+        de_rows, fu_rows = antisym_fusion(n)
+        # de is wedge x pair, fu pair x wedge: cut the square arrays down
+        assert set(de_rows) == set(range(nw))
+        assert {c for row in fu_rows.values() for c in row} == set(range(nw))
+        de = dense(de_rows, d * d)[:nw]
+        fu = dense(fu_rows, d * d)[:, :nw]
+        assert (fu @ de == dense(vertex_matrix(n, "f", "f", Fraction(-1)),
+                                 d * d)).all()
+        assert ((de @ fu + 2 * dense(identity_matrix(nw), nw)) == 0).all()
 
 
 def test_prefactor_examples():

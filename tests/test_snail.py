@@ -7,6 +7,13 @@ from qsnake.exactlin import RatFun, _frac_rank, contract, matrix_rank
 from qsnake.lattice import (
     AOperator,
     LatticeSpec,
+    _sp_embed,
+    _sp_extend,
+    _sp_identity,
+    _sp_mul,
+    _sp_ptrace,
+    _sp_scale,
+    _sp_site_sum,
     _sp_to_dense,
     a_residue_closed,
     density_matrix,
@@ -28,6 +35,7 @@ from qsnake.rmat import (
 from qsnake.snail import (
     SnailSpec,
     _snail_matrix,
+    _tower_scalar,
     fusion_matrix,
     fusion_operator,
     l1_fusion_check,
@@ -200,6 +208,85 @@ def test_snail_agrees_with_single_lowering_assembly():
     spec = SnailSpec(2, 1, 2, [mu2])
     assert max_abs_diff(dense(_snail_matrix(spec), 2, 2),
                         dense(a_residue_closed(2, [mu2]), 2, 2)) == 0
+
+
+def chain_tower_reference(spec):
+    """The tower assembled on one layout of m + 2k - 1 slots, as an
+    oracle for the iterated level steps: (direct, inserted).
+
+    Passive site j = 2..m sits on slot m-j, the level-t line on slot
+    m-2+t and the output line on the last slot.  The left chains of all
+    levels collect descending over levels, K.CR ascending, and every loop
+    is traced only at the end; the inserted form first appends a
+    permutation against one extra slot and traces the output line too."""
+    n, m, mus = spec.n, spec.m, spec.mus
+    d = n + 1
+    nsl = m + spec.loops
+    js = list(range(2, m + 1))
+    left = right = _sp_identity(d ** nsl)
+    for t, nu in enumerate(spec.loop_shifts(), 1):
+        ins = m - 2 + t
+        cl = cr = _sp_identity(d ** nsl)
+        if t % 2 == 0:  # raising
+            for j in js:
+                v = vertex_matrix(n, "f", "f", nu - mus[j - 2])
+                cl = _sp_mul(cl, _sp_embed(v, (ins, m - j), nsl, d))
+            for j in reversed(js):
+                v = vertex_matrix(n, "f", "f", mus[j - 2] - nu)
+                cr = _sp_mul(cr, _sp_embed(v, (m - j, ins), nsl, d))
+            ks = _sp_embed(k_matrix(n), (ins, ins + 1), nsl, d)
+        else:  # lowering
+            for j in reversed(js):
+                v = vertex_matrix(n, "f", "fbar", mus[j - 2] - nu)
+                cl = _sp_mul(cl, _sp_embed(v, (m - j, ins), nsl, d))
+            for j in js:
+                v = vertex_matrix(n, "f", "fbar", nu - mus[j - 2])
+                cr = _sp_mul(cr, _sp_embed(v, (m - j, ins), nsl, d))
+            ks = _sp_embed(k_matrix(n), (ins + 1, ins), nsl, d)
+        left = _sp_mul(cl, left)
+        right = _sp_mul(right, _sp_mul(ks, cr))
+    big = _sp_mul(left, right)
+    _, res = _tower_scalar(spec)
+    out = []
+    for inserted in (False, True):
+        x, slots = big, nsl
+        if inserted:
+            x = _sp_mul(_sp_extend(x, d),
+                        _sp_embed(permutation_matrix(n), (nsl - 1, nsl),
+                                  nsl + 1, d))
+            slots += 1
+        for slot in range(slots - 2, m - 2, -1):
+            x = _sp_ptrace(x, slot, slots, d)
+            slots -= 1
+        out.append(_sp_scale(x, res))
+    return out
+
+
+def test_snail_matches_chain_tower_reference():
+    mus = [Fraction(2, 7), Fraction(5, 9)]
+    cases = ([(1, k, m) for k in (1, 2, 3) for m in (2, 3)]
+             + [(2, 1, 2), (2, 2, 2), (2, 1, 3), (2, 2, 3)]
+             + [(3, 1, 2), (3, 2, 2)])
+    for n, k, m in cases:
+        spec = SnailSpec(n, k, m, mus[:m - 1])
+        direct, inserted = chain_tower_reference(spec)
+        assert _snail_matrix(spec) == direct, (n, k, m)
+        assert _snail_matrix(spec, inserted=True) == inserted, (n, k, m)
+
+
+def test_snail_reach_inserted_and_invariant():
+    # towers past the reach of the chain layout: the inserted realization
+    # agrees, and every diagonal symmetry generator commutes
+    mus = [Fraction(2, 7), Fraction(5, 9)]
+    for n, k, m in ((2, 4, 2), (2, 5, 2), (3, 3, 2), (2, 3, 3)):
+        spec = SnailSpec(n, k, m, mus[:m - 1])
+        x = _snail_matrix(spec)
+        assert x
+        assert _snail_matrix(spec, inserted=True) == x, (n, k, m)
+        for gens in chevalley_generators(n):
+            for g in gens:
+                tot = _sp_site_sum([g] * m, n + 1)
+                assert _sp_mul(tot, x) == _sp_mul(x, tot), (n, k, m)
 
 
 def test_snail_operator_legs():
@@ -375,8 +462,8 @@ def dense_l1_reference(spec, m):
     small = dense(density_matrix(spec, m - 1,
                                  [lam - h_shift(2) + 1] + rest, 1).matrix,
                   2, m - 1)
-    f_de, f_fu = antisym_fusion(2)
-    de, fu = f_de.data.reshape(3, 9), f_fu.data.reshape(9, 3)
+    de_rows, fu_rows = antisym_fusion(2)
+    de, fu = dense(de_rows, 2, 2)[:3], dense(fu_rows, 2, 2)[:, :3]
     eye = dense(identity_matrix(d ** (m - 2)), 2, m - 2)
     w = np.full((3, 3), Fraction(0), dtype=object)
     w[2, 0], w[1, 1], w[0, 2] = Fraction(1), Fraction(-1), Fraction(1)
