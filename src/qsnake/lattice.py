@@ -19,7 +19,9 @@ oracles for the tests.  All functions are pure.
 """
 
 from fractions import Fraction
+import functools
 import itertools
+import operator
 import random
 
 import numpy as np
@@ -468,6 +470,31 @@ def a_prefactor_expr(which, n, mu_rest, shift=0):
     return expr
 
 
+def reduced_prefactor(n, mu_rest, levels):
+    """Product of the level scalars a_prefactor_expr(which, n, mu_rest,
+    shift) over levels [(which, shift), ...], reduced through the rho
+    ladder to an explicit rational function of the first argument.  A
+    surviving rho factor raises ArithmeticError."""
+    red = prefactor_reduce(functools.reduce(operator.mul, (
+        a_prefactor_expr(which, n, mu_rest, shift)
+        for which, shift in levels)))
+    if isinstance(red, PrefactorExpr):
+        raise ArithmeticError(
+            f"scalar prefactor does not reduce to a rational function: {red!r}")
+    return red
+
+
+def simple_pole_residue(fun, pole, params):
+    """Residue of the rational function fun at pole, which must be a
+    simple pole; otherwise ArithmeticError names params."""
+    order = pole_order_at(fun, pole)
+    if order != 1:
+        raise ArithmeticError(
+            f"pole order {order} != 1 at {pole}; residue undefined. "
+            f"parameters: {params}")
+    return residue_at(fun, pole)
+
+
 def level_chain(which, n, nu, mus):
     """Chain parts (CL, K, CR) of one window-shift level on m+1 slots,
     m = len(mus) + 1.
@@ -536,10 +563,7 @@ class AOperator:
         self.m = len(self.mu_rest) + 1
         if self.m < 2:
             raise ValueError("need at least one passive site")
-        red = prefactor_reduce(a_prefactor_expr(self.which, self.n, self.mu_rest))
-        if isinstance(red, PrefactorExpr):
-            raise ArithmeticError(
-                f"scalar prefactor does not reduce to a rational function: {red!r}")
+        red = reduced_prefactor(self.n, self.mu_rest, [(self.which, 0)])
         self.prefactor_fun = red
         try:
             self.prefactor = red(self.lam1)
@@ -584,13 +608,7 @@ def composite_prefactor(n, mu_rest):
 
     Every rho cancels through the ladder relation; returns the explicit
     rational function of lam."""
-    h = h_shift(n)
-    expr = (a_prefactor_expr(1, n, mu_rest)
-            * a_prefactor_expr(2, n, mu_rest, shift=-h))
-    red = prefactor_reduce(expr)
-    if isinstance(red, PrefactorExpr):
-        raise ArithmeticError(f"composite prefactor did not reduce: {red!r}")
-    return red
+    return reduced_prefactor(n, mu_rest, [(1, 0), (2, -h_shift(n))])
 
 
 def a_residue_parts(n, mu_rest):
@@ -601,16 +619,9 @@ def a_residue_parts(n, mu_rest):
     minus the rank-1 singlet.  Returns (scalar residue, sparse chain
     product CL.K.CR on m+1 slots evaluated at the pole)."""
     mu_rest = [Fraction(x) for x in mu_rest]
-    h = h_shift(n)
-    pole = mu_rest[0] - h
-    red = prefactor_reduce(a_prefactor_expr(2, n, mu_rest))
-    if isinstance(red, PrefactorExpr):
-        raise ArithmeticError(f"prefactor did not reduce: {red!r}")
-    order = pole_order_at(red, pole)
-    if order != 1:
-        raise ArithmeticError(
-            f"pole order {order} != 1 at {pole}; residue undefined")
-    res = residue_at(red, pole)
+    pole = mu_rest[0] - h_shift(n)
+    res = simple_pole_residue(reduced_prefactor(n, mu_rest, [(2, 0)]), pole,
+                              f"mu_rest={mu_rest}")
     cl, ks, cr = level_chain(2, n, pole, mu_rest)
     return res, _sp_mul(_sp_mul(cl, ks), cr)
 
@@ -820,7 +831,7 @@ def rmatrix_reports(n_values=(2, 3)):
     return reports
 
 
-def lattice_reports(n=2, max_L=3, N=1, max_m=3, seed=0):
+def lattice_reports(n, max_L, N, max_m, seed):
     reports = []
     d = n + 1
     for L in range(2, max_L + 1):
@@ -944,7 +955,7 @@ def lattice_reports(n=2, max_L=3, N=1, max_m=3, seed=0):
     return reports
 
 
-def rqkz_reports(n=2, max_L=3, N=1, seed=0):
+def rqkz_reports(n, max_L, N, seed):
     if N != 1:
         raise OutOfScope("the window difference equations run at N=1")
     reports = []

@@ -31,19 +31,12 @@ MAX_EXPONENT = _HALF - 1  # exponents lie in -MAX_EXPONENT..MAX_EXPONENT
 
 
 class CartanData:
-    """Cartan matrix and adjacency for type A_n."""
+    """Node range and adjacency of the type A_n Dynkin diagram."""
 
     def __init__(self, n):
         if n < 1:
             raise ValueError("rank must be positive")
         self.n = n
-
-    def a(self, i, j):
-        self._check(i)
-        self._check(j)
-        if i == j:
-            return 2
-        return -1 if abs(i - j) == 1 else 0
 
     def neighbours(self, i):
         self._check(i)
@@ -52,41 +45,6 @@ class CartanData:
     def _check(self, i):
         if not 1 <= i <= self.n:
             raise ValueError(f"node {i} out of range 1..{self.n}")
-
-
-class ClassicalWeight:
-    """Integer vector over the fundamental weights omega_1..omega_n."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(int(c) for c in coeffs)
-
-    def __add__(self, other):
-        return ClassicalWeight(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return ClassicalWeight(-c for c in self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        return isinstance(other, ClassicalWeight) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"ClassicalWeight({list(self.coeffs)})"
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-
-def simple_root(cartan, i):
-    # alpha_i = sum_j a_ji omega_j; symmetric Cartan matrix in type A
-    return ClassicalWeight(cartan.a(j, i) for j in range(1, cartan.n + 1))
 
 
 class _SlotTable:
@@ -228,22 +186,6 @@ def a_var(cartan, i, k):
     for j in cartan.neighbours(i):
         exps[(j, k)] = exps.get((j, k), 0) - 1
     return LoopMonomial(exps)
-
-
-def wt_of(m, n):
-    """Classical weight of a monomial: each Y[i,k]^e contributes e*omega_i."""
-    coeffs = [0] * n
-    for (i, _k), e in m.exps.items():
-        coeffs[i - 1] += e
-    return ClassicalWeight(coeffs)
-
-
-def is_dominant(m):
-    return _nonnegative(m.code)
-
-
-def is_antidominant(m):
-    return _nonnegative(-m.code)
 
 
 class Terms(Mapping):

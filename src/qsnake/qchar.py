@@ -434,7 +434,7 @@ def qchar_fundamental_reports(n_values=(2, 3, 4, 5)):
     return reports
 
 
-def snake_trio_reports(n_values=(2, 3), max_l=6):
+def snake_trio_reports(max_l, n_values=(2, 3)):
     reports = []
     for n in n_values:
         checked = 0
@@ -458,7 +458,7 @@ def snake_trio_reports(n_values=(2, 3), max_l=6):
     return reports
 
 
-def tsystem_reports(n_values=(2, 3), max_l=4):
+def tsystem_reports(max_l, n_values=(2, 3)):
     reports = []
     for n in n_values:
         bad_rec, bad_pair = [], []
@@ -539,7 +539,7 @@ def kr_reports():
     ]
 
 
-def census_reports(n_values=(2, 3), max_l=5):
+def census_reports(max_l, n_values=(2, 3)):
     reports = []
     fib_expect = {l: fibonacci_tiling(l + 1) for l in range(1, max_l + 1)}
     for n in n_values:
@@ -570,7 +570,7 @@ def census_reports(n_values=(2, 3), max_l=5):
     return reports
 
 
-def factor_reports(n_values=(2, 3), max_l=4):
+def factor_reports(max_l, n_values=(2, 3)):
     reports = []
     for n in n_values:
         bad = []

@@ -17,32 +17,6 @@ import numpy as np
 
 from .exactlin import LabeledTensor, Leg, RatFun, tensor_from_matrix
 
-RKIND_VALUES = ("ff", "f-fbar", "fbar-f", "fbar-fbar")
-
-
-class RKind:
-    """Which pair of spaces an R-matrix acts on."""
-
-    def __init__(self, value):
-        if value not in RKIND_VALUES:
-            raise ValueError(f"kind must be one of {RKIND_VALUES}")
-        self.value = value
-        if value == "ff":
-            self.first, self.second = "f", "f"
-        else:
-            a, _, b = value.partition("-")
-            # partition splits 'fbar-fbar' correctly; 'f-fbar' too
-            self.first, self.second = a, b
-
-    def mixed(self):
-        return self.first != self.second
-
-    def __eq__(self, other):
-        return isinstance(other, RKind) and self.value == other.value
-
-    def __repr__(self):
-        return f"RKind({self.value!r})"
-
 
 def h_shift(n):
     return Fraction(n + 1, 2)
@@ -139,10 +113,9 @@ def singlet_projector(n, side="fbar-f"):
 
 def rbar_num(n, lam, kind="f-fbar"):
     """Mixed-kind vertex (lam + (n+1)/2)*1 - K as a labeled tensor."""
-    rk = RKind(kind)
-    if not rk.mixed():
+    if kind not in ("f-fbar", "fbar-f"):
         raise ValueError("rbar acts on a mixed fundamental/antifundamental pair")
-    return _wrap(vertex_matrix(n, rk.first, rk.second, lam), n)
+    return _wrap(vertex_matrix(n, *kind.split("-"), lam), n)
 
 
 def r_dual_dual(n, lam):

@@ -23,17 +23,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactlin import (RatFun, contract, echelon, pole_order_at, residue_at,
+from .exactlin import (RatFun, contract, echelon, pole_order_at,
                        tensor_from_matrix)
-from .lattice import (LatticeSpec, _sp_diff, _sp_embed, _sp_extend,
-                      _sp_identity, _sp_mul, _sp_ptrace, _sp_scale,
-                      _sp_site_sum, a_prefactor_expr, a_residue_closed,
+from .lattice import (LatticeSpec, _sp_diff, _sp_embed, _sp_identity, _sp_mul,
+                      _sp_scale, _sp_site_sum, a_residue_closed,
                       density_matrix, level_step, max_abs_diff,
-                      projected_reduction_check, seeded_rationals)
+                      projected_reduction_check, reduced_prefactor,
+                      seeded_rationals, simple_pole_residue)
 from .qchar import SnakeSpec, module_dim, snake_qchar
 from .report import VerificationReport
-from .rmat import (PrefactorExpr, antisym_fusion, chevalley_generators,
-                   h_shift, k_matrix, permutation_matrix, prefactor_reduce,
+from .rmat import (antisym_fusion, chevalley_generators, h_shift, k_matrix,
                    vertex_matrix)
 
 
@@ -78,9 +77,6 @@ class SnailSpec:
         if not (pts.is_snake() and pts.is_minimal()):
             raise AssertionError("loop points left minimal snake position")
 
-    def loop_kinds(self):
-        return loop_kinds(self.n, self.loops)
-
     def loop_shifts(self):
         h = h_shift(self.n)
         return [self.mus[0] - t * h for t in range(1, self.loops + 1)]
@@ -121,28 +117,16 @@ def _tower_scalar(spec):
     levels cancel their rho content outright, lowering levels telescope
     down the ladder.  The reduced function must have a simple pole at
     mu_2 for the residue to exist."""
-    n = spec.n
-    h = h_shift(n)
-    expr = PrefactorExpr(n, 1)
-    for t in range(1, spec.loops + 1):
-        which = 2 if t % 2 == 1 else 1
-        expr = expr * a_prefactor_expr(which, n, spec.mus, shift=-t * h)
-    red = prefactor_reduce(expr)
-    if isinstance(red, PrefactorExpr):
-        raise ArithmeticError(f"tower scalar does not reduce: {red!r}")
-    pole = spec.mus[0]
-    order = pole_order_at(red, pole)
-    if order != 1:
-        raise ArithmeticError(
-            f"pole order {order} != 1 at mu_2 = {pole}; residue undefined. "
-            f"parameters: {spec!r}")
-    return red, residue_at(red, pole)
+    h = h_shift(spec.n)
+    red = reduced_prefactor(spec.n, spec.mus, [
+        (2 if t % 2 == 1 else 1, -t * h) for t in range(1, spec.loops + 1)])
+    return red, simple_pole_residue(red, spec.mus[0], repr(spec))
 
 
 # ---------------------------------------------------------------------------
 # the tower itself
 
-def _snail_matrix(spec, inserted=False):
+def _snail_matrix(spec):
     """Closed tower as a sparse row map on the m window coordinates.
 
     Starting from the identity on the window, whose last slot is the
@@ -150,21 +134,12 @@ def _snail_matrix(spec, inserted=False):
     for odd t, raising for even t) at nu = mu_2 - t(n+1)/2.  Each level
     closes the loop it consumes and leaves its fresh line on the last
     slot, where the next level consumes it; the fresh line of the last
-    level becomes site 1.  The result is scaled by the tower residue.
-    With inserted=True the output line is instead kept as a loop, a
-    permutation against one extra coordinate is appended, and both are
-    closed by the trace: A on the new coordinate equals tr(A P), so the
-    result must be identical."""
-    n, m = spec.n, spec.m
-    d = n + 1
+    level becomes site 1.  The result is scaled by the tower residue."""
+    n = spec.n
     _, res = _tower_scalar(spec)
-    mat = _sp_identity(d ** m)
+    mat = _sp_identity((n + 1) ** spec.m)
     for t, nu in enumerate(spec.loop_shifts(), 1):
         mat = level_step(2 if t % 2 == 1 else 1, n, nu, spec.mus, mat)
-    if inserted:
-        mat = _sp_mul(_sp_extend(mat, d),
-                      _sp_embed(permutation_matrix(n), (m - 1, m), m + 1, d))
-        mat = _sp_ptrace(mat, m - 1, m + 1, d)
     return _sp_scale(mat, res)
 
 
@@ -388,7 +363,7 @@ def l1_fusion_check(n, spec, m):
 # ---------------------------------------------------------------------------
 # verification reports: pole profiles and the tower suite
 
-def pole_reports(n_values=(2, 3, 4), k_values=(1, 2)):
+def pole_reports(k_values, n_values=(2, 3, 4)):
     reports = []
     for n in n_values:
         orders = {}
@@ -416,15 +391,18 @@ def snail_rank_reports(pairs=DEFAULT_RANK_PAIRS):
     return [snake_rank_check(n, k) for n, k in pairs]
 
 
-def snail_wellformed_reports(seed=0):
+def snail_wellformed_reports(n, seed):
+    """The contraction-order check at rank 2, where its dense diagram is
+    cheap, then the rank-n towers k = 1, 2 at m = 2 against the
+    single-level residue and the diagonal symmetry."""
     mu = seeded_rationals(seed + 7, 1, avoid=[0])[0]
     reports = [contraction_order_check(SnailSpec(2, 1, 2, [mu]))]
 
-    towers = {k: _snail_matrix(SnailSpec(2, k, 2, [mu])) for k in (1, 2)}
-    resid = _sp_diff(towers[1], a_residue_closed(2, [mu]))
+    towers = {k: _snail_matrix(SnailSpec(n, k, 2, [mu])) for k in (1, 2)}
+    resid = _sp_diff(towers[1], a_residue_closed(n, [mu]))
     reports.append(VerificationReport(
         check="tower against single-level assembly",
-        params={"n": 2, "k": 1, "m": 2, "mu2": mu, "seed": seed},
+        params={"n": n, "k": 1, "m": 2, "mu2": mu, "seed": seed},
         status="pass" if resid == 0 else "fail",
         anchor="the one-level tower equals the directly assembled residue "
                "of the lowering chain",
@@ -432,12 +410,12 @@ def snail_wellformed_reports(seed=0):
 
     resid = Fraction(0)
     for x in towers.values():
-        for g in (g for gens in chevalley_generators(2) for g in gens):
-            tot = _sp_site_sum([g, g], 3)
+        for g in (g for gens in chevalley_generators(n) for g in gens):
+            tot = _sp_site_sum([g, g], n + 1)
             resid = max(resid, _sp_diff(_sp_mul(tot, x), _sp_mul(x, tot)))
     reports.append(VerificationReport(
         check="fused window invariance",
-        params={"n": 2, "k_values": [1, 2], "m": 2, "mu2": mu, "seed": seed},
+        params={"n": n, "k_values": [1, 2], "m": 2, "mu2": mu, "seed": seed},
         status="pass" if resid == 0 else "fail",
         anchor="the closed tower commutes with every diagonal symmetry "
                "generator",
@@ -445,7 +423,7 @@ def snail_wellformed_reports(seed=0):
     return reports
 
 
-def exploratory_reports(seed=0):
+def exploratory_reports(seed):
     beta = seeded_rationals(seed + 31, 1, avoid=[0])[0]
     extra = seeded_rationals(seed + 32, 2, avoid=[0, beta])
     reports = []
@@ -463,10 +441,11 @@ def exploratory_reports(seed=0):
 def snail_reports(n, max_k, seed):
     """The tower suite: fused loop ranks for k = 1..max_k at rank n, or
     at every rank of DEFAULT_RANK_PAIRS when n is None, then the
-    well-formedness and exploratory reports."""
+    well-formedness reports at rank n (2 when n is None) and the
+    exploratory ones."""
     ranks = sorted({r for r, _k in DEFAULT_RANK_PAIRS} if n is None
                    else {n})
     pairs = tuple((r, k) for r in ranks for k in range(1, max_k + 1))
     return (snail_rank_reports(pairs)
-            + snail_wellformed_reports(seed)
+            + snail_wellformed_reports(2 if n is None else n, seed)
             + exploratory_reports(seed))

@@ -67,20 +67,20 @@ def test_criterion_02_snake_structural_trio():
     with criterion(2, "snake characters are thin with unique dominant and "
                       "anti-dominant monomials, n=2,3, l<=6, both parities",
                    10.0):
-        reports = all_pass(snake_trio_reports((2, 3), 6))
+        reports = all_pass(snake_trio_reports(6, (2, 3)))
         assert sum(r.witness["modules"] for r in reports) == 2 * 2 * 7
 
 
 def test_criterion_03_extended_t_system():
     with criterion(3, "extended recursion and pairwise unit-remainder "
                       "identity hold exactly, n=2,3, l<=4", 30.0):
-        all_pass(tsystem_reports((2, 3), 4))
+        all_pass(tsystem_reports(4, (2, 3)))
 
 
 def test_criterion_04_fibonacci_census():
     with criterion(4, "dominant census of the alternating product follows "
                       "the tiling Fibonacci numbers 2,3,5,8,13", 30.0):
-        reports = census_reports((2, 3), 5)
+        reports = census_reports(5, (2, 3))
         hard = [r for r in reports if r.check == "fibonacci census"]
         all_pass(hard)
         for r in hard:
@@ -95,7 +95,7 @@ def test_criterion_04_fibonacci_census():
 def test_criterion_05_composition_completeness():
     with criterion(5, "factor characters sum to the alternating product "
                       "with zero remainder and dimension (n+1)^(l+1)", 30.0):
-        all_pass(factor_reports((2, 3), 4))
+        all_pass(factor_reports(4, (2, 3)))
         from qsnake.qchar import composition_factors, module_dim
         dims = sorted(module_dim(mc)
                       for _t, mc in composition_factors(2, "even", 0, 2))
@@ -120,7 +120,7 @@ def test_criterion_07_vertex_weight_suite():
 def test_criterion_08_pole_profiles():
     with criterion(8, "coincident-shift pole order is 1 for l in {0,1} and "
                       "0 for l in {2..n}, n=2,3,4, k=1,2", 1.0):
-        all_pass(pole_reports((2, 3, 4), (1, 2)))
+        all_pass(pole_reports(k_values=(1, 2), n_values=(2, 3, 4)))
 
 
 def test_criterion_09_window_suite():
@@ -156,7 +156,7 @@ def test_criterion_12_tower_well_formedness():
     with criterion(12, "tower value is contraction-order independent, "
                        "symmetry invariant, and matches the single-level "
                        "assembly at n=2, k=1, m=2", 60.0):
-        all_pass(snail_wellformed_reports(seed=0))
+        all_pass(snail_wellformed_reports(2, seed=0))
 
 
 def test_criterion_13_exploratory_findings():

@@ -236,3 +236,15 @@ def test_snail_max_k_without_n_bounds_every_rank(capsys):
              if "fused loop rank" in l]
     assert len(ranks) == 2
     assert all("(k=1 loops=1 n=" in l for l in ranks)
+
+
+def test_snail_towers_run_at_the_rank_asked_for():
+    # the towers used to be built at rank 2 whatever --n said; the dense
+    # contraction-order diagram stays at rank 2
+    reports = {r.check: r for r in run_subcommand("snail",
+                                                  {"n": 3, "max_k": 1})}
+    for check in ("tower against single-level assembly",
+                  "fused window invariance"):
+        assert reports[check].params["n"] == 3
+        assert reports[check].status == "pass"
+    assert reports["tower contraction order"].params["n"] == 2

@@ -1,15 +1,21 @@
-"""qsnake modules import only each other's public names.
+"""qsnake modules import only each other's public names, and define
+nothing that nothing uses.
 
 Every import statement of src/qsnake, at module level or inside a
 function, is read with ast.  A name with a leading underscore is a
 module's private helper and must not be imported by another module.  The
 command line module parses options and dispatches, so it does not import
-numpy.  The modules import each other without a cycle."""
+numpy.  The modules import each other without a cycle.  Every top-level
+function and class is used somewhere in src/qsnake outside its own
+definition, or is wrapped by a traced benchmark run (perfbench/spans.py
+TRACED, loaded by path as test_traced_names does)."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "qsnake"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "qsnake"
 MODULES = {p.stem for p in SRC.glob("*.py")}
 
 # (importer, source) -> the private names it may import.  snail runs on
@@ -18,8 +24,8 @@ MODULES = {p.stem for p in SRC.glob("*.py")}
 # (perfbench/spans.py TRACED), which wraps them under these names.
 ALLOWED = {
     ("snail", "lattice"): {
-        "_sp_diff", "_sp_embed", "_sp_extend", "_sp_identity", "_sp_mul",
-        "_sp_ptrace", "_sp_scale", "_sp_site_sum"},
+        "_sp_diff", "_sp_embed", "_sp_identity", "_sp_mul", "_sp_scale",
+        "_sp_site_sum"},
 }
 
 
@@ -69,3 +75,33 @@ def test_no_import_cycle():
 
     for m in sorted(graph):
         visit(m)
+
+
+def test_every_definition_is_used_or_traced():
+    spec = importlib.util.spec_from_file_location(
+        "traced_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    traced = {(mod, name.split(".")[0])
+              for mod, names in spans.TRACED.items() for name in names}
+    trees = {p.stem: ast.parse(p.read_text(), str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    used = {}  # name -> ids of the definitions whose body uses it
+    for tree in trees.values():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                used.setdefault(name, set()).add(id(top))
+    unused = [f"{mod}.{top.name}" for mod, tree in trees.items()
+              for top in tree.body
+              if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+              and not used.get(top.name, set()) - {id(top)}
+              and (mod, top.name) not in traced]
+    assert not unused, unused

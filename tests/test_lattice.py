@@ -484,10 +484,12 @@ def test_composite_prefactor_oracle():
 def test_composite_matches_operator_scalars():
     mus = [Fraction(1, 3), Fraction(-2, 5)]
     lam = Fraction(7, 8)
-    h = Fraction(3, 2)
-    up = a_operator(1, 2, lam, mus)
-    down = a_operator(2, 2, lam - h, mus)
-    assert up.prefactor * down.prefactor == composite_prefactor(2, mus)(lam)
+    for n in range(1, 6):
+        h = Fraction(n + 1, 2)
+        up = a_operator(1, n, lam, mus)
+        down = a_operator(2, n, lam - h, mus)
+        assert (up.prefactor * down.prefactor
+                == composite_prefactor(n, mus)(lam)), n
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from qsnake.loopring import (
     MAX_EXPONENT,
     ONE,
     CartanData,
-    ClassicalWeight,
     LaurentCombination,
     LoopMonomial,
     a_decompose,
@@ -14,12 +13,8 @@ from qsnake.loopring import (
     antidominant_monomials,
     dominant_monomials,
     from_text,
-    is_antidominant,
-    is_dominant,
     multiply,
-    simple_root,
     to_text,
-    wt_of,
     y_var,
 )
 
@@ -35,13 +30,36 @@ def mono(*triples):
     return LoopMonomial({(i, k): e for i, k, e in triples})
 
 
+def weight(m, n):
+    """Classical weight of a monomial over omega_1..omega_n: each
+    Y[i,k]^e contributes e*omega_i."""
+    w = [0] * n
+    for (i, _k), e in m.exps.items():
+        w[i - 1] += e
+    return w
+
+
+def dominant(m):
+    return bool(dominant_monomials(LaurentCombination.from_monomial(m)))
+
+
+def antidominant(m):
+    return bool(antidominant_monomials(LaurentCombination.from_monomial(m)))
+
+
 def test_cartan_matrix():
+    # the weight of A[i,k] is the simple root alpha_i = sum_j a_ji omega_j,
+    # a column of the Cartan matrix: 2 on the node, -1 on its neighbours
+    for n in (2, 3, 4):
+        c = CartanData(n)
+        for i in range(1, n + 1):
+            col = [2 if j == i else (-1 if abs(i - j) == 1 else 0)
+                   for j in range(1, n + 1)]
+            for k in range(-3, 4):
+                assert weight(a_var(c, i, k), n) == col
+    # alpha_1 = 2 omega_1 - omega_2 at n=2
+    assert weight(a_var(CartanData(2), 1, 0), 2) == [2, -1]
     c = CartanData(4)
-    for i in range(1, 5):
-        assert c.a(i, i) == 2
-        for j in range(1, 5):
-            if i != j:
-                assert c.a(i, j) == (-1 if abs(i - j) == 1 else 0)
     assert c.neighbours(1) == [2]
     assert c.neighbours(3) == [2, 4]
 
@@ -54,27 +72,17 @@ def test_a_var_examples():
     )
 
 
-def test_wt_of_a_var_is_simple_root():
-    for n in (2, 3, 4):
-        c = CartanData(n)
-        for i in range(1, n + 1):
-            for k in range(-3, 4):
-                assert wt_of(a_var(c, i, k), n) == simple_root(c, i)
-    # alpha_1 = 2 omega_1 - omega_2 at n=2
-    assert simple_root(CartanData(2), 1) == ClassicalWeight([2, -1])
-
-
-def test_wt_of_basics():
-    assert wt_of(y_var(1, 0), 2) == ClassicalWeight([1, 0])
-    assert wt_of(ONE, 2) == ClassicalWeight([0, 0])
-    assert wt_of(mono((2, 1, 1), (1, 2, -1)), 2) == ClassicalWeight([-1, 1])
+def test_monomial_weight_basics():
+    assert weight(y_var(1, 0), 2) == [1, 0]
+    assert weight(ONE, 2) == [0, 0]
+    assert weight(mono((2, 1, 1), (1, 2, -1)), 2) == [-1, 1]
 
 
 def test_dominance():
-    assert is_dominant(mono((1, 0, 1), (2, 3, 1)))
-    assert is_dominant(ONE) and is_antidominant(ONE)
-    assert not is_dominant(mono((2, 3, -1)))
-    assert is_antidominant(mono((2, 3, -1)))
+    assert dominant(mono((1, 0, 1), (2, 3, 1)))
+    assert dominant(ONE) and antidominant(ONE)
+    assert not dominant(mono((2, 3, -1)))
+    assert antidominant(mono((2, 3, -1)))
 
 
 # the two three-term fundamental characters at n=2, written out by hand
@@ -317,8 +325,8 @@ def test_packed_key_order_and_dominance_match_reference(maps):
     for m, a in zip(monos, maps):
         a = ref_clean(a)
         assert m.key() == ref_key(a)
-        assert is_dominant(m) == all(e > 0 for e in a.values())
-        assert is_antidominant(m) == all(e < 0 for e in a.values())
+        assert dominant(m) == all(e > 0 for e in a.values())
+        assert antidominant(m) == all(e < 0 for e in a.values())
     got = [m.key() for m in sorted(monos, key=LoopMonomial.key)]
     assert got == sorted(ref_key(ref_clean(a)) for a in maps)
 

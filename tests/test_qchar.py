@@ -12,7 +12,6 @@ from qsnake.loopring import (
     antidominant_monomials,
     dominant_monomials,
     to_text,
-    wt_of,
     y_var,
 )
 from qsnake.qchar import (
@@ -96,10 +95,16 @@ def test_fundamental_counts_and_errors():
 def test_fundamental_weight_reduction():
     for n in (2, 3, 4):
         c = fundamental_qchar(n, 1, 0)
-        wts = [wt_of(m, n) for m in c.char.terms]
+        # each Y[i,k]^e contributes e*omega_i
+        wts = []
+        for m in c.char.terms:
+            w = [0] * n
+            for (i, _k), e in m.exps.items():
+                w[i - 1] += e
+            wts.append(tuple(w))
         assert len(set(wts)) == n + 1
         # the vector representation: omega_1, omega_{k+1}-omega_k, -omega_n
-        coeff_sets = {w.coeffs for w in wts}
+        coeff_sets = set(wts)
         expect = {tuple(1 if j == 0 else 0 for j in range(n))}
         for k in range(1, n):
             expect.add(tuple((1 if j == k else 0) - (1 if j == k - 1 else 0) for j in range(n)))

@@ -7,7 +7,6 @@ import pytest
 from qsnake.exactlin import RatFun, matrix_rank, tensor_from_matrix
 from qsnake.rmat import (
     PrefactorExpr,
-    RKind,
     antisym_fusion,
     charge_conj,
     charge_conj_matrix,
@@ -38,14 +37,20 @@ def dense(rows, dim):
     return m
 
 
-def test_rkind():
-    assert RKind("ff").first == "f" and RKind("ff").second == "f"
-    assert RKind("f-fbar").second == "fbar"
-    assert RKind("fbar-f").first == "fbar"
-    assert RKind("fbar-fbar").mixed() is False
-    assert RKind("f-fbar").mixed() is True
-    with pytest.raises(ValueError):
-        RKind("f-f")
+def test_rbar_kinds():
+    # the kind names a mixed pair, first line first; every other pair is
+    # rejected
+    for n in (1, 2):
+        lam = Fraction(5, 3)
+        for kind in ("f-fbar", "fbar-f"):
+            first, second = kind.split("-")
+            want = dense(vertex_matrix(n, first, second, lam), (n + 1) ** 2)
+            got = rbar_num(n, lam, kind).data.reshape((n + 1) ** 2,
+                                                     (n + 1) ** 2)
+            assert (got == want).all()
+    for kind in ("ff", "f-f", "fbar-fbar"):
+        with pytest.raises(ValueError):
+            rbar_num(2, Fraction(1), kind)
 
 
 def test_r_at_zero_is_permutation():

@@ -16,6 +16,7 @@ from qsnake.lattice import (
     _sp_site_sum,
     _sp_to_dense,
     a_residue_closed,
+    a_residue_parts,
     density_matrix,
     embed_pair,
     max_abs_diff,
@@ -89,7 +90,7 @@ def test_snailspec_shifts():
     mu = Fraction(2, 7)
     spec = SnailSpec(2, 2, 2, [mu])
     assert spec.loops == 3
-    assert spec.loop_kinds() == ["fbar", "f", "fbar"]
+    assert loop_kinds(spec.n, spec.loops) == ["fbar", "f", "fbar"]
     h = h_shift(2)
     assert spec.loop_shifts() == [mu - h, mu - 2 * h, mu - 3 * h]
 
@@ -210,6 +211,18 @@ def test_snail_agrees_with_single_lowering_assembly():
                         dense(a_residue_closed(2, [mu2]), 2, 2)) == 0
 
 
+def inserted_tower(spec):
+    """The closed tower with its output line kept as a loop: a
+    permutation against one extra coordinate is appended and both are
+    closed by the trace.  A on the new coordinate equals tr(A P), so the
+    result must equal the tower itself."""
+    n, m = spec.n, spec.m
+    d = n + 1
+    mat = _sp_mul(_sp_extend(_snail_matrix(spec), d),
+                  _sp_embed(permutation_matrix(n), (m - 1, m), m + 1, d))
+    return _sp_ptrace(mat, m - 1, m + 1, d)
+
+
 def chain_tower_reference(spec):
     """The tower assembled on one layout of m + 2k - 1 slots, as an
     oracle for the iterated level steps: (direct, inserted).
@@ -271,7 +284,7 @@ def test_snail_matches_chain_tower_reference():
         spec = SnailSpec(n, k, m, mus[:m - 1])
         direct, inserted = chain_tower_reference(spec)
         assert _snail_matrix(spec) == direct, (n, k, m)
-        assert _snail_matrix(spec, inserted=True) == inserted, (n, k, m)
+        assert inserted_tower(spec) == inserted, (n, k, m)
 
 
 def test_snail_reach_inserted_and_invariant():
@@ -282,7 +295,7 @@ def test_snail_reach_inserted_and_invariant():
         spec = SnailSpec(n, k, m, mus[:m - 1])
         x = _snail_matrix(spec)
         assert x
-        assert _snail_matrix(spec, inserted=True) == x, (n, k, m)
+        assert inserted_tower(spec) == x, (n, k, m)
         for gens in chevalley_generators(n):
             for g in gens:
                 tot = _sp_site_sum([g] * m, n + 1)
@@ -299,7 +312,7 @@ def test_snail_insertion_realization():
     for k in (1, 2):
         spec = SnailSpec(2, k, 2, [Fraction(2, 7)])
         direct = dense(_snail_matrix(spec), 2, 2)
-        inserted = dense(_snail_matrix(spec, inserted=True), 2, 2)
+        inserted = dense(inserted_tower(spec), 2, 2)
         assert max_abs_diff(direct, inserted) == 0
 
 
@@ -320,7 +333,18 @@ def test_snail_three_site_window():
     x = _snail_matrix(spec)
     assert max(x) < 27 and max(max(row) for row in x.values()) < 27
     assert max_abs_diff(dense(x, 2, 3),
-                        dense(_snail_matrix(spec, inserted=True), 2, 3)) == 0
+                        dense(inserted_tower(spec), 2, 3)) == 0
+
+
+def test_one_level_tower_residue_is_the_lowering_residue():
+    # the k=1 tower scalar is the lowering prefactor shifted by -(n+1)/2,
+    # so both residues sit at the same pole and agree
+    mus = [Fraction(2, 7), Fraction(5, 9)]
+    for n in range(1, 6):
+        for m in (2, 3):
+            res, _chain = a_residue_parts(n, mus[:m - 1])
+            _, tower_res = _tower_scalar(SnailSpec(n, 1, m, mus[:m - 1]))
+            assert res == tower_res != 0, (n, m)
 
 
 def test_snail_pole_collision():
@@ -421,7 +445,7 @@ def test_sparse_row_map_contract():
     for k, m, mus in ((1, 2, [mu2]), (2, 2, [mu2]), (1, 3, [mu2, mu3])):
         tower = SnailSpec(2, k, m, mus)
         assert_sparse_contract(_snail_matrix(tower), 3 ** m)
-        assert_sparse_contract(_snail_matrix(tower, inserted=True), 3 ** m)
+        assert_sparse_contract(inserted_tower(tower), 3 ** m)
     assert_sparse_contract(a_residue_closed(2, [mu2]), 9)
     assert_sparse_contract(a_residue_closed(2, [mu2, mu3]), 27)
     for n, l in ((1, 3), (2, 1), (2, 3), (3, 3)):
