@@ -48,6 +48,13 @@ def antidominant(m):
 
 
 def test_cartan_matrix():
+    c = CartanData(4)
+    assert c.neighbours(1) == [2]
+    assert c.neighbours(3) == [2, 4]
+    assert c.neighbours(4) == [3]
+
+
+def test_wt_of_a_var_is_simple_root():
     # the weight of A[i,k] is the simple root alpha_i = sum_j a_ji omega_j,
     # a column of the Cartan matrix: 2 on the node, -1 on its neighbours
     for n in (2, 3, 4):
@@ -59,9 +66,6 @@ def test_cartan_matrix():
                 assert weight(a_var(c, i, k), n) == col
     # alpha_1 = 2 omega_1 - omega_2 at n=2
     assert weight(a_var(CartanData(2), 1, 0), 2) == [2, -1]
-    c = CartanData(4)
-    assert c.neighbours(1) == [2]
-    assert c.neighbours(3) == [2, 4]
 
 
 def test_a_var_examples():
