@@ -7,15 +7,20 @@ mu_i.  Each horizontal pair combines a fundamental line at beta with an
 antifundamental line at beta - (n+1)/2; tracing out everything but a
 window of m adjacent sites gives the window operator.  Variant 1 means
 the first (rightmost) window line is antifundamental; its displayed site
-label is minus its additive line parameter.
+label is minus its additive line parameter.  A fundamental horizontal
+line crosses the window sites in a given order, (m, ..., 2, 1) by
+default, then the outside sites; its antifundamental partner crosses
+them the other way.  The raising window-shift equation holds on windows
+crossed (1, m, ..., 2), the lowering one on the default crossing.
 
 Operators on k coordinate slots are sparse row maps {row: {col: value}}
 over exact Fractions, storing no zero and no empty row; slot j of a
 window carries site m-j, so site 1 sits on the last slot.  Windows,
 window-shift maps and residues are built, returned and compared in that
-form.  The dense forms (embed_pair, ptrace_slot, monodromy_matrix,
-transfer_matrix and their labeled tensors) are kept as independent
-oracles for the tests.  All functions are pure.
+form, and every line of vertices is one vertex_chain product.  The dense
+forms (embed_pair, ptrace_slot, monodromy_matrix, transfer_matrix and
+their labeled tensors) are kept as independent oracles for the tests.
+All functions are pure.
 """
 
 from fractions import Fraction
@@ -30,8 +35,7 @@ from .exactlin import (RatFun, echelon, pole_order_at, residue_at,
                        tensor_from_matrix)
 from .report import OutOfScope, VerificationReport
 from .rmat import (PrefactorExpr, chevalley_generators, h_shift,
-                   identity_matrix, k_matrix, permutation_matrix,
-                   prefactor_reduce, vertex_matrix)
+                   identity_matrix, k_matrix, prefactor_reduce, vertex_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +158,18 @@ def _sp_diff(a, b):
     return best
 
 
+def vertex_chain(n, nslots, factors):
+    """Ordered product over factors (kind1, kind2, x, (p, q)) of
+    vertex_matrix(n, kind1, kind2, x) embedded at slots (p, q), as a row
+    map on d^nslots coordinates; the empty product is the identity."""
+    d = n + 1
+    out = None
+    for kind1, kind2, x, slots in factors:
+        v = _sp_embed(vertex_matrix(n, kind1, kind2, x), slots, nslots, d)
+        out = v if out is None else _sp_mul(out, v)
+    return _sp_identity(d ** nslots) if out is None else out
+
+
 def _sp_to_dense(a, dim):
     m = np.full((dim, dim), Fraction(0), dtype=object)
     for r, row in a.items():
@@ -256,18 +272,13 @@ def monodromy_matrix(spec, lam, direction="T", aux_kind="f", aux_slot=None,
         nslots = L + 1
     if aux_slot is None:
         aux_slot = L
-    if direction == "T":
-        seq = range(L, 0, -1)
-    elif direction == "Tbar":
-        seq = range(1, L + 1)
-    else:
+    if direction not in ("T", "Tbar"):
         raise ValueError("direction must be 'T' or 'Tbar'")
-    m = _sp_identity(d ** nslots)
-    for i in seq:
-        x = lam - spec.mus[i - 1] if direction == "T" else spec.mus[i - 1] - lam
-        v = vertex_matrix(n, aux_kind, "f", x)
-        m = _sp_mul(m, _sp_embed(v, (aux_slot, i - 1), nslots, d))
-    return _sp_to_dense(m, d ** nslots)
+    sign, sites = ((1, range(L, 0, -1)) if direction == "T"
+                   else (-1, range(1, L + 1)))
+    factors = [(aux_kind, "f", sign * (lam - spec.mus[i - 1]),
+                (aux_slot, i - 1)) for i in sites]
+    return _sp_to_dense(vertex_chain(n, nslots, factors), d ** nslots)
 
 
 def monodromy(spec, lam, direction="T", aux_kind="f"):
@@ -304,9 +315,10 @@ class DensityWindow:
     matrix is a sparse row map {row: {col: Fraction}} on d^m coordinates;
     slot j carries site m-j (site 1 last).  site_labels lists the
     displayed labels left to right as (site 1, ..., site m).  variant 1
-    means site 1 is the antifundamental line."""
+    means site 1 is the antifundamental line.  crossing orders the sites
+    as the fundamental horizontal lines cross them."""
 
-    def __init__(self, n, m, variant, matrix, site_labels):
+    def __init__(self, n, m, variant, matrix, site_labels, crossing=None):
         self.n = int(n)
         self.m = int(m)
         if variant not in (0, 1):
@@ -320,6 +332,7 @@ class DensityWindow:
         self.site_labels = [Fraction(x) for x in site_labels]
         if len(self.site_labels) != self.m:
             raise ValueError("need one label per window site")
+        self.crossing = _crossing(self.m, crossing)
 
     def site_kind(self, i):
         return "fbar" if (self.variant == 1 and i == 1) else "f"
@@ -329,53 +342,46 @@ class DensityWindow:
 
     def __repr__(self):
         return (f"DensityWindow(n={self.n}, m={self.m}, "
-                f"variant={self.variant}, labels={self.site_labels})")
+                f"variant={self.variant}, labels={self.site_labels}, "
+                f"crossing={self.crossing})")
 
 
-def _torus_line(n, kinds, params, aux_kind, lam):
+def _crossing(m, crossing):
+    """crossing as a tuple ordering the sites 1..m; (m, ..., 1) if None."""
+    crossing = tuple(range(m, 0, -1) if crossing is None else crossing)
+    if sorted(crossing) != list(range(1, m + 1)):
+        raise ValueError(f"crossing {crossing} does not order sites 1..{m}")
+    return crossing
+
+
+def _torus_line(n, kinds, params, aux_kind, lam, order):
     """One traced horizontal line against the listed slots.
 
-    Fundamental auxiliary lines multiply ascending over the slots with
-    vertices R(param - lam); antifundamental ones descending, with the
-    mixed vertex at (lam - param) on fundamental slots and the same-kind
-    vertex at (param - lam) on antifundamental slots."""
-    d = n + 1
+    A fundamental auxiliary line crosses the slots in order, with the
+    vertex R(param - lam); an antifundamental one crosses them in
+    reverse, with the mixed vertex at (lam - param) on fundamental slots
+    and the same-kind vertex at (param - lam) on antifundamental slots."""
     L = len(kinds)
-    nsl = L + 1
-    m = _sp_identity(d ** nsl)
-    order = range(L) if aux_kind == "f" else range(L - 1, -1, -1)
-    for i in order:
-        if aux_kind == "f":
-            v = vertex_matrix(n, kinds[i], "f", params[i] - lam)
-        elif kinds[i] == "f":
-            v = vertex_matrix(n, "f", "fbar", lam - params[i])
-        else:
-            v = vertex_matrix(n, "fbar", "fbar", params[i] - lam)
-        m = _sp_mul(m, _sp_embed(v, (i, L), nsl, d))
-    return _sp_ptrace(m, L, nsl, d)
-
-
-def _torus(n, kinds, params, betas):
-    d = n + 1
-    L = len(kinds)
-    h = h_shift(n)
-    m = _sp_identity(d ** L)
-    for b in betas:
-        lf = _torus_line(n, kinds, params, "f", b)
-        lb = _torus_line(n, kinds, params, "fbar", b - h)
-        m = _sp_mul(m, _sp_mul(lf, lb))
-    return m
+    if aux_kind == "f":
+        factors = [(kinds[i], "f", params[i] - lam, (i, L)) for i in order]
+    else:
+        factors = [(kinds[i], "fbar",
+                    lam - params[i] if kinds[i] == "f" else params[i] - lam,
+                    (i, L)) for i in reversed(order)]
+    return _sp_ptrace(vertex_chain(n, L + 1, factors), L, L + 1, n + 1)
 
 
 class VanishingNormalization(ArithmeticError):
     """A window whose trace before normalization is zero."""
 
 
-def density_matrix(spec, m, mu_window, variant=0):
+def density_matrix(spec, m, mu_window, variant=0, crossing=None):
     """Window operator over m adjacent sites of the strip.
 
     mu_window lists the displayed labels (site 1, ..., site m); sites
-    outside the window sit at the homogeneous point 0.  The result is
+    outside the window sit at the homogeneous point 0.  The fundamental
+    lines cross the window sites in the order crossing, (m, ..., 2, 1)
+    by default; slot j carries site m-j for any crossing.  The result is
     normalized to unit trace; a vanishing normalization raises with the
     parameters in the message."""
     n, L = spec.n, spec.L
@@ -387,19 +393,17 @@ def density_matrix(spec, m, mu_window, variant=0):
     labels = [Fraction(x) for x in mu_window]
     if len(labels) != m:
         raise ValueError("need one window label per site")
-    params = []
-    kinds = []
-    for j in range(m):
-        site = m - j
-        if variant == 1 and site == 1:
-            params.append(-labels[0])
-            kinds.append("fbar")
-        else:
-            params.append(labels[site - 1])
-            kinds.append("f")
-    params += [Fraction(0)] * (L - m)
-    kinds += ["f"] * (L - m)
-    t = _torus(n, kinds, params, spec.betas)
+    crossing = _crossing(m, crossing)
+    params = labels[::-1] + [Fraction(0)] * (L - m)
+    kinds = ["f"] * L
+    if variant == 1:
+        params[m - 1], kinds[m - 1] = -labels[0], "fbar"
+    order = [m - site for site in crossing] + list(range(m, L))
+    h = h_shift(n)
+    t = functools.reduce(_sp_mul, (
+        _sp_mul(_torus_line(n, kinds, params, "f", b, order),
+                _torus_line(n, kinds, params, "fbar", b - h, order))
+        for b in spec.betas))
     for slot in range(L - 1, m - 1, -1):
         t = _sp_ptrace(t, slot, slot + 1, d)
     z = _sp_trace(t)
@@ -407,7 +411,8 @@ def density_matrix(spec, m, mu_window, variant=0):
         raise VanishingNormalization(
             f"vanishing normalization: n={n} L={L} N={spec.N} "
             f"betas={spec.betas} window={labels} variant={variant}")
-    return DensityWindow(n, m, variant, _sp_scale(t, 1 / z), labels)
+    return DensityWindow(n, m, variant, _sp_scale(t, 1 / z), labels,
+                         crossing)
 
 
 def colour_conserving(win):
@@ -500,34 +505,23 @@ def level_chain(which, n, nu, mus):
     m = len(mus) + 1.
 
     Passive site j = 2..m, parameter mus[j-2], sits on slot m-j, the
-    consumed line on slot m-1 and the fresh output line on slot m.
-    which=1 is the raising level (fundamental line), which=2 the
-    lowering one (antifundamental line)."""
+    consumed line on slot m-1 and the fresh output line on slot m.  The
+    level line crosses the passive sites upward (j = 2..m, vertices at
+    nu - mu_j) and downward (j = m..2, vertices at mu_j - nu); both
+    vertex kinds and K are symmetric in their two lines.  which=1 is
+    the raising level (up, K, down) with same-kind vertices, which=2 the
+    lowering one (down, K, up) with mixed vertices."""
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    d = n + 1
     m = len(mus) + 1
-    ins, nsl = m - 1, m + 1
-    cl = _sp_identity(d ** nsl)
-    cr = _sp_identity(d ** nsl)
-    js = list(range(2, m + 1))
-    if which == 1:
-        for j in js:
-            v = vertex_matrix(n, "f", "f", nu - mus[j - 2])
-            cl = _sp_mul(cl, _sp_embed(v, (ins, m - j), nsl, d))
-        for j in reversed(js):
-            v = vertex_matrix(n, "f", "f", mus[j - 2] - nu)
-            cr = _sp_mul(cr, _sp_embed(v, (m - j, ins), nsl, d))
-        ks = _sp_embed(k_matrix(n), (ins, ins + 1), nsl, d)
-    else:
-        for j in reversed(js):
-            v = vertex_matrix(n, "f", "fbar", mus[j - 2] - nu)
-            cl = _sp_mul(cl, _sp_embed(v, (m - j, ins), nsl, d))
-        for j in js:
-            v = vertex_matrix(n, "f", "fbar", nu - mus[j - 2])
-            cr = _sp_mul(cr, _sp_embed(v, (m - j, ins), nsl, d))
-        ks = _sp_embed(k_matrix(n), (ins + 1, ins), nsl, d)
-    return cl, ks, cr
+    kind = "f" if which == 1 else "fbar"
+    sites = list(enumerate(mus, 2))
+    up = vertex_chain(n, m + 1, [("f", kind, nu - mu, (m - j, m - 1))
+                                 for j, mu in sites])
+    down = vertex_chain(n, m + 1, [("f", kind, mu - nu, (m - j, m - 1))
+                                   for j, mu in reversed(sites)])
+    ks = _sp_embed(k_matrix(n), (m - 1, m), m + 1, n + 1)
+    return (up, ks, down) if which == 1 else (down, ks, up)
 
 
 def level_step(which, n, nu, mus, mat):
@@ -551,7 +545,8 @@ class AOperator:
     operator's first argument and yields the variant-1 window; which=2
     is the reverse.  The first argument is always the additive parameter
     of the distinguished line; for which=2 the displayed label of that
-    line is minus the argument."""
+    line is minus the argument.  which=1 takes windows crossed from site
+    1 first, which=2 with site 1 last; the image keeps the crossing."""
 
     def __init__(self, which, n, lam1, mu_rest):
         if which not in (1, 2):
@@ -564,7 +559,6 @@ class AOperator:
         if self.m < 2:
             raise ValueError("need at least one passive site")
         red = reduced_prefactor(self.n, self.mu_rest, [(self.which, 0)])
-        self.prefactor_fun = red
         try:
             self.prefactor = red(self.lam1)
         except ZeroDivisionError:
@@ -581,17 +575,17 @@ class AOperator:
         if win.variant != want:
             raise ValueError(
                 f"which={self.which} consumes variant-{want} windows")
-        n, m = self.n, self.m
-        out = level_step(self.which, n, self.lam1, self.mu_rest, win.matrix)
-        h = h_shift(n)
-        if self.which == 1:
-            labels = [h - self.lam1] + self.mu_rest
-            variant = 1
-        else:
-            labels = [self.lam1 + h] + self.mu_rest
-            variant = 0
-        return DensityWindow(n, m, variant, _sp_scale(out, self.prefactor),
-                             labels)
+        if win.crossing[(0, -1)[want]] != 1:
+            raise ValueError(f"which={self.which} consumes windows crossed "
+                             f"with site 1 {('first', 'last')[want]}, got "
+                             f"{win.crossing}")
+        out = level_step(self.which, self.n, self.lam1, self.mu_rest,
+                         win.matrix)
+        h = h_shift(self.n)
+        first = h - self.lam1 if self.which == 1 else self.lam1 + h
+        return DensityWindow(self.n, self.m, 1 - want,
+                             _sp_scale(out, self.prefactor),
+                             [first] + self.mu_rest, win.crossing)
 
     def __repr__(self):
         return (f"AOperator(which={self.which}, n={self.n}, "
@@ -611,30 +605,29 @@ def composite_prefactor(n, mu_rest):
     return reduced_prefactor(n, mu_rest, [(1, 0), (2, -h_shift(n))])
 
 
+def _lowering_residue(n, mu_rest):
+    """(pole, residue) of the lowering scalar at mu_2 - (n+1)/2."""
+    pole = Fraction(mu_rest[0]) - h_shift(n)
+    return pole, simple_pole_residue(
+        reduced_prefactor(n, mu_rest, [(2, 0)]), pole, f"mu_rest={mu_rest}")
+
+
 def a_residue_parts(n, mu_rest):
     """Residue data of the lowering map at its simple pole.
 
-    The pole sits where the additive first argument reaches
-    mu_2 - (n+1)/2; there the passive vertex at site 2 degenerates to
-    minus the rank-1 singlet.  Returns (scalar residue, sparse chain
-    product CL.K.CR on m+1 slots evaluated at the pole)."""
-    mu_rest = [Fraction(x) for x in mu_rest]
-    pole = mu_rest[0] - h_shift(n)
-    res = simple_pole_residue(reduced_prefactor(n, mu_rest, [(2, 0)]), pole,
-                              f"mu_rest={mu_rest}")
-    cl, ks, cr = level_chain(2, n, pole, mu_rest)
-    return res, _sp_mul(_sp_mul(cl, ks), cr)
+    At the pole the passive vertex at site 2 degenerates to minus the
+    rank-1 singlet.  Returns (scalar residue, sparse chain product
+    CL.K.CR on m+1 slots evaluated at the pole)."""
+    pole, res = _lowering_residue(n, mu_rest)
+    return res, functools.reduce(_sp_mul, level_chain(2, n, pole, mu_rest))
 
 
 def a_residue_closed(n, mu_rest):
-    """The residue chain with the consumed slot closed by its trace,
-    as a sparse row map on the m window sites (site m first)."""
-    mu_rest = [Fraction(x) for x in mu_rest]
-    m = len(mu_rest) + 1
-    d = n + 1
-    res, big = a_residue_parts(n, mu_rest)
-    closed = _sp_ptrace(big, m - 1, m + 1, d)
-    return _sp_scale(closed, res)
+    """The lowering level step at the pole applied to the identity on the
+    m window sites (site m first), scaled by the residue."""
+    pole, res = _lowering_residue(n, mu_rest)
+    ident = _sp_identity((n + 1) ** (len(mu_rest) + 1))
+    return _sp_scale(level_step(2, n, pole, mu_rest, ident), res)
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +639,10 @@ def verify_finite_rqkz(spec, m):
     The window's first vertical is pinned to the horizontal parameter
     beta: the raising map at beta takes the variant-0 window at
     (beta, mu_2..mu_m) to the variant-1 window whose first label is
-    (n+1)/2 - beta, and the lowering map at beta - (n+1)/2 takes it
-    back.  Exact residuals over the full matrix-unit basis."""
+    (n+1)/2 - beta (eq1), and the lowering map at beta - (n+1)/2 takes
+    it back (eq2).  eq1 holds on windows crossed (1, m, ..., 2), eq2 on
+    the default crossing (m, ..., 2, 1), and at 3 <= m < L neither in
+    the other's.  Exact residuals over the full matrix-unit basis."""
     if spec.N != 1:
         raise ValueError("finite verification covers one horizontal pair")
     if not 2 <= m <= spec.L:
@@ -656,11 +651,13 @@ def verify_finite_rqkz(spec, m):
     h = h_shift(n)
     beta = spec.betas[0]
     mu_rest = [spec.mus[i] for i in range(1, m)]
-    d0 = density_matrix(spec, m, [beta] + mu_rest, 0)
-    d1 = density_matrix(spec, m, [h - beta] + mu_rest, 1)
-    lhs1 = a_operator(1, n, beta, mu_rest)(d0)
+    labels = ([beta] + mu_rest, [h - beta] + mu_rest)
+    up0, up1 = (density_matrix(spec, m, labels[v], v, (1, *range(m, 1, -1)))
+                for v in (0, 1))
+    d0, d1 = (density_matrix(spec, m, labels[v], v) for v in (0, 1))
+    lhs1 = a_operator(1, n, beta, mu_rest)(up0)
     lhs2 = a_operator(2, n, beta - h, mu_rest)(d1)
-    r1 = _sp_diff(lhs1.matrix, d1.matrix)
+    r1 = _sp_diff(lhs1.matrix, up1.matrix)
     r2 = _sp_diff(lhs2.matrix, d0.matrix)
     status = "pass" if (r1 == 0 and r2 == 0) else "fail"
     return VerificationReport(
@@ -920,11 +917,11 @@ def lattice_reports(n, max_L, N, max_m, seed):
                 lo = mtop - (i + 1)
                 x = w[i] - w[i - 1]
                 pair = (lo, lo + 1)
-                p = _sp_embed(permutation_matrix(n), pair, mtop, d)
-                braid = _sp_mul(p, _sp_embed(vertex_matrix(n, "f", "f", x),
-                                             pair, mtop, d))
-                inv = _sp_mul(_sp_embed(vertex_matrix(n, "f", "f", -x),
-                                        pair, mtop, d), p)
+                # the same-kind vertex at 0 is the flip P
+                braid = vertex_chain(n, mtop, [("f", "f", 0, pair),
+                                               ("f", "f", x, pair)])
+                inv = vertex_chain(n, mtop, [("f", "f", -x, pair),
+                                             ("f", "f", 0, pair)])
                 conj = _sp_scale(_sp_mul(_sp_mul(braid, win), inv),
                                  1 / (1 - x * x))
                 resid = max(resid, _sp_diff(

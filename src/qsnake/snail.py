@@ -23,13 +23,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactlin import (RatFun, contract, echelon, pole_order_at,
+from .exactlin import (RatFun, contract, echelon, pole_order_at, residue_at,
                        tensor_from_matrix)
 from .lattice import (LatticeSpec, _sp_diff, _sp_embed, _sp_identity, _sp_mul,
-                      _sp_scale, _sp_site_sum, a_residue_closed,
-                      density_matrix, level_step, max_abs_diff,
-                      projected_reduction_check, reduced_prefactor,
-                      seeded_rationals, simple_pole_residue)
+                      _sp_scale, _sp_site_sum, density_matrix, level_step,
+                      max_abs_diff, projected_reduction_check,
+                      reduced_prefactor, seeded_rationals,
+                      simple_pole_residue, vertex_chain)
 from .qchar import SnakeSpec, module_dim, snake_qchar
 from .report import VerificationReport
 from .rmat import (antisym_fusion, chevalley_generators, h_shift, k_matrix,
@@ -113,10 +113,11 @@ def pole_profile(n, k, l):
 def _tower_scalar(spec):
     """Reduced prefactor of the full tower and its residue at mu_2.
 
-    Per-level scalars multiply with the level shift -t(n+1)/2; raising
-    levels cancel their rho content outright, lowering levels telescope
-    down the ladder.  The reduced function must have a simple pole at
-    mu_2 for the residue to exist."""
+    Per-level scalars multiply with the level shift -t(n+1)/2.  The rho
+    factors cancel inside each level, through the first relation on a
+    raising level and the ladder on a lowering one; none telescopes
+    across levels.  The reduced function must have a simple pole at mu_2
+    for the residue to exist."""
     h = h_shift(spec.n)
     red = reduced_prefactor(spec.n, spec.mus, [
         (2 if t % 2 == 1 else 1, -t * h) for t in range(1, spec.loops + 1)])
@@ -213,15 +214,11 @@ def fusion_matrix(n, loop_count):
     l = int(loop_count)
     if l < 1:
         raise ValueError("need at least one loop")
-    d = n + 1
     h = h_shift(n)
     kinds = loop_kinds(n, l)
-    mat = _sp_identity(d ** l)
-    for i in range(1, l + 1):
-        for j in range(i + 1, l + 1):
-            v = vertex_matrix(n, kinds[i - 1], kinds[j - 1], (j - i) * h)
-            mat = _sp_mul(mat, _sp_embed(v, (i - 1, j - 1), l, d))
-    return mat
+    return vertex_chain(n, l, [
+        (kinds[i - 1], kinds[j - 1], (j - i) * h, (i - 1, j - 1))
+        for i in range(1, l + 1) for j in range(i + 1, l + 1)])
 
 
 def fusion_operator(n, loop_count):
@@ -399,7 +396,13 @@ def snail_wellformed_reports(n, seed):
     reports = [contraction_order_check(SnailSpec(2, 1, 2, [mu]))]
 
     towers = {k: _snail_matrix(SnailSpec(n, k, 2, [mu])) for k in (1, 2)}
-    resid = _sp_diff(towers[1], a_residue_closed(n, [mu]))
+    # the lowering level with its line parameter left formal, scaled by
+    # its scalar and reduced entrywise to the residue at the pole
+    red = reduced_prefactor(n, [mu], [(2, 0)])
+    formal = level_step(2, n, RatFun.x(), [mu], _sp_identity((n + 1) ** 2))
+    single = {r: {c: residue_at(red * v, mu - h_shift(n))
+                  for c, v in row.items()} for r, row in formal.items()}
+    resid = _sp_diff(towers[1], single)
     reports.append(VerificationReport(
         check="tower against single-level assembly",
         params={"n": n, "k": 1, "m": 2, "mu2": mu, "seed": seed},

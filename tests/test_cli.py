@@ -248,3 +248,11 @@ def test_snail_towers_run_at_the_rank_asked_for():
         assert reports[check].params["n"] == 3
         assert reports[check].status == "pass"
     assert reports["tower contraction order"].params["n"] == 2
+
+
+def test_rqkz_at_four_sites_passes(capsys):
+    # the raising equation failed at m=3 here while it was checked on the
+    # default crossing; it now runs on windows crossed from site 1 first
+    for seed in range(4):
+        assert main(["rqkz", "--L", "4", "--seed", str(seed)]) == 0
+        assert "6 checks: 6 pass, 0 fail" in capsys.readouterr().out

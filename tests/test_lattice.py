@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,14 +11,17 @@ from hypothesis import strategies as st
 from qsnake.exactlin import RatFun, _frac_rank
 from qsnake.lattice import (
     _dense_to_sp,
+    _sp_diff,
     _sp_embed,
     _sp_identity,
     _sp_ptrace,
+    _sp_scale,
     _sp_site_sum,
     _sp_to_dense,
     AOperator,
     DensityWindow,
     LatticeSpec,
+    VanishingNormalization,
     a_operator,
     a_prefactor_expr,
     a_residue_parts,
@@ -26,13 +30,16 @@ from qsnake.lattice import (
     density_matrix,
     embed_pair,
     lattice_reports,
+    level_step,
     max_abs_diff,
     monodromy_matrix,
     ptrace_slot,
     projected_reduction_check,
+    reduced_prefactor,
     seeded_rationals,
     transfer_matrix,
     verify_finite_rqkz,
+    vertex_chain,
     YBE_POINTS,
 )
 from qsnake.rmat import (
@@ -279,6 +286,11 @@ def test_density_validation():
         density_matrix(spec, 2, [0])
     with pytest.raises(ValueError):
         density_matrix(spec, 2, [0, 0], variant=2)
+    # the crossing must order the window sites
+    for crossing in ((1,), (1, 1), (1, 3), (0, 1, 2)):
+        with pytest.raises(ValueError, match="does not order"):
+            density_matrix(spec, 2, [0, 0], crossing=crossing)
+    assert density_matrix(spec, 2, [0, 0]).crossing == (2, 1)
     with pytest.raises(ValueError):
         DensityWindow(2, 2, 0, _sp_identity(9), [0])
     # indices must fit d^m coordinates
@@ -520,11 +532,12 @@ def test_a_operator_trace_preserving():
     spec = LatticeSpec(2, 2, 1, [Fraction(3, 11), Fraction(1, 5)],
                        [Fraction(3, 11)])
     beta = spec.betas[0]
-    win = density_matrix(spec, 2, [beta, Fraction(1, 5)], 0)
+    win = density_matrix(spec, 2, [beta, Fraction(1, 5)], 0, (1, 2))
     out = a_operator(1, 2, beta, [Fraction(1, 5)])(win)
     assert out.trace() == 1
     assert out.variant == 1
     assert out.site_labels[0] == Fraction(3, 2) - beta
+    assert out.crossing == (1, 2)
 
 
 def test_finite_rqkz_battery():
@@ -544,6 +557,126 @@ def test_finite_rqkz_battery():
         assert rep.witness["eq2_residual"] == 0
         assert rep.check == "window difference equations"
         assert not rep.is_hard_fail()
+    # every window size at L = 4, 5, where 3 <= m < L separates the two
+    # crossings, drawn as rqkz_reports draws them
+    for n in (1, 2):
+        for L in (4, 5):
+            for m in range(2, L + 1):
+                rep = verify_finite_rqkz(rqkz_spec(n, L, 10 * L + m), m)
+                assert rep.witness["eq1_residual"] == 0, rep.summary()
+                assert rep.witness["eq2_residual"] == 0, rep.summary()
+
+
+def rqkz_spec(n, L, seed):
+    """A one-pair strip whose labels are clear of the vertex poles and
+    prefactor collisions, drawn as rqkz_reports draws them."""
+    beta = seeded_rationals(seed, 1, avoid=[0])[0]
+    mus = [Fraction(0)] + seeded_rationals(seed + 1, L - 1, avoid=[0, beta])
+    return LatticeSpec(n, L, 1, mus, [beta])
+
+
+def test_each_window_equation_fails_in_the_other_crossing():
+    # the labels of the first rqkz --L 4 failure, at rank 1: the raising
+    # equation holds only on windows crossed from site 1 first, the
+    # lowering one only on the default crossing, which ends at site 1
+    n, L, m = 1, 4, 3
+    beta, mu_rest = Fraction(-11, 5), [Fraction(1, 9), Fraction(4, 3)]
+    h = h_shift(n)
+    spec = LatticeSpec(n, L, 1, [0] * L, [beta])
+    up = AOperator(1, n, beta, mu_rest)
+    down = AOperator(2, n, beta - h, mu_rest)
+    labels = ([beta] + mu_rest, [h - beta] + mu_rest)
+    for crossing, eq1_holds in (((1, 3, 2), True), ((3, 2, 1), False)):
+        w0, w1 = (density_matrix(spec, m, labels[v], v, crossing)
+                  for v in (0, 1))
+        raised = _sp_scale(level_step(1, n, beta, mu_rest, w0.matrix),
+                           up.prefactor)
+        lowered = _sp_scale(level_step(2, n, beta - h, mu_rest, w1.matrix),
+                            down.prefactor)
+        assert (_sp_diff(raised, w1.matrix) == 0) == eq1_holds, crossing
+        assert (_sp_diff(lowered, w0.matrix) == 0) != eq1_holds, crossing
+        # each map refuses the crossing its equation fails on
+        if eq1_holds:
+            assert up(w0).matrix == raised
+            with pytest.raises(ValueError, match="site 1 last"):
+                down(w1)
+        else:
+            assert down(w1).matrix == lowered
+            with pytest.raises(ValueError, match="site 1 first"):
+                up(w0)
+
+
+# wall budget of the random window-equation sweep: draws after it is
+# spent return without building a strip
+SWEEP_BUDGET_S = 30
+
+
+def test_window_equations_on_random_strips():
+    tally = {"run": 0, "vanishing": 0}
+    stop = time.monotonic() + SWEEP_BUDGET_S
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(n=st.integers(1, 2), L=st.integers(2, 5), data=st.data(),
+           seed=st.integers(0, 10 ** 6))
+    def sweep(n, L, data, seed):
+        m = data.draw(st.integers(2, L), label="m")
+        if time.monotonic() > stop:
+            return
+        try:
+            rep = verify_finite_rqkz(rqkz_spec(n, L, seed), m)
+        except VanishingNormalization:
+            tally["vanishing"] += 1
+            return
+        tally["run"] += 1
+        assert rep.witness["eq1_residual"] == 0, rep.summary()
+        assert rep.witness["eq2_residual"] == 0, rep.summary()
+
+    sweep()
+    # a vanishing normalization is the only draw skipped, and a rare one
+    assert tally["run"] >= 4, tally
+    assert tally["vanishing"] * 4 <= tally["run"], tally
+
+
+def test_vertex_chain_matches_dense_embeddings():
+    # the ordered product against products of the dense embed_pair
+    # oracle, every prefix of the chain from the empty one up
+    for n in (1, 2):
+        d = n + 1
+        factors = [("f", "f", Fraction(2, 7), (0, 2)),
+                   ("f", "fbar", Fraction(-1, 3), (2, 1)),
+                   ("fbar", "f", Fraction(5, 4), (1, 0)),
+                   ("fbar", "fbar", Fraction(0), (2, 0)),
+                   ("f", "f", -h_shift(n), (1, 2))]
+        want = scalar_matrix(Fraction(1), d ** 3)
+        for k in range(len(factors) + 1):
+            if k:
+                k1, k2, x, slots = factors[k - 1]
+                want = want @ embed_pair(
+                    _sp_to_dense(vertex_matrix(n, k1, k2, x), d * d), slots,
+                    3, n)
+            got = _sp_to_dense(vertex_chain(n, 3, factors[:k]), d ** 3)
+            assert max_abs_diff(got, want) == 0, (n, k)
+
+
+def test_reduced_prefactor_is_the_inverse_unitarity_product():
+    # each level contributes 1/(c^2 - (x + shift - mu)^2) per passive mu,
+    # c = 1 when raising and c = (n+1)/2 when lowering: the inverse
+    # unitarity scalars of its two vertices
+    rng = random.Random(2024)
+    x = RatFun.x()
+    for case in range(120):
+        n = 1 + case % 5
+        mus = seeded_labels(rng.randrange(10 ** 6), rng.randint(1, 3))
+        levels = [(rng.choice((1, 2)),
+                   Fraction(rng.randint(-12, 12), rng.randint(1, 4)))
+                  for _ in range(rng.randint(1, 4))]
+        want = RatFun.const(1)
+        for which, shift in levels:
+            c = 1 if which == 1 else h_shift(n)
+            for mu in mus:
+                y = x + RatFun.const(shift - mu)
+                want = want / (RatFun.const(c * c) - y * y)
+        assert reduced_prefactor(n, mus, levels) == want, (n, mus, levels)
 
 
 def test_finite_rqkz_validation():

@@ -45,6 +45,7 @@ from qsnake.snail import (
     pole_profile,
     singlet_insertion_check,
     snail_operator,
+    snail_wellformed_reports,
     snake_rank_check,
 )
 
@@ -209,6 +210,17 @@ def test_snail_agrees_with_single_lowering_assembly():
     spec = SnailSpec(2, 1, 2, [mu2])
     assert max_abs_diff(dense(_snail_matrix(spec), 2, 2),
                         dense(a_residue_closed(2, [mu2]), 2, 2)) == 0
+
+
+def test_tower_check_against_the_formal_lowering_residue():
+    # the suite's right side is the lowering level at a formal line
+    # parameter, scaled by its scalar and reduced entrywise to the residue
+    # at the pole; it must equal the one-level tower at every rank
+    for n in range(1, 6):
+        for seed in (0, 1):
+            reports = {r.check: r for r in snail_wellformed_reports(n, seed)}
+            rep = reports["tower against single-level assembly"]
+            assert rep.status == "pass", rep.summary()
 
 
 def inserted_tower(spec):
@@ -437,7 +449,7 @@ def test_sparse_row_map_contract():
             assert_sparse_contract(win.matrix, 3 ** m)
     beta = Fraction(3, 11)
     h = h_shift(2)
-    d0 = density_matrix(spec, 3, [beta, mu2, mu3], 0)
+    d0 = density_matrix(spec, 3, [beta, mu2, mu3], 0, (1, 3, 2))
     d1 = density_matrix(spec, 3, [h - beta, mu2, mu3], 1)
     assert_sparse_contract(AOperator(1, 2, beta, [mu2, mu3])(d0).matrix, 27)
     assert_sparse_contract(AOperator(2, 2, beta - h, [mu2, mu3])(d1).matrix,
