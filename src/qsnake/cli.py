@@ -125,21 +125,25 @@ def _options(name, table, opt, capped):
 
 def run_subcommand(cmd, opt):
     """Build the report list for one subcommand.  opt maps option names
-    to values; an absent or None option is unset."""
+    to values; an absent or None option is unset, and a set option that
+    neither the suites run nor an active mode reads is a usage error."""
     opt = {**dict.fromkeys(INT_OPTIONS + STR_OPTIONS), **opt}
-    if cmd in MODES and opt[MODES[cmd][0]] is not None:
-        _flag, builder, table = MODES[cmd]
-        return [builder(_options(cmd, table, opt, False))]
     if cmd not in SUBCOMMANDS:
         raise ValueError(f"unknown subcommand {cmd!r}")
-    if cmd == "all":
-        read = {CAPS.get(key, key) for _b, table in SUITES.values()
-                for key in table}
-        for key, val in opt.items():
-            if val is not None and key not in read:
-                raise ValueError(f"all does not read "
-                                 f"--{key.replace('_', '-')}")
     names = list(SUITES) if cmd == "all" else [cmd]
+    # --seed is accepted everywhere: every benchmark line passes it
+    keys = {key for name in names for key in SUITES[name][1]}
+    read = {"seed", *(CAPS.get(key, key) for key in keys)}
+    if cmd != "all":  # --l/--k beside --max-l/--max-k
+        read |= keys
+    mode = cmd in MODES and opt[MODES[cmd][0]] is not None and MODES[cmd]
+    if mode:
+        read |= {mode[0], *mode[2]}
+    for key, val in opt.items():
+        if val is not None and key not in read:
+            raise ValueError(f"{cmd} does not read --{key.replace('_', '-')}")
+    if mode:
+        return [mode[1](_options(cmd, mode[2], opt, False))]
     runs = [(name, _options(name, SUITES[name][1], opt, cmd == "all"))
             for name in names]
     reports = []

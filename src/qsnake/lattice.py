@@ -7,11 +7,12 @@ mu_i.  Each horizontal pair combines a fundamental line at beta with an
 antifundamental line at beta - (n+1)/2; tracing out everything but a
 window of m adjacent sites gives the window operator.  Variant 1 means
 the first (rightmost) window line is antifundamental; its displayed site
-label is minus its additive line parameter.  A fundamental horizontal
-line crosses the window sites in a given order, (m, ..., 2, 1) by
-default, then the outside sites; its antifundamental partner crosses
-them the other way.  The raising window-shift equation holds on windows
-crossed (1, m, ..., 2), the lowering one on the default crossing.
+label is minus its additive line parameter.  Every horizontal line
+crosses the window sites in one order, (m, ..., 2, 1) by default, then
+the outside sites; by vertex crossing the antifundamental line is a
+forward line too (see density_matrix).  The raising window-shift
+equation holds on windows crossed (1, m, ..., 2), the lowering one on
+the default crossing.
 
 Operators on k coordinate slots are sparse row maps {row: {col: value}}
 over exact Fractions, storing no zero and no empty row; slot j of a
@@ -316,7 +317,7 @@ class DensityWindow:
     slot j carries site m-j (site 1 last).  site_labels lists the
     displayed labels left to right as (site 1, ..., site m).  variant 1
     means site 1 is the antifundamental line.  crossing orders the sites
-    as the fundamental horizontal lines cross them."""
+    as every horizontal line crosses them."""
 
     def __init__(self, n, m, variant, matrix, site_labels, crossing=None):
         self.n = int(n)
@@ -354,23 +355,6 @@ def _crossing(m, crossing):
     return crossing
 
 
-def _torus_line(n, kinds, params, aux_kind, lam, order):
-    """One traced horizontal line against the listed slots.
-
-    A fundamental auxiliary line crosses the slots in order, with the
-    vertex R(param - lam); an antifundamental one crosses them in
-    reverse, with the mixed vertex at (lam - param) on fundamental slots
-    and the same-kind vertex at (param - lam) on antifundamental slots."""
-    L = len(kinds)
-    if aux_kind == "f":
-        factors = [(kinds[i], "f", params[i] - lam, (i, L)) for i in order]
-    else:
-        factors = [(kinds[i], "fbar",
-                    lam - params[i] if kinds[i] == "f" else params[i] - lam,
-                    (i, L)) for i in reversed(order)]
-    return _sp_ptrace(vertex_chain(n, L + 1, factors), L, L + 1, n + 1)
-
-
 class VanishingNormalization(ArithmeticError):
     """A window whose trace before normalization is zero."""
 
@@ -379,10 +363,14 @@ def density_matrix(spec, m, mu_window, variant=0, crossing=None):
     """Window operator over m adjacent sites of the strip.
 
     mu_window lists the displayed labels (site 1, ..., site m); sites
-    outside the window sit at the homogeneous point 0.  The fundamental
-    lines cross the window sites in the order crossing, (m, ..., 2, 1)
-    by default; slot j carries site m-j for any crossing.  The result is
-    normalized to unit trace; a vanishing normalization raises with the
+    outside the window sit at the homogeneous point 0.  Every line
+    crosses the sites in the order crossing, (m, ..., 2, 1) by default,
+    then the outside ones; slot j carries site m-j.  The line at b puts
+    (kind_i, f, p_i - b) on site i, p_i its additive parameter; its
+    partner has (fbar, f, b - p_i - (n+1)) on the antifundamental site:
+    by vertex crossing, (-1)^L times the antifundamental line at
+    b - (n+1)/2 crossing the other way, a sign that the normalization to
+    unit trace cancels.  A vanishing normalization raises with the
     parameters in the message."""
     n, L = spec.n, spec.L
     d = n + 1
@@ -399,11 +387,17 @@ def density_matrix(spec, m, mu_window, variant=0, crossing=None):
     if variant == 1:
         params[m - 1], kinds[m - 1] = -labels[0], "fbar"
     order = [m - site for site in crossing] + list(range(m, L))
-    h = h_shift(n)
-    t = functools.reduce(_sp_mul, (
-        _sp_mul(_torus_line(n, kinds, params, "f", b, order),
-                _torus_line(n, kinds, params, "fbar", b - h, order))
-        for b in spec.betas))
+
+    def line(b, partner):
+        xs = [p - b for p in params]
+        if partner:
+            xs[m - 1] = b - params[m - 1] - d
+        return _sp_ptrace(vertex_chain(n, L + 1, [
+            (kinds[i], "f", xs[i], (i, L)) for i in order]), L, L + 1, d)
+
+    fund = [line(b, False) for b in spec.betas]
+    t = functools.reduce(_sp_mul, (_sp_mul(f, line(b, True) if variant else f)
+                                   for f, b in zip(fund, spec.betas)))
     for slot in range(L - 1, m - 1, -1):
         t = _sp_ptrace(t, slot, slot + 1, d)
     z = _sp_trace(t)
@@ -425,14 +419,9 @@ def colour_conserving(win):
     d = n + 1
 
     def weight(idx):
-        digits = []
-        for _ in range(m):
-            idx, t = divmod(idx, d)
-            digits.append(t)
-        digits.reverse()  # slot order: site m first
         w = [0] * d
-        for j, t in enumerate(digits):
-            site = m - j
+        for site in range(1, m + 1):  # site 1 is the last slot
+            idx, t = divmod(idx, d)
             if win.site_kind(site) == "f":
                 w[t] += 1
             else:
@@ -642,7 +631,8 @@ def verify_finite_rqkz(spec, m):
     (n+1)/2 - beta (eq1), and the lowering map at beta - (n+1)/2 takes
     it back (eq2).  eq1 holds on windows crossed (1, m, ..., 2), eq2 on
     the default crossing (m, ..., 2, 1), and at 3 <= m < L neither in
-    the other's.  Exact residuals over the full matrix-unit basis."""
+    the other's; at m = L the two crossings give the same windows, built
+    once.  Exact residuals over the full matrix-unit basis."""
     if spec.N != 1:
         raise ValueError("finite verification covers one horizontal pair")
     if not 2 <= m <= spec.L:
@@ -652,9 +642,14 @@ def verify_finite_rqkz(spec, m):
     beta = spec.betas[0]
     mu_rest = [spec.mus[i] for i in range(1, m)]
     labels = ([beta] + mu_rest, [h - beta] + mu_rest)
-    up0, up1 = (density_matrix(spec, m, labels[v], v, (1, *range(m, 1, -1)))
-                for v in (0, 1))
+    raising = (1, *range(m, 1, -1))
     d0, d1 = (density_matrix(spec, m, labels[v], v) for v in (0, 1))
+    # at m = L both crossings go once round the closed ring, and each
+    # line's trace is cyclic: the raising windows are the default ones
+    up0, up1 = (DensityWindow(n, m, v, w.matrix, labels[v], raising)
+                if m == spec.L else
+                density_matrix(spec, m, labels[v], v, raising)
+                for v, w in enumerate((d0, d1)))
     lhs1 = a_operator(1, n, beta, mu_rest)(up0)
     lhs2 = a_operator(2, n, beta - h, mu_rest)(d1)
     r1 = _sp_diff(lhs1.matrix, up1.matrix)

@@ -1,8 +1,11 @@
 import hashlib
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from qsnake import cli
 from qsnake.cli import (
     emit,
     main,
@@ -11,6 +14,8 @@ from qsnake.cli import (
 from qsnake.lattice import AOperator, seeded_rationals
 from qsnake.report import VerificationReport
 from qsnake.rmat import h_shift
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_seeded_rationals_deterministic_and_clear():
@@ -210,6 +215,16 @@ def test_qchar_l_zero_is_the_l_zero_trio(capsys):
     (["all", "--snake-l", "3"], "all does not read --snake-l"),
     (["all", "--parity", "odd"], "all does not read --parity"),
     (["all", "--shift", "2"], "all does not read --shift"),
+    (["rqkz", "--m", "7"], "rqkz does not read --m"),
+    (["rqkz", "--m", "7", "--k", "9", "--shift", "3"],
+     "rqkz does not read --k"),
+    (["rmatrix", "--L", "3"], "rmatrix does not read --L"),
+    (["lattice", "--max-l", "2"], "lattice does not read --max-l"),
+    (["tsystem", "--max-k", "2"], "tsystem does not read --max-k"),
+    (["snail", "--m", "3"], "snail does not read --m"),
+    (["qchar", "--parity", "odd"], "qchar does not read --parity"),
+    (["qchar", "--snake-l", "3", "--k", "1"], "qchar does not read --k"),
+    (["pole", "--l", "1", "--max-l", "2"], "pole does not read --max-l"),
 ])
 def test_value_with_no_checks_is_a_usage_error(argv, message, capsys):
     # each of these used to run a default in its place, print "0 checks"
@@ -218,6 +233,29 @@ def test_value_with_no_checks_is_a_usage_error(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_every_workload_line_resolves_its_options(monkeypatch):
+    # the benchmark appends --seed to every line, whether the suite draws
+    # from it or not; the builders are stubbed, so no check runs
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name, (_builder, table) in cli.SUITES.items():
+        monkeypatch.setitem(cli.SUITES, name,
+                            (lambda o, name=name: [name], table))
+    for cmd, (flag, _builder, table) in cli.MODES.items():
+        monkeypatch.setitem(cli.MODES, cmd,
+                            (flag, lambda o, cmd=cmd: cmd + " mode", table))
+    lines = [line for w in workloads.WORKLOADS
+             for line in workloads.lines_for(w, 7)]
+    ran = []
+    for line in lines:
+        opt = cli._merge_options(cli.build_parser().parse_args(line))
+        ran += cli.run_subcommand(line[0], opt)
+    assert lines and len(ran) == len(lines)
+    assert "qchar mode" in ran
 
 
 def test_all_rejects_scenario_options_it_does_not_read(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -8,16 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsnake import lattice
 from qsnake.exactlin import RatFun, _frac_rank
 from qsnake.lattice import (
     _dense_to_sp,
     _sp_diff,
     _sp_embed,
     _sp_identity,
+    _sp_mul,
     _sp_ptrace,
     _sp_scale,
     _sp_site_sum,
     _sp_to_dense,
+    _sp_trace,
     AOperator,
     DensityWindow,
     LatticeSpec,
@@ -231,6 +236,18 @@ def test_transfer_commutation():
         assert max_abs_diff(t1 @ tb, tb @ t1) == 0
 
 
+def test_crossing_relation_on_the_dense_transfer():
+    # the antifundamental line at beta - (n+1)/2 is (-1)^L times the
+    # fundamental line at beta crossing the sites the other way
+    beta = Fraction(2, 7)
+    for n in (1, 2, 3):
+        for L in (1, 2, 3):
+            spec = LatticeSpec(n, L, 1, seeded_labels(n + L, L), [0])
+            bar = transfer_matrix(spec, beta - h_shift(n), "T", "fbar")
+            back = transfer_matrix(spec, beta, "Tbar", "f")
+            assert max_abs_diff(bar, (-1) ** L * back) == 0, (n, L)
+
+
 def test_rtt_exchange():
     # R_ab(lam-nu) T_a(lam) T_b(nu) = T_b(nu) T_a(lam) R_ab(lam-nu)
     mus = [Fraction(1, 3), Fraction(-2, 5)]
@@ -301,11 +318,105 @@ def test_density_validation():
 
 
 def test_density_vanishing_normalization():
-    # single site, label at beta - 1/(n+1): the antifundamental line's
-    # trace factor vanishes
+    # single site, label at beta - 1/(n+1), variant 0: the pair is the
+    # fundamental line squared, and that line, tr_a R(p - beta) =
+    # ((n+1)(p - beta) + 1) times the identity, vanishes
     spec = LatticeSpec(2, 1, 1, [0], [Fraction(3, 11)])
     with pytest.raises(ArithmeticError, match="vanishing normalization"):
         density_matrix(spec, 1, [Fraction(-2, 33)], 0)
+
+
+def torus_line(n, kinds, params, aux_kind, lam, order):
+    """One traced horizontal line of the reference torus.  A fundamental
+    line crosses the slots in order, with the vertex R(param - lam); an
+    antifundamental one crosses them in reverse, with the mixed vertex at
+    lam - param on fundamental slots and the same-kind vertex at
+    param - lam on antifundamental ones."""
+    L = len(kinds)
+    if aux_kind == "f":
+        factors = [(kinds[i], "f", params[i] - lam, (i, L)) for i in order]
+    else:
+        factors = [(kinds[i], "fbar",
+                    lam - params[i] if kinds[i] == "f" else params[i] - lam,
+                    (i, L)) for i in reversed(order)]
+    return _sp_ptrace(vertex_chain(n, L + 1, factors), L, L + 1, n + 1)
+
+
+def reference_window(spec, m, labels, variant, crossing):
+    """The window from the torus whose antifundamental lines, at
+    beta - (n+1)/2, cross the sites in reverse: the construction that
+    density_matrix rewrites by vertex crossing into forward lines."""
+    n, L = spec.n, spec.L
+    params = labels[::-1] + [Fraction(0)] * (L - m)
+    kinds = ["f"] * L
+    if variant == 1:
+        params[m - 1], kinds[m - 1] = -labels[0], "fbar"
+    order = [m - site for site in crossing] + list(range(m, L))
+    t = functools.reduce(_sp_mul, (
+        _sp_mul(torus_line(n, kinds, params, "f", b, order),
+                torus_line(n, kinds, params, "fbar", b - h_shift(n), order))
+        for b in spec.betas))
+    for slot in range(L - 1, m - 1, -1):
+        t = _sp_ptrace(t, slot, slot + 1, n + 1)
+    return _sp_scale(t, 1 / _sp_trace(t))
+
+
+def test_density_matrix_matches_the_reverse_crossing_torus():
+    # every m, both variants, the default, raising and a random crossing,
+    # at N * (n+1)^(L+1) <= 256 coordinates on the traced torus, which
+    # leaves out n = 3 at L = 4 and two pairs at (n, L) = (2, 4), (3, 3)
+    def strip(n, L, N):
+        seed = 10 * n + L + N
+        beta = seeded_rationals(seed, 1, avoid=[0])[0]
+        labels = seeded_rationals(seed + 1, L, avoid=[0, beta])
+        return LatticeSpec.staggered(n, L, N, [0] * L, beta), labels, seed
+
+    compared = 0
+    for n, L, N in itertools.product((1, 2, 3), (1, 2, 3, 4), (1, 2)):
+        if N * (n + 1) ** (L + 1) > 256:
+            continue
+        spec, labels, seed = strip(n, L, N)
+        rng = random.Random(seed)
+        for m in range(1, L + 1):
+            crossings = {tuple(range(m, 0, -1)), (1, *range(m, 1, -1)),
+                         tuple(rng.sample(range(1, m + 1), m))}
+            for crossing, variant in itertools.product(sorted(crossings),
+                                                       (0, 1)):
+                win = density_matrix(spec, m, labels[:m], variant, crossing)
+                assert win.matrix == reference_window(
+                    spec, m, labels[:m], variant, crossing), (
+                        n, L, N, m, crossing, variant)
+                compared += 1
+    assert compared == 154
+    # one five-site strip, an inner site crossed first
+    spec, labels, _seed = strip(2, 5, 1)
+    win = density_matrix(spec, 3, labels[:3], 1, (2, 1, 3))
+    assert win.matrix == reference_window(spec, 3, labels[:3], 1, (2, 1, 3))
+
+
+def test_raising_crossing_at_full_width_is_the_default(monkeypatch):
+    # at m = L the crossings (1, L, ..., 2) and (L, ..., 1) go once round
+    # the closed ring, so the windows agree and the difference equations
+    # build only the default pair
+    for n in (1, 2):
+        for L in (2, 3, 4):
+            spec = rqkz_spec(n, L, 10 * L + L)
+            labels = [spec.betas[0]] + spec.mus[1:]
+            for variant in (0, 1):
+                raised = density_matrix(spec, L, labels, variant,
+                                        (1, *range(L, 1, -1)))
+                assert raised.matrix == density_matrix(
+                    spec, L, labels, variant).matrix, (n, L, variant)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return density_matrix(*args)
+
+    monkeypatch.setattr(lattice, "density_matrix", counted)
+    rep = verify_finite_rqkz(rqkz_spec(2, 3, 33), 3)
+    assert rep.status == "pass", rep.summary()
+    assert len(calls) == 2
 
 
 def test_seeded_labels_normalize_at_the_first_seeds():
