@@ -125,20 +125,22 @@ def _options(name, table, opt, capped):
 
 def run_subcommand(cmd, opt):
     """Build the report list for one subcommand.  opt maps option names
-    to values; an absent or None option is unset, and a set option that
-    neither the suites run nor an active mode reads is a usage error."""
+    to values; an absent or None option is unset.  A set option that the
+    suites do not read, or with a mode's flag set that the mode does not
+    read, is a usage error."""
     opt = {**dict.fromkeys(INT_OPTIONS + STR_OPTIONS), **opt}
     if cmd not in SUBCOMMANDS:
         raise ValueError(f"unknown subcommand {cmd!r}")
     names = list(SUITES) if cmd == "all" else [cmd]
+    mode = cmd in MODES and opt[MODES[cmd][0]] is not None and MODES[cmd]
+    tables = [mode[2]] if mode else [SUITES[name][1] for name in names]
+    keys = {key for table in tables for key in table}
     # --seed is accepted everywhere: every benchmark line passes it
-    keys = {key for name in names for key in SUITES[name][1]}
     read = {"seed", *(CAPS.get(key, key) for key in keys)}
     if cmd != "all":  # --l/--k beside --max-l/--max-k
         read |= keys
-    mode = cmd in MODES and opt[MODES[cmd][0]] is not None and MODES[cmd]
     if mode:
-        read |= {mode[0], *mode[2]}
+        read.add(mode[0])
     for key, val in opt.items():
         if val is not None and key not in read:
             raise ValueError(f"{cmd} does not read --{key.replace('_', '-')}")

@@ -695,20 +695,21 @@ def projected_reduction_check(spec, m):
 # ---------------------------------------------------------------------------
 # verification reports: vertex identities, windows, difference equations
 
-def seeded_rationals(seed, count, avoid=(), span=12, denom=9):
+def seeded_rationals(seed, count, avoid=()):
     """Deterministic small rationals clear of the vertex poles.
 
-    A candidate is rejected when its difference with any previously
-    accepted value or any entry of avoid is a half-integer: vertex
-    poles (difference +-1, +-(n+1)/2) and prefactor collisions live on
-    such differences for every supported rank.  A window normalization
-    can still vanish at a draw: at n=2, L=3 and beta=2/3 the label 1/3
-    does (lattice --seed 31)."""
+    Candidates are a/b with a in -12..12 and b in 1..9.  A candidate is
+    rejected when its difference with any previously accepted value or
+    any entry of avoid is a half-integer: vertex poles (difference +-1,
+    +-(n+1)/2) and prefactor collisions live on such differences for
+    every supported rank.  A window normalization can still vanish at a
+    draw: at n=2, L=3 and beta=2/3 the label 1/3 does (lattice --seed
+    31)."""
     rng = random.Random(seed)
     have = [Fraction(a) for a in avoid]
     out = []
     while len(out) < count:
-        q = Fraction(rng.randint(-span, span), rng.randint(1, denom))
+        q = Fraction(rng.randint(-12, 12), rng.randint(1, 9))
         if all((q - v).denominator > 2 for v in have):
             out.append(q)
             have.append(q)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from qsnake import cli
+from qsnake import cli, qchar
 from qsnake.cli import (
     emit,
     main,
@@ -73,6 +73,9 @@ def test_pole_single(capsys):
     assert "pole order 0" in out
     assert main(["pole", "--n", "3", "--k", "2", "--l", "1"]) == 0
     assert "pole order 1" in capsys.readouterr().out
+    # the mode reads --max-k as k, as the sweep does
+    assert main(["pole", "--l", "1", "--n", "2", "--max-k", "3"]) == 0
+    assert "[pass] pole profile (k=3 l=1 n=2)" in capsys.readouterr().out
 
 
 def test_pole_sweep(capsys):
@@ -225,6 +228,12 @@ def test_qchar_l_zero_is_the_l_zero_trio(capsys):
     (["qchar", "--parity", "odd"], "qchar does not read --parity"),
     (["qchar", "--snake-l", "3", "--k", "1"], "qchar does not read --k"),
     (["pole", "--l", "1", "--max-l", "2"], "pole does not read --max-l"),
+    (["qchar", "--n", "2", "--snake-l", "3", "--l", "5"],
+     "qchar does not read --l"),
+    (["qchar", "--snake-l", "3", "--max-l", "5"],
+     "qchar does not read --max-l"),
+    (["pole", "--l", "1", "--n", "2", "--max-k", "3", "--L", "2"],
+     "pole does not read --L"),
 ])
 def test_value_with_no_checks_is_a_usage_error(argv, message, capsys):
     # each of these used to run a default in its place, print "0 checks"
@@ -294,3 +303,22 @@ def test_rqkz_at_four_sites_passes(capsys):
     for seed in range(4):
         assert main(["rqkz", "--L", "4", "--seed", str(seed)]) == 0
         assert "6 checks: 6 pass, 0 fail" in capsys.readouterr().out
+
+
+def test_a_wrong_factor_character_fails_composition_completeness(
+        monkeypatch, capsys):
+    # shifting the two-point snake factors keeps every dimension but not
+    # the character, so only the character sum can catch it; the failure
+    # is a fail report and exit 1, not an exception
+    right = qchar.snake_qchar
+
+    def shifted(n, parity, l, shift=0):
+        return right(n, parity, l, shift + 2 if l == 2 else shift)
+
+    monkeypatch.setattr(qchar, "snake_qchar", shifted)
+    reports = qchar.factor_reports(3, (2,))
+    assert [r.witness["violations"] for r in reports] == [[1, 3]]
+    assert main(["census", "--n", "2", "--l", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "[fail] composition completeness (max_l=2 n=2)" in out
+    assert "[pass] fibonacci census (max_l=2 n=2)" in out

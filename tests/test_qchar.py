@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
@@ -17,6 +18,7 @@ from qsnake.loopring import (
 from qsnake.qchar import (
     ModuleChar,
     SnakeSpec,
+    _fm_chain,
     alternating_product,
     alternating_snake_spec,
     binomial_census_sum,
@@ -187,8 +189,13 @@ def test_kr_characters():
     assert module_dim(kr_qchar(2, 2, 2, 0)) == weyl_dim(2, (0, 2)) == 6
     assert module_dim(kr_qchar(2, 2, 3, 0)) == weyl_dim(2, (0, 3)) == 10
     assert kr_qchar(2, 1, 2, 0).provenance == "kirillov-reshetikhin"
+    # at an extremal node the level-k module has the dimension of the
+    # k-th symmetric power of the (n+1)-dimensional fundamental
+    for node in (1, 3):
+        for k in range(5):
+            assert module_dim(kr_qchar(3, node, k, 1)) == comb(3 + k, k)
     with pytest.raises(ValueError):
-        kr_qchar(3, 1, 2, 0)
+        kr_qchar(3, 2, 2, 0)
 
 
 def test_kr_t_system_residual():
@@ -203,30 +210,55 @@ def test_kr_t_system_residual():
 
 
 def test_kr_characters_are_one_row_tableau_sums():
-    # an oracle apart from the T-system that builds them: the level-k
+    # an oracle apart from the T-system the report checks: the level-k
     # character at shift s sums, over i_1 <= ... <= i_k, the product over
-    # j = 0..k-1 of term i_j of the fundamental at shift s + 2j, its terms
-    # taken in closed-form order
-    for node in (1, 2):
-        for k in range(5):
-            for s in (0, 1, -3):
-                boxes = [list(fundamental_qchar(2, node, s + 2 * j).char.terms)
-                         for j in range(k)]
-                want = {}
-                for row in combinations_with_replacement(range(3), k):
-                    exps = {}
-                    for j, i in enumerate(row):
-                        for v, e in boxes[j][i].exps.items():
-                            exps[v] = exps.get(v, 0) + e
-                    m = LoopMonomial({v: e for v, e in exps.items() if e})
-                    want[m] = want.get(m, 0) + 1
-                got = kr_qchar(2, node, k, s).char
-                assert got == LaurentCombination(want), (node, k, s)
+    # j = 0..k-1 of monomial i_j of the Frenkel-Mukhin lowering chain at
+    # shift s + 2j
+    for n in range(1, 5):
+        for node in {1, n}:
+            for k in range(5):
+                for s in (0, 1, -3):
+                    boxes = [_fm_chain(n, node, s + 2 * j) for j in range(k)]
+                    want = {}
+                    for row in combinations_with_replacement(range(n + 1), k):
+                        m = ONE
+                        for j, i in enumerate(row):
+                            m = m * boxes[j][i]
+                        want[m] = want.get(m, 0) + 1
+                    got = kr_qchar(n, node, k, s).char
+                    assert got == LaurentCombination(want), (n, node, k, s)
+
+
+def test_snake_characters_are_chain_tuple_sums():
+    # an oracle apart from the three-term recursion that builds snakes
+    # and that "extended t-system recursion" re-checks: the l-point
+    # snake sums, over chain indices (i_1, ..., i_l), the product of
+    # monomial i_t of point t's Frenkel-Mukhin lowering chain, leaving
+    # out every tuple in which one point takes its last monomial (index
+    # n) and the next point its first (index 0); tuples holds (last
+    # index, product) of every admitted l-tuple
+    for n in range(1, 5):
+        for parity in ("even", "odd"):
+            for shift in (0, 3):
+                tuples = [(None, ONE)]
+                for l in range(8):
+                    if l:
+                        t = l - 1
+                        chain = _fm_chain(n, node_at(n, parity, t),
+                                          shift + t * (n + 1))
+                        tuples = [(i, m * chain[i]) for last, m in tuples
+                                  for i in range(n + 1)
+                                  if not (last == n and i == 0)]
+                    want = {}
+                    for _last, m in tuples:
+                        want[m] = want.get(m, 0) + 1
+                    got = snake_qchar(n, parity, l, shift).char
+                    assert got == LaurentCombination(want), (n, parity, l, shift)
 
 
 def test_cached_characters_are_read_only():
-    # snake_qchar and kr_qchar hand every caller the combination their
-    # cache holds, so no caller may be able to change it
+    # snake_qchar hands every caller the combination its cache holds, so
+    # no caller may be able to change it; a KR character is read-only too
     for get in (lambda: snake_qchar(2, "even", 3, 0),
                 lambda: kr_qchar(2, 1, 2, 0)):
         char = get().char
@@ -242,9 +274,9 @@ def test_cached_characters_are_read_only():
             char.terms.clear()
         with pytest.raises(AttributeError):
             char.terms = {}
-        again = get().char
-        assert again is char
-        assert to_text(again) == before
+        assert to_text(get().char) == before
+    # the snake cache hands out one object; KR characters are not cached
+    assert snake_qchar(2, "even", 3, 0).char is snake_qchar(2, "even", 3, 0).char
 
 
 def test_alternating_product():
