@@ -15,18 +15,20 @@ equation holds on windows crossed (1, m, ..., 2), the lowering one on
 the default crossing.
 
 Operators on k coordinate slots are sparse row maps {row: {col: value}}
-over exact Fractions, storing no zero and no empty row; slot j of a
-window carries site m-j, so site 1 sits on the last slot.  Windows,
-window-shift maps and residues are built, returned and compared in that
-form, and every line of vertices is one vertex_chain product.  The dense
-forms (embed_pair, ptrace_slot, monodromy_matrix, transfer_matrix and
-their labeled tensors) are kept as independent oracles for the tests.
-All functions are pure.
+storing no zero and no empty row; slot j of a window carries site m-j,
+so site 1 sits on the last slot.  Windows, window-shift maps and
+residues are built, returned and compared in that form, over exact
+Fractions.  Every line of vertices is one vertex_chain product, over
+ints at rational arguments, with one integer scale that the window's
+trace or the map's scalar absorbs once.  The dense forms (embed_pair,
+ptrace_slot, monodromy_matrix, transfer_matrix and their labeled
+tensors) are independent oracles for the tests.  All functions are pure.
 """
 
 from fractions import Fraction
 import functools
 import itertools
+import math
 import operator
 import random
 
@@ -44,6 +46,20 @@ from .rmat import (PrefactorExpr, chevalley_generators, h_shift,
 
 def _sp_identity(dim):
     return identity_matrix(dim)
+
+
+def _sp_integral(a):
+    """(s * a, s), s the least positive integer clearing a's rational
+    entries, which become ints.  a is not modified; an entry neither
+    rational nor RatFun, a float say, raises TypeError, never rounded."""
+    vals = [v for row in a.values() for v in row.values()]
+    for v in vals:
+        if not isinstance(v, (int, Fraction, RatFun)):
+            raise TypeError(f"entry {v!r} is neither rational nor RatFun")
+    s = math.lcm(*(v.denominator for v in vals if not isinstance(v, RatFun)))
+    return {r: {c: v * s if isinstance(v, RatFun)
+                else v.numerator * (s // v.denominator)
+                for c, v in row.items()} for r, row in a.items()}, s
 
 
 def _sp_embed(mat2, slots, nslots, d):
@@ -84,6 +100,11 @@ def _sp_mul(a, b):
         if acc:
             out[r] = acc
     return out
+
+
+def _sp_scaled_mul(a, b):
+    """Product of two (map, scale) pairs, each standing for map / scale."""
+    return _sp_mul(a[0], b[0]), a[1] * b[1]
 
 
 def _sp_site_sum(mats, d):
@@ -161,14 +182,16 @@ def _sp_diff(a, b):
 
 def vertex_chain(n, nslots, factors):
     """Ordered product over factors (kind1, kind2, x, (p, q)) of
-    vertex_matrix(n, kind1, kind2, x) embedded at slots (p, q), as a row
-    map on d^nslots coordinates; the empty product is the identity."""
+    vertex_matrix(n, kind1, kind2, x) at slots (p, q) as (s * product, s),
+    s the product of the vertices' _sp_integral scales; (identity, 1)
+    if empty.  The map is over ints when every x is rational."""
     d = n + 1
     out = None
     for kind1, kind2, x, slots in factors:
-        v = _sp_embed(vertex_matrix(n, kind1, kind2, x), slots, nslots, d)
-        out = v if out is None else _sp_mul(out, v)
-    return _sp_identity(d ** nslots) if out is None else out
+        v, s = _sp_integral(vertex_matrix(n, kind1, kind2, x))
+        v = (_sp_embed(v, slots, nslots, d), s)
+        out = v if out is None else _sp_scaled_mul(out, v)
+    return _sp_integral(_sp_identity(d ** nslots)) if out is None else out
 
 
 def _sp_to_dense(a, dim):
@@ -279,7 +302,8 @@ def monodromy_matrix(spec, lam, direction="T", aux_kind="f", aux_slot=None,
                    else (-1, range(1, L + 1)))
     factors = [(aux_kind, "f", sign * (lam - spec.mus[i - 1]),
                 (aux_slot, i - 1)) for i in sites]
-    return _sp_to_dense(vertex_chain(n, nslots, factors), d ** nslots)
+    mat, s = vertex_chain(n, nslots, factors)
+    return _sp_to_dense(_sp_scale(mat, Fraction(1, s)), d ** nslots)
 
 
 def monodromy(spec, lam, direction="T", aux_kind="f"):
@@ -317,7 +341,9 @@ class DensityWindow:
     slot j carries site m-j (site 1 last).  site_labels lists the
     displayed labels left to right as (site 1, ..., site m).  variant 1
     means site 1 is the antifundamental line.  crossing orders the sites
-    as every horizontal line crosses them."""
+    as every horizontal line crosses them.  norm is the partition function
+    z density_matrix divided by (None for other windows)."""
+    norm = None
 
     def __init__(self, n, m, variant, matrix, site_labels, crossing=None):
         self.n = int(n)
@@ -359,21 +385,22 @@ class VanishingNormalization(ArithmeticError):
     """A window whose trace before normalization is zero."""
 
 
-def density_matrix(spec, m, mu_window, variant=0, crossing=None):
-    """Window operator over m adjacent sites of the strip.
+def _traced_product(n, nslots, chains):
+    """Product of the vertex_chain pairs of chains on nslots slots, each
+    traced over its last slot; a repeated chain is built once."""
+    traced = {}
+    for c in dict.fromkeys(chains):
+        chain, s = vertex_chain(n, nslots, c)
+        traced[c] = _sp_ptrace(chain, nslots - 1, nslots, n + 1), s
+    return functools.reduce(_sp_scaled_mul, map(traced.get, chains))
 
-    mu_window lists the displayed labels (site 1, ..., site m); sites
-    outside the window sit at the homogeneous point 0.  Every line
-    crosses the sites in the order crossing, (m, ..., 2, 1) by default,
-    then the outside ones; slot j carries site m-j.  The line at b puts
-    (kind_i, f, p_i - b) on site i, p_i its additive parameter; its
-    partner has (fbar, f, b - p_i - (n+1)) on the antifundamental site:
-    by vertex crossing, (-1)^L times the antifundamental line at
-    b - (n+1)/2 crossing the other way, a sign that the normalization to
-    unit trace cancels.  A vanishing normalization raises with the
-    parameters in the message."""
+
+def _strip(spec, m, mu_window, variant, crossing):
+    """A window's validated labels and crossing, then its vertex chains:
+    the 2N lines in product order (per pair the line at b, then its
+    partner), each on an extra last slot, and the L columns in crossing
+    order, the site last and line j on slot j."""
     n, L = spec.n, spec.L
-    d = n + 1
     if not 1 <= m <= L:
         raise ValueError(f"window m={m} does not fit L={L}")
     if variant not in (0, 1):
@@ -387,26 +414,51 @@ def density_matrix(spec, m, mu_window, variant=0, crossing=None):
     if variant == 1:
         params[m - 1], kinds[m - 1] = -labels[0], "fbar"
     order = [m - site for site in crossing] + list(range(m, L))
+    lines = [tuple(b - p - n - 1 if partner and i == m - 1 else p - b
+                   for i, p in enumerate(params))
+             for b in spec.betas for partner in (False, variant == 1)]
+    rows = [tuple((kinds[i], "f", xs[i], (i, L)) for i in order)
+            for xs in lines]
+    columns = [tuple(v[:3] + ((len(rows), j),) for j, v in enumerate(col))
+               for col in zip(*rows)]
+    return labels, crossing, rows, columns
 
-    def line(b, partner):
-        xs = [p - b for p in params]
-        if partner:
-            xs[m - 1] = b - params[m - 1] - d
-        return _sp_ptrace(vertex_chain(n, L + 1, [
-            (kinds[i], "f", xs[i], (i, L)) for i in order]), L, L + 1, d)
 
-    fund = [line(b, False) for b in spec.betas]
-    t = functools.reduce(_sp_mul, (_sp_mul(f, line(b, True) if variant else f)
-                                   for f, b in zip(fund, spec.betas)))
+def density_matrix(spec, m, mu_window, variant=0, crossing=None):
+    """Window operator over m adjacent sites of the strip.
+
+    mu_window lists the displayed labels (site 1, ..., site m); sites
+    outside the window sit at the homogeneous point 0.  Every line
+    crosses the sites in the order crossing, (m, ..., 2, 1) by default,
+    then the outside ones; slot j carries site m-j.  The line at b puts
+    (kind_i, f, p_i - b) on site i, p_i its additive parameter; its
+    partner has (fbar, f, b - p_i - (n+1)) on the antifundamental site:
+    by vertex crossing, (-1)^L times the antifundamental line at
+    b - (n+1)/2 crossing the other way, a sign that the normalization to
+    unit trace cancels, as do the lines' integer scales.  A vanishing
+    normalization raises with the parameters in the message."""
+    n, L = spec.n, spec.L
+    labels, crossing, rows, _ = _strip(spec, m, mu_window, variant, crossing)
+    t, scale = _traced_product(n, L + 1, rows)
     for slot in range(L - 1, m - 1, -1):
-        t = _sp_ptrace(t, slot, slot + 1, d)
+        t = _sp_ptrace(t, slot, slot + 1, n + 1)
     z = _sp_trace(t)
     if z == 0:
         raise VanishingNormalization(
             f"vanishing normalization: n={n} L={L} N={spec.N} "
             f"betas={spec.betas} window={labels} variant={variant}")
-    return DensityWindow(n, m, variant, _sp_scale(t, 1 / z), labels,
-                         crossing)
+    win = DensityWindow(n, m, variant, _sp_scale(t, 1 / z), labels, crossing)
+    win.norm = z / scale
+    return win
+
+
+def column_partition(spec, m, mu_window, variant=0, crossing=None):
+    """density_matrix's normalization z summed column by column, no row
+    line built: tr_H of the product in crossing order of C_i = tr_i of
+    slot i's vertices with the 2N lines (H) in product order."""
+    columns = _strip(spec, m, mu_window, variant, crossing)[3]
+    t, scale = _traced_product(spec.n, 2 * spec.N + 1, columns)
+    return _sp_trace(t) / scale
 
 
 def colour_conserving(win):
@@ -491,7 +543,7 @@ def simple_pole_residue(fun, pole, params):
 
 def level_chain(which, n, nu, mus):
     """Chain parts (CL, K, CR) of one window-shift level on m+1 slots,
-    m = len(mus) + 1.
+    m = len(mus) + 1, each a (map, scale) pair as vertex_chain returns.
 
     Passive site j = 2..m, parameter mus[j-2], sits on slot m-j, the
     consumed line on slot m-1 and the fresh output line on slot m.  The
@@ -509,7 +561,7 @@ def level_chain(which, n, nu, mus):
                                  for j, mu in sites])
     down = vertex_chain(n, m + 1, [("f", kind, mu - nu, (m - j, m - 1))
                                    for j, mu in reversed(sites)])
-    ks = _sp_embed(k_matrix(n), (m - 1, m), m + 1, n + 1)
+    ks = _sp_integral(_sp_embed(k_matrix(n), (m - 1, m), m + 1, n + 1))
     return (up, ks, down) if which == 1 else (down, ks, up)
 
 
@@ -517,14 +569,15 @@ def level_step(which, n, nu, mus, mat):
     """One window-shift level applied to a row map on the m window slots.
 
     The last slot of mat is the line the level consumes.  mat is
-    extended by the fresh line, multiplied as CL . mat . K . CR (see
-    level_chain) and the consumed slot is traced, so the fresh line
-    takes the last slot.  No scalar prefactor is applied."""
+    extended by the fresh line, cleared of denominators, multiplied as
+    CL . mat . K . CR (see level_chain) and the consumed slot is traced:
+    the fresh line is last.  Returns (s * image, s), without prefactor."""
     m = len(mus) + 1
     d = n + 1
     cl, ks, cr = level_chain(which, n, nu, mus)
-    prod = _sp_mul(_sp_mul(_sp_mul(cl, _sp_extend(mat, d)), ks), cr)
-    return _sp_ptrace(prod, m - 1, m + 1, d)
+    prod, s = functools.reduce(_sp_scaled_mul, (
+        cl, _sp_integral(_sp_extend(mat, d)), ks, cr))
+    return _sp_ptrace(prod, m - 1, m + 1, d), s
 
 
 class AOperator:
@@ -568,12 +621,12 @@ class AOperator:
             raise ValueError(f"which={self.which} consumes windows crossed "
                              f"with site 1 {('first', 'last')[want]}, got "
                              f"{win.crossing}")
-        out = level_step(self.which, self.n, self.lam1, self.mu_rest,
-                         win.matrix)
+        out, s = level_step(self.which, self.n, self.lam1, self.mu_rest,
+                            win.matrix)
         h = h_shift(self.n)
         first = h - self.lam1 if self.which == 1 else self.lam1 + h
         return DensityWindow(self.n, self.m, 1 - want,
-                             _sp_scale(out, self.prefactor),
+                             _sp_scale(out, self.prefactor / s),
                              [first] + self.mu_rest, win.crossing)
 
     def __repr__(self):
@@ -608,7 +661,9 @@ def a_residue_parts(n, mu_rest):
     rank-1 singlet.  Returns (scalar residue, sparse chain product
     CL.K.CR on m+1 slots evaluated at the pole)."""
     pole, res = _lowering_residue(n, mu_rest)
-    return res, functools.reduce(_sp_mul, level_chain(2, n, pole, mu_rest))
+    prod, s = functools.reduce(_sp_scaled_mul, level_chain(2, n, pole,
+                                                           mu_rest))
+    return res, _sp_scale(prod, Fraction(1, s))
 
 
 def a_residue_closed(n, mu_rest):
@@ -616,7 +671,8 @@ def a_residue_closed(n, mu_rest):
     m window sites (site m first), scaled by the residue."""
     pole, res = _lowering_residue(n, mu_rest)
     ident = _sp_identity((n + 1) ** (len(mu_rest) + 1))
-    return _sp_scale(level_step(2, n, pole, mu_rest, ident), res)
+    mat, s = level_step(2, n, pole, mu_rest, ident)
+    return _sp_scale(mat, res / s)
 
 
 # ---------------------------------------------------------------------------
@@ -742,17 +798,13 @@ def rmatrix_reports(n_values=(2, 3)):
         h = h_shift(n)
 
         bad = []
-        for k1, k2, k3 in itertools.product(("f", "fbar"), repeat=3):
-            r13 = {xv: _sp_embed(vertex_matrix(n, k1, k3, xv), (0, 2), 3, d)
-                   for xv in YBE_XS}
-            r23 = {yv: _sp_embed(vertex_matrix(n, k2, k3, yv), (1, 2), 3, d)
-                   for yv in YBE_YS}
-            for xv, yv in YBE_POINTS:
-                r12 = _sp_embed(vertex_matrix(n, k1, k2, xv - yv), (0, 1), 3,
-                                d)
-                if (_sp_mul(_sp_mul(r12, r13[xv]), r23[yv])
-                        != _sp_mul(_sp_mul(r23[yv], r13[xv]), r12)):
-                    bad.append((k1, k2, k3, str(xv), str(yv)))
+        for (k1, k2, k3), (xv, yv) in itertools.product(
+                itertools.product(("f", "fbar"), repeat=3), YBE_POINTS):
+            # both integer products carry the same three vertex scales
+            chain = [(k1, k2, xv - yv, (0, 1)), (k1, k3, xv, (0, 2)),
+                     (k2, k3, yv, (1, 2))]
+            if vertex_chain(n, 3, chain) != vertex_chain(n, 3, chain[::-1]):
+                bad.append((k1, k2, k3, str(xv), str(yv)))
         reports.append(VerificationReport(
             check="vertex yang-baxter",
             params={"n": n, "points": len(YBE_POINTS)},
@@ -841,7 +893,8 @@ def lattice_reports(n, max_L, N, max_m, seed):
                 win = density_matrix(spec, m, labels[:m], variant)
                 if m == mtop:
                     top[variant] = win.matrix
-                traces[f"m={m},variant={variant}"] = win.trace() == 1
+                traces[f"m={m},variant={variant}"] = win.trace() == 1 and (
+                    win.norm == column_partition(spec, m, labels[:m], variant))
                 colours[f"m={m},variant={variant}"] = colour_conserving(win)
         reports.append(VerificationReport(
             check="window unit trace",
@@ -914,12 +967,12 @@ def lattice_reports(n, max_L, N, max_m, seed):
                 x = w[i] - w[i - 1]
                 pair = (lo, lo + 1)
                 # the same-kind vertex at 0 is the flip P
-                braid = vertex_chain(n, mtop, [("f", "f", 0, pair),
-                                               ("f", "f", x, pair)])
-                inv = vertex_chain(n, mtop, [("f", "f", -x, pair),
-                                             ("f", "f", 0, pair)])
+                braid, s_braid = vertex_chain(n, mtop, [("f", "f", 0, pair),
+                                                        ("f", "f", x, pair)])
+                inv, s_inv = vertex_chain(n, mtop, [("f", "f", -x, pair),
+                                                    ("f", "f", 0, pair)])
                 conj = _sp_scale(_sp_mul(_sp_mul(braid, win), inv),
-                                 1 / (1 - x * x))
+                                 1 / ((1 - x * x) * s_braid * s_inv))
                 resid = max(resid, _sp_diff(
                     conj, density_matrix(spec, mtop, ws, 0).matrix))
             reports.append(VerificationReport(

@@ -135,13 +135,15 @@ def _snail_matrix(spec):
     for odd t, raising for even t) at nu = mu_2 - t(n+1)/2.  Each level
     closes the loop it consumes and leaves its fresh line on the last
     slot, where the next level consumes it; the fresh line of the last
-    level becomes site 1.  The result is scaled by the tower residue."""
+    level becomes site 1.  The result is scaled once by the tower
+    residue over the levels' integer scales."""
     n = spec.n
     _, res = _tower_scalar(spec)
-    mat = _sp_identity((n + 1) ** spec.m)
+    mat, scale = _sp_identity((n + 1) ** spec.m), 1
     for t, nu in enumerate(spec.loop_shifts(), 1):
-        mat = level_step(2 if t % 2 == 1 else 1, n, nu, spec.mus, mat)
-    return _sp_scale(mat, res)
+        mat, s = level_step(2 if t % 2 == 1 else 1, n, nu, spec.mus, mat)
+        scale *= s
+    return _sp_scale(mat, res / scale)
 
 
 def snail_operator(spec):
@@ -216,9 +218,10 @@ def fusion_matrix(n, loop_count):
         raise ValueError("need at least one loop")
     h = h_shift(n)
     kinds = loop_kinds(n, l)
-    return vertex_chain(n, l, [
+    mat, s = vertex_chain(n, l, [
         (kinds[i - 1], kinds[j - 1], (j - i) * h, (i - 1, j - 1))
         for i in range(1, l + 1) for j in range(i + 1, l + 1)])
+    return _sp_scale(mat, Fraction(1, s))
 
 
 def fusion_operator(n, loop_count):
@@ -399,8 +402,8 @@ def snail_wellformed_reports(n, seed):
     # the lowering level with its line parameter left formal, scaled by
     # its scalar and reduced entrywise to the residue at the pole
     red = reduced_prefactor(n, [mu], [(2, 0)])
-    formal = level_step(2, n, RatFun.x(), [mu], _sp_identity((n + 1) ** 2))
-    single = {r: {c: residue_at(red * v, mu - h_shift(n))
+    formal, s = level_step(2, n, RatFun.x(), [mu], _sp_identity((n + 1) ** 2))
+    single = {r: {c: residue_at(red * v, mu - h_shift(n)) / s
                   for c, v in row.items()} for r, row in formal.items()}
     resid = _sp_diff(towers[1], single)
     reports.append(VerificationReport(

@@ -16,7 +16,9 @@ from qsnake.lattice import (
     _dense_to_sp,
     _sp_diff,
     _sp_embed,
+    _sp_extend,
     _sp_identity,
+    _sp_integral,
     _sp_mul,
     _sp_ptrace,
     _sp_scale,
@@ -31,6 +33,7 @@ from qsnake.lattice import (
     a_prefactor_expr,
     a_residue_parts,
     colour_conserving,
+    column_partition,
     composite_prefactor,
     density_matrix,
     embed_pair,
@@ -41,6 +44,7 @@ from qsnake.lattice import (
     ptrace_slot,
     projected_reduction_check,
     reduced_prefactor,
+    rqkz_reports,
     seeded_rationals,
     transfer_matrix,
     verify_finite_rqkz,
@@ -52,10 +56,12 @@ from qsnake.rmat import (
     chevalley_generators,
     h_shift,
     identity_matrix,
+    k_matrix,
     permutation_matrix,
     prefactor_reduce,
     vertex_matrix,
 )
+from qsnake.snail import SnailSpec, _snail_matrix, _tower_scalar, snail_reports
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -78,6 +84,22 @@ def seeded_labels(seed, count, taboo=()):
 def dense(win):
     """A window's sparse row map as a dense array, for the dense oracles."""
     return _sp_to_dense(win.matrix, (win.n + 1) ** win.m)
+
+
+def exact_chain(n, nslots, factors):
+    """vertex_chain's product with its integer scale divided out."""
+    chain, scale = vertex_chain(n, nslots, factors)
+    return _sp_scale(chain, Fraction(1, scale))
+
+
+def fraction_chain(n, nslots, factors):
+    """The reference vertex product: the vertices embedded and multiplied
+    as they are, over Fraction or RatFun entries, clearing no
+    denominator."""
+    d = n + 1
+    return functools.reduce(_sp_mul, (
+        _sp_embed(vertex_matrix(n, kind1, kind2, x), slots, nslots, d)
+        for kind1, kind2, x, slots in factors), _sp_identity(d ** nslots))
 
 
 def scalar_matrix(c, dim):
@@ -326,12 +348,13 @@ def test_density_vanishing_normalization():
         density_matrix(spec, 1, [Fraction(-2, 33)], 0)
 
 
-def torus_line(n, kinds, params, aux_kind, lam, order):
-    """One traced horizontal line of the reference torus.  A fundamental
-    line crosses the slots in order, with the vertex R(param - lam); an
-    antifundamental one crosses them in reverse, with the mixed vertex at
-    lam - param on fundamental slots and the same-kind vertex at
-    param - lam on antifundamental ones."""
+def torus_line(n, kinds, params, aux_kind, lam, order, chain):
+    """One traced horizontal line of the reference torus, its vertex
+    product built by chain.  A fundamental line crosses the slots in
+    order, with the vertex R(param - lam); an antifundamental one crosses
+    them in reverse, with the mixed vertex at lam - param on fundamental
+    slots and the same-kind vertex at param - lam on antifundamental
+    ones."""
     L = len(kinds)
     if aux_kind == "f":
         factors = [(kinds[i], "f", params[i] - lam, (i, L)) for i in order]
@@ -339,13 +362,21 @@ def torus_line(n, kinds, params, aux_kind, lam, order):
         factors = [(kinds[i], "fbar",
                     lam - params[i] if kinds[i] == "f" else params[i] - lam,
                     (i, L)) for i in reversed(order)]
-    return _sp_ptrace(vertex_chain(n, L + 1, factors), L, L + 1, n + 1)
+    return _sp_ptrace(chain(n, L + 1, factors), L, L + 1, n + 1)
 
 
-def reference_window(spec, m, labels, variant, crossing):
+def integer_chain(n, nslots, factors):
+    """vertex_chain's integer product, its scale left out: a line's
+    scale cancels when the window is normalized by its own trace."""
+    return vertex_chain(n, nslots, factors)[0]
+
+
+def reference_window(spec, m, labels, variant, crossing,
+                     chain=integer_chain):
     """The window from the torus whose antifundamental lines, at
     beta - (n+1)/2, cross the sites in reverse: the construction that
-    density_matrix rewrites by vertex crossing into forward lines."""
+    density_matrix rewrites by vertex crossing into forward lines,
+    normalized by its own trace, summed row by row."""
     n, L = spec.n, spec.L
     params = labels[::-1] + [Fraction(0)] * (L - m)
     kinds = ["f"] * L
@@ -353,33 +384,42 @@ def reference_window(spec, m, labels, variant, crossing):
         params[m - 1], kinds[m - 1] = -labels[0], "fbar"
     order = [m - site for site in crossing] + list(range(m, L))
     t = functools.reduce(_sp_mul, (
-        _sp_mul(torus_line(n, kinds, params, "f", b, order),
-                torus_line(n, kinds, params, "fbar", b - h_shift(n), order))
+        _sp_mul(torus_line(n, kinds, params, "f", b, order, chain),
+                torus_line(n, kinds, params, "fbar", b - h_shift(n), order,
+                           chain))
         for b in spec.betas))
     for slot in range(L - 1, m - 1, -1):
         t = _sp_ptrace(t, slot, slot + 1, n + 1)
     return _sp_scale(t, 1 / _sp_trace(t))
 
 
+def torus_strip(n, L, N):
+    """A staggered strip with window labels clear of the vertex poles:
+    (spec, labels, seed)."""
+    seed = 10 * n + L + N
+    beta = seeded_rationals(seed, 1, avoid=[0])[0]
+    labels = seeded_rationals(seed + 1, L, avoid=[0, beta])
+    return LatticeSpec.staggered(n, L, N, [0] * L, beta), labels, seed
+
+
+def crossing_kinds(m, rng):
+    """The default, the raising and a random crossing of m sites."""
+    return (tuple(range(m, 0, -1)), (1, *range(m, 1, -1)),
+            tuple(rng.sample(range(1, m + 1), m)))
+
+
 def test_density_matrix_matches_the_reverse_crossing_torus():
     # every m, both variants, the default, raising and a random crossing,
-    # at N * (n+1)^(L+1) <= 256 coordinates on the traced torus, which
-    # leaves out n = 3 at L = 4 and two pairs at (n, L) = (2, 4), (3, 3)
-    def strip(n, L, N):
-        seed = 10 * n + L + N
-        beta = seeded_rationals(seed, 1, avoid=[0])[0]
-        labels = seeded_rationals(seed + 1, L, avoid=[0, beta])
-        return LatticeSpec.staggered(n, L, N, [0] * L, beta), labels, seed
-
+    # at N * (n+1)^(L+1) <= 512 coordinates on the traced torus, which
+    # leaves out n = 3 at L = 4
     compared = 0
     for n, L, N in itertools.product((1, 2, 3), (1, 2, 3, 4), (1, 2)):
-        if N * (n + 1) ** (L + 1) > 256:
+        if N * (n + 1) ** (L + 1) > 512:
             continue
-        spec, labels, seed = strip(n, L, N)
+        spec, labels, seed = torus_strip(n, L, N)
         rng = random.Random(seed)
         for m in range(1, L + 1):
-            crossings = {tuple(range(m, 0, -1)), (1, *range(m, 1, -1)),
-                         tuple(rng.sample(range(1, m + 1), m))}
+            crossings = set(crossing_kinds(m, rng))
             for crossing, variant in itertools.product(sorted(crossings),
                                                        (0, 1)):
                 win = density_matrix(spec, m, labels[:m], variant, crossing)
@@ -387,9 +427,9 @@ def test_density_matrix_matches_the_reverse_crossing_torus():
                     spec, m, labels[:m], variant, crossing), (
                         n, L, N, m, crossing, variant)
                 compared += 1
-    assert compared == 154
+    assert compared == 184
     # one five-site strip, an inner site crossed first
-    spec, labels, _seed = strip(2, 5, 1)
+    spec, labels, _seed = torus_strip(2, 5, 1)
     win = density_matrix(spec, 3, labels[:3], 1, (2, 1, 3))
     assert win.matrix == reference_window(spec, 3, labels[:3], 1, (2, 1, 3))
 
@@ -700,10 +740,10 @@ def test_each_window_equation_fails_in_the_other_crossing():
     for crossing, eq1_holds in (((1, 3, 2), True), ((3, 2, 1), False)):
         w0, w1 = (density_matrix(spec, m, labels[v], v, crossing)
                   for v in (0, 1))
-        raised = _sp_scale(level_step(1, n, beta, mu_rest, w0.matrix),
-                           up.prefactor)
-        lowered = _sp_scale(level_step(2, n, beta - h, mu_rest, w1.matrix),
-                            down.prefactor)
+        raised, s_up = level_step(1, n, beta, mu_rest, w0.matrix)
+        raised = _sp_scale(raised, up.prefactor / s_up)
+        lowered, s_down = level_step(2, n, beta - h, mu_rest, w1.matrix)
+        lowered = _sp_scale(lowered, down.prefactor / s_down)
         assert (_sp_diff(raised, w1.matrix) == 0) == eq1_holds, crossing
         assert (_sp_diff(lowered, w0.matrix) == 0) != eq1_holds, crossing
         # each map refuses the crossing its equation fails on
@@ -765,7 +805,7 @@ def test_vertex_chain_matches_dense_embeddings():
                 want = want @ embed_pair(
                     _sp_to_dense(vertex_matrix(n, k1, k2, x), d * d), slots,
                     3, n)
-            got = _sp_to_dense(vertex_chain(n, 3, factors[:k]), d ** 3)
+            got = _sp_to_dense(exact_chain(n, 3, factors[:k]), d ** 3)
             assert max_abs_diff(got, want) == 0, (n, k)
 
 
@@ -826,3 +866,185 @@ def test_projected_reduction_exploratory_only():
     assert "residual" in rep.witness
     with pytest.raises(ValueError):
         projected_reduction_check(spec, 2)
+
+
+# ---------------------------------------------------------------------------
+# fraction-free products against the pure-Fraction reference
+
+def fraction_level_step(which, n, nu, mus, mat):
+    """The window-shift level step of level_chain's layout on the
+    reference products: CL . mat . K . CR on m+1 slots, the consumed
+    slot traced, no scalar."""
+    m = len(mus) + 1
+    d = n + 1
+    kind = "f" if which == 1 else "fbar"
+    sites = list(enumerate(mus, 2))
+    up = fraction_chain(n, m + 1, [("f", kind, nu - mu, (m - j, m - 1))
+                                   for j, mu in sites])
+    down = fraction_chain(n, m + 1, [("f", kind, mu - nu, (m - j, m - 1))
+                                     for j, mu in reversed(sites)])
+    cl, cr = (up, down) if which == 1 else (down, up)
+    ks = _sp_embed(k_matrix(n), (m - 1, m), m + 1, d)
+    prod = functools.reduce(_sp_mul, (cl, _sp_extend(mat, d), ks, cr))
+    return _sp_ptrace(prod, m - 1, m + 1, d)
+
+
+def entries(mat):
+    return [v for row in mat.values() for v in row.values()]
+
+
+def test_clearing_denominators_is_exact_and_leaves_its_input_alone():
+    x = RatFun.x()
+    mat = {0: {0: Fraction(1, 6), 2: Fraction(-3, 4)}, 1: {1: 5},
+           2: {0: x / 7, 1: Fraction(2)}}
+    before = {r: dict(row) for r, row in mat.items()}
+    cleared, scale = _sp_integral(mat)
+    assert scale == 12
+    assert cleared == {0: {0: 2, 2: -9}, 1: {1: 60}, 2: {0: x * 12 / 7, 1: 24}}
+    assert [type(v) for v in entries(cleared)] == [int, int, int, RatFun, int]
+    assert mat == before and type(mat[0][0]) is Fraction
+    # shared maps keep their Fraction entries through the kernels that
+    # clear them: the rmat constructors, and a window fed to a level step
+    spec = rqkz_spec(2, 2, 22)
+    win = density_matrix(spec, 2, [spec.betas[0], spec.mus[1]], 0, (1, 2))
+    for shared in (identity_matrix(9), k_matrix(2), win.matrix):
+        copy = {r: dict(row) for r, row in shared.items()}
+        out, scale = _sp_integral(shared)
+        assert out is not shared and shared == copy
+        assert all(type(v) is Fraction for v in entries(shared))
+        assert all(type(v) is int for v in entries(out))
+    window = {r: dict(row) for r, row in win.matrix.items()}
+    level_step(1, 2, spec.betas[0], spec.mus[1:2], win.matrix)
+    a_operator(1, 2, spec.betas[0], spec.mus[1:2])(win)
+    assert win.matrix == window
+    assert all(type(v) is Fraction for v in entries(win.matrix))
+
+
+def test_clearing_denominators_refuses_inexact_entries():
+    # a float, even a whole one, is never truncated through int()
+    for bad in (0.5, 2.0, 1e-30, complex(1, 0), "1", None):
+        with pytest.raises(TypeError, match="neither rational nor RatFun"):
+            _sp_integral({0: {0: Fraction(1, 3), 1: bad}})
+    with pytest.raises(TypeError):
+        vertex_chain(2, 2, [("f", "f", 0.5, (0, 1))])
+    with pytest.raises(TypeError):
+        level_step(2, 1, Fraction(1, 3), [Fraction(2, 7)],
+                   {0: {0: 1.0}})
+
+
+def test_vertex_chain_equals_the_fraction_reference():
+    # random chains with every kind pair, denominators up to 9, the
+    # arguments where a vertex diagonal vanishes, and formal arguments
+    rng = random.Random(11)
+    x = RatFun.x()
+    for case in range(90):
+        n = 1 + case % 3
+        nslots = rng.randint(2, 4)
+        args = [Fraction(rng.randint(-12, 12), rng.randint(1, 9)),
+                Fraction(0), -h_shift(n), h_shift(n) / 3]
+        if case % 5 == 0:
+            args.append(x + Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+        factors = [(rng.choice(("f", "fbar")), rng.choice(("f", "fbar")),
+                    rng.choice(args), tuple(rng.sample(range(nslots), 2)))
+                   for _ in range(rng.randint(0, 6))]
+        chain, scale = vertex_chain(n, nslots, factors)
+        assert scale >= 1 and isinstance(scale, int)
+        assert exact_chain(n, nslots, factors) == fraction_chain(
+            n, nslots, factors), (n, nslots, factors)
+        if not any(isinstance(f[2], RatFun) for f in factors):
+            assert all(type(v) is int for v in entries(chain)), factors
+
+
+def test_density_matrix_equals_the_fraction_reference():
+    # every strip with n <= 3, L <= 4, N <= 2, one window size per strip
+    # in both variants; the default, raising and random crossings take
+    # turns over the strips
+    compared = set()
+    for index, (n, L, N) in enumerate(
+            itertools.product((1, 2, 3), (1, 2, 3, 4), (1, 2))):
+        spec, labels, seed = torus_strip(n, L, N)
+        m = 1 + index % L
+        turn = index % 3
+        crossing = crossing_kinds(m, random.Random(seed))[turn]
+        for variant in (0, 1):
+            win = density_matrix(spec, m, labels[:m], variant, crossing)
+            assert win.matrix == reference_window(
+                spec, m, labels[:m], variant, crossing, fraction_chain), (
+                    n, L, N, m, crossing, variant)
+            assert all(type(v) is Fraction for v in entries(win.matrix))
+            # the row-summed normalization is the column-summed one
+            assert win.norm == column_partition(spec, m, labels[:m],
+                                                variant, crossing)
+            compared.add((turn, variant))
+    assert len(compared) == 6
+
+
+def test_window_shift_images_equal_the_fraction_reference():
+    for n in (1, 2, 3):
+        h = h_shift(n)
+        for L, m in ((2, 2), (3, 3), (4, 3)):
+            spec = rqkz_spec(n, L, 10 * L + m)
+            beta, mu_rest = spec.betas[0], spec.mus[1:m]
+            raising = (1, *range(m, 1, -1))
+            up = a_operator(1, n, beta, mu_rest)
+            down = a_operator(2, n, beta - h, mu_rest)
+            for op, win in (
+                    (up, density_matrix(spec, m, [beta] + mu_rest, 0,
+                                        raising)),
+                    (down, density_matrix(spec, m, [h - beta] + mu_rest, 1))):
+                image = op(win).matrix
+                assert image == _sp_scale(fraction_level_step(
+                    op.which, n, op.lam1, mu_rest, win.matrix),
+                    op.prefactor), (n, L, m, op)
+                assert all(type(v) is Fraction for v in entries(image))
+
+
+def test_snail_towers_equal_the_fraction_reference():
+    mus = [Fraction(2, 7), Fraction(5, 9)]
+    for n in (1, 2, 3):
+        for k in (1, 2):
+            for m in (2, 3):
+                spec = SnailSpec(n, k, m, mus[:m - 1])
+                mat = _sp_identity((n + 1) ** m)
+                for t, nu in enumerate(spec.loop_shifts(), 1):
+                    mat = fraction_level_step(2 if t % 2 else 1, n, nu,
+                                              spec.mus, mat)
+                want = _sp_scale(mat, _tower_scalar(spec)[1])
+                assert _snail_matrix(spec) == want, (n, k, m)
+
+
+def test_formal_level_step_equals_the_fraction_reference():
+    # a formal line parameter: the lowering level of the tower check on
+    # the identity, and a raising level on a window whose denominators
+    # scale the RatFun entries
+    x = RatFun.x()
+    mu = Fraction(2, 7)
+    for n in (1, 2):
+        spec = rqkz_spec(n, 2, 22)
+        win = density_matrix(spec, 2, [spec.betas[0], mu], 0, (1, 2))
+        for which, mat in ((2, _sp_identity((n + 1) ** 2)),
+                           (1, win.matrix)):
+            image, scale = level_step(which, n, x, [mu], mat)
+            assert scale == _sp_integral(mat)[1] and (which == 2 or scale > 1)
+            assert _sp_scale(image, Fraction(1, scale)) == (
+                fraction_level_step(which, n, x, [mu], mat)), (n, which)
+
+
+def test_window_residuals_are_fractions():
+    # every residual the reports carry is an exact Fraction, never an
+    # int left over from the integer products
+    reports = (lattice_reports(2, 4, 1, 3, 0) + lattice_reports(1, 3, 2, 3, 1)
+               + rqkz_reports(2, 4, 1, 0) + snail_reports(2, 2, 0))
+
+    def residuals(witness):
+        for key, v in witness.items():
+            if isinstance(v, dict):
+                yield from residuals(v)
+            elif "residual" in key or key in ("K.F", "F.K", "symmetric_part"):
+                yield key, v
+
+    found = [(rep.check, key, v) for rep in reports
+             for key, v in residuals(rep.witness)]
+    assert len(found) > 20
+    assert all(type(v) is Fraction for _check, _key, v in found), [
+        f for f in found if type(f[2]) is not Fraction]
