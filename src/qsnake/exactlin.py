@@ -2,9 +2,9 @@
 
 Two scalar carriers: Fraction for plain rationals and RatFun for univariate
 rational functions with integer-coefficient numerator and denominator in
-canonical form.  LabeledTensor wraps a dense object array with named,
-oriented legs; contraction pairs an in-leg with an out-leg and is
-independent of pairing order.  No floating point anywhere.
+canonical form.  LabeledTensor holds a dense object array with named,
+oriented legs; contract pairs in-legs with out-legs over stored entries
+only, in any order.  No floating point anywhere.
 """
 
 import heapq
@@ -313,20 +313,31 @@ def tensor_from_matrix(mat, out_labels, in_labels, dims):
     return LabeledTensor(legs, data.reshape(tuple(dims) * 2))
 
 
+def _gather(items):
+    """Sum (index, value) pairs by index, dropping zero sums."""
+    out = {}
+    for key, v in items:
+        v = out.pop(key, 0) + v
+        if v:
+            out[key] = v
+    return out
+
+
 def contract(ts, pairings):
     """Contract a list of tensors along (out-label, in-label) pairings.
 
     Labels must be unique across the diagram.  Unpaired legs survive in
     the order the tensors were given.  A closed diagram returns a 0-leg
-    tensor; use .scalar() to read it.
+    tensor; use .scalar() to read it.  Only stored entries {index: value}
+    are multiplied: a pairing joins two tensors' entries on the paired
+    index, or keeps one tensor's entries whose two indices agree.  The
+    result's .data is dense, with Fraction(0) where nothing is stored.
     """
-    tensors = [(t.legs, t.data) for t in ts]
-    seen = {}
-    for ti, (legs, _) in enumerate(tensors):
-        for l in legs:
-            if l.label in seen:
-                raise ValueError(f"duplicate leg label {l.label!r}")
-            seen[l.label] = ti
+    labels = [l.label for t in ts for l in t.legs]
+    dup = [x for i, x in enumerate(labels) if x in labels[:i]]
+    if dup:
+        raise ValueError(f"duplicate leg label {dup[0]!r}")
+    tensors = [(list(t.legs), {k: v for k, v in np.ndenumerate(t.data) if v}) for t in ts]
 
     def locate(label):
         for ti, (legs, _) in enumerate(tensors):
@@ -335,9 +346,7 @@ def contract(ts, pairings):
                     return ti, li, l
         raise KeyError(f"dangling pairing reference {label!r}")
 
-    pending = list(pairings)
-    while pending:
-        la, lb = pending.pop(0)
+    for la, lb in pairings:
         ta, ia, lega = locate(la)
         tb, ib, legb = locate(lb)
         if {lega.orient, legb.orient} != {"in", "out"}:
@@ -345,25 +354,31 @@ def contract(ts, pairings):
         if lega.dim != legb.dim:
             raise ValueError(f"dimension mismatch on {la!r}-{lb!r}")
         if ta == tb:
-            legs, data = tensors[ta]
-            data = np.trace(data, axis1=ia, axis2=ib)
-            legs = [l for i, l in enumerate(legs) if i not in (ia, ib)]
-            tensors[ta] = (legs, data)
+            legs, ents = tensors[ta]
+            keep = [i for i in range(len(legs)) if i not in (ia, ib)]
+            ents = _gather((tuple(k[i] for i in keep), v)
+                           for k, v in ents.items() if k[ia] == k[ib])
+            tensors[ta] = ([legs[i] for i in keep], ents)
         else:
             if ta > tb:
                 ta, ia, tb, ib = tb, ib, ta, ia
-            legsa, da = tensors[ta]
-            legsb, db = tensors[tb]
-            data = np.tensordot(da, db, axes=(ia, ib))
-            legs = [l for i, l in enumerate(legsa) if i != ia]
-            legs += [l for i, l in enumerate(legsb) if i != ib]
-            tensors[ta] = (legs, data)
-            del tensors[tb]
+            legsa, ea = tensors[ta]
+            legsb, eb = tensors.pop(tb)
+            by_index = {}
+            for k, w in eb.items():
+                by_index.setdefault(k[ib], []).append((k[:ib] + k[ib + 1:], w))
+            ents = _gather((ka[:ia] + ka[ia + 1:] + kb, v * w)
+                           for ka, v in ea.items()
+                           for kb, w in by_index.get(ka[ia], ()))
+            tensors[ta] = (legsa[:ia] + legsa[ia + 1:] + legsb[:ib] + legsb[ib + 1:], ents)
     # outer product of whatever is left (disconnected diagrams)
-    legs, data = tensors[0]
+    legs, ents = tensors[0]
     for morelegs, more in tensors[1:]:
-        data = np.tensordot(data, more, axes=0)
-        legs = list(legs) + list(morelegs)
+        ents = {ka + kb: v * w for ka, v in ents.items() for kb, w in more.items()}
+        legs = legs + morelegs
+    data = np.full(tuple(l.dim for l in legs), Fraction(0), dtype=object)
+    for k, v in ents.items():
+        data[k] = v
     return LabeledTensor(legs, data)
 
 

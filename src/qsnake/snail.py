@@ -392,11 +392,11 @@ def snail_rank_reports(pairs=DEFAULT_RANK_PAIRS):
 
 
 def snail_wellformed_reports(n, seed):
-    """The contraction-order check at rank 2, where its dense diagram is
-    cheap, then the rank-n towers k = 1, 2 at m = 2 against the
-    single-level residue and the diagonal symmetry."""
+    """The contraction-order check, then the towers k = 1, 2 at m = 2
+    against the single-level residue and the diagonal symmetry, all at
+    rank n."""
     mu = seeded_rationals(seed + 7, 1, avoid=[0])[0]
-    reports = [contraction_order_check(SnailSpec(2, 1, 2, [mu]))]
+    reports = [contraction_order_check(SnailSpec(n, 1, 2, [mu]))]
 
     towers = {k: _snail_matrix(SnailSpec(n, k, 2, [mu])) for k in (1, 2)}
     # the lowering level with its line parameter left formal, scaled by

@@ -286,15 +286,15 @@ def test_snail_max_k_without_n_bounds_every_rank(capsys):
 
 
 def test_snail_towers_run_at_the_rank_asked_for():
-    # the towers used to be built at rank 2 whatever --n said; the dense
-    # contraction-order diagram stays at rank 2
+    # the towers and the contraction-order diagram used to be built at
+    # rank 2 whatever --n said
     reports = {r.check: r for r in run_subcommand("snail",
                                                   {"n": 3, "max_k": 1})}
-    for check in ("tower against single-level assembly",
+    for check in ("tower contraction order",
+                  "tower against single-level assembly",
                   "fused window invariance"):
         assert reports[check].params["n"] == 3
         assert reports[check].status == "pass"
-    assert reports["tower contraction order"].params["n"] == 2
 
 
 def test_rqkz_at_four_sites_passes(capsys):

@@ -1,5 +1,6 @@
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -109,6 +110,56 @@ def test_ratfun_field_axioms(a, b, c):
         assert (f / g) * g == f
 
 
+def dense_contract(ts, pairings):
+    """The dense contraction oracle: numpy tensordot and trace over the
+    full object arrays, as contract computed before it went sparse."""
+    tensors = [(t.legs, t.data) for t in ts]
+    seen = {}
+    for ti, (legs, _) in enumerate(tensors):
+        for l in legs:
+            if l.label in seen:
+                raise ValueError(f"duplicate leg label {l.label!r}")
+            seen[l.label] = ti
+
+    def locate(label):
+        for ti, (legs, _) in enumerate(tensors):
+            for li, l in enumerate(legs):
+                if l.label == label:
+                    return ti, li, l
+        raise KeyError(f"dangling pairing reference {label!r}")
+
+    pending = list(pairings)
+    while pending:
+        la, lb = pending.pop(0)
+        ta, ia, lega = locate(la)
+        tb, ib, legb = locate(lb)
+        if {lega.orient, legb.orient} != {"in", "out"}:
+            raise ValueError(f"pairing {la!r}-{lb!r} needs one in-leg and one out-leg")
+        if lega.dim != legb.dim:
+            raise ValueError(f"dimension mismatch on {la!r}-{lb!r}")
+        if ta == tb:
+            legs, data = tensors[ta]
+            data = np.trace(data, axis1=ia, axis2=ib)
+            legs = [l for i, l in enumerate(legs) if i not in (ia, ib)]
+            tensors[ta] = (legs, data)
+        else:
+            if ta > tb:
+                ta, ia, tb, ib = tb, ib, ta, ia
+            legsa, da = tensors[ta]
+            legsb, db = tensors[tb]
+            data = np.tensordot(da, db, axes=(ia, ib))
+            legs = [l for i, l in enumerate(legsa) if i != ia]
+            legs += [l for i, l in enumerate(legsb) if i != ib]
+            tensors[ta] = (legs, data)
+            del tensors[tb]
+    # outer product of whatever is left (disconnected diagrams)
+    legs, data = tensors[0]
+    for morelegs, more in tensors[1:]:
+        data = np.tensordot(data, more, axes=0)
+        legs = list(legs) + list(morelegs)
+    return LabeledTensor(legs, data)
+
+
 def perm_tensor(labels):
     d = 3
     p = np.zeros((d, d, d, d), dtype=object)
@@ -163,12 +214,129 @@ def test_contract_order_independence():
 
 
 def test_contract_errors():
+    # the sparse kernel raises what the dense one raised, case by case
+    for kernel in (contract, dense_contract):
+        assert_contract_errors(kernel)
+
+
+def assert_contract_errors(kernel):
     p1 = perm_tensor(["a", "b", "c", "d"])
     p2 = perm_tensor(["a2", "b2", "c2", "d2"])
     with pytest.raises(ValueError):
-        contract([p1, p2], [("a", "a2")])  # out against out
+        kernel([p1, p2], [("a", "a2")])  # out against out
+    with pytest.raises(ValueError):
+        kernel([p1, p2], [("c", "c2")])  # in against in
     with pytest.raises(KeyError):
-        contract([p1], [("a", "zz")])
+        kernel([p1], [("a", "zz")])
+    with pytest.raises(ValueError, match="duplicate"):
+        kernel([p1, perm_tensor(["a", "b2", "c2", "d2"])], [])
+    with pytest.raises(KeyError):  # "c" was consumed by the first pairing
+        kernel([p1, p2], [("a2", "c"), ("b2", "c")])
+    wide = LabeledTensor([Leg("w", "out", 2), Leg("v", "in", 3)],
+                         np.full((2, 3), Fraction(0), dtype=object))
+    with pytest.raises(ValueError, match="dimension"):
+        kernel([p1, wide], [("w", "c")])
+    with pytest.raises(ValueError, match="dimension"):
+        kernel([wide], [("w", "v")])
+
+
+# a pool of entries whose sums often cancel: +-1, +-1/2 and, for RatFun
+# diagrams, x - 1 against 1 - x and 1/(x + 2) against its negative
+FRACTION_POOL = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)]
+RATFUN_POOL = FRACTION_POOL + [X - 1, 1 - X, 1 / (X + 2), -1 / (X + 2)]
+
+
+def random_diagram(rng, d, pool):
+    """One to three tensors, paired legs of dimension d and open ones of
+    dimension at most d, with random pairings: traces within a tensor, joins across tensors, legs left
+    open and tensors left unconnected.  Returns (tensors, pairings)."""
+    ntens = rng.randint(1, 3)
+    budget = {2: 8, 3: 6, 4: 5}[d]  # keeps the dense oracle's arrays small
+    npairs = rng.randint(0, min(4, budget // 2))
+    nopen = rng.randint(0, budget - 2 * npairs)
+    legs = [[] for _ in range(ntens)]
+    pairings = []
+    for p in range(npairs):
+        legs[rng.randrange(ntens)].append(Leg(f"o{p}", "out", d))
+        legs[rng.randrange(ntens)].append(Leg(f"i{p}", "in", d))
+        pairings.append((f"o{p}", f"i{p}") if rng.random() < 0.5
+                        else (f"i{p}", f"o{p}"))
+    for q in range(nopen):
+        legs[rng.randrange(ntens)].append(
+            Leg(f"x{q}", rng.choice(["in", "out"]), rng.randint(1, d)))
+    tensors = []
+    for ls in legs:
+        rng.shuffle(ls)
+        data = np.full(tuple(l.dim for l in ls), Fraction(0), dtype=object)
+        for idx in np.ndindex(data.shape):
+            if rng.random() < 0.5:
+                data[idx] = rng.choice(pool)
+        tensors.append(LabeledTensor(ls, data))
+    return tensors, pairings
+
+
+def assert_same_tensor(got, want):
+    assert [l.label for l in got.legs] == [l.label for l in want.legs]
+    assert got.data.shape == want.data.shape
+    assert all(x == y for x, y in zip(got.data.flat, want.data.flat))
+
+
+def test_sparse_contract_matches_dense_oracle():
+    rng = random.Random(20261018)
+    kinds = {"closed": 0, "trace": 0, "outer": 0, "cancel": 0}
+    for case in range(80):
+        d = (2, 3, 4)[case % 3]
+        pool = RATFUN_POOL if case % 2 else FRACTION_POOL
+        tensors, pairings = random_diagram(rng, d, pool)
+        for order in permutations(pairings):
+            want = dense_contract(tensors, order)
+            assert_same_tensor(contract(tensors, order), want)
+        if not want.legs:
+            assert contract(tensors, pairings).scalar() == want.scalar()
+            kinds["closed"] += 1
+        owner = {l.label: ti for ti, t in enumerate(tensors) for l in t.legs}
+        kinds["trace"] += any(owner[a] == owner[b] for a, b in pairings)
+        joined = {ti for a, b in pairings for ti in (owner[a], owner[b])}
+        kinds["outer"] += len(tensors) > 1 and len(joined) < len(tensors)
+        if pool is FRACTION_POOL:
+            # an entry that cancels: zero here, nonzero with every input
+            # entry replaced by its absolute value
+            pos = dense_contract([LabeledTensor(t.legs, abs(t.data))
+                                  for t in tensors], order)
+            kinds["cancel"] += any(x == 0 and y != 0 for x, y in
+                                   zip(want.data.flat, pos.data.flat))
+    # the seeded diagrams cover every kind of contraction
+    assert min(kinds.values()) >= 3, kinds
+
+
+def test_contract_cancels_to_an_exact_zero():
+    # (1, 1) . (x - 1, 1 - x) sums to zero and is stored as Fraction(0)
+    row = LabeledTensor([Leg("o", "out", 2)], np.array([1, 1], dtype=object))
+    col = LabeledTensor([Leg("i", "in", 2)],
+                        np.array([X - 1, 1 - X], dtype=object))
+    got = contract([row, col], [("o", "i")]).scalar()
+    assert got == 0 and type(got) is Fraction
+
+
+def test_contraction_never_goes_dense(monkeypatch):
+    # a return to numpy's dense contraction fails here loudly; the dense
+    # oracle runs in the tests above, outside this patch
+    from qsnake.snail import SnailSpec, contraction_order_check
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense numpy contraction")
+
+    monkeypatch.setattr(np, "tensordot", refuse)
+    monkeypatch.setattr(np, "trace", refuse)
+    for n in (1, 2, 3):
+        spec = SnailSpec(n, 1, 2, [Fraction(2, 7)])
+        assert contraction_order_check(spec).status == "pass"
+    test_contract_p_squared_is_identity()
+    test_contract_trace_identity()
+    test_contract_singlet_pairing()
+    test_contract_order_independence()
+    assert_contract_errors(contract)
+    test_contract_cancels_to_an_exact_zero()
 
 
 def test_matrix_rank_rational_examples():

@@ -1,8 +1,10 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qsnake import snail
 from qsnake.exactlin import RatFun, _frac_rank, contract, matrix_rank
 from qsnake.lattice import (
     AOperator,
@@ -37,6 +39,7 @@ from qsnake.snail import (
     SnailSpec,
     _snail_matrix,
     _tower_scalar,
+    contraction_order_check,
     fusion_matrix,
     fusion_operator,
     l1_fusion_check,
@@ -397,6 +400,29 @@ def test_snail_contraction_order_independence():
         got = contract([cr, ks, cl], order)
         arr = axes_by_label(got, ["s2_out", "k_o", "s2_in", "o_in"]) * res
         assert max_abs_diff(arr, want) == 0
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_contraction_order_check_at_rank(n, monkeypatch):
+    spec = SnailSpec(n, 1, 2, [Fraction(2, 7)])
+    rep = contraction_order_check(spec)
+    assert rep.status == "pass" and rep.params["n"] == n
+    # a diagram whose residue is off by 2 must fail against the assembly;
+    # the assembled operator reads _tower_scalar too, so only the check's
+    # own call is doubled
+    tower_scalar = snail._tower_scalar
+
+    def doubled_in_the_check(spec):
+        red, res = tower_scalar(spec)
+        if sys._getframe(1).f_code.co_name == "contraction_order_check":
+            res = 2 * res
+        return red, res
+
+    monkeypatch.setattr(snail, "_tower_scalar", doubled_in_the_check)
+    rep = contraction_order_check(spec)
+    assert rep.status == "fail"
+    assert rep.witness["residual_forward"] != 0
+    assert rep.witness["residual_reversed"] != 0
 
 
 # ---------------------------------------------------------------------------
