@@ -4,7 +4,9 @@ Two scalar carriers: Fraction for plain rationals and RatFun for univariate
 rational functions with integer-coefficient numerator and denominator in
 canonical form.  LabeledTensor holds a dense object array with named,
 oriented legs; contract pairs in-legs with out-legs over stored entries
-only, in any order.  No floating point anywhere.
+only, in any order.  echelon eliminates fraction-free: rational rows are
+cleared to integers once and divided by their pivots only on return.
+No floating point anywhere: a float entry or coefficient raises TypeError.
 """
 
 import heapq
@@ -81,8 +83,8 @@ def _pderiv(p):
 
 def _clear_denoms(p):
     # integer coefficients; content is reduced jointly with the other side
-    if not p:
-        return ()
+    if all(type(c) is int for c in p):
+        return p
     den = lcm(*[Fraction(c).denominator for c in p])
     return tuple(int(Fraction(c) * den) for c in p)
 
@@ -92,22 +94,28 @@ class RatFun:
 
     Canonical: numerator and denominator coprime over Q, integer contents
     with gcd 1 across the pair, denominator leading coefficient positive.
+    A coefficient that is not rational, a float say, raises TypeError.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=(1,)):
-        num = _trim(num if isinstance(num, (tuple, list)) else (num,))
-        den = _trim(den if isinstance(den, (tuple, list)) else (den,))
+        num = tuple(num) if isinstance(num, (tuple, list)) else (num,)
+        den = tuple(den) if isinstance(den, (tuple, list)) else (den,)
+        for c in num + den:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficient {c!r} is not rational")
+        num, den = _trim(num), _trim(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
             self.num, self.den = (), (1,)
             return
-        g = _pgcd(num, den)
-        if len(g) > 1:
-            num, _ = _pdivmod(num, g)
-            den, _ = _pdivmod(den, g)
+        if len(num) > 1 and len(den) > 1:  # a constant is a unit over Q
+            g = _pgcd(num, den)
+            if len(g) > 1:
+                num, _ = _pdivmod(num, g)
+                den, _ = _pdivmod(den, g)
         num = _clear_denoms(num)
         den = _clear_denoms(den)
         cg = gcd(*(abs(c) for c in num), *(abs(c) for c in den))
@@ -327,8 +335,12 @@ def contract(ts, pairings):
     """Contract a list of tensors along (out-label, in-label) pairings.
 
     Labels must be unique across the diagram.  Unpaired legs survive in
-    the order the tensors were given.  A closed diagram returns a 0-leg
-    tensor; use .scalar() to read it.  Only stored entries {index: value}
+    the order the pairings merge their tensors: a pairing across two
+    tensors appends the later tensor's open legs to the earlier one's, so
+    once three tensors keep open legs the order can follow the pairing
+    order rather than the order the tensors were given; read legs by
+    label.  A closed diagram returns a 0-leg tensor; use .scalar() to
+    read it.  Only stored entries {index: value}
     are multiplied: a pairing joins two tensors' entries on the paired
     index, or keeps one tensor's entries whose two indices agree.  The
     result's .data is dense, with Fraction(0) where nothing is stored.
@@ -386,13 +398,29 @@ def echelon(rows):
     """Row echelon form of sparse rows {column: value} over Q or Q(x).
 
     Returns {pivot column: row scaled to 1 at its pivot}, holding only
-    nonzero entries.  Every returned row is zero left of its pivot, so
-    the pivots are the leading columns of the row space and their number
-    is the rank.  Only nonzero entries are touched: rows with disjoint
-    supports never meet.  The input rows are not modified."""
+    nonzero entries: Fraction values for rational rows, RatFun where a
+    rational function took part.  Every returned row is zero left of its
+    pivot, so the pivots are the leading columns of the row space and
+    their number is the rank.  Only nonzero entries are touched: rows with
+    disjoint supports never meet.  The input rows are not modified; an
+    entry neither rational nor RatFun, a float say, raises TypeError.
+
+    Elimination is fraction-free: a rational row is cleared to integers
+    once, column c of row r is eliminated against pivot row q as
+    (q[c]/g) r - (r[c]/g) q with g = gcd(q[c], r[c]), and pivot rows are
+    stored primitive and divided by their pivots only on return.  Each
+    row is a nonzero multiple of the one elimination over Q reaches, with
+    the same support.  Where a RatFun takes part the cofactors are
+    (1, r[c]/q[c])."""
     piv = {}
     for row in rows:
+        for v in row.values():
+            if not isinstance(v, (int, Fraction, RatFun)):
+                raise TypeError(f"entry {v!r} is neither rational nor RatFun")
         row = {c: v for c, v in row.items() if v}
+        if not any(isinstance(v, RatFun) for v in row.values()):
+            s = lcm(*(v.denominator for v in row.values()))
+            row = {c: v.numerator * (s // v.denominator) for c, v in row.items()}
         todo = [c for c in row if c in piv]
         heapq.heapify(todo)
         while todo:  # ascending, so a reduction never refills a done column
@@ -400,7 +428,17 @@ def echelon(rows):
             f = row.pop(c, 0)
             if not f:  # pushed twice, or cancelled since
                 continue
-            for j, v in piv[c].items():
+            prow = piv[c]
+            p = prow[c]
+            if isinstance(p, int) and isinstance(f, int):
+                g = gcd(p, f)
+                p, f = p // g, f // g
+                if p != 1:
+                    for j in row:
+                        row[j] *= p
+            else:
+                f = f / p
+            for j, v in prow.items():
                 if j == c:
                     continue
                 w = row.get(j, 0) - f * v
@@ -411,9 +449,14 @@ def echelon(rows):
                     heapq.heappush(todo, j)
                 row[j] = w
         if row:
-            c = min(row)
-            inv = Fraction(1) / row[c]
-            piv[c] = {j: v * inv for j, v in row.items()}
+            if all(isinstance(v, int) for v in row.values()):
+                g = gcd(*row.values())
+                if g != 1:
+                    row = {j: v // g for j, v in row.items()}
+            piv[min(row)] = row
+    for c, row in piv.items():
+        inv = Fraction(1) / row[c]
+        piv[c] = {j: v * inv for j, v in row.items()}
     return piv
 
 

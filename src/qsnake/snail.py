@@ -210,17 +210,21 @@ def contraction_order_check(spec):
 # ---------------------------------------------------------------------------
 # fused loop operators
 
-def fusion_matrix(n, loop_count):
-    """Sparse row map of fusion_operator: lexicographic product over
-    loop pairs of the kind-dispatched vertex at the shift difference."""
-    l = int(loop_count)
+def _fusion_chain(n, l):
+    """(s * fusion_matrix(n, l), s), the integer map and its scale."""
     if l < 1:
         raise ValueError("need at least one loop")
     h = h_shift(n)
     kinds = loop_kinds(n, l)
-    mat, s = vertex_chain(n, l, [
+    return vertex_chain(n, l, [
         (kinds[i - 1], kinds[j - 1], (j - i) * h, (i - 1, j - 1))
         for i in range(1, l + 1) for j in range(i + 1, l + 1)])
+
+
+def fusion_matrix(n, loop_count):
+    """Sparse row map of fusion_operator: lexicographic product over
+    loop pairs of the kind-dispatched vertex at the shift difference."""
+    mat, s = _fusion_chain(n, int(loop_count))
     return _sp_scale(mat, Fraction(1, s))
 
 
@@ -244,9 +248,10 @@ def snake_rank_check(n, k):
 
     Equality is the fusion signature: the image of the fused product
     carries the alternating snake module with 2k-1 points.  A mismatch
-    is reported, not raised."""
+    is reported, not raised.  The rank is read off the integer map, a
+    nonzero multiple of fusion_matrix."""
     l = 2 * k - 1
-    rank = len(echelon(fusion_matrix(n, l).values()))
+    rank = len(echelon(_fusion_chain(n, l)[0].values()))
     dim = module_dim(snake_qchar(n, "odd", l))
     status = "pass" if rank == dim else "fail"
     return VerificationReport(

@@ -1,10 +1,13 @@
+import heapq
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd, lcm
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsnake.exactlin import (
@@ -12,6 +15,10 @@ from qsnake.exactlin import (
     Leg,
     RatFun,
     _frac_rank,
+    _pdivmod,
+    _pgcd,
+    _pneg,
+    _trim,
     contract,
     echelon,
     matrix_rank,
@@ -211,6 +218,17 @@ def test_contract_order_independence():
     assert (res1.data == res2.data).all()
     assert (res1.data == res3.data).all()
     assert [l.label for l in res1.legs] == ["a", "b", "g", "h"]
+
+
+def test_contract_open_legs_follow_the_pairing_order():
+    # a pairing appends the later tensor's open legs to the earlier one's
+    a = LabeledTensor([Leg("a", "out", 1), Leg("x", "in", 1)], [[1]])
+    b = LabeledTensor([Leg("b", "in", 1), Leg("y", "in", 1)], [[1]])
+    c = LabeledTensor([Leg("c", "in", 1), Leg("z", "out", 1),
+                       Leg("w", "in", 1)], [[[1]]])
+    pairs = [("a", "c"), ("z", "b")]
+    assert [l.label for l in contract([a, b, c], pairs).legs] == ["x", "w", "y"]
+    assert [l.label for l in contract([a, b, c], pairs[::-1]).legs] == ["x", "y", "w"]
 
 
 def test_contract_errors():
@@ -427,3 +445,169 @@ def test_frac_rank_matches_minor_oracle(mat):
         assert row[p] == 1
         assert min(row) == p
         assert all(row.values())
+
+
+def fraction_echelon(rows):
+    """The Fraction elimination oracle: echelon as it was before it went
+    fraction-free, every row normalized at its pivot as it is stored."""
+    piv = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        todo = [c for c in row if c in piv]
+        heapq.heapify(todo)
+        while todo:  # ascending, so a reduction never refills a done column
+            c = heapq.heappop(todo)
+            f = row.pop(c, 0)
+            if not f:  # pushed twice, or cancelled since
+                continue
+            for j, v in piv[c].items():
+                if j == c:
+                    continue
+                w = row.get(j, 0) - f * v
+                if not w:
+                    del row[j]
+                    continue
+                if j not in row and j in piv:
+                    heapq.heappush(todo, j)
+                row[j] = w
+        if row:
+            c = min(row)
+            inv = Fraction(1) / row[c]
+            piv[c] = {j: v * inv for j, v in row.items()}
+    return piv
+
+
+def layout(piv):
+    """Pivots and entries in dict order, with each value's type."""
+    return [(c, [(j, type(v), v) for j, v in row.items()])
+            for c, row in piv.items()]
+
+
+small_ints = st.integers(-3, 3)
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+small_ratfuns = st.builds(
+    lambda a, b, c, d: RatFun((a, b), (c, d)) if (c, d) != (0, 0) else RatFun(a),
+    small_ints, small_ints, small_ints, small_ints)
+
+
+def row_lists(values):
+    """Up to six sparse rows on six columns; few distinct values, so
+    dependent rows and cancellations are common."""
+    return st.lists(st.dictionaries(st.integers(0, 5), values, max_size=6),
+                    max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(row_lists(small_ints), row_lists(small_fractions),
+                 row_lists(st.one_of(small_ints, small_fractions)),
+                 row_lists(st.one_of(small_ints, small_fractions,
+                                     small_ratfuns))))
+def test_echelon_matches_fraction_oracle(rows):
+    before = [dict(row) for row in rows]
+    got = echelon(rows)
+    assert rows == before
+    assert layout(got) == layout(fraction_echelon(before))
+
+
+def test_echelon_oracle_sees_cancellation_and_ratfun_pivots():
+    # rows that cancel to zero, a gcd that is not 1, a RatFun pivot
+    # eliminating a rational row and a rational pivot a RatFun row
+    cases = [
+        [{0: 2, 1: 4}, {0: 3, 1: 6}, {0: 4, 2: 6}],
+        [{0: Fraction(2, 3), 1: 1}, {0: 6, 1: Fraction(9, 1), 2: 5}],
+        [{0: X, 1: 1}, {0: 2, 1: 3}, {1: X * X, 2: RatFun.const(1)}],
+        [{0: 5, 1: X}, {0: X, 1: 2, 2: Fraction(1, 2)}],
+    ]
+    for rows in cases:
+        assert layout(echelon(rows)) == layout(fraction_echelon(rows))
+    assert len(echelon(cases[0])) == 2
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.0, 1j, Decimal(1), "1", np.float64(2), None])
+def test_echelon_refuses_inexact_entries(bad):
+    with pytest.raises(TypeError):
+        echelon([{0: 1, 1: bad}])
+    with pytest.raises(TypeError):
+        echelon([{0: X}, {0: bad, 2: X}])
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.0, 1j, Decimal(1), "1", np.float64(2)])
+def test_ratfun_refuses_inexact_coefficients(bad):
+    for num, den in [((bad, 1), (1,)), ((1,), (1, bad)), (bad, (1,)),
+                     ((1,), bad), ((1, 2, bad), (3, 4))]:
+        with pytest.raises(TypeError):
+            RatFun(num, den)
+
+
+def fraction_clear_denoms(p):
+    if not p:
+        return ()
+    den = lcm(*[Fraction(c).denominator for c in p])
+    return tuple(int(Fraction(c) * den) for c in p)
+
+
+def gcd_canonical(num, den):
+    """(num, den) by the canonical route with the polynomial gcd always
+    taken, as RatFun built it before constants skipped it."""
+    num = _trim(num if isinstance(num, (tuple, list)) else (num,))
+    den = _trim(den if isinstance(den, (tuple, list)) else (den,))
+    if not num:
+        return (), (1,)
+    g = _pgcd(num, den)
+    if len(g) > 1:
+        num, _ = _pdivmod(num, g)
+        den, _ = _pdivmod(den, g)
+    num = fraction_clear_denoms(num)
+    den = fraction_clear_denoms(den)
+    cg = gcd(*(abs(c) for c in num), *(abs(c) for c in den))
+    num = tuple(c // cg for c in num)
+    den = tuple(c // cg for c in den)
+    if den[-1] < 0:
+        num, den = _pneg(num), _pneg(den)
+    return num, den
+
+
+coefficients = st.one_of(st.integers(-6, 6), small_fractions)
+polys = st.lists(coefficients, max_size=4)
+constants = st.one_of(st.just(0), st.just(-1), st.just(Fraction(-2, 3)),
+                      coefficients).map(lambda c: (c,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(constants, polys), st.tuples(polys, constants)))
+def test_ratfun_constant_side_matches_gcd_route(pair):
+    num, den = pair
+    assume(_trim(den))
+    f = RatFun(num, den)
+    assert (f.num, f.den) == gcd_canonical(num, den)
+    assert all(type(c) is int for c in f.num + f.den)
+
+
+def test_ratfun_constant_sides():
+    for num, den in [((-4,), (0, 2)), ((0, 0, 6), (-3,)), ((0,), (5, 1)),
+                     ((Fraction(1, 2), 1), (Fraction(-3, 4),)),
+                     ((Fraction(-2, 3),), (Fraction(4, 9), 2)),
+                     ((-6,), (-4,))]:
+        f = RatFun(num, den)
+        assert (f.num, f.den) == gcd_canonical(num, den)
+
+
+def test_echelon_cofactors_are_reduced_by_their_gcd(monkeypatch):
+    # The returned rows cannot show cofactor growth: a primitive integer
+    # row is unique up to sign.  The working row can, so record every
+    # integer gcd echelon takes, the one that makes a row primitive too.
+    # Each pivot 7 divides the entry it clears, so reduced cofactors
+    # never rescale the last row; unreduced ones multiply it by 7^10.
+    import qsnake.exactlin as exactlin
+    seen = []
+
+    def recording_gcd(*args):
+        seen.extend(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(exactlin, "gcd", recording_gcd)
+    rows = [{i: 7, 10 + i: 1} for i in range(10)]
+    rows.append({**{i: 7 * (i + 1) for i in range(10)}, 20: 1})
+    piv = echelon(rows)
+    assert piv[10] == {10 + i: Fraction(i + 1) for i in range(10)} | {20: -1}
+    assert max(abs(v) for v in seen) <= 70  # the largest input entry

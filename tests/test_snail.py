@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qsnake import snail
-from qsnake.exactlin import RatFun, _frac_rank, contract, matrix_rank
+from qsnake.exactlin import RatFun, _frac_rank, contract, echelon, matrix_rank
 from qsnake.lattice import (
     AOperator,
     LatticeSpec,
@@ -194,6 +194,22 @@ def test_snake_rank_reports():
         assert rep.status == "pass", rep.summary()
         assert rep.witness["rank"] == dim
         assert rep.witness["snake_dim"] == dim
+
+
+def test_snake_rank_at_four_snake_points():
+    # (2, 4): the 2,187-dim fused product of seven loops
+    rep = snake_rank_check(2, 4)
+    assert rep.status == "pass", rep.summary()
+    assert rep.witness == {"rank": 987, "snake_dim": 987}
+
+
+def test_snake_rank_reads_the_fused_product():
+    # the check ranks the integer chain; fusion_matrix is that chain
+    # over its scale, so both have the check's rank
+    for n, k in ((2, 3), (3, 2)):
+        l = 2 * k - 1
+        rank = len(echelon(fusion_matrix(n, l).values()))
+        assert rank == snake_rank_check(n, k).witness["rank"]
 
 
 def test_singlet_insertion_exploratory():
