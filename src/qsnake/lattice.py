@@ -17,12 +17,13 @@ the default crossing.
 Operators on k coordinate slots are sparse row maps {row: {col: value}}
 storing no zero and no empty row; slot j of a window carries site m-j,
 so site 1 sits on the last slot.  Windows, window-shift maps and
-residues are built, returned and compared in that form, over exact
-Fractions.  Every line of vertices is one vertex_chain product, over
-ints at rational arguments, with one integer scale that the window's
-trace or the map's scalar absorbs once.  The dense forms (embed_pair,
-ptrace_slot, monodromy_matrix, transfer_matrix and their labeled
-tensors) are independent oracles for the tests.  All functions are pure.
+residues are built and compared in that form, over exact Fractions.
+Every line of vertices is one vertex_chain product over ints at rational
+arguments: each vertex acts on the stored entries as alpha*1 + beta*P or
+alpha*1 + beta*K, no vertex map built, and the window's trace or the
+map's scalar absorbs the chain's one integer scale.  The dense forms
+(embed_pair, ptrace_slot, monodromy_matrix, transfer_matrix, their
+labeled tensors) are the tests' oracles.  All functions are pure.
 """
 
 from fractions import Fraction
@@ -180,18 +181,64 @@ def _sp_diff(a, b):
     return best
 
 
+@functools.lru_cache(maxsize=None)
+def _slot_digits(d, nslots, p, q):
+    """d * (digit on slot p) + (digit on slot q), for every coordinate."""
+    wp, wq = d ** (nslots - 1 - p), d ** (nslots - 1 - q)
+    return tuple(c // wp % d * d + c // wq % d for c in range(d ** nslots))
+
+
 def vertex_chain(n, nslots, factors):
     """Ordered product over factors (kind1, kind2, x, (p, q)) of
-    vertex_matrix(n, kind1, kind2, x) at slots (p, q) as (s * product, s),
-    s the product of the vertices' _sp_integral scales; (identity, 1)
-    if empty.  The map is over ints when every x is rational."""
+    vertex_matrix(n, kind1, kind2, x) at slots (p, q) as (s * product, s);
+    (identity, 1) if empty.  A vertex times s_v, the denominator of its
+    shift (x, or x + (n+1)/2 for mixed kinds; 1 for a RatFun), is
+    alpha*1 + beta*B, alpha = s_v * shift, B = P and beta = s_v for same
+    kinds, B = K and beta = -s_v for mixed ones; s is the product of the
+    s_v.  The map, over ints when every x is rational, is built from the
+    identity by each vertex acting on its stored entries directly."""
     d = n + 1
-    out = None
+    out, scale = {r: {r: 1} for r in range(d ** nslots)}, 1
     for kind1, kind2, x, slots in factors:
-        v, s = _sp_integral(vertex_matrix(n, kind1, kind2, x))
-        v = (_sp_embed(v, slots, nslots, d), s)
-        out = v if out is None else _sp_scaled_mul(out, v)
-    return _sp_integral(_sp_identity(d ** nslots)) if out is None else out
+        for k in (kind1, kind2):
+            if k not in ("f", "fbar"):
+                raise ValueError(f"kind must be 'f' or 'fbar', got {k!r}")
+        if not isinstance(x, (int, Fraction, RatFun)):
+            raise TypeError(f"argument {x!r} is neither rational nor RatFun")
+        p, q = slots
+        if p == q or not (0 <= p < nslots and 0 <= q < nslots):
+            raise ValueError(f"bad slot pair {slots} for {nslots} slots")
+        same = kind1 == kind2
+        shift = x if same else x + h_shift(n)
+        alpha, s = ((shift, 1) if isinstance(shift, RatFun)
+                    else (shift.numerator, shift.denominator))
+        beta = s if same else -s
+        # row (a, b) of the vertex as (column offset, weight), its zeros
+        # left out: P swaps the digits, K maps (a, n - a) to all (k, n - k)
+        dw = d ** (nslots - 1 - p) - d ** (nslots - 1 - q)
+        rows = []
+        for a, b in itertools.product(range(d), repeat=2):
+            if same and a != b:
+                row = (((b - a) * dw, beta), (0, alpha))
+            elif same or a + b == n:
+                row = tuple(((k - a) * dw, alpha + beta if k == a else beta)
+                            for k in ((a,) if same else range(d)))
+            else:
+                row = ((0, alpha),)
+            rows.append(tuple((o, w) for o, w in row if w))
+        digits = _slot_digits(d, nslots, p, q)
+        new = {}
+        for r, row in out.items():
+            acc = {}
+            for c, v in row.items():
+                for o, w in rows[digits[c]]:
+                    acc[c + o] = acc.get(c + o, 0) + v * w
+            if 0 in acc.values():
+                acc = {c: w for c, w in acc.items() if w != 0}
+            if acc:
+                new[r] = acc
+        out, scale = new, scale * s
+    return out, scale
 
 
 def _sp_to_dense(a, dim):
@@ -571,11 +618,14 @@ def level_step(which, n, nu, mus, mat):
     The last slot of mat is the line the level consumes.  mat is
     extended by the fresh line, cleared of denominators, multiplied as
     CL . mat . K . CR (see level_chain) and the consumed slot is traced:
-    the fresh line is last.  Returns (s * image, s), without prefactor."""
+    the fresh line is last.  The identity, with rational ones, is not
+    multiplied.  Returns (s * image, s), without prefactor."""
     m = len(mus) + 1
     d = n + 1
     cl, ks, cr = level_chain(which, n, nu, mus)
-    prod, s = functools.reduce(_sp_scaled_mul, (
+    ident = mat == _sp_identity(d ** m) and all(
+        isinstance(row[r], (int, Fraction)) for r, row in mat.items())
+    prod, s = functools.reduce(_sp_scaled_mul, (cl, ks, cr) if ident else (
         cl, _sp_integral(_sp_extend(mat, d)), ks, cr))
     return _sp_ptrace(prod, m - 1, m + 1, d), s
 

@@ -2,6 +2,7 @@ import functools
 import itertools
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from qsnake.lattice import (
     _sp_mul,
     _sp_ptrace,
     _sp_scale,
+    _sp_scaled_mul,
     _sp_site_sum,
     _sp_to_dense,
     _sp_trace,
@@ -61,7 +63,8 @@ from qsnake.rmat import (
     prefactor_reduce,
     vertex_matrix,
 )
-from qsnake.snail import SnailSpec, _snail_matrix, _tower_scalar, snail_reports
+from qsnake.snail import (SnailSpec, _fusion_chain, _snail_matrix, _tower_scalar,
+                          loop_kinds, snail_reports)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -1048,3 +1051,180 @@ def test_window_residuals_are_fractions():
     assert len(found) > 20
     assert all(type(v) is Fraction for _check, _key, v in found), [
         f for f in found if type(f[2]) is not Fraction]
+
+
+# ---------------------------------------------------------------------------
+# the structured vertex kernel against the embed-and-multiply route
+
+def embedded_vertex_chain(n, nslots, factors):
+    """vertex_chain's former route, kept as its oracle: every vertex map
+    built, cleared of denominators, embedded on all d^nslots coordinates
+    and multiplied as a general sparse product."""
+    d = n + 1
+    out = None
+    for kind1, kind2, x, slots in factors:
+        v, s = _sp_integral(vertex_matrix(n, kind1, kind2, x))
+        v = (_sp_embed(v, slots, nslots, d), s)
+        out = v if out is None else _sp_scaled_mul(out, v)
+    return _sp_integral(_sp_identity(d ** nslots)) if out is None else out
+
+
+def typed(mat):
+    """A row map with each entry's type beside its value."""
+    return {r: {c: (v, type(v)) for c, v in row.items()}
+            for r, row in mat.items()}
+
+
+def assert_same_chain(n, nslots, factors):
+    got, want = vertex_chain(n, nslots, factors), embedded_vertex_chain(
+        n, nslots, factors)
+    assert got[1] == want[1] and type(got[1]) is int, (n, nslots, factors)
+    assert typed(got[0]) == typed(want[0]), (n, nslots, factors)
+
+
+def test_vertex_chain_matches_the_embedded_oracle():
+    # seeded chains at n = 1..3 on 2..4 slots: both slot orders, the flip
+    # P (same kinds at 0) and -K (mixed kinds at -h) where alpha vanishes,
+    # alpha + beta vanishing (x = -1, or x = 1 - h when mixed), negative
+    # and fractional arguments, formal and constant RatFun arguments,
+    # ints, and the empty chain
+    rng = random.Random(17)
+    x = RatFun.x()
+    seen = set()
+    for case in range(240):
+        n = 1 + case % 3
+        h = h_shift(n)
+        nslots = 2 + case // 3 % 3
+        points = [Fraction(0), -h, -1, 1 - h, rng.randint(-4, 4),
+                  Fraction(rng.randint(-12, 12), rng.randint(1, 9))]
+        if case % 4 == 0:
+            points += [x + Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+                       -x, RatFun.const(0), RatFun.const(-h)]
+        factors = [(rng.choice(("f", "fbar")), rng.choice(("f", "fbar")),
+                    rng.choice(points), tuple(rng.sample(range(nslots), 2)))
+                   for _ in range(rng.randint(0, 5))]
+        assert_same_chain(n, nslots, factors)
+        seen.add(("empty",) if not factors else ())
+        for k1, k2, arg, (p, q) in factors:
+            mixed = k1 != k2
+            seen.add(("p<q",) if p < q else ("p>q",))
+            if isinstance(arg, RatFun):
+                seen.add(("ratfun", mixed))
+            elif arg == (-h if mixed else 0):
+                seen.add(("alpha=0", mixed))
+            elif arg < 0 and Fraction(arg).denominator > 1:
+                seen.add(("negative fraction", mixed))
+    assert seen >= {("empty",), ("p<q",), ("p>q",)} | {
+        (kind, mixed) for kind in ("ratfun", "alpha=0", "negative fraction")
+        for mixed in (False, True)}, seen
+
+
+def test_vertex_chain_has_the_oracle_errors():
+    for chain in (vertex_chain, embedded_vertex_chain):
+        for factors in ([("f", "g", Fraction(1, 3), (0, 1))],
+                        [("F", "f", Fraction(1, 3), (0, 1))],
+                        [("f", "f", Fraction(1, 3), (1, 1))],
+                        [("f", "fbar", Fraction(1, 3), (0, 3))],
+                        [("f", "f", Fraction(1, 3), (-1, 0))],
+                        [("f", "f", 1, (0, 1)), ("f", "f", 2, (2, 2))]):
+            with pytest.raises(ValueError):
+                chain(2, 3, factors)
+        for bad in (0.5, 2.0, Decimal("0.5"), "1/2"):
+            for kinds in (("f", "f"), ("f", "fbar")):
+                with pytest.raises(TypeError):
+                    chain(2, 3, [(*kinds, bad, (0, 1))])
+
+
+def test_vertex_chain_builds_no_vertex_map(monkeypatch):
+    # a return to building, embedding and multiplying vertex maps fails
+    # here loudly; the oracle chains are built before the patch
+    from qsnake import rmat
+
+    n = 2
+    spec, labels, _seed = torus_strip(n, 3, 1)
+    lines = lattice._strip(spec, 2, labels[:2], 1, None)[2]
+    pts = YBE_POINTS[0]
+    ybe = [("f", "fbar", pts[0] - pts[1], (0, 1)), ("f", "f", pts[0], (0, 2)),
+           ("fbar", "f", pts[1], (1, 2))]
+    # the (n, k) = (2, 3) fused product on 5 loops, as _fusion_chain lists it
+    kinds = loop_kinds(n, 5)
+    fused = [(kinds[i], kinds[j], (j - i) * h_shift(n), (i, j))
+             for i in range(5) for j in range(i + 1, 5)]
+    want = ([embedded_vertex_chain(n, spec.L + 1, line) for line in lines],
+            embedded_vertex_chain(n, 5, fused),
+            [embedded_vertex_chain(n, 3, c) for c in (ybe, ybe[::-1])])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("vertex map built in a chain")
+
+    for module, name in ((lattice, "vertex_matrix"), (rmat, "vertex_matrix"),
+                         (lattice, "_sp_embed"), (lattice, "_sp_mul")):
+        monkeypatch.setattr(module, name, refuse)
+    got = ([vertex_chain(n, spec.L + 1, line) for line in lines],
+           _fusion_chain(2, 5),
+           [vertex_chain(n, 3, c) for c in (ybe, ybe[::-1])])
+    assert got == want
+
+
+def test_vertex_chain_returns_fresh_maps():
+    # the kernel's cached digit table is a tuple, and no returned map
+    # shares a dict with a later call
+    x = RatFun.x()
+    chains = ([], [("f", "fbar", Fraction(1, 3), (1, 0))],
+              [("f", "f", Fraction(0), (0, 2)), ("fbar", "f", x, (2, 1)),
+               ("f", "fbar", -h_shift(2), (1, 0))])
+    for factors in chains:
+        first, scale = vertex_chain(2, 3, factors)
+        keep = typed(first)
+        for r in list(first)[:3]:
+            first[r][r] = 99
+            first[r][(r + 1) % 27] = -7
+        first.pop(next(iter(first)))
+        first[99] = {0: 1}
+        again, scale2 = vertex_chain(2, 3, factors)
+        assert typed(again) == keep and scale2 == scale, factors
+    digits = lattice._slot_digits(3, 3, 1, 0)
+    assert type(digits) is tuple and all(type(t) is int for t in digits)
+
+
+def former_level_step(which, n, nu, mus, mat):
+    """level_step with the extended input always multiplied in."""
+    m = len(mus) + 1
+    d = n + 1
+    cl, ks, cr = lattice.level_chain(which, n, nu, mus)
+    prod, s = functools.reduce(_sp_scaled_mul, (
+        cl, _sp_integral(_sp_extend(mat, d)), ks, cr))
+    return _sp_ptrace(prod, m - 1, m + 1, d), s
+
+
+def test_first_tower_level_skips_the_identity(monkeypatch):
+    # on the identity, the first level of every tower, CL . 1 . K . CR is
+    # CL . K . CR: the same entries, types and scale, with no extension
+    x = RatFun.x()
+    mus = [Fraction(2, 7), Fraction(-5, 3)]
+    cases = [(which, n, nu, mus[:m - 1], _sp_identity((n + 1) ** m))
+             for n in (2, 3) for m in (2, 3) for which in (1, 2)
+             for nu in (Fraction(-4, 9), x)]
+    want = [former_level_step(*case) for case in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the identity was extended")
+
+    monkeypatch.setattr(lattice, "_sp_extend", refuse)
+    for case, (image, scale) in zip(cases, want):
+        got, s = level_step(*case)
+        assert s == scale and typed(got) == typed(image), case[:4]
+    assert any(isinstance(v, RatFun) for v in entries(want[-1][0]))
+    # the first level of a tower, and inputs that only look like the
+    # identity, which still take the full product
+    monkeypatch.undo()
+    spec = SnailSpec(3, 1, 2, mus[:1])
+    image, scale = former_level_step(2, 3, spec.loop_shifts()[0], spec.mus,
+                                     _sp_identity(16))
+    assert _snail_matrix(spec) == _sp_scale(image,
+                                            _tower_scalar(spec)[1] / scale)
+    for one in (_sp_scale(_sp_identity(9), Fraction(1, 2)),
+                _sp_scale(_sp_identity(9), RatFun.const(1))):
+        got, s = level_step(1, 2, Fraction(1, 3), mus[:1], one)
+        image, scale = former_level_step(1, 2, Fraction(1, 3), mus[:1], one)
+        assert s == scale and typed(got) == typed(image)
