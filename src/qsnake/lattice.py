@@ -589,45 +589,47 @@ def simple_pole_residue(fun, pole, params):
 
 
 def level_chain(which, n, nu, mus):
-    """Chain parts (CL, K, CR) of one window-shift level on m+1 slots,
-    m = len(mus) + 1, each a (map, scale) pair as vertex_chain returns.
+    """vertex_chain factor lists (CL, CR) of one window-shift level.
 
     Passive site j = 2..m, parameter mus[j-2], sits on slot m-j, the
-    consumed line on slot m-1 and the fresh output line on slot m.  The
-    level line crosses the passive sites upward (j = 2..m, vertices at
-    nu - mu_j) and downward (j = m..2, vertices at mu_j - nu); both
-    vertex kinds and K are symmetric in their two lines.  which=1 is
-    the raising level (up, K, down) with same-kind vertices, which=2 the
-    lowering one (down, K, up) with mixed vertices."""
+    consumed line on slot m-1; the fresh line is untouched.  The level
+    line crosses the passive sites upward (j = 2..m, at nu - mu_j) and
+    downward (j = m..2, at mu_j - nu); both vertex kinds and K are
+    symmetric in their two lines.  which=1 is the raising level
+    (up, K, down) with same-kind vertices, which=2 the lowering one
+    (down, K, up) with mixed vertices."""
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
     m = len(mus) + 1
     kind = "f" if which == 1 else "fbar"
     sites = list(enumerate(mus, 2))
-    up = vertex_chain(n, m + 1, [("f", kind, nu - mu, (m - j, m - 1))
-                                 for j, mu in sites])
-    down = vertex_chain(n, m + 1, [("f", kind, mu - nu, (m - j, m - 1))
-                                   for j, mu in reversed(sites)])
-    ks = _sp_integral(_sp_embed(k_matrix(n), (m - 1, m), m + 1, n + 1))
-    return (up, ks, down) if which == 1 else (down, ks, up)
+    up = [("f", kind, nu - mu, (m - j, m - 1)) for j, mu in sites]
+    down = [("f", kind, mu - nu, (m - j, m - 1)) for j, mu in reversed(sites)]
+    return (up, down) if which == 1 else (down, up)
 
 
 def level_step(which, n, nu, mus, mat):
     """One window-shift level applied to a row map on the m window slots.
 
-    The last slot of mat is the line the level consumes.  mat is
-    extended by the fresh line, cleared of denominators, multiplied as
-    CL . mat . K . CR (see level_chain) and the consumed slot is traced:
-    the fresh line is last.  The identity, with rational ones, is not
-    multiplied.  Returns (s * image, s), without prefactor."""
-    m = len(mus) + 1
-    d = n + 1
-    cl, ks, cr = level_chain(which, n, nu, mus)
-    ident = mat == _sp_identity(d ** m) and all(
-        isinstance(row[r], (int, Fraction)) for r, row in mat.items())
-    prod, s = functools.reduce(_sp_scaled_mul, (cl, ks, cr) if ident else (
-        cl, _sp_integral(_sp_extend(mat, d)), ks, cr))
-    return _sp_ptrace(prod, m - 1, m + 1, d), s
+    mat's last slot is the consumed line, the image's the fresh line.
+    The level traces the consumed line of (CL.mat (x) 1).K.(CR (x) 1) on
+    m+1 slots, K pairing digit t of the consumed line with n-t of the
+    fresh one: with A = CL.mat and B = CR on the m slots, image entry
+    ((r, f), (c, g)) is the sum over k, t of A[(r, t)][(k, n-f)]
+    B[(k, n-g)][(c, t)].  Returns (s * image, s), no prefactor."""
+    m, d = len(mus) + 1, n + 1
+    left, right = level_chain(which, n, nu, mus)
+    a, s = _sp_scaled_mul(vertex_chain(n, m, left), _sp_integral(mat))
+    b, sb = vertex_chain(n, m, right)
+    # the last digits swapped: A at ((r, f), (k, t)), B at ((k, t), (c, g))
+    swapped = ({}, {})
+    for x, out in zip((a, b), swapped):
+        for r, row in x.items():
+            for c, v in row.items():
+                t, u = r % d, c % d
+                t, u = (t, n - u) if x is a else (n - t, u)
+                out.setdefault(r - r % d + u, {})[c - c % d + t] = v
+    return _sp_mul(*swapped), s * sb
 
 
 class AOperator:
@@ -709,11 +711,13 @@ def a_residue_parts(n, mu_rest):
 
     At the pole the passive vertex at site 2 degenerates to minus the
     rank-1 singlet.  Returns (scalar residue, sparse chain product
-    CL.K.CR on m+1 slots evaluated at the pole)."""
+    CL.K.CR on m+1 slots at the pole, K the mixed vertex at -(n+1)/2)."""
     pole, res = _lowering_residue(n, mu_rest)
-    prod, s = functools.reduce(_sp_scaled_mul, level_chain(2, n, pole,
-                                                           mu_rest))
-    return res, _sp_scale(prod, Fraction(1, s))
+    m = len(mu_rest) + 1
+    cl, cr = level_chain(2, n, pole, mu_rest)
+    k = ("f", "fbar", -h_shift(n), (m - 1, m))
+    prod, s = vertex_chain(n, m + 1, cl + [k] + cr)
+    return res, _sp_scale(prod, Fraction(-1, s))
 
 
 def a_residue_closed(n, mu_rest):

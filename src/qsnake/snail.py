@@ -7,7 +7,7 @@ parameter stepped down by (n+1)/2 at each level, leaves one operator on
 the window.  The tower is built that way: the window-shift level step of
 lattice.level_step, applied 2k-1 times to an operator on the m window
 slots.  Each level consumes the line the previous one created and closes
-it by the trace, so no level ever holds more than m+1 slots.  The
+it by the trace, and no level holds a map beyond the m window slots.  The
 consumed lines (the loops) alternate antifundamental, fundamental, ...;
 their positions sit in minimal snake position in the parity lattice,
 which ties the construction to the alternating snake characters: the

@@ -20,6 +20,12 @@ SNAKE_N3_L7_SHA256 = (
 ALL_JSON_SHA256 = (
     "2d9c71f8c7d03f069226f0a53516366c84e79f1f48745f26ee109ac06fdb6a3c")
 
+# sha256 of the standard output of `qsnake rqkz --L 5 --json -` at seed 0
+# (10 checks, all passing): the window-shift maps at the 3 <= m < L
+# crossings, which `all` at L = 3 never reaches
+RQKZ_L5_JSON_SHA256 = (
+    "9fe5e4136be3c12ae76bd02f7874651537fcd95b35f22c286bb319ad52a3798f")
+
 
 def check(name, char):
     want = (GOLDEN / name).read_text()
@@ -47,3 +53,9 @@ def test_all_json_byte_identical(capsys):
     assert main(["all", "--json", "-"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == ALL_JSON_SHA256
+
+
+def test_rqkz_l5_json_byte_identical(capsys):
+    assert main(["rqkz", "--L", "5", "--json", "-"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == RQKZ_L5_JSON_SHA256

@@ -33,6 +33,7 @@ from qsnake.lattice import (
     VanishingNormalization,
     a_operator,
     a_prefactor_expr,
+    a_residue_closed,
     a_residue_parts,
     colour_conserving,
     column_partition,
@@ -858,6 +859,10 @@ def test_a_residue_rank_one():
     arr = dense.reshape(d, d, d, d, d, d)
     mat = np.transpose(arr, (0, 1, 2, 5, 3, 4)).reshape(dim * d, d * d)
     assert _frac_rank(mat) == 1
+    # traced over the consumed line it is the closed residue: the chain's
+    # K, the mixed vertex at -(n+1)/2, is -K and its sign is undone
+    assert _sp_scale(_sp_ptrace(chain, 1, 3, d), res) == a_residue_closed(
+        2, [Fraction(2, 7)])
 
 
 def test_projected_reduction_exploratory_only():
@@ -1187,11 +1192,37 @@ def test_vertex_chain_returns_fresh_maps():
     assert type(digits) is tuple and all(type(t) is int for t in digits)
 
 
+def former_level_chain(which, n, nu, mus):
+    """Chain parts (CL, K, CR) of one window-shift level on m+1 slots,
+    m = len(mus) + 1, each a (map, scale) pair as vertex_chain returns.
+
+    Passive site j = 2..m, parameter mus[j-2], sits on slot m-j, the
+    consumed line on slot m-1 and the fresh output line on slot m.  The
+    level line crosses the passive sites upward (j = 2..m, vertices at
+    nu - mu_j) and downward (j = m..2, vertices at mu_j - nu); both
+    vertex kinds and K are symmetric in their two lines.  which=1 is
+    the raising level (up, K, down) with same-kind vertices, which=2 the
+    lowering one (down, K, up) with mixed vertices."""
+    if which not in (1, 2):
+        raise ValueError("which must be 1 or 2")
+    m = len(mus) + 1
+    kind = "f" if which == 1 else "fbar"
+    sites = list(enumerate(mus, 2))
+    up = vertex_chain(n, m + 1, [("f", kind, nu - mu, (m - j, m - 1))
+                                 for j, mu in sites])
+    down = vertex_chain(n, m + 1, [("f", kind, mu - nu, (m - j, m - 1))
+                                   for j, mu in reversed(sites)])
+    ks = _sp_integral(_sp_embed(k_matrix(n), (m - 1, m), m + 1, n + 1))
+    return (up, ks, down) if which == 1 else (down, ks, up)
+
+
 def former_level_step(which, n, nu, mus, mat):
-    """level_step with the extended input always multiplied in."""
+    """level_step's former route, kept as its oracle: the input extended
+    by the fresh line and multiplied as CL . mat . K . CR on m+1 slots
+    (former_level_chain), then the consumed slot traced."""
     m = len(mus) + 1
     d = n + 1
-    cl, ks, cr = lattice.level_chain(which, n, nu, mus)
+    cl, ks, cr = former_level_chain(which, n, nu, mus)
     prod, s = functools.reduce(_sp_scaled_mul, (
         cl, _sp_integral(_sp_extend(mat, d)), ks, cr))
     return _sp_ptrace(prod, m - 1, m + 1, d), s
@@ -1228,3 +1259,82 @@ def test_first_tower_level_skips_the_identity(monkeypatch):
         got, s = level_step(1, 2, Fraction(1, 3), mus[:1], one)
         image, scale = former_level_step(1, 2, Fraction(1, 3), mus[:1], one)
         assert s == scale and typed(got) == typed(image)
+
+
+def random_row_map(rng, dim, values):
+    """A random sparse row map on dim coordinates, entries from values."""
+    out = {}
+    for _ in range(rng.randint(0, min(dim, 32))):
+        v = rng.choice(values)
+        if v != 0:
+            out.setdefault(rng.randrange(dim), {})[rng.randrange(dim)] = v
+    return out
+
+
+def test_level_step_matches_the_three_chain_oracle():
+    # seeded random maps, not windows: a window conserves weight, so most
+    # digit pairs on the consumed slot never occur in one.  Every (n, m,
+    # level, nu, entry kind) once, a formal nu up to 64 coordinates.  Ints
+    # and Fractions keep entries, types and scale; RatFun entries keep
+    # values and scale (a sum whose RatFun terms cancel may stay a RatFun
+    # where the oracle's grouping drops them and leaves an int)
+    rng = random.Random(23)
+    x = RatFun.x()
+    seen = set()
+    for case in range(144):
+        n, m = 1 + case % 3, 1 + case // 3 % 4
+        which, formal = 1 + case // 12 % 2, case // 24 % 2 == 1
+        kind = ("int", "fraction", "ratfun")[case // 48 % 3]
+        if formal and (n + 1) ** m > 64:
+            continue
+        mus = seeded_labels(case, m - 1)
+        q = Fraction(rng.randint(-12, 12), rng.randint(1, 9))
+        nu = x + q if formal else q
+        values = {"int": [rng.randint(-4, 4) for _ in range(6)],
+                  "fraction": [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                               for _ in range(6)] + [2, -1],
+                  "ratfun": [x - Fraction(rng.randint(-6, 6), 5),
+                             RatFun.const(Fraction(3, 2)), 1, Fraction(-2, 3)],
+                  }[kind]
+        mat = random_row_map(rng, (n + 1) ** m, values)
+        before = typed(mat)
+        got, s = level_step(which, n, nu, mus, mat)
+        image, scale = former_level_step(which, n, nu, mus, mat)
+        assert typed(mat) == before, (n, m, which, nu, kind)
+        assert s == scale and type(s) is int, (n, m, which, nu, kind)
+        if kind == "ratfun":
+            assert got == image, (n, m, which, nu, kind)
+        else:
+            assert typed(got) == typed(image), (n, m, which, nu, kind)
+        seen.add((n, m, which, formal, kind))
+    assert {key[:2] for key in seen} == set(itertools.product(
+        (1, 2, 3), (1, 2, 3, 4)))
+    assert {key[:2] for key in seen if key[3]} == {
+        (n, m) for n in (1, 2, 3) for m in (1, 2, 3, 4) if (n + 1) ** m <= 64}
+    assert {key[2:] for key in seen} == set(itertools.product(
+        (1, 2), (False, True), ("int", "fraction", "ratfun")))
+
+
+def test_level_step_builds_no_map_on_m_plus_one_slots(monkeypatch):
+    # the window-shift maps on rqkz windows at (n, L, m) = (2, 4, 3) and a
+    # k = 2 tower at m = 3; a return to extending, embedding K or tracing
+    # a slot fails here loudly.  The references are built before the patch
+    n, L, m = 2, 4, 3
+    h = h_shift(n)
+    spec = rqkz_spec(n, L, 10 * L + m)
+    beta, mu_rest = spec.betas[0], spec.mus[1:m]
+    raising = (1, *range(m, 1, -1))
+    cases = [(a_operator(1, n, beta, mu_rest),
+              density_matrix(spec, m, [beta] + mu_rest, 0, raising)),
+             (a_operator(2, n, beta - h, mu_rest),
+              density_matrix(spec, m, [h - beta] + mu_rest, 1))]
+    tower = SnailSpec(n, 2, m, seeded_labels(5, m - 1))
+    want = [op(win).matrix for op, win in cases], _snail_matrix(tower)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a map on m+1 slots was built")
+
+    for name in ("_sp_extend", "_sp_embed", "_sp_ptrace", "k_matrix"):
+        monkeypatch.setattr(lattice, name, refuse)
+    got = [op(win).matrix for op, win in cases], _snail_matrix(tower)
+    assert got == want
