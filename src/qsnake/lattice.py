@@ -175,9 +175,9 @@ def _sp_diff(a, b):
     for r in set(a) | set(b):
         ra, rb = a.get(r, {}), b.get(r, {})
         for c in set(ra) | set(rb):
-            d = abs(ra.get(c, 0) - rb.get(c, 0))
-            if d > best:
-                best = d
+            x, y = ra.get(c, 0), rb.get(c, 0)
+            if x != y and abs(x - y) > best:  # equal entries never raise best
+                best = abs(x - y)
     return best
 
 

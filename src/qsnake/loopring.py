@@ -10,17 +10,21 @@ Monomials are stored packed (Kronecker substitution, as in Monagan and
 Pearce, "Polynomial division using dynamic arrays, heaps, and packed
 exponent vectors", CASC 2007): each variable owns a W-bit slot of one
 Python int and holds its exponent there as a signed digit, so the
-product of two monomials is the sum of their codes and hashing is int
-hashing.  Every monomial and combination carries a bound on the absolute
-value of its exponents; an operation whose bound could leave the digit
-range is recomputed exactly from the decoded exponents instead, so
-neighbouring slots never alias.  Codes depend on the order in which
-variables were first seen in the process; nothing is ordered by them.
+product of two monomials is the sum of their codes.  Products count
+code sums in C, per pair of coefficient groups; to_text decodes each
+code once, on the slots in use.  Every monomial and combination carries
+a bound on the absolute value of its exponents; an operation whose bound
+could leave the digit range is recomputed exactly from the decoded
+exponents instead, so neighbouring slots never alias.  Codes depend on
+the order in which variables were first seen; nothing is ordered by them.
 """
 
 import sys
+from collections import _count_elements
 from collections.abc import Mapping
-from itertools import compress
+from functools import reduce
+from itertools import compress, groupby, product, repeat, starmap
+from operator import add, getitem, itemgetter, or_, xor
 
 from .exactlin import echelon
 
@@ -47,6 +51,17 @@ class CartanData:
             raise ValueError(f"node {i} out of range 1..{self.n}")
 
 
+class _Memo(dict):
+    """A dict that makes each missing value once, as make(key)."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 class _SlotTable:
     """The slot of each variable (i, k), assigned in first-seen order.
 
@@ -57,17 +72,14 @@ class _SlotTable:
     """
 
     def __init__(self):
-        self.slot = {}
+        self.slot = _Memo(self._assign)
         self.variables = []
         self.bias = 0
 
-    def index(self, v):
-        s = self.slot.get(v)
-        if s is None:
-            s = self.slot[v] = len(self.variables)
-            self.variables.append(v)
-            self.bias |= _HALF << (W * s)
-        return s
+    def _assign(self, v):
+        self.variables.append(v)
+        self.bias |= _HALF << (W * (len(self.variables) - 1))
+        return len(self.variables) - 1
 
     def pack(self, exps):
         """(code, bound) of a {(i, k): e} map without zero exponents."""
@@ -75,7 +87,7 @@ class _SlotTable:
         for v, e in exps.items():
             if abs(e) > bound:
                 bound = abs(e)
-            code += e << (W * self.index(v))
+            code += e << (W * self.slot[v])
         if bound > MAX_EXPONENT:
             raise OverflowError(
                 f"exponent {bound} exceeds the packed range +-{MAX_EXPONENT}")
@@ -92,10 +104,23 @@ class _SlotTable:
 _SLOTS = _SlotTable()
 
 
-def _nonnegative(code):
-    """True when no exponent packed in code is negative."""
-    bias = _SLOTS.bias
-    return (code + bias) & bias == bias
+def _by_coefficient(terms):
+    """(c, codes) for each coefficient c of a {code: coefficient} dict."""
+    coeffs = set(terms.values())
+    if len(coeffs) == 1:  # a thin character: one group, no copy
+        return [(coeffs.pop(), terms)]
+    ordered = sorted(terms.items(), key=itemgetter(1))
+    return [(c, [code for code, _ in g]) for c, g in groupby(ordered, itemgetter(1))]
+
+
+def _add_into(terms, other, scale):
+    """terms += scale * other on {code: coefficient} dicts, dropping zeros."""
+    for code, c in other.items():
+        if c := terms.get(code, 0) + scale * c:
+            terms[code] = c
+        else:
+            del terms[code]
+    return terms
 
 
 def _max_exponent(codes):
@@ -265,12 +290,8 @@ class LaurentCombination:
         return LaurentCombination._new({}, 0)
 
     def _merge(self, other, sign):
-        terms = dict(self._terms)
-        get = terms.get
-        for code, c in other._terms.items():
-            terms[code] = get(code, 0) + sign * c
         return LaurentCombination._new(
-            {code: c for code, c in terms.items() if c},
+            _add_into(dict(self._terms), other._terms, sign),
             max(self._bound, other._bound))
 
     def __add__(self, other):
@@ -284,27 +305,30 @@ class LaurentCombination:
             {code: -c for code, c in self._terms.items()}, self._bound)
 
     def __mul__(self, other):
+        """Product with an int or a combination: the code sums of each pair
+        of coefficient groups are counted in C, then scaled and merged."""
         if isinstance(other, int):
             if not other:
                 return LaurentCombination.zero()
-            return LaurentCombination._new(
-                {code: other * c for code, c in self._terms.items()}, self._bound)
-        if not isinstance(other, LaurentCombination):
+            other = LaurentCombination._new({0: other}, 0)
+        elif not isinstance(other, LaurentCombination):
             return NotImplemented
         bound = self._bound + other._bound
         if bound > MAX_EXPONENT:
             bound = _max_exponent(self._terms) + _max_exponent(other._terms)
             if bound > MAX_EXPONENT:
                 return self._mul_exact(other)
+        right = _by_coefficient(other._terms)
         out = {}
-        get = out.get
-        right = list(other._terms.items())
-        for code1, c1 in self._terms.items():
-            for code2, c2 in right:
-                code = code1 + code2
-                out[code] = get(code, 0) + c1 * c2
-        return LaurentCombination._new(
-            {code: c for code, c in out.items() if c}, bound)
+        for c1, codes1 in _by_coefficient(self._terms):
+            for c2, codes2 in right:
+                counts = {}  # not a Counter: absent codes must raise KeyError
+                _count_elements(counts, starmap(add, product(codes1, codes2)))
+                if c1 * c2 == 1 and not out:  # zeros need a second group pair
+                    out = counts
+                else:
+                    _add_into(out, counts, c1 * c2)
+        return LaurentCombination._new(out, bound)
 
     __rmul__ = __mul__
 
@@ -359,9 +383,11 @@ def multiply(p, q):
     return p * q
 
 
-def _sorted_terms(p, keep):
+def _sorted_terms(p, sign):
+    """Terms whose exponents, times sign, are all nonnegative, in key order."""
+    bias = _SLOTS.bias
     out = [(LoopMonomial._wrap(code, p._bound), c)
-           for code, c in p._terms.items() if keep(code)]
+           for code, c in p._terms.items() if (sign * code + bias) & bias == bias]
     out.sort(key=lambda t: t[0].key())
     return out
 
@@ -371,11 +397,11 @@ def dominant_monomials(p):
 
     Deterministic order: lexicographic on the canonical monomial key.
     """
-    return _sorted_terms(p, _nonnegative)
+    return _sorted_terms(p, 1)
 
 
 def antidominant_monomials(p):
-    return _sorted_terms(p, lambda code: _nonnegative(-code))
+    return _sorted_terms(p, -1)
 
 
 def a_decompose(cartan, m):
@@ -423,13 +449,27 @@ def to_text(p):
     """Serialize a combination, one monomial per line: 'coeff Y[i,k]^e ...'.
 
     Lines are sorted by the canonical monomial key, so equal combinations
-    serialize byte-identically.
+    serialize byte-identically.  Codes are decoded only on the slots in
+    use, into ((i, k), e) pairs that rows share; each is formatted once.
     """
-    rows = sorted((sorted(_SLOTS.unpack(code).items()), c)
-                  for code, c in p._terms.items())
-    lines = [" ".join([str(c)] + [f"Y[{i},{k}]^{e}" for (i, k), e in exps])
-             for exps, c in rows]
-    return "\n".join(lines) + ("\n" if lines else "")
+    terms, bias, variables = p._terms, _SLOTS.bias, _SLOTS.variables
+    used = reduce(or_, map(xor, map(add, terms, repeat(bias)), repeat(bias)), 0)
+    if not used:  # the zero combination or a multiple of the unit
+        return "".join(f"{c}\n" for c in terms.values())
+    nbytes = -(-used.bit_length() // W) * (W // 8)
+    slots = sorted(compress(range(len(variables)), memoryview(used.to_bytes(
+        nbytes, sys.byteorder)).cast(_DIGIT)), key=variables.__getitem__)
+    pairs = [_Memo(lambda e, v=variables[s]: (v, e)) for s in slots]
+    pick = itemgetter(*slots, slots[0])  # a tuple even for a single slot
+    rows = []
+    for code, c in terms.items():
+        digits = pick(memoryview(((code + bias) ^ bias).to_bytes(
+            nbytes, sys.byteorder)).cast(_DIGIT))
+        rows.append((list(compress(map(getitem, pairs, digits), digits)), c))
+    rows.sort()
+    text = _Memo(lambda pair: f"Y[{pair[0][0]},{pair[0][1]}]^{pair[1]}")
+    return "".join(" ".join([str(c), *map(text.__getitem__, exps)]) + "\n"
+                   for exps, c in rows)
 
 
 def from_text(text):

@@ -160,7 +160,7 @@ def _snake_rec(n, p, l, shift):
         head = fundamental_qchar(n, node, shift).char
         out = head * _snake_rec(n, p + 1, l - 1, shift + n + 1)
         out = out - _snake_rec(n, p, l - 2, shift + 2 * (n + 1))
-    if any(c != 1 for c in out.terms.values()):
+    if not set(out.terms.values()) <= {1}:
         raise ArithmeticError("snake recursion produced a non-thin character")
     _snake_cache[key] = out
     return out

@@ -26,6 +26,16 @@ ALL_JSON_SHA256 = (
 RQKZ_L5_JSON_SHA256 = (
     "9fe5e4136be3c12ae76bd02f7874651537fcd95b35f22c286bb319ad52a3798f")
 
+# sha256 of to_text of S_odd(3, 3, shift 4) * S_even(3, 3, shift 0), whose
+# coefficients are 1, 2 and 4, and of that product times the fundamental
+# character of node 1 at shift 0 (coefficients 1, 2, 3, 4, 6 and 8):
+# products of operands that are not thin, merged over several pairs of
+# coefficient groups
+SNAKE_PRODUCT_SHA256 = (
+    "830d26e68d491c08c36d1c75630de3ce88b04718e80304be1b8cb82c08a00c84")
+SNAKE_PRODUCT_TIMES_FUND_SHA256 = (
+    "cd134790cb4f05a0ededca75aa1d840f596bd6a04f32fc1ba6beadea3e057c38")
+
 
 def check(name, char):
     want = (GOLDEN / name).read_text()
@@ -40,6 +50,18 @@ def test_fundamental_golden():
 
 def test_snake_golden():
     check("snake_n2_even_l2_s0.txt", snake_qchar(2, "even", 2, 0).char)
+
+
+def test_products_of_non_thin_characters_golden():
+    p = snake_qchar(3, "odd", 3, 4).char * snake_qchar(3, "even", 3, 0).char
+    q = p * fundamental_qchar(3, 1, 0).char
+    assert sorted(set(p.terms.values())) == [1, 2, 4]
+    assert sorted(set(q.terms.values())) == [1, 2, 3, 4, 6, 8]
+    for char, want in ((p, SNAKE_PRODUCT_SHA256),
+                       (q, SNAKE_PRODUCT_TIMES_FUND_SHA256)):
+        text = to_text(char)
+        assert hashlib.sha256(text.encode()).hexdigest() == want
+        assert from_text(text) == char
 
 
 def test_snake_listing_byte_identical(capsys):

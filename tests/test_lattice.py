@@ -211,6 +211,56 @@ def test_max_abs_diff_rejects_unequal_shapes():
     assert max_abs_diff(b, np.zeros((3, 3), dtype=object)) == 5
 
 
+def former_sp_diff(a, b):
+    """The former _sp_diff, which subtracts every pair of entries."""
+    best = Fraction(0)
+    for r in set(a) | set(b):
+        ra, rb = a.get(r, {}), b.get(r, {})
+        for c in set(ra) | set(rb):
+            d = abs(ra.get(c, 0) - rb.get(c, 0))
+            if d > best:
+                best = d
+    return best
+
+
+def test_sp_diff_matches_the_former_formula():
+    rng = random.Random(19)
+
+    def entry():
+        if rng.random() < 0.5:
+            return rng.randint(-4, 4) or 1
+        return Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+
+    kinds = set()
+    for _ in range(400):
+        a, b = {}, {}
+        for r in range(rng.randint(0, 4)):
+            for c in range(rng.randint(0, 5)):
+                kind = rng.choice(("equal", "same value", "differ",
+                                   "only a", "only b"))
+                kinds.add(kind)
+                x = entry()
+                if kind == "equal":
+                    a.setdefault(r, {})[c] = b.setdefault(r, {})[c] = x
+                elif kind == "same value":  # an int beside an equal Fraction
+                    a.setdefault(r, {})[c] = Fraction(x)
+                    b.setdefault(r, {})[c] = int(x) if x == int(x) else x
+                elif kind == "differ":
+                    a.setdefault(r, {})[c] = x
+                    b.setdefault(r, {})[c] = x + entry()
+                else:
+                    (a if kind == "only a" else b).setdefault(r, {})[c] = x
+        got, want = _sp_diff(a, b), former_sp_diff(a, b)
+        assert got == want and type(got) is type(want), (a, b)
+        assert _sp_diff(b, a) == want
+    assert kinds == {"equal", "same value", "differ", "only a", "only b"}
+    # no difference at all reads Fraction(0), as before
+    m = {0: {1: 2, 3: Fraction(1, 2)}, 4: {0: -1}}
+    assert _sp_diff(m, dict(m)) == 0 and type(_sp_diff(m, m)) is Fraction
+    assert _sp_diff({}, {}) == 0 and type(_sp_diff({}, {})) is Fraction
+    assert _sp_diff(m, {}) == 2 and type(_sp_diff(m, {})) is int
+
+
 # ---------------------------------------------------------------------------
 # monodromy and transfer
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsnake import loopring
 from qsnake.loopring import (
     MAX_EXPONENT,
     ONE,
@@ -186,6 +187,79 @@ def test_text_roundtrip_and_canonical_form():
     assert from_text("1\n") == LaurentCombination.unit()
 
 
+def former_to_text(p):
+    """The former to_text: every code decoded in full, then sorted."""
+    rows = sorted((sorted(m.exps.items()), c) for m, c in p.terms.items())
+    return "".join(" ".join([str(c)] + [f"Y[{i},{k}]^{e}" for (i, k), e in exps])
+                   + "\n" for exps, c in rows)
+
+
+def test_text_of_the_unit_and_of_a_subset_of_slots():
+    # variables first seen out of canonical order, so their slots are too
+    first_seen = [(5, 903), (2, 901), (4, 902), (2, 900)]
+    u, v, w, x = (y_var(i, k) for i, k in first_seen)
+    slot = loopring._SLOTS.slot
+    assert slot[(5, 903)] < slot[(2, 901)] < slot[(4, 902)] < slot[(2, 900)]
+    one = LaurentCombination.unit()
+    cases = {
+        "": LaurentCombination.zero(),
+        "1\n": one,
+        "3\n": one * 3,
+        "-2\n": 1 * one * -2,
+        # the slot of w is unused: a strict subset of the table
+        "-2\n1 Y[2,900]^1\n3 Y[2,901]^-1 Y[5,903]^2\n":
+            comb((ONE, -2), (u ** 2 * v.inverse(), 3), (x, 1)),
+        # one used slot
+        "2 Y[4,902]^-3\n1 Y[4,902]^1\n": comb((w ** -3, 2), (w, 1)),
+        "-1 Y[2,900]^-1 Y[2,901]^-1\n7 Y[2,900]^2 Y[4,902]^1 Y[5,903]^-1\n":
+            comb((u.inverse() * w * x ** 2, 7), ((v * x).inverse(), -1)),
+    }
+    for want, p in cases.items():
+        assert to_text(p) == former_to_text(p) == want
+        assert from_text(want) == p
+
+
+def test_products_cancel_across_coefficient_groups():
+    x, y = y_var(1, 0), y_var(2, 1)
+    px, py = LaurentCombination.from_monomial(x), LaurentCombination.from_monomial(y)
+    plus, minus = px + py, px - py
+    # (x + y)(x - y): the xy terms of the two groups of x - y cancel
+    diff = plus * minus
+    assert diff == minus * plus == comb((x * x, 1), (y * y, -1))
+    assert x * y not in diff.terms
+    with pytest.raises(KeyError):
+        diff.terms[x * y]
+    assert diff.coeff(x * y) == 0
+    # the same through the int path and through scaled single groups
+    assert (3 * plus) * (minus * 2) == comb((x * x, 6), (y * y, -6))
+    assert (plus * 3) * (plus * -1) == comb((x * x, -3), (x * y, -6), (y * y, -3))
+    # several groups on both sides against the term-by-term product
+    p = comb((x, 1), (y, 2), (x * y, -3), (ONE, 2))
+    q = comb((x, 2), (y, -4), (x.inverse(), 5), (y.inverse(), 1))
+    want = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            want[m1 * m2] = want.get(m1 * m2, 0) + c1 * c2
+    assert p * q == LaurentCombination(want) and 0 in want.values()
+    products = [diff, p * q, q * p, plus * plus, (plus * 3) * minus]
+    # Laurent combinations have no zero divisors: a product is zero only
+    # when a factor is, while merges cancel to zero
+    zero = LaurentCombination.zero()
+    for z in (plus * zero, zero * minus, plus * 0, 0 * minus, zero * zero,
+              plus - plus, diff + (-1) * diff, p * q - q * p):
+        assert z.is_zero() and z == zero and to_text(z) == ""
+        assert x not in z.terms
+        products.append(z)
+    products += [plus - minus, diff - minus * minus, p + q]
+    for r in products:
+        assert 0 not in r.terms.values()
+        assert type(r.terms._terms) is dict
+        assert from_text(to_text(r)) == r
+        assert y_var(3, 77) not in r.terms
+        with pytest.raises(KeyError):
+            r.terms[y_var(3, 77)]
+
+
 def test_from_text_rejects_bad_variable():
     with pytest.raises(ValueError, match="bad variable X\\[1,0\\]"):
         from_text("1 X[1,0]^1\n")
@@ -353,6 +427,7 @@ def test_packed_combination_product_matches_reference(s, t):
             p * q
     else:
         assert as_ref(p * q) == {k: c for k, c in want.items() if c}
+        assert 0 not in (p * q).terms.values()
 
 
 @settings(max_examples=100, deadline=None)
