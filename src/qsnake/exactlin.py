@@ -4,16 +4,16 @@ Two scalar carriers: Fraction for plain rationals and RatFun for univariate
 rational functions with integer-coefficient numerator and denominator in
 canonical form.  LabeledTensor holds a dense object array with named,
 oriented legs; contract pairs in-legs with out-legs over stored entries
-only, in any order.  echelon eliminates fraction-free: rational rows are
-cleared to integers once and divided by their pivots only on return.
+only, in any order.  The labeled tensors are test oracles that import
+numpy in their bodies; the scalars and echelon never load it.  echelon
+eliminates fraction-free: rational rows are cleared to integers once and
+divided by their pivots only on return.
 No floating point anywhere: a float entry or coefficient raises TypeError.
 """
 
 import heapq
 from fractions import Fraction
 from math import gcd, lcm, prod
-
-import numpy as np
 
 # polynomials are tuples of coefficients, ascending, no trailing zeros
 
@@ -286,6 +286,7 @@ class LabeledTensor:
     """Dense tensor with labeled, oriented legs over an exact scalar field."""
 
     def __init__(self, legs, data):
+        import numpy as np
         self.legs = tuple(legs)
         arr = np.asarray(data, dtype=object)
         if arr.shape != tuple(l.dim for l in self.legs):
@@ -312,6 +313,7 @@ def tensor_from_matrix(mat, out_labels, in_labels, dims):
 
     Row index factors over out_labels, column index over in_labels.
     """
+    import numpy as np
     data = np.full((prod(dims),) * 2, Fraction(0), dtype=object)
     for r, row in mat.items():
         for c, v in row.items():
@@ -345,6 +347,7 @@ def contract(ts, pairings):
     index, or keeps one tensor's entries whose two indices agree.  The
     result's .data is dense, with Fraction(0) where nothing is stored.
     """
+    import numpy as np
     labels = [l.label for t in ts for l in t.legs]
     dup = [x for i, x in enumerate(labels) if x in labels[:i]]
     if dup:
@@ -471,6 +474,7 @@ def matrix_rank(t, row_legs, col_legs):
     RatFun entries are eliminated over Q(x), so their rank is the exact
     generic rank.
     """
+    import numpy as np
     row_legs = list(row_legs)
     col_legs = list(col_legs)
     labels = [l.label for l in t.legs]

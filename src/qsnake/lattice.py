@@ -22,8 +22,10 @@ Every line of vertices is one vertex_chain product over ints at rational
 arguments: each vertex acts on the stored entries as alpha*1 + beta*P or
 alpha*1 + beta*K, no vertex map built, and the window's trace or the
 map's scalar absorbs the chain's one integer scale.  The dense forms
-(embed_pair, ptrace_slot, monodromy_matrix, transfer_matrix, their
-labeled tensors) are the tests' oracles.  All functions are pure.
+(embed_pair, ptrace_slot, max_abs_diff, monodromy_matrix,
+transfer_matrix, their labeled tensors) are the tests' oracles, which no
+suite calls; only they load numpy, from their bodies.  All functions
+are pure.
 """
 
 from fractions import Fraction
@@ -32,8 +34,6 @@ import itertools
 import math
 import operator
 import random
-
-import numpy as np
 
 from .exactlin import (RatFun, echelon, pole_order_at, residue_at,
                        tensor_from_matrix)
@@ -242,6 +242,7 @@ def vertex_chain(n, nslots, factors):
 
 
 def _sp_to_dense(a, dim):
+    import numpy as np
     m = np.full((dim, dim), Fraction(0), dtype=object)
     for r, row in a.items():
         for c, v in row.items():
@@ -261,6 +262,7 @@ def _dense_to_sp(mat):
 def embed_pair(mat2, slots, nslots, n):
     """Dense embedding of a dense two-slot operator: its Kronecker
     product with the identity, the axes then put in slot order."""
+    import numpy as np
     d = n + 1
     rest = [s for s in range(nslots) if s not in slots]
     if len(rest) != nslots - 2:
@@ -275,6 +277,7 @@ def embed_pair(mat2, slots, nslots, n):
 
 def ptrace_slot(mat, slot, nslots, n):
     """Dense partial trace over one slot's row and column axes."""
+    import numpy as np
     d = n + 1
     full = np.asarray(mat, dtype=object).reshape((d,) * (2 * nslots))
     out = np.trace(full, axis1=slot, axis2=nslots + slot)
@@ -283,6 +286,7 @@ def ptrace_slot(mat, slot, nslots, n):
 
 def max_abs_diff(a, b):
     """Largest absolute entry difference of two dense arrays of one shape."""
+    import numpy as np
     a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"shapes {a.shape} and {b.shape} differ")

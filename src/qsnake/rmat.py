@@ -6,14 +6,13 @@ through the dual basis, with the charge conjugation C (index reversal)
 mediating between them.  Same-kind vertices are x*1 + P, mixed-kind
 vertices are (x + (n+1)/2)*1 - K where K is the rank-1 singlet operator.
 Operators are sparse row maps {row: {col: value}} storing no zero and
-no empty row; only the labeled tensors hold dense arrays.
+no empty row; only the labeled tensors, test wrappers that import numpy
+when called, hold dense arrays.
 The transcendental scalar prefactor rho is never evaluated; it is carried
 formally and removed through its two functional relations.
 """
 
 from fractions import Fraction
-
-import numpy as np
 
 from .exactlin import LabeledTensor, Leg, RatFun, tensor_from_matrix
 
@@ -95,6 +94,7 @@ def singlet_vector(n, side="fbar-f"):
     """
     if side not in ("fbar-f", "f-fbar"):
         raise ValueError("side must be 'fbar-f' or 'f-fbar'")
+    import numpy as np
     d = n + 1
     vec = np.full((d, d), Fraction(0), dtype=object)
     for i in range(d):

@@ -21,13 +21,11 @@ residue multiplies the polynomial tensor part evaluated at the pole.
 
 from fractions import Fraction
 
-import numpy as np
-
-from .exactlin import (RatFun, contract, echelon, pole_order_at, residue_at,
+from .exactlin import (RatFun, echelon, pole_order_at, residue_at,
                        tensor_from_matrix)
 from .lattice import (LatticeSpec, _sp_diff, _sp_embed, _sp_identity, _sp_mul,
-                      _sp_scale, _sp_site_sum, density_matrix, level_step,
-                      max_abs_diff, projected_reduction_check,
+                      _sp_ptrace, _sp_scale, _sp_site_sum, density_matrix,
+                      level_step, projected_reduction_check,
                       reduced_prefactor, seeded_rationals,
                       simple_pole_residue, vertex_chain)
 from .qchar import SnakeSpec, module_dim, snake_qchar
@@ -159,9 +157,14 @@ def snail_operator(spec):
 
 
 def contraction_order_check(spec):
-    """Contract the one-level tower as a labeled diagram in two pairing
-    orders and compare both against the assembled operator.
+    """Close the one-level tower as a diagram on row maps in two
+    association orders and compare both against the assembled operator.
 
+    Slots (s2, o, al): CR and CL, the vertices at nu - mu_2 and
+    mu_2 - nu, act on the window site and the loop (0, 2), K on the fresh
+    line and the loop (1, 2).  (CL K) CR and CL (K CR) are closed over
+    the loop by the partial trace and scaled by the tower residue; the
+    fresh line o is site 1 of the assembled operator.
     Restricted to k=1, m=2: the smallest closed tower already exercises
     every wiring rule (site leg, loop line, fresh output, trace closure)
     while staying readable as an explicit diagram."""
@@ -172,32 +175,13 @@ def contraction_order_check(spec):
     mu2 = spec.mus[0]
     nu = mu2 - h_shift(n)
     _, res = _tower_scalar(spec)
-    cr = tensor_from_matrix(vertex_matrix(n, "f", "fbar", nu - mu2),
-                            ["cr_s2", "cr_al"], ["s2_in", "al_in"], [d, d])
-    ks = tensor_from_matrix(k_matrix(n), ["k_o", "k_al"],
-                            ["o_in", "k_al_in"], [d, d])
-    cl = tensor_from_matrix(vertex_matrix(n, "f", "fbar", mu2 - nu),
-                            ["s2_out", "cl_al"], ["cl_s2_in", "cl_al_in"],
-                            [d, d])
-    pairings = [
-        ("cr_al", "k_al_in"),
-        ("k_al", "cl_al_in"),
-        ("cr_s2", "cl_s2_in"),
-        ("cl_al", "al_in"),
-    ]
-    want = snail_operator(spec)
-    order_want = ["s2_out", "s1_out", "s2_in", "s1_in"]
-    ref = np.transpose(want.data,
-                       [[l.label for l in want.legs].index(x)
-                        for x in order_want])
-    resid = []
-    for order in (pairings, pairings[::-1]):
-        got = contract([cr, ks, cl], order)
-        labels = [l.label for l in got.legs]
-        arr = np.transpose(
-            got.data,
-            [labels.index(x) for x in ("s2_out", "k_o", "s2_in", "o_in")])
-        resid.append(max_abs_diff(arr * res, ref))
+    cr = _sp_embed(vertex_matrix(n, "f", "fbar", nu - mu2), (0, 2), 3, d)
+    ks = _sp_embed(k_matrix(n), (1, 2), 3, d)
+    cl = _sp_embed(vertex_matrix(n, "f", "fbar", mu2 - nu), (0, 2), 3, d)
+    want = _snail_matrix(spec)
+    resid = [_sp_diff(_sp_scale(_sp_ptrace(x, 2, 3, d), res), want)
+             for x in (_sp_mul(_sp_mul(cl, ks), cr),
+                       _sp_mul(cl, _sp_mul(ks, cr)))]
     status = "pass" if all(r == 0 for r in resid) else "fail"
     return VerificationReport(
         check="tower contraction order",

@@ -5,14 +5,22 @@ Every import statement of src/qsnake, at module level or inside a
 function, is read with ast.  A name with a leading underscore is a
 module's private helper and must not be imported by another module.  The
 command line module parses options and dispatches, so it does not import
-numpy.  The modules import each other without a cycle.  Every top-level
-function and class is used somewhere in src/qsnake outside its own
-definition, or is wrapped by a traced benchmark run (perfbench/spans.py
-TRACED, loaded by path as test_traced_names does)."""
+numpy; no module imports numpy at module level, so no command line run
+loads it (only the dense test oracles do).  The modules import each
+other without a cycle.  Every top-level function and class is used
+somewhere in src/qsnake outside its own definition, or is wrapped by a
+traced benchmark run (perfbench/spans.py TRACED, loaded by path as
+test_traced_names does)."""
 
 import ast
+import hashlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+from test_golden import ALL_JSON_SHA256
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qsnake"
@@ -24,8 +32,8 @@ MODULES = {p.stem for p in SRC.glob("*.py")}
 # (perfbench/spans.py TRACED), which wraps them under these names.
 ALLOWED = {
     ("snail", "lattice"): {
-        "_sp_diff", "_sp_embed", "_sp_identity", "_sp_mul", "_sp_scale",
-        "_sp_site_sum"},
+        "_sp_diff", "_sp_embed", "_sp_identity", "_sp_mul", "_sp_ptrace",
+        "_sp_scale", "_sp_site_sum"},
 }
 
 
@@ -55,6 +63,42 @@ def test_no_private_names_across_modules():
 def test_cli_does_not_import_numpy():
     assert not [src for imp, src, _name in imports()
                 if imp == "cli" and src.split(".")[0] == "numpy"]
+
+
+def test_no_module_level_numpy_import():
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            bad += [f"{path.stem}: {name}" for name in names
+                    if name.split(".")[0] == "numpy"]
+    assert not bad, bad
+
+
+def _without_numpy(code, *argv):
+    """Run code in a fresh interpreter in which importing numpy fails."""
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; sys.modules['numpy'] = None\n"
+         + code, *argv], capture_output=True, env=env, timeout=300)
+
+
+def test_cli_runs_without_numpy():
+    out = _without_numpy("import qsnake.cli\n"
+                         "assert sys.modules['numpy'] is None")
+    assert out.returncode == 0, out.stderr.decode()
+    run = "from qsnake.cli import main\nsys.exit(main(sys.argv[1:]))"
+    out = _without_numpy(run, "all", "--json", "-", "--seed", "0")
+    assert out.returncode == 0, out.stderr.decode()
+    assert hashlib.sha256(out.stdout).hexdigest() == ALL_JSON_SHA256
+    out = _without_numpy(run, "snail", "--n", "3", "--max-k", "2")
+    assert out.returncode == 0, out.stderr.decode()
 
 
 def test_no_import_cycle():

@@ -441,6 +441,31 @@ def test_contraction_order_check_at_rank(n, monkeypatch):
     assert rep.witness["residual_reversed"] != 0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_contraction_order_check_catches_miswiring(n, monkeypatch):
+    # the check's diagram sits on slots (s2, o, al): CR and CL on (s2, al),
+    # K on (o, al), al traced.  K on (s2, al), or the fresh line o traced
+    # in place of the loop, must fail in both association orders
+    spec = SnailSpec(n, 1, 2, [Fraction(2, 7)])
+    embed, ptrace = snail._sp_embed, snail._sp_ptrace
+
+    def k_on_the_site(mat, slots, nslots, d):
+        return embed(mat, (0, 2) if slots == (1, 2) else slots, nslots, d)
+
+    def fresh_line_traced(a, slot, nslots, d):
+        return ptrace(a, 1 if slot == 2 else slot, nslots, d)
+
+    for name, mutant in (("_sp_embed", k_on_the_site),
+                         ("_sp_ptrace", fresh_line_traced)):
+        with monkeypatch.context() as m:
+            m.setattr(snail, name, mutant)
+            rep = contraction_order_check(spec)
+        assert rep.status == "fail", name
+        assert rep.witness["residual_forward"] != 0
+        assert rep.witness["residual_reversed"] != 0
+    assert contraction_order_check(spec).status == "pass"
+
+
 # ---------------------------------------------------------------------------
 # the rank-2 fused window relation
 
