@@ -35,14 +35,14 @@ def _ranks(o):
 
 def _snake_listing(o):
     char = snake_qchar(o["n"], o["parity"], o["snake_l"], o["shift"])
-    sys.stdout.write(to_text(char.char))
+    sys.stdout.write(to_text(char))
     return VerificationReport(
         check="snake character monomials",
         params={"n": o["n"], "l": o["snake_l"], "parity": o["parity"],
                 "shift": o["shift"]},
         status="pass",
         anchor="canonical monomial listing of one snake character",
-        witness={"monomials": len(char.char)})
+        witness={"monomials": len(char)})
 
 
 def _pole_single(o):

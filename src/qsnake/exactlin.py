@@ -6,8 +6,8 @@ canonical form.  LabeledTensor holds a dense object array with named,
 oriented legs; contract pairs in-legs with out-legs over stored entries
 only, in any order.  The labeled tensors are test oracles that import
 numpy in their bodies; the scalars and echelon never load it.  echelon
-eliminates fraction-free: rational rows are cleared to integers once and
-divided by their pivots only on return.
+eliminates over Q only, fraction-free: rows are cleared to integers once
+and divided by their pivots only on return; RatFun entries are refused.
 No floating point anywhere: a float entry or coefficient raises TypeError.
 """
 
@@ -398,32 +398,30 @@ def contract(ts, pairings):
 
 
 def echelon(rows):
-    """Row echelon form of sparse rows {column: value} over Q or Q(x).
+    """Row echelon form of sparse rows {column: value} over Q.
 
     Returns {pivot column: row scaled to 1 at its pivot}, holding only
-    nonzero entries: Fraction values for rational rows, RatFun where a
-    rational function took part.  Every returned row is zero left of its
+    nonzero Fraction entries.  Every returned row is zero left of its
     pivot, so the pivots are the leading columns of the row space and
     their number is the rank.  Only nonzero entries are touched: rows with
     disjoint supports never meet.  The input rows are not modified; an
-    entry neither rational nor RatFun, a float say, raises TypeError.
+    entry that is not an int or a Fraction, a float or a RatFun say,
+    raises TypeError.
 
-    Elimination is fraction-free: a rational row is cleared to integers
-    once, column c of row r is eliminated against pivot row q as
+    Elimination is fraction-free: each row is cleared to integers once,
+    column c of row r is eliminated against pivot row q as
     (q[c]/g) r - (r[c]/g) q with g = gcd(q[c], r[c]), and pivot rows are
     stored primitive and divided by their pivots only on return.  Each
     row is a nonzero multiple of the one elimination over Q reaches, with
-    the same support.  Where a RatFun takes part the cofactors are
-    (1, r[c]/q[c])."""
+    the same support."""
     piv = {}
     for row in rows:
         for v in row.values():
-            if not isinstance(v, (int, Fraction, RatFun)):
-                raise TypeError(f"entry {v!r} is neither rational nor RatFun")
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"entry {v!r} is not rational")
         row = {c: v for c, v in row.items() if v}
-        if not any(isinstance(v, RatFun) for v in row.values()):
-            s = lcm(*(v.denominator for v in row.values()))
-            row = {c: v.numerator * (s // v.denominator) for c, v in row.items()}
+        s = lcm(*(v.denominator for v in row.values()))
+        row = {c: v.numerator * (s // v.denominator) for c, v in row.items()}
         todo = [c for c in row if c in piv]
         heapq.heapify(todo)
         while todo:  # ascending, so a reduction never refills a done column
@@ -433,14 +431,11 @@ def echelon(rows):
                 continue
             prow = piv[c]
             p = prow[c]
-            if isinstance(p, int) and isinstance(f, int):
-                g = gcd(p, f)
-                p, f = p // g, f // g
-                if p != 1:
-                    for j in row:
-                        row[j] *= p
-            else:
-                f = f / p
+            g = gcd(p, f)
+            p, f = p // g, f // g
+            if p != 1:
+                for j in row:
+                    row[j] *= p
             for j, v in prow.items():
                 if j == c:
                     continue
@@ -452,10 +447,9 @@ def echelon(rows):
                     heapq.heappush(todo, j)
                 row[j] = w
         if row:
-            if all(isinstance(v, int) for v in row.values()):
-                g = gcd(*row.values())
-                if g != 1:
-                    row = {j: v // g for j, v in row.items()}
+            g = gcd(*row.values())
+            if g != 1:
+                row = {j: v // g for j, v in row.items()}
             piv[min(row)] = row
     for c, row in piv.items():
         inv = Fraction(1) / row[c]
@@ -464,15 +458,15 @@ def echelon(rows):
 
 
 def _frac_rank(mat):
-    """Exact rank of a 2d array of rationals or rational functions."""
+    """Exact rank of a 2d array of rationals, by echelon."""
     return len(echelon({j: v for j, v in enumerate(row) if v} for row in mat))
 
 
 def matrix_rank(t, row_legs, col_legs):
     """Exact rank of the tensor flattened to a row_legs x col_legs matrix.
 
-    RatFun entries are eliminated over Q(x), so their rank is the exact
-    generic rank.
+    Entries must be rational: echelon eliminates over Q and refuses
+    RatFun entries with TypeError.
     """
     import numpy as np
     row_legs = list(row_legs)

@@ -1,13 +1,15 @@
 """q-characters of fundamental, Kirillov-Reshetikhin and snake modules.
 
-Snake characters for the alternating family (nodes 1, n, 1, n, ... with
-second-index steps of n+1) are generated by the three-term recursion that
-also drives the extended T-system.  The fundamental character at each of
-the two extremal nodes is one closed-form chain of monomials, and the
-Kirillov-Reshetikhin characters there are one-row tableau sums over that
-chain.  The dominant monomial census and the composition-factor
-decomposition of alternating products both run over strip tilings by 1-
-and 2-blocks, which is where the Fibonacci counts come from.
+Characters are plain LaurentCombinations.  Snake characters for the
+alternating family (nodes 1, n, 1, n, ... with second-index steps of n+1)
+grow by appending points: each family keeps its prefixes, and the next is
+the last times the next point's fundamental less the one before.  The
+fundamental character at each of the two extremal nodes is one
+closed-form chain of monomials, and the Kirillov-Reshetikhin characters
+there are one-row tableau sums over that chain.  The dominant monomial
+census and the composition-factor decomposition of alternating products
+both run over strip tilings by 1- and 2-blocks, which is where the
+Fibonacci counts come from.
 """
 
 from fractions import Fraction
@@ -24,8 +26,6 @@ from .loopring import (
     y_var,
 )
 from .report import VerificationReport
-
-PROVENANCES = ("fundamental", "kirillov-reshetikhin", "snake", "product", "virtual")
 
 
 class SnakeSpec:
@@ -73,19 +73,6 @@ class SnakeSpec:
         )
 
 
-class ModuleChar:
-    """A character together with how it was produced."""
-
-    def __init__(self, char, provenance):
-        if provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {provenance!r}")
-        self.char = char
-        self.provenance = provenance
-
-    def __repr__(self):
-        return f"ModuleChar({self.provenance}, {len(self.char)} monomials)"
-
-
 def _parity_start(parity):
     if parity == "even":
         return 0
@@ -119,8 +106,7 @@ def fundamental_qchar(n, node, shift=0):
     Only nodes 1 and n are available; middle-node characters are not
     representable in this family.
     """
-    return ModuleChar(LaurentCombination(dict.fromkeys(_chain(n, node, shift), 1)),
-                      "fundamental")
+    return LaurentCombination(dict.fromkeys(_chain(n, node, shift), 1))
 
 
 def alternating_snake_spec(n, parity, l, shift=0):
@@ -132,38 +118,31 @@ _snake_cache = {}
 
 
 def snake_qchar(n, parity, l, shift=0):
-    """Character of the l-point alternating snake by the three-term recursion.
+    """Character of the l-point alternating snake, grown by appending points.
 
-    The recursion peels the first point: the product of the fundamental at
-    that point with the remaining snake overshoots by exactly the snake
-    with the first two points removed.  The result must come out thin; a
+    Each (n, parity, shift) keeps its list of prefixes: S_0 = 1 and
+    S_k = S_{k-1} F_{k-1} - S_{k-2}, where F_t is the fundamental at point
+    t (node node_at(n, parity, t), shift + t(n+1)).  The last chain
+    monomial of one point times the first of the next is 1, so the
+    product overshoots by exactly S_{k-2}.  A prefix must come out thin; a
     coefficient other than 1 is an internal inconsistency and aborts.
-    Thinness is checked once per snake, when the recursion builds it.
+    Thinness is checked once per prefix, when it is built.
     """
     if l < 0:
         raise ValueError("snake length must be >= 0")
-    p = _parity_start(parity)
-    return ModuleChar(_snake_rec(n, p, l, shift), "snake")
-
-
-def _snake_rec(n, p, l, shift):
-    key = (n, p % 2, l, shift)
-    if key in _snake_cache:
-        return _snake_cache[key]
-    if l == 0:
-        out = LaurentCombination.unit()
-    elif l == 1:
-        node = 1 if p % 2 == 0 else n
-        out = fundamental_qchar(n, node, shift).char
-    else:
-        node = 1 if p % 2 == 0 else n
-        head = fundamental_qchar(n, node, shift).char
-        out = head * _snake_rec(n, p + 1, l - 1, shift + n + 1)
-        out = out - _snake_rec(n, p, l - 2, shift + 2 * (n + 1))
-    if not set(out.terms.values()) <= {1}:
-        raise ArithmeticError("snake recursion produced a non-thin character")
-    _snake_cache[key] = out
-    return out
+    _parity_start(parity)
+    prefixes = _snake_cache.setdefault((n, parity, shift),
+                                       [LaurentCombination.unit()])
+    while len(prefixes) <= l:
+        t = len(prefixes) - 1
+        out = prefixes[t] * fundamental_qchar(n, node_at(n, parity, t),
+                                              shift + t * (n + 1))
+        if t:
+            out = out - prefixes[t - 1]
+        if not set(out.terms.values()) <= {1}:
+            raise ArithmeticError("snake recursion produced a non-thin prefix")
+        prefixes.append(out)
+    return prefixes[l]
 
 
 def _lex_lead(comb, varlist):
@@ -243,7 +222,7 @@ def kr_qchar(n, node, k, shift=0):
         for i, m in enumerate(chain):
             acc = row[i] = acc + row[i] * LaurentCombination.from_monomial(m)
         chain = _chain(n, node, shift + 2 * j)
-    return ModuleChar(row[-1], "kirillov-reshetikhin")
+    return row[-1]
 
 
 def alternating_product(n, parity, base_shift, l):
@@ -252,8 +231,8 @@ def alternating_product(n, parity, base_shift, l):
         raise ValueError("l must be >= 0")
     out = LaurentCombination.unit()
     for t in range(l + 1):
-        out = out * fundamental_qchar(n, node_at(n, parity, t), base_shift + t * (n + 1)).char
-    return ModuleChar(out, "product")
+        out = out * fundamental_qchar(n, node_at(n, parity, t), base_shift + t * (n + 1))
+    return out
 
 
 def strip_tilings(cells):
@@ -301,12 +280,13 @@ def count_dominant_census(n, l):
     separately by census_reports rather than asserted.
     """
     prod = alternating_product(n, "even", 0, l)
-    count = sum(c for _m, c in dominant_monomials(prod.char))
+    count = sum(c for _m, c in dominant_monomials(prod))
     return count, fibonacci_tiling(l + 1)
 
 
 def composition_factors(n, parity, base_shift, l):
-    """Composition series of the alternating product, one factor per tiling.
+    """Composition series of the alternating product, one (top monomial,
+    character) pair per tiling.
 
     A 2-block cancels the neighbouring anti-dominant/dominant leading
     terms of adjacent factors; the maximal runs of 1-blocks contribute
@@ -334,10 +314,10 @@ def composition_factors(n, parity, base_shift, l):
         top = ONE
         for a, b in runs:
             pr = "even" if (start + a) % 2 == 0 else "odd"
-            char = char * snake_qchar(n, pr, b - a + 1, base_shift + a * (n + 1)).char
+            char = char * snake_qchar(n, pr, b - a + 1, base_shift + a * (n + 1))
             for t2 in range(a, b + 1):
                 top = top * y_var(node_at(n, parity, t2), base_shift + t2 * (n + 1))
-        factors.append((top, ModuleChar(char, "snake" if runs else "product")))
+        factors.append((top, char))
     return factors
 
 
@@ -368,9 +348,7 @@ def neighbouring_snakes(s):
 
 def module_dim(c):
     """Dimension of the underlying module: the character evaluated at Y -> 1."""
-    if c.provenance == "virtual":
-        raise ValueError("virtual characters have no module dimension")
-    return c.char.total()
+    return c.total()
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +377,7 @@ def qchar_fundamental_reports(n_values=(2, 3, 4, 5)):
         bad = []
         for node in (1, n):
             # in chain order too: kr_qchar fills its boxes in that order
-            chain = list(fundamental_qchar(n, node, 0).char.terms)
+            chain = list(fundamental_qchar(n, node, 0).terms)
             if chain != _fm_chain(n, node, 0):
                 bad.append(node)
         reports.append(VerificationReport(
@@ -420,9 +398,9 @@ def snake_trio_reports(max_l, n_values=(2, 3)):
         for parity in ("even", "odd"):
             for l in range(0, max_l + 1):
                 s = snake_qchar(n, parity, l, 0)
-                thin = all(c == 1 for c in s.char.terms.values())
-                special = len(dominant_monomials(s.char)) == 1
-                antispecial = len(antidominant_monomials(s.char)) == 1
+                thin = all(c == 1 for c in s.terms.values())
+                special = len(dominant_monomials(s)) == 1
+                antispecial = len(antidominant_monomials(s)) == 1
                 checked += 1
                 if not (thin and special and antispecial):
                     bad.append((parity, l))
@@ -442,16 +420,17 @@ def tsystem_reports(max_l, n_values=(2, 3)):
         bad_rec, bad_pair = [], []
         for parity, pnext in (("even", "odd"), ("odd", "even")):
             for l in range(1, max_l + 1):
-                lhs = (fundamental_qchar(n, node_at(n, parity, 0), 0).char
-                       * snake_qchar(n, pnext, l, n + 1).char)
-                rhs = (snake_qchar(n, parity, l + 1, 0).char
-                       + snake_qchar(n, parity, l - 1, 2 * (n + 1)).char)
+                # peels the first point; the snakes grew from the back
+                lhs = (fundamental_qchar(n, node_at(n, parity, 0), 0)
+                       * snake_qchar(n, pnext, l, n + 1))
+                rhs = (snake_qchar(n, parity, l + 1, 0)
+                       + snake_qchar(n, parity, l - 1, 2 * (n + 1)))
                 if lhs != rhs:
                     bad_rec.append((parity, l))
-                lhs2 = (snake_qchar(n, pnext, l, n + 1).char
-                        * snake_qchar(n, parity, l, 0).char)
-                rhs2 = (snake_qchar(n, parity, l + 1, 0).char
-                        * snake_qchar(n, pnext, l - 1, n + 1).char)
+                lhs2 = (snake_qchar(n, pnext, l, n + 1)
+                        * snake_qchar(n, parity, l, 0))
+                rhs2 = (snake_qchar(n, parity, l + 1, 0)
+                        * snake_qchar(n, pnext, l - 1, n + 1))
                 if (lhs2 - rhs2).terms != {ONE: 1}:
                     bad_pair.append((parity, l))
         reports.append(VerificationReport(
@@ -492,11 +471,10 @@ def kr_reports():
         other = 3 - node
         for k in (1, 2, 3):
             for s in (0, 1):
-                lhs = (kr_qchar(2, node, k, s).char
-                       * kr_qchar(2, node, k, s + 2).char)
-                rhs = (kr_qchar(2, node, k + 1, s).char
-                       * kr_qchar(2, node, k - 1, s + 2).char
-                       + kr_qchar(2, other, k, s + 1).char)
+                lhs = kr_qchar(2, node, k, s) * kr_qchar(2, node, k, s + 2)
+                rhs = (kr_qchar(2, node, k + 1, s)
+                       * kr_qchar(2, node, k - 1, s + 2)
+                       + kr_qchar(2, other, k, s + 1))
                 if not (lhs - rhs).is_zero():
                     bad.append((node, k, s))
     return [
@@ -556,10 +534,10 @@ def factor_reports(max_l, n_values=(2, 3)):
             prod = alternating_product(n, "even", 0, l)
             factors = composition_factors(n, "even", 0, l)
             tot = LaurentCombination.zero()
-            for _top, mc in factors:
-                tot = tot + mc.char
-            dims = sum(module_dim(mc) for _top, mc in factors)
-            if tot != prod.char or dims != (n + 1) ** (l + 1):
+            for _top, char in factors:
+                tot = tot + char
+            dims = sum(module_dim(char) for _top, char in factors)
+            if tot != prod or dims != (n + 1) ** (l + 1):
                 bad.append(l)
         reports.append(VerificationReport(
             check="composition completeness",

@@ -28,7 +28,7 @@ from .lattice import (LatticeSpec, _sp_diff, _sp_embed, _sp_identity, _sp_mul,
                       level_step, projected_reduction_check,
                       reduced_prefactor, seeded_rationals,
                       simple_pole_residue, vertex_chain)
-from .qchar import SnakeSpec, module_dim, snake_qchar
+from .qchar import module_dim, snake_qchar
 from .report import VerificationReport
 from .rmat import (antisym_fusion, chevalley_generators, h_shift, k_matrix,
                    vertex_matrix)
@@ -71,9 +71,6 @@ class SnailSpec:
         if len(self.mus) != self.m - 1:
             raise ValueError("need the parameters mu_2..mu_m")
         self.loops = 2 * self.k - 1
-        pts = SnakeSpec(self.n, loop_points(self.n, self.loops))
-        if not (pts.is_snake() and pts.is_minimal()):
-            raise AssertionError("loop points left minimal snake position")
 
     def loop_shifts(self):
         h = h_shift(self.n)

@@ -55,7 +55,7 @@ def test_criterion_01_fundamental_characters():
     with criterion(1, "extremal fundamental characters match their "
                       "(n+1)-term closed forms for n=2..5", 1.0):
         all_pass(qchar_fundamental_reports((2, 3, 4, 5)))
-        got = fundamental_qchar(2, 1, 0).char.terms
+        got = fundamental_qchar(2, 1, 0).terms
         assert got == {
             y_var(1, 0): 1,
             y_var(2, 1) * y_var(1, 2, -1): 1,
@@ -97,8 +97,8 @@ def test_criterion_05_composition_completeness():
                       "with zero remainder and dimension (n+1)^(l+1)", 30.0):
         all_pass(factor_reports(4, (2, 3)))
         from qsnake.qchar import composition_factors, module_dim
-        dims = sorted(module_dim(mc)
-                      for _t, mc in composition_factors(2, "even", 0, 2))
+        dims = sorted(module_dim(char)
+                      for _t, char in composition_factors(2, "even", 0, 2))
         assert dims == [3, 3, 21] and sum(dims) == 27
 
 

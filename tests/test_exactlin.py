@@ -376,25 +376,16 @@ def test_matrix_rank_rational_examples():
     assert matrix_rank(t2, {"a", "b"}, {"c", "d"}) == 3
 
 
-def test_matrix_rank_ratfun_exact():
-    m = np.array(
-        [[X, X * 2], [X * 3, X * 6]], dtype=object
-    )
+def test_matrix_rank_refuses_ratfun():
+    # elimination runs over Q only: a RatFun entry is refused, not ranked
+    # over Q(x), by matrix_rank and by echelon alike
+    m = np.array([[X, RatFun.const(1)], [RatFun.const(1), X]], dtype=object)
     t = LabeledTensor([Leg("r", "out", 2), Leg("c", "in", 2)], m)
-    assert matrix_rank(t, {"r"}, {"c"}) == 1
-    m2 = np.array([[X, RatFun.const(1)], [X * X, X]], dtype=object)
-    t2 = LabeledTensor([Leg("r", "out", 2), Leg("c", "in", 2)], m2)
-    # determinant vanishes identically
-    assert matrix_rank(t2, {"r"}, {"c"}) == 1
-    m3 = np.array([[X, RatFun.const(1)], [RatFun.const(1), X]], dtype=object)
-    t3 = LabeledTensor([Leg("r", "out", 2), Leg("c", "in", 2)], m3)
-    assert matrix_rank(t3, {"r"}, {"c"}) == 2
-    # the rank is read off exact pivots over Q(x), not from sample points:
-    # the echelon rows carry rational functions
-    piv = echelon([{0: X, 1: RatFun.const(1)}, {0: RatFun.const(1), 1: X}])
-    assert set(piv) == {0, 1}
-    assert piv[0] == {0: 1, 1: 1 / X}
-    assert piv[1] == {1: 1}
+    with pytest.raises(TypeError):
+        matrix_rank(t, {"r"}, {"c"})
+    for rows in ([{0: X, 1: 1}], [{0: 1, 1: 2}, {0: 3, 1: RatFun.const(1)}]):
+        with pytest.raises(TypeError):
+            echelon(rows)
 
 
 def test_echelon_int_rows_give_fractions():
@@ -485,9 +476,6 @@ def layout(piv):
 
 small_ints = st.integers(-3, 3)
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-small_ratfuns = st.builds(
-    lambda a, b, c, d: RatFun((a, b), (c, d)) if (c, d) != (0, 0) else RatFun(a),
-    small_ints, small_ints, small_ints, small_ints)
 
 
 def row_lists(values):
@@ -499,9 +487,7 @@ def row_lists(values):
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(row_lists(small_ints), row_lists(small_fractions),
-                 row_lists(st.one_of(small_ints, small_fractions)),
-                 row_lists(st.one_of(small_ints, small_fractions,
-                                     small_ratfuns))))
+                 row_lists(st.one_of(small_ints, small_fractions))))
 def test_echelon_matches_fraction_oracle(rows):
     before = [dict(row) for row in rows]
     got = echelon(rows)
@@ -509,14 +495,11 @@ def test_echelon_matches_fraction_oracle(rows):
     assert layout(got) == layout(fraction_echelon(before))
 
 
-def test_echelon_oracle_sees_cancellation_and_ratfun_pivots():
-    # rows that cancel to zero, a gcd that is not 1, a RatFun pivot
-    # eliminating a rational row and a rational pivot a RatFun row
+def test_echelon_oracle_sees_cancellation_and_gcds():
+    # rows that cancel to zero, and a gcd that is not 1
     cases = [
         [{0: 2, 1: 4}, {0: 3, 1: 6}, {0: 4, 2: 6}],
         [{0: Fraction(2, 3), 1: 1}, {0: 6, 1: Fraction(9, 1), 2: 5}],
-        [{0: X, 1: 1}, {0: 2, 1: 3}, {1: X * X, 2: RatFun.const(1)}],
-        [{0: 5, 1: X}, {0: X, 1: 2, 2: Fraction(1, 2)}],
     ]
     for rows in cases:
         assert layout(echelon(rows)) == layout(fraction_echelon(rows))
@@ -528,7 +511,7 @@ def test_echelon_refuses_inexact_entries(bad):
     with pytest.raises(TypeError):
         echelon([{0: 1, 1: bad}])
     with pytest.raises(TypeError):
-        echelon([{0: X}, {0: bad, 2: X}])
+        echelon([{0: 1}, {0: bad, 2: 3}])
 
 
 @pytest.mark.parametrize("bad", [0.5, 0.0, 1j, Decimal(1), "1", np.float64(2)])

@@ -44,17 +44,17 @@ def check(name, char):
 
 
 def test_fundamental_golden():
-    check("fund_n2_node1_s0.txt", fundamental_qchar(2, 1, 0).char)
-    check("fund_n2_node2_s0.txt", fundamental_qchar(2, 2, 0).char)
+    check("fund_n2_node1_s0.txt", fundamental_qchar(2, 1, 0))
+    check("fund_n2_node2_s0.txt", fundamental_qchar(2, 2, 0))
 
 
 def test_snake_golden():
-    check("snake_n2_even_l2_s0.txt", snake_qchar(2, "even", 2, 0).char)
+    check("snake_n2_even_l2_s0.txt", snake_qchar(2, "even", 2, 0))
 
 
 def test_products_of_non_thin_characters_golden():
-    p = snake_qchar(3, "odd", 3, 4).char * snake_qchar(3, "even", 3, 0).char
-    q = p * fundamental_qchar(3, 1, 0).char
+    p = snake_qchar(3, "odd", 3, 4) * snake_qchar(3, "even", 3, 0)
+    q = p * fundamental_qchar(3, 1, 0)
     assert sorted(set(p.terms.values())) == [1, 2, 4]
     assert sorted(set(q.terms.values())) == [1, 2, 3, 4, 6, 8]
     for char, want in ((p, SNAKE_PRODUCT_SHA256),

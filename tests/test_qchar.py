@@ -15,8 +15,8 @@ from qsnake.loopring import (
     to_text,
     y_var,
 )
+from qsnake import qchar
 from qsnake.qchar import (
-    ModuleChar,
     SnakeSpec,
     _fm_chain,
     alternating_product,
@@ -33,6 +33,7 @@ from qsnake.qchar import (
     node_at,
     snake_qchar,
     strip_tilings,
+    tsystem_reports,
 )
 
 
@@ -69,26 +70,25 @@ def test_weyl_oracle_sanity():
 
 def test_fundamental_explicit_n2():
     f1 = fundamental_qchar(2, 1, 0)
-    assert f1.char.terms == {
+    assert f1.terms == {
         y_var(1, 0): 1,
         mono((2, 1, 1), (1, 2, -1)): 1,
         mono((2, 3, -1)): 1,
     }
     f2 = fundamental_qchar(2, 2, 0)
-    assert f2.char.terms == {
+    assert f2.terms == {
         y_var(2, 0): 1,
         mono((1, 1, 1), (2, 2, -1)): 1,
         mono((1, 3, -1)): 1,
     }
-    assert f1.provenance == "fundamental"
 
 
 def test_fundamental_counts_and_errors():
     for n in range(2, 6):
         for node in (1, n):
             c = fundamental_qchar(n, node, 5)
-            assert len(c.char) == n + 1
-            assert all(v == 1 for v in c.char.terms.values())
+            assert len(c) == n + 1
+            assert all(v == 1 for v in c.terms.values())
             assert module_dim(c) == n + 1
     with pytest.raises(ValueError):
         fundamental_qchar(3, 2, 0)
@@ -99,7 +99,7 @@ def test_fundamental_weight_reduction():
         c = fundamental_qchar(n, 1, 0)
         # each Y[i,k]^e contributes e*omega_i
         wts = []
-        for m in c.char.terms:
+        for m in c.terms:
             w = [0] * n
             for (i, _k), e in m.exps.items():
                 w[i - 1] += e
@@ -115,16 +115,16 @@ def test_fundamental_weight_reduction():
 
 
 def test_snake_base_cases():
-    assert snake_qchar(2, "even", 0, 0).char.terms == {ONE: 1}
-    assert snake_qchar(2, "even", 1, 4).char == fundamental_qchar(2, 1, 4).char
-    assert snake_qchar(2, "odd", 1, 3).char == fundamental_qchar(2, 2, 3).char
-    assert snake_qchar(3, "odd", 1, 0).char == fundamental_qchar(3, 3, 0).char
+    assert snake_qchar(2, "even", 0, 0).terms == {ONE: 1}
+    assert snake_qchar(2, "even", 1, 4) == fundamental_qchar(2, 1, 4)
+    assert snake_qchar(2, "odd", 1, 3) == fundamental_qchar(2, 2, 3)
+    assert snake_qchar(3, "odd", 1, 0) == fundamental_qchar(3, 3, 0)
 
 
 def test_snake_l2_example():
     s = snake_qchar(2, "even", 2, 0)
-    assert len(s.char) == 8
-    assert dominant_monomials(s.char) == [(mono((1, 0, 1), (2, 3, 1)), 1)]
+    assert len(s) == 8
+    assert dominant_monomials(s) == [(mono((1, 0, 1), (2, 3, 1)), 1)]
     assert module_dim(s) == 8
 
 
@@ -140,22 +140,20 @@ def test_snake_special_antispecial_thin():
         for parity in ("even", "odd"):
             for l in range(7):
                 s = snake_qchar(n, parity, l, 0)
-                assert all(c == 1 for c in s.char.terms.values())
-                assert len(dominant_monomials(s.char)) == 1
-                assert len(antidominant_monomials(s.char)) == 1
+                assert all(c == 1 for c in s.terms.values())
+                assert len(dominant_monomials(s)) == 1
+                assert len(antidominant_monomials(s)) == 1
 
 
 def test_extended_t_recursion():
-    # the defining three-term identity, re-checked as a ring identity
+    # the front-peeled three-term identity; snakes grow from the back
     for n in (2, 3):
         for parity, pnext in (("even", "odd"), ("odd", "even")):
             for l in range(1, 5):
-                lhs = fundamental_qchar(n, node_at(n, parity, 0), 0).char * snake_qchar(
-                    n, pnext, l, n + 1
-                ).char
-                rhs = snake_qchar(n, parity, l + 1, 0).char + snake_qchar(
-                    n, parity, l - 1, 2 * (n + 1)
-                ).char
+                lhs = (fundamental_qchar(n, node_at(n, parity, 0), 0)
+                       * snake_qchar(n, pnext, l, n + 1))
+                rhs = (snake_qchar(n, parity, l + 1, 0)
+                       + snake_qchar(n, parity, l - 1, 2 * (n + 1)))
                 assert lhs == rhs
 
 
@@ -164,31 +162,29 @@ def test_pairwise_extended_t_identity():
     for n in (2, 3):
         for parity, pnext in (("even", "odd"), ("odd", "even")):
             for l in range(1, 5):
-                lhs = snake_qchar(n, pnext, l, n + 1).char * snake_qchar(n, parity, l, 0).char
-                rhs = snake_qchar(n, parity, l + 1, 0).char * snake_qchar(
-                    n, pnext, l - 1, n + 1
-                ).char
+                lhs = snake_qchar(n, pnext, l, n + 1) * snake_qchar(n, parity, l, 0)
+                rhs = (snake_qchar(n, parity, l + 1, 0)
+                       * snake_qchar(n, pnext, l - 1, n + 1))
                 one = lhs - rhs
                 assert one.terms == {ONE: 1}
 
 
 def test_laurent_divide():
-    p = fundamental_qchar(2, 1, 0).char * fundamental_qchar(2, 2, 1).char
-    q = fundamental_qchar(2, 2, 1).char
+    p = fundamental_qchar(2, 1, 0) * fundamental_qchar(2, 2, 1)
+    q = fundamental_qchar(2, 2, 1)
     quot, rem = laurent_divide(p, q)
     assert rem.is_zero()
-    assert quot == fundamental_qchar(2, 1, 0).char
-    quot2, rem2 = laurent_divide(fundamental_qchar(2, 1, 0).char, q)
+    assert quot == fundamental_qchar(2, 1, 0)
+    quot2, rem2 = laurent_divide(fundamental_qchar(2, 1, 0), q)
     assert not rem2.is_zero()
 
 
 def test_kr_characters():
-    assert kr_qchar(2, 1, 1, 0).char == fundamental_qchar(2, 1, 0).char
+    assert kr_qchar(2, 1, 1, 0) == fundamental_qchar(2, 1, 0)
     assert module_dim(kr_qchar(2, 1, 2, 0)) == weyl_dim(2, (2, 0)) == 6
     assert module_dim(kr_qchar(2, 1, 3, 0)) == weyl_dim(2, (3, 0)) == 10
     assert module_dim(kr_qchar(2, 2, 2, 0)) == weyl_dim(2, (0, 2)) == 6
     assert module_dim(kr_qchar(2, 2, 3, 0)) == weyl_dim(2, (0, 3)) == 10
-    assert kr_qchar(2, 1, 2, 0).provenance == "kirillov-reshetikhin"
     # at an extremal node the level-k module has the dimension of the
     # k-th symmetric power of the (n+1)-dimensional fundamental
     for node in (1, 3):
@@ -203,9 +199,9 @@ def test_kr_t_system_residual():
         other = 3 - node
         for k in (1, 2, 3):
             for s in (0, 1):
-                lhs = kr_qchar(2, node, k, s).char * kr_qchar(2, node, k, s + 2).char
-                rhs = kr_qchar(2, node, k + 1, s).char * kr_qchar(2, node, k - 1, s + 2).char
-                rhs = rhs + kr_qchar(2, other, k, s + 1).char
+                lhs = kr_qchar(2, node, k, s) * kr_qchar(2, node, k, s + 2)
+                rhs = kr_qchar(2, node, k + 1, s) * kr_qchar(2, node, k - 1, s + 2)
+                rhs = rhs + kr_qchar(2, other, k, s + 1)
                 assert (lhs - rhs).is_zero()
 
 
@@ -225,21 +221,25 @@ def test_kr_characters_are_one_row_tableau_sums():
                         for j, i in enumerate(row):
                             m = m * boxes[j][i]
                         want[m] = want.get(m, 0) + 1
-                    got = kr_qchar(n, node, k, s).char
+                    got = kr_qchar(n, node, k, s)
                     assert got == LaurentCombination(want), (n, node, k, s)
 
 
 def test_snake_characters_are_chain_tuple_sums():
-    # an oracle apart from the three-term recursion that builds snakes
-    # and that "extended t-system recursion" re-checks: the l-point
+    # an oracle apart from the recursion that appends points: the l-point
     # snake sums, over chain indices (i_1, ..., i_l), the product of
     # monomial i_t of point t's Frenkel-Mukhin lowering chain, leaving
     # out every tuple in which one point takes its last monomial (index
     # n) and the next point its first (index 0); tuples holds (last
-    # index, product) of every admitted l-tuple
+    # index, product) of every admitted l-tuple.  Each (n, parity, shift)
+    # caches one prefix list, so once the 7-point snake is built, the
+    # shorter ones add no cache entry.
     for n in range(1, 5):
         for parity in ("even", "odd"):
             for shift in (0, 3):
+                snake_qchar(n, parity, 7, shift)
+                cached = {key: len(prefixes)
+                          for key, prefixes in qchar._snake_cache.items()}
                 tuples = [(None, ONE)]
                 for l in range(8):
                     if l:
@@ -252,8 +252,28 @@ def test_snake_characters_are_chain_tuple_sums():
                     want = {}
                     for _last, m in tuples:
                         want[m] = want.get(m, 0) + 1
-                    got = snake_qchar(n, parity, l, shift).char
+                    got = snake_qchar(n, parity, l, shift)
                     assert got == LaurentCombination(want), (n, parity, l, shift)
+                assert {key: len(prefixes) for key, prefixes
+                        in qchar._snake_cache.items()} == cached
+                assert (n, parity, shift) in cached
+    assert {len(key) for key in qchar._snake_cache} == {3}
+
+
+def test_corrupted_prefix_fails_the_tsystem_report(monkeypatch):
+    # the report peels the first point while snakes grow from the back,
+    # so a wrong cached prefix fails it instead of being re-derived;
+    # dropping the dominant monomial of S(odd, 2, 3) keeps every prefix
+    # built on it thin
+    monkeypatch.setattr(qchar, "_snake_cache", {})
+    good = snake_qchar(2, "odd", 2, 3)
+    [(top, _c)] = dominant_monomials(good)
+    qchar._snake_cache[(2, "odd", 3)][2] = LaurentCombination(
+        {m: c for m, c in good.terms.items() if m != top})
+    report = tsystem_reports(4, n_values=(2,))[0]
+    assert report.check == "extended t-system recursion"
+    assert report.status == "fail"
+    assert ("even", 2) in report.witness["violations"]
 
 
 def test_cached_characters_are_read_only():
@@ -261,7 +281,7 @@ def test_cached_characters_are_read_only():
     # no caller may be able to change it; a KR character is read-only too
     for get in (lambda: snake_qchar(2, "even", 3, 0),
                 lambda: kr_qchar(2, 1, 2, 0)):
-        char = get().char
+        char = get()
         before = to_text(char)
         m = next(iter(char.terms))
         with pytest.raises(TypeError):
@@ -274,18 +294,18 @@ def test_cached_characters_are_read_only():
             char.terms.clear()
         with pytest.raises(AttributeError):
             char.terms = {}
-        assert to_text(get().char) == before
+        assert to_text(get()) == before
     # the snake cache hands out one object; KR characters are not cached
-    assert snake_qchar(2, "even", 3, 0).char is snake_qchar(2, "even", 3, 0).char
+    assert snake_qchar(2, "even", 3, 0) is snake_qchar(2, "even", 3, 0)
 
 
 def test_alternating_product():
     p1 = alternating_product(2, "even", 0, 1)
-    assert len(p1.char) == 9
+    assert len(p1) == 9
     assert module_dim(p1) == 9
     p2 = alternating_product(2, "even", 0, 2)
     assert module_dim(p2) == 27
-    doms = dominant_monomials(p2.char)
+    doms = dominant_monomials(p2)
     assert [m for m, _c in doms] == sorted(
         [
             mono((1, 0, 1), (2, 3, 1), (1, 6, 1)),
@@ -318,26 +338,26 @@ def test_census_counts():
 
 def test_composition_factors_l1():
     factors = composition_factors(2, "even", 0, 1)
-    dims = sorted(module_dim(mc) for _t, mc in factors)
+    dims = sorted(module_dim(char) for _t, char in factors)
     assert dims == [1, 8]
-    tops = {t for t, _mc in factors}
+    tops = {t for t, _char in factors}
     assert tops == {ONE, mono((1, 0, 1), (2, 3, 1))}
 
 
 def test_composition_factors_l2():
     factors = composition_factors(2, "even", 0, 2)
-    dims = sorted(module_dim(mc) for _t, mc in factors)
+    dims = sorted(module_dim(char) for _t, char in factors)
     assert dims == [3, 3, 21]
-    assert sum(module_dim(mc) for _t, mc in factors) == 27
+    assert sum(module_dim(char) for _t, char in factors) == 27
 
 
 def test_composition_factors_l3_and_n3():
     factors = composition_factors(2, "odd", 1, 3)
     assert len(factors) == 5
-    assert sum(module_dim(mc) for _t, mc in factors) == 3**4
+    assert sum(module_dim(char) for _t, char in factors) == 3**4
     factors3 = composition_factors(3, "even", 0, 2)
     assert len(factors3) == 3
-    assert sum(module_dim(mc) for _t, mc in factors3) == 4**3
+    assert sum(module_dim(char) for _t, char in factors3) == 4**3
 
 
 def test_snake_spec_predicates():
@@ -375,8 +395,8 @@ def test_neighbouring_snakes_examples():
 
 def test_neighbour_matches_kr_t_system_shape():
     # [W_1(0)][W_1(2)] = [W_1^{(2)}(0)] + [W_2(1)] at n=2
-    lhs = kr_qchar(2, 1, 1, 0).char * kr_qchar(2, 1, 1, 2).char
-    rhs = kr_qchar(2, 1, 2, 0).char + kr_qchar(2, 2, 1, 1).char
+    lhs = kr_qchar(2, 1, 1, 0) * kr_qchar(2, 1, 1, 2)
+    rhs = kr_qchar(2, 1, 2, 0) + kr_qchar(2, 2, 1, 1)
     assert lhs == rhs
     _x, y = neighbouring_snakes(SnakeSpec(2, [(1, 0), (1, 2)]))
     assert y.points == ((2, 1),)
@@ -387,12 +407,6 @@ def test_q_minus_containment():
     for n, cartan, lmax in ((2, cartan2, 3), (3, cartan3, 2)):
         for l in range(1, lmax + 1):
             s = snake_qchar(n, "even", l, 0)
-            [(top, _c)] = dominant_monomials(s.char)
-            for m in s.char.terms:
+            [(top, _c)] = dominant_monomials(s)
+            for m in s.terms:
                 assert a_decompose(cartan, m * top.inverse()) is not None
-
-
-def test_module_dim_virtual_error():
-    v = ModuleChar(fundamental_qchar(2, 1, 0).char, "virtual")
-    with pytest.raises(ValueError):
-        module_dim(v)
