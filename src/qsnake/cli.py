@@ -13,6 +13,7 @@ invocations give byte-identical JSON.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -212,6 +213,13 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """build_parser's parser, built on the first call in a process: every
+    later main call reuses it, and importing the module builds none."""
+    return build_parser()
+
+
 def _merge_options(args):
     scenario = read_scenario(args.scenario) if args.scenario else {}
     for key in scenario:
@@ -250,9 +258,8 @@ def emit(reports, json_path):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

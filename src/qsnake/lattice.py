@@ -12,7 +12,8 @@ crosses the window sites in one order, (m, ..., 2, 1) by default, then
 the outside sites; by vertex crossing the antifundamental line is a
 forward line too (see density_matrix).  The raising window-shift
 equation holds on windows crossed (1, m, ..., 2), the lowering one on
-the default crossing.
+the default crossing.  With one horizontal pair the outside sites fold
+into a closed-form map on the two lines, and no chain holds them.
 
 Operators on k coordinate slots are sparse row maps {row: {col: value}}
 storing no zero and no empty row; slot j of a window carries site m-j,
@@ -446,6 +447,45 @@ def _traced_product(n, nslots, chains):
     return functools.reduce(_sp_scaled_mul, map(traced.get, chains))
 
 
+def _outside_columns(n, b, k):
+    """k outside columns of a one-pair strip at b, each traced over its
+    site, as (a, c, s): the map a*1 + c*P on the two lines, over the
+    scale s.  An outside site sits at 0 with kind f, so both lines cross
+    it at x = -b = alpha/beta; line 1's vertex then line 2's, traced over
+    the site, is c0*1 + c1*P over beta^2, with c0 = alpha*(alpha*(n+1) +
+    2*beta) and c1 = beta^2.  As P^2 = 1, the k-th power is read off the
+    eigenvalues c0 + c1 and c0 - c1, whose powers have equal parity."""
+    x = -Fraction(b)
+    alpha, beta = x.numerator, x.denominator
+    c0, c1 = alpha * (alpha * (n + 1) + 2 * beta), beta * beta
+    plus, minus = (c0 + c1) ** k, (c0 - c1) ** k
+    return (plus + minus) // 2, (plus - minus) // 2, c1 ** k
+
+
+def _folded_window(n, m, L, b, rows):
+    """The unnormalized window of a one-pair strip at b from its two
+    lines' window vertices on m + 1 slots, and its scale: a*T1*T2 +
+    c*T12, with (a, c) the L - m outside columns (_outside_columns), T_j
+    line j traced and T12 line 1 then line 2 on one line slot, traced."""
+    a, c, s = _outside_columns(n, b, L - m)
+    # each line's first m vertices, its line moved from slot L to slot m
+    window =[tuple(v[:3] + ((v[3][0], m),) for v in row[:m]) for row in rows]
+    t, scale = _traced_product(n, m + 1, window)
+    t = _sp_scale(t, a)
+    if c:
+        loop = _traced_product(n, m + 1, [window[0] + window[1]])[0]
+        for r, row in loop.items():
+            dst = t.setdefault(r, {})
+            for col, v in row.items():
+                nv = dst.get(col, 0) + c * v
+                if nv:
+                    dst[col] = nv
+                else:
+                    dst.pop(col, None)
+        t = {r: row for r, row in t.items() if row}
+    return t, scale * s
+
+
 def _strip(spec, m, mu_window, variant, crossing):
     """A window's validated labels and crossing, then its vertex chains:
     the 2N lines in product order (per pair the line at b, then its
@@ -487,12 +527,23 @@ def density_matrix(spec, m, mu_window, variant=0, crossing=None):
     by vertex crossing, (-1)^L times the antifundamental line at
     b - (n+1)/2 crossing the other way, a sign that the normalization to
     unit trace cancels, as do the lines' integer scales.  A vanishing
-    normalization raises with the parameters in the message."""
+    normalization raises with the parameters in the message.
+
+    At N = 1 the chains hold the m window sites and a line slot only:
+    the L - m outside columns fold into a*1 + c*P on the two lines
+    (_folded_window).  At N >= 2 the lines keep every site and the
+    outside sites are traced after the row product: there the fold
+    expands into 12 to 24 permutations of the four lines, which a
+    prototype found exact but 3 to 10 times slower at m >= 2.
+    column_partition builds z independently at every N."""
     n, L = spec.n, spec.L
     labels, crossing, rows, _ = _strip(spec, m, mu_window, variant, crossing)
-    t, scale = _traced_product(n, L + 1, rows)
-    for slot in range(L - 1, m - 1, -1):
-        t = _sp_ptrace(t, slot, slot + 1, n + 1)
+    if spec.N == 1:
+        t, scale = _folded_window(n, m, L, spec.betas[0], rows)
+    else:
+        t, scale = _traced_product(n, L + 1, rows)
+        for slot in range(L - 1, m - 1, -1):
+            t = _sp_ptrace(t, slot, slot + 1, n + 1)
     z = _sp_trace(t)
     if z == 0:
         raise VanishingNormalization(

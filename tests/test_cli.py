@@ -322,3 +322,26 @@ def test_a_wrong_factor_character_fails_composition_completeness(
     out = capsys.readouterr().out
     assert "[fail] composition completeness (max_l=2 n=2)" in out
     assert "[pass] fibonacci census (max_l=2 n=2)" in out
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    # the first main call builds the parser and every later call, a usage
+    # error included, reuses it
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        assert main(["rqkz", "--m", "2"]) == 2
+        assert main(["nosuch"]) == 2
+        assert main(["rqkz", "--N", "0"]) == 2
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+    captured = capsys.readouterr()
+    assert "invalid choice: 'nosuch'" in captured.err

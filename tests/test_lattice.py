@@ -488,6 +488,90 @@ def test_density_matrix_matches_the_reverse_crossing_torus():
     assert win.matrix == reference_window(spec, 3, labels[:3], 1, (2, 1, 3))
 
 
+def line_pair_map(d, a, c):
+    """a*1 + c*P on two slots of dimension d, zeros left out."""
+    out = {}
+    for x, y in itertools.product(range(d), repeat=2):
+        row = {x * d + y: a}
+        row[y * d + x] = row.get(y * d + x, 0) + c
+        row = {col: v for col, v in row.items() if v}
+        if row:
+            out[x * d + y] = row
+    return out
+
+
+def test_outside_columns_are_the_traced_column_chain():
+    # one outside column of a one-pair strip, _strip's own vertices traced
+    # over the site, is c0*1 + c1*P on the two lines over beta^2, and its
+    # k-th power is k products of that map; at b = 0 and b = 2/(n+1),
+    # c0 = 0
+    for n in (1, 2, 3):
+        d = n + 1
+        for b in (Fraction(0), Fraction(3, 11), Fraction(-2, 7), Fraction(5),
+                  Fraction(2, d)):
+            spec = LatticeSpec(n, 2, 1, [0, 0], [b])
+            c0, c1, s = lattice._outside_columns(n, b, 1)
+            assert s == c1 == b.denominator ** 2
+            for variant in (0, 1):
+                columns = lattice._strip(spec, 1, [Fraction(1, 4)], variant,
+                                         None)[3]
+                column = lattice._traced_product(n, 3, columns[1:])
+                assert column == (line_pair_map(d, c0, c1), s), (n, b)
+            power = line_pair_map(d, 1, 0), 1
+            for k in range(1, 6):
+                power = _sp_scaled_mul(power, column)
+                a, c, sk = lattice._outside_columns(n, b, k)
+                assert power == (line_pair_map(d, a, c), sk), (n, b, k)
+
+
+# wall budget of the folded-window comparison below, which takes about 2 s
+# on a 2 vCPU Xeon at 2.0 GHz
+FOLDED_WINDOW_BUDGET_S = 20
+
+
+def test_folded_windows_match_the_torus_up_to_five_outside_sites():
+    # at N = 1 the outside sites are folded into a*1 + c*P: every window
+    # of L = 5 (n = 1, 2) and L = 6 (n = 1), both variants, the default,
+    # raising and a random crossing, so k = L - m runs 0..5
+    start = time.monotonic()
+    compared = 0
+    for n, L in ((1, 5), (2, 5), (1, 6)):
+        spec, labels, seed = torus_strip(n, L, 1)
+        rng = random.Random(seed)
+        for m in range(1, L + 1):
+            for crossing, variant in itertools.product(
+                    sorted(set(crossing_kinds(m, rng))), (0, 1)):
+                win = density_matrix(spec, m, labels[:m], variant, crossing)
+                assert win.matrix == reference_window(
+                    spec, m, labels[:m], variant, crossing), (
+                        n, L, m, crossing, variant)
+                assert win.norm == column_partition(spec, m, labels[:m],
+                                                    variant, crossing)
+                compared += 1
+    assert compared == 76
+    assert time.monotonic() - start < FOLDED_WINDOW_BUDGET_S
+
+
+def test_one_pair_windows_build_no_chain_on_the_outside(monkeypatch):
+    # at N = 1 no chain is wider than the m window slots and the line; at
+    # N = 2 the lines keep every site
+    widths = []
+    chain = lattice.vertex_chain
+
+    def recording(n, nslots, factors):
+        widths.append(nslots)
+        return chain(n, nslots, factors)
+
+    monkeypatch.setattr(lattice, "vertex_chain", recording)
+    for n, L, N in ((1, 4, 1), (2, 4, 1), (2, 3, 2)):
+        spec, labels, _seed = torus_strip(n, L, N)
+        for m, variant in itertools.product(range(1, L + 1), (0, 1)):
+            widths.clear()
+            density_matrix(spec, m, labels[:m], variant)
+            assert widths and max(widths) == (m + 1 if N == 1 else L + 1), (
+                n, L, N, m, variant, widths)
+
+
 def test_raising_crossing_at_full_width_is_the_default(monkeypatch):
     # at m = L the crossings (1, L, ..., 2) and (L, ..., 1) go once round
     # the closed ring, so the windows agree and the difference equations
