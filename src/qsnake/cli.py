@@ -17,14 +17,14 @@ import functools
 import json
 import sys
 
-from .lattice import (VanishingNormalization, lattice_reports,
-                      rmatrix_reports, rqkz_reports)
+from .lattice import VanishingNormalization, lattice_reports, rqkz_reports
 from .loopring import to_text
 from .qchar import (census_reports, factor_reports, kr_reports,
                     qchar_fundamental_reports, snake_qchar,
                     snake_trio_reports, tsystem_reports)
 from .report import (OutOfScope, VerificationReport, jsonable,
                      reports_to_json)
+from .rmat import rmatrix_reports
 from .snail import pole_profile, pole_reports, snail_reports
 
 

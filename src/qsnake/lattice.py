@@ -15,232 +15,35 @@ equation holds on windows crossed (1, m, ..., 2), the lowering one on
 the default crossing.  With one horizontal pair the outside sites fold
 into a closed-form map on the two lines, and no chain holds them.
 
-Operators on k coordinate slots are sparse row maps {row: {col: value}}
-storing no zero and no empty row; slot j of a window carries site m-j,
-so site 1 sits on the last slot.  Windows, window-shift maps and
-residues are built and compared in that form, over exact Fractions.
-Every line of vertices is one vertex_chain product over ints at rational
-arguments: each vertex acts on the stored entries as alpha*1 + beta*P or
-alpha*1 + beta*K, no vertex map built, and the window's trace or the
-map's scalar absorbs the chain's one integer scale.  The dense forms
-(embed_pair, ptrace_slot, max_abs_diff, monodromy_matrix,
-transfer_matrix, their labeled tensors) are the tests' oracles, which no
-suite calls; only they load numpy, from their bodies.  All functions
-are pure.
+Windows, window-shift maps and residues are sparse row maps (see
+sparse), built and compared over exact Fractions; slot j of a window
+carries site m-j, so site 1 sits on the last slot.  Every line of
+vertices is one rmat.vertex_chain product over ints at rational
+arguments, and the window's trace or the map's scalar absorbs the
+chain's one integer scale.  The dense forms (embed_pair, ptrace_slot,
+max_abs_diff, monodromy_matrix, transfer_matrix, their labeled tensors)
+are the tests' oracles, which no suite calls; only they load numpy, from
+their bodies.  All functions are pure.
 """
 
 from fractions import Fraction
 import functools
-import itertools
-import math
 import operator
 import random
 
-from .exactlin import (RatFun, echelon, pole_order_at, residue_at,
-                       tensor_from_matrix)
+from . import sparse
+from .exactlin import RatFun, pole_order_at, residue_at, tensor_from_matrix
 from .report import OutOfScope, VerificationReport
 from .rmat import (PrefactorExpr, chevalley_generators, h_shift,
-                   identity_matrix, k_matrix, prefactor_reduce, vertex_matrix)
+                   identity_matrix, k_matrix, prefactor_reduce, vertex_chain)
+# perfbench/spans.py TRACED wraps these kernels under the names bound here
+from .rmat import identity_matrix as _sp_identity
+from .sparse import (embed as _sp_embed, extend as _sp_extend, mul as _sp_mul,
+                     ptrace as _sp_ptrace, scale as _sp_scale)
 
 
 # ---------------------------------------------------------------------------
-# sparse operators on d^nslots coordinates: {row: {col: Fraction}}
-
-def _sp_identity(dim):
-    return identity_matrix(dim)
-
-
-def _sp_integral(a):
-    """(s * a, s), s the least positive integer clearing a's rational
-    entries, which become ints.  a is not modified; an entry neither
-    rational nor RatFun, a float say, raises TypeError, never rounded."""
-    vals = [v for row in a.values() for v in row.values()]
-    for v in vals:
-        if not isinstance(v, (int, Fraction, RatFun)):
-            raise TypeError(f"entry {v!r} is neither rational nor RatFun")
-    s = math.lcm(*(v.denominator for v in vals if not isinstance(v, RatFun)))
-    return {r: {c: v * s if isinstance(v, RatFun)
-                else v.numerator * (s // v.denominator)
-                for c, v in row.items()} for r, row in a.items()}, s
-
-
-def _sp_embed(mat2, slots, nslots, d):
-    """Embed a two-slot operator (a row map on d^2 coordinates) at slots
-    (p, q), identity elsewhere."""
-    p, q = slots
-    if p == q or not (0 <= p < nslots and 0 <= q < nslots):
-        raise ValueError(f"bad slot pair {slots} for {nslots} slots")
-    rest = [s for s in range(nslots) if s != p and s != q]
-    wp = d ** (nslots - 1 - p)
-    wq = d ** (nslots - 1 - q)
-    wrest = [d ** (nslots - 1 - s) for s in rest]
-    ent = []
-    for r, row in mat2.items():
-        a, b = divmod(r, d)
-        for col, v in row.items():
-            c, e = divmod(col, d)
-            ent.append((wp * a + wq * b, wp * c + wq * e, v))
-    out = {}
-    for digits in itertools.product(range(d), repeat=len(rest)):
-        base = sum(w * t for w, t in zip(wrest, digits))
-        for ro, co, v in ent:
-            out.setdefault(base + ro, {})[base + co] = v
-    return out
-
-
-def _sp_mul(a, b):
-    out = {}
-    for r, arow in a.items():
-        acc = {}
-        for k, v in arow.items():
-            brow = b.get(k)
-            if not brow:
-                continue
-            for c, w in brow.items():
-                acc[c] = acc.get(c, 0) + v * w
-        acc = {c: w for c, w in acc.items() if w != 0}
-        if acc:
-            out[r] = acc
-    return out
-
-
-def _sp_scaled_mul(a, b):
-    """Product of two (map, scale) pairs, each standing for map / scale."""
-    return _sp_mul(a[0], b[0]), a[1] * b[1]
-
-
-def _sp_site_sum(mats, d):
-    """Sum over slots s of the one-slot row map mats[s] on slot s, the
-    identity on every other slot."""
-    nslots = len(mats)
-    out = {}
-    for r in range(d ** nslots):
-        row = {}
-        for s, g in enumerate(mats):
-            w = d ** (nslots - 1 - s)
-            a = r // w % d
-            for b, v in g.get(a, {}).items():
-                c = r + (b - a) * w
-                row[c] = row.get(c, 0) + v
-        row = {c: v for c, v in row.items() if v != 0}
-        if row:
-            out[r] = row
-    return out
-
-
-def _sp_scale(a, s):
-    if s == 0:
-        return {}
-    return {r: {c: v * s for c, v in row.items()} for r, row in a.items()}
-
-
-def _sp_ptrace(a, slot, nslots, d):
-    """Trace out one slot; the remaining slots keep their order."""
-    w = d ** (nslots - 1 - slot)
-    out = {}
-    for r, row in a.items():
-        rhi, rrem = divmod(r, w * d)
-        rdig, rlo = divmod(rrem, w)
-        rr = rhi * w + rlo
-        for c, v in row.items():
-            chi, crem = divmod(c, w * d)
-            cdig, clo = divmod(crem, w)
-            if cdig != rdig:
-                continue
-            dst = out.setdefault(rr, {})
-            cc = chi * w + clo
-            nv = dst.get(cc, 0) + v
-            if nv == 0:
-                dst.pop(cc, None)
-            else:
-                dst[cc] = nv
-    return {r: row for r, row in out.items() if row}
-
-
-def _sp_trace(a):
-    return sum((row.get(r, Fraction(0)) for r, row in a.items()), Fraction(0))
-
-
-def _sp_extend(a, d):
-    """Append one identity slot at the end."""
-    out = {}
-    for r, row in a.items():
-        for t in range(d):
-            out[r * d + t] = {c * d + t: v for c, v in row.items()}
-    return out
-
-
-def _sp_diff(a, b):
-    """Largest absolute entry difference of two sparse row maps."""
-    best = Fraction(0)
-    for r in set(a) | set(b):
-        ra, rb = a.get(r, {}), b.get(r, {})
-        for c in set(ra) | set(rb):
-            x, y = ra.get(c, 0), rb.get(c, 0)
-            if x != y and abs(x - y) > best:  # equal entries never raise best
-                best = abs(x - y)
-    return best
-
-
-@functools.lru_cache(maxsize=None)
-def _slot_digits(d, nslots, p, q):
-    """d * (digit on slot p) + (digit on slot q), for every coordinate."""
-    wp, wq = d ** (nslots - 1 - p), d ** (nslots - 1 - q)
-    return tuple(c // wp % d * d + c // wq % d for c in range(d ** nslots))
-
-
-def vertex_chain(n, nslots, factors):
-    """Ordered product over factors (kind1, kind2, x, (p, q)) of
-    vertex_matrix(n, kind1, kind2, x) at slots (p, q) as (s * product, s);
-    (identity, 1) if empty.  A vertex times s_v, the denominator of its
-    shift (x, or x + (n+1)/2 for mixed kinds; 1 for a RatFun), is
-    alpha*1 + beta*B, alpha = s_v * shift, B = P and beta = s_v for same
-    kinds, B = K and beta = -s_v for mixed ones; s is the product of the
-    s_v.  The map, over ints when every x is rational, is built from the
-    identity by each vertex acting on its stored entries directly."""
-    d = n + 1
-    out, scale = {r: {r: 1} for r in range(d ** nslots)}, 1
-    for kind1, kind2, x, slots in factors:
-        for k in (kind1, kind2):
-            if k not in ("f", "fbar"):
-                raise ValueError(f"kind must be 'f' or 'fbar', got {k!r}")
-        if not isinstance(x, (int, Fraction, RatFun)):
-            raise TypeError(f"argument {x!r} is neither rational nor RatFun")
-        p, q = slots
-        if p == q or not (0 <= p < nslots and 0 <= q < nslots):
-            raise ValueError(f"bad slot pair {slots} for {nslots} slots")
-        same = kind1 == kind2
-        shift = x if same else x + h_shift(n)
-        alpha, s = ((shift, 1) if isinstance(shift, RatFun)
-                    else (shift.numerator, shift.denominator))
-        beta = s if same else -s
-        # row (a, b) of the vertex as (column offset, weight), its zeros
-        # left out: P swaps the digits, K maps (a, n - a) to all (k, n - k)
-        dw = d ** (nslots - 1 - p) - d ** (nslots - 1 - q)
-        rows = []
-        for a, b in itertools.product(range(d), repeat=2):
-            if same and a != b:
-                row = (((b - a) * dw, beta), (0, alpha))
-            elif same or a + b == n:
-                row = tuple(((k - a) * dw, alpha + beta if k == a else beta)
-                            for k in ((a,) if same else range(d)))
-            else:
-                row = ((0, alpha),)
-            rows.append(tuple((o, w) for o, w in row if w))
-        digits = _slot_digits(d, nslots, p, q)
-        new = {}
-        for r, row in out.items():
-            acc = {}
-            for c, v in row.items():
-                for o, w in rows[digits[c]]:
-                    acc[c + o] = acc.get(c + o, 0) + v * w
-            if 0 in acc.values():
-                acc = {c: w for c, w in acc.items() if w != 0}
-            if acc:
-                new[r] = acc
-        out, scale = new, scale * s
-    return out, scale
-
+# dense oracles
 
 def _sp_to_dense(a, dim):
     import numpy as np
@@ -355,7 +158,7 @@ def monodromy_matrix(spec, lam, direction="T", aux_kind="f", aux_slot=None,
     factors = [(aux_kind, "f", sign * (lam - spec.mus[i - 1]),
                 (aux_slot, i - 1)) for i in sites]
     mat, s = vertex_chain(n, nslots, factors)
-    return _sp_to_dense(_sp_scale(mat, Fraction(1, s)), d ** nslots)
+    return _sp_to_dense(sparse.scale(mat, Fraction(1, s)), d ** nslots)
 
 
 def monodromy(spec, lam, direction="T", aux_kind="f"):
@@ -417,7 +220,7 @@ class DensityWindow:
         return "fbar" if (self.variant == 1 and i == 1) else "f"
 
     def trace(self):
-        return _sp_trace(self.matrix)
+        return sparse.trace(self.matrix)
 
     def __repr__(self):
         return (f"DensityWindow(n={self.n}, m={self.m}, "
@@ -443,8 +246,8 @@ def _traced_product(n, nslots, chains):
     traced = {}
     for c in dict.fromkeys(chains):
         chain, s = vertex_chain(n, nslots, c)
-        traced[c] = _sp_ptrace(chain, nslots - 1, nslots, n + 1), s
-    return functools.reduce(_sp_scaled_mul, map(traced.get, chains))
+        traced[c] = sparse.ptrace(chain, nslots - 1, nslots, n + 1), s
+    return functools.reduce(sparse.scaled_mul, map(traced.get, chains))
 
 
 def _outside_columns(n, b, k):
@@ -471,7 +274,7 @@ def _folded_window(n, m, L, b, rows):
     # each line's first m vertices, its line moved from slot L to slot m
     window =[tuple(v[:3] + ((v[3][0], m),) for v in row[:m]) for row in rows]
     t, scale = _traced_product(n, m + 1, window)
-    t = _sp_scale(t, a)
+    t = sparse.scale(t, a)
     if c:
         loop = _traced_product(n, m + 1, [window[0] + window[1]])[0]
         for r, row in loop.items():
@@ -543,13 +346,14 @@ def density_matrix(spec, m, mu_window, variant=0, crossing=None):
     else:
         t, scale = _traced_product(n, L + 1, rows)
         for slot in range(L - 1, m - 1, -1):
-            t = _sp_ptrace(t, slot, slot + 1, n + 1)
-    z = _sp_trace(t)
+            t = sparse.ptrace(t, slot, slot + 1, n + 1)
+    z = sparse.trace(t)
     if z == 0:
         raise VanishingNormalization(
             f"vanishing normalization: n={n} L={L} N={spec.N} "
             f"betas={spec.betas} window={labels} variant={variant}")
-    win = DensityWindow(n, m, variant, _sp_scale(t, 1 / z), labels, crossing)
+    win = DensityWindow(n, m, variant, sparse.scale(t, 1 / z), labels,
+                        crossing)
     win.norm = z / scale
     return win
 
@@ -560,7 +364,7 @@ def column_partition(spec, m, mu_window, variant=0, crossing=None):
     slot i's vertices with the 2N lines (H) in product order."""
     columns = _strip(spec, m, mu_window, variant, crossing)[3]
     t, scale = _traced_product(spec.n, 2 * spec.N + 1, columns)
-    return _sp_trace(t) / scale
+    return sparse.trace(t) / scale
 
 
 def colour_conserving(win):
@@ -674,7 +478,7 @@ def level_step(which, n, nu, mus, mat):
     B[(k, n-g)][(c, t)].  Returns (s * image, s), no prefactor."""
     m, d = len(mus) + 1, n + 1
     left, right = level_chain(which, n, nu, mus)
-    a, s = _sp_scaled_mul(vertex_chain(n, m, left), _sp_integral(mat))
+    a, s = sparse.scaled_mul(vertex_chain(n, m, left), sparse.integral(mat))
     b, sb = vertex_chain(n, m, right)
     # the last digits swapped: A at ((r, f), (k, t)), B at ((k, t), (c, g))
     swapped = ({}, {})
@@ -684,7 +488,7 @@ def level_step(which, n, nu, mus, mat):
                 t, u = r % d, c % d
                 t, u = (t, n - u) if x is a else (n - t, u)
                 out.setdefault(r - r % d + u, {})[c - c % d + t] = v
-    return _sp_mul(*swapped), s * sb
+    return sparse.mul(*swapped), s * sb
 
 
 class AOperator:
@@ -733,7 +537,7 @@ class AOperator:
         h = h_shift(self.n)
         first = h - self.lam1 if self.which == 1 else self.lam1 + h
         return DensityWindow(self.n, self.m, 1 - want,
-                             _sp_scale(out, self.prefactor / s),
+                             sparse.scale(out, self.prefactor / s),
                              [first] + self.mu_rest, win.crossing)
 
     def __repr__(self):
@@ -772,16 +576,16 @@ def a_residue_parts(n, mu_rest):
     cl, cr = level_chain(2, n, pole, mu_rest)
     k = ("f", "fbar", -h_shift(n), (m - 1, m))
     prod, s = vertex_chain(n, m + 1, cl + [k] + cr)
-    return res, _sp_scale(prod, Fraction(-1, s))
+    return res, sparse.scale(prod, Fraction(-1, s))
 
 
 def a_residue_closed(n, mu_rest):
     """The lowering level step at the pole applied to the identity on the
     m window sites (site m first), scaled by the residue."""
     pole, res = _lowering_residue(n, mu_rest)
-    ident = _sp_identity((n + 1) ** (len(mu_rest) + 1))
+    ident = identity_matrix((n + 1) ** (len(mu_rest) + 1))
     mat, s = level_step(2, n, pole, mu_rest, ident)
-    return _sp_scale(mat, res / s)
+    return sparse.scale(mat, res / s)
 
 
 # ---------------------------------------------------------------------------
@@ -817,8 +621,8 @@ def verify_finite_rqkz(spec, m):
                 for v, w in enumerate((d0, d1)))
     lhs1 = a_operator(1, n, beta, mu_rest)(up0)
     lhs2 = a_operator(2, n, beta - h, mu_rest)(d1)
-    r1 = _sp_diff(lhs1.matrix, up1.matrix)
-    r2 = _sp_diff(lhs2.matrix, d0.matrix)
+    r1 = sparse.diff(lhs1.matrix, up1.matrix)
+    r2 = sparse.diff(lhs2.matrix, d0.matrix)
     status = "pass" if (r1 == 0 and r2 == 0) else "fail"
     return VerificationReport(
         check="window difference equations",
@@ -843,11 +647,11 @@ def projected_reduction_check(spec, m):
     rest = [spec.mus[i] for i in range(2, m)]
     labels = [h - mu2, mu2] + rest
     d1 = density_matrix(spec, m, labels, 1)
-    ksp = _sp_embed(k_matrix(n), (m - 1, m - 2), m, d)
-    lhs = _sp_mul(ksp, d1.matrix)
+    ksp = sparse.embed(k_matrix(n), (m - 1, m - 2), m, d)
+    lhs = sparse.mul(ksp, d1.matrix)
     small = density_matrix(spec, m - 2, rest, 0)
-    rhs = _sp_mul(ksp, _sp_extend(_sp_extend(small.matrix, d), d))
-    resid = _sp_diff(lhs, rhs)
+    rhs = sparse.mul(ksp, sparse.extend(sparse.extend(small.matrix, d), d))
+    resid = sparse.diff(lhs, rhs)
     return VerificationReport(
         check="singlet-projected window reduction",
         params={"n": n, "L": spec.L, "N": spec.N, "m": m,
@@ -858,7 +662,7 @@ def projected_reduction_check(spec, m):
 
 
 # ---------------------------------------------------------------------------
-# verification reports: vertex identities, windows, difference equations
+# verification reports: windows and their difference equations
 
 def seeded_rationals(seed, count, avoid=()):
     """Deterministic small rationals clear of the vertex poles.
@@ -879,110 +683,6 @@ def seeded_rationals(seed, count, avoid=()):
             out.append(q)
             have.append(q)
     return out
-
-
-# Every entry of R12(x-y)R13(x)R23(y) - R23(y)R13(x)R12(x-y) lies in
-# span{x^a y^b : a <= 2, b <= 2, a + b <= 3}, of dimension 8.  The 3x3
-# grid less its last corner is unisolvent for that span, so the identity
-# holds identically once it holds at these points.
-YBE_XS = (Fraction(2), Fraction(3, 2), Fraction(-4, 3))
-YBE_YS = (Fraction(5), Fraction(7, 3), Fraction(9, 5))
-YBE_POINTS = tuple(itertools.product(YBE_XS, YBE_YS))[:-1]
-
-
-def _mismatches(a, b):
-    """Number of entries in which two sparse row maps differ."""
-    return sum(1 for r in a.keys() | b.keys()
-               for c in a.get(r, {}).keys() | b.get(r, {}).keys()
-               if a.get(r, {}).get(c, 0) != b.get(r, {}).get(c, 0))
-
-
-def rmatrix_reports(n_values=(2, 3)):
-    """The vertex identities on sparse row maps; the spectral parameter
-    is RatFun.x() where it stays symbolic."""
-    x = RatFun.x()
-    reports = []
-    for n in n_values:
-        d = n + 1
-        h = h_shift(n)
-
-        bad = []
-        for (k1, k2, k3), (xv, yv) in itertools.product(
-                itertools.product(("f", "fbar"), repeat=3), YBE_POINTS):
-            # both integer products carry the same three vertex scales
-            chain = [(k1, k2, xv - yv, (0, 1)), (k1, k3, xv, (0, 2)),
-                     (k2, k3, yv, (1, 2))]
-            if vertex_chain(n, 3, chain) != vertex_chain(n, 3, chain[::-1]):
-                bad.append((k1, k2, k3, str(xv), str(yv)))
-        reports.append(VerificationReport(
-            check="vertex yang-baxter",
-            params={"n": n, "points": len(YBE_POINTS)},
-            status="pass" if not bad else "fail",
-            anchor="the three-line exchange identity holds identically for "
-                   "every kind combination: its entries vanish on a point "
-                   "set unisolvent for their degrees",
-            witness={"violations": bad}))
-
-        one = _sp_identity(d * d)
-        bad_same = _mismatches(
-            _sp_mul(vertex_matrix(n, "f", "f", x),
-                    vertex_matrix(n, "f", "f", -x)),
-            _sp_scale(one, 1 - x * x))
-        bad_mixed = _mismatches(
-            _sp_mul(vertex_matrix(n, "f", "fbar", x),
-                    vertex_matrix(n, "fbar", "f", -x)),
-            _sp_scale(one, RatFun.const(h * h) - x * x))
-        reports.append(VerificationReport(
-            check="vertex unitarity",
-            params={"n": n},
-            status="pass" if bad_same == 0 and bad_mixed == 0 else "fail",
-            anchor="opposite-argument products are scalar polynomials, "
-                   "quadratic with the expected roots",
-            witness={"same_kind_mismatches": bad_same,
-                     "mixed_kind_mismatches": bad_mixed}))
-
-        # partial transpose on line 2 conjugated by the index reversal
-        # there: entry (a,b; c,e) moves to (a,n-e; c,n-b); crossing says
-        # it is then minus the mixed vertex
-        crossed = {}
-        for r, row in vertex_matrix(n, "f", "f", -x - h).items():
-            a, b = divmod(r, d)
-            for col, v in row.items():
-                c, e = divmod(col, d)
-                crossed.setdefault(a * d + n - e, {})[c * d + n - b] = -v
-        bad_cross = _mismatches(crossed, vertex_matrix(n, "f", "fbar", x))
-        reports.append(VerificationReport(
-            check="vertex crossing",
-            params={"n": n},
-            status="pass" if bad_cross == 0 else "fail",
-            anchor="conjugating one line and reflecting the argument about "
-                   "the mixed pole turns one kind into the other, with a "
-                   "single scalar",
-            witness={"mismatches": bad_cross}))
-
-        rbh = vertex_matrix(n, "f", "fbar", -h)
-        rank1 = len(echelon(rbh.values()))
-        matches_k = rbh == _sp_scale(k_matrix(n), -1)
-        reports.append(VerificationReport(
-            check="singlet vertex rank",
-            params={"n": n},
-            status="pass" if rank1 == 1 and matches_k else "fail",
-            anchor="the mixed vertex at the crossing point is minus the "
-                   "rank-one pairing operator",
-            witness={"rank": rank1}))
-
-        pi = _sp_scale(vertex_matrix(n, "f", "f", -1), Fraction(-1, 2))
-        idem = _sp_mul(pi, pi) == pi
-        rank_pi = len(echelon(pi.values()))
-        reports.append(VerificationReport(
-            check="antisymmetrizer idempotent",
-            params={"n": n},
-            status=("pass" if idem and rank_pi == n * (n + 1) // 2
-                    else "fail"),
-            anchor="the same-kind vertex at minus one is minus twice the "
-                   "antisymmetric projector",
-            witness={"rank": rank_pi, "expected_rank": n * (n + 1) // 2}))
-    return reports
 
 
 def lattice_reports(n, max_L, N, max_m, seed):
@@ -1030,10 +730,10 @@ def lattice_reports(n, max_L, N, max_m, seed):
             for variant, big, slot in ((0, [Fraction(0)] + rest, mtop - 1),
                                        (0, rest + [Fraction(0)], 0),
                                        (1, rest + [Fraction(0)], 0)):
-                traced = _sp_ptrace(
+                traced = sparse.ptrace(
                     density_matrix(spec, mtop, big, variant).matrix, slot,
                     mtop, d)
-                resid = max(resid, _sp_diff(traced, small[variant]))
+                resid = max(resid, sparse.diff(traced, small[variant]))
                 cases += 1
             reports.append(VerificationReport(
                 check="window reduction",
@@ -1053,10 +753,10 @@ def lattice_reports(n, max_L, N, max_m, seed):
                 for r, row in g.items():
                     for c, v in row.items():
                         dual.setdefault(n - c, {})[n - r] = -v
-                tot = _sp_site_sum(
+                tot = sparse.site_sum(
                     [g] * (mtop - 1) + [dual if variant else g], d)
-                resid = max(resid, _sp_diff(_sp_mul(tot, win),
-                                            _sp_mul(win, tot)))
+                resid = max(resid, sparse.diff(sparse.mul(tot, win),
+                                               sparse.mul(win, tot)))
                 count += 1
         reports.append(VerificationReport(
             check="window global invariance",
@@ -1080,9 +780,9 @@ def lattice_reports(n, max_L, N, max_m, seed):
                                                         ("f", "f", x, pair)])
                 inv, s_inv = vertex_chain(n, mtop, [("f", "f", -x, pair),
                                                     ("f", "f", 0, pair)])
-                conj = _sp_scale(_sp_mul(_sp_mul(braid, win), inv),
-                                 1 / ((1 - x * x) * s_braid * s_inv))
-                resid = max(resid, _sp_diff(
+                conj = sparse.scale(sparse.mul(sparse.mul(braid, win), inv),
+                                    1 / ((1 - x * x) * s_braid * s_inv))
+                resid = max(resid, sparse.diff(
                     conj, density_matrix(spec, mtop, ws, 0).matrix))
             reports.append(VerificationReport(
                 check="window exchange relation",
@@ -1096,7 +796,7 @@ def lattice_reports(n, max_L, N, max_m, seed):
         wfull = seeded_rationals(seed + L + 300, L, avoid=[0, beta])
         shifted_spec = LatticeSpec(n, L, N, [Fraction(0)] * L,
                                    [b + delta for b in spec.betas])
-        resid = _sp_diff(
+        resid = sparse.diff(
             density_matrix(spec, L, wfull, 0).matrix,
             density_matrix(shifted_spec, L, [x + delta for x in wfull],
                            0).matrix)

@@ -17,21 +17,21 @@ the snake dimension.
 Scalars are handled symbolically: the product of per-level prefactors
 reduces through the rho ladder to an explicit rational function whose
 residue multiplies the polynomial tensor part evaluated at the pole.
+The fused loop product is one rmat.vertex_chain.
 """
 
 from fractions import Fraction
 
+from . import sparse
 from .exactlin import (RatFun, echelon, pole_order_at, residue_at,
                        tensor_from_matrix)
-from .lattice import (LatticeSpec, _sp_diff, _sp_embed, _sp_identity, _sp_mul,
-                      _sp_ptrace, _sp_scale, _sp_site_sum, density_matrix,
-                      level_step, projected_reduction_check,
-                      reduced_prefactor, seeded_rationals,
-                      simple_pole_residue, vertex_chain)
+from .lattice import (LatticeSpec, density_matrix, level_step,
+                      projected_reduction_check, reduced_prefactor,
+                      seeded_rationals, simple_pole_residue)
 from .qchar import module_dim, snake_qchar
 from .report import VerificationReport
-from .rmat import (antisym_fusion, chevalley_generators, h_shift, k_matrix,
-                   vertex_matrix)
+from .rmat import (antisym_fusion, chevalley_generators, h_shift,
+                   identity_matrix, k_matrix, vertex_chain, vertex_matrix)
 
 
 def loop_kinds(n, l):
@@ -134,11 +134,11 @@ def _snail_matrix(spec):
     residue over the levels' integer scales."""
     n = spec.n
     _, res = _tower_scalar(spec)
-    mat, scale = _sp_identity((n + 1) ** spec.m), 1
+    mat, scale = identity_matrix((n + 1) ** spec.m), 1
     for t, nu in enumerate(spec.loop_shifts(), 1):
         mat, s = level_step(2 if t % 2 == 1 else 1, n, nu, spec.mus, mat)
         scale *= s
-    return _sp_scale(mat, res / scale)
+    return sparse.scale(mat, res / scale)
 
 
 def snail_operator(spec):
@@ -172,13 +172,13 @@ def contraction_order_check(spec):
     mu2 = spec.mus[0]
     nu = mu2 - h_shift(n)
     _, res = _tower_scalar(spec)
-    cr = _sp_embed(vertex_matrix(n, "f", "fbar", nu - mu2), (0, 2), 3, d)
-    ks = _sp_embed(k_matrix(n), (1, 2), 3, d)
-    cl = _sp_embed(vertex_matrix(n, "f", "fbar", mu2 - nu), (0, 2), 3, d)
+    cr, cl = (sparse.embed(vertex_matrix(n, "f", "fbar", x), (0, 2), 3, d)
+              for x in (nu - mu2, mu2 - nu))
+    ks = sparse.embed(k_matrix(n), (1, 2), 3, d)
     want = _snail_matrix(spec)
-    resid = [_sp_diff(_sp_scale(_sp_ptrace(x, 2, 3, d), res), want)
-             for x in (_sp_mul(_sp_mul(cl, ks), cr),
-                       _sp_mul(cl, _sp_mul(ks, cr)))]
+    resid = [sparse.diff(sparse.scale(sparse.ptrace(x, 2, 3, d), res), want)
+             for x in (sparse.mul(sparse.mul(cl, ks), cr),
+                       sparse.mul(cl, sparse.mul(ks, cr)))]
     status = "pass" if all(r == 0 for r in resid) else "fail"
     return VerificationReport(
         check="tower contraction order",
@@ -206,7 +206,7 @@ def fusion_matrix(n, loop_count):
     """Sparse row map of fusion_operator: lexicographic product over
     loop pairs of the kind-dispatched vertex at the shift difference."""
     mat, s = _fusion_chain(n, int(loop_count))
-    return _sp_scale(mat, Fraction(1, s))
+    return sparse.scale(mat, Fraction(1, s))
 
 
 def fusion_operator(n, loop_count):
@@ -256,9 +256,10 @@ def singlet_insertion_check(n, loop_count):
     km = k_matrix(n)
     witness = {}
     for t in range(1, l):
-        emb = _sp_embed(km, (t - 1, t), l, d)
-        witness[f"pair_{t}_{t + 1}"] = {"K.F": _sp_diff(_sp_mul(emb, f), {}),
-                                        "F.K": _sp_diff(_sp_mul(f, emb), {})}
+        emb = sparse.embed(km, (t - 1, t), l, d)
+        witness[f"pair_{t}_{t + 1}"] = {
+            "K.F": sparse.diff(sparse.mul(emb, f), {}),
+            "F.K": sparse.diff(sparse.mul(f, emb), {})}
     return VerificationReport(
         check="singlet insertions on the fused product",
         params={"n": n, "loops": l},
@@ -292,10 +293,11 @@ def l1_fusion_check(n, spec, m):
     rest = [spec.mus[j] for j in range(2, m)]
     win = density_matrix(spec, m, [lam - 1, lam] + rest, 0)
     pair = (m - 1, m - 2)
-    lhs = _sp_mul(_sp_embed(vertex_matrix(2, "f", "f", Fraction(-1)), pair,
-                            m, d), win.matrix)
-    sym = _sp_scale(vertex_matrix(2, "f", "f", 1), Fraction(1, 2))
-    sym_resid = _sp_diff(_sp_mul(_sp_embed(sym, pair, m, d), lhs), {})
+    lhs = sparse.mul(sparse.embed(vertex_matrix(2, "f", "f", Fraction(-1)),
+                                  pair, m, d), win.matrix)
+    sym = sparse.scale(vertex_matrix(2, "f", "f", 1), Fraction(1, 2))
+    sym_resid = sparse.diff(sparse.mul(sparse.embed(sym, pair, m, d), lhs),
+                            {})
     rank = len(echelon(lhs.values()))
 
     small = density_matrix(spec, m - 1, [lam - h + 1] + rest, 1)
@@ -314,14 +316,14 @@ def l1_fusion_check(n, spec, m):
     def transported(wmat):
         wmat_inv = {c: {r: 1 / v} for r, row in wmat.items()
                     for c, v in row.items()}
-        e_full = on_pair(_sp_mul(fu, wmat_inv), 9, 3)
-        r_full = on_pair(_sp_mul(wmat, de), 3, 9)
-        return _sp_mul(_sp_mul(e_full, small.matrix), r_full)
+        e_full = on_pair(sparse.mul(fu, wmat_inv), 9, 3)
+        r_full = on_pair(sparse.mul(wmat, de), 3, 9)
+        return sparse.mul(sparse.mul(e_full, small.matrix), r_full)
 
     rhs = transported(w)
-    residual = _sp_diff(lhs, rhs)
+    residual = sparse.diff(lhs, rhs)
     # the same identification with the wedge index reversed
-    residual_flipped = _sp_diff(
+    residual_flipped = sparse.diff(
         lhs, transported({2 - a: row for a, row in w.items()}))
 
     # stored entries are nonzero, so equal supports mean no entry vanishes
@@ -388,10 +390,11 @@ def snail_wellformed_reports(n, seed):
     # the lowering level with its line parameter left formal, scaled by
     # its scalar and reduced entrywise to the residue at the pole
     red = reduced_prefactor(n, [mu], [(2, 0)])
-    formal, s = level_step(2, n, RatFun.x(), [mu], _sp_identity((n + 1) ** 2))
+    formal, s = level_step(2, n, RatFun.x(), [mu],
+                           identity_matrix((n + 1) ** 2))
     single = {r: {c: residue_at(red * v, mu - h_shift(n)) / s
                   for c, v in row.items()} for r, row in formal.items()}
-    resid = _sp_diff(towers[1], single)
+    resid = sparse.diff(towers[1], single)
     reports.append(VerificationReport(
         check="tower against single-level assembly",
         params={"n": n, "k": 1, "m": 2, "mu2": mu, "seed": seed},
@@ -403,8 +406,9 @@ def snail_wellformed_reports(n, seed):
     resid = Fraction(0)
     for x in towers.values():
         for g in (g for gens in chevalley_generators(n) for g in gens):
-            tot = _sp_site_sum([g, g], n + 1)
-            resid = max(resid, _sp_diff(_sp_mul(tot, x), _sp_mul(x, tot)))
+            tot = sparse.site_sum([g, g], n + 1)
+            resid = max(resid, sparse.diff(sparse.mul(tot, x),
+                                           sparse.mul(x, tot)))
     reports.append(VerificationReport(
         check="fused window invariance",
         params={"n": n, "k_values": [1, 2], "m": 2, "mu2": mu, "seed": seed},

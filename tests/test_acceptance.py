@@ -10,7 +10,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from qsnake.lattice import lattice_reports, rmatrix_reports, rqkz_reports
+from qsnake.lattice import lattice_reports, rqkz_reports
 from qsnake.loopring import y_var
 from qsnake.qchar import (
     census_reports,
@@ -21,6 +21,7 @@ from qsnake.qchar import (
     snake_trio_reports,
     tsystem_reports,
 )
+from qsnake.rmat import rmatrix_reports
 from qsnake.snail import (
     DEFAULT_RANK_PAIRS,
     exploratory_reports,

@@ -26,15 +26,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qsnake"
 MODULES = {p.stem for p in SRC.glob("*.py")}
 
-# (importer, source) -> the private names it may import.  snail runs on
-# the sparse kernels of lattice; they stay private there until a public
-# home for them is named in the benchmark's traced-name list
-# (perfbench/spans.py TRACED), which wraps them under these names.
-ALLOWED = {
-    ("snail", "lattice"): {
-        "_sp_diff", "_sp_embed", "_sp_identity", "_sp_mul", "_sp_ptrace",
-        "_sp_scale", "_sp_site_sum"},
-}
+# (importer, source) -> the private names it may import
+ALLOWED = {}
 
 
 def imports():
@@ -50,7 +43,10 @@ def imports():
                 if node.level == 0 and source.startswith("qsnake."):
                     source = source[len("qsnake."):]
                 for alias in node.names:
-                    yield path.stem, source, alias.name
+                    if node.level and not source:  # from . import module
+                        yield path.stem, alias.name, None
+                    else:
+                        yield path.stem, source, alias.name
 
 
 def test_no_private_names_across_modules():
@@ -58,6 +54,13 @@ def test_no_private_names_across_modules():
            if src in MODULES and src != imp and name and name[0] == "_"
            and name not in ALLOWED.get((imp, src), ())]
     assert not bad, bad
+
+
+def test_sparse_imports_only_exactlin():
+    # the row-map kernels sit below every module that builds operators
+    sources = {src for imp, src, _name in imports() if imp == "sparse"}
+    assert sources & MODULES == {"exactlin"}
+    assert not [src for src in sources if src.split(".")[0] == "numpy"]
 
 
 def test_cli_does_not_import_numpy():

@@ -11,22 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsnake import lattice
+from qsnake import lattice, rmat, sparse
 from qsnake.exactlin import RatFun, _frac_rank
 from qsnake.lattice import (
     _dense_to_sp,
-    _sp_diff,
-    _sp_embed,
-    _sp_extend,
-    _sp_identity,
-    _sp_integral,
-    _sp_mul,
-    _sp_ptrace,
-    _sp_scale,
-    _sp_scaled_mul,
-    _sp_site_sum,
     _sp_to_dense,
-    _sp_trace,
     AOperator,
     DensityWindow,
     LatticeSpec,
@@ -51,10 +40,9 @@ from qsnake.lattice import (
     seeded_rationals,
     transfer_matrix,
     verify_finite_rqkz,
-    vertex_chain,
-    YBE_POINTS,
 )
 from qsnake.rmat import (
+    YBE_POINTS,
     charge_conj_matrix,
     chevalley_generators,
     h_shift,
@@ -62,6 +50,7 @@ from qsnake.rmat import (
     k_matrix,
     permutation_matrix,
     prefactor_reduce,
+    vertex_chain,
     vertex_matrix,
 )
 from qsnake.snail import (SnailSpec, _fusion_chain, _snail_matrix, _tower_scalar,
@@ -93,7 +82,7 @@ def dense(win):
 def exact_chain(n, nslots, factors):
     """vertex_chain's product with its integer scale divided out."""
     chain, scale = vertex_chain(n, nslots, factors)
-    return _sp_scale(chain, Fraction(1, scale))
+    return sparse.scale(chain, Fraction(1, scale))
 
 
 def fraction_chain(n, nslots, factors):
@@ -101,9 +90,9 @@ def fraction_chain(n, nslots, factors):
     as they are, over Fraction or RatFun entries, clearing no
     denominator."""
     d = n + 1
-    return functools.reduce(_sp_mul, (
-        _sp_embed(vertex_matrix(n, kind1, kind2, x), slots, nslots, d)
-        for kind1, kind2, x, slots in factors), _sp_identity(d ** nslots))
+    return functools.reduce(sparse.mul, (
+        sparse.embed(vertex_matrix(n, kind1, kind2, x), slots, nslots, d)
+        for kind1, kind2, x, slots in factors), identity_matrix(d ** nslots))
 
 
 def scalar_matrix(c, dim):
@@ -154,12 +143,12 @@ def test_embed_ptrace_roundtrip():
                 if p == q:
                     continue
                 emb = embed_pair(v, (p, q), 4, n)
-                sp = _sp_embed(_dense_to_sp(v), (p, q), 4, d)
+                sp = sparse.embed(_dense_to_sp(v), (p, q), 4, d)
                 assert max_abs_diff(emb, _sp_to_dense(sp, d ** 4)) == 0
                 for slot in range(4):
                     assert max_abs_diff(
                         ptrace_slot(emb, slot, 4, n),
-                        _sp_to_dense(_sp_ptrace(sp, slot, 4, d), d ** 3)) == 0
+                        _sp_to_dense(sparse.ptrace(sp, slot, 4, d), d ** 3)) == 0
                 back, nsl = emb, 4
                 for slot in sorted({0, 1, 2, 3} - {p, q}, reverse=True):
                     back = ptrace_slot(back, slot, nsl, n)
@@ -176,9 +165,9 @@ def test_site_sum_matches_kron_sum():
     e, f, h = (_sp_to_dense(g, 3) for g in mats)
     want = (np.kron(np.kron(e, one), one) + np.kron(np.kron(one, f), one)
             + np.kron(np.kron(one, one), h))
-    assert max_abs_diff(_sp_to_dense(_sp_site_sum(mats, 3), 27), want) == 0
-    assert max_abs_diff(_sp_to_dense(_sp_site_sum(mats[2:], 3), 3), h) == 0
-    assert _sp_site_sum([_dense_to_sp(h - h), _dense_to_sp(e - e)], 3) == {}
+    assert max_abs_diff(_sp_to_dense(sparse.site_sum(mats, 3), 27), want) == 0
+    assert max_abs_diff(_sp_to_dense(sparse.site_sum(mats[2:], 3), 3), h) == 0
+    assert sparse.site_sum([_dense_to_sp(h - h), _dense_to_sp(e - e)], 3) == {}
 
 
 def test_dense_to_sp_reads_both_dimensions():
@@ -212,7 +201,7 @@ def test_max_abs_diff_rejects_unequal_shapes():
 
 
 def former_sp_diff(a, b):
-    """The former _sp_diff, which subtracts every pair of entries."""
+    """The former diff kernel, which subtracts every pair of entries."""
     best = Fraction(0)
     for r in set(a) | set(b):
         ra, rb = a.get(r, {}), b.get(r, {})
@@ -250,15 +239,15 @@ def test_sp_diff_matches_the_former_formula():
                     b.setdefault(r, {})[c] = x + entry()
                 else:
                     (a if kind == "only a" else b).setdefault(r, {})[c] = x
-        got, want = _sp_diff(a, b), former_sp_diff(a, b)
+        got, want = sparse.diff(a, b), former_sp_diff(a, b)
         assert got == want and type(got) is type(want), (a, b)
-        assert _sp_diff(b, a) == want
+        assert sparse.diff(b, a) == want
     assert kinds == {"equal", "same value", "differ", "only a", "only b"}
     # no difference at all reads Fraction(0), as before
     m = {0: {1: 2, 3: Fraction(1, 2)}, 4: {0: -1}}
-    assert _sp_diff(m, dict(m)) == 0 and type(_sp_diff(m, m)) is Fraction
-    assert _sp_diff({}, {}) == 0 and type(_sp_diff({}, {})) is Fraction
-    assert _sp_diff(m, {}) == 2 and type(_sp_diff(m, {})) is int
+    assert sparse.diff(m, dict(m)) == 0 and type(sparse.diff(m, m)) is Fraction
+    assert sparse.diff({}, {}) == 0 and type(sparse.diff({}, {})) is Fraction
+    assert sparse.diff(m, {}) == 2 and type(sparse.diff(m, {})) is int
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +374,7 @@ def test_density_validation():
             density_matrix(spec, 2, [0, 0], crossing=crossing)
     assert density_matrix(spec, 2, [0, 0]).crossing == (2, 1)
     with pytest.raises(ValueError):
-        DensityWindow(2, 2, 0, _sp_identity(9), [0])
+        DensityWindow(2, 2, 0, identity_matrix(9), [0])
     # indices must fit d^m coordinates
     with pytest.raises(ValueError, match="outside"):
         DensityWindow(2, 1, 0, {0: {3: Fraction(1)}}, [0])
@@ -416,7 +405,7 @@ def torus_line(n, kinds, params, aux_kind, lam, order, chain):
         factors = [(kinds[i], "fbar",
                     lam - params[i] if kinds[i] == "f" else params[i] - lam,
                     (i, L)) for i in reversed(order)]
-    return _sp_ptrace(chain(n, L + 1, factors), L, L + 1, n + 1)
+    return sparse.ptrace(chain(n, L + 1, factors), L, L + 1, n + 1)
 
 
 def integer_chain(n, nslots, factors):
@@ -437,14 +426,14 @@ def reference_window(spec, m, labels, variant, crossing,
     if variant == 1:
         params[m - 1], kinds[m - 1] = -labels[0], "fbar"
     order = [m - site for site in crossing] + list(range(m, L))
-    t = functools.reduce(_sp_mul, (
-        _sp_mul(torus_line(n, kinds, params, "f", b, order, chain),
-                torus_line(n, kinds, params, "fbar", b - h_shift(n), order,
-                           chain))
+    t = functools.reduce(sparse.mul, (
+        sparse.mul(torus_line(n, kinds, params, "f", b, order, chain),
+                   torus_line(n, kinds, params, "fbar", b - h_shift(n), order,
+                              chain))
         for b in spec.betas))
     for slot in range(L - 1, m - 1, -1):
-        t = _sp_ptrace(t, slot, slot + 1, n + 1)
-    return _sp_scale(t, 1 / _sp_trace(t))
+        t = sparse.ptrace(t, slot, slot + 1, n + 1)
+    return sparse.scale(t, 1 / sparse.trace(t))
 
 
 def torus_strip(n, L, N):
@@ -519,7 +508,7 @@ def test_outside_columns_are_the_traced_column_chain():
                 assert column == (line_pair_map(d, c0, c1), s), (n, b)
             power = line_pair_map(d, 1, 0), 1
             for k in range(1, 6):
-                power = _sp_scaled_mul(power, column)
+                power = sparse.scaled_mul(power, column)
                 a, c, sk = lattice._outside_columns(n, b, k)
                 assert power == (line_pair_map(d, a, c), sk), (n, b, k)
 
@@ -733,7 +722,7 @@ def test_density_colour_conserving():
     w = seeded_labels(19, 2)
     for variant in (0, 1):
         assert colour_conserving(density_matrix(spec, 2, w, variant))
-    bad = _sp_identity(9)
+    bad = identity_matrix(9)
     bad[0][4] = Fraction(1)  # weight (2,0,0) against (0,2,0)
     assert not colour_conserving(DensityWindow(2, 2, 0, bad, [0, 0]))
 
@@ -879,11 +868,11 @@ def test_each_window_equation_fails_in_the_other_crossing():
         w0, w1 = (density_matrix(spec, m, labels[v], v, crossing)
                   for v in (0, 1))
         raised, s_up = level_step(1, n, beta, mu_rest, w0.matrix)
-        raised = _sp_scale(raised, up.prefactor / s_up)
+        raised = sparse.scale(raised, up.prefactor / s_up)
         lowered, s_down = level_step(2, n, beta - h, mu_rest, w1.matrix)
-        lowered = _sp_scale(lowered, down.prefactor / s_down)
-        assert (_sp_diff(raised, w1.matrix) == 0) == eq1_holds, crossing
-        assert (_sp_diff(lowered, w0.matrix) == 0) != eq1_holds, crossing
+        lowered = sparse.scale(lowered, down.prefactor / s_down)
+        assert (sparse.diff(raised, w1.matrix) == 0) == eq1_holds, crossing
+        assert (sparse.diff(lowered, w0.matrix) == 0) != eq1_holds, crossing
         # each map refuses the crossing its equation fails on
         if eq1_holds:
             assert up(w0).matrix == raised
@@ -905,7 +894,7 @@ def test_window_equations_on_random_strips():
     stop = time.monotonic() + SWEEP_BUDGET_S
 
     @settings(max_examples=40, deadline=None, database=None)
-    @given(n=st.integers(1, 2), L=st.integers(2, 5), data=st.data(),
+    @given(n=st.integers(1, 3), L=st.integers(2, 5), data=st.data(),
            seed=st.integers(0, 10 ** 6))
     def sweep(n, L, data, seed):
         m = data.draw(st.integers(2, L), label="m")
@@ -995,7 +984,7 @@ def test_a_residue_rank_one():
     assert _frac_rank(mat) == 1
     # traced over the consumed line it is the closed residue: the chain's
     # K, the mixed vertex at -(n+1)/2, is -K and its sign is undone
-    assert _sp_scale(_sp_ptrace(chain, 1, 3, d), res) == a_residue_closed(
+    assert sparse.scale(sparse.ptrace(chain, 1, 3, d), res) == a_residue_closed(
         2, [Fraction(2, 7)])
 
 
@@ -1026,9 +1015,9 @@ def fraction_level_step(which, n, nu, mus, mat):
     down = fraction_chain(n, m + 1, [("f", kind, mu - nu, (m - j, m - 1))
                                      for j, mu in reversed(sites)])
     cl, cr = (up, down) if which == 1 else (down, up)
-    ks = _sp_embed(k_matrix(n), (m - 1, m), m + 1, d)
-    prod = functools.reduce(_sp_mul, (cl, _sp_extend(mat, d), ks, cr))
-    return _sp_ptrace(prod, m - 1, m + 1, d)
+    ks = sparse.embed(k_matrix(n), (m - 1, m), m + 1, d)
+    prod = functools.reduce(sparse.mul, (cl, sparse.extend(mat, d), ks, cr))
+    return sparse.ptrace(prod, m - 1, m + 1, d)
 
 
 def entries(mat):
@@ -1040,7 +1029,7 @@ def test_clearing_denominators_is_exact_and_leaves_its_input_alone():
     mat = {0: {0: Fraction(1, 6), 2: Fraction(-3, 4)}, 1: {1: 5},
            2: {0: x / 7, 1: Fraction(2)}}
     before = {r: dict(row) for r, row in mat.items()}
-    cleared, scale = _sp_integral(mat)
+    cleared, scale = sparse.integral(mat)
     assert scale == 12
     assert cleared == {0: {0: 2, 2: -9}, 1: {1: 60}, 2: {0: x * 12 / 7, 1: 24}}
     assert [type(v) for v in entries(cleared)] == [int, int, int, RatFun, int]
@@ -1051,7 +1040,7 @@ def test_clearing_denominators_is_exact_and_leaves_its_input_alone():
     win = density_matrix(spec, 2, [spec.betas[0], spec.mus[1]], 0, (1, 2))
     for shared in (identity_matrix(9), k_matrix(2), win.matrix):
         copy = {r: dict(row) for r, row in shared.items()}
-        out, scale = _sp_integral(shared)
+        out, scale = sparse.integral(shared)
         assert out is not shared and shared == copy
         assert all(type(v) is Fraction for v in entries(shared))
         assert all(type(v) is int for v in entries(out))
@@ -1066,7 +1055,7 @@ def test_clearing_denominators_refuses_inexact_entries():
     # a float, even a whole one, is never truncated through int()
     for bad in (0.5, 2.0, 1e-30, complex(1, 0), "1", None):
         with pytest.raises(TypeError, match="neither rational nor RatFun"):
-            _sp_integral({0: {0: Fraction(1, 3), 1: bad}})
+            sparse.integral({0: {0: Fraction(1, 3), 1: bad}})
     with pytest.raises(TypeError):
         vertex_chain(2, 2, [("f", "f", 0.5, (0, 1))])
     with pytest.raises(TypeError):
@@ -1135,7 +1124,7 @@ def test_window_shift_images_equal_the_fraction_reference():
                                         raising)),
                     (down, density_matrix(spec, m, [h - beta] + mu_rest, 1))):
                 image = op(win).matrix
-                assert image == _sp_scale(fraction_level_step(
+                assert image == sparse.scale(fraction_level_step(
                     op.which, n, op.lam1, mu_rest, win.matrix),
                     op.prefactor), (n, L, m, op)
                 assert all(type(v) is Fraction for v in entries(image))
@@ -1147,11 +1136,11 @@ def test_snail_towers_equal_the_fraction_reference():
         for k in (1, 2):
             for m in (2, 3):
                 spec = SnailSpec(n, k, m, mus[:m - 1])
-                mat = _sp_identity((n + 1) ** m)
+                mat = identity_matrix((n + 1) ** m)
                 for t, nu in enumerate(spec.loop_shifts(), 1):
                     mat = fraction_level_step(2 if t % 2 else 1, n, nu,
                                               spec.mus, mat)
-                want = _sp_scale(mat, _tower_scalar(spec)[1])
+                want = sparse.scale(mat, _tower_scalar(spec)[1])
                 assert _snail_matrix(spec) == want, (n, k, m)
 
 
@@ -1164,11 +1153,11 @@ def test_formal_level_step_equals_the_fraction_reference():
     for n in (1, 2):
         spec = rqkz_spec(n, 2, 22)
         win = density_matrix(spec, 2, [spec.betas[0], mu], 0, (1, 2))
-        for which, mat in ((2, _sp_identity((n + 1) ** 2)),
+        for which, mat in ((2, identity_matrix((n + 1) ** 2)),
                            (1, win.matrix)):
             image, scale = level_step(which, n, x, [mu], mat)
-            assert scale == _sp_integral(mat)[1] and (which == 2 or scale > 1)
-            assert _sp_scale(image, Fraction(1, scale)) == (
+            assert scale == sparse.integral(mat)[1] and (which == 2 or scale > 1)
+            assert sparse.scale(image, Fraction(1, scale)) == (
                 fraction_level_step(which, n, x, [mu], mat)), (n, which)
 
 
@@ -1202,10 +1191,10 @@ def embedded_vertex_chain(n, nslots, factors):
     d = n + 1
     out = None
     for kind1, kind2, x, slots in factors:
-        v, s = _sp_integral(vertex_matrix(n, kind1, kind2, x))
-        v = (_sp_embed(v, slots, nslots, d), s)
-        out = v if out is None else _sp_scaled_mul(out, v)
-    return _sp_integral(_sp_identity(d ** nslots)) if out is None else out
+        v, s = sparse.integral(vertex_matrix(n, kind1, kind2, x))
+        v = (sparse.embed(v, slots, nslots, d), s)
+        out = v if out is None else sparse.scaled_mul(out, v)
+    return sparse.integral(identity_matrix(d ** nslots)) if out is None else out
 
 
 def typed(mat):
@@ -1277,8 +1266,6 @@ def test_vertex_chain_has_the_oracle_errors():
 def test_vertex_chain_builds_no_vertex_map(monkeypatch):
     # a return to building, embedding and multiplying vertex maps fails
     # here loudly; the oracle chains are built before the patch
-    from qsnake import rmat
-
     n = 2
     spec, labels, _seed = torus_strip(n, 3, 1)
     lines = lattice._strip(spec, 2, labels[:2], 1, None)[2]
@@ -1296,8 +1283,8 @@ def test_vertex_chain_builds_no_vertex_map(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("vertex map built in a chain")
 
-    for module, name in ((lattice, "vertex_matrix"), (rmat, "vertex_matrix"),
-                         (lattice, "_sp_embed"), (lattice, "_sp_mul")):
+    for module, name in ((rmat, "vertex_matrix"), (sparse, "embed"),
+                         (sparse, "mul")):
         monkeypatch.setattr(module, name, refuse)
     got = ([vertex_chain(n, spec.L + 1, line) for line in lines],
            _fusion_chain(2, 5),
@@ -1322,7 +1309,7 @@ def test_vertex_chain_returns_fresh_maps():
         first[99] = {0: 1}
         again, scale2 = vertex_chain(2, 3, factors)
         assert typed(again) == keep and scale2 == scale, factors
-    digits = lattice._slot_digits(3, 3, 1, 0)
+    digits = rmat._slot_digits(3, 3, 1, 0)
     assert type(digits) is tuple and all(type(t) is int for t in digits)
 
 
@@ -1346,7 +1333,7 @@ def former_level_chain(which, n, nu, mus):
                                  for j, mu in sites])
     down = vertex_chain(n, m + 1, [("f", kind, mu - nu, (m - j, m - 1))
                                    for j, mu in reversed(sites)])
-    ks = _sp_integral(_sp_embed(k_matrix(n), (m - 1, m), m + 1, n + 1))
+    ks = sparse.integral(sparse.embed(k_matrix(n), (m - 1, m), m + 1, n + 1))
     return (up, ks, down) if which == 1 else (down, ks, up)
 
 
@@ -1357,9 +1344,9 @@ def former_level_step(which, n, nu, mus, mat):
     m = len(mus) + 1
     d = n + 1
     cl, ks, cr = former_level_chain(which, n, nu, mus)
-    prod, s = functools.reduce(_sp_scaled_mul, (
-        cl, _sp_integral(_sp_extend(mat, d)), ks, cr))
-    return _sp_ptrace(prod, m - 1, m + 1, d), s
+    prod, s = functools.reduce(sparse.scaled_mul, (
+        cl, sparse.integral(sparse.extend(mat, d)), ks, cr))
+    return sparse.ptrace(prod, m - 1, m + 1, d), s
 
 
 def test_first_tower_level_skips_the_identity(monkeypatch):
@@ -1367,7 +1354,7 @@ def test_first_tower_level_skips_the_identity(monkeypatch):
     # CL . K . CR: the same entries, types and scale, with no extension
     x = RatFun.x()
     mus = [Fraction(2, 7), Fraction(-5, 3)]
-    cases = [(which, n, nu, mus[:m - 1], _sp_identity((n + 1) ** m))
+    cases = [(which, n, nu, mus[:m - 1], identity_matrix((n + 1) ** m))
              for n in (2, 3) for m in (2, 3) for which in (1, 2)
              for nu in (Fraction(-4, 9), x)]
     want = [former_level_step(*case) for case in cases]
@@ -1375,7 +1362,7 @@ def test_first_tower_level_skips_the_identity(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the identity was extended")
 
-    monkeypatch.setattr(lattice, "_sp_extend", refuse)
+    monkeypatch.setattr(sparse, "extend", refuse)
     for case, (image, scale) in zip(cases, want):
         got, s = level_step(*case)
         assert s == scale and typed(got) == typed(image), case[:4]
@@ -1385,11 +1372,11 @@ def test_first_tower_level_skips_the_identity(monkeypatch):
     monkeypatch.undo()
     spec = SnailSpec(3, 1, 2, mus[:1])
     image, scale = former_level_step(2, 3, spec.loop_shifts()[0], spec.mus,
-                                     _sp_identity(16))
-    assert _snail_matrix(spec) == _sp_scale(image,
-                                            _tower_scalar(spec)[1] / scale)
-    for one in (_sp_scale(_sp_identity(9), Fraction(1, 2)),
-                _sp_scale(_sp_identity(9), RatFun.const(1))):
+                                     identity_matrix(16))
+    assert _snail_matrix(spec) == sparse.scale(image,
+                                               _tower_scalar(spec)[1] / scale)
+    for one in (sparse.scale(identity_matrix(9), Fraction(1, 2)),
+                sparse.scale(identity_matrix(9), RatFun.const(1))):
         got, s = level_step(1, 2, Fraction(1, 3), mus[:1], one)
         image, scale = former_level_step(1, 2, Fraction(1, 3), mus[:1], one)
         assert s == scale and typed(got) == typed(image)
@@ -1468,7 +1455,8 @@ def test_level_step_builds_no_map_on_m_plus_one_slots(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a map on m+1 slots was built")
 
-    for name in ("_sp_extend", "_sp_embed", "_sp_ptrace", "k_matrix"):
-        monkeypatch.setattr(lattice, name, refuse)
+    for module, name in ((sparse, "extend"), (sparse, "embed"),
+                         (sparse, "ptrace"), (lattice, "k_matrix")):
+        monkeypatch.setattr(module, name, refuse)
     got = [op(win).matrix for op, win in cases], _snail_matrix(tower)
     assert got == want

@@ -1,9 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qsnake import rmat
 from qsnake.exactlin import RatFun, matrix_rank, tensor_from_matrix
 from qsnake.rmat import (
     PrefactorExpr,
@@ -19,8 +21,10 @@ from qsnake.rmat import (
     r_dual_dual,
     r_num,
     rbar_num,
+    rmatrix_reports,
     singlet_projector,
     singlet_vector,
+    vertex_chain,
     vertex_matrix,
 )
 
@@ -329,3 +333,139 @@ def test_prefactor_scalar_carry():
     e = PrefactorExpr(n, RatFun.const(Fraction(2, 3)))
     e = e * PrefactorExpr.rho(n, 1) * PrefactorExpr.rho(n, -1, 1, -1)
     assert prefactor_reduce(e) == RatFun.const(Fraction(2, 3))
+
+
+def former_reduce(expr):
+    """The former PrefactorExpr.reduce, kept as its oracle: move a factor
+    one rung down the ladder while a partner of opposite exponent sits
+    below it in its class, restarting after every move."""
+    n = expr.n
+    step = n + 1
+    x = RatFun.x()
+    factors = {s: e for s, e in expr.factors.items() if e}
+    rational = expr.rational
+
+    def has_partner_below(s, e):
+        for t, et in factors.items():
+            if t >= s or et * e >= 0:
+                continue
+            q = (s - t) / step
+            if q.denominator == 1:
+                return True
+        return False
+
+    changed = True
+    while changed:
+        changed = False
+        for s in sorted(factors):
+            e = factors.get(s, 0)
+            if not e or not has_partner_below(s, e):
+                continue
+            y = x + RatFun.const(s)
+            rung = (y * (y - step)) / ((y - 1) * (y - n))
+            if e > 0:
+                rational = rational * rung
+                factors[s] = e - 1
+                factors[s - step] = factors.get(s - step, 0) + 1
+            else:
+                rational = rational / rung
+                factors[s] = e + 1
+                factors[s - step] = factors.get(s - step, 0) - 1
+            changed = True
+            break
+    factors = {s: e for s, e in factors.items() if e}
+    return PrefactorExpr(n, rational, factors)
+
+
+def class_totals(expr):
+    """Exponent total of each class of shifts congruent mod n+1, the
+    classes that cancel left out."""
+    out = {}
+    for s, e in expr.factors.items():
+        out[s % (expr.n + 1)] = out.get(s % (expr.n + 1), 0) + e
+    return {c: e for c, e in out.items() if e}
+
+
+def test_reduce_matches_the_former_greedy_reduce():
+    # seeded products of rho factors in two or three classes, exponents
+    # +-1 and +-2, behind a rational prefix; a class cancels when its
+    # members come in pairs of opposite exponent
+    rng = random.Random(23)
+    seen = set()
+    for trial in range(40):
+        n = 1 + trial % 4
+        step = n + 1
+        bases = rng.sample([Fraction(0), Fraction(1, 2), Fraction(1, 3),
+                            Fraction(-2, 5), h_shift(n), Fraction(1)], 3)
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        expr = PrefactorExpr(n, (X - c) / (X + c + 7) * Fraction(3, 5))
+        for base in bases[:rng.randint(2, 3)]:
+            for _ in range(rng.randint(1, 2)):
+                e = rng.choice((1, -1, 2, -2))
+                for j, sign in ((rng.randint(-2, 2), 1),
+                                (rng.randint(-2, 2), -1)):
+                    expr = expr * PrefactorExpr.rho(
+                        n, base + j * step, sign * e)
+            if rng.random() < 0.3:  # one unpaired factor in this class
+                expr = expr * PrefactorExpr.rho(
+                    n, base + rng.randint(-2, 2) * step, rng.choice((1, 2)))
+        got, want = expr.reduce(), former_reduce(expr)
+        assert class_totals(got) == class_totals(want) == class_totals(expr)
+        if got.is_rational():
+            assert want.is_rational() and got.rational == want.rational
+        else:
+            # one factor per class left, at its lowest shift
+            for s in got.factors:
+                assert s == min(t for t in expr.factors
+                                if (t - s) % step == 0)
+        seen.add((n, got.is_rational()))
+    assert seen == set(itertools.product((1, 2, 3, 4), (False, True)))
+
+
+def typed(mat):
+    """A row map with each entry's type beside its value."""
+    return {r: {c: (v, type(v)) for c, v in row.items()}
+            for r, row in mat.items()}
+
+
+def test_vertex_matrix_is_the_one_vertex_chain():
+    # vertex_matrix reads the rows every chain applies: the one-vertex
+    # chain on two slots over its scale, entry types included
+    for n in (1, 2, 3, 4):
+        h = h_shift(n)
+        for (k1, k2), x in itertools.product(
+                itertools.product(("f", "fbar"), repeat=2),
+                (Fraction(2, 7), Fraction(-3), Fraction(0), -h, 1, X,
+                 X + Fraction(1, 3), X - h)):
+            chain, s = vertex_chain(n, 2, [(k1, k2, x, (0, 1))])
+            want = {r: {c: v if isinstance(v, RatFun) else Fraction(v, s)
+                        for c, v in row.items()} for r, row in chain.items()}
+            assert typed(vertex_matrix(n, k1, k2, x)) == typed(want), (
+                n, k1, k2, x)
+
+
+def test_the_vertex_is_written_once(monkeypatch):
+    # doubling the same-kind rows of the one vertex definition fails the
+    # vertex reports and reaches every chain
+    factors = [("f", "f", Fraction(1, 3), (0, 2)),
+               ("fbar", "f", Fraction(-2, 5), (1, 0))]
+    plain, scale = vertex_chain(2, 3, factors[:1])
+    assert all(r.status == "pass" for r in rmatrix_reports((2, 3)))
+    rows_of = rmat._vertex_rows
+
+    def doubled(n, kind1, kind2, x, dw):
+        rows, s = rows_of(n, kind1, kind2, x, dw)
+        if kind1 == kind2:
+            rows = [tuple((o, 2 * w) for o, w in row) for row in rows]
+        return rows, s
+
+    monkeypatch.setattr(rmat, "_vertex_rows", doubled)
+    failed = {(r.check, r.params["n"]) for r in rmatrix_reports((2, 3))
+              if r.status == "fail"}
+    assert {("vertex unitarity", 2), ("vertex unitarity", 3)} <= failed
+    assert vertex_chain(2, 3, factors[:1]) == (
+        {r: {c: 2 * v for c, v in row.items()} for r, row in plain.items()},
+        scale)
+    assert vertex_matrix(2, "f", "f", Fraction(0)) == {
+        r: {c: 2 * v for c, v in row.items()}
+        for r, row in permutation_matrix(2).items()}

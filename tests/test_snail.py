@@ -4,18 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qsnake import snail
+from qsnake import snail, sparse
 from qsnake.exactlin import RatFun, _frac_rank, contract, echelon, matrix_rank
 from qsnake.lattice import (
     AOperator,
     LatticeSpec,
-    _sp_embed,
-    _sp_extend,
-    _sp_identity,
-    _sp_mul,
-    _sp_ptrace,
-    _sp_scale,
-    _sp_site_sum,
     _sp_to_dense,
     a_residue_closed,
     a_residue_parts,
@@ -249,9 +242,9 @@ def inserted_tower(spec):
     result must equal the tower itself."""
     n, m = spec.n, spec.m
     d = n + 1
-    mat = _sp_mul(_sp_extend(_snail_matrix(spec), d),
-                  _sp_embed(permutation_matrix(n), (m - 1, m), m + 1, d))
-    return _sp_ptrace(mat, m - 1, m + 1, d)
+    mat = sparse.mul(sparse.extend(_snail_matrix(spec), d),
+                     sparse.embed(permutation_matrix(n), (m - 1, m), m + 1, d))
+    return sparse.ptrace(mat, m - 1, m + 1, d)
 
 
 def chain_tower_reference(spec):
@@ -267,42 +260,42 @@ def chain_tower_reference(spec):
     d = n + 1
     nsl = m + spec.loops
     js = list(range(2, m + 1))
-    left = right = _sp_identity(d ** nsl)
+    left = right = identity_matrix(d ** nsl)
     for t, nu in enumerate(spec.loop_shifts(), 1):
         ins = m - 2 + t
-        cl = cr = _sp_identity(d ** nsl)
+        cl = cr = identity_matrix(d ** nsl)
         if t % 2 == 0:  # raising
             for j in js:
                 v = vertex_matrix(n, "f", "f", nu - mus[j - 2])
-                cl = _sp_mul(cl, _sp_embed(v, (ins, m - j), nsl, d))
+                cl = sparse.mul(cl, sparse.embed(v, (ins, m - j), nsl, d))
             for j in reversed(js):
                 v = vertex_matrix(n, "f", "f", mus[j - 2] - nu)
-                cr = _sp_mul(cr, _sp_embed(v, (m - j, ins), nsl, d))
-            ks = _sp_embed(k_matrix(n), (ins, ins + 1), nsl, d)
+                cr = sparse.mul(cr, sparse.embed(v, (m - j, ins), nsl, d))
+            ks = sparse.embed(k_matrix(n), (ins, ins + 1), nsl, d)
         else:  # lowering
             for j in reversed(js):
                 v = vertex_matrix(n, "f", "fbar", mus[j - 2] - nu)
-                cl = _sp_mul(cl, _sp_embed(v, (m - j, ins), nsl, d))
+                cl = sparse.mul(cl, sparse.embed(v, (m - j, ins), nsl, d))
             for j in js:
                 v = vertex_matrix(n, "f", "fbar", nu - mus[j - 2])
-                cr = _sp_mul(cr, _sp_embed(v, (m - j, ins), nsl, d))
-            ks = _sp_embed(k_matrix(n), (ins + 1, ins), nsl, d)
-        left = _sp_mul(cl, left)
-        right = _sp_mul(right, _sp_mul(ks, cr))
-    big = _sp_mul(left, right)
+                cr = sparse.mul(cr, sparse.embed(v, (m - j, ins), nsl, d))
+            ks = sparse.embed(k_matrix(n), (ins + 1, ins), nsl, d)
+        left = sparse.mul(cl, left)
+        right = sparse.mul(right, sparse.mul(ks, cr))
+    big = sparse.mul(left, right)
     _, res = _tower_scalar(spec)
     out = []
     for inserted in (False, True):
         x, slots = big, nsl
         if inserted:
-            x = _sp_mul(_sp_extend(x, d),
-                        _sp_embed(permutation_matrix(n), (nsl - 1, nsl),
-                                  nsl + 1, d))
+            x = sparse.mul(sparse.extend(x, d),
+                           sparse.embed(permutation_matrix(n),
+                                        (nsl - 1, nsl), nsl + 1, d))
             slots += 1
         for slot in range(slots - 2, m - 2, -1):
-            x = _sp_ptrace(x, slot, slots, d)
+            x = sparse.ptrace(x, slot, slots, d)
             slots -= 1
-        out.append(_sp_scale(x, res))
+        out.append(sparse.scale(x, res))
     return out
 
 
@@ -329,8 +322,8 @@ def test_snail_reach_inserted_and_invariant():
         assert inserted_tower(spec) == x, (n, k, m)
         for gens in chevalley_generators(n):
             for g in gens:
-                tot = _sp_site_sum([g] * m, n + 1)
-                assert _sp_mul(tot, x) == _sp_mul(x, tot), (n, k, m)
+                tot = sparse.site_sum([g] * m, n + 1)
+                assert sparse.mul(tot, x) == sparse.mul(x, tot), (n, k, m)
 
 
 def test_snail_operator_legs():
@@ -447,7 +440,7 @@ def test_contraction_order_check_catches_miswiring(n, monkeypatch):
     # K on (o, al), al traced.  K on (s2, al), or the fresh line o traced
     # in place of the loop, must fail in both association orders
     spec = SnailSpec(n, 1, 2, [Fraction(2, 7)])
-    embed, ptrace = snail._sp_embed, snail._sp_ptrace
+    embed, ptrace = sparse.embed, sparse.ptrace
 
     def k_on_the_site(mat, slots, nslots, d):
         return embed(mat, (0, 2) if slots == (1, 2) else slots, nslots, d)
@@ -455,10 +448,10 @@ def test_contraction_order_check_catches_miswiring(n, monkeypatch):
     def fresh_line_traced(a, slot, nslots, d):
         return ptrace(a, 1 if slot == 2 else slot, nslots, d)
 
-    for name, mutant in (("_sp_embed", k_on_the_site),
-                         ("_sp_ptrace", fresh_line_traced)):
+    for name, mutant in (("embed", k_on_the_site),
+                         ("ptrace", fresh_line_traced)):
         with monkeypatch.context() as m:
-            m.setattr(snail, name, mutant)
+            m.setattr(sparse, name, mutant)
             rep = contraction_order_check(spec)
         assert rep.status == "fail", name
         assert rep.witness["residual_forward"] != 0

@@ -34,3 +34,18 @@ def test_every_traced_name_resolves():
             if not found:
                 missing.append(f"{modname}.{name}")
     assert not missing, missing
+
+
+def test_traced_lattice_kernels_are_the_sparse_ones():
+    # lattice binds the row-map kernel names the benchmark wraps there to
+    # the functions of qsnake.sparse, and _sp_identity to
+    # rmat.identity_matrix; only the dense _sp_to_dense is lattice's own
+    lattice = importlib.import_module("qsnake.lattice")
+    rmat = importlib.import_module("qsnake.rmat")
+    names = [name for name in traced_names()["lattice"]
+             if name.startswith("_sp_") and name != "_sp_to_dense"]
+    bad = [name for name in names
+           if getattr(lattice, name).__module__ != "qsnake.sparse"
+           and getattr(lattice, name) is not rmat.identity_matrix]
+    assert len(names) == 6 and not bad, bad
+    assert lattice._sp_identity is rmat.identity_matrix
