@@ -15,12 +15,12 @@ equation holds on windows crossed (1, m, ..., 2), the lowering one on
 the default crossing.  With one horizontal pair the outside sites fold
 into a closed-form map on the two lines, and no chain holds them.
 
-Windows, window-shift maps and residues are sparse row maps (see
-sparse), built and compared over exact Fractions; slot j of a window
-carries site m-j, so site 1 sits on the last slot.  Every line of
-vertices is one rmat.vertex_chain product over ints at rational
-arguments, and the window's trace or the map's scalar absorbs the
-chain's one integer scale.  The dense forms (embed_pair, ptrace_slot,
+Windows and window-shift images are sparse (map, s) pairs (see sparse),
+integer row maps over a positive int, a window's own trace, built and
+compared fraction-free; slot j of a window carries site m-j, so site 1
+sits on the last slot.  Every line of vertices is one rmat.vertex_chain
+product over ints at rational arguments, and the window's trace or the
+map's scalar absorbs the chain's one integer scale.  The dense forms (embed_pair, ptrace_slot,
 max_abs_diff, monodromy_matrix, transfer_matrix, their labeled tensors)
 are the tests' oracles, which no suite calls; only they load numpy, from
 their bodies.  All functions are pure.
@@ -192,25 +192,27 @@ def transfer(spec, lam, direction="T", aux_kind="f"):
 class DensityWindow:
     """Normalized window operator on sites 1..m.
 
-    matrix is a sparse row map {row: {col: Fraction}} on d^m coordinates;
-    slot j carries site m-j (site 1 last).  site_labels lists the
-    displayed labels left to right as (site 1, ..., site m).  variant 1
-    means site 1 is the antifundamental line.  crossing orders the sites
-    as every horizontal line crosses them.  norm is the partition function
-    z density_matrix divided by (None for other windows)."""
+    pair is (map, s), a row map on d^m coordinates over the int s > 0;
+    density_matrix's is over ints, s its trace, the sign in the map.  Slot
+    j carries site m-j (site 1 last); site_labels are (site 1, ...,
+    site m).  variant 1 means site 1 is the antifundamental line.
+    crossing orders the sites as every horizontal line crosses them.
+    norm is the partition function z of density_matrix, else None."""
     norm = None
 
-    def __init__(self, n, m, variant, matrix, site_labels, crossing=None):
+    def __init__(self, n, m, variant, pair, site_labels, crossing=None):
         self.n = int(n)
         self.m = int(m)
         if variant not in (0, 1):
             raise ValueError("variant must be 0 or 1")
         self.variant = int(variant)
+        if not (isinstance(pair[1], int) and pair[1] > 0):
+            raise ValueError(f"window scale {pair[1]!r} is not a positive int")
         dim = (self.n + 1) ** self.m
         if not all(0 <= r < dim and all(0 <= c < dim for c in row)
-                   for r, row in matrix.items()):
+                   for r, row in pair[0].items()):
             raise ValueError("matrix index outside the window")
-        self.matrix = matrix
+        self.pair = pair
         self.site_labels = [Fraction(x) for x in site_labels]
         if len(self.site_labels) != self.m:
             raise ValueError("need one label per window site")
@@ -219,8 +221,17 @@ class DensityWindow:
     def site_kind(self, i):
         return "fbar" if (self.variant == 1 and i == 1) else "f"
 
+    @property
+    def matrix(self):
+        """The row map over Fractions, each distinct entry divided once."""
+        mat, s = self.pair
+        frac = {v: Fraction(v, s)
+                for v in {v for row in mat.values() for v in row.values()}}
+        return {r: {c: frac[v] for c, v in row.items()}
+                for r, row in mat.items()}
+
     def trace(self):
-        return sparse.trace(self.matrix)
+        return Fraction(sparse.trace(self.pair[0]), self.pair[1])
 
     def __repr__(self):
         return (f"DensityWindow(n={self.n}, m={self.m}, "
@@ -272,11 +283,16 @@ def _folded_window(n, m, L, b, rows):
     line j traced and T12 line 1 then line 2 on one line slot, traced."""
     a, c, s = _outside_columns(n, b, L - m)
     # each line's first m vertices, its line moved from slot L to slot m
-    window =[tuple(v[:3] + ((v[3][0], m),) for v in row[:m]) for row in rows]
-    t, scale = _traced_product(n, m + 1, window)
+    first, second = [tuple(v[:3] + ((v[3][0], m),) for v in row[:m])
+                     for row in rows]
+    line = vertex_chain(n, m + 1, first)
+    traced = sparse.ptrace(line[0], m, m + 1, n + 1), line[1]
+    t, scale = sparse.scaled_mul(traced, traced if second == first else
+                                 _traced_product(n, m + 1, [second]))
     t = sparse.scale(t, a)
     if c:
-        loop = _traced_product(n, m + 1, [window[0] + window[1]])[0]
+        loop = sparse.ptrace(vertex_chain(n, m + 1, second, line)[0], m,
+                             m + 1, n + 1)
         for r, row in loop.items():
             dst = t.setdefault(r, {})
             for col, v in row.items():
@@ -352,9 +368,9 @@ def density_matrix(spec, m, mu_window, variant=0, crossing=None):
         raise VanishingNormalization(
             f"vanishing normalization: n={n} L={L} N={spec.N} "
             f"betas={spec.betas} window={labels} variant={variant}")
-    win = DensityWindow(n, m, variant, sparse.scale(t, 1 / z), labels,
-                        crossing)
-    win.norm = z / scale
+    win = DensityWindow(n, m, variant, (t, z) if z > 0 else
+                        (sparse.scale(t, -1), -z), labels, crossing)
+    win.norm = Fraction(z, scale)
     return win
 
 
@@ -364,7 +380,7 @@ def column_partition(spec, m, mu_window, variant=0, crossing=None):
     slot i's vertices with the 2N lines (H) in product order."""
     columns = _strip(spec, m, mu_window, variant, crossing)[3]
     t, scale = _traced_product(spec.n, 2 * spec.N + 1, columns)
-    return sparse.trace(t) / scale
+    return Fraction(sparse.trace(t), scale)
 
 
 def colour_conserving(win):
@@ -386,7 +402,7 @@ def colour_conserving(win):
                 w[n - t] -= 1
         return tuple(w)
 
-    for r, row in win.matrix.items():
+    for r, row in win.pair[0].items():
         w = weight(r)
         if any(v != 0 and weight(c) != w for c, v in row.items()):
             return False
@@ -467,18 +483,18 @@ def level_chain(which, n, nu, mus):
     return (up, down) if which == 1 else (down, up)
 
 
-def level_step(which, n, nu, mus, mat):
-    """One window-shift level applied to a row map on the m window slots.
-
-    mat's last slot is the consumed line, the image's the fresh line.
-    The level traces the consumed line of (CL.mat (x) 1).K.(CR (x) 1) on
-    m+1 slots, K pairing digit t of the consumed line with n-t of the
-    fresh one: with A = CL.mat and B = CR on the m slots, image entry
-    ((r, f), (c, g)) is the sum over k, t of A[(r, t)][(k, n-f)]
-    B[(k, n-g)][(c, t)].  Returns (s * image, s), no prefactor."""
+def level_step(which, n, nu, mus, pair):
+    """One window-shift level applied to a (map, s) pair on the m window
+    slots (a Fraction map as sparse.integral(map)).  The map's last slot
+    is the consumed line, the image's the fresh line.  The level traces
+    the consumed line of (CL.mat (x) 1).K.(CR (x) 1) on m+1 slots, K
+    pairing digit t of the consumed line with n-t of the fresh one: with
+    A = CL.mat and B = CR on the m slots, image entry ((r, f), (c, g)) is
+    the sum over k, t of A[(r, t)][(k, n-f)] B[(k, n-g)][(c, t)].
+    Returns the image's pair, no prefactor."""
     m, d = len(mus) + 1, n + 1
     left, right = level_chain(which, n, nu, mus)
-    a, s = sparse.scaled_mul(vertex_chain(n, m, left), sparse.integral(mat))
+    a, s = sparse.scaled_mul(vertex_chain(n, m, left), pair)
     b, sb = vertex_chain(n, m, right)
     # the last digits swapped: A at ((r, f), (k, t)), B at ((k, t), (c, g))
     swapped = ({}, {})
@@ -533,11 +549,11 @@ class AOperator:
                              f"with site 1 {('first', 'last')[want]}, got "
                              f"{win.crossing}")
         out, s = level_step(self.which, self.n, self.lam1, self.mu_rest,
-                            win.matrix)
-        h = h_shift(self.n)
+                            win.pair)
+        h, p = h_shift(self.n), self.prefactor
         first = h - self.lam1 if self.which == 1 else self.lam1 + h
-        return DensityWindow(self.n, self.m, 1 - want,
-                             sparse.scale(out, self.prefactor / s),
+        pair = sparse.scale(out, p.numerator), s * p.denominator
+        return DensityWindow(self.n, self.m, 1 - want, pair,
                              [first] + self.mu_rest, win.crossing)
 
     def __repr__(self):
@@ -584,7 +600,7 @@ def a_residue_closed(n, mu_rest):
     m window sites (site m first), scaled by the residue."""
     pole, res = _lowering_residue(n, mu_rest)
     ident = identity_matrix((n + 1) ** (len(mu_rest) + 1))
-    mat, s = level_step(2, n, pole, mu_rest, ident)
+    mat, s = level_step(2, n, pole, mu_rest, sparse.integral(ident))
     return sparse.scale(mat, res / s)
 
 
@@ -615,14 +631,14 @@ def verify_finite_rqkz(spec, m):
     d0, d1 = (density_matrix(spec, m, labels[v], v) for v in (0, 1))
     # at m = L both crossings go once round the closed ring, and each
     # line's trace is cyclic: the raising windows are the default ones
-    up0, up1 = (DensityWindow(n, m, v, w.matrix, labels[v], raising)
+    up0, up1 = (DensityWindow(n, m, v, w.pair, labels[v], raising)
                 if m == spec.L else
                 density_matrix(spec, m, labels[v], v, raising)
                 for v, w in enumerate((d0, d1)))
     lhs1 = a_operator(1, n, beta, mu_rest)(up0)
     lhs2 = a_operator(2, n, beta - h, mu_rest)(d1)
-    r1 = sparse.diff(lhs1.matrix, up1.matrix)
-    r2 = sparse.diff(lhs2.matrix, d0.matrix)
+    r1 = sparse.diff(lhs1.pair, up1.pair)
+    r2 = sparse.diff(lhs2.pair, d0.pair)
     status = "pass" if (r1 == 0 and r2 == 0) else "fail"
     return VerificationReport(
         check="window difference equations",
@@ -646,12 +662,11 @@ def projected_reduction_check(spec, m):
     mu2 = spec.mus[1]
     rest = [spec.mus[i] for i in range(2, m)]
     labels = [h - mu2, mu2] + rest
-    d1 = density_matrix(spec, m, labels, 1)
+    d1, s1 = density_matrix(spec, m, labels, 1).pair
     ksp = sparse.embed(k_matrix(n), (m - 1, m - 2), m, d)
-    lhs = sparse.mul(ksp, d1.matrix)
-    small = density_matrix(spec, m - 2, rest, 0)
-    rhs = sparse.mul(ksp, sparse.extend(sparse.extend(small.matrix, d), d))
-    resid = sparse.diff(lhs, rhs)
+    small, s0 = density_matrix(spec, m - 2, rest, 0).pair
+    rhs = sparse.mul(ksp, sparse.extend(sparse.extend(small, d), d))
+    resid = sparse.diff((sparse.mul(ksp, d1), s1), (rhs, s0))
     return VerificationReport(
         check="singlet-projected window reduction",
         params={"n": n, "L": spec.L, "N": spec.N, "m": m,
@@ -701,7 +716,7 @@ def lattice_reports(n, max_L, N, max_m, seed):
             for variant in (0, 1):
                 win = density_matrix(spec, m, labels[:m], variant)
                 if m == mtop:
-                    top[variant] = win.matrix
+                    top[variant] = win.pair
                 traces[f"m={m},variant={variant}"] = win.trace() == 1 and (
                     win.norm == column_partition(spec, m, labels[:m], variant))
                 colours[f"m={m},variant={variant}"] = colour_conserving(win)
@@ -724,15 +739,14 @@ def lattice_reports(n, max_L, N, max_m, seed):
             resid = Fraction(0)
             cases = 0
             rest = labels[1:mtop]
-            small = {v: density_matrix(spec, mtop - 1, rest, v).matrix
+            small = {v: density_matrix(spec, mtop - 1, rest, v).pair
                      for v in (0, 1)}
             # (variant, labels of the big window, slot of the traced site)
             for variant, big, slot in ((0, [Fraction(0)] + rest, mtop - 1),
                                        (0, rest + [Fraction(0)], 0),
                                        (1, rest + [Fraction(0)], 0)):
-                traced = sparse.ptrace(
-                    density_matrix(spec, mtop, big, variant).matrix, slot,
-                    mtop, d)
+                mat, s = density_matrix(spec, mtop, big, variant).pair
+                traced = sparse.ptrace(mat, slot, mtop, d), s
                 resid = max(resid, sparse.diff(traced, small[variant]))
                 cases += 1
             reports.append(VerificationReport(
@@ -745,7 +759,7 @@ def lattice_reports(n, max_L, N, max_m, seed):
 
         resid = Fraction(0)
         count = 0
-        for variant, win in top.items():
+        for variant, (win, s) in top.items():
             for g in (g for gens in chevalley_generators(n) for g in gens):
                 # in variant 1 site 1, the last slot, carries the dual
                 # -C g^T C, C the index reversal: (r, c) -> (n-c, n-r)
@@ -755,8 +769,8 @@ def lattice_reports(n, max_L, N, max_m, seed):
                         dual.setdefault(n - c, {})[n - r] = -v
                 tot = sparse.site_sum(
                     [g] * (mtop - 1) + [dual if variant else g], d)
-                resid = max(resid, sparse.diff(sparse.mul(tot, win),
-                                               sparse.mul(win, tot)))
+                resid = max(resid, sparse.diff((sparse.mul(tot, win), s),
+                                               (sparse.mul(win, tot), s)))
                 count += 1
         reports.append(VerificationReport(
             check="window global invariance",
@@ -769,7 +783,7 @@ def lattice_reports(n, max_L, N, max_m, seed):
         if mtop >= 2:
             resid = Fraction(0)
             w = labels[:mtop]
-            win = top[0]
+            win, s = top[0]
             for i in range(1, mtop):
                 ws = w[:i - 1] + [w[i], w[i - 1]] + w[i + 1:]
                 lo = mtop - (i + 1)
@@ -780,10 +794,12 @@ def lattice_reports(n, max_L, N, max_m, seed):
                                                         ("f", "f", x, pair)])
                 inv, s_inv = vertex_chain(n, mtop, [("f", "f", -x, pair),
                                                     ("f", "f", 0, pair)])
-                conj = sparse.scale(sparse.mul(sparse.mul(braid, win), inv),
-                                    1 / ((1 - x * x) * s_braid * s_inv))
+                q = 1 / (1 - x * x)
+                conj = (sparse.scale(sparse.mul(sparse.mul(braid, win), inv),
+                                     q.numerator),
+                        q.denominator * s * s_braid * s_inv)
                 resid = max(resid, sparse.diff(
-                    conj, density_matrix(spec, mtop, ws, 0).matrix))
+                    conj, density_matrix(spec, mtop, ws, 0).pair))
             reports.append(VerificationReport(
                 check="window exchange relation",
                 params={"n": n, "L": L, "N": N, "m": mtop, "seed": seed},
@@ -797,9 +813,9 @@ def lattice_reports(n, max_L, N, max_m, seed):
         shifted_spec = LatticeSpec(n, L, N, [Fraction(0)] * L,
                                    [b + delta for b in spec.betas])
         resid = sparse.diff(
-            density_matrix(spec, L, wfull, 0).matrix,
+            density_matrix(spec, L, wfull, 0).pair,
             density_matrix(shifted_spec, L, [x + delta for x in wfull],
-                           0).matrix)
+                           0).pair)
         reports.append(VerificationReport(
             check="window translation covariance",
             params={"n": n, "L": L, "N": N, "seed": seed},

@@ -103,14 +103,14 @@ def _slot_digits(d, nslots, p, q):
     return tuple(c // wp % d * d + c // wq % d for c in range(d ** nslots))
 
 
-def vertex_chain(n, nslots, factors):
+def vertex_chain(n, nslots, factors, start=None):
     """Ordered product over factors (kind1, kind2, x, (p, q)) of
     vertex_matrix(n, kind1, kind2, x) at slots (p, q) as (s * product, s);
     (identity, 1) if empty, s the product of the _vertex_rows scales.  The
-    map, over ints when every x is rational, is built from the identity
-    by each vertex's rows acting on its stored entries directly."""
+    map, over ints when every x and start is rational, is built from the
+    identity, or the pair start, by each vertex's rows acting directly."""
     d = n + 1
-    out, scale = {r: {r: 1} for r in range(d ** nslots)}, 1
+    out, scale = start or ({r: {r: 1} for r in range(d ** nslots)}, 1)
     for kind1, kind2, x, slots in factors:
         p, q = slots
         if p == q or not (0 <= p < nslots and 0 <= q < nslots):
@@ -212,10 +212,9 @@ def antisym_fusion(n):
 
 
 def chevalley_generators(n):
-    """Triples (e_i, f_i, h_i) of the standard action on V, i = 1..n."""
-    one = Fraction(1)
-    return [({i - 1: {i: one}}, {i: {i - 1: one}},
-             {i - 1: {i - 1: one}, i: {i: -one}}) for i in range(1, n + 1)]
+    """Int triples (e_i, f_i, h_i) of the standard action on V, i = 1..n."""
+    return [({i - 1: {i: 1}}, {i: {i - 1: 1}}, {i - 1: {i - 1: 1}, i: {i: -1}})
+            for i in range(1, n + 1)]
 
 
 class PrefactorExpr:

@@ -134,11 +134,10 @@ def _snail_matrix(spec):
     residue over the levels' integer scales."""
     n = spec.n
     _, res = _tower_scalar(spec)
-    mat, scale = identity_matrix((n + 1) ** spec.m), 1
+    pair = sparse.integral(identity_matrix((n + 1) ** spec.m))
     for t, nu in enumerate(spec.loop_shifts(), 1):
-        mat, s = level_step(2 if t % 2 == 1 else 1, n, nu, spec.mus, mat)
-        scale *= s
-    return sparse.scale(mat, res / scale)
+        pair = level_step(2 if t % 2 == 1 else 1, n, nu, spec.mus, pair)
+    return sparse.scale(pair[0], res / pair[1])
 
 
 def snail_operator(spec):
@@ -176,7 +175,8 @@ def contraction_order_check(spec):
               for x in (nu - mu2, mu2 - nu))
     ks = sparse.embed(k_matrix(n), (1, 2), 3, d)
     want = _snail_matrix(spec)
-    resid = [sparse.diff(sparse.scale(sparse.ptrace(x, 2, 3, d), res), want)
+    resid = [sparse.diff((sparse.scale(sparse.ptrace(x, 2, 3, d), res), 1),
+                         (want, 1))
              for x in (sparse.mul(sparse.mul(cl, ks), cr),
                        sparse.mul(cl, sparse.mul(ks, cr)))]
     status = "pass" if all(r == 0 for r in resid) else "fail"
@@ -258,8 +258,8 @@ def singlet_insertion_check(n, loop_count):
     for t in range(1, l):
         emb = sparse.embed(km, (t - 1, t), l, d)
         witness[f"pair_{t}_{t + 1}"] = {
-            "K.F": sparse.diff(sparse.mul(emb, f), {}),
-            "F.K": sparse.diff(sparse.mul(f, emb), {})}
+            "K.F": sparse.diff((sparse.mul(emb, f), 1), ({}, 1)),
+            "F.K": sparse.diff((sparse.mul(f, emb), 1), ({}, 1))}
     return VerificationReport(
         check="singlet insertions on the fused product",
         params={"n": n, "loops": l},
@@ -296,8 +296,8 @@ def l1_fusion_check(n, spec, m):
     lhs = sparse.mul(sparse.embed(vertex_matrix(2, "f", "f", Fraction(-1)),
                                   pair, m, d), win.matrix)
     sym = sparse.scale(vertex_matrix(2, "f", "f", 1), Fraction(1, 2))
-    sym_resid = sparse.diff(sparse.mul(sparse.embed(sym, pair, m, d), lhs),
-                            {})
+    sym_resid = sparse.diff(
+        (sparse.mul(sparse.embed(sym, pair, m, d), lhs), 1), ({}, 1))
     rank = len(echelon(lhs.values()))
 
     small = density_matrix(spec, m - 1, [lam - h + 1] + rest, 1)
@@ -321,10 +321,10 @@ def l1_fusion_check(n, spec, m):
         return sparse.mul(sparse.mul(e_full, small.matrix), r_full)
 
     rhs = transported(w)
-    residual = sparse.diff(lhs, rhs)
+    residual = sparse.diff((lhs, 1), (rhs, 1))
     # the same identification with the wedge index reversed
     residual_flipped = sparse.diff(
-        lhs, transported({2 - a: row for a, row in w.items()}))
+        (lhs, 1), (transported({2 - a: row for a, row in w.items()}), 1))
 
     # stored entries are nonzero, so equal supports mean no entry vanishes
     # on one side only
@@ -391,10 +391,10 @@ def snail_wellformed_reports(n, seed):
     # its scalar and reduced entrywise to the residue at the pole
     red = reduced_prefactor(n, [mu], [(2, 0)])
     formal, s = level_step(2, n, RatFun.x(), [mu],
-                           identity_matrix((n + 1) ** 2))
+                           sparse.integral(identity_matrix((n + 1) ** 2)))
     single = {r: {c: residue_at(red * v, mu - h_shift(n)) / s
                   for c, v in row.items()} for r, row in formal.items()}
-    resid = sparse.diff(towers[1], single)
+    resid = sparse.diff((towers[1], 1), (single, 1))
     reports.append(VerificationReport(
         check="tower against single-level assembly",
         params={"n": n, "k": 1, "m": 2, "mu2": mu, "seed": seed},
@@ -407,8 +407,8 @@ def snail_wellformed_reports(n, seed):
     for x in towers.values():
         for g in (g for gens in chevalley_generators(n) for g in gens):
             tot = sparse.site_sum([g, g], n + 1)
-            resid = max(resid, sparse.diff(sparse.mul(tot, x),
-                                           sparse.mul(x, tot)))
+            resid = max(resid, sparse.diff((sparse.mul(tot, x), 1),
+                                           (sparse.mul(x, tot), 1)))
     reports.append(VerificationReport(
         check="fused window invariance",
         params={"n": n, "k_values": [1, 2], "m": 2, "mu2": mu, "seed": seed},

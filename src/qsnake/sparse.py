@@ -5,7 +5,8 @@ An operator on k slots of dimension d is a row map {row: {col: value}}
 on d^k coordinates, storing no zero and no empty row; slot 0 holds a
 coordinate's most significant digit.  Values are ints, Fractions or
 RatFuns, never floats.  A pair (map, s), s a positive int, stands for
-map / s.  No kernel modifies its arguments.
+map / s; a density window is such a pair over ints, s its trace.  No
+kernel modifies its arguments.
 """
 
 from fractions import Fraction
@@ -123,7 +124,8 @@ def ptrace(a, slot, nslots, d):
 
 
 def trace(a):
-    return sum((row.get(r, Fraction(0)) for r, row in a.items()), Fraction(0))
+    """Sum of the diagonal, in the entries' own type (int 0 if none)."""
+    return sum(row.get(r, 0) for r, row in a.items())
 
 
 def extend(a, d):
@@ -136,12 +138,15 @@ def extend(a, d):
 
 
 def diff(a, b):
-    """Largest absolute entry difference of two sparse row maps."""
-    best = Fraction(0)
+    """Largest absolute entry difference of the pairs (a, s) and (b, t)
+    as a Fraction: a * t and b * s compared as they are, the largest
+    difference over s * t.  A plain map is compared as (map, 1)."""
+    (a, s), (b, t) = a, b
+    best = 0
     for r in set(a) | set(b):
         ra, rb = a.get(r, {}), b.get(r, {})
         for c in set(ra) | set(rb):
-            x, y = ra.get(c, 0), rb.get(c, 0)
+            x, y = ra.get(c, 0) * t, rb.get(c, 0) * s
             if x != y and abs(x - y) > best:  # equal entries never raise best
                 best = abs(x - y)
-    return best
+    return Fraction(best, s * t)

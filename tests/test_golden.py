@@ -26,6 +26,14 @@ ALL_JSON_SHA256 = (
 RQKZ_L5_JSON_SHA256 = (
     "9fe5e4136be3c12ae76bd02f7874651537fcd95b35f22c286bb319ad52a3798f")
 
+# sha256 of the standard output of `qsnake lattice --L 5 --json -` at
+# seed 0: the window suite at L = 2..5 and m <= 3 (unit trace,
+# reduction, invariance, exchange and translation residuals), as the
+# windows with Fraction entries gave it; comparing (map, trace) pairs
+# must reproduce it byte for byte
+LATTICE_L5_JSON_SHA256 = (
+    "f09b0f95a8c9fc468c32b3c88b87478e3592c101ac150607ea5d01eff9f81aaa")
+
 # sha256 of to_text of S_odd(3, 3, shift 4) * S_even(3, 3, shift 0), whose
 # coefficients are 1, 2 and 4, and of that product times the fundamental
 # character of node 1 at shift 0 (coefficients 1, 2, 3, 4, 6 and 8):
@@ -81,3 +89,9 @@ def test_rqkz_l5_json_byte_identical(capsys):
     assert main(["rqkz", "--L", "5", "--json", "-"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == RQKZ_L5_JSON_SHA256
+
+
+def test_lattice_l5_json_byte_identical(capsys):
+    assert main(["lattice", "--L", "5", "--json", "-"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LATTICE_L5_JSON_SHA256

@@ -239,15 +239,47 @@ def test_sp_diff_matches_the_former_formula():
                     b.setdefault(r, {})[c] = x + entry()
                 else:
                     (a if kind == "only a" else b).setdefault(r, {})[c] = x
-        got, want = sparse.diff(a, b), former_sp_diff(a, b)
-        assert got == want and type(got) is type(want), (a, b)
-        assert sparse.diff(b, a) == want
+        got, want = sparse.diff((a, 1), (b, 1)), former_sp_diff(a, b)
+        assert got == want and type(got) is Fraction, (a, b)
+        assert sparse.diff((b, 1), (a, 1)) == want
     assert kinds == {"equal", "same value", "differ", "only a", "only b"}
-    # no difference at all reads Fraction(0), as before
+    # every difference, none at all included, reads as a Fraction
     m = {0: {1: 2, 3: Fraction(1, 2)}, 4: {0: -1}}
-    assert sparse.diff(m, dict(m)) == 0 and type(sparse.diff(m, m)) is Fraction
-    assert sparse.diff({}, {}) == 0 and type(sparse.diff({}, {})) is Fraction
-    assert sparse.diff(m, {}) == 2 and type(sparse.diff(m, {})) is int
+    for a, b, want in ((m, dict(m), 0), ({}, {}, 0), (m, {}, 2)):
+        got = sparse.diff((a, 1), (b, 1))
+        assert got == want and type(got) is Fraction, (a, b)
+
+
+def test_pair_diff_is_the_diff_of_the_divided_maps():
+    # seeded integer maps with negative entries over unequal, equal and
+    # coprime scales, disjoint supports and empty maps: the pair diff is
+    # the former diff of the maps divided by their scales
+    rng = random.Random(29)
+    kinds = set()
+    for case in range(300):
+        s, t = rng.randint(1, 12), rng.choice((1, 6, rng.randint(1, 30)))
+        dim = rng.randint(1, 9)
+        a = random_row_map(rng, dim, [rng.randint(-40, 40) for _ in range(5)])
+        b = {} if case % 7 == 0 else random_row_map(
+            rng, dim, [rng.randint(-40, 40) for _ in range(5)])
+        if case % 5 == 0:  # b a multiple of a: equal when t = s * k
+            k = rng.randint(1, 3)
+            b, t = sparse.scale(a, k), s * k
+        if case % 11 == 0:  # disjoint supports: b's rows past a's
+            b = {r + dim: row for r, row in b.items()}
+        kinds.add(("empty" if not a or not b else "filled",
+                   "equal scales" if s == t else "unequal scales",
+                   "disjoint" if not a.keys() & b.keys() else "shared"))
+        want = former_sp_diff(sparse.scale(a, Fraction(1, s)),
+                              sparse.scale(b, Fraction(1, t)))
+        got = sparse.diff((a, s), (b, t))
+        assert got == want and type(got) is Fraction, (a, s, b, t)
+        assert sparse.diff((b, t), (a, s)) == want
+    assert {k[1:] for k in kinds if k[0] == "filled"} >= {
+        ("equal scales", "shared"), ("unequal scales", "shared"),
+        ("unequal scales", "disjoint")}, kinds
+    assert any(k[0] == "empty" for k in kinds)
+    assert sparse.diff(({0: {0: -3}}, 4), ({0: {0: 3}}, 2)) == Fraction(9, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +406,16 @@ def test_density_validation():
             density_matrix(spec, 2, [0, 0], crossing=crossing)
     assert density_matrix(spec, 2, [0, 0]).crossing == (2, 1)
     with pytest.raises(ValueError):
-        DensityWindow(2, 2, 0, identity_matrix(9), [0])
+        DensityWindow(2, 2, 0, (identity_matrix(9), 1), [0])
     # indices must fit d^m coordinates
     with pytest.raises(ValueError, match="outside"):
-        DensityWindow(2, 1, 0, {0: {3: Fraction(1)}}, [0])
+        DensityWindow(2, 1, 0, ({0: {3: 1}}, 1), [0])
     with pytest.raises(ValueError, match="outside"):
-        DensityWindow(2, 1, 0, {3: {0: Fraction(1)}}, [0])
+        DensityWindow(2, 1, 0, ({3: {0: 1}}, 1), [0])
+    # the scale is a positive int
+    for scale in (0, -3, Fraction(1, 2), 1.0):
+        with pytest.raises(ValueError, match="positive int"):
+            DensityWindow(2, 1, 0, (identity_matrix(3), scale), [0])
 
 
 def test_density_vanishing_normalization():
@@ -433,7 +469,7 @@ def reference_window(spec, m, labels, variant, crossing,
         for b in spec.betas))
     for slot in range(L - 1, m - 1, -1):
         t = sparse.ptrace(t, slot, slot + 1, n + 1)
-    return sparse.scale(t, 1 / sparse.trace(t))
+    return sparse.scale(t, Fraction(1, sparse.trace(t)))
 
 
 def torus_strip(n, L, N):
@@ -547,9 +583,9 @@ def test_one_pair_windows_build_no_chain_on_the_outside(monkeypatch):
     widths = []
     chain = lattice.vertex_chain
 
-    def recording(n, nslots, factors):
+    def recording(n, nslots, factors, start=None):
         widths.append(nslots)
-        return chain(n, nslots, factors)
+        return chain(n, nslots, factors, start)
 
     monkeypatch.setattr(lattice, "vertex_chain", recording)
     for n, L, N in ((1, 4, 1), (2, 4, 1), (2, 3, 2)):
@@ -724,7 +760,7 @@ def test_density_colour_conserving():
         assert colour_conserving(density_matrix(spec, 2, w, variant))
     bad = identity_matrix(9)
     bad[0][4] = Fraction(1)  # weight (2,0,0) against (0,2,0)
-    assert not colour_conserving(DensityWindow(2, 2, 0, bad, [0, 0]))
+    assert not colour_conserving(DensityWindow(2, 2, 0, (bad, 1), [0, 0]))
 
 
 def test_density_translation_covariance():
@@ -867,19 +903,20 @@ def test_each_window_equation_fails_in_the_other_crossing():
     for crossing, eq1_holds in (((1, 3, 2), True), ((3, 2, 1), False)):
         w0, w1 = (density_matrix(spec, m, labels[v], v, crossing)
                   for v in (0, 1))
-        raised, s_up = level_step(1, n, beta, mu_rest, w0.matrix)
-        raised = sparse.scale(raised, up.prefactor / s_up)
-        lowered, s_down = level_step(2, n, beta - h, mu_rest, w1.matrix)
-        lowered = sparse.scale(lowered, down.prefactor / s_down)
-        assert (sparse.diff(raised, w1.matrix) == 0) == eq1_holds, crossing
-        assert (sparse.diff(lowered, w0.matrix) == 0) != eq1_holds, crossing
+        p, q = up.prefactor, down.prefactor
+        mat, s = level_step(1, n, beta, mu_rest, w0.pair)
+        raised = sparse.scale(mat, p.numerator), s * p.denominator
+        mat, s = level_step(2, n, beta - h, mu_rest, w1.pair)
+        lowered = sparse.scale(mat, q.numerator), s * q.denominator
+        assert (sparse.diff(raised, w1.pair) == 0) == eq1_holds, crossing
+        assert (sparse.diff(lowered, w0.pair) == 0) != eq1_holds, crossing
         # each map refuses the crossing its equation fails on
         if eq1_holds:
-            assert up(w0).matrix == raised
+            assert up(w0).pair == raised
             with pytest.raises(ValueError, match="site 1 last"):
                 down(w1)
         else:
-            assert down(w1).matrix == lowered
+            assert down(w1).pair == lowered
             with pytest.raises(ValueError, match="site 1 first"):
                 up(w0)
 
@@ -1044,10 +1081,11 @@ def test_clearing_denominators_is_exact_and_leaves_its_input_alone():
         assert out is not shared and shared == copy
         assert all(type(v) is Fraction for v in entries(shared))
         assert all(type(v) is int for v in entries(out))
-    window = {r: dict(row) for r, row in win.matrix.items()}
-    level_step(1, 2, spec.betas[0], spec.mus[1:2], win.matrix)
+    window = {r: dict(row) for r, row in win.pair[0].items()}
+    level_step(1, 2, spec.betas[0], spec.mus[1:2], win.pair)
     a_operator(1, 2, spec.betas[0], spec.mus[1:2])(win)
-    assert win.matrix == window
+    assert win.pair[0] == window
+    assert all(type(v) is int for v in entries(win.pair[0]))
     assert all(type(v) is Fraction for v in entries(win.matrix))
 
 
@@ -1058,9 +1096,10 @@ def test_clearing_denominators_refuses_inexact_entries():
             sparse.integral({0: {0: Fraction(1, 3), 1: bad}})
     with pytest.raises(TypeError):
         vertex_chain(2, 2, [("f", "f", 0.5, (0, 1))])
+    # a map that is not a pair of ints enters a level step through integral
     with pytest.raises(TypeError):
         level_step(2, 1, Fraction(1, 3), [Fraction(2, 7)],
-                   {0: {0: 1.0}})
+                   sparse.integral({0: {0: 1.0}}))
 
 
 def test_vertex_chain_equals_the_fraction_reference():
@@ -1155,7 +1194,7 @@ def test_formal_level_step_equals_the_fraction_reference():
         win = density_matrix(spec, 2, [spec.betas[0], mu], 0, (1, 2))
         for which, mat in ((2, identity_matrix((n + 1) ** 2)),
                            (1, win.matrix)):
-            image, scale = level_step(which, n, x, [mu], mat)
+            image, scale = level_step(which, n, x, [mu], sparse.integral(mat))
             assert scale == sparse.integral(mat)[1] and (which == 2 or scale > 1)
             assert sparse.scale(image, Fraction(1, scale)) == (
                 fraction_level_step(which, n, x, [mu], mat)), (n, which)
@@ -1179,6 +1218,85 @@ def test_window_residuals_are_fractions():
     assert len(found) > 20
     assert all(type(v) is Fraction for _check, _key, v in found), [
         f for f in found if type(f[2]) is not Fraction]
+
+
+def leaves(x):
+    """Every scalar inside nested dicts, lists and tuples."""
+    if isinstance(x, dict):
+        for v in x.values():
+            yield from leaves(v)
+    elif isinstance(x, (list, tuple)):
+        for v in x:
+            yield from leaves(v)
+    else:
+        yield x
+
+
+def test_window_normalizations_are_exact_never_float():
+    # a window's trace is an int, so trace / scale would be a float: the
+    # norm, column_partition, trace() and every witness figure of the
+    # window suites at L <= 4 are ints or Fractions
+    for n, L, N in ((1, 4, 1), (2, 4, 1), (2, 3, 2)):
+        spec, labels, _seed = torus_strip(n, L, N)
+        for m, variant in itertools.product(range(1, L + 1), (0, 1)):
+            win = density_matrix(spec, m, labels[:m], variant)
+            figures = (win.norm, win.trace(),
+                       column_partition(spec, m, labels[:m], variant))
+            assert all(type(v) in (int, Fraction) for v in figures), (
+                n, L, N, m, variant, figures)
+    reports = lattice_reports(2, 4, 1, 4, 0) + rqkz_reports(2, 4, 1, 0)
+    figures = [v for rep in reports for v in leaves(rep.witness)
+               if not isinstance(v, bool)]
+    assert len(figures) > 20
+    assert all(type(v) in (int, Fraction) for v in figures), figures
+
+
+def test_window_suites_hand_the_sparse_kernels_no_fraction(monkeypatch):
+    # windows are integer maps over their integer trace, and every check
+    # of the window suites compares such pairs: no Fraction reaches the
+    # row-map kernels, as a map entry, a scale or a scalar
+    calls, offenders = [], []
+    for name in ("mul", "ptrace", "scale", "trace", "site_sum", "diff"):
+        def wrapped(*args, _kernel=getattr(sparse, name), _name=name):
+            calls.append(_name)
+            if any(isinstance(v, Fraction) for v in leaves(args)):
+                offenders.append(_name)
+            return _kernel(*args)
+        monkeypatch.setattr(sparse, name, wrapped)
+    reports = lattice_reports(2, 4, 1, 4, 1) + rqkz_reports(2, 4, 1, 1)
+    assert all(rep.status == "pass" for rep in reports)
+    assert set(calls) == {"mul", "ptrace", "scale", "trace", "site_sum",
+                          "diff"} and len(calls) > 200
+    assert offenders == []
+
+
+def test_window_checks_fail_on_a_wrong_scale_or_prefactor(monkeypatch):
+    # a window scale one past its trace fails "window unit trace", and a
+    # window-shift image whose prefactor lost its denominator fails
+    # "window difference equations"
+    build, shift = lattice.density_matrix, AOperator.__call__
+
+    def off_by_one(*args):
+        win = build(*args)
+        win.pair = win.pair[0], win.pair[1] + 1
+        return win
+
+    def no_denominator(self, win):
+        out = shift(self, win)
+        assert self.prefactor.denominator > 1
+        out.pair = out.pair[0], out.pair[1] // self.prefactor.denominator
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lattice, "density_matrix", off_by_one)
+        traces = [rep for rep in lattice_reports(2, 3, 1, 3, 0)
+                  if rep.check == "window unit trace"]
+    assert len(traces) == 2 and all(rep.status == "fail" for rep in traces)
+    assert not any(v for rep in traces for v in rep.witness.values())
+    monkeypatch.setattr(AOperator, "__call__", no_denominator)
+    equations = rqkz_reports(2, 4, 1, 0)
+    assert len(equations) == 6
+    assert all(rep.status == "fail" for rep in equations)
 
 
 # ---------------------------------------------------------------------------
@@ -1208,6 +1326,14 @@ def assert_same_chain(n, nslots, factors):
         n, nslots, factors)
     assert got[1] == want[1] and type(got[1]) is int, (n, nslots, factors)
     assert typed(got[0]) == typed(want[0]), (n, nslots, factors)
+    # continued from the pair of a prefix, the chain is the same, and the
+    # start pair is left alone
+    k = len(factors) // 2
+    start = vertex_chain(n, nslots, factors[:k])
+    kept = typed(start[0])
+    more = vertex_chain(n, nslots, factors[k:], start)
+    assert more[1] == got[1] and typed(more[0]) == typed(got[0])
+    assert typed(start[0]) == kept
 
 
 def test_vertex_chain_matches_the_embedded_oracle():
@@ -1364,7 +1490,7 @@ def test_first_tower_level_skips_the_identity(monkeypatch):
 
     monkeypatch.setattr(sparse, "extend", refuse)
     for case, (image, scale) in zip(cases, want):
-        got, s = level_step(*case)
+        got, s = level_step(*case[:4], sparse.integral(case[4]))
         assert s == scale and typed(got) == typed(image), case[:4]
     assert any(isinstance(v, RatFun) for v in entries(want[-1][0]))
     # the first level of a tower, and inputs that only look like the
@@ -1377,7 +1503,8 @@ def test_first_tower_level_skips_the_identity(monkeypatch):
                                                _tower_scalar(spec)[1] / scale)
     for one in (sparse.scale(identity_matrix(9), Fraction(1, 2)),
                 sparse.scale(identity_matrix(9), RatFun.const(1))):
-        got, s = level_step(1, 2, Fraction(1, 3), mus[:1], one)
+        got, s = level_step(1, 2, Fraction(1, 3), mus[:1],
+                            sparse.integral(one))
         image, scale = former_level_step(1, 2, Fraction(1, 3), mus[:1], one)
         assert s == scale and typed(got) == typed(image)
 
@@ -1419,7 +1546,7 @@ def test_level_step_matches_the_three_chain_oracle():
                   }[kind]
         mat = random_row_map(rng, (n + 1) ** m, values)
         before = typed(mat)
-        got, s = level_step(which, n, nu, mus, mat)
+        got, s = level_step(which, n, nu, mus, sparse.integral(mat))
         image, scale = former_level_step(which, n, nu, mus, mat)
         assert typed(mat) == before, (n, m, which, nu, kind)
         assert s == scale and type(s) is int, (n, m, which, nu, kind)
