@@ -25,7 +25,8 @@ from .qchar import (census_reports, factor_reports, kr_reports,
 from .report import (OutOfScope, VerificationReport, jsonable,
                      reports_to_json)
 from .rmat import rmatrix_reports
-from .snail import pole_profile, pole_reports, snail_reports
+from .snail import (POLE_ANCHOR, expected_pole_order, pole_profile,
+                    pole_reports, snail_reports)
 
 
 def _ranks(o):
@@ -50,14 +51,13 @@ def _pole_single(o):
     if not 0 <= o["l"] <= o["n"]:
         raise ValueError(f"--l must be in 0..{o['n']} for pole, got {o['l']}")
     f, order = pole_profile(o["n"], o["k"], o["l"])
-    want = 1 if o["l"] in (0, 1) else 0
+    want = expected_pole_order(o["l"])
     print(f"pole order {order} (expected {want})")
     return VerificationReport(
         check="pole profile",
         params={"n": o["n"], "k": o["k"], "l": o["l"]},
         status="pass" if order == want else "fail",
-        anchor="the fused weight keeps a simple pole at coincidence for "
-               "the first two shifts and none for the rest",
+        anchor=POLE_ANCHOR,
         witness={"order": order, "expected": want, "profile": str(f)})
 
 

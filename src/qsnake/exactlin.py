@@ -1,21 +1,23 @@
 """Exact scalars and labeled tensors.
 
 Two scalar carriers: Fraction for plain rationals and RatFun for univariate
-rational functions with integer-coefficient numerator and denominator in
-canonical form.  LabeledTensor holds a dense object array with named,
-oriented legs; contract pairs in-legs with out-legs over stored entries
-only, in any order.  The labeled tensors are test oracles that import
-numpy in their bodies; the scalars and echelon never load it.  echelon
-eliminates over Q only, fraction-free: rows are cleared to integers once
-and divided by their pivots only on return; RatFun entries are refused.
-No floating point anywhere: a float entry or coefficient raises TypeError.
+rational functions in canonical form, with int coefficients throughout:
+Fraction appears only at construction, cleared once, and at evaluation.
+Every RatFun gcd, exact quotient and root order is one pseudo-division in
+Z[x].  LabeledTensor holds a dense object array with named, oriented legs;
+contract pairs in-legs with out-legs over stored entries only, in any
+order.  The labeled tensors are test oracles that import numpy in their
+bodies; the scalars and echelon never load it.  echelon eliminates over Q
+only, fraction-free: rows are cleared to integers once and divided by
+their pivots only on return; RatFun entries are refused.  No floating
+point anywhere: a float entry or coefficient raises TypeError.
 """
 
 import heapq
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-# polynomials are tuples of coefficients, ascending, no trailing zeros
+# polynomials are tuples of int coefficients, ascending, no trailing zeros
 
 
 def _trim(cs):
@@ -35,8 +37,6 @@ def _pneg(p):
 
 
 def _pmul(p, q):
-    if not p or not q:
-        return ()
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
@@ -44,30 +44,40 @@ def _pmul(p, q):
     return _trim(out)
 
 
-def _pdivmod(p, q):
-    # over Q; q nonzero
-    p = [Fraction(c) for c in p]
-    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    lead = Fraction(q[-1])
-    while len(p) >= len(q) and _trim(p):
-        d = len(p) - len(q)
-        c = p[-1] / lead
-        quot[d] = c
+def _pdiv(p, q):
+    """Pseudo-division in Z[x]: (quot, rem) with c*p = quot*q + rem and
+    deg rem < deg q, where c divides a power of q's leading coefficient.
+    A step is scaled only when that coefficient does not divide the
+    leading one left, so c = 1 whenever q divides p in Z[x]."""
+    p, lead, dq = list(p), q[-1], len(q) - 1
+    quot = [0] * max(len(p) - dq, 0)
+    for d in range(len(quot) - 1, -1, -1):
+        top = p[d + dq]
+        if top % lead:
+            g = lead // gcd(lead, top)
+            p = [c * g for c in p]
+            quot = [c * g for c in quot]
+            top *= g
+        f = quot[d] = top // lead
         for i, b in enumerate(q):
-            p[i + d] -= c * b
-        p = list(_trim(p))
-    return _trim(quot), _trim(p)
+            p[i + d] -= f * b
+    return _trim(quot), _trim(p[:dq])
+
+
+def _primitive(p):
+    g = gcd(*p)
+    return p if g == 1 else tuple(c // g for c in p)
 
 
 def _pgcd(p, q):
-    p, q = _trim(p), _trim(q)
-    while q:
-        _, r = _pdivmod(p, q)
-        p, q = q, r
-    if not p:
-        return ()
-    inv = 1 / Fraction(p[-1])
-    return tuple(c * inv for c in p)  # monic
+    """Primitive gcd of two nonzero integer polynomials, by primitive
+    remainders; (1,) as soon as a side is a constant, a unit over Q."""
+    while len(q) > 1:
+        r = _pdiv(p, q)[1]
+        if not r:
+            return _primitive(q)
+        p, q = q, _primitive(r)
+    return (1,)
 
 
 def _peval(p, a):
@@ -77,24 +87,13 @@ def _peval(p, a):
     return out
 
 
-def _pderiv(p):
-    return _trim([i * c for i, c in enumerate(p)][1:])
-
-
-def _clear_denoms(p):
-    # integer coefficients; content is reduced jointly with the other side
-    if all(type(c) is int for c in p):
-        return p
-    den = lcm(*[Fraction(c).denominator for c in p])
-    return tuple(int(Fraction(c) * den) for c in p)
-
-
 class RatFun:
     """Univariate rational function, canonical integer-coefficient form.
 
-    Canonical: numerator and denominator coprime over Q, integer contents
-    with gcd 1 across the pair, denominator leading coefficient positive.
-    A coefficient that is not rational, a float say, raises TypeError.
+    Canonical: int numerator and denominator, coprime over Q, with joint
+    content 1 and a positive leading denominator coefficient.  Fraction
+    coefficients are cleared by one common denominator of both sides; a
+    coefficient that is not rational, a float say, raises TypeError.
     """
 
     __slots__ = ("num", "den")
@@ -109,21 +108,38 @@ class RatFun:
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
-            self.num, self.den = (), (1,)
-            return
-        if len(num) > 1 and len(den) > 1:  # a constant is a unit over Q
-            g = _pgcd(num, den)
-            if len(g) > 1:
-                num, _ = _pdivmod(num, g)
-                den, _ = _pdivmod(den, g)
-        num = _clear_denoms(num)
-        den = _clear_denoms(den)
-        cg = gcd(*(abs(c) for c in num), *(abs(c) for c in den))
-        num = tuple(c // cg for c in num)
-        den = tuple(c // cg for c in den)
+            den = (1,)
+        elif any(type(c) is not int for c in num + den):
+            s = lcm(*(c.denominator for c in num + den))
+            num = tuple(c.numerator * (s // c.denominator) for c in num)
+            den = tuple(c.numerator * (s // c.denominator) for c in den)
+        g = _pgcd(num, den)
+        if len(g) > 1:
+            num, den = _pdiv(num, g)[0], _pdiv(den, g)[0]
+        self._set(num, den)
+
+    def _set(self, num, den):
+        # coprime sides: divide out their joint content, make den[-1] > 0
+        cg = gcd(*num, *den)
+        if cg != 1:
+            num = tuple(c // cg for c in num)
+            den = tuple(c // cg for c in den)
         if den[-1] < 0:
             num, den = _pneg(num), _pneg(den)
         self.num, self.den = num, den
+        return self
+
+    @staticmethod
+    def _times(a, b, c, d):
+        # (a/b)(c/d) of canonical pairs needs only gcd(a, d) and gcd(c, b) (Henrici)
+        if not a or not c:
+            return RatFun(())
+        g, h = _pgcd(a, d), _pgcd(c, b)
+        if len(g) > 1:
+            a, d = _pdiv(a, g)[0], _pdiv(d, g)[0]
+        if len(h) > 1:
+            c, b = _pdiv(c, h)[0], _pdiv(b, h)[0]
+        return RatFun.__new__(RatFun)._set(_pmul(a, c), _pmul(b, d))
 
     @staticmethod
     def const(c):
@@ -136,9 +152,7 @@ class RatFun:
 
     @staticmethod
     def coerce(v):
-        if isinstance(v, RatFun):
-            return v
-        return RatFun.const(v)
+        return v if isinstance(v, RatFun) else RatFun.const(v)
 
     def is_zero(self):
         return not self.num
@@ -148,15 +162,13 @@ class RatFun:
 
     def __add__(self, other):
         other = RatFun.coerce(other)
-        return RatFun(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den),
-        )
+        return RatFun(_padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
+                      _pmul(self.den, other.den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFun(_pneg(self.num), self.den)
+        return RatFun.__new__(RatFun)._set(_pneg(self.num), self.den)
 
     def __sub__(self, other):
         return self + (-RatFun.coerce(other))
@@ -166,7 +178,7 @@ class RatFun:
 
     def __mul__(self, other):
         other = RatFun.coerce(other)
-        return RatFun(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        return RatFun._times(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -174,7 +186,7 @@ class RatFun:
         other = RatFun.coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RatFun(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        return RatFun._times(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other):
         return RatFun.coerce(other) / self
@@ -185,6 +197,8 @@ class RatFun:
         return isinstance(other, RatFun) and self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        if len(self.num) <= 1 and len(self.den) == 1:  # as the Fraction it equals
+            return hash(Fraction(self.num[0] if self.num else 0, self.den[0]))
         return hash((self.num, self.den))
 
     def __call__(self, a):
@@ -196,19 +210,8 @@ class RatFun:
 
     def __repr__(self):
         def side(p):
-            if not p:
-                return "0"
-            parts = []
-            for i, c in enumerate(p):
-                if c == 0:
-                    continue
-                if i == 0:
-                    parts.append(str(c))
-                elif i == 1:
-                    parts.append(f"{c}*x")
-                else:
-                    parts.append(f"{c}*x^{i}")
-            return " + ".join(parts)
+            return " + ".join(str(c) if i == 0 else f"{c}*x" if i == 1 else f"{c}*x^{i}"
+                              for i, c in enumerate(p) if c) or "0"
 
         if self.den == (1,):
             return side(self.num)
@@ -221,29 +224,21 @@ def ratfun_arith(op, f, g=None):
     if op == "neg":
         return -f
     g = RatFun.coerce(g)
-    if op == "add":
-        return f + g
-    if op == "mul":
-        return f * g
-    if op == "div":
-        return f / g
-    raise ValueError(f"unknown op {op!r}")
+    ops = {"add": f.__add__, "mul": f.__mul__, "div": f.__truediv__}
+    if op not in ops:
+        raise ValueError(f"unknown op {op!r}")
+    return ops[op](g)
 
 
 def _root_multiplicity(p, a):
-    a = Fraction(a)
-    mult = 0
-    p = tuple(Fraction(c) for c in p)
-    while p and _peval(p, a) == 0:
-        # synthetic division by (x - a); Horner values b_i = p_i + a*b_{i+1}
-        horner = []
-        carry = Fraction(0)
-        for c in reversed(p):
-            carry = c + carry * a
-            horner.append(carry)
-        p = _trim(reversed(horner[:-1]))
-        mult += 1
-    return mult
+    """How often den(a)*x - num(a), a primitive linear factor, divides the
+    nonzero integer polynomial p in Z[x]."""
+    lin, mult = (-a.numerator, a.denominator), 0
+    while True:
+        quot, rem = _pdiv(p, lin)
+        if rem:
+            return mult
+        p, mult = quot, mult + 1
 
 
 def pole_order_at(f, a):
@@ -265,7 +260,9 @@ def residue_at(f, a):
         raise ValueError(f"pole of order {order} at {a}")
     if order <= 0:
         return Fraction(0)
-    return _peval(f.num, a) / _peval(_pderiv(f.den), a)
+    # den = (den(a)*x - num(a)) * q, so (x - a) f = num / (den(a) * q)
+    q = _pdiv(f.den, (-a.numerator, a.denominator))[0]
+    return _peval(f.num, a) / (a.denominator * _peval(q, a))
 
 
 class Leg:
@@ -277,9 +274,6 @@ class Leg:
         self.label = label
         self.orient = orient
         self.dim = int(dim)
-
-    def __repr__(self):
-        return f"Leg({self.label!r}, {self.orient!r}, {self.dim})"
 
 
 class LabeledTensor:
@@ -303,9 +297,6 @@ class LabeledTensor:
         if self.legs:
             raise ValueError("tensor has open legs")
         return self.data[()]
-
-    def __repr__(self):
-        return f"LabeledTensor(legs={[l.label for l in self.legs]})"
 
 
 def tensor_from_matrix(mat, out_labels, in_labels, dims):

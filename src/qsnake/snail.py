@@ -105,6 +105,15 @@ def pole_profile(n, k, l):
     return f, pole_order_at(f, Fraction(0))
 
 
+POLE_ANCHOR = ("the fused weight keeps a simple pole at coincidence for "
+               "the first two shifts and none for the rest")
+
+
+def expected_pole_order(l):
+    """A simple pole at the first two candidates l = 0, 1, none after."""
+    return 1 if l in (0, 1) else 0
+
+
 def _tower_scalar(spec):
     """Reduced prefactor of the full tower and its residue at mu_2.
 
@@ -358,16 +367,14 @@ def pole_reports(k_values, n_values=(2, 3, 4)):
         bad = []
         for k in k_values:
             for l in range(0, n + 1):
-                _f, order = pole_profile(n, k, l)
-                orders[f"k={k},l={l}"] = order
-                if order != (1 if l in (0, 1) else 0):
+                orders[f"k={k},l={l}"] = order = pole_profile(n, k, l)[1]
+                if order != expected_pole_order(l):
                     bad.append((k, l))
         reports.append(VerificationReport(
             check="pole profile sweep",
             params={"n": n, "k_values": list(k_values)},
             status="pass" if not bad else "fail",
-            anchor="the fused weight keeps a simple pole at coincidence "
-                   "for the first two shifts and none for the rest",
+            anchor=POLE_ANCHOR,
             witness={"orders": orders, "violations": bad}))
     return reports
 

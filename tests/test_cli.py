@@ -14,6 +14,7 @@ from qsnake.cli import (
 from qsnake.lattice import AOperator, seeded_rationals
 from qsnake.report import VerificationReport
 from qsnake.rmat import h_shift
+from qsnake.snail import POLE_ANCHOR, expected_pole_order
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -82,6 +83,20 @@ def test_pole_sweep(capsys):
     assert main(["pole", "--n", "4"]) == 0
     out = capsys.readouterr().out
     assert "[pass] pole profile sweep" in out
+
+
+def test_pole_single_and_sweep_state_one_rule(capsys):
+    # the single profile and the sweep read their expected order and
+    # their anchor from snail, so they agree at every candidate
+    n, k = 3, 2
+    (sweep,) = run_subcommand("pole", {"n": n, "k": k})
+    for l in range(n + 1):
+        (one,) = run_subcommand("pole", {"n": n, "k": k, "l": l})
+        assert one.anchor == sweep.anchor == POLE_ANCHOR
+        assert one.witness["expected"] == expected_pole_order(l)
+        assert one.witness["order"] == sweep.witness["orders"][f"k={k},l={l}"]
+        assert one.status == "pass"
+    capsys.readouterr()
 
 
 def test_json_byte_identical(tmp_path):

@@ -3,7 +3,7 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 import pytest
@@ -15,8 +15,9 @@ from qsnake.exactlin import (
     Leg,
     RatFun,
     _frac_rank,
-    _pdivmod,
-    _pgcd,
+    _padd,
+    _pdiv,
+    _pmul,
     _pneg,
     _trim,
     contract,
@@ -97,6 +98,39 @@ def test_residue_partial_fractions():
     f = 1 / (lin(1) * lin(2))
     assert residue_at(f, 1) == -1
     assert residue_at(f, 2) == 1
+
+
+def test_pole_orders_and_residues_at_rational_points():
+    # f = c * prod (x - a_i)^e_i with a_i of denominators 2..9, as at the
+    # points (n+1)/2 and the seeded rationals the suites call them at
+    rng = random.Random(2025)
+    simple = 0
+    for _ in range(60):
+        roots, k = set(), rng.randint(1, 4)
+        while len(roots) < k:
+            den = rng.randint(2, 9)
+            num = rng.choice([v for v in range(-40, 41) if gcd(v, den) == 1])
+            roots.add(Fraction(num, den))
+        exps = {a: rng.choice((-3, -2, -1, -1, 1, 2, 3)) for a in roots}
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        f = RatFun.const(c)
+        for a, e in exps.items():
+            for _ in range(abs(e)):
+                f = f * lin(a) if e > 0 else f / lin(a)
+        for a, e in exps.items():
+            assert pole_order_at(f, a) == -e
+            assert pole_order_at(f, a + Fraction(1, 97)) == 0
+            if e == -1:  # the partial-fraction coefficient of 1/(x - a)
+                want = c * prod((a - b) ** eb for b, eb in exps.items()
+                                if b != a)
+                assert residue_at(f, a) == want
+                simple += 1
+            elif e < -1:
+                with pytest.raises(ValueError):
+                    residue_at(f, a)
+            else:
+                assert residue_at(f, a) == 0
+    assert simple >= 20
 
 
 rationals = st.fractions(
@@ -522,27 +556,46 @@ def test_ratfun_refuses_inexact_coefficients(bad):
             RatFun(num, den)
 
 
-def fraction_clear_denoms(p):
-    if not p:
-        return ()
-    den = lcm(*[Fraction(c).denominator for c in p])
-    return tuple(int(Fraction(c) * den) for c in p)
+def _pdivmod(p, q):
+    """Division with remainder over Q, the route RatFun took before it
+    divided in Z[x]; kept as the oracle of the integer one."""
+    p = [Fraction(c) for c in p]
+    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    lead = Fraction(q[-1])
+    while len(p) >= len(q) and _trim(p):
+        d = len(p) - len(q)
+        c = p[-1] / lead
+        quot[d] = c
+        for i, b in enumerate(q):
+            p[i + d] -= c * b
+        p = list(_trim(p))
+    return _trim(quot), _trim(p)
+
+
+def monic_gcd(p, q):
+    """The monic gcd over Q, by Euclid with _pdivmod."""
+    p, q = _trim(p), _trim(q)
+    while q:
+        p, q = q, _pdivmod(p, q)[1]
+    return tuple(c / Fraction(p[-1]) for c in p)
 
 
 def gcd_canonical(num, den):
-    """(num, den) by the canonical route with the polynomial gcd always
-    taken, as RatFun built it before constants skipped it."""
+    """(num, den) by the route over Q with the polynomial gcd always
+    taken: the monic gcd divided out over Q, then both sides cleared by
+    one common denominator and their joint integer content."""
     num = _trim(num if isinstance(num, (tuple, list)) else (num,))
     den = _trim(den if isinstance(den, (tuple, list)) else (den,))
     if not num:
         return (), (1,)
-    g = _pgcd(num, den)
+    g = monic_gcd(num, den)
     if len(g) > 1:
         num, _ = _pdivmod(num, g)
         den, _ = _pdivmod(den, g)
-    num = fraction_clear_denoms(num)
-    den = fraction_clear_denoms(den)
-    cg = gcd(*(abs(c) for c in num), *(abs(c) for c in den))
+    s = lcm(*(Fraction(c).denominator for c in num + den))
+    num = tuple(int(Fraction(c) * s) for c in num)
+    den = tuple(int(Fraction(c) * s) for c in den)
+    cg = gcd(*num, *den)
     num = tuple(c // cg for c in num)
     den = tuple(c // cg for c in den)
     if den[-1] < 0:
@@ -573,6 +626,113 @@ def test_ratfun_constant_sides():
                      ((-6,), (-4,))]:
         f = RatFun(num, den)
         assert (f.num, f.den) == gcd_canonical(num, den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys, polys)
+def test_ratfun_matches_the_gcd_route(num, den):
+    assume(_trim(den))
+    f = RatFun(num, den)
+    assert (f.num, f.den) == gcd_canonical(num, den)
+    assert all(type(c) is int for c in f.num + f.den)
+
+
+def test_ratfun_clears_both_sides_by_one_denominator():
+    # a Fraction coefficient is cleared once, over numerator and
+    # denominator together, so the value is kept
+    assert RatFun((Fraction(1, 2),)) == RatFun.const(Fraction(1, 2))
+    assert RatFun((1,), (Fraction(1, 3),)) == 3
+    assert RatFun((Fraction(1, 2), 1), (Fraction(-3, 4),)) == (
+        RatFun((-2, -4), (3,)))
+    assert RatFun((1, Fraction(1, 2)), (Fraction(2, 3), 1)) == (
+        RatFun((6, 3), (4, 6)))
+
+
+def test_constant_ratfun_hashes_like_its_fraction():
+    for q in (0, 3, -1, Fraction(2, 3), Fraction(-7, 4), 10 ** 30):
+        f = RatFun.const(q)
+        assert f == q and hash(f) == hash(Fraction(q)) == hash(q)
+        assert len({f, q}) == 1
+    assert len({RatFun((0,)), RatFun((), (5, 1)), 0}) == 1
+    assert hash(RatFun((2,), (4,))) == hash(Fraction(1, 2))
+
+
+def seeded_poly(rng, deg):
+    """Fraction coefficients with a nonzero leading one."""
+    cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(deg)]
+    return cs + [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                          rng.randint(1, 9))]
+
+
+def poly_at(p, a):
+    return sum(c * a ** i for i, c in enumerate(p))
+
+
+def test_ratfun_evaluates_as_its_quotient():
+    # num and den share a product of linear factors at rational roots, so
+    # the gcd cancels something; f(a) is num(a)/den(a) off the poles
+    rng = random.Random(25)
+    cancelled = evaluated = 0
+    for _ in range(300):
+        shared = [Fraction(rng.randint(1, 9))]
+        for _ in range(rng.randint(0, 2)):
+            root = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            shared = _pmul(shared, [-root, Fraction(1)])
+        num = _pmul(seeded_poly(rng, rng.randint(0, 3)), shared)
+        den = _pmul(seeded_poly(rng, rng.randint(0, 3)), shared)
+        f = RatFun(num, den)
+        assert all(type(c) is int for c in f.num + f.den)
+        assert gcd(*f.num, *f.den) == 1 and f.den[-1] > 0
+        cancelled += len(f.den) < len(den)
+        for _ in range(3):
+            a = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+            if poly_at(den, a):
+                assert f(a) == poly_at(num, a) / poly_at(den, a)
+                evaluated += 1
+        g = RatFun(seeded_poly(rng, 2), seeded_poly(rng, 1))
+        assert ((f * g).num, (f * g).den) == gcd_canonical(
+            _pmul(num, g.num), _pmul(den, g.den))
+        if g:
+            assert ((f / g).num, (f / g).den) == gcd_canonical(
+                _pmul(num, g.den), _pmul(den, g.num))
+    assert cancelled >= 100 and evaluated >= 800
+
+
+def test_pdiv_pseudo_divides_and_is_exact_when_q_divides():
+    # c*p = quot*q + rem with deg rem < deg q, c dividing a power of q's
+    # leading coefficient, and c = 1 when q divides p in Z[x]
+    rng = random.Random(7)
+    for _ in range(500):
+        p = _trim(rng.randint(-9, 9) for _ in range(rng.randint(0, 6)))
+        q = _trim(rng.randint(-9, 9) for _ in range(rng.randint(1, 4)))
+        if not q:
+            continue
+        quot, rem = _pdiv(p, q)
+        assert len(rem) < len(q)
+        lhs = _padd(_pmul(quot, q), rem)
+        c = lhs[-1] // p[-1] if p else 1
+        assert lhs == tuple(c * v for v in p)
+        assert q[-1] ** len(p) % c == 0
+        assert _pdiv(_pmul(p, q), q) == (p, ())
+
+
+def test_pgcd_takes_primitive_remainders(monkeypatch):
+    # Knuth's pair (TAOCP 2, 4.6.1) is coprime, so no output shows how the
+    # remainders grew; record what reaches _pdiv.  Primitive remainders
+    # end in 4663x - 6150; unreduced ones reach 2,767,500 here.
+    import qsnake.exactlin as exactlin
+    seen = []
+
+    def recording_pdiv(p, q):
+        seen.extend(abs(c) for c in p + q)
+        return _pdiv(p, q)
+
+    monkeypatch.setattr(exactlin, "_pdiv", recording_pdiv)
+    p = (-5, 2, 8, -3, -3, 0, 1, 0, 1)
+    q = (21, -9, -4, 0, 5, 0, 3)
+    f = RatFun(p, q)
+    assert (f.num, f.den) == (p, q)
+    assert max(seen) == 6150
 
 
 def test_echelon_cofactors_are_reduced_by_their_gcd(monkeypatch):
