@@ -184,9 +184,9 @@ def test_all_narrowed(capsys):
     assert code == 0
     assert "0 fail" in out
     # stdout as printed before the suite table replaced the if-chain, with
-    # the Yang-Baxter line at its 8 unisolvent points
+    # the Yang-Baxter line naming its Kronecker base
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "57bb2a568143744214e48e76c11fe6e31f3f23f143218251a1b25c7ab58369fc")
+        "18bf3bd43b8ff21ce408b33b98e8e5928fa9706033d0555eca90c08e47772ca8")
     # every hard family shows up even in the narrowed profile
     for name in ("fundamental closed form", "snake structural trio",
                  "extended t-system recursion", "pairwise snake identity",

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from pathlib import Path
 
 from qsnake.cli import main
@@ -16,9 +17,45 @@ SNAKE_N3_L7_SHA256 = (
 # sha256 of the standard output of `qsnake all --json -` at seed 0 (58
 # checks, fused loop ranks at k <= 3); it is the output of the suite table
 # with the dense elimination loops, plus the (1,3) and (2,3) rank reports,
-# with the two "vertex yang-baxter" reports at their 8 unisolvent points
+# with the two "vertex yang-baxter" reports decided at their Kronecker
+# point (B, B^3) and naming the base B; ALL_JSON_CHECKS below says which
+# reports a change of it moved
 ALL_JSON_SHA256 = (
-    "2d9c71f8c7d03f069226f0a53516366c84e79f1f48745f26ee109ac06fdb6a3c")
+    "e6d98a2676acdf745e6dd4f4ea8dd32c3cf759c45bb633830d5048a5cf770ec3")
+
+# the same output split by check name: the first 16 hex digits of the
+# sha256 of each name's reports, in output order, as compact sorted JSON
+ALL_JSON_CHECKS = {
+    "antisymmetrizer idempotent": "554e34946bca140f",
+    "binomial census shift": "805d9cf2205c0118",
+    "composition completeness": "8441513e26545072",
+    "extended t-system recursion": "299d17d7f30abdad",
+    "fibonacci census": "477b38ea2a7dc7d2",
+    "fundamental closed form": "c3301794460a2d8e",
+    "fused loop rank against snake dimension": "d129337be3ce32bd",
+    "fused window invariance": "f0331f4f4bcc36bd",
+    "fused window relation at one loop": "1399c2a20042c7e7",
+    "kirillov-reshetikhin dimensions": "2e353929f9eb1f2c",
+    "kirillov-reshetikhin t-system": "9462fe2d3a8e7295",
+    "pairwise snake identity": "e657e2b2e7f28250",
+    "pole profile sweep": "9adb75c2592cd3e6",
+    "singlet insertions on the fused product": "2d9e5a2020ce0e80",
+    "singlet vertex rank": "bff115f88780e79f",
+    "singlet-projected window reduction": "59bb1a5ff961e7bc",
+    "snake structural trio": "b268c1203a5189dd",
+    "tower against single-level assembly": "5d019ee2d05ba8d4",
+    "tower contraction order": "91c5c19d40e702ed",
+    "vertex crossing": "899042ab067ece66",
+    "vertex unitarity": "d78d39fd5ca5508f",
+    "vertex yang-baxter": "ce6bd1db5e723303",
+    "window colour conservation": "556628a6808e508f",
+    "window difference equations": "f49888cf1fee9651",
+    "window exchange relation": "1ea9e7e87075e93c",
+    "window global invariance": "ab019b8bab15b541",
+    "window reduction": "066a312f78ab1f18",
+    "window translation covariance": "d9ea7ca737ab34b0",
+    "window unit trace": "c0761341893cbcf5",
+}
 
 # sha256 of the standard output of `qsnake rqkz --L 5 --json -` at seed 0
 # (10 checks, all passing): the window-shift maps at the 3 <= m < L
@@ -83,6 +120,24 @@ def test_all_json_byte_identical(capsys):
     assert main(["all", "--json", "-"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == ALL_JSON_SHA256
+
+
+def check_digests(out):
+    """ALL_JSON_CHECKS of the JSON that follows the summary lines."""
+    groups = {}
+    for report in json.loads(out[out.index("\n[\n") + 1:]):
+        groups.setdefault(report["check"], []).append(report)
+    return {name: hashlib.sha256(json.dumps(reports, sort_keys=True)
+                                 .encode()).hexdigest()[:16]
+            for name, reports in groups.items()}
+
+
+def test_all_json_reports_by_check_name(capsys):
+    assert main(["all", "--json", "-"]) == 0
+    got = check_digests(capsys.readouterr().out)
+    moved = sorted(name for name in got.keys() | ALL_JSON_CHECKS.keys()
+                   if got.get(name) != ALL_JSON_CHECKS.get(name))
+    assert not moved, f"reports moved: {moved}"
 
 
 def test_rqkz_l5_json_byte_identical(capsys):

@@ -42,7 +42,6 @@ from qsnake.lattice import (
     verify_finite_rqkz,
 )
 from qsnake.rmat import (
-    YBE_POINTS,
     charge_conj_matrix,
     chevalley_generators,
     h_shift,
@@ -177,16 +176,6 @@ def test_dense_to_sp_reads_both_dimensions():
     a[2, 1] = Fraction(1)
     assert _dense_to_sp(a) == {0: {7: 5}, 2: {1: 1}}
     assert _dense_to_sp(a.T) == {7: {0: 5}, 1: {2: 1}}
-
-
-def test_ybe_points_unisolvent():
-    # the Yang-Baxter difference has its entries in span{x^a y^b : a <= 2,
-    # b <= 2, a + b <= 3}; only the zero polynomial there vanishes on the
-    # points
-    monomials = [(a, b) for a in range(3) for b in range(3) if a + b <= 3]
-    rows = [[x ** a * y ** b for a, b in monomials] for x, y in YBE_POINTS]
-    assert len(monomials) == len(YBE_POINTS) == 8
-    assert _frac_rank(rows) == 8
 
 
 def test_max_abs_diff_rejects_unequal_shapes():
@@ -1395,9 +1384,9 @@ def test_vertex_chain_builds_no_vertex_map(monkeypatch):
     n = 2
     spec, labels, _seed = torus_strip(n, 3, 1)
     lines = lattice._strip(spec, 2, labels[:2], 1, None)[2]
-    pts = YBE_POINTS[0]
-    ybe = [("f", "fbar", pts[0] - pts[1], (0, 1)), ("f", "f", pts[0], (0, 2)),
-           ("fbar", "f", pts[1], (1, 2))]
+    x, y = Fraction(2), Fraction(5)
+    ybe = [("f", "fbar", x - y, (0, 1)), ("f", "f", x, (0, 2)),
+           ("fbar", "f", y, (1, 2))]
     # the (n, k) = (2, 3) fused product on 5 loops, as _fusion_chain lists it
     kinds = loop_kinds(n, 5)
     fused = [(kinds[i], kinds[j], (j - i) * h_shift(n), (i, j))

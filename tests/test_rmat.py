@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qsnake import rmat
+from qsnake.cli import main
 from qsnake.exactlin import RatFun, matrix_rank, tensor_from_matrix
 from qsnake.rmat import (
     PrefactorExpr,
@@ -493,3 +494,176 @@ def test_the_vertex_is_written_once(monkeypatch):
     assert vertex_matrix(2, "f", "f", Fraction(0)) == {
         r: {c: 2 * v for c, v in row.items()}
         for r, row in permutation_matrix(2).items()}
+
+
+# the former decision of "vertex yang-baxter", kept as the oracle of the
+# Kronecker point: every entry of the difference lies in span{x^a y^b :
+# a, b <= 2, a + b <= 3}, of dimension 8, and the 3x3 grid less its last
+# corner is unisolvent for that span
+GRID_POINTS = tuple(itertools.product(
+    (Fraction(2), Fraction(3, 2), Fraction(-4, 3)),
+    (Fraction(5), Fraction(7, 3), Fraction(9, 5))))[:-1]
+KIND_TRIPLES = tuple(itertools.product(("f", "fbar"), repeat=3))
+
+
+def ybe_chain(kinds, x, y):
+    """The left-hand side R12(x-y) R13(x) R23(y); reversed, the right."""
+    k1, k2, k3 = kinds
+    return [(k1, k2, x - y, (0, 1)), (k1, k3, x, (0, 2)),
+            (k2, k3, y, (1, 2))]
+
+
+def grid_violations(n):
+    """The kind triples whose two sides differ at some grid point, both
+    built by rmat.vertex_chain as it stands."""
+    return {kinds for kinds, (x, y) in itertools.product(KIND_TRIPLES,
+                                                         GRID_POINTS)
+            if rmat.vertex_chain(n, 3, ybe_chain(kinds, x, y))
+            != rmat.vertex_chain(n, 3, ybe_chain(kinds, x, y)[::-1])}
+
+
+def mutate_factors(monkeypatch, edit):
+    chain_of = rmat.vertex_chain
+    monkeypatch.setattr(rmat, "vertex_chain",
+                        lambda n, nslots, factors, start=None: chain_of(
+                            n, nslots, edit(factors), start))
+
+
+def mutate_rows(monkeypatch, edit):
+    rows_of = rmat._vertex_rows
+    monkeypatch.setattr(rmat, "_vertex_rows",
+                        lambda n, k1, k2, x, dw: edit(
+                            k1, k2, *rows_of(n, k1, k2, x, dw)))
+
+
+def argument_edit(slots, change, left_only=False):
+    """A factor edit: change(x) for the vertex on slots, on every chain
+    or on the left-hand sides only."""
+    def edit(factors):
+        if left_only and factors[0][3] != (0, 1):
+            return factors
+        return [(k1, k2, change(x) if at == slots else x, at)
+                for k1, k2, x, at in factors]
+    return edit
+
+
+def shift_rows(kinds, by):
+    """A row edit: the vertices of the named kinds (same or mixed) with
+    their argument moved by `by`, alpha = s * shift moved by s * by."""
+    def edit(k1, k2, rows, s):
+        if (k1 == k2) != (kinds == "same"):
+            return rows, s
+        return [tuple((o, w + s * by if o == 0 else w) for o, w in row)
+                for row in rows], s
+    return edit
+
+
+YBE_MUTANTS = {
+    "R12 at x-y+1": lambda mp: mutate_factors(
+        mp, argument_edit((0, 1), lambda x: x + 1)),
+    "R13 at -x on the left": lambda mp: mutate_factors(
+        mp, argument_edit((0, 2), lambda x: -x, left_only=True)),
+    "mixed shift off by 1/2": lambda mp: mutate_rows(
+        mp, shift_rows("mixed", Fraction(1, 2))),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(YBE_MUTANTS))
+def test_kronecker_point_flags_what_the_grid_flags(monkeypatch, mutant):
+    YBE_MUTANTS[mutant](monkeypatch)
+    reports = [r for r in rmatrix_reports((1, 2, 3))
+               if r.check == "vertex yang-baxter"]
+    assert [r.params["n"] for r in reports] == [1, 2, 3]
+    for r in reports:
+        want = grid_violations(r.params["n"])
+        assert want and r.status == "fail"
+        assert set(r.witness["violations"]) == want, (mutant, r.params)
+
+
+def symbolic_witnesses(n):
+    """The unitarity and crossing mismatch counts at the symbolic x."""
+    d, h = n + 1, h_shift(n)
+    one = dense(identity_matrix(d * d), d * d)
+
+    def at(k1, k2, x):
+        return dense(vertex_matrix(n, k1, k2, x), d * d)
+
+    def count(a, b):
+        return int((a != b).sum())
+
+    oc = np.kron(dense(identity_matrix(d), d),
+                 dense(charge_conj_matrix(n), d))
+    crossed = -(oc @ partial_transpose_second(
+        at("f", "f", -X - RatFun.const(h)), d) @ oc)
+    return {"same_kind_mismatches": count(
+                at("f", "f", X) @ at("f", "f", -X), one * (1 - X * X)),
+            "mixed_kind_mismatches": count(
+                at("f", "fbar", X) @ at("fbar", "f", -X),
+                one * (RatFun.const(h * h) - X * X)),
+            "mismatches": count(crossed, at("f", "fbar", X))}
+
+
+def doubled_same(k1, k2, rows, s):
+    if k1 != k2:
+        return rows, s
+    return [tuple((o, 2 * w) for o, w in row) for row in rows], s
+
+
+@pytest.mark.parametrize("edit", [None, doubled_same, shift_rows("same", 1),
+                                  shift_rows("mixed", Fraction(1, 2))],
+                         ids=["none", "doubled same", "same alpha + 1",
+                              "mixed shift + 1/2"])
+def test_unitarity_and_crossing_count_as_the_symbolic_x(monkeypatch, edit):
+    # x = B decides each entry's degree <= 2 polynomial, so the witness
+    # counts are those of RatFun.x(), on failing mutants too
+    if edit:
+        mutate_rows(monkeypatch, edit)
+    for r in rmatrix_reports((1, 2, 3)):
+        if r.check in ("vertex unitarity", "vertex crossing"):
+            want = symbolic_witnesses(r.params["n"])
+            assert r.witness == {k: want[k] for k in r.witness}, r.check
+            assert (r.status == "pass") == (not any(r.witness.values()))
+
+
+def test_shifted_same_kind_alpha_fails_unitarity(monkeypatch):
+    # (x+1)*1 + P times (1-x)*1 + P is not scalar
+    mutate_rows(monkeypatch, shift_rows("same", 1))
+    failed = {(r.check, r.params["n"]) for r in rmatrix_reports((1, 2, 3))
+              if r.status == "fail"}
+    assert {("vertex unitarity", n) for n in (1, 2, 3)} <= failed
+
+
+def interpolate(values):
+    """Coefficients c0, c1, c2 of the quadratic through values at 0, 1, 2."""
+    p0, p1, p2 = values
+    c2 = Fraction(p2 - 2 * p1 + p0, 2)
+    return p0, p1 - p0 - c2, c2
+
+
+def test_ybe_coefficients_stay_below_a_quarter_of_the_base():
+    # each side's entries, interpolated on {0,1,2}^2 at degree <= 2 in x
+    # and in y, have coefficients below B/4, so those of the difference
+    # are balanced base-B digits; the interpolant also meets the side at
+    # (3, 4), a check of the degrees
+    grid = tuple(itertools.product(range(3), repeat=2)) + ((3, 4),)
+    for n, kinds, side in itertools.product((1, 2, 3, 4), KIND_TRIPLES,
+                                            (1, -1)):
+        quarter = Fraction(rmat.kronecker_base(n), 4)
+        maps = {pt: vertex_chain(n, 3, ybe_chain(kinds, *pt)[::side])[0]
+                for pt in grid}
+        for r, c in {(r, c) for m in maps.values() for r in m for c in m[r]}:
+            def entry(x, y):
+                return maps[x, y].get(r, {}).get(c, 0)
+            by_x = [interpolate([entry(x, y) for x in range(3)])
+                    for y in range(3)]
+            coeffs = [interpolate([row[a] for row in by_x]) for a in range(3)]
+            assert all(abs(v) < quarter for cs in coeffs for v in cs)
+            assert entry(3, 4) == sum(coeffs[a][b] * 3 ** a * 4 ** b
+                                      for a in range(3) for b in range(3))
+
+
+@pytest.mark.parametrize("n", [1, 5, 6])
+def test_rmatrix_reaches_rank(capsys, n):
+    assert main(["rmatrix", "--n", str(n)]) == 0
+    assert capsys.readouterr().out.endswith(
+        "5 checks: 5 pass, 0 fail, 0 exploratory\n")
