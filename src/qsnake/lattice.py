@@ -808,21 +808,21 @@ def lattice_reports(n, max_L, N, max_m, seed):
                        "window by the braided vertex",
                 witness={"pairs": mtop - 1, "max_residual": resid}))
 
+        # density_matrix at m = L reads nothing of the strip but its rows
         delta = seeded_rationals(seed + L + 200, 1, avoid=[0])[0]
         wfull = seeded_rationals(seed + L + 300, L, avoid=[0, beta])
         shifted_spec = LatticeSpec(n, L, N, [Fraction(0)] * L,
                                    [b + delta for b in spec.betas])
-        resid = sparse.diff(
-            density_matrix(spec, L, wfull, 0).pair,
-            density_matrix(shifted_spec, L, [x + delta for x in wfull],
-                           0).pair)
+        here, there = (sum(_strip(s, L, w, 0, None)[2], ()) for s, w in (
+            (spec, wfull), (shifted_spec, [x + delta for x in wfull])))
+        moved = sum(u != v for u, v in zip(here, there))
         reports.append(VerificationReport(
             check="window translation covariance",
             params={"n": n, "L": L, "N": N, "seed": seed},
-            status="pass" if resid == 0 else "fail",
+            status="pass" if moved == 0 else "fail",
             anchor="shifting all labels and the staggering together leaves "
                    "the full-strip window unchanged",
-            witness={"delta": delta, "max_residual": resid}))
+            witness={"delta": delta, "vertices": len(here), "moved": moved}))
     return reports
 
 

@@ -119,6 +119,13 @@ def test_lattice_two_horizontal_pairs(capsys):
     assert "[pass] window translation covariance (L=2 N=2" in out
 
 
+def test_lattice_reaches_twelve_sites(capsys):
+    # no window is wider than --m, so the suite reaches L = 12 in well
+    # under a second
+    assert main(["lattice", "--L", "12"]) == 0
+    assert "66 checks: 66 pass" in capsys.readouterr().out
+
+
 def test_scenario_flags_and_precedence(tmp_path, capsys):
     scn = tmp_path / "scn.txt"
     scn.write_text("# window run\nsnake-l=3\nn=2\n")

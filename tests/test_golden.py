@@ -18,10 +18,12 @@ SNAKE_N3_L7_SHA256 = (
 # checks, fused loop ranks at k <= 3); it is the output of the suite table
 # with the dense elimination loops, plus the (1,3) and (2,3) rank reports,
 # with the two "vertex yang-baxter" reports decided at their Kronecker
-# point (B, B^3) and naming the base B; ALL_JSON_CHECKS below says which
-# reports a change of it moved
+# point (B, B^3) and naming the base B, and the "window translation
+# covariance" reports read from the strip's vertex arguments (vertices
+# compared, how many moved); ALL_JSON_CHECKS below says which reports a
+# change of it moved
 ALL_JSON_SHA256 = (
-    "e6d98a2676acdf745e6dd4f4ea8dd32c3cf759c45bb633830d5048a5cf770ec3")
+    "1041eb80d645fe2b44fda484d6320572a357c3380034ae6fd3ba2b293bde25b2")
 
 # the same output split by check name: the first 16 hex digits of the
 # sha256 of each name's reports, in output order, as compact sorted JSON
@@ -53,7 +55,7 @@ ALL_JSON_CHECKS = {
     "window exchange relation": "1ea9e7e87075e93c",
     "window global invariance": "ab019b8bab15b541",
     "window reduction": "066a312f78ab1f18",
-    "window translation covariance": "d9ea7ca737ab34b0",
+    "window translation covariance": "0766403918568eb9",
     "window unit trace": "c0761341893cbcf5",
 }
 
@@ -65,11 +67,12 @@ RQKZ_L5_JSON_SHA256 = (
 
 # sha256 of the standard output of `qsnake lattice --L 5 --json -` at
 # seed 0: the window suite at L = 2..5 and m <= 3 (unit trace,
-# reduction, invariance, exchange and translation residuals), as the
-# windows with Fraction entries gave it; comparing (map, trace) pairs
-# must reproduce it byte for byte
+# reduction, invariance and exchange residuals, as the windows with
+# Fraction entries gave them; comparing (map, trace) pairs must reproduce
+# them byte for byte), with translation covariance read from the strip's
+# vertex arguments
 LATTICE_L5_JSON_SHA256 = (
-    "f09b0f95a8c9fc468c32b3c88b87478e3592c101ac150607ea5d01eff9f81aaa")
+    "2196e816d798aab6711dd6a17f0accd5bdf05199fa885c05c10a74650ececcf2")
 
 # sha256 of to_text of S_odd(3, 3, shift 4) * S_even(3, 3, shift 0), whose
 # coefficients are 1, 2 and 4, and of that product times the fundamental

@@ -752,15 +752,40 @@ def test_density_colour_conserving():
     assert not colour_conserving(DensityWindow(2, 2, 0, (bad, 1), [0, 0]))
 
 
+def test_window_suite_builds_no_window_wider_than_max_m(monkeypatch):
+    # translation covariance reads the strip's vertex arguments, so no
+    # lattice report builds a full-strip window beyond --m
+    widths, build = [], lattice.density_matrix
+
+    def recorded(spec, m, *args, **kwargs):
+        widths.append(m)
+        return build(spec, m, *args, **kwargs)
+
+    monkeypatch.setattr(lattice, "density_matrix", recorded)
+    for max_L, N, max_m in ((7, 1, 3), (4, 2, 2)):
+        widths.clear()
+        reports = lattice_reports(2, max_L, N, max_m, 0)
+        assert all(r.status == "pass" for r in reports)
+        assert widths and max(widths) == max_m, (max_L, N, widths)
+
+
 def test_density_translation_covariance():
-    # full-strip window: shifting all labels and beta together is inert
+    # full-strip window: shifting all labels and the staggering together
+    # is inert, the window-level statement that "window translation
+    # covariance" reads from the strip's vertex arguments; shifting the
+    # labels alone moves the window
     delta = Fraction(4, 13)
-    w = [Fraction(2, 7), Fraction(5, 9)]
-    a = density_matrix(LatticeSpec(2, 2, 1, [0, 0], [Fraction(3, 11)]), 2, w, 0)
-    b = density_matrix(
-        LatticeSpec(2, 2, 1, [0, 0], [Fraction(3, 11) + delta]), 2,
-        [x + delta for x in w], 0)
-    assert max_abs_diff(dense(a), dense(b)) == 0
+    for n, L, N in ((2, 2, 1), (1, 3, 1), (2, 3, 2), (2, 4, 1)):
+        w = [Fraction(2, 7), Fraction(5, 9), Fraction(-1, 4),
+             Fraction(7, 5)][:L]
+        spec = LatticeSpec.staggered(n, L, N, [0] * L, Fraction(3, 11))
+        shifted = LatticeSpec(n, L, N, [0] * L,
+                              [b + delta for b in spec.betas])
+        moved = [x + delta for x in w]
+        a = density_matrix(spec, L, w, 0).pair
+        b = density_matrix(shifted, L, moved, 0).pair
+        assert a[0] and sparse.diff(a, b) == 0, (n, L, N)
+        assert sparse.diff(a, density_matrix(spec, L, moved, 0).pair) != 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,163 @@
+"""Mutants of the mathematics, keyed by the check each one makes fail.
+
+Every row is a small wrong edit of the program, applied by monkeypatch:
+a source mutant recompiles one function with one expression replaced,
+the others wrap a function's result.  A pass/fail check with no row here
+is a check that nothing has yet shown can fail.
+"""
+
+import inspect
+
+import pytest
+
+from qsnake import lattice, rmat
+from qsnake.lattice import lattice_reports, rqkz_reports
+
+
+def source_mutant(monkeypatch, module, name, old, new):
+    """module.name recompiled from its source with the one occurrence of
+    old replaced by new, in the module's namespace."""
+    src = inspect.getsource(getattr(module, name))
+    assert src.count(old) == 1, (name, old)
+    scope = {}
+    exec(compile(src.replace(old, new), module.__file__, "exec"),
+         vars(module), scope)
+    monkeypatch.setattr(module, name, scope[name])
+
+
+def line_plus_beta(monkeypatch):
+    # every line's vertex argument p + b instead of p - b
+    source_mutant(monkeypatch, lattice, "_strip", "else p - b", "else p + b")
+
+
+def partner_off_by_one(monkeypatch):
+    # the partner line's argument on the antifundamental site b - p - n
+    source_mutant(monkeypatch, lattice, "_strip", "b - p - n - 1",
+                  "b - p - n")
+
+
+def outside_power_plus_one(monkeypatch):
+    # one outside column too many in the N = 1 fold
+    columns = lattice._outside_columns
+    monkeypatch.setattr(lattice, "_outside_columns",
+                        lambda n, b, k: columns(n, b, k + 1))
+
+
+def outside_sites_at_one(monkeypatch):
+    # the fold puts the outside sites at 1, the environment value at 0
+    source_mutant(monkeypatch, lattice, "_outside_columns",
+                  "x = -Fraction(b)", "x = 1 - Fraction(b)")
+
+
+def variant_one_site_fundamental(monkeypatch):
+    # variant 1 builds its site 1 as a fundamental site
+    source_mutant(monkeypatch, lattice, "_strip", '-labels[0], "fbar"',
+                  '-labels[0], "f"')
+
+
+def same_kind_digit_zero_weight(monkeypatch):
+    # a same-kind vertex plus E_00 (x) 1: colour-conserving, not invariant
+    rows_of = rmat._vertex_rows
+
+    def rows(n, kind1, kind2, x, dw):
+        out, s = rows_of(n, kind1, kind2, x, dw)
+        if kind1 != kind2:
+            return out, s
+        weighted = []
+        for r, row in enumerate(out):
+            entries = dict(row)
+            if r < n + 1:  # digit 0 on the first slot
+                entries[0] = entries.get(0, 0) + s
+            weighted.append(tuple((o, w) for o, w in entries.items() if w))
+        return weighted, s
+
+    monkeypatch.setattr(rmat, "_vertex_rows", rows)
+
+
+def crossing_reversed(monkeypatch):
+    # every line crosses the window sites in the reverse of its crossing
+    source_mutant(monkeypatch, lattice, "_strip",
+                  "order = [m - site for site in crossing]",
+                  "order = [site - 1 for site in crossing]")
+
+
+def lattice_at(N):
+    """lattice at its defaults (n = 2, L <= 3, m <= 3, seed 0), N pairs."""
+    return lambda: lattice_reports(2, 3, N, 3, 0)
+
+
+def rqkz_l4():
+    return rqkz_reports(2, 4, 1, 0)
+
+
+# check name -> {mutant: (apply, the run whose reports of the check fail)}
+MUTANTS = {
+    "window unit trace": {
+        "outside columns to the power k + 1": (outside_power_plus_one,
+                                               lattice_at(1)),
+        "outside sites folded at 1": (outside_sites_at_one, lattice_at(1)),
+    },
+    "window colour conservation": {
+        "variant-1 site 1 fundamental": (variant_one_site_fundamental,
+                                         lattice_at(1)),
+    },
+    "window reduction": {
+        "outside sites folded at 1": (outside_sites_at_one, lattice_at(1)),
+    },
+    "window global invariance": {
+        "same-kind vertex weighted on digit 0": (same_kind_digit_zero_weight,
+                                                 lattice_at(2)),
+    },
+    "window exchange relation": {
+        "crossing reversed": (crossing_reversed, lattice_at(1)),
+    },
+    "window translation covariance": {
+        "line argument p + b, N = 1": (line_plus_beta, lattice_at(1)),
+        "line argument p + b, N = 2": (line_plus_beta, lattice_at(2)),
+    },
+    "window difference equations": {
+        "partner argument b - p - n": (partner_off_by_one, rqkz_l4),
+    },
+}
+
+
+def failing(reports):
+    return {r.check for r in reports if r.status == "fail"}
+
+
+@pytest.mark.parametrize("check, mutant", [
+    (check, mutant) for check, rows in MUTANTS.items() for mutant in rows])
+def test_mutant_fails_its_check(monkeypatch, check, mutant):
+    apply, run = MUTANTS[check][mutant]
+    reports = run()
+    assert check in {r.check for r in reports} and check not in failing(
+        reports)
+    apply(monkeypatch)
+    assert check in failing(run())
+
+
+def test_every_window_check_has_a_mutant():
+    for N in (1, 2):
+        checks = {r.check for r in lattice_at(N)() if r.status != "exploratory"}
+        assert len(checks) == 6 and checks <= MUTANTS.keys(), checks
+    assert {r.check for r in rqkz_l4()} <= MUTANTS.keys()
+
+
+def test_line_argument_mutant_fails_translation_alone_at_two_pairs(
+        monkeypatch):
+    line_plus_beta(monkeypatch)
+    for N in (1, 2):
+        moved = [r for r in lattice_at(N)()
+                 if r.check == "window translation covariance"]
+        assert len(moved) == 2 and all(
+            r.status == "fail" and r.witness["moved"] > 0 for r in moved)
+    assert failing(lattice_at(2)()) == {"window translation covariance"}
+
+
+def test_partner_mutant_fails_every_equation_and_no_window_check(
+        monkeypatch):
+    partner_off_by_one(monkeypatch)
+    assert failing(lattice_at(1)() + lattice_at(2)()) == set()
+    equations = rqkz_l4()
+    assert len(equations) == 6
+    assert all(r.status == "fail" for r in equations)
