@@ -35,7 +35,7 @@ from . import sparse
 from .exactlin import RatFun, pole_order_at, residue_at, tensor_from_matrix
 from .report import OutOfScope, VerificationReport
 from .rmat import (PrefactorExpr, chevalley_generators, h_shift,
-                   identity_matrix, k_matrix, prefactor_reduce, vertex_chain)
+                   identity_matrix, prefactor_reduce, vertex_chain)
 # perfbench/spans.py TRACED wraps these kernels under the names bound here
 from .rmat import identity_matrix as _sp_identity
 from .sparse import (embed as _sp_embed, extend as _sp_extend, mul as _sp_mul,
@@ -223,7 +223,8 @@ class DensityWindow:
 
     @property
     def matrix(self):
-        """The row map over Fractions, each distinct entry divided once."""
+        """The row map over Fractions, each distinct entry divided once;
+        no check reads it, only the tests and the benchmark's window hook."""
         mat, s = self.pair
         frac = {v: Fraction(v, s)
                 for v in {v for row in mat.values() for v in row.values()}}
@@ -652,8 +653,8 @@ def verify_finite_rqkz(spec, m):
 
 def projected_reduction_check(spec, m):
     """Exploratory: singlet-projected variant-1 window against the
-    singlet times the window with the first pair removed.  The residual
-    is recorded, never asserted."""
+    singlet (minus the mixed vertex at -(n+1)/2) times the window with
+    the first pair removed.  The residual is recorded, never asserted."""
     if m < 3:
         raise ValueError("needs m >= 3 so a smaller window remains")
     n = spec.n
@@ -661,9 +662,8 @@ def projected_reduction_check(spec, m):
     h = h_shift(n)
     mu2 = spec.mus[1]
     rest = [spec.mus[i] for i in range(2, m)]
-    labels = [h - mu2, mu2] + rest
-    d1, s1 = density_matrix(spec, m, labels, 1).pair
-    ksp = sparse.embed(k_matrix(n), (m - 1, m - 2), m, d)
+    d1, s1 = density_matrix(spec, m, [h - mu2, mu2] + rest, 1).pair
+    ksp = vertex_chain(n, m, [("f", "fbar", -h, (m - 1, m - 2))])[0]
     small, s0 = density_matrix(spec, m - 2, rest, 0).pair
     rhs = sparse.mul(ksp, sparse.extend(sparse.extend(small, d), d))
     resid = sparse.diff((sparse.mul(ksp, d1), s1), (rhs, s0))

@@ -17,10 +17,12 @@ the snake dimension.
 Scalars are handled symbolically: the product of per-level prefactors
 reduces through the rho ladder to an explicit rational function whose
 residue multiplies the polynomial tensor part evaluated at the pole.
-The fused loop product is one rmat.vertex_chain.
+The fused loop product is one rmat.vertex_chain.  The exploratory reports
+compare integer pairs too, the fused window relation by one epsilon map.
 """
 
 from fractions import Fraction
+import itertools
 
 from . import sparse
 from .exactlin import (RatFun, echelon, pole_order_at, residue_at,
@@ -30,8 +32,8 @@ from .lattice import (LatticeSpec, density_matrix, level_step,
                       seeded_rationals, simple_pole_residue)
 from .qchar import module_dim, snake_qchar
 from .report import VerificationReport
-from .rmat import (antisym_fusion, chevalley_generators, h_shift,
-                   identity_matrix, k_matrix, vertex_chain, vertex_matrix)
+from .rmat import (chevalley_generators, h_shift, identity_matrix, k_matrix,
+                   vertex_chain, vertex_matrix)
 
 
 def loop_kinds(n, l):
@@ -257,18 +259,16 @@ def singlet_insertion_check(n, loop_count):
 
     Records the largest entry of K.F and F.K for each adjacent pair (its
     distance from the zero map); a zero means the singlet annihilates the
-    fused product from that side.  The stepwise sandwich identities are
-    not asserted anywhere."""
+    fused product from that side; F is _fusion_chain's pair, K minus the
+    mixed vertex at -(n+1)/2.  The sandwich identities are not asserted."""
     l = int(loop_count)
-    d = n + 1
-    f = fusion_matrix(n, l)
-    km = k_matrix(n)
+    f, s = _fusion_chain(n, l)
     witness = {}
     for t in range(1, l):
-        emb = sparse.embed(km, (t - 1, t), l, d)
+        k = vertex_chain(n, l, [("f", "fbar", -h_shift(n), (t - 1, t))])[0]
         witness[f"pair_{t}_{t + 1}"] = {
-            "K.F": sparse.diff((sparse.mul(emb, f), 1), ({}, 1)),
-            "F.K": sparse.diff((sparse.mul(f, emb), 1), ({}, 1))}
+            "K.F": sparse.diff((sparse.mul(k, f), s), ({}, 1)),
+            "F.K": sparse.diff((sparse.mul(f, k), s), ({}, 1))}
     return VerificationReport(
         check="singlet insertions on the fused product",
         params={"n": n, "loops": l},
@@ -284,61 +284,47 @@ def l1_fusion_check(n, spec, m):
     """Exploratory finite-strip test of the fused window relation.
 
     At rank 2 the antisymmetric square of the fundamental is the dual
-    space, so the antisymmetrizing vertex at -1 on the first two window
-    sites can be compared against the size-(m-1) window whose first line
-    is antifundamental at the midpoint label, transported through the
-    antisymmetric fusion maps and the epsilon identification of wedge
-    coordinates with dual coordinates.  Records the residual for both
-    orientations of the identification, the entry ratio when it is
-    constant, and the exact rank of the left side; the status is always
-    informational."""
+    space, so P - 1 on the first two window sites can be compared against
+    the size-(m-1) window whose first line is antifundamental at the
+    midpoint label, transported by epsilon: R maps c on site 1 to (a, b)
+    on sites 2 and 1 with the sign of the permutation (a, b, c), identity
+    elsewhere, and the right side is -R^T small R.  Records, on integer
+    pairs, the residual for both orientations (c or 2 - c), the entry
+    ratio when it is constant, and the exact rank of the left side; the
+    status is always informational."""
     if n != 2:
         raise ValueError("the fused window relation needs rank 2")
     if not 2 <= m <= spec.L:
         raise ValueError(f"window m={m} needs 2 <= m <= L={spec.L}")
-    d = 3
-    h = h_shift(2)
     lam = spec.mus[1]
     rest = [spec.mus[j] for j in range(2, m)]
-    win = density_matrix(spec, m, [lam - 1, lam] + rest, 0)
-    pair = (m - 1, m - 2)
-    lhs = sparse.mul(sparse.embed(vertex_matrix(2, "f", "f", Fraction(-1)),
-                                  pair, m, d), win.matrix)
-    sym = sparse.scale(vertex_matrix(2, "f", "f", 1), Fraction(1, 2))
-    sym_resid = sparse.diff(
-        (sparse.mul(sparse.embed(sym, pair, m, d), lhs), 1), ({}, 1))
+    win, s = density_matrix(spec, m, [lam - 1, lam] + rest, 0).pair
+    small, t = density_matrix(spec, m - 1, [lam - h_shift(2) + 1] + rest,
+                              1).pair
+    # P - 1 and P + 1 on the pair, as integer maps of scale 1
+    pm, pp = (vertex_chain(2, m, [("f", "f", x, (m - 1, m - 2))])[0]
+              for x in (-1, 1))
+    lhs = sparse.mul(pm, win)
+    sym_resid = sparse.diff((sparse.mul(pp, lhs), 2 * s), ({}, 1))
     rank = len(echelon(lhs.values()))
 
-    small = density_matrix(spec, m - 1, [lam - h + 1] + rest, 1)
+    def transported(flip):
+        r, rt = {}, {}  # R and -R^T
+        for i in range(3 ** (m - 2)):
+            for a, b, c in itertools.permutations(range(3)):
+                row, col = i * 3 + (2 - c if flip else c), i * 9 + a * 3 + b
+                r.setdefault(row, {})[col] = (b - a) * (c - a) * (c - b) // 2
+                rt.setdefault(col, {})[row] = -r[row][col]
+        return sparse.mul(sparse.mul(rt, small), r)
 
-    def on_pair(x, p, q):
-        # a p x q map x on the first pair, the identity on sites m..3:
-        # block diagonal, one block per digit string of the other sites
-        return {i * p + r: {i * q + c: v for c, v in row.items()}
-                for i in range(d ** (m - 2)) for r, row in x.items()}
-
-    de, fu = antisym_fusion(2)
-    # wedge pair (a, b) maps to the missing index with the alternating sign:
-    # rows are dual indices, columns the wedge pairs (0,1), (0,2), (1,2)
-    w = {2: {0: Fraction(1)}, 1: {1: Fraction(-1)}, 0: {2: Fraction(1)}}
-
-    def transported(wmat):
-        wmat_inv = {c: {r: 1 / v} for r, row in wmat.items()
-                    for c, v in row.items()}
-        e_full = on_pair(sparse.mul(fu, wmat_inv), 9, 3)
-        r_full = on_pair(sparse.mul(wmat, de), 3, 9)
-        return sparse.mul(sparse.mul(e_full, small.matrix), r_full)
-
-    rhs = transported(w)
-    residual = sparse.diff((lhs, 1), (rhs, 1))
-    # the same identification with the wedge index reversed
-    residual_flipped = sparse.diff(
-        (lhs, 1), (transported({2 - a: row for a, row in w.items()}), 1))
+    rhs = transported(False)
+    residual = sparse.diff((lhs, s), (rhs, t))
+    residual_flipped = sparse.diff((lhs, s), (transported(True), t))
 
     # stored entries are nonzero, so equal supports mean no entry vanishes
     # on one side only
-    ratios = {lhs[r][c] / rhs[r][c] for r in lhs.keys() & rhs.keys()
-              for c in lhs[r].keys() & rhs[r].keys()}
+    ratios = {Fraction(v * t, rhs[r][c] * s) for r, row in lhs.items()
+              for c, v in row.items() if c in rhs.get(r, ())}
     same_support = ({r: row.keys() for r, row in lhs.items()}
                     == {r: row.keys() for r, row in rhs.items()})
     constant = ratios.pop() if (len(ratios) == 1 and same_support) else None
@@ -353,7 +339,7 @@ def l1_fusion_check(n, spec, m):
                  "residual_flipped": residual_flipped,
                  "constant_ratio": constant,
                  "lhs_rank": rank,
-                 "rank_bound": d ** (m - 1),
+                 "rank_bound": 3 ** (m - 1),
                  "symmetric_part": sym_resid})
 
 

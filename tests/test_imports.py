@@ -10,7 +10,7 @@ loads it (only the dense test oracles do).  The modules import each
 other without a cycle.  Every top-level function and class is used
 somewhere in src/qsnake outside its own definition, or is wrapped by a
 traced benchmark run (perfbench/spans.py TRACED, loaded by path as
-test_traced_names does)."""
+test_traced_names does).  No module reads a window's Fraction view."""
 
 import ast
 import hashlib
@@ -102,6 +102,15 @@ def test_cli_runs_without_numpy():
     assert hashlib.sha256(out.stdout).hexdigest() == ALL_JSON_SHA256
     out = _without_numpy(run, "snail", "--n", "3", "--max-k", "2")
     assert out.returncode == 0, out.stderr.decode()
+
+
+def test_no_module_reads_the_fraction_view_of_a_window():
+    # DensityWindow.matrix stays for the tests and the benchmark's window
+    # hook; every check in src/qsnake reads the integer pair
+    bad = [f"{path.stem}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+           for node in ast.walk(ast.parse(path.read_text(), str(path)))
+           if isinstance(node, ast.Attribute) and node.attr == "matrix"]
+    assert not bad, bad
 
 
 def test_no_import_cycle():

@@ -41,6 +41,7 @@ from qsnake.lattice import (
     transfer_matrix,
     verify_finite_rqkz,
 )
+from qsnake.report import jsonable
 from qsnake.rmat import (
     charge_conj_matrix,
     chevalley_generators,
@@ -1050,6 +1051,31 @@ def test_projected_reduction_exploratory_only():
         projected_reduction_check(spec, 2)
 
 
+def projected_reduction_reference(spec, m):
+    """The singlet-projected reduction witness on Fraction windows with
+    the embedded k_matrix, the route the check took before it read
+    integer pairs."""
+    n, d, h = spec.n, spec.n + 1, h_shift(spec.n)
+    mu2 = spec.mus[1]
+    rest = [spec.mus[i] for i in range(2, m)]
+    d1 = density_matrix(spec, m, [h - mu2, mu2] + rest, 1).matrix
+    ksp = sparse.embed(k_matrix(n), (m - 1, m - 2), m, d)
+    small = density_matrix(spec, m - 2, rest, 0).matrix
+    rhs = sparse.mul(ksp, sparse.extend(sparse.extend(small, d), d))
+    return {"residual": sparse.diff((sparse.mul(ksp, d1), 1), (rhs, 1))}
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_projected_reduction_matches_the_fraction_route(n):
+    beta = seeded_rationals(40 + n, 1, avoid=[0])[0]
+    spec = LatticeSpec(n, 3, 1, [Fraction(0)] + seeded_rationals(
+        50 + n, 2, avoid=[0, beta]), [beta])
+    got = projected_reduction_check(spec, 3).witness
+    want = projected_reduction_reference(spec, 3)
+    assert got == want and jsonable(got) == jsonable(want)
+    assert isinstance(got["residual"], Fraction)
+
+
 # ---------------------------------------------------------------------------
 # fraction-free products against the pure-Fraction reference
 
@@ -1597,7 +1623,7 @@ def test_level_step_builds_no_map_on_m_plus_one_slots(monkeypatch):
         raise AssertionError("a map on m+1 slots was built")
 
     for module, name in ((sparse, "extend"), (sparse, "embed"),
-                         (sparse, "ptrace"), (lattice, "k_matrix")):
+                         (sparse, "ptrace"), (rmat, "k_matrix")):
         monkeypatch.setattr(module, name, refuse)
     got = [op(win).matrix for op, win in cases], _snail_matrix(tower)
     assert got == want

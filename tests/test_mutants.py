@@ -10,8 +10,9 @@ import inspect
 
 import pytest
 
-from qsnake import lattice, rmat
+from qsnake import lattice, rmat, snail
 from qsnake.lattice import lattice_reports, rqkz_reports
+from qsnake.snail import pole_reports, snail_reports
 
 
 def source_mutant(monkeypatch, module, name, old, new):
@@ -81,6 +82,27 @@ def crossing_reversed(monkeypatch):
                   "order = [site - 1 for site in crossing]")
 
 
+def fused_shift_plus_one(monkeypatch):
+    # every loop pair's vertex one past the loop shift difference
+    source_mutant(monkeypatch, snail, "_fusion_chain", "(j - i) * h",
+                  "(j - i) * h + 1")
+
+
+def tower_residue_doubled(monkeypatch):
+    # the closed tower scaled by twice its residue
+    source_mutant(monkeypatch, snail, "_snail_matrix", "res / pair[1]",
+                  "2 * res / pair[1]")
+
+
+def pole_denominator_shifted(monkeypatch):
+    # the last denominator family one further from the candidate; a
+    # numerator mutant cannot fail the sweep, that factor never vanishes
+    # at 0
+    source_mutant(monkeypatch, snail, "pole_profile",
+                  "x - (j - 1) * (n + 1) - l + 1",
+                  "x - (j - 1) * (n + 1) - l + 2")
+
+
 def lattice_at(N):
     """lattice at its defaults (n = 2, L <= 3, m <= 3, seed 0), N pairs."""
     return lambda: lattice_reports(2, 3, N, 3, 0)
@@ -88,6 +110,15 @@ def lattice_at(N):
 
 def rqkz_l4():
     return rqkz_reports(2, 4, 1, 0)
+
+
+def snail_n2():
+    """snail at rank 2, k <= 2, seed 0."""
+    return snail_reports(2, 2, 0)
+
+
+def pole_k2():
+    return pole_reports((1, 2))
 
 
 # check name -> {mutant: (apply, the run whose reports of the check fail)}
@@ -118,6 +149,24 @@ MUTANTS = {
     "window difference equations": {
         "partner argument b - p - n": (partner_off_by_one, rqkz_l4),
     },
+    "fused loop rank against snake dimension": {
+        "loop pair argument one past the shift": (fused_shift_plus_one,
+                                                  snail_n2),
+    },
+    "tower contraction order": {
+        "tower residue doubled": (tower_residue_doubled, snail_n2),
+    },
+    "tower against single-level assembly": {
+        "tower residue doubled": (tower_residue_doubled, snail_n2),
+    },
+    "fused window invariance": {
+        "same-kind vertex weighted on digit 0": (same_kind_digit_zero_weight,
+                                                 snail_n2),
+    },
+    "pole profile sweep": {
+        "last denominator shifted by one": (pole_denominator_shifted,
+                                            pole_k2),
+    },
 }
 
 
@@ -141,6 +190,12 @@ def test_every_window_check_has_a_mutant():
         checks = {r.check for r in lattice_at(N)() if r.status != "exploratory"}
         assert len(checks) == 6 and checks <= MUTANTS.keys(), checks
     assert {r.check for r in rqkz_l4()} <= MUTANTS.keys()
+
+
+def test_every_snail_and_pole_check_has_a_mutant():
+    checks = {r.check for r in snail_n2() + pole_k2()
+              if r.status != "exploratory"}
+    assert len(checks) == 5 and checks <= MUTANTS.keys(), checks
 
 
 def test_line_argument_mutant_fails_translation_alone_at_two_pairs(

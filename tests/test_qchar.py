@@ -32,6 +32,7 @@ from qsnake.qchar import (
     neighbouring_snakes,
     node_at,
     snake_qchar,
+    snake_trio_reports,
     strip_tilings,
     tsystem_reports,
 )
@@ -274,6 +275,20 @@ def test_corrupted_prefix_fails_the_tsystem_report(monkeypatch):
     assert report.check == "extended t-system recursion"
     assert report.status == "fail"
     assert ("even", 2) in report.witness["violations"]
+
+
+def test_trio_never_sees_a_snake_that_is_not_thin(monkeypatch):
+    # the trio reads no thinness of its own: a doubled fundamental makes
+    # the first prefix non-thin, and snake_qchar raises before any report
+    monkeypatch.setattr(qchar, "_snake_cache", {})
+    fundamental = qchar.fundamental_qchar
+
+    def doubled(n, node, shift=0):
+        return fundamental(n, node, shift) + fundamental(n, node, shift)
+
+    monkeypatch.setattr(qchar, "fundamental_qchar", doubled)
+    with pytest.raises(ArithmeticError):
+        snake_trio_reports(2)
 
 
 def test_cached_characters_are_read_only():

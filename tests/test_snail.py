@@ -205,6 +205,27 @@ def test_snake_rank_reads_the_fused_product():
         assert rank == snake_rank_check(n, k).witness["rank"]
 
 
+def singlet_insertion_reference(n, l):
+    """The singlet insertion witnesses on fusion_matrix and the embedded
+    k_matrix, the Fraction route the check took before it read the
+    integer chain."""
+    f = fusion_matrix(n, l)
+    witness = {}
+    for t in range(1, l):
+        emb = sparse.embed(k_matrix(n), (t - 1, t), l, n + 1)
+        witness[f"pair_{t}_{t + 1}"] = {
+            "K.F": sparse.diff((sparse.mul(emb, f), 1), ({}, 1)),
+            "F.K": sparse.diff((sparse.mul(f, emb), 1), ({}, 1))}
+    return witness
+
+
+@pytest.mark.parametrize("n, l", [(1, 3), (2, 3), (3, 3), (2, 4)])
+def test_singlet_insertions_match_the_fraction_route(n, l):
+    got = singlet_insertion_check(n, l).witness
+    want = singlet_insertion_reference(n, l)
+    assert got == want and jsonable(got) == jsonable(want)
+
+
 def test_singlet_insertion_exploratory():
     rep = singlet_insertion_check(2, 3)
     assert rep.status == "exploratory"
@@ -488,6 +509,23 @@ def test_l1_fusion_validation():
         l1_fusion_check(2, spec2, 3)
 
 
+@pytest.mark.parametrize("seed", (0, 1, 7))
+def test_exploratory_reports_multiply_integer_maps_only(seed, monkeypatch):
+    # the exploratory reports read windows, the fused product and the
+    # vertices as integer pairs: no Fraction view reaches the row-map product
+    mul = sparse.mul
+    seen = []
+
+    def checked_mul(a, b):
+        seen.extend(type(v) for x in (a, b) for row in x.values()
+                    for v in row.values() if type(v) is not int)
+        return mul(a, b)
+
+    monkeypatch.setattr(sparse, "mul", checked_mul)
+    reports = snail.exploratory_reports(seed)
+    assert len(reports) == 4 and not seen, set(seen)
+
+
 # ---------------------------------------------------------------------------
 # the sparse row map contract
 
@@ -587,11 +625,15 @@ def dense_l1_reference(spec, m):
 
 
 def test_l1_fusion_witnesses_match_dense_reference():
-    beta = seeded_rationals(61, 1, avoid=[0])[0]
-    extra = seeded_rationals(62, 2, avoid=[0, beta])
-    for m in (2, 3):
-        spec = LatticeSpec(2, m, 1, [Fraction(0)] + extra[:m - 1], [beta])
-        got = l1_fusion_check(2, spec, m).witness
-        want = dense_l1_reference(spec, m)
-        assert got == want
-        assert jsonable(got) == jsonable(want)
+    # at m = L and on strips one and two columns wider, whose windows
+    # fold outside columns; the witness holds both orientations
+    for seed in range(5):
+        beta = seeded_rationals(seed + 61, 1, avoid=[0])[0]
+        for m in (2, 3):
+            for L in (m, m + 1, m + 2):
+                extra = seeded_rationals(seed + 62, L - 1, avoid=[0, beta])
+                spec = LatticeSpec(2, L, 1, [Fraction(0)] + extra, [beta])
+                got = l1_fusion_check(2, spec, m).witness
+                want = dense_l1_reference(spec, m)
+                assert got == want, (seed, m, L)
+                assert jsonable(got) == jsonable(want)
