@@ -486,7 +486,7 @@ def level_chain(which, n, nu, mus):
 
 def level_step(which, n, nu, mus, pair):
     """One window-shift level applied to a (map, s) pair on the m window
-    slots (a Fraction map as sparse.integral(map)).  The map's last slot
+    slots (a tower starts from vertex_chain(n, m, [])).  The map's last slot
     is the consumed line, the image's the fresh line.  The level traces
     the consumed line of (CL.mat (x) 1).K.(CR (x) 1) on m+1 slots, K
     pairing digit t of the consumed line with n-t of the fresh one: with
@@ -679,24 +679,32 @@ def projected_reduction_check(spec, m):
 # ---------------------------------------------------------------------------
 # verification reports: windows and their difference equations
 
+_CANDIDATE_CLASSES = frozenset(Fraction(2 * a % b, b)  # of seeded_rationals
+                               for a in range(-12, 13) for b in range(1, 10))
+
+
 def seeded_rationals(seed, count, avoid=()):
     """Deterministic small rationals clear of the vertex poles.
 
     Candidates are a/b with a in -12..12 and b in 1..9.  A candidate is
-    rejected when its difference with any previously accepted value or
-    any entry of avoid is a half-integer: vertex poles (difference +-1,
-    +-(n+1)/2) and prefactor collisions live on such differences for
-    every supported rank.  A window normalization can still vanish at a
-    draw: at n=2, L=3 and beta=2/3 the label 1/3 does (lattice --seed
-    31)."""
+    rejected when its class 2q mod 1 is that of an accepted value or an
+    entry of avoid, so no difference is a half-integer: vertex poles
+    (+-1, +-(n+1)/2) and prefactor collisions live on such differences
+    for every supported rank.  A count above the 22 classes less those
+    of avoid raises ValueError.  A window normalization can still vanish
+    at a draw: n=2, L=3, beta=2/3 and the label 1/3 (lattice --seed 31)."""
     rng = random.Random(seed)
-    have = [Fraction(a) for a in avoid]
+    taken = {2 * Fraction(v) % 1 for v in avoid}
+    left = len(_CANDIDATE_CLASSES - taken)
+    if count > left:
+        raise ValueError(f"{count} rationals need as many free classes of 2q "
+                         f"mod 1; {left} are left")
     out = []
     while len(out) < count:
-        q = Fraction(rng.randint(-12, 12), rng.randint(1, 9))
-        if all((q - v).denominator > 2 for v in have):
-            out.append(q)
-            have.append(q)
+        a, b = rng.randint(-12, 12), rng.randint(1, 9)
+        if (c := Fraction(2 * a % b, b)) not in taken:
+            out.append(Fraction(a, b))
+            taken.add(c)
     return out
 
 

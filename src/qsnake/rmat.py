@@ -9,9 +9,9 @@ Operators are sparse row maps (see sparse); only the labeled tensors,
 test wrappers that import numpy when called, hold dense arrays.
 
 The vertex is written once, as the integer rows of _vertex_rows, which
-vertex_matrix reads and vertex_chain, the builder of every window, tower
-and fused product, applies; rmatrix_reports certifies those rows, at
-one integer point per identity (kronecker_base).
+vertex_chain, the builder of every window, tower and fused product,
+applies; rmatrix_reports certifies vertex_chain itself, at one integer
+point per identity (kronecker_base).  vertex_matrix is a test view.
 The transcendental scalar prefactor rho is never evaluated; it is carried
 formally and removed through its two functional relations.
 """
@@ -345,34 +345,34 @@ def rmatrix_reports(n_values=(2, 3)):
                    "at (B, B^3), B above four times the cubed row norm",
             witness={"violations": bad}))
 
-        one = identity_matrix(d * d)
-        bad_same = _mismatches(
-            sparse.mul(vertex_matrix(n, "f", "f", x),
-                       vertex_matrix(n, "f", "f", -x)),
-            sparse.scale(one, 1 - x * x))
-        bad_mixed = _mismatches(
-            sparse.mul(vertex_matrix(n, "f", "fbar", x),
-                       vertex_matrix(n, "fbar", "f", -x)),
-            sparse.scale(one, h * h - x * x))
+        # R(x) R(-x) against the identity times (c - x^2) s
+        one, bad = vertex_chain(n, 2, [])[0], []
+        for k, c in (("f", 1), ("fbar", h * h)):
+            prod, s = vertex_chain(n, 2, [("f", k, x, (0, 1)),
+                                          (k, "f", -x, (0, 1))])
+            bad.append(_mismatches(prod, sparse.scale(one, (c - x * x) * s)))
         reports.append(VerificationReport(
             check="vertex unitarity",
             params={"n": n},
-            status="pass" if bad_same == 0 and bad_mixed == 0 else "fail",
+            status="pass" if not any(bad) else "fail",
             anchor="opposite-argument products are scalar polynomials, "
                    "quadratic with the expected roots",
-            witness={"same_kind_mismatches": bad_same,
-                     "mixed_kind_mismatches": bad_mixed}))
+            witness={"same_kind_mismatches": bad[0],
+                     "mixed_kind_mismatches": bad[1]}))
 
         # partial transpose on line 2 conjugated by the index reversal
         # there: entry (a,b; c,e) moves to (a,n-e; c,n-b); crossing says
-        # it is then minus the mixed vertex
+        # it is then minus the mixed vertex, both over the denominator of h
+        (same, s), (mixed, t) = (vertex_chain(n, 2, [(k, "f", arg, (0, 1))])
+                                 for k, arg in (("f", -x - h), ("fbar", x)))
+        assert s == t, (s, t)
         crossed = {}
-        for r, row in vertex_matrix(n, "f", "f", -x - h).items():
+        for r, row in same.items():
             a, b = divmod(r, d)
             for col, v in row.items():
                 c, e = divmod(col, d)
                 crossed.setdefault(a * d + n - e, {})[c * d + n - b] = -v
-        bad_cross = _mismatches(crossed, vertex_matrix(n, "f", "fbar", x))
+        bad_cross = _mismatches(crossed, mixed)
         reports.append(VerificationReport(
             check="vertex crossing",
             params={"n": n},
@@ -382,9 +382,9 @@ def rmatrix_reports(n_values=(2, 3)):
                    "single scalar",
             witness={"mismatches": bad_cross}))
 
-        rbh = vertex_matrix(n, "f", "fbar", -h)
+        rbh, s = vertex_chain(n, 2, [("f", "fbar", -h, (0, 1))])
         rank1 = len(echelon(rbh.values()))
-        matches_k = rbh == sparse.scale(k_matrix(n), -1)
+        matches_k = rbh == sparse.scale(k_matrix(n), -s)
         reports.append(VerificationReport(
             check="singlet vertex rank",
             params={"n": n},
@@ -393,9 +393,10 @@ def rmatrix_reports(n_values=(2, 3)):
                    "rank-one pairing operator",
             witness={"rank": rank1}))
 
-        pi = sparse.scale(vertex_matrix(n, "f", "f", -1), Fraction(-1, 2))
-        idem = sparse.mul(pi, pi) == pi
-        rank_pi = len(echelon(pi.values()))
+        # (P - 1)^2 = -2 (P - 1), P - 1 over its scale s
+        pm, s = vertex_chain(n, 2, [("f", "f", -1, (0, 1))])
+        idem = sparse.mul(pm, pm) == sparse.scale(pm, -2 * s)
+        rank_pi = len(echelon(pm.values()))
         reports.append(VerificationReport(
             check="antisymmetrizer idempotent",
             params={"n": n},

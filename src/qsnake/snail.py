@@ -16,10 +16,9 @@ the snake dimension.
 
 Scalars are handled symbolically: the product of per-level prefactors
 reduces through the rho ladder to an explicit rational function whose
-residue multiplies the polynomial tensor part evaluated at the pole.
-The fused loop product is one rmat.vertex_chain.  The exploratory reports
-compare integer pairs too, the fused window relation by one epsilon map.
-"""
+residue at the pole folds into the tower's integer (map, s) pair.  The
+fused loop product is one rmat.vertex_chain.  Every report multiplies
+integer pairs, the one formal level of the single-level assembly aside."""
 
 from fractions import Fraction
 import itertools
@@ -32,8 +31,7 @@ from .lattice import (LatticeSpec, density_matrix, level_step,
                       seeded_rationals, simple_pole_residue)
 from .qchar import module_dim, snake_qchar
 from .report import VerificationReport
-from .rmat import (chevalley_generators, h_shift, identity_matrix, k_matrix,
-                   vertex_chain, vertex_matrix)
+from .rmat import chevalley_generators, h_shift, vertex_chain
 
 
 def loop_kinds(n, l):
@@ -134,21 +132,21 @@ def _tower_scalar(spec):
 # the tower itself
 
 def _snail_matrix(spec):
-    """Closed tower as a sparse row map on the m window coordinates.
+    """Closed tower as a (map, s) pair on the m window coordinates.
 
     Starting from the identity on the window, whose last slot is the
     first loop, level t = 1..2k-1 applies lattice.level_step (lowering
     for odd t, raising for even t) at nu = mu_2 - t(n+1)/2.  Each level
     closes the loop it consumes and leaves its fresh line on the last
     slot, where the next level consumes it; the fresh line of the last
-    level becomes site 1.  The result is scaled once by the tower
-    residue over the levels' integer scales."""
+    level becomes site 1.  The tower residue folds in once: its
+    numerator scales the integer map, its denominator the scale."""
     n = spec.n
     _, res = _tower_scalar(spec)
-    pair = sparse.integral(identity_matrix((n + 1) ** spec.m))
+    pair = vertex_chain(n, spec.m, [])
     for t, nu in enumerate(spec.loop_shifts(), 1):
         pair = level_step(2 if t % 2 == 1 else 1, n, nu, spec.mus, pair)
-    return sparse.scale(pair[0], res / pair[1])
+    return sparse.scale(pair[0], res.numerator), pair[1] * res.denominator
 
 
 def snail_operator(spec):
@@ -158,7 +156,8 @@ def snail_operator(spec):
     sites 2..m are the passive window sites, site m on the first slot."""
     d = spec.n + 1
     labels = [f"s{spec.m - j}" for j in range(spec.m)]
-    return tensor_from_matrix(_snail_matrix(spec),
+    mat, scale = _snail_matrix(spec)
+    return tensor_from_matrix(sparse.scale(mat, Fraction(1, scale)),
                               [s + "_out" for s in labels],
                               [s + "_in" for s in labels], [d] * spec.m)
 
@@ -169,27 +168,27 @@ def contraction_order_check(spec):
 
     Slots (s2, o, al): CR and CL, the vertices at nu - mu_2 and
     mu_2 - nu, act on the window site and the loop (0, 2), K on the fresh
-    line and the loop (1, 2).  (CL K) CR and CL (K CR) are closed over
-    the loop by the partial trace and scaled by the tower residue; the
-    fresh line o is site 1 of the assembled operator.
+    line and the loop (1, 2), all three vertex_chain pairs: K is minus
+    the mixed vertex at -(n+1)/2, and carries the tower residue.
+    (CL K) CR and CL (K CR) are closed over the loop by the partial
+    trace; the fresh line o is site 1 of the assembled operator.
     Restricted to k=1, m=2: the smallest closed tower already exercises
     every wiring rule (site leg, loop line, fresh output, trace closure)
     while staying readable as an explicit diagram."""
     if spec.loops != 1 or spec.m != 2:
         raise ValueError("contraction order check runs on the k=1, m=2 tower")
     n = spec.n
-    d = n + 1
     mu2 = spec.mus[0]
     nu = mu2 - h_shift(n)
     _, res = _tower_scalar(spec)
-    cr, cl = (sparse.embed(vertex_matrix(n, "f", "fbar", x), (0, 2), 3, d)
+    cr, cl = (vertex_chain(n, 3, [("f", "fbar", x, (0, 2))])
               for x in (nu - mu2, mu2 - nu))
-    ks = sparse.embed(k_matrix(n), (1, 2), 3, d)
+    mk, t = vertex_chain(n, 3, [("f", "fbar", -h_shift(n), (1, 2))])
+    kres = sparse.scale(mk, -res.numerator), t * res.denominator
     want = _snail_matrix(spec)
-    resid = [sparse.diff((sparse.scale(sparse.ptrace(x, 2, 3, d), res), 1),
-                         (want, 1))
-             for x in (sparse.mul(sparse.mul(cl, ks), cr),
-                       sparse.mul(cl, sparse.mul(ks, cr)))]
+    resid = [sparse.diff((sparse.ptrace(x, 2, 3, n + 1), s), want)
+             for x, s in (sparse.scaled_mul(sparse.scaled_mul(cl, kres), cr),
+                          sparse.scaled_mul(cl, sparse.scaled_mul(kres, cr)))]
     status = "pass" if all(r == 0 for r in resid) else "fail"
     return VerificationReport(
         check="tower contraction order",
@@ -383,11 +382,10 @@ def snail_wellformed_reports(n, seed):
     # the lowering level with its line parameter left formal, scaled by
     # its scalar and reduced entrywise to the residue at the pole
     red = reduced_prefactor(n, [mu], [(2, 0)])
-    formal, s = level_step(2, n, RatFun.x(), [mu],
-                           sparse.integral(identity_matrix((n + 1) ** 2)))
-    single = {r: {c: residue_at(red * v, mu - h_shift(n)) / s
+    formal, s = level_step(2, n, RatFun.x(), [mu], vertex_chain(n, 2, []))
+    single = {r: {c: residue_at(red * v, mu - h_shift(n))
                   for c, v in row.items()} for r, row in formal.items()}
-    resid = sparse.diff((towers[1], 1), (single, 1))
+    resid = sparse.diff(towers[1], (single, s))
     reports.append(VerificationReport(
         check="tower against single-level assembly",
         params={"n": n, "k": 1, "m": 2, "mu2": mu, "seed": seed},
@@ -397,11 +395,11 @@ def snail_wellformed_reports(n, seed):
         witness={"max_residual": resid}))
 
     resid = Fraction(0)
-    for x in towers.values():
+    for x, s in towers.values():
         for g in (g for gens in chevalley_generators(n) for g in gens):
             tot = sparse.site_sum([g, g], n + 1)
-            resid = max(resid, sparse.diff((sparse.mul(tot, x), 1),
-                                           (sparse.mul(x, tot), 1)))
+            resid = max(resid, sparse.diff((sparse.mul(tot, x), s),
+                                           (sparse.mul(x, tot), s)))
     reports.append(VerificationReport(
         check="fused window invariance",
         params={"n": n, "k_values": [1, 2], "m": 2, "mu2": mu, "seed": seed},

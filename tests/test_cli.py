@@ -1,5 +1,8 @@
 import hashlib
 import importlib.util
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,6 +32,62 @@ def test_seeded_rationals_deterministic_and_clear():
     for i, x in enumerate(vals):
         for y in vals[i + 1:]:
             assert (x - y).denominator > 2
+
+
+def test_seeded_rationals_refuses_more_values_than_free_classes():
+    # the 22 classes of 2q mod 1 hold one value each; 0 and 1/3 take two
+    assert len(seeded_rationals(3, 20, avoid=[0, Fraction(1, 3)])) == 20
+    assert len(set(seeded_rationals(3, 22))) == 22
+    with pytest.raises(ValueError, match="21 rationals .* 20 are left"):
+        seeded_rationals(3, 21, avoid=[0, Fraction(1, 3)])
+    with pytest.raises(ValueError, match="23 rationals .* 22 are left"):
+        seeded_rationals(3, 23, avoid=[Fraction(1, 11)])
+
+
+@pytest.mark.parametrize("L, code", [(20, 0), (21, 2)])
+def test_lattice_past_twenty_labels_is_refused(L, code):
+    # translation covariance draws L labels clear of 0 and beta: at most
+    # 20; a 21st is refused at once instead of drawn for ever
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from qsnake.cli import main; "
+         "sys.exit(main())", "lattice", "--L", str(L), "--m", "2"],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert run.returncode == code, run.stderr
+    if code:
+        assert run.stderr == ("error: 21 rationals need as many free classes "
+                              "of 2q mod 1; 20 are left\n")
+
+
+@pytest.mark.parametrize("seed", (0, 1, 7))
+def test_all_multiplies_no_fraction_map(seed, monkeypatch, capsys):
+    # every operator a line multiplies is an integer (map, s) pair; the
+    # one formal level of "tower against single-level assembly" holds
+    # RatFun entries, and no other product does
+    from qsnake import sparse
+    from qsnake.exactlin import RatFun
+    mul, ratfun_callers = sparse.mul, set()
+
+    def checked_mul(a, b):
+        kinds = {type(v) for x in (a, b) for row in x.values()
+                 for v in row.values()}
+        assert Fraction not in kinds, "a Fraction operand"
+        if RatFun in kinds:
+            caller = sys._getframe(1)
+            while caller.f_code.co_filename == sparse.__file__:
+                caller = caller.f_back
+            ratfun_callers.add((caller.f_code.co_name,
+                                caller.f_back.f_code.co_name))
+        return mul(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name == "qsnake" or name.startswith("qsnake."):
+            for key, value in list(vars(module).items()):
+                if value is mul:
+                    monkeypatch.setattr(module, key, checked_mul)
+    assert main(["all", "--seed", str(seed)]) == 0
+    assert ratfun_callers == {("level_step", "snail_wellformed_reports")}
+    capsys.readouterr()
 
 
 def test_seeded_rationals_avoid_prefactor_degeneration():

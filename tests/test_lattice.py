@@ -1220,7 +1220,8 @@ def test_snail_towers_equal_the_fraction_reference():
                     mat = fraction_level_step(2 if t % 2 else 1, n, nu,
                                               spec.mus, mat)
                 want = sparse.scale(mat, _tower_scalar(spec)[1])
-                assert _snail_matrix(spec) == want, (n, k, m)
+                got, s = _snail_matrix(spec)
+                assert sparse.scale(got, Fraction(1, s)) == want, (n, k, m)
 
 
 def test_formal_level_step_equals_the_fraction_reference():
@@ -1539,8 +1540,9 @@ def test_first_tower_level_skips_the_identity(monkeypatch):
     spec = SnailSpec(3, 1, 2, mus[:1])
     image, scale = former_level_step(2, 3, spec.loop_shifts()[0], spec.mus,
                                      identity_matrix(16))
-    assert _snail_matrix(spec) == sparse.scale(image,
-                                               _tower_scalar(spec)[1] / scale)
+    res = _tower_scalar(spec)[1]
+    assert _snail_matrix(spec) == (sparse.scale(image, res.numerator),
+                                   scale * res.denominator)
     for one in (sparse.scale(identity_matrix(9), Fraction(1, 2)),
                 sparse.scale(identity_matrix(9), RatFun.const(1))):
         got, s = level_step(1, 2, Fraction(1, 3), mus[:1],

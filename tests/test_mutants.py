@@ -7,11 +7,14 @@ is a check that nothing has yet shown can fail.
 """
 
 import inspect
+import math
+from fractions import Fraction
 
 import pytest
 
 from qsnake import lattice, rmat, snail
 from qsnake.lattice import lattice_reports, rqkz_reports
+from qsnake.rmat import rmatrix_reports
 from qsnake.snail import pole_reports, snail_reports
 
 
@@ -90,8 +93,8 @@ def fused_shift_plus_one(monkeypatch):
 
 def tower_residue_doubled(monkeypatch):
     # the closed tower scaled by twice its residue
-    source_mutant(monkeypatch, snail, "_snail_matrix", "res / pair[1]",
-                  "2 * res / pair[1]")
+    source_mutant(monkeypatch, snail, "_snail_matrix", "res.numerator",
+                  "2 * res.numerator")
 
 
 def pole_denominator_shifted(monkeypatch):
@@ -101,6 +104,83 @@ def pole_denominator_shifted(monkeypatch):
     source_mutant(monkeypatch, snail, "pole_profile",
                   "x - (j - 1) * (n + 1) - l + 1",
                   "x - (j - 1) * (n + 1) - l + 2")
+
+
+def mutate_factors(monkeypatch, edit):
+    """rmat.vertex_chain on edit(factors)."""
+    chain_of = rmat.vertex_chain
+    monkeypatch.setattr(rmat, "vertex_chain",
+                        lambda n, nslots, factors, start=None: chain_of(
+                            n, nslots, edit(factors), start))
+
+
+def mutate_rows(monkeypatch, edit):
+    """rmat._vertex_rows with edit(kind1, kind2, rows, s) applied."""
+    rows_of = rmat._vertex_rows
+    monkeypatch.setattr(rmat, "_vertex_rows",
+                        lambda n, k1, k2, x, dw: edit(
+                            k1, k2, *rows_of(n, k1, k2, x, dw)))
+
+
+def argument_edit(slots, change, left_only=False):
+    """A factor edit: change(x) for the vertex on slots, on every chain
+    or on the Yang-Baxter left-hand sides only."""
+    def edit(factors):
+        if left_only and factors[:1] and factors[0][3] != (0, 1):
+            return factors
+        return [(k1, k2, change(x) if at == slots else x, at)
+                for k1, k2, x, at in factors]
+    return edit
+
+
+def vertex_edit(kinds, alpha=0, beta=0):
+    """A row edit: the vertices of the named kinds (same or mixed) with
+    alpha * 1 + beta * B moved by s * (alpha * 1 + beta * B), B = P or K.
+    The identity is offset 0 of every row; B's entries are every entry off
+    offset 0, and offset 0 on B's diagonal rows, (a, a) of P and
+    (a, n - a) of K.  A missing offset 0 (a vanishing weight) is added."""
+    def edit(k1, k2, rows, s):
+        if (k1 == k2) != (kinds == "same"):
+            return rows, s
+        d = math.isqrt(len(rows))
+        edited = []
+        for r, row in enumerate(rows):
+            a, b = divmod(r, d)
+            diagonal = a == b if kinds == "same" else a + b == d - 1
+            entries = {o: w + s * beta if o else w for o, w in row}
+            entries[0] = entries.get(0, 0) + s * (
+                alpha + (beta if diagonal else 0))
+            edited.append(tuple((o, w) for o, w in entries.items() if w))
+        return edited, s
+    return edit
+
+
+def r12_argument_plus_one(monkeypatch):
+    mutate_factors(monkeypatch, argument_edit((0, 1), lambda x: x + 1))
+
+
+def r13_negated_on_the_left(monkeypatch):
+    mutate_factors(monkeypatch,
+                   argument_edit((0, 2), lambda x: -x, left_only=True))
+
+
+def mixed_shift_plus_half(monkeypatch):
+    mutate_rows(monkeypatch, vertex_edit("mixed", alpha=Fraction(1, 2)))
+
+
+def same_alpha_plus_s(monkeypatch):
+    # (x + 1)*1 + P
+    mutate_rows(monkeypatch, vertex_edit("same", alpha=1))
+
+
+def same_beta_doubled(monkeypatch):
+    # x*1 + 2P
+    mutate_rows(monkeypatch, vertex_edit("same", beta=1))
+
+
+def mixed_beta_flipped(monkeypatch):
+    # (x + h)*1 + K
+    mutate_rows(monkeypatch, vertex_edit("mixed", beta=2))
 
 
 def lattice_at(N):
@@ -119,6 +199,10 @@ def snail_n2():
 
 def pole_k2():
     return pole_reports((1, 2))
+
+
+def rmatrix_n123():
+    return rmatrix_reports((1, 2, 3))
 
 
 # check name -> {mutant: (apply, the run whose reports of the check fail)}
@@ -167,6 +251,25 @@ MUTANTS = {
         "last denominator shifted by one": (pole_denominator_shifted,
                                             pole_k2),
     },
+    "vertex yang-baxter": {
+        "R12 at x-y+1": (r12_argument_plus_one, rmatrix_n123),
+        "R13 at -x on the left": (r13_negated_on_the_left, rmatrix_n123),
+        "mixed shift off by 1/2": (mixed_shift_plus_half, rmatrix_n123),
+    },
+    "vertex unitarity": {
+        "same-kind alpha + s": (same_alpha_plus_s, rmatrix_n123),
+    },
+    "vertex crossing": {
+        "same-kind alpha + s": (same_alpha_plus_s, rmatrix_n123),
+    },
+    "singlet vertex rank": {
+        "mixed beta + s": (mixed_beta_flipped, rmatrix_n123),
+        "mixed shift off by 1/2": (mixed_shift_plus_half, rmatrix_n123),
+    },
+    "antisymmetrizer idempotent": {
+        "same-kind alpha + s": (same_alpha_plus_s, rmatrix_n123),
+        "same-kind beta 2s": (same_beta_doubled, rmatrix_n123),
+    },
 }
 
 
@@ -195,6 +298,11 @@ def test_every_window_check_has_a_mutant():
 def test_every_snail_and_pole_check_has_a_mutant():
     checks = {r.check for r in snail_n2() + pole_k2()
               if r.status != "exploratory"}
+    assert len(checks) == 5 and checks <= MUTANTS.keys(), checks
+
+
+def test_every_rmatrix_check_has_a_mutant():
+    checks = {r.check for r in rmatrix_n123()}
     assert len(checks) == 5 and checks <= MUTANTS.keys(), checks
 
 

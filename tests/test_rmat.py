@@ -29,6 +29,7 @@ from qsnake.rmat import (
     vertex_chain,
     vertex_matrix,
 )
+from test_mutants import MUTANTS, mutate_rows, vertex_edit
 
 X = RatFun.x()
 
@@ -522,55 +523,9 @@ def grid_violations(n):
             != rmat.vertex_chain(n, 3, ybe_chain(kinds, x, y)[::-1])}
 
 
-def mutate_factors(monkeypatch, edit):
-    chain_of = rmat.vertex_chain
-    monkeypatch.setattr(rmat, "vertex_chain",
-                        lambda n, nslots, factors, start=None: chain_of(
-                            n, nslots, edit(factors), start))
-
-
-def mutate_rows(monkeypatch, edit):
-    rows_of = rmat._vertex_rows
-    monkeypatch.setattr(rmat, "_vertex_rows",
-                        lambda n, k1, k2, x, dw: edit(
-                            k1, k2, *rows_of(n, k1, k2, x, dw)))
-
-
-def argument_edit(slots, change, left_only=False):
-    """A factor edit: change(x) for the vertex on slots, on every chain
-    or on the left-hand sides only."""
-    def edit(factors):
-        if left_only and factors[0][3] != (0, 1):
-            return factors
-        return [(k1, k2, change(x) if at == slots else x, at)
-                for k1, k2, x, at in factors]
-    return edit
-
-
-def shift_rows(kinds, by):
-    """A row edit: the vertices of the named kinds (same or mixed) with
-    their argument moved by `by`, alpha = s * shift moved by s * by."""
-    def edit(k1, k2, rows, s):
-        if (k1 == k2) != (kinds == "same"):
-            return rows, s
-        return [tuple((o, w + s * by if o == 0 else w) for o, w in row)
-                for row in rows], s
-    return edit
-
-
-YBE_MUTANTS = {
-    "R12 at x-y+1": lambda mp: mutate_factors(
-        mp, argument_edit((0, 1), lambda x: x + 1)),
-    "R13 at -x on the left": lambda mp: mutate_factors(
-        mp, argument_edit((0, 2), lambda x: -x, left_only=True)),
-    "mixed shift off by 1/2": lambda mp: mutate_rows(
-        mp, shift_rows("mixed", Fraction(1, 2))),
-}
-
-
-@pytest.mark.parametrize("mutant", sorted(YBE_MUTANTS))
+@pytest.mark.parametrize("mutant", sorted(MUTANTS["vertex yang-baxter"]))
 def test_kronecker_point_flags_what_the_grid_flags(monkeypatch, mutant):
-    YBE_MUTANTS[mutant](monkeypatch)
+    MUTANTS["vertex yang-baxter"][mutant][0](monkeypatch)
     reports = [r for r in rmatrix_reports((1, 2, 3))
                if r.check == "vertex yang-baxter"]
     assert [r.params["n"] for r in reports] == [1, 2, 3]
@@ -609,8 +564,9 @@ def doubled_same(k1, k2, rows, s):
     return [tuple((o, 2 * w) for o, w in row) for row in rows], s
 
 
-@pytest.mark.parametrize("edit", [None, doubled_same, shift_rows("same", 1),
-                                  shift_rows("mixed", Fraction(1, 2))],
+@pytest.mark.parametrize("edit", [None, doubled_same,
+                                  vertex_edit("same", alpha=1),
+                                  vertex_edit("mixed", alpha=Fraction(1, 2))],
                          ids=["none", "doubled same", "same alpha + 1",
                               "mixed shift + 1/2"])
 def test_unitarity_and_crossing_count_as_the_symbolic_x(monkeypatch, edit):
@@ -627,7 +583,7 @@ def test_unitarity_and_crossing_count_as_the_symbolic_x(monkeypatch, edit):
 
 def test_shifted_same_kind_alpha_fails_unitarity(monkeypatch):
     # (x+1)*1 + P times (1-x)*1 + P is not scalar
-    mutate_rows(monkeypatch, shift_rows("same", 1))
+    mutate_rows(monkeypatch, vertex_edit("same", alpha=1))
     failed = {(r.check, r.params["n"]) for r in rmatrix_reports((1, 2, 3))
               if r.status == "fail"}
     assert {("vertex unitarity", n) for n in (1, 2, 3)} <= failed

@@ -238,10 +238,16 @@ def test_singlet_insertion_exploratory():
 # ---------------------------------------------------------------------------
 # the residue tower
 
+def tower(spec):
+    """The closed tower as the Fraction map its (map, s) pair stands for."""
+    mat, s = _snail_matrix(spec)
+    return sparse.scale(mat, Fraction(1, s))
+
+
 def test_snail_agrees_with_single_lowering_assembly():
     mu2 = Fraction(2, 7)
     spec = SnailSpec(2, 1, 2, [mu2])
-    assert max_abs_diff(dense(_snail_matrix(spec), 2, 2),
+    assert max_abs_diff(dense(tower(spec), 2, 2),
                         dense(a_residue_closed(2, [mu2]), 2, 2)) == 0
 
 
@@ -263,7 +269,7 @@ def inserted_tower(spec):
     result must equal the tower itself."""
     n, m = spec.n, spec.m
     d = n + 1
-    mat = sparse.mul(sparse.extend(_snail_matrix(spec), d),
+    mat = sparse.mul(sparse.extend(tower(spec), d),
                      sparse.embed(permutation_matrix(n), (m - 1, m), m + 1, d))
     return sparse.ptrace(mat, m - 1, m + 1, d)
 
@@ -328,7 +334,7 @@ def test_snail_matches_chain_tower_reference():
     for n, k, m in cases:
         spec = SnailSpec(n, k, m, mus[:m - 1])
         direct, inserted = chain_tower_reference(spec)
-        assert _snail_matrix(spec) == direct, (n, k, m)
+        assert tower(spec) == direct, (n, k, m)
         assert inserted_tower(spec) == inserted, (n, k, m)
 
 
@@ -338,7 +344,7 @@ def test_snail_reach_inserted_and_invariant():
     mus = [Fraction(2, 7), Fraction(5, 9)]
     for n, k, m in ((2, 4, 2), (2, 5, 2), (3, 3, 2), (2, 3, 3)):
         spec = SnailSpec(n, k, m, mus[:m - 1])
-        x = _snail_matrix(spec)
+        x = tower(spec)
         assert x
         assert inserted_tower(spec) == x, (n, k, m)
         for gens in chevalley_generators(n):
@@ -356,7 +362,7 @@ def test_snail_operator_legs():
 def test_snail_insertion_realization():
     for k in (1, 2):
         spec = SnailSpec(2, k, 2, [Fraction(2, 7)])
-        direct = dense(_snail_matrix(spec), 2, 2)
+        direct = dense(tower(spec), 2, 2)
         inserted = dense(inserted_tower(spec), 2, 2)
         assert max_abs_diff(direct, inserted) == 0
 
@@ -365,7 +371,7 @@ def test_snail_global_invariance():
     one = dense(identity_matrix(3), 2, 1)
     for k in (1, 2):
         spec = SnailSpec(2, k, 2, [Fraction(2, 7)])
-        x = dense(_snail_matrix(spec), 2, 2)
+        x = dense(tower(spec), 2, 2)
         for e, f, h in chevalley_generators(2):
             for g in (dense(e, 2, 1), dense(f, 2, 1), dense(h, 2, 1)):
                 tot = (embed_pair(np.kron(g, one), (0, 1), 2, 2)
@@ -375,7 +381,7 @@ def test_snail_global_invariance():
 
 def test_snail_three_site_window():
     spec = SnailSpec(2, 1, 3, [Fraction(2, 7), Fraction(5, 9)])
-    x = _snail_matrix(spec)
+    x = tower(spec)
     assert max(x) < 27 and max(max(row) for row in x.values()) < 27
     assert max_abs_diff(dense(x, 2, 3),
                         dense(inserted_tower(spec), 2, 3)) == 0
@@ -458,21 +464,23 @@ def test_contraction_order_check_at_rank(n, monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_contraction_order_check_catches_miswiring(n, monkeypatch):
     # the check's diagram sits on slots (s2, o, al): CR and CL on (s2, al),
-    # K on (o, al), al traced.  K on (s2, al), or the fresh line o traced
-    # in place of the loop, must fail in both association orders
+    # K's factor on (o, al), al traced.  K's factor on (s2, al), or the
+    # fresh line o traced in place of the loop, must fail in both
+    # association orders
     spec = SnailSpec(n, 1, 2, [Fraction(2, 7)])
-    embed, ptrace = sparse.embed, sparse.ptrace
+    chain, ptrace = snail.vertex_chain, sparse.ptrace
 
-    def k_on_the_site(mat, slots, nslots, d):
-        return embed(mat, (0, 2) if slots == (1, 2) else slots, nslots, d)
+    def k_on_the_site(n, nslots, factors, start=None):
+        return chain(n, nslots, [(k1, k2, x, (0, 2) if at == (1, 2) else at)
+                                 for k1, k2, x, at in factors], start)
 
     def fresh_line_traced(a, slot, nslots, d):
         return ptrace(a, 1 if slot == 2 else slot, nslots, d)
 
-    for name, mutant in (("embed", k_on_the_site),
-                         ("ptrace", fresh_line_traced)):
+    for module, name, mutant in ((snail, "vertex_chain", k_on_the_site),
+                                 (sparse, "ptrace", fresh_line_traced)):
         with monkeypatch.context() as m:
-            m.setattr(sparse, name, mutant)
+            m.setattr(module, name, mutant)
             rep = contraction_order_check(spec)
         assert rep.status == "fail", name
         assert rep.witness["residual_forward"] != 0
@@ -554,7 +562,7 @@ def test_sparse_row_map_contract():
                            27)
     for k, m, mus in ((1, 2, [mu2]), (2, 2, [mu2]), (1, 3, [mu2, mu3])):
         tower = SnailSpec(2, k, m, mus)
-        assert_sparse_contract(_snail_matrix(tower), 3 ** m)
+        assert_sparse_contract(_snail_matrix(tower)[0], 3 ** m)
         assert_sparse_contract(inserted_tower(tower), 3 ** m)
     assert_sparse_contract(a_residue_closed(2, [mu2]), 9)
     assert_sparse_contract(a_residue_closed(2, [mu2, mu3]), 27)
