@@ -679,8 +679,11 @@ def projected_reduction_check(spec, m):
 # ---------------------------------------------------------------------------
 # verification reports: windows and their difference equations
 
-_CANDIDATE_CLASSES = frozenset(Fraction(2 * a % b, b)  # of seeded_rationals
-                               for a in range(-12, 13) for b in range(1, 10))
+_NUMERATORS, _DENOMINATORS = range(-12, 13), range(1, 10)  # of the pool
+_CANDIDATE_CLASSES = frozenset(Fraction(2 * a % b, b)
+                               for a in _NUMERATORS for b in _DENOMINATORS)
+# the most labels one draw holds clear of 0 and a staggering beta
+MAX_LABELS = len(_CANDIDATE_CLASSES) - 2
 
 
 def seeded_rationals(seed, count, avoid=()):
@@ -701,7 +704,7 @@ def seeded_rationals(seed, count, avoid=()):
                          f"mod 1; {left} are left")
     out = []
     while len(out) < count:
-        a, b = rng.randint(-12, 12), rng.randint(1, 9)
+        a, b = (rng.randint(r[0], r[-1]) for r in (_NUMERATORS, _DENOMINATORS))
         if (c := Fraction(2 * a % b, b)) not in taken:
             out.append(Fraction(a, b))
             taken.add(c)

@@ -362,17 +362,17 @@ def rmatrix_reports(n_values=(2, 3)):
 
         # partial transpose on line 2 conjugated by the index reversal
         # there: entry (a,b; c,e) moves to (a,n-e; c,n-b); crossing says
-        # it is then minus the mixed vertex, both over the denominator of h
+        # it is then minus the mixed vertex, compared cross-multiplied
         (same, s), (mixed, t) = (vertex_chain(n, 2, [(k, "f", arg, (0, 1))])
                                  for k, arg in (("f", -x - h), ("fbar", x)))
-        assert s == t, (s, t)
         crossed = {}
         for r, row in same.items():
             a, b = divmod(r, d)
             for col, v in row.items():
                 c, e = divmod(col, d)
                 crossed.setdefault(a * d + n - e, {})[c * d + n - b] = -v
-        bad_cross = _mismatches(crossed, mixed)
+        bad_cross = _mismatches(sparse.scale(crossed, t),
+                                sparse.scale(mixed, s))
         reports.append(VerificationReport(
             check="vertex crossing",
             params={"n": n},

@@ -140,7 +140,7 @@ def extend(a, d):
 def diff(a, b):
     """Largest absolute entry difference of the pairs (a, s) and (b, t)
     as a Fraction: a * t and b * s compared as they are, the largest
-    difference over s * t.  A plain map is compared as (map, 1)."""
+    difference over s * t."""
     (a, s), (b, t) = a, b
     best = 0
     for r in set(a) | set(b):

@@ -3,6 +3,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -55,8 +56,23 @@ def test_lattice_past_twenty_labels_is_refused(L, code):
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert run.returncode == code, run.stderr
     if code:
-        assert run.stderr == ("error: 21 rationals need as many free classes "
-                              "of 2q mod 1; 20 are left\n")
+        assert run.stderr == "error: --L must be at most 20 for lattice, got 21\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lattice", "--L", "21", "--m", "4"],
+     "--L must be at most 20 for lattice, got 21"),
+    (["all", "--L", "21"], "--L must be at most 20 for lattice, got 21"),
+    (["rqkz", "--L", "22"], "--L must be at most 21 for rqkz, got 22"),
+])
+def test_impossible_label_count_is_refused_before_any_suite(argv, message,
+                                                            capsys):
+    # lattice draws L labels clear of 0 and beta, rqkz L - 1; these lines
+    # used to build every smaller L first, and rqkz --L 22 never ended
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("seed", (0, 1, 7))
@@ -71,7 +87,7 @@ def test_all_multiplies_no_fraction_map(seed, monkeypatch, capsys):
     def checked_mul(a, b):
         kinds = {type(v) for x in (a, b) for row in x.values()
                  for v in row.values()}
-        assert Fraction not in kinds, "a Fraction operand"
+        assert kinds <= {int, RatFun}, kinds
         if RatFun in kinds:
             caller = sys._getframe(1)
             while caller.f_code.co_filename == sparse.__file__:
@@ -332,20 +348,18 @@ def test_every_workload_line_resolves_its_options(monkeypatch):
         "bench_workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    for name, (_builder, table) in cli.SUITES.items():
-        monkeypatch.setitem(cli.SUITES, name,
-                            (lambda o, name=name: [name], table))
-    for cmd, (flag, _builder, table) in cli.MODES.items():
-        monkeypatch.setitem(cli.MODES, cmd,
-                            (flag, lambda o, cmd=cmd: cmd + " mode", table))
+    for name, runs in cli.SUITES.items():
+        monkeypatch.setitem(cli.SUITES, name, tuple(
+            (flag, lambda o, run=f"{name} {flag}": [run], table)
+            for flag, _builder, table in runs))
     lines = [line for w in workloads.WORKLOADS
              for line in workloads.lines_for(w, 7)]
     ran = []
     for line in lines:
-        opt = cli._merge_options(cli.build_parser().parse_args(line))
-        ran += cli.run_subcommand(line[0], opt)
+        args = cli.build_parser().parse_args(line)
+        ran += cli.run_subcommand(line[0], vars(args))
     assert lines and len(ran) == len(lines)
-    assert "qchar mode" in ran
+    assert "qchar snake_l" in ran
 
 
 def test_all_rejects_scenario_options_it_does_not_read(tmp_path, capsys):
@@ -404,25 +418,3 @@ def test_a_wrong_factor_character_fails_composition_completeness(
     assert "[fail] composition completeness (max_l=2 n=2)" in out
     assert "[pass] fibonacci census (max_l=2 n=2)" in out
 
-
-def test_parser_is_built_once_per_process(monkeypatch, capsys):
-    # the first main call builds the parser and every later call, a usage
-    # error included, reuses it
-    built = []
-    build = cli.build_parser
-
-    def counting():
-        built.append(1)
-        return build()
-
-    monkeypatch.setattr(cli, "build_parser", counting)
-    cli._parser.cache_clear()
-    try:
-        assert main(["rqkz", "--m", "2"]) == 2
-        assert main(["nosuch"]) == 2
-        assert main(["rqkz", "--N", "0"]) == 2
-        assert len(built) == 1
-    finally:
-        cli._parser.cache_clear()
-    captured = capsys.readouterr()
-    assert "invalid choice: 'nosuch'" in captured.err

@@ -10,7 +10,8 @@ loads it (only the dense test oracles do).  The modules import each
 other without a cycle.  Every top-level function and class is used
 somewhere in src/qsnake outside its own definition, or is wrapped by a
 traced benchmark run (perfbench/spans.py TRACED, loaded by path as
-test_traced_names does).  No module reads a window's Fraction view."""
+test_traced_names does).  No module reads a window's Fraction view, and
+none validates with assert, which python -O strips."""
 
 import ast
 import hashlib
@@ -110,6 +111,13 @@ def test_no_module_reads_the_fraction_view_of_a_window():
     bad = [f"{path.stem}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
            for node in ast.walk(ast.parse(path.read_text(), str(path)))
            if isinstance(node, ast.Attribute) and node.attr == "matrix"]
+    assert not bad, bad
+
+
+def test_no_assert_statement():
+    bad = [f"{path.stem}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+           for node in ast.walk(ast.parse(path.read_text(), str(path)))
+           if isinstance(node, ast.Assert)]
     assert not bad, bad
 
 

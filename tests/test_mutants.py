@@ -12,8 +12,12 @@ from fractions import Fraction
 
 import pytest
 
-from qsnake import lattice, rmat, snail
+from qsnake import lattice, qchar, rmat, snail
+from qsnake.cli import run_subcommand
 from qsnake.lattice import lattice_reports, rqkz_reports
+from qsnake.qchar import (census_reports, factor_reports, kr_reports,
+                          qchar_fundamental_reports, snake_trio_reports,
+                          tsystem_reports)
 from qsnake.rmat import rmatrix_reports
 from qsnake.snail import pole_reports, snail_reports
 
@@ -106,6 +110,41 @@ def pole_denominator_shifted(monkeypatch):
                   "x - (j - 1) * (n + 1) - l + 2")
 
 
+def character_mutant(monkeypatch, name, old, new):
+    """A qchar source mutant, with the snake prefixes built afresh."""
+    source_mutant(monkeypatch, qchar, name, old, new)
+    monkeypatch.setattr(qchar, "_snake_cache", {})
+
+
+def chain_reversed(monkeypatch):
+    # the fundamental chain listed from its lowest monomial up
+    character_mutant(monkeypatch, "_chain", "for j in range(n + 1)]",
+                     "for j in reversed(range(n + 1))]")
+
+
+def snake_without_overshoot(monkeypatch):
+    # S_k = S_{k-1} F_{k-1}, without the - S_{k-2} step
+    character_mutant(monkeypatch, "snake_qchar",
+                     "out = out - prefixes[t - 1]", "out = out")
+
+
+def kr_box_too_many(monkeypatch):
+    character_mutant(monkeypatch, "kr_qchar", "range(1, k + 1)",
+                     "range(1, k + 2)")
+
+
+def kr_chain_step_three(monkeypatch):
+    # box j filled from the chain at shift + 3j instead of shift + 2j
+    character_mutant(monkeypatch, "kr_qchar", "shift + 2 * j",
+                     "shift + 3 * j")
+
+
+def product_points_n_plus_three(monkeypatch):
+    # the alternating product's points n + 3 apart instead of n + 1
+    character_mutant(monkeypatch, "alternating_product",
+                     "t * (n + 1)", "t * (n + 3)")
+
+
 def mutate_factors(monkeypatch, edit):
     """rmat.vertex_chain on edit(factors)."""
     chain_of = rmat.vertex_chain
@@ -183,6 +222,13 @@ def mixed_beta_flipped(monkeypatch):
     mutate_rows(monkeypatch, vertex_edit("mixed", beta=2))
 
 
+def characters():
+    """The character suites at ranks 2 and 3, snakes of up to 3 points."""
+    return (qchar_fundamental_reports((2, 3)) + snake_trio_reports(3)
+            + tsystem_reports(3) + kr_reports() + census_reports(3)
+            + factor_reports(3))
+
+
 def lattice_at(N):
     """lattice at its defaults (n = 2, L <= 3, m <= 3, seed 0), N pairs."""
     return lambda: lattice_reports(2, 3, N, 3, 0)
@@ -207,6 +253,35 @@ def rmatrix_n123():
 
 # check name -> {mutant: (apply, the run whose reports of the check fail)}
 MUTANTS = {
+    "fundamental closed form": {
+        "chain reversed": (chain_reversed, characters),
+    },
+    "snake structural trio": {
+        "snake without its overshoot step": (snake_without_overshoot,
+                                             characters),
+    },
+    "extended t-system recursion": {
+        "snake without its overshoot step": (snake_without_overshoot,
+                                             characters),
+    },
+    "pairwise snake identity": {
+        "snake without its overshoot step": (snake_without_overshoot,
+                                             characters),
+    },
+    "kirillov-reshetikhin dimensions": {
+        "one box too many": (kr_box_too_many, characters),
+    },
+    "kirillov-reshetikhin t-system": {
+        "chain step 3": (kr_chain_step_three, characters),
+    },
+    "fibonacci census": {
+        "product points n + 3 apart": (product_points_n_plus_three,
+                                       characters),
+    },
+    "composition completeness": {
+        "snake without its overshoot step": (snake_without_overshoot,
+                                             characters),
+    },
     "window unit trace": {
         "outside columns to the power k + 1": (outside_power_plus_one,
                                                lattice_at(1)),
@@ -304,6 +379,22 @@ def test_every_snail_and_pole_check_has_a_mutant():
 def test_every_rmatrix_check_has_a_mutant():
     checks = {r.check for r in rmatrix_n123()}
     assert len(checks) == 5 and checks <= MUTANTS.keys(), checks
+
+
+def test_every_check_has_a_mutant(capsys):
+    # every pass/fail check of `all` at seed 0, and the one that only
+    # two horizontal pairs reach
+    reports = (run_subcommand("all", {"seed": 0})
+               + run_subcommand("lattice", {"N": 2}))
+    checks = {r.check for r in reports if r.status != "exploratory"}
+    assert len(checks) == 25 and checks <= MUTANTS.keys(), (
+        checks - MUTANTS.keys())
+    capsys.readouterr()
+
+
+def test_kr_chain_step_fails_the_kr_t_system_alone(monkeypatch):
+    kr_chain_step_three(monkeypatch)
+    assert failing(characters()) == {"kirillov-reshetikhin t-system"}
 
 
 def test_line_argument_mutant_fails_translation_alone_at_two_pairs(

@@ -517,23 +517,6 @@ def test_l1_fusion_validation():
         l1_fusion_check(2, spec2, 3)
 
 
-@pytest.mark.parametrize("seed", (0, 1, 7))
-def test_exploratory_reports_multiply_integer_maps_only(seed, monkeypatch):
-    # the exploratory reports read windows, the fused product and the
-    # vertices as integer pairs: no Fraction view reaches the row-map product
-    mul = sparse.mul
-    seen = []
-
-    def checked_mul(a, b):
-        seen.extend(type(v) for x in (a, b) for row in x.values()
-                    for v in row.values() if type(v) is not int)
-        return mul(a, b)
-
-    monkeypatch.setattr(sparse, "mul", checked_mul)
-    reports = snail.exploratory_reports(seed)
-    assert len(reports) == 4 and not seen, set(seen)
-
-
 # ---------------------------------------------------------------------------
 # the sparse row map contract
 
