@@ -8,18 +8,18 @@ monomial census, composition series) is computed inside it.
 
 Monomials are stored packed (Kronecker substitution, as in Monagan and
 Pearce, "Polynomial division using dynamic arrays, heaps, and packed
-exponent vectors", CASC 2007): each variable owns a W-bit slot of one
-Python int and holds its exponent there as a signed digit, so the
-product of two monomials is the sum of their codes.  Products count
-code sums in C, per pair of coefficient groups; to_text decodes each
-code once, on the slots in use.  Every monomial and combination carries
-a bound on the absolute value of its exponents; an operation whose bound
-could leave the digit range is recomputed exactly from the decoded
-exponents instead, so neighbouring slots never alias.  Codes depend on
-the order in which variables were first seen; nothing is ordered by them.
+exponent vectors", CASC 2007): each variable owns a one-byte slot (W = 8
+bits) of one Python int and holds its exponent there as a signed digit,
+-127..127, so the product of two monomials is the sum of their codes.
+Products count code sums in C, per pair of coefficient groups; to_text
+sorts each code on one bytes key read off its slots in use.  Every
+monomial and combination carries a bound on the absolute value of its
+exponents; an operation whose bound could leave the digit range is
+recomputed exactly from the decoded exponents instead, so neighbouring
+slots never alias.  Codes depend on the order in which variables were
+first seen; nothing is ordered by them.
 """
 
-import sys
 from collections import _count_elements
 from collections.abc import Mapping
 from functools import reduce
@@ -28,10 +28,15 @@ from operator import add, getitem, itemgetter, or_, xor
 
 from .exactlin import echelon
 
-W = 16                    # bits per exponent slot
-_DIGIT = "h"              # memoryview format of one slot: signed 16-bit
+W = 8                     # bits per exponent slot: one byte
+_DIGIT = "b"              # memoryview format of one slot: signed 8-bit
 _HALF = 1 << (W - 1)
 MAX_EXPONENT = _HALF - 1  # exponents lie in -MAX_EXPONENT..MAX_EXPONENT
+# the exponent of each to_text key byte: a byte sorts negative exponents
+# below positive ones and zero (an absent variable) above both
+_EXPONENTS = (*range(-MAX_EXPONENT, 0), *range(1, MAX_EXPONENT + 1), 0)
+_KEY_BYTE = bytes.maketrans(bytes(e + _HALF for e in _EXPONENTS),
+                            bytes(range(len(_EXPONENTS))))
 
 
 class CartanData:
@@ -97,7 +102,7 @@ class _SlotTable:
         """The {(i, k): e} map of a code, in slot order."""
         slots = (code + self.bias) ^ self.bias
         nbytes = -(-slots.bit_length() // W) * (W // 8)
-        digits = memoryview(slots.to_bytes(nbytes, sys.byteorder)).cast(_DIGIT)
+        digits = memoryview(slots.to_bytes(nbytes, "little")).cast(_DIGIT)
         return dict(compress(zip(self.variables, digits), digits))
 
 
@@ -449,27 +454,29 @@ def to_text(p):
     """Serialize a combination, one monomial per line: 'coeff Y[i,k]^e ...'.
 
     Lines are sorted by the canonical monomial key, so equal combinations
-    serialize byte-identically.  Codes are decoded only on the slots in
-    use, into ((i, k), e) pairs that rows share; each is formatted once.
+    serialize byte-identically.  Each row sorts on one bytes key: the
+    code's slot bytes in use, in variable order, trailing zeros stripped,
+    translated by _KEY_BYTE.  Bytes order on these keys is the order on
+    (variable, exponent) pair lists: a prefix sorts first, and an absent
+    variable after any exponent of it.  Rows are joined from one token
+    table per slot, so each token is formatted once.
     """
     terms, bias, variables = p._terms, _SLOTS.bias, _SLOTS.variables
     used = reduce(or_, map(xor, map(add, terms, repeat(bias)), repeat(bias)), 0)
     if not used:  # the zero combination or a multiple of the unit
         return "".join(f"{c}\n" for c in terms.values())
-    nbytes = -(-used.bit_length() // W) * (W // 8)
-    slots = sorted(compress(range(len(variables)), memoryview(used.to_bytes(
-        nbytes, sys.byteorder)).cast(_DIGIT)), key=variables.__getitem__)
-    pairs = [_Memo(lambda e, v=variables[s]: (v, e)) for s in slots]
-    pick = itemgetter(*slots, slots[0])  # a tuple even for a single slot
-    rows = []
-    for code, c in terms.items():
-        digits = pick(memoryview(((code + bias) ^ bias).to_bytes(
-            nbytes, sys.byteorder)).cast(_DIGIT))
-        rows.append((list(compress(map(getitem, pairs, digits), digits)), c))
-    rows.sort()
-    text = _Memo(lambda pair: f"Y[{pair[0][0]},{pair[0][1]}]^{pair[1]}")
-    return "".join(" ".join([str(c), *map(text.__getitem__, exps)]) + "\n"
-                   for exps, c in rows)
+    size = len(variables)
+    slots = sorted(compress(range(size), used.to_bytes(size, "little")),
+                   key=variables.__getitem__)
+    # one pad slot past the table reads zero, so pick gives a tuple even
+    # for a single slot; a zero digit is the byte _HALF once biased
+    pick, pad = itemgetter(*slots, size), bias | _HALF << (W * size)
+    zero = bytes([_HALF])
+    rows = sorted((bytes(pick((code + pad).to_bytes(size + 1, "little")))
+                   .rstrip(zero).translate(_KEY_BYTE), c) for code, c in terms.items())
+    tokens = [_Memo(lambda b, v=variables[s]: f" Y[{v[0]},{v[1]}]^{e}"
+                    if (e := _EXPONENTS[b]) else "") for s in slots]
+    return "".join([f"{c}{''.join(map(getitem, tokens, key))}\n" for key, c in rows])
 
 
 def from_text(text):

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import os
+import struct
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qsnake import cli, qchar
+from qsnake import cli, loopring, qchar
 from qsnake.cli import (
     emit,
     main,
@@ -21,6 +22,14 @@ from qsnake.rmat import h_shift
 from qsnake.snail import POLE_ANCHOR, expected_pole_order
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def bench_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def test_seeded_rationals_deterministic_and_clear():
@@ -103,6 +112,22 @@ def test_all_multiplies_no_fraction_map(seed, monkeypatch, capsys):
                     monkeypatch.setattr(module, key, checked_mul)
     assert main(["all", "--seed", str(seed)]) == 0
     assert ratfun_callers == {("level_step", "snail_wellformed_reports")}
+    capsys.readouterr()
+
+
+def test_cli_products_stay_in_the_packed_digit_range(monkeypatch, capsys):
+    # a slot is one memoryview digit; the character lines and all form no
+    # product whose exponent bound leaves it, so none takes the exact path
+    def refused(*args):
+        raise AssertionError("a CLI product left the packed digit range")
+
+    assert struct.calcsize(loopring._DIGIT) * 8 == loopring.W
+    monkeypatch.setattr(loopring, "_max_exponent", refused)
+    monkeypatch.setattr(loopring.LaurentCombination, "_mul_exact", refused)
+    monkeypatch.setattr(qchar, "_snake_cache", {})  # every product runs
+    for line in bench_workloads().lines_for("characters", 0):
+        assert main(line) == 0
+    assert main(["all", "--seed", "0"]) == 0
     capsys.readouterr()
 
 
@@ -344,10 +369,7 @@ def test_value_with_no_checks_is_a_usage_error(argv, message, capsys):
 def test_every_workload_line_resolves_its_options(monkeypatch):
     # the benchmark appends --seed to every line, whether the suite draws
     # from it or not; the builders are stubbed, so no check runs
-    spec = importlib.util.spec_from_file_location(
-        "bench_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = bench_workloads()
     for name, runs in cli.SUITES.items():
         monkeypatch.setitem(cli.SUITES, name, tuple(
             (flag, lambda o, run=f"{name} {flag}": [run], table)

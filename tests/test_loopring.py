@@ -196,10 +196,12 @@ def former_to_text(p):
 
 def test_text_of_the_unit_and_of_a_subset_of_slots():
     # variables first seen out of canonical order, so their slots are too
-    first_seen = [(5, 903), (2, 901), (4, 902), (2, 900)]
-    u, v, w, x = (y_var(i, k) for i, k in first_seen)
+    first_seen = [(5, 903), (2, 901), (4, 902), (2, 900), (1, 904)]
+    u, v, w, x, t = (y_var(i, k) for i, k in first_seen)
     slot = loopring._SLOTS.slot
-    assert slot[(5, 903)] < slot[(2, 901)] < slot[(4, 902)] < slot[(2, 900)]
+    assert (slot[(5, 903)] < slot[(2, 901)] < slot[(4, 902)] < slot[(2, 900)]
+            < slot[(1, 904)])
+    top = MAX_EXPONENT
     one = LaurentCombination.unit()
     cases = {
         "": LaurentCombination.zero(),
@@ -213,6 +215,26 @@ def test_text_of_the_unit_and_of_a_subset_of_slots():
         "2 Y[4,902]^-3\n1 Y[4,902]^1\n": comb((w ** -3, 2), (w, 1)),
         "-1 Y[2,900]^-1 Y[2,901]^-1\n7 Y[2,900]^2 Y[4,902]^1 Y[5,903]^-1\n":
             comb((u.inverse() * w * x ** 2, 7), ((v * x).inverse(), -1)),
+        # a row whose pairs are a prefix of another's sorts first
+        "1 Y[2,900]^1\n2 Y[2,900]^1 Y[2,901]^1\n": comb((x * v, 2), (x, 1)),
+        # trailing zeros (x alone) sort before any later variable; an
+        # inner zero (v absent) sorts after v and before w or u
+        "2 Y[2,900]^1\n-1 Y[2,900]^1 Y[2,901]^1\n3 Y[2,900]^1 Y[4,902]^1\n"
+        "5 Y[2,900]^1 Y[5,903]^1\n":
+            comb((x * u, 5), (x * w, 3), (x * v, -1), (x, 2)),
+        # -1 before +1 on the same variable, leading and inner
+        "1 Y[2,901]^-1\n1 Y[2,901]^-1 Y[5,903]^1\n1 Y[2,901]^1\n":
+            comb((v, 1), (v.inverse() * u, 1), (v.inverse(), 1)),
+        "-4 Y[2,900]^1 Y[2,901]^-1\n4 Y[2,900]^1 Y[2,901]^1\n":
+            comb((x * v, 4), (x * v.inverse(), -4)),
+        # the extreme exponents side by side
+        f"5\n4 Y[2,900]^-{top} Y[4,902]^{top}\n2 Y[4,902]^-{top}\n"
+        f"3 Y[4,902]^-{top} Y[5,903]^{top}\n1 Y[4,902]^{top}\n":
+            comb((w ** top, 1), (w ** -top, 2), (w ** -top * u ** top, 3),
+                 (x ** -top * w ** top, 4), (ONE, 5)),
+        # t sorts first but was seen last
+        "1 Y[1,904]^-1\n1 Y[1,904]^1 Y[2,900]^1\n1 Y[2,900]^1\n":
+            comb((t * x, 1), (x, 1), (t.inverse(), 1)),
     }
     for want, p in cases.items():
         assert to_text(p) == former_to_text(p) == want
@@ -459,19 +481,22 @@ def test_overflow_fallback_is_exact():
         a ** 2
     with pytest.raises(OverflowError):
         LoopMonomial({(1, 0): MAX_EXPONENT + 1})
-    # a loose bound left by cancellation is tightened, not trusted
-    half = y_var(3, -7, 10000)
-    ghost = half * half.inverse()
-    assert ghost == ONE and ghost.bound == 20000
-    assert ghost * y_var(3, -7, 20000) == y_var(3, -7, 20000)
+    # a loose bound left by cancellation is tightened, not trusted: twice
+    # half fits the digit range, four times half does not
+    half = MAX_EXPONENT // 2
+    assert 2 * half <= MAX_EXPONENT < 4 * half
+    ghost = y_var(3, -7, half) * y_var(3, -7, -half)
+    far = y_var(3, -7, 2 * half)
+    assert ghost == ONE and ghost.bound == 2 * half
+    assert ghost.bound + far.bound > MAX_EXPONENT
+    assert ghost * far == far and (ghost * far).exps == {(3, -7): 2 * half}
     # the same at combination level: exact path, tightened path, overflow
     p = LaurentCombination.from_monomial(a) + LaurentCombination.unit()
     q = LaurentCombination.from_monomial(b)
     assert p * q == comb((y_var(2, 5), 1), (b, 1))
     with pytest.raises(OverflowError):
         p * p
-    loose = (LaurentCombination.from_monomial(half)
-             * LaurentCombination.from_monomial(half.inverse()))
-    assert loose == LaurentCombination.unit()
-    far = y_var(3, -7, 20000)
+    loose = (LaurentCombination.from_monomial(y_var(3, -7, half))
+             * LaurentCombination.from_monomial(y_var(3, -7, -half)))
+    assert loose == LaurentCombination.unit() and loose._bound == 2 * half
     assert loose * LaurentCombination.from_monomial(far) == comb((far, 1))
