@@ -35,7 +35,8 @@ from . import sparse
 from .exactlin import RatFun, pole_order_at, residue_at, tensor_from_matrix
 from .report import OutOfScope, VerificationReport
 from .rmat import (PrefactorExpr, chevalley_generators, h_shift,
-                   identity_matrix, prefactor_reduce, vertex_chain)
+                   identity_matrix, prefactor_reduce, site_action,
+                   vertex_chain)
 # perfbench/spans.py TRACED wraps these kernels under the names bound here
 from .rmat import identity_matrix as _sp_identity
 from .sparse import (embed as _sp_embed, extend as _sp_extend, mul as _sp_mul,
@@ -222,6 +223,11 @@ class DensityWindow:
         return "fbar" if (self.variant == 1 and i == 1) else "f"
 
     @property
+    def kinds(self):
+        """site_kind of each slot, slot 0 (site m) first."""
+        return [self.site_kind(self.m - j) for j in range(self.m)]
+
+    @property
     def matrix(self):
         """The row map over Fractions, each distinct entry divided once;
         no check reads it, only the tests and the benchmark's window hook."""
@@ -385,29 +391,13 @@ def column_partition(spec, m, mu_window, variant=0, crossing=None):
 
 
 def colour_conserving(win):
-    """Weight conservation across the stored nonzero entries.
-
-    A fundamental slot with digit i carries weight +e_i, an
-    antifundamental slot with digit j carries -e_{n-j}; every nonzero
-    entry must have equal row and column weight vectors."""
-    n, m = win.n, win.m
-    d = n + 1
-
-    def weight(idx):
-        w = [0] * d
-        for site in range(1, m + 1):  # site 1 is the last slot
-            idx, t = divmod(idx, d)
-            if win.site_kind(site) == "f":
-                w[t] += 1
-            else:
-                w[n - t] -= 1
-        return tuple(w)
-
-    for r, row in win.pair[0].items():
-        w = weight(r)
-        if any(v != 0 and weight(c) != w for c, v in row.items()):
-            return False
-    return True
+    """The window commutes with rmat.site_action of every diagonal unit
+    E_jj, j = 0..n.  That action weighs a fundamental digit i by +e_i and
+    an antifundamental digit t by -e_{n-t}, so every nonzero entry has
+    equal row and column weight vectors."""
+    units = ({j: {j: 1}} for j in range(win.n + 1))
+    return all(sparse.commutator(win.pair, site_action(win.n, win.kinds, e))
+               == 0 for e in units)
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +717,7 @@ def lattice_reports(n, max_L, N, max_m, seed):
             for variant in (0, 1):
                 win = density_matrix(spec, m, labels[:m], variant)
                 if m == mtop:
-                    top[variant] = win.pair
+                    top[variant] = win
                 traces[f"m={m},variant={variant}"] = win.trace() == 1 and (
                     win.norm == column_partition(spec, m, labels[:m], variant))
                 colours[f"m={m},variant={variant}"] = colour_conserving(win)
@@ -768,33 +758,22 @@ def lattice_reports(n, max_L, N, max_m, seed):
                        "environment value reproduces the smaller window",
                 witness={"cases": cases, "max_residual": resid}))
 
-        resid = Fraction(0)
-        count = 0
-        for variant, (win, s) in top.items():
-            for g in (g for gens in chevalley_generators(n) for g in gens):
-                # in variant 1 site 1, the last slot, carries the dual
-                # -C g^T C, C the index reversal: (r, c) -> (n-c, n-r)
-                dual = {}
-                for r, row in g.items():
-                    for c, v in row.items():
-                        dual.setdefault(n - c, {})[n - r] = -v
-                tot = sparse.site_sum(
-                    [g] * (mtop - 1) + [dual if variant else g], d)
-                resid = max(resid, sparse.diff((sparse.mul(tot, win), s),
-                                               (sparse.mul(win, tot), s)))
-                count += 1
+        gens = [g for triple in chevalley_generators(n) for g in triple]
+        resid = max((sparse.commutator(win.pair, site_action(n, win.kinds, g))
+                     for win in top.values() for g in gens), default=Fraction(0))
         reports.append(VerificationReport(
             check="window global invariance",
             params={"n": n, "L": L, "N": N, "m": mtop, "seed": seed},
-            status="pass" if resid == 0 else "fail",
+            status="pass" if resid == 0 and len(gens) == 3 * n else "fail",
             anchor="every diagonal symmetry generator commutes with the "
                    "window exactly",
-            witness={"commutators": count, "max_residual": resid}))
+            witness={"commutators": len(gens) * len(top),
+                     "max_residual": resid}))
 
         if mtop >= 2:
             resid = Fraction(0)
             w = labels[:mtop]
-            win, s = top[0]
+            win, s = top[0].pair
             for i in range(1, mtop):
                 ws = w[:i - 1] + [w[i], w[i - 1]] + w[i + 1:]
                 lo = mtop - (i + 1)

@@ -164,10 +164,6 @@ class LoopMonomial:
         """The exponent map (i, k) -> e, decoded into a fresh dict."""
         return _SLOTS.unpack(self.code)
 
-    def key(self):
-        """Canonical sort key: the sorted (i, k, exponent) triples."""
-        return tuple((i, k, e) for (i, k), e in sorted(self.exps.items()))
-
     def __mul__(self, other):
         if not isinstance(other, LoopMonomial):
             return NotImplemented
@@ -380,21 +376,39 @@ class LaurentCombination:
     def __repr__(self):
         if not self._terms:
             return "0"
-        parts = [f"{c}*({m!r})" for m, c in sorted(self.terms.items(), key=lambda t: t[0].key())]
-        return " + ".join(parts)
+        key, bound = _canonical_key(self._terms)[1], self._bound
+        return " + ".join(f"{self._terms[code]}*({LoopMonomial._wrap(code, bound)!r})"
+                          for code in sorted(self._terms, key=key))
 
 
 def multiply(p, q):
     return p * q
 
 
+def _canonical_key(codes):
+    """(slots, key): the slots the codes use, in variable order, and the
+    canonical sort key of a code: its bytes on those slots, trailing zeros
+    stripped, translated by _KEY_BYTE.  Bytes order on keys is the order
+    on (variable, exponent) pair lists: a prefix sorts first, and an
+    absent variable after any exponent of it."""
+    bias, variables = _SLOTS.bias, _SLOTS.variables
+    used = reduce(or_, map(xor, map(add, codes, repeat(bias)), repeat(bias)), 0)
+    size = len(variables)
+    slots = sorted(compress(range(size), used.to_bytes(size, "little")),
+                   key=variables.__getitem__)
+    # two zero pad slots make pick a tuple; a biased zero digit is _HALF
+    pick, pad = itemgetter(*slots, size, size), bias | _HALF << (W * size)
+    zero = bytes([_HALF])
+    return slots, lambda code: bytes(pick((code + pad).to_bytes(
+        size + 1, "little"))).rstrip(zero).translate(_KEY_BYTE)
+
+
 def _sorted_terms(p, sign):
     """Terms whose exponents, times sign, are all nonnegative, in key order."""
-    bias = _SLOTS.bias
-    out = [(LoopMonomial._wrap(code, p._bound), c)
-           for code, c in p._terms.items() if (sign * code + bias) & bias == bias]
-    out.sort(key=lambda t: t[0].key())
-    return out
+    bias, terms = _SLOTS.bias, p._terms
+    codes = [code for code in terms if (sign * code + bias) & bias == bias]
+    codes.sort(key=_canonical_key(codes)[1])
+    return [(LoopMonomial._wrap(code, p._bound), terms[code]) for code in codes]
 
 
 def dominant_monomials(p):
@@ -453,28 +467,14 @@ def a_decompose(cartan, m):
 def to_text(p):
     """Serialize a combination, one monomial per line: 'coeff Y[i,k]^e ...'.
 
-    Lines are sorted by the canonical monomial key, so equal combinations
-    serialize byte-identically.  Each row sorts on one bytes key: the
-    code's slot bytes in use, in variable order, trailing zeros stripped,
-    translated by _KEY_BYTE.  Bytes order on these keys is the order on
-    (variable, exponent) pair lists: a prefix sorts first, and an absent
-    variable after any exponent of it.  Rows are joined from one token
-    table per slot, so each token is formatted once.
+    Lines are sorted on the canonical key (_canonical_key), so equal
+    combinations serialize byte-identically.  Rows are joined from one
+    token table per slot, so each token is formatted once.
     """
-    terms, bias, variables = p._terms, _SLOTS.bias, _SLOTS.variables
-    used = reduce(or_, map(xor, map(add, terms, repeat(bias)), repeat(bias)), 0)
-    if not used:  # the zero combination or a multiple of the unit
-        return "".join(f"{c}\n" for c in terms.values())
-    size = len(variables)
-    slots = sorted(compress(range(size), used.to_bytes(size, "little")),
-                   key=variables.__getitem__)
-    # one pad slot past the table reads zero, so pick gives a tuple even
-    # for a single slot; a zero digit is the byte _HALF once biased
-    pick, pad = itemgetter(*slots, size), bias | _HALF << (W * size)
-    zero = bytes([_HALF])
-    rows = sorted((bytes(pick((code + pad).to_bytes(size + 1, "little")))
-                   .rstrip(zero).translate(_KEY_BYTE), c) for code, c in terms.items())
-    tokens = [_Memo(lambda b, v=variables[s]: f" Y[{v[0]},{v[1]}]^{e}"
+    terms = p._terms
+    slots, key = _canonical_key(terms)
+    rows = sorted((key(code), c) for code, c in terms.items())
+    tokens = [_Memo(lambda b, v=_SLOTS.variables[s]: f" Y[{v[0]},{v[1]}]^{e}"
                     if (e := _EXPONENTS[b]) else "") for s in slots]
     return "".join([f"{c}{''.join(map(getitem, tokens, key))}\n" for key, c in rows])
 

@@ -12,6 +12,8 @@ The vertex is written once, as the integer rows of _vertex_rows, which
 vertex_chain, the builder of every window, tower and fused product,
 applies; rmatrix_reports certifies vertex_chain itself, at one integer
 point per identity (kronecker_base).  vertex_matrix is a test view.
+The gl_{n+1} action on slots, the dual on antifundamental ones, is
+written once too, as site_action, which every invariance check uses.
 The transcendental scalar prefactor rho is never evaluated; it is carried
 formally and removed through its two functional relations.
 """
@@ -216,6 +218,30 @@ def chevalley_generators(n):
     """Int triples (e_i, f_i, h_i) of the standard action on V, i = 1..n."""
     return [({i - 1: {i: 1}}, {i: {i - 1: 1}}, {i - 1: {i - 1: 1}, i: {i: -1}})
             for i in range(1, n + 1)]
+
+
+def site_action(n, kinds, g):
+    """The int one-slot map g acting on every slot of a product of the
+    given kinds, slot 0 first: the sum over slots of g's action there,
+    identity elsewhere.  An "f" slot carries g, an "fbar" slot the dual
+    -C g^T C, C the index reversal: (r, c) -> (n - c, n - r)."""
+    d, nslots = n + 1, len(kinds)
+    dual = {}
+    for r, row in g.items():
+        for c, v in row.items():
+            dual.setdefault(n - c, {})[n - r] = -v
+    out = {}
+    for s, kind in enumerate(kinds):
+        w = d ** (nslots - 1 - s)
+        for a, row in (dual if kind == "fbar" else g).items():
+            for hi in range(a * w, d ** nslots, d * w):  # digit a on slot s
+                for r in range(hi, hi + w):
+                    acc = out.setdefault(r, {})
+                    for b, v in row.items():
+                        c = r + (b - a) * w
+                        acc[c] = acc.get(c, 0) + v
+    out = {r: {c: v for c, v in acc.items() if v} for r, acc in out.items()}
+    return {r: acc for r, acc in out.items() if acc}
 
 
 class PrefactorExpr:

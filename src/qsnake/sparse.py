@@ -1,5 +1,6 @@
 """Sparse row maps, the operator format of every exact check, and the
-kernels that multiply, embed, trace and compare them.
+kernels that multiply, embed, trace and compare them; commutator is
+the one comparison of every invariance check, against rmat.site_action.
 
 An operator on k slots of dimension d is a row map {row: {col: value}}
 on d^k coordinates, storing no zero and no empty row; slot 0 holds a
@@ -75,25 +76,6 @@ def scaled_mul(a, b):
     return mul(a[0], b[0]), a[1] * b[1]
 
 
-def site_sum(mats, d):
-    """Sum over slots s of the one-slot row map mats[s] on slot s, the
-    identity on every other slot."""
-    nslots = len(mats)
-    out = {}
-    for r in range(d ** nslots):
-        row = {}
-        for s, g in enumerate(mats):
-            w = d ** (nslots - 1 - s)
-            a = r // w % d
-            for b, v in g.get(a, {}).items():
-                c = r + (b - a) * w
-                row[c] = row.get(c, 0) + v
-        row = {c: v for c, v in row.items() if v != 0}
-        if row:
-            out[r] = row
-    return out
-
-
 def scale(a, s):
     if s == 0:
         return {}
@@ -150,3 +132,10 @@ def diff(a, b):
             if x != y and abs(x - y) > best:  # equal entries never raise best
                 best = abs(x - y)
     return Fraction(best, s * t)
+
+
+def commutator(pair, op):
+    """diff of (op * map, s) and (map * op, s) for the pair (map, s): the
+    largest absolute entry of the commutator of op with map / s."""
+    a, s = pair
+    return diff((mul(op, a), s), (mul(a, op), s))

@@ -50,6 +50,7 @@ from qsnake.rmat import (
     k_matrix,
     permutation_matrix,
     prefactor_reduce,
+    site_action,
     vertex_chain,
     vertex_matrix,
 )
@@ -157,17 +158,21 @@ def test_embed_ptrace_roundtrip():
                 assert max_abs_diff(back, d * d * want) == 0
 
 
-def test_site_sum_matches_kron_sum():
-    # one generator per slot, a different one on each, against the dense
-    # sum of Kronecker products; a single slot is the generator itself
+def test_site_action_matches_kron_sum():
+    # every generator on slots (f, f, fbar) against the dense sum of
+    # Kronecker products, the fbar slot through the dual oracle; a single
+    # slot is the generator or its dual, and the zero map acts as zero
     one = _sp_to_dense(identity_matrix(3), 3)
-    mats = list(chevalley_generators(2)[0])
-    e, f, h = (_sp_to_dense(g, 3) for g in mats)
-    want = (np.kron(np.kron(e, one), one) + np.kron(np.kron(one, f), one)
-            + np.kron(np.kron(one, one), h))
-    assert max_abs_diff(_sp_to_dense(sparse.site_sum(mats, 3), 27), want) == 0
-    assert max_abs_diff(_sp_to_dense(sparse.site_sum(mats[2:], 3), 3), h) == 0
-    assert sparse.site_sum([_dense_to_sp(h - h), _dense_to_sp(e - e)], 3) == {}
+    for g in (g for gens in chevalley_generators(2) for g in gens):
+        x = _sp_to_dense(g, 3)
+        want = (np.kron(np.kron(x, one), one) + np.kron(np.kron(one, x), one)
+                + np.kron(np.kron(one, one), dual_action(x)))
+        got = site_action(2, ("f", "f", "fbar"), g)
+        assert max_abs_diff(_sp_to_dense(got, 27), want) == 0
+        assert site_action(2, ("f",), g) == g
+        assert max_abs_diff(_sp_to_dense(site_action(2, ("fbar",), g), 3),
+                            dual_action(x)) == 0
+    assert site_action(2, ("f", "fbar"), {}) == {}
 
 
 def test_dense_to_sp_reads_both_dimensions():
@@ -1297,7 +1302,7 @@ def test_window_suites_hand_the_sparse_kernels_no_fraction(monkeypatch):
     # of the window suites compares such pairs: no Fraction reaches the
     # row-map kernels, as a map entry, a scale or a scalar
     calls, offenders = [], []
-    for name in ("mul", "ptrace", "scale", "trace", "site_sum", "diff"):
+    for name in ("mul", "ptrace", "scale", "trace", "commutator", "diff"):
         def wrapped(*args, _kernel=getattr(sparse, name), _name=name):
             calls.append(_name)
             if any(isinstance(v, Fraction) for v in leaves(args)):
@@ -1306,7 +1311,7 @@ def test_window_suites_hand_the_sparse_kernels_no_fraction(monkeypatch):
         monkeypatch.setattr(sparse, name, wrapped)
     reports = lattice_reports(2, 4, 1, 4, 1) + rqkz_reports(2, 4, 1, 1)
     assert all(rep.status == "pass" for rep in reports)
-    assert set(calls) == {"mul", "ptrace", "scale", "trace", "site_sum",
+    assert set(calls) == {"mul", "ptrace", "scale", "trace", "commutator",
                           "diff"} and len(calls) > 200
     assert offenders == []
 

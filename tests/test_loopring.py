@@ -424,11 +424,18 @@ def test_packed_key_order_and_dominance_match_reference(maps):
     monos = [LoopMonomial(a) for a in maps]
     for m, a in zip(monos, maps):
         a = ref_clean(a)
-        assert m.key() == ref_key(a)
         assert dominant(m) == all(e > 0 for e in a.values())
         assert antidominant(m) == all(e < 0 for e in a.values())
-    got = [m.key() for m in sorted(monos, key=LoopMonomial.key)]
-    assert got == sorted(ref_key(ref_clean(a)) for a in maps)
+    # repr and the (anti)dominant scans list terms in ref_key order
+    p = comb(*[(m, 1) for m in monos])
+    keys = [ref_key(ref_clean(a)) for a in maps]
+    want = sorted(set(keys))
+    assert repr(p) == (" + ".join(
+        f"{keys.count(key)}*({' '.join(f'Y[{i},{k}]^{e}' for i, k, e in key) or 1})"
+        for key in want) or "0")
+    for scan, sign in ((dominant_monomials, 1), (antidominant_monomials, -1)):
+        assert [ref_key(m.exps) for m, _c in scan(p)] == [
+            key for key in want if all(sign * e > 0 for _i, _k, e in key)]
 
 
 @settings(max_examples=100, deadline=None)

@@ -82,6 +82,26 @@ def same_kind_digit_zero_weight(monkeypatch):
     monkeypatch.setattr(rmat, "_vertex_rows", rows)
 
 
+def rmat_mutant(monkeypatch, name, old, new):
+    """An rmat source mutant, bound again where lattice and snail import
+    it."""
+    source_mutant(monkeypatch, rmat, name, old, new)
+    for module in (lattice, snail):
+        monkeypatch.setattr(module, name, getattr(rmat, name))
+
+
+def generators_below_n(monkeypatch):
+    # the generators of nodes 1..n-1 only, none at n = 1
+    rmat_mutant(monkeypatch, "chevalley_generators", "range(1, n + 1)",
+                "range(1, n)")
+
+
+def fbar_slot_undualized(monkeypatch):
+    # an antifundamental slot acted on by g, not by its dual -C g^T C
+    rmat_mutant(monkeypatch, "site_action", 'dual if kind == "fbar" else g',
+                "g")
+
+
 def crossing_reversed(monkeypatch):
     # every line crosses the window sites in the reverse of its crossing
     source_mutant(monkeypatch, lattice, "_strip",
@@ -290,6 +310,7 @@ MUTANTS = {
     "window colour conservation": {
         "variant-1 site 1 fundamental": (variant_one_site_fundamental,
                                          lattice_at(1)),
+        "fbar slot acted on by g": (fbar_slot_undualized, lattice_at(1)),
     },
     "window reduction": {
         "outside sites folded at 1": (outside_sites_at_one, lattice_at(1)),
@@ -297,6 +318,8 @@ MUTANTS = {
     "window global invariance": {
         "same-kind vertex weighted on digit 0": (same_kind_digit_zero_weight,
                                                  lattice_at(2)),
+        "generators of nodes below n": (generators_below_n, lattice_at(1)),
+        "fbar slot acted on by g": (fbar_slot_undualized, lattice_at(1)),
     },
     "window exchange relation": {
         "crossing reversed": (crossing_reversed, lattice_at(1)),
@@ -321,6 +344,7 @@ MUTANTS = {
     "fused window invariance": {
         "same-kind vertex weighted on digit 0": (same_kind_digit_zero_weight,
                                                  snail_n2),
+        "generators of nodes below n": (generators_below_n, snail_n2),
     },
     "pole profile sweep": {
         "last denominator shifted by one": (pole_denominator_shifted,

@@ -26,6 +26,7 @@ from qsnake.rmat import (
     identity_matrix,
     k_matrix,
     permutation_matrix,
+    site_action,
     vertex_matrix,
 )
 from qsnake.snail import (
@@ -349,7 +350,7 @@ def test_snail_reach_inserted_and_invariant():
         assert inserted_tower(spec) == x, (n, k, m)
         for gens in chevalley_generators(n):
             for g in gens:
-                tot = sparse.site_sum([g] * m, n + 1)
+                tot = site_action(n, ["f"] * m, g)
                 assert sparse.mul(tot, x) == sparse.mul(x, tot), (n, k, m)
 
 
