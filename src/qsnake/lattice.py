@@ -391,13 +391,15 @@ def column_partition(spec, m, mu_window, variant=0, crossing=None):
 
 
 def colour_conserving(win):
-    """The window commutes with rmat.site_action of every diagonal unit
-    E_jj, j = 0..n.  That action weighs a fundamental digit i by +e_i and
-    an antifundamental digit t by -e_{n-t}, so every nonzero entry has
-    equal row and column weight vectors."""
-    units = ({j: {j: 1}} for j in range(win.n + 1))
-    return all(sparse.commutator(win.pair, site_action(win.n, win.kinds, e))
-               == 0 for e in units)
+    """The window commutes with rmat.site_action of diag(B^0, ..., B^n),
+    B = 2m + 1, which weighs a coordinate by sum_j w_j B^j, w_j its f
+    digits j less its fbar digits n-j.  A row-minus-column difference of w
+    has entries of size <= m < B/2, balanced base-B digits, so every nonzero
+    entry has equal row and column weight vectors, as under every E_jj."""
+    base = 2 * win.m + 1
+    weights = {j: {j: base ** j} for j in range(win.n + 1)}
+    return sparse.commutator(win.pair,
+                             site_action(win.n, win.kinds, weights)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -480,22 +482,14 @@ def level_step(which, n, nu, mus, pair):
     is the consumed line, the image's the fresh line.  The level traces
     the consumed line of (CL.mat (x) 1).K.(CR (x) 1) on m+1 slots, K
     pairing digit t of the consumed line with n-t of the fresh one: with
-    A = CL.mat and B = CR on the m slots, image entry ((r, f), (c, g)) is
-    the sum over k, t of A[(r, t)][(k, n-f)] B[(k, n-g)][(c, t)].
-    Returns the image's pair, no prefactor."""
+    A = CL.mat and B = CR, image entry ((r, f), (c, g)) is the sum over
+    k, t of A[(r, t)][(k, n-f)] B[(k, n-g)][(c, t)], which is the product
+    cross(A) cross(B) on the m slots.  Returns the pair, no prefactor."""
     m, d = len(mus) + 1, n + 1
     left, right = level_chain(which, n, nu, mus)
     a, s = sparse.scaled_mul(vertex_chain(n, m, left), pair)
     b, sb = vertex_chain(n, m, right)
-    # the last digits swapped: A at ((r, f), (k, t)), B at ((k, t), (c, g))
-    swapped = ({}, {})
-    for x, out in zip((a, b), swapped):
-        for r, row in x.items():
-            for c, v in row.items():
-                t, u = r % d, c % d
-                t, u = (t, n - u) if x is a else (n - t, u)
-                out.setdefault(r - r % d + u, {})[c - c % d + t] = v
-    return sparse.mul(*swapped), s * sb
+    return sparse.mul(sparse.cross(a, d), sparse.cross(b, d)), s * sb
 
 
 class AOperator:
@@ -539,11 +533,10 @@ class AOperator:
             raise ValueError(f"which={self.which} consumes windows crossed "
                              f"with site 1 {('first', 'last')[want]}, got "
                              f"{win.crossing}")
-        out, s = level_step(self.which, self.n, self.lam1, self.mu_rest,
-                            win.pair)
-        h, p = h_shift(self.n), self.prefactor
+        pair = sparse.times(level_step(self.which, self.n, self.lam1,
+                                       self.mu_rest, win.pair), self.prefactor)
+        h = h_shift(self.n)
         first = h - self.lam1 if self.which == 1 else self.lam1 + h
-        pair = sparse.scale(out, p.numerator), s * p.denominator
         return DensityWindow(self.n, self.m, 1 - want, pair,
                              [first] + self.mu_rest, win.crossing)
 
@@ -784,10 +777,8 @@ def lattice_reports(n, max_L, N, max_m, seed):
                                                         ("f", "f", x, pair)])
                 inv, s_inv = vertex_chain(n, mtop, [("f", "f", -x, pair),
                                                     ("f", "f", 0, pair)])
-                q = 1 / (1 - x * x)
-                conj = (sparse.scale(sparse.mul(sparse.mul(braid, win), inv),
-                                     q.numerator),
-                        q.denominator * s * s_braid * s_inv)
+                conj = sparse.times((sparse.mul(sparse.mul(braid, win), inv),
+                                     s * s_braid * s_inv), 1 / (1 - x * x))
                 resid = max(resid, sparse.diff(
                     conj, density_matrix(spec, mtop, ws, 0).pair))
             reports.append(VerificationReport(

@@ -14,6 +14,8 @@ applies; rmatrix_reports certifies vertex_chain itself, at one integer
 point per identity (kronecker_base).  vertex_matrix is a test view.
 The gl_{n+1} action on slots, the dual on antifundamental ones, is
 written once too, as site_action, which every invariance check uses.
+Crossing is sparse.cross, which gives the dual and K (the crossed flip
+P), and which "vertex crossing" certifies against the mixed vertex rows.
 The transcendental scalar prefactor rho is never evaluated; it is carried
 formally and removed through its two functional relations.
 """
@@ -43,10 +45,8 @@ def permutation_matrix(n):
 
 
 def k_matrix(n):
-    """The rank-1 operator |s><s| with s the invariant pair vector."""
-    d = n + 1
-    return {i * d + n - i: {k * d + n - k: Fraction(1) for k in range(d)}
-            for i in range(d)}
+    """|s><s|, s the invariant pair vector: the crossed flip P, rank 1."""
+    return sparse.cross(permutation_matrix(n), n + 1)
 
 
 def charge_conj_matrix(n):
@@ -224,12 +224,9 @@ def site_action(n, kinds, g):
     """The int one-slot map g acting on every slot of a product of the
     given kinds, slot 0 first: the sum over slots of g's action there,
     identity elsewhere.  An "f" slot carries g, an "fbar" slot the dual
-    -C g^T C, C the index reversal: (r, c) -> (n - c, n - r)."""
+    -C g^T C, C the index reversal: minus g's crossing, sparse.cross."""
     d, nslots = n + 1, len(kinds)
-    dual = {}
-    for r, row in g.items():
-        for c, v in row.items():
-            dual.setdefault(n - c, {})[n - r] = -v
+    dual = sparse.scale(sparse.cross(g, d), -1)
     out = {}
     for s, kind in enumerate(kinds):
         w = d ** (nslots - 1 - s)
@@ -386,18 +383,11 @@ def rmatrix_reports(n_values=(2, 3)):
             witness={"same_kind_mismatches": bad[0],
                      "mixed_kind_mismatches": bad[1]}))
 
-        # partial transpose on line 2 conjugated by the index reversal
-        # there: entry (a,b; c,e) moves to (a,n-e; c,n-b); crossing says
-        # it is then minus the mixed vertex, compared cross-multiplied
+        # the crossed same-kind vertex is minus the mixed one, compared
+        # cross-multiplied
         (same, s), (mixed, t) = (vertex_chain(n, 2, [(k, "f", arg, (0, 1))])
                                  for k, arg in (("f", -x - h), ("fbar", x)))
-        crossed = {}
-        for r, row in same.items():
-            a, b = divmod(r, d)
-            for col, v in row.items():
-                c, e = divmod(col, d)
-                crossed.setdefault(a * d + n - e, {})[c * d + n - b] = -v
-        bad_cross = _mismatches(sparse.scale(crossed, t),
+        bad_cross = _mismatches(sparse.scale(sparse.cross(same, d), -t),
                                 sparse.scale(mixed, s))
         reports.append(VerificationReport(
             check="vertex crossing",

@@ -139,14 +139,13 @@ def _snail_matrix(spec):
     for odd t, raising for even t) at nu = mu_2 - t(n+1)/2.  Each level
     closes the loop it consumes and leaves its fresh line on the last
     slot, where the next level consumes it; the fresh line of the last
-    level becomes site 1.  The tower residue folds in once: its
-    numerator scales the integer map, its denominator the scale."""
+    level becomes site 1; sparse.times folds in the tower residue."""
     n = spec.n
     _, res = _tower_scalar(spec)
     pair = vertex_chain(n, spec.m, [])
     for t, nu in enumerate(spec.loop_shifts(), 1):
         pair = level_step(2 if t % 2 == 1 else 1, n, nu, spec.mus, pair)
-    return sparse.scale(pair[0], res.numerator), pair[1] * res.denominator
+    return sparse.times(pair, res)
 
 
 def snail_operator(spec):
@@ -184,7 +183,7 @@ def contraction_order_check(spec):
     cr, cl = (vertex_chain(n, 3, [("f", "fbar", x, (0, 2))])
               for x in (nu - mu2, mu2 - nu))
     mk, t = vertex_chain(n, 3, [("f", "fbar", -h_shift(n), (1, 2))])
-    kres = sparse.scale(mk, -res.numerator), t * res.denominator
+    kres = sparse.times((mk, t), -res)
     want = _snail_matrix(spec)
     resid = [sparse.diff((sparse.ptrace(x, 2, 3, n + 1), s), want)
              for x, s in (sparse.scaled_mul(sparse.scaled_mul(cl, kres), cr),

@@ -1,6 +1,7 @@
 """Sparse row maps, the operator format of every exact check, and the
-kernels that multiply, embed, trace and compare them; commutator is
-the one comparison of every invariance check, against rmat.site_action.
+kernels that multiply, embed, trace, cross and compare them; commutator
+is the one comparison of every invariance check, against
+rmat.site_action, and cross the one crossing of every operator.
 
 An operator on k slots of dimension d is a row map {row: {col: value}}
 on d^k coordinates, storing no zero and no empty row; slot 0 holds a
@@ -80,6 +81,25 @@ def scale(a, s):
     if s == 0:
         return {}
     return {r: {c: v * s for c, v in row.items()} for r, row in a.items()}
+
+
+def times(pair, q):
+    """(map * q.numerator, s * q.denominator): the pair (map, s) times q."""
+    a, s = pair
+    return scale(a, q.numerator), s * q.denominator
+
+
+def cross(a, d):
+    """Partial transpose on the last slot, of dimension d, conjugated
+    there by the index reversal C: an entry with last-slot digits (t, u)
+    moves to (d-1-u, d-1-t), its value kept as it is."""
+    out = {}
+    for r, row in a.items():
+        rhi, t = divmod(r, d)
+        for c, v in row.items():
+            chi, u = divmod(c, d)
+            out.setdefault(rhi * d + d - 1 - u, {})[chi * d + d - 1 - t] = v
+    return out
 
 
 def ptrace(a, slot, nslots, d):

@@ -175,6 +175,76 @@ def test_site_action_matches_kron_sum():
     assert site_action(2, ("f", "fbar"), {}) == {}
 
 
+def test_cross_is_an_involution_that_fixes_1_and_maps_p_to_k():
+    # seeded maps on 1-3 slots over ints, Fractions and RatFuns: crossing
+    # twice gives the map back, and every value keeps its type
+    rng = random.Random(41)
+    values = [3, -2, Fraction(-5, 4), Fraction(7, 3), RatFun.x() - 2]
+    for n in (1, 2, 3):
+        d = n + 1
+        for nslots in (1, 2, 3):
+            dim = d ** nslots
+            a = random_row_map(rng, dim, values)
+            crossed = sparse.cross(a, d)
+            assert sparse.cross(crossed, d) == a
+            assert sorted(map(repr, leaves(crossed))) == sorted(
+                map(repr, leaves(a)))
+            ident = {r: {r: 1} for r in range(dim)}
+            assert sparse.cross(ident, d) == ident
+        k = {i * d + n - i: {j * d + n - j: Fraction(1) for j in range(d)}
+             for i in range(d)}
+        assert sparse.cross(permutation_matrix(n), d) == k == k_matrix(n)
+        assert sparse.cross(k, d) == permutation_matrix(n)
+        assert all(type(v) is Fraction for v in leaves(k_matrix(n)))
+
+
+def test_cross_matches_the_dense_partial_transpose():
+    # the partial transpose on the last slot, conjugated by C there
+    rng = random.Random(43)
+    for n in (1, 2):
+        d = n + 1
+        c = _sp_to_dense(charge_conj_matrix(n), d)
+        for nslots in (1, 2, 3):
+            rest = d ** (nslots - 1)
+            one_c = np.kron(_sp_to_dense(identity_matrix(rest), rest), c)
+            for _ in range(6):
+                a = random_row_map(rng, d ** nslots, [1, -3, Fraction(2, 5)])
+                x = _sp_to_dense(a, d ** nslots).reshape(rest, d, rest, d)
+                pt = x.transpose(0, 3, 2, 1).reshape(rest * d, rest * d)
+                want = one_c @ pt @ one_c
+                got = _sp_to_dense(sparse.cross(a, d), d ** nslots)
+                assert max_abs_diff(got, want) == 0
+
+
+def test_times_folds_a_rational_into_a_pair():
+    a = {0: {1: 3, 2: -4}, 5: {5: 1}}
+    for q in (Fraction(-3, 4), Fraction(5), 2, Fraction(0)):
+        got = sparse.times((a, 6), q)
+        assert got == (sparse.scale(a, Fraction(q).numerator),
+                       6 * Fraction(q).denominator)
+        assert all(type(v) is int for v in leaves(got))
+        assert sparse.diff(got, (sparse.scale(a, q), 6)) == 0
+
+
+def test_colour_conservation_matches_every_diagonal_unit():
+    # the identity window plus one entry at every pair of coordinates, at
+    # n <= 2, m <= 3 and both variants: one commutator against the
+    # base-(2m + 1) weights decides as the n + 1 units E_jj do
+    for n, m, variant in itertools.product((1, 2), (1, 2, 3), (0, 1)):
+        dim = (n + 1) ** m
+        seen = set()
+        for r, c in itertools.product(range(dim), repeat=2):
+            mat = {i: {i: 1} for i in range(dim)}
+            mat[r][c] = mat[r].get(c, 0) + 1
+            win = DensityWindow(n, m, variant, (mat, 1), [0] * m)
+            units = ({j: {j: 1}} for j in range(n + 1))
+            want = all(sparse.commutator(
+                win.pair, site_action(n, win.kinds, e)) == 0 for e in units)
+            assert colour_conserving(win) == want, (n, m, variant, r, c)
+            seen.add(want)
+        assert seen == {True, False}
+
+
 def test_dense_to_sp_reads_both_dimensions():
     # a wide array used to be read as its leading square block
     a = np.full((3, 9), Fraction(0), dtype=object)
@@ -1302,17 +1372,20 @@ def test_window_suites_hand_the_sparse_kernels_no_fraction(monkeypatch):
     # of the window suites compares such pairs: no Fraction reaches the
     # row-map kernels, as a map entry, a scale or a scalar
     calls, offenders = [], []
-    for name in ("mul", "ptrace", "scale", "trace", "commutator", "diff"):
+    # times is handed its rational factor, which it folds in as ints
+    kernels = ("mul", "ptrace", "scale", "trace", "commutator", "diff",
+               "cross", "times")
+    for name in kernels:
         def wrapped(*args, _kernel=getattr(sparse, name), _name=name):
             calls.append(_name)
-            if any(isinstance(v, Fraction) for v in leaves(args)):
+            maps = args[:1] if _name == "times" else args
+            if any(isinstance(v, Fraction) for v in leaves(maps)):
                 offenders.append(_name)
             return _kernel(*args)
         monkeypatch.setattr(sparse, name, wrapped)
     reports = lattice_reports(2, 4, 1, 4, 1) + rqkz_reports(2, 4, 1, 1)
     assert all(rep.status == "pass" for rep in reports)
-    assert set(calls) == {"mul", "ptrace", "scale", "trace", "commutator",
-                          "diff"} and len(calls) > 200
+    assert set(calls) == set(kernels) and len(calls) > 200
     assert offenders == []
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from qsnake import lattice, qchar, rmat, snail
+from qsnake import lattice, qchar, rmat, snail, sparse
 from qsnake.cli import run_subcommand
 from qsnake.lattice import lattice_reports, rqkz_reports
 from qsnake.qchar import (census_reports, factor_reports, kr_reports,
@@ -102,6 +102,13 @@ def fbar_slot_undualized(monkeypatch):
                 "g")
 
 
+def cross_column_unreversed(monkeypatch):
+    # the crossing kernel moves (t, u) to (d-1-u, t): the column digit is
+    # not reversed
+    source_mutant(monkeypatch, sparse, "cross", "chi * d + d - 1 - t",
+                  "chi * d + t")
+
+
 def crossing_reversed(monkeypatch):
     # every line crosses the window sites in the reverse of its crossing
     source_mutant(monkeypatch, lattice, "_strip",
@@ -117,8 +124,8 @@ def fused_shift_plus_one(monkeypatch):
 
 def tower_residue_doubled(monkeypatch):
     # the closed tower scaled by twice its residue
-    source_mutant(monkeypatch, snail, "_snail_matrix", "res.numerator",
-                  "2 * res.numerator")
+    source_mutant(monkeypatch, snail, "_snail_matrix",
+                  "sparse.times(pair, res)", "sparse.times(pair, 2 * res)")
 
 
 def pole_denominator_shifted(monkeypatch):
@@ -311,6 +318,8 @@ MUTANTS = {
         "variant-1 site 1 fundamental": (variant_one_site_fundamental,
                                          lattice_at(1)),
         "fbar slot acted on by g": (fbar_slot_undualized, lattice_at(1)),
+        "cross without column reversal": (cross_column_unreversed,
+                                          lattice_at(1)),
     },
     "window reduction": {
         "outside sites folded at 1": (outside_sites_at_one, lattice_at(1)),
@@ -330,6 +339,7 @@ MUTANTS = {
     },
     "window difference equations": {
         "partner argument b - p - n": (partner_off_by_one, rqkz_l4),
+        "cross without column reversal": (cross_column_unreversed, rqkz_l4),
     },
     "fused loop rank against snake dimension": {
         "loop pair argument one past the shift": (fused_shift_plus_one,
@@ -360,8 +370,12 @@ MUTANTS = {
     },
     "vertex crossing": {
         "same-kind alpha + s": (same_alpha_plus_s, rmatrix_n123),
+        "cross without column reversal": (cross_column_unreversed,
+                                          rmatrix_n123),
     },
     "singlet vertex rank": {
+        "cross without column reversal": (cross_column_unreversed,
+                                          rmatrix_n123),
         "mixed beta + s": (mixed_beta_flipped, rmatrix_n123),
         "mixed shift off by 1/2": (mixed_shift_plus_half, rmatrix_n123),
     },
