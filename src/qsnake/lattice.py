@@ -629,7 +629,9 @@ def verify_finite_rqkz(spec, m):
         params={"n": n, "L": spec.L, "N": spec.N, "m": m, "j": 1,
                 "beta": beta, "mu_rest": mu_rest},
         status=status,
-        anchor="finite-strip window operators satisfy both variant-shift equations exactly",
+        anchor="finite-strip window operators satisfy the raising equation "
+               "on windows crossed (1, m, ..., 2) and the lowering equation "
+               "on the default crossing (m, ..., 2, 1), exactly",
         witness={"eq1_residual": r1, "eq2_residual": r2,
                  "raised_label": h - beta})
 

@@ -12,7 +12,9 @@ consumed lines (the loops) alternate antifundamental, fundamental, ...;
 their positions sit in minimal snake position in the parity lattice,
 which ties the construction to the alternating snake characters: the
 ordered product of vertex matrices over the loop pairs has rank equal to
-the snake dimension.
+the snake dimension, each weight block the weight's snake multiplicity;
+its vertices are certified gl_{n+1}-invariant one by one, so only its
+rows of dominant weight are built.
 
 Scalars are handled symbolically: the product of per-level prefactors
 reduces through the rho ladder to an explicit rational function whose
@@ -20,8 +22,10 @@ residue at the pole folds into the tower's integer (map, s) pair.  The
 fused loop product is one rmat.vertex_chain.  Every report multiplies
 integer pairs, the one formal level of the single-level assembly aside."""
 
+from collections import Counter
 from fractions import Fraction
 import itertools
+import math
 
 from . import sparse
 from .exactlin import (RatFun, echelon, pole_order_at, residue_at,
@@ -200,15 +204,17 @@ def contraction_order_check(spec):
 # ---------------------------------------------------------------------------
 # fused loop operators
 
-def _fusion_chain(n, l):
-    """(s * fusion_matrix(n, l), s), the integer map and its scale."""
+def _fusion_chain(n, l, rows=None):
+    """(s * fusion_matrix(n, l), s), the integer map and its scale, or
+    only the named rows of it: the chain starts from those identity rows."""
     if l < 1:
         raise ValueError("need at least one loop")
     h = h_shift(n)
     kinds = loop_kinds(n, l)
     return vertex_chain(n, l, [
         (kinds[i - 1], kinds[j - 1], (j - i) * h, (i - 1, j - 1))
-        for i in range(1, l + 1) for j in range(i + 1, l + 1)])
+        for i in range(1, l + 1) for j in range(i + 1, l + 1)],
+        None if rows is None else ({r: {r: 1} for r in rows}, 1))
 
 
 def fusion_matrix(n, loop_count):
@@ -233,23 +239,72 @@ def fusion_operator(n, loop_count):
                               [s + "_in" for s in labels], [d] * l)
 
 
-def snake_rank_check(n, k):
-    """Rank of the fused (2k-1)-loop product against the snake dimension.
+def fused_loop_reports(n, k):
+    """The fused (2k-1)-loop product's rank against the snake dimension
+    (equal, the image carries the alternating snake module), and each
+    dominant weight block's pivot count against the weight's multiplicity
+    in the snake character, prod Y[i,t]^e weighing sum e * omega_i.
 
-    Equality is the fusion signature: the image of the fused product
-    carries the alternating snake module with 2k-1 points.  A mismatch
-    is reported, not raised.  The rank is read off the integer map, a
-    nonzero multiple of fusion_matrix."""
+    A coordinate's weight counts +e_j for an f digit j and -e_{n-j} for
+    an fbar digit j, modulo (1, ..., 1).  Both reports fail unless every
+    distinct loop-pair vertex commutes with the 3n Chevalley generators
+    on its two slots (site_action); then so does the product: the h's
+    make it block-diagonal by weight, the e's and f's let the Weyl group
+    S_{n+1} permute the blocks, ranks kept.  So only the rows of dominant
+    weight are built, one echelon counts each block's pivots (rows of
+    different weights have disjoint supports), and the rank sums pivot
+    count times Weyl orbit size.  A mismatch is reported, not raised."""
     l = 2 * k - 1
-    rank = len(echelon(_fusion_chain(n, l)[0].values()))
-    dim = module_dim(snake_qchar(n, "odd", l))
-    status = "pass" if rank == dim else "fail"
-    return VerificationReport(
-        check="fused loop rank against snake dimension",
-        params={"n": n, "k": k, "loops": l},
-        status=status,
+    kinds = loop_kinds(n, l)
+    gens = [g for triple in chevalley_generators(n) for g in triple]
+    vertices = {v: vertex_chain(n, 2, [(*v, (0, 1))]) for v in {
+        (kinds[i], kinds[j], (j - i) * h_shift(n))
+        for i in range(l) for j in range(i + 1, l)}}
+    acts = {kk: [site_action(n, kk, g) for g in gens]
+            for kk in {v[:2] for v in vertices}}
+    resid = max((sparse.commutator(pair, a) for v, pair in vertices.items()
+                 for a in acts[v[:2]]),
+                default=Fraction(0)) if len(gens) == 3 * n else None
+    weights = []  # with last entry 0
+    for digits in itertools.product(range(n + 1), repeat=l):
+        w = [0] * (n + 1)
+        for kind, j in zip(kinds, digits):
+            w[j if kind == "f" else n - j] += 1 if kind == "f" else -1
+        weights.append(tuple(v - w[n] for v in w))
+    rows = [c for c, w in enumerate(weights) if list(w) == sorted(w)[::-1]]
+    pivots = Counter(weights[c] for c in echelon(
+        _fusion_chain(n, l, rows)[0].values()))
+    rank = sum(c * math.factorial(n + 1) // math.prod(
+        map(math.factorial, Counter(w).values())) for w, c in pivots.items())
+    char, mult = snake_qchar(n, "odd", l), Counter()
+    for m, c in char.terms.items():
+        w = [0] * (n + 1)  # node i's exponents at i - 1, then suffix sums
+        for (i, _t), e in m.exps.items():
+            w[i - 1] += e
+        w = tuple(itertools.accumulate(w[::-1]))[::-1]
+        if list(w) == sorted(w)[::-1]:
+            mult[w] += c
+    bad = [[list(w), pivots[w], mult[w]] for w in sorted(pivots | mult)
+           if pivots[w] != mult[w]]
+    params = {"n": n, "k": k, "loops": l}
+    dim = module_dim(char)
+    return [VerificationReport(
+        check="fused loop rank against snake dimension", params=params,
+        status="pass" if rank == dim and resid == 0 else "fail",
         anchor="the fused loop image carries the alternating snake module",
-        witness={"rank": rank, "snake_dim": dim})
+        witness={"rank": rank, "snake_dim": dim}), VerificationReport(
+        check="fused loop weights against snake character", params=params,
+        status="pass" if not bad and resid == 0 else "fail",
+        anchor="each dominant weight block of the fused loop image has the "
+               "weight's multiplicity in the alternating snake character",
+        witness={"dominant_weights": len(mult), "mismatches": bad,
+                 "max_commutator": resid})]
+
+
+def snake_rank_check(n, k):
+    """Rank of the fused (2k-1)-loop product against the snake dimension,
+    the first report of fused_loop_reports."""
+    return fused_loop_reports(n, k)[0]
 
 
 def singlet_insertion_check(n, loop_count):
@@ -366,10 +421,6 @@ def pole_reports(k_values, n_values=(2, 3, 4)):
 DEFAULT_RANK_PAIRS = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3))
 
 
-def snail_rank_reports(pairs=DEFAULT_RANK_PAIRS):
-    return [snake_rank_check(n, k) for n, k in pairs]
-
-
 def snail_wellformed_reports(n, seed):
     """The contraction-order check, then the towers k = 1, 2 at m = 2
     against the single-level residue and the diagonal symmetry, all at
@@ -422,13 +473,13 @@ def exploratory_reports(seed):
 
 
 def snail_reports(n, max_k, seed):
-    """The tower suite: fused loop ranks for k = 1..max_k at rank n, or
-    at every rank of DEFAULT_RANK_PAIRS when n is None, then the
+    """The tower suite: fused loop ranks and weights for k = 1..max_k at
+    rank n, or at every rank of DEFAULT_RANK_PAIRS when n is None, then the
     well-formedness reports at rank n (2 when n is None) and the
     exploratory ones."""
     ranks = sorted({r for r, _k in DEFAULT_RANK_PAIRS} if n is None
                    else {n})
-    pairs = tuple((r, k) for r in ranks for k in range(1, max_k + 1))
-    return (snail_rank_reports(pairs)
+    return ([rep for r in ranks for k in range(1, max_k + 1)
+             for rep in fused_loop_reports(r, k)]
             + snail_wellformed_reports(2 if n is None else n, seed)
             + exploratory_reports(seed))

@@ -26,8 +26,8 @@ from qsnake.snail import (
     DEFAULT_RANK_PAIRS,
     exploratory_reports,
     pole_reports,
-    snail_rank_reports,
     snail_wellformed_reports,
+    snake_rank_check,
 )
 
 
@@ -144,7 +144,8 @@ def test_criterion_10_window_difference_equations():
 def test_criterion_11_fused_loop_rank_signature():
     with criterion(11, "fused loop rank equals the snake dimension for "
                        "n in {1,2}, k in {1,2,3}", 120.0):
-        reports = all_pass(snail_rank_reports(DEFAULT_RANK_PAIRS))
+        reports = all_pass([snake_rank_check(n, k)
+                            for n, k in DEFAULT_RANK_PAIRS])
         frozen = {(1, 1): 2, (1, 2): 4, (1, 3): 6, (2, 1): 3, (2, 2): 21,
                   (2, 3): 144}
         assert len(reports) == len(frozen)

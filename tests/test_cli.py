@@ -291,9 +291,10 @@ def test_all_narrowed(capsys):
     assert code == 0
     assert "0 fail" in out
     # stdout as printed before the suite table replaced the if-chain, with
-    # the Yang-Baxter line naming its Kronecker base
+    # the Yang-Baxter line naming its Kronecker base and the k = 1 fused
+    # loop weights line beside the k = 1 rank line
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "18bf3bd43b8ff21ce408b33b98e8e5928fa9706033d0555eca90c08e47772ca8")
+        "2c407748af9227094218991c24a2ad7e50d9759725fa094d134a22895e627fa6")
     # every hard family shows up even in the narrowed profile
     for name in ("fundamental closed form", "snake structural trio",
                  "extended t-system recursion", "pairwise snake identity",
@@ -302,6 +303,7 @@ def test_all_narrowed(capsys):
                  "pole profile sweep", "window unit trace",
                  "window difference equations",
                  "fused loop rank against snake dimension",
+                 "fused loop weights against snake character",
                  "tower contraction order"):
         assert name in out, name
 

@@ -14,16 +14,18 @@ GOLDEN = Path(__file__).parent / "golden"
 SNAKE_N3_L7_SHA256 = (
     "950506e41e26f047c86bc3a3155604ce8a2836dbfceeed3c7d322b51d375943b")
 
-# sha256 of the standard output of `qsnake all --json -` at seed 0 (58
-# checks, fused loop ranks at k <= 3); it is the output of the suite table
-# with the dense elimination loops, plus the (1,3) and (2,3) rank reports,
-# with the two "vertex yang-baxter" reports decided at their Kronecker
-# point (B, B^3) and naming the base B, and the "window translation
+# sha256 of the standard output of `qsnake all --json -` at seed 0 (64
+# checks, fused loop ranks and weights at k <= 3); it is the output of the
+# suite table with the dense elimination loops, plus the (1,3) and (2,3)
+# rank reports, with the two "vertex yang-baxter" reports decided at their
+# Kronecker point (B, B^3) and naming the base B, the "window translation
 # covariance" reports read from the strip's vertex arguments (vertices
-# compared, how many moved); ALL_JSON_CHECKS below says which reports a
-# change of it moved
+# compared, how many moved), the six "fused loop weights against snake
+# character" reports, and the "window difference equations" anchor naming
+# the crossing each equation holds on; ALL_JSON_CHECKS below says which
+# reports a change of it moved
 ALL_JSON_SHA256 = (
-    "1041eb80d645fe2b44fda484d6320572a357c3380034ae6fd3ba2b293bde25b2")
+    "b588b28e3a28f7c30aba00553bef19fcc3b282538c49f82817a62b4c52c63f63")
 
 # the same output split by check name: the first 16 hex digits of the
 # sha256 of each name's reports, in output order, as compact sorted JSON
@@ -35,6 +37,7 @@ ALL_JSON_CHECKS = {
     "fibonacci census": "477b38ea2a7dc7d2",
     "fundamental closed form": "c3301794460a2d8e",
     "fused loop rank against snake dimension": "d129337be3ce32bd",
+    "fused loop weights against snake character": "359e918943240b86",
     "fused window invariance": "f0331f4f4bcc36bd",
     "fused window relation at one loop": "1399c2a20042c7e7",
     "kirillov-reshetikhin dimensions": "2e353929f9eb1f2c",
@@ -51,7 +54,7 @@ ALL_JSON_CHECKS = {
     "vertex unitarity": "d78d39fd5ca5508f",
     "vertex yang-baxter": "ce6bd1db5e723303",
     "window colour conservation": "556628a6808e508f",
-    "window difference equations": "f49888cf1fee9651",
+    "window difference equations": "2f239a5c7e7173b2",
     "window exchange relation": "1ea9e7e87075e93c",
     "window global invariance": "ab019b8bab15b541",
     "window reduction": "066a312f78ab1f18",
@@ -61,9 +64,10 @@ ALL_JSON_CHECKS = {
 
 # sha256 of the standard output of `qsnake rqkz --L 5 --json -` at seed 0
 # (10 checks, all passing): the window-shift maps at the 3 <= m < L
-# crossings, which `all` at L = 3 never reaches
+# crossings, which `all` at L = 3 never reaches, under the anchor that
+# names each equation's crossing
 RQKZ_L5_JSON_SHA256 = (
-    "9fe5e4136be3c12ae76bd02f7874651537fcd95b35f22c286bb319ad52a3798f")
+    "21298c0e63a825fc04c7c22364b298fa8830758f30b3d26f5114d907d7b05fd6")
 
 # sha256 of the standard output of `qsnake lattice --L 5 --json -` at
 # seed 0: the window suite at L = 2..5 and m <= 3 (unit trace,

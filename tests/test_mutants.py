@@ -344,6 +344,14 @@ MUTANTS = {
     "fused loop rank against snake dimension": {
         "loop pair argument one past the shift": (fused_shift_plus_one,
                                                   snail_n2),
+        "same-kind vertex weighted on digit 0": (same_kind_digit_zero_weight,
+                                                 snail_n2),
+    },
+    "fused loop weights against snake character": {
+        "loop pair argument one past the shift": (fused_shift_plus_one,
+                                                  snail_n2),
+        "same-kind vertex weighted on digit 0": (same_kind_digit_zero_weight,
+                                                 snail_n2),
     },
     "tower contraction order": {
         "tower residue doubled": (tower_residue_doubled, snail_n2),
@@ -411,7 +419,7 @@ def test_every_window_check_has_a_mutant():
 def test_every_snail_and_pole_check_has_a_mutant():
     checks = {r.check for r in snail_n2() + pole_k2()
               if r.status != "exploratory"}
-    assert len(checks) == 5 and checks <= MUTANTS.keys(), checks
+    assert len(checks) == 6 and checks <= MUTANTS.keys(), checks
 
 
 def test_every_rmatrix_check_has_a_mutant():
@@ -425,7 +433,7 @@ def test_every_check_has_a_mutant(capsys):
     reports = (run_subcommand("all", {"seed": 0})
                + run_subcommand("lattice", {"N": 2}))
     checks = {r.check for r in reports if r.status != "exploratory"}
-    assert len(checks) == 25 and checks <= MUTANTS.keys(), (
+    assert len(checks) == 26 and checks <= MUTANTS.keys(), (
         checks - MUTANTS.keys())
     capsys.readouterr()
 

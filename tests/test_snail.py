@@ -1,10 +1,12 @@
+from collections import Counter
+import math
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qsnake import snail, sparse
+from qsnake import rmat, snail, sparse
 from qsnake.exactlin import RatFun, _frac_rank, contract, echelon, matrix_rank
 from qsnake.lattice import (
     AOperator,
@@ -30,7 +32,10 @@ from qsnake.rmat import (
     vertex_matrix,
 )
 from qsnake.snail import (
+    DEFAULT_RANK_PAIRS,
     SnailSpec,
+    _fusion_chain,
+    fused_loop_reports,
     _snail_matrix,
     _tower_scalar,
     contraction_order_check,
@@ -195,6 +200,84 @@ def test_snake_rank_at_four_snake_points():
     rep = snake_rank_check(2, 4)
     assert rep.status == "pass", rep.summary()
     assert rep.witness == {"rank": 987, "snake_dim": 987}
+
+
+@pytest.mark.parametrize("n, k", DEFAULT_RANK_PAIRS + ((2, 4), (3, 3)))
+def test_dominant_block_rank_equals_the_full_map_rank(n, k):
+    # the oracle ranks every row of the fused chain
+    full = len(echelon(_fusion_chain(n, 2 * k - 1)[0].values()))
+    assert snake_rank_check(n, k).witness["rank"] == full
+
+
+def coordinate_weight(n, kinds, c):
+    """gl_{n+1} weight of coordinate c, last slot least significant."""
+    w = [0] * (n + 1)
+    for kind in reversed(kinds):
+        c, j = divmod(c, n + 1)
+        if kind == "f":
+            w[j] += 1
+        else:
+            w[n - j] -= 1
+    return tuple(w)
+
+
+def test_dominant_rows_and_their_orbits_cover_the_chain(monkeypatch):
+    # the rows built, pinned, are every coordinate of dominant weight, and
+    # their Weyl orbits tile all (n+1)^l coordinates
+    built = {(1, 1): 1, (1, 2): 4, (1, 3): 16, (2, 1): 1, (2, 2): 8,
+             (2, 3): 66, (3, 2): 10, (3, 3): 129, (2, 4): 561}
+    chain, seen = snail._fusion_chain, {}
+
+    def recorded(n, l, rows=None):
+        seen[n, l] = rows
+        return chain(n, l, rows)
+
+    monkeypatch.setattr(snail, "_fusion_chain", recorded)
+    for (n, k), count in built.items():
+        l = 2 * k - 1
+        fused_loop_reports(n, k)
+        rows = seen[n, l]
+        assert len(rows) == count, (n, k)
+        kinds = loop_kinds(n, l)
+        weights = [coordinate_weight(n, kinds, c) for c in range((n + 1) ** l)]
+        dominant = [c for c, w in enumerate(weights) if list(w) == sorted(
+            w, reverse=True)]
+        assert rows == dominant, (n, k)
+        blocks = Counter(weights[c] for c in rows)
+        assert sum(size * math.factorial(n + 1) // math.prod(
+            map(math.factorial, Counter(w).values()))
+            for w, size in blocks.items()) == (n + 1) ** l, (n, k)
+
+
+@pytest.mark.parametrize("n, k", DEFAULT_RANK_PAIRS + ((3, 2), (3, 3)))
+def test_fused_weights_match_the_snake_character(n, k):
+    rep = fused_loop_reports(n, k)[1]
+    assert rep.check == "fused loop weights against snake character"
+    assert rep.status == "pass", rep.summary()
+    assert rep.witness["mismatches"] == []
+    assert rep.witness["max_commutator"] == 0
+
+
+@pytest.mark.parametrize("n, k", [(1, 2), (2, 2), (3, 2)])
+def test_a_vertex_breaking_the_symmetry_fails_both_reports(n, k,
+                                                           monkeypatch):
+    # a same-kind vertex plus s * E_00 (x) 1: it conserves every weight but
+    # commutes with neither e_1 nor f_1, so the dominant rows no longer
+    # stand for their orbits
+    rows_of = rmat._vertex_rows
+
+    def broken(n, kind1, kind2, x, dw):
+        rows, s = rows_of(n, kind1, kind2, x, dw)
+        if kind1 != kind2:
+            return rows, s
+        return [tuple((o, w + s if o == 0 else w) for o, w in row)
+                if r < n + 1 else row for r, row in enumerate(rows)], s
+
+    assert [r.status for r in fused_loop_reports(n, k)] == ["pass", "pass"]
+    monkeypatch.setattr(rmat, "_vertex_rows", broken)
+    rank, weights = fused_loop_reports(n, k)
+    assert rank.status == weights.status == "fail"
+    assert weights.witness["max_commutator"] != 0
 
 
 def test_snake_rank_reads_the_fused_product():
