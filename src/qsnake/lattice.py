@@ -18,20 +18,23 @@ into a closed-form map on the two lines, and no chain holds them.
 Windows and window-shift images are sparse (map, s) pairs (see sparse),
 integer row maps over a positive int, a window's own trace, built and
 compared fraction-free; slot j of a window carries site m-j, so site 1
-sits on the last slot.  Every line of vertices is one rmat.vertex_chain
-product over ints at rational arguments, and the window's trace or the
-map's scalar absorbs the chain's one integer scale.  The dense forms (embed_pair, ptrace_slot,
-max_abs_diff, monodromy_matrix, transfer_matrix, their labeled tensors)
-are the tests' oracles, which no suite calls; only they load numpy, from
-their bodies.  All functions are pure.
+sits on the last slot.  A one-pair variant-0 window is an element of
+Z[S_m] (permalg) made a row map once; every other line of vertices is
+one rmat.vertex_chain product over ints at rational arguments.  The
+window's trace or the map's scalar absorbs the lines' integer scales.
+The dense forms (embed_pair, ptrace_slot, max_abs_diff, monodromy_matrix,
+transfer_matrix, their labeled tensors) are the tests' oracles, which no
+suite calls; only they load numpy, from their bodies.  All functions are
+pure.
 """
 
 from fractions import Fraction
 import functools
+import math
 import operator
 import random
 
-from . import sparse
+from . import permalg, sparse
 from .exactlin import RatFun, pole_order_at, residue_at, tensor_from_matrix
 from .report import OutOfScope, VerificationReport
 from .rmat import (PrefactorExpr, chevalley_generators, h_shift,
@@ -287,7 +290,8 @@ def _folded_window(n, m, L, b, rows):
     """The unnormalized window of a one-pair strip at b from its two
     lines' window vertices on m + 1 slots, and its scale: a*T1*T2 +
     c*T12, with (a, c) the L - m outside columns (_outside_columns), T_j
-    line j traced and T12 line 1 then line 2 on one line slot, traced."""
+    line j traced and T12 line 1 then line 2 on one line slot, traced;
+    in variant 0 the row way of "window in the permutation basis"."""
     a, c, s = _outside_columns(n, b, L - m)
     # each line's first m vertices, its line moved from slot L to slot m
     first, second = [tuple(v[:3] + ((v[3][0], m),) for v in row[:m])
@@ -341,6 +345,20 @@ def _strip(spec, m, mu_window, variant, crossing):
     return labels, crossing, rows, columns
 
 
+def _line_window(n, m, L, b, row):
+    """_folded_window's variant-0 window in Z[S_m], and its scale: with
+    (a, c) as there, a*E(l)^2 + c*E(l^2), l the product of alpha +
+    beta*(i m) over the line's window vertices, x = alpha/beta on slot i."""
+    a, c, s = _outside_columns(n, b, L - m)
+    line = {tuple(range(m + 1)): 1}
+    for _kind, _line, x, (i, _slot) in row[:m]:
+        line = permalg.times_vertex(line, x.numerator, x.denominator, i, m)
+    once = permalg.trace_last(line, n + 1)
+    loop = permalg.trace_last(permalg.mul(line, line), n + 1) if c else {}
+    return (permalg.combine((a, permalg.mul(once, once)), (c, loop)),
+            math.prod(v[2].denominator for v in row[:m]) ** 2 * s)
+
+
 def density_matrix(spec, m, mu_window, variant=0, crossing=None):
     """Window operator over m adjacent sites of the strip.
 
@@ -355,26 +373,38 @@ def density_matrix(spec, m, mu_window, variant=0, crossing=None):
     unit trace cancels, as do the lines' integer scales.  A vanishing
     normalization raises with the parameters in the message.
 
-    At N = 1 the chains hold the m window sites and a line slot only:
-    the L - m outside columns fold into a*1 + c*P on the two lines
-    (_folded_window).  At N >= 2 the lines keep every site and the
-    outside sites are traced after the row product: there the fold
-    expands into 12 to 24 permutations of the four lines, which a
-    prototype found exact but 3 to 10 times slower at m >= 2.
-    column_partition builds z independently at every N."""
+    At N = 1 the L - m outside columns fold into a*1 + c*P on the two
+    lines.  In variant 0 the two lines are one, and the window is an
+    element of Z[S_m] (_line_window, see permalg) whose trace is read
+    before its row map is made, once; in variant 1 the chains hold the m
+    window sites and a line slot only (_folded_window).  At N >= 2 the
+    lines keep every site and the outside sites are traced after the
+    row product: there the fold expands into 12 to 24 permutations of
+    the four lines, which a prototype found exact but 3 to 10 times
+    slower at m >= 2.  column_partition builds z independently at every N."""
+    return _window(spec, m, mu_window, variant, crossing,
+                   spec.N == 1 and variant == 0)
+
+
+def _window(spec, m, mu_window, variant, crossing, algebra):
+    """density_matrix, its window built in Z[S_m] if algebra, else on rows."""
     n, L = spec.n, spec.L
     labels, crossing, rows, _ = _strip(spec, m, mu_window, variant, crossing)
-    if spec.N == 1:
+    if algebra:
+        x, scale = _line_window(n, m, L, spec.betas[0], rows[0])
+    elif spec.N == 1:
         t, scale = _folded_window(n, m, L, spec.betas[0], rows)
     else:
         t, scale = _traced_product(n, L + 1, rows)
         for slot in range(L - 1, m - 1, -1):
             t = sparse.ptrace(t, slot, slot + 1, n + 1)
-    z = sparse.trace(t)
+    z = permalg.trace(x, n + 1) if algebra else sparse.trace(t)
     if z == 0:
         raise VanishingNormalization(
             f"vanishing normalization: n={n} L={L} N={spec.N} "
             f"betas={spec.betas} window={labels} variant={variant}")
+    if algebra:
+        t = permalg.image(x, n + 1)
     win = DensityWindow(n, m, variant, (t, z) if z > 0 else
                         (sparse.scale(t, -1), -z), labels, crossing)
     win.norm = Fraction(z, scale)
@@ -706,15 +736,20 @@ def lattice_reports(n, max_L, N, max_m, seed):
         labels = seeded_rationals(seed + L + 100, mtop, avoid=[0, beta])
         top = {}  # the two windows on labels[:mtop], by variant
 
-        traces = {}
-        colours = {}
+        traces, colours, bridge = {}, {}, {}
         for m in range(1, mtop + 1):
             for variant in (0, 1):
                 win = density_matrix(spec, m, labels[:m], variant)
-                if m == mtop:
-                    top[variant] = win
                 traces[f"m={m},variant={variant}"] = win.trace() == 1 and (
                     win.norm == column_partition(spec, m, labels[:m], variant))
+                if N == 1 and variant == 0:
+                    # the symmetry checks read the window built on rows
+                    on_rows = _window(spec, m, labels[:m], 0, None, False)
+                    bridge[f"m={m}"] = (on_rows.pair, on_rows.norm) == (
+                        win.pair, win.norm)
+                    win = on_rows
+                if m == mtop:
+                    top[variant] = win
                 colours[f"m={m},variant={variant}"] = colour_conserving(win)
         reports.append(VerificationReport(
             check="window unit trace",
@@ -723,6 +758,14 @@ def lattice_reports(n, max_L, N, max_m, seed):
             anchor="closed-strip normalization leaves every window with "
                    "trace one",
             witness=traces))
+        if N == 1:
+            reports.append(VerificationReport(
+                check="window in the permutation basis",
+                params={"n": n, "L": L, "N": N, "seed": seed},
+                status="pass" if all(bridge.values()) else "fail",
+                anchor="each variant-0 window built in Z[S_m] is the window "
+                       "built on rows, with the same normalization",
+                witness=bridge))
         reports.append(VerificationReport(
             check="window colour conservation",
             params={"n": n, "L": L, "N": N, "seed": seed},

@@ -156,6 +156,12 @@ def diff(a, b):
 
 def commutator(pair, op):
     """diff of (op * map, s) and (map * op, s) for the pair (map, s): the
-    largest absolute entry of the commutator of op with map / s."""
+    largest absolute entry of the commutator of op with map / s.  For a
+    diagonal op, D, the entries are (D_r - D_c) * map[r][c], in one pass."""
     a, s = pair
-    return diff((mul(op, a), s), (mul(a, op), s))
+    diag = {r: row[r] for r, row in op.items() if row.keys() == {r}}
+    if len(diag) < len(op):
+        return diff((mul(op, a), s), (mul(a, op), s))
+    return Fraction(max((abs((diag.get(r, 0) - diag.get(c, 0)) * v)
+                         for r, row in a.items() for c, v in row.items()),
+                        default=0), s)

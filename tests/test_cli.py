@@ -150,14 +150,16 @@ def test_seeded_rationals_avoid_prefactor_degeneration():
 
 def test_seed_with_a_vanishing_window_is_redrawn(capsys):
     # seed 31 draws beta=2/3 and the window label 1/3 at n=2, L=3, where
-    # the normalization vanishes; the suite runs again at seed 1031
+    # the normalization vanishes; the suite runs again at seed 1031.  The
+    # window is built in the permutation basis, whose trace is read before
+    # any row map is made, and the message is the one the row route gave
     assert main(["lattice", "--seed", "31"]) == 0
     captured = capsys.readouterr()
-    assert captured.err.startswith(
-        "lattice: redrawn seed 31: vanishing normalization: n=2 L=3")
-    assert captured.err.count("\n") == 1
-    assert "12 checks: 12 pass" in captured.out
-    assert captured.out.count("seed=1031)") == 12
+    assert captured.err == (
+        "lattice: redrawn seed 31: vanishing normalization: n=2 L=3 N=1 "
+        "betas=[Fraction(2, 3)] window=[Fraction(1, 3)] variant=0\n")
+    assert "14 checks: 14 pass" in captured.out
+    assert captured.out.count("seed=1031)") == 14
 
 
 def test_snake_monomial_listing(capsys):
@@ -223,7 +225,7 @@ def test_lattice_reaches_twelve_sites(capsys):
     # no window is wider than --m, so the suite reaches L = 12 in well
     # under a second
     assert main(["lattice", "--L", "12"]) == 0
-    assert "66 checks: 66 pass" in capsys.readouterr().out
+    assert "77 checks: 77 pass" in capsys.readouterr().out
 
 
 def test_scenario_flags_and_precedence(tmp_path, capsys):
@@ -291,16 +293,18 @@ def test_all_narrowed(capsys):
     assert code == 0
     assert "0 fail" in out
     # stdout as printed before the suite table replaced the if-chain, with
-    # the Yang-Baxter line naming its Kronecker base and the k = 1 fused
-    # loop weights line beside the k = 1 rank line
+    # the Yang-Baxter line naming its Kronecker base, the k = 1 fused loop
+    # weights line beside the k = 1 rank line and the L = 2 "window in the
+    # permutation basis" line
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "2c407748af9227094218991c24a2ad7e50d9759725fa094d134a22895e627fa6")
+        "4105712e2e9912db95e4293439f82918a87733a82c9dfaa312b7893e6e1bde96")
     # every hard family shows up even in the narrowed profile
     for name in ("fundamental closed form", "snake structural trio",
                  "extended t-system recursion", "pairwise snake identity",
                  "kirillov-reshetikhin dimensions", "fibonacci census",
                  "composition completeness", "vertex yang-baxter",
                  "pole profile sweep", "window unit trace",
+                 "window in the permutation basis",
                  "window difference equations",
                  "fused loop rank against snake dimension",
                  "fused loop weights against snake character",

@@ -347,6 +347,38 @@ def test_pair_diff_is_the_diff_of_the_divided_maps():
     assert sparse.diff(({0: {0: -3}}, 4), ({0: {0: 3}}, 2)) == Fraction(9, 4)
 
 
+def test_diagonal_commutator_is_the_two_product_form():
+    # a diagonal op D takes the one-pass path, (D_r - D_c) * a[r][c]; the
+    # result is the exact Fraction of the two products' diff, over int
+    # and Fraction entries, a diagonal with zeros left out, empty maps and
+    # the window weights of colour_conserving
+    rng = random.Random(37)
+    values = [-7, -2, 1, 3, 8, Fraction(5, 3), Fraction(-1, 2)]
+    kinds = set()
+    for case in range(300):
+        dim = rng.randint(1, 12)
+        a = {} if case % 13 == 0 else random_row_map(rng, dim, values)
+        op = {r: {r: v} for r in range(dim)
+              if (v := rng.choice(values + [0, 0]))}
+        s = rng.randint(1, 9)
+        want = sparse.diff((sparse.mul(op, a), s), (sparse.mul(a, op), s))
+        got = sparse.commutator((a, s), op)
+        assert got == want and type(got) is Fraction, (a, op, s)
+        kinds.add("zero" if want == 0 else "nonzero")
+    assert kinds == {"zero", "nonzero"}
+    # a non-diagonal op still takes the two products
+    a, op = {0: {1: 2}}, {0: {0: 1, 1: 1}, 1: {1: 3}}
+    assert sparse.commutator((a, 2), op) == sparse.diff(
+        (sparse.mul(op, a), 2), (sparse.mul(a, op), 2)) == 2
+    for n, m in ((1, 3), (2, 2)):
+        weights = {j: {j: (2 * m + 1) ** j} for j in range(n + 1)}
+        diag = site_action(n, ["fbar"] + ["f"] * (m - 1), weights)
+        assert all(row.keys() == {r} for r, row in diag.items())
+        a = random_row_map(rng, (n + 1) ** m, [1, -4, 9])
+        assert sparse.commutator((a, 3), diag) == sparse.diff(
+            (sparse.mul(diag, a), 3), (sparse.mul(a, diag), 3))
+
+
 # ---------------------------------------------------------------------------
 # monodromy and transfer
 
@@ -642,9 +674,41 @@ def test_folded_windows_match_the_torus_up_to_five_outside_sites():
     assert time.monotonic() - start < FOLDED_WINDOW_BUDGET_S
 
 
+def test_algebra_windows_match_the_rows_the_torus_and_the_columns():
+    # every variant-0 window of one pair at n <= 3, L <= 6, every m, the
+    # default, raising and a random crossing is built in Z[S_m]; its norm
+    # is column_partition's, its pair and norm are the row way's where
+    # the row way has at most 4^5 coordinates (not n = 3 at m >= 5, whose
+    # windows take seconds each on rows), and its map is the reverse-
+    # crossing torus's where the torus has at most 3^6
+    compared = {"columns": 0, "rows": 0, "torus": 0}
+    for n, L in itertools.product((1, 2, 3), range(1, 7)):
+        spec, labels, seed = torus_strip(n, L, 1)
+        rng = random.Random(seed)
+        for m in range(1, L + 1):
+            for crossing in sorted(set(crossing_kinds(m, rng))):
+                where = (n, L, m, crossing)
+                win = density_matrix(spec, m, labels[:m], 0, crossing)
+                assert win.norm == column_partition(spec, m, labels[:m], 0,
+                                                    crossing), where
+                compared["columns"] += 1
+                if (n + 1) ** (m + 1) <= 4 ** 5:
+                    rows = lattice._window(spec, m, labels[:m], 0, crossing,
+                                           False)
+                    assert (rows.pair, rows.norm) == (win.pair, win.norm), (
+                        where)
+                    compared["rows"] += 1
+                if (n + 1) ** (L + 1) <= 3 ** 6:
+                    assert win.matrix == reference_window(
+                        spec, m, labels[:m], 0, crossing), where
+                    compared["torus"] += 1
+    assert compared == {"columns": 133, "rows": 121, "torus": 83}, compared
+
+
 def test_one_pair_windows_build_no_chain_on_the_outside(monkeypatch):
-    # at N = 1 no chain is wider than the m window slots and the line; at
-    # N = 2 the lines keep every site
+    # at N = 1 a variant-0 window is built in the permutation basis, with
+    # no chain at all, and no variant-1 chain is wider than the m window
+    # slots and the line; at N = 2 the lines keep every site
     widths = []
     chain = lattice.vertex_chain
 
@@ -658,8 +722,11 @@ def test_one_pair_windows_build_no_chain_on_the_outside(monkeypatch):
         for m, variant in itertools.product(range(1, L + 1), (0, 1)):
             widths.clear()
             density_matrix(spec, m, labels[:m], variant)
-            assert widths and max(widths) == (m + 1 if N == 1 else L + 1), (
-                n, L, N, m, variant, widths)
+            if N == 1 and variant == 0:
+                assert widths == [], (n, L, m, widths)
+            else:
+                assert widths and max(widths) == (
+                    m + 1 if N == 1 else L + 1), (n, L, N, m, variant, widths)
 
 
 def test_raising_crossing_at_full_width_is_the_default(monkeypatch):

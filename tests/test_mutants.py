@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from qsnake import lattice, qchar, rmat, snail, sparse
+from qsnake import lattice, permalg, qchar, rmat, snail, sparse
 from qsnake.cli import run_subcommand
 from qsnake.lattice import lattice_reports, rqkz_reports
 from qsnake.qchar import (census_reports, factor_reports, kr_reports,
@@ -55,6 +55,12 @@ def outside_sites_at_one(monkeypatch):
     # the fold puts the outside sites at 1, the environment value at 0
     source_mutant(monkeypatch, lattice, "_outside_columns",
                   "x = -Fraction(b)", "x = 1 - Fraction(b)")
+
+
+def closed_loop_weight_n(monkeypatch):
+    # E closes the loop of a strand it traces with weight n, not n + 1
+    source_mutant(monkeypatch, permalg, "trace_last", "delta * t",
+                  "(delta - 1) * t")
 
 
 def variant_one_site_fundamental(monkeypatch):
@@ -314,6 +320,9 @@ MUTANTS = {
                                                lattice_at(1)),
         "outside sites folded at 1": (outside_sites_at_one, lattice_at(1)),
     },
+    "window in the permutation basis": {
+        "closed loop of weight n": (closed_loop_weight_n, lattice_at(1)),
+    },
     "window colour conservation": {
         "variant-1 site 1 fundamental": (variant_one_site_fundamental,
                                          lattice_at(1)),
@@ -410,9 +419,10 @@ def test_mutant_fails_its_check(monkeypatch, check, mutant):
 
 
 def test_every_window_check_has_a_mutant():
-    for N in (1, 2):
+    # "window in the permutation basis" runs at N = 1 only
+    for N, count in ((1, 7), (2, 6)):
         checks = {r.check for r in lattice_at(N)() if r.status != "exploratory"}
-        assert len(checks) == 6 and checks <= MUTANTS.keys(), checks
+        assert len(checks) == count and checks <= MUTANTS.keys(), checks
     assert {r.check for r in rqkz_l4()} <= MUTANTS.keys()
 
 
@@ -433,7 +443,7 @@ def test_every_check_has_a_mutant(capsys):
     reports = (run_subcommand("all", {"seed": 0})
                + run_subcommand("lattice", {"N": 2}))
     checks = {r.check for r in reports if r.status != "exploratory"}
-    assert len(checks) == 26 and checks <= MUTANTS.keys(), (
+    assert len(checks) == 27 and checks <= MUTANTS.keys(), (
         checks - MUTANTS.keys())
     capsys.readouterr()
 
