@@ -13,7 +13,7 @@ vertex_chain, the builder of every window, tower and fused product,
 applies; rmatrix_reports certifies vertex_chain itself, at one integer
 point per identity (kronecker_base).  vertex_matrix is a test view.
 The gl_{n+1} action on slots, the dual on antifundamental ones, is
-written once too, as site_action, which every invariance check uses.
+site_action; invariance and weights, every symmetry check, read it.
 Crossing is sparse.cross, which gives the dual and K (the crossed flip
 P), and which "vertex crossing" certifies against the mixed vertex rows.
 The transcendental scalar prefactor rho is never evaluated; it is carried
@@ -227,18 +227,36 @@ def site_action(n, kinds, g):
     -C g^T C, C the index reversal: minus g's crossing, sparse.cross."""
     d, nslots = n + 1, len(kinds)
     dual = sparse.scale(sparse.cross(g, d), -1)
-    out = {}
+    terms = []
     for s, kind in enumerate(kinds):
         w = d ** (nslots - 1 - s)
-        for a, row in (dual if kind == "fbar" else g).items():
-            for hi in range(a * w, d ** nslots, d * w):  # digit a on slot s
-                for r in range(hi, hi + w):
-                    acc = out.setdefault(r, {})
-                    for b, v in row.items():
-                        c = r + (b - a) * w
-                        acc[c] = acc.get(c, 0) + v
-    out = {r: {c: v for c, v in acc.items() if v} for r, acc in out.items()}
-    return {r: acc for r, acc in out.items() if acc}
+        terms.append((1, {r: {r + (b - a) * w: v for b, v in row.items()}
+                          for a, row in (dual if kind == "fbar" else g).items()
+                          for hi in range(a * w, d ** nslots, d * w)
+                          for r in range(hi, hi + w)}))
+    return sparse.combine(*terms)
+
+
+def invariance(n, operators):
+    """Largest sparse.commutator of any (kinds, pair) item, kinds a tuple,
+    with site_action of each Chevalley generator; None unless 3n ran."""
+    gens = [g for triple in chevalley_generators(n) for g in triple]
+    acts = {kinds: [site_action(n, kinds, g) for g in gens]
+            for kinds in {kinds for kinds, _ in operators}}
+    resid = max((sparse.commutator(pair, a) for kinds, pair in operators
+                 for a in acts[kinds]), default=Fraction(0))
+    return resid if len(gens) == 3 * n else None
+
+
+def weights(n, kinds):
+    """Each coordinate's gl_{n+1} weight: one-slot site_action diagonals of
+    each E_jj summed over slots; f digit j adds e_j, fbar subtracts e_{n-j}."""
+    d = n + 1
+    units = {k: [site_action(n, (k,), {j: {j: 1}}) for j in range(d)]
+             for k in set(kinds)}
+    return [tuple(map(sum, zip(*w))) for w in itertools.product(*(
+        [tuple(e.get(a, {}).get(a, 0) for e in units[k]) for a in range(d)]
+        for k in kinds))]
 
 
 class PrefactorExpr:

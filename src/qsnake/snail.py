@@ -13,8 +13,8 @@ their positions sit in minimal snake position in the parity lattice,
 which ties the construction to the alternating snake characters: the
 ordered product of vertex matrices over the loop pairs has rank equal to
 the snake dimension, each weight block the weight's snake multiplicity;
-its vertices are certified gl_{n+1}-invariant one by one, so only its
-rows of dominant weight are built.
+its vertices are certified invariant one by one (rmat.invariance), so
+only its rows of dominant rmat.weights are built.
 
 Scalars are handled symbolically: the product of per-level prefactors
 reduces through the rho ladder to an explicit rational function whose
@@ -35,7 +35,7 @@ from .lattice import (LatticeSpec, density_matrix, level_step,
                       seeded_rationals, simple_pole_residue)
 from .qchar import module_dim, snake_qchar
 from .report import VerificationReport
-from .rmat import chevalley_generators, h_shift, site_action, vertex_chain
+from .rmat import h_shift, invariance, vertex_chain, weights
 
 
 def loop_kinds(n, l):
@@ -245,34 +245,24 @@ def fused_loop_reports(n, k):
     dominant weight block's pivot count against the weight's multiplicity
     in the snake character, prod Y[i,t]^e weighing sum e * omega_i.
 
-    A coordinate's weight counts +e_j for an f digit j and -e_{n-j} for
-    an fbar digit j, modulo (1, ..., 1).  Both reports fail unless every
-    distinct loop-pair vertex commutes with the 3n Chevalley generators
-    on its two slots (site_action); then so does the product: the h's
-    make it block-diagonal by weight, the e's and f's let the Weyl group
-    S_{n+1} permute the blocks, ranks kept.  So only the rows of dominant
-    weight are built, one echelon counts each block's pivots (rows of
-    different weights have disjoint supports), and the rank sums pivot
-    count times Weyl orbit size.  A mismatch is reported, not raised."""
+    A coordinate's weight is rmat.weights, +e_j for an f digit j and
+    -e_{n-j} for an fbar digit j, modulo (1, ..., 1).  Both reports fail
+    unless every distinct loop-pair vertex commutes with the Chevalley
+    generators on its two slots (rmat.invariance); then so does the
+    product: the h's make it block-diagonal by weight, the e's and f's
+    let the Weyl group S_{n+1} permute the blocks, ranks kept.  So only
+    the rows of dominant weight are built, one echelon counts each
+    block's pivots (rows of different weights have disjoint supports),
+    and the rank sums pivot count times Weyl orbit size.  A mismatch is
+    reported, not raised."""
     l = 2 * k - 1
     kinds = loop_kinds(n, l)
-    gens = [g for triple in chevalley_generators(n) for g in triple]
-    vertices = {v: vertex_chain(n, 2, [(*v, (0, 1))]) for v in {
-        (kinds[i], kinds[j], (j - i) * h_shift(n))
-        for i in range(l) for j in range(i + 1, l)}}
-    acts = {kk: [site_action(n, kk, g) for g in gens]
-            for kk in {v[:2] for v in vertices}}
-    resid = max((sparse.commutator(pair, a) for v, pair in vertices.items()
-                 for a in acts[v[:2]]),
-                default=Fraction(0)) if len(gens) == 3 * n else None
-    weights = []  # with last entry 0
-    for digits in itertools.product(range(n + 1), repeat=l):
-        w = [0] * (n + 1)
-        for kind, j in zip(kinds, digits):
-            w[j if kind == "f" else n - j] += 1 if kind == "f" else -1
-        weights.append(tuple(v - w[n] for v in w))
-    rows = [c for c, w in enumerate(weights) if list(w) == sorted(w)[::-1]]
-    pivots = Counter(weights[c] for c in echelon(
+    resid = invariance(n, [(v[:2], vertex_chain(n, 2, [(*v, (0, 1))]))
+                           for v in {(kinds[i], kinds[j], (j - i) * h_shift(n))
+                                     for j in range(l) for i in range(j)}])
+    wts = [tuple(v - w[n] for v in w) for w in weights(n, kinds)]  # w[n] 0
+    rows = [c for c, w in enumerate(wts) if list(w) == sorted(w)[::-1]]
+    pivots = Counter(wts[c] for c in echelon(
         _fusion_chain(n, l, rows)[0].values()))
     rank = sum(c * math.factorial(n + 1) // math.prod(
         map(math.factorial, Counter(w).values())) for w, c in pivots.items())
@@ -345,8 +335,9 @@ def l1_fusion_check(n, spec, m):
     pairs, the residual for both orientations (c or 2 - c), the entry
     ratio when it is constant, and the exact rank of the left side; the
     status is always informational."""
-    if n != 2:
-        raise ValueError("the fused window relation needs rank 2")
+    if (n, spec.n) != (2, 2):
+        raise ValueError(f"the fused window relation needs rank 2, got "
+                         f"n = {n} and a strip of rank {spec.n}")
     if not 2 <= m <= spec.L:
         raise ValueError(f"window m={m} needs 2 <= m <= L={spec.L}")
     lam = spec.mus[1]
@@ -444,13 +435,11 @@ def snail_wellformed_reports(n, seed):
                "of the lowering chain",
         witness={"max_residual": resid}))
 
-    gens = [g for triple in chevalley_generators(n) for g in triple]
-    resid = max((sparse.commutator(pair, site_action(n, ("f", "f"), g))
-                 for pair in towers.values() for g in gens), default=Fraction(0))
+    resid = invariance(n, [(("f", "f"), pair) for pair in towers.values()])
     reports.append(VerificationReport(
         check="fused window invariance",
         params={"n": n, "k_values": [1, 2], "m": 2, "mu2": mu, "seed": seed},
-        status="pass" if resid == 0 and len(gens) == 3 * n else "fail",
+        status="pass" if resid == 0 else "fail",
         anchor="the closed tower commutes with every diagonal symmetry "
                "generator",
         witness={"max_residual": resid}))

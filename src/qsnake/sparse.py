@@ -1,7 +1,7 @@
 """Sparse row maps, the operator format of every exact check, and the
-kernels that multiply, embed, trace, cross and compare them; commutator
-is the one comparison of every invariance check, against
-rmat.site_action, and cross the one crossing of every operator.
+kernels that multiply, combine, embed, trace, cross and compare them;
+commutator is the one comparison of rmat.invariance, combine the one
+linear combination and cross the one crossing of every operator.
 
 An operator on k slots of dimension d is a row map {row: {col: value}}
 on d^k coordinates, storing no zero and no empty row; slot 0 holds a
@@ -81,6 +81,18 @@ def scale(a, s):
     if s == 0:
         return {}
     return {r: {c: v * s for c, v in row.items()} for r, row in a.items()}
+
+
+def combine(*terms):
+    """The sum of a * x over the terms (a, x), no zero or empty row kept."""
+    out = {}
+    for a, x in terms:
+        for r, row in x.items():
+            acc = out.setdefault(r, {})
+            for c, v in row.items():
+                acc[c] = acc.get(c, 0) + a * v
+    return {r: {c: v for c, v in acc.items() if v} if 0 in acc.values()
+            else acc for r, acc in out.items() if any(acc.values())}
 
 
 def times(pair, q):

@@ -64,6 +64,13 @@ def test_sparse_imports_only_exactlin():
     assert not [src for src in sources if src.split(".")[0] == "numpy"]
 
 
+def test_only_rmat_imports_the_symmetry_action():
+    # every symmetry check reads rmat.invariance or rmat.weights
+    bad = [f"{imp} imports {name}" for imp, _src, name in imports()
+           if imp != "rmat" and name in ("chevalley_generators", "site_action")]
+    assert not bad, bad
+
+
 def test_cli_does_not_import_numpy():
     assert not [src for imp, src, _name in imports()
                 if imp == "cli" and src.split(".")[0] == "numpy"]

@@ -175,6 +175,57 @@ def test_site_action_matches_kron_sum():
     assert site_action(2, ("f", "fbar"), {}) == {}
 
 
+def test_weights_are_the_unit_diagonals_and_the_digit_rule():
+    # every kind sequence of 1-4 slots at n <= 3: the diagonal of the full
+    # site_action of each E_jj, and the digit rule (an f digit j adds e_j,
+    # an fbar digit j subtracts e_{n-j})
+    for n in (1, 2, 3):
+        d = n + 1
+        for nslots in range(1, 5):
+            for kinds in itertools.product(("f", "fbar"), repeat=nslots):
+                got = rmat.weights(n, kinds)
+                units = [site_action(n, kinds, {j: {j: 1}}) for j in range(d)]
+                assert got == [tuple(e.get(c, {}).get(c, 0) for e in units)
+                               for c in range(d ** nslots)], (n, kinds)
+                for c, digits in enumerate(
+                        itertools.product(range(d), repeat=nslots)):
+                    want = [0] * d
+                    for kind, j in zip(kinds, digits):
+                        if kind == "f":
+                            want[j] += 1
+                        else:
+                            want[n - j] -= 1
+                    assert got[c] == tuple(want), (n, kinds, digits)
+
+
+def test_invariance_is_the_explicit_generator_sweep(monkeypatch):
+    # random integer maps on mixed kinds against every generator's
+    # commutator; an invariant map gives 0, no operator gives Fraction(0),
+    # and one generator short gives None
+    rng = random.Random(53)
+    for n in (1, 2, 3):
+        gens = [g for triple in chevalley_generators(n) for g in triple]
+        for nslots in (1, 2, 3):
+            ops = []
+            for _ in range(3):
+                kinds = tuple(rng.choice(("f", "fbar")) for _ in range(nslots))
+                pair = (random_row_map(rng, (n + 1) ** nslots, [1, -2, 5]),
+                        rng.randint(1, 4))
+                ops.append((kinds, pair))
+            want = max(sparse.commutator(pair, site_action(n, kinds, g))
+                       for kinds, pair in ops for g in gens)
+            assert rmat.invariance(n, ops) == want
+        one = (("f", "fbar"), vertex_chain(n, 2, [("f", "fbar", 2, (0, 1))]))
+        assert rmat.invariance(n, [one]) == 0
+        assert rmat.invariance(n, []) == 0
+        assert type(rmat.invariance(n, [])) is Fraction
+    triples = rmat.chevalley_generators
+    monkeypatch.setattr(rmat, "chevalley_generators",
+                        lambda n: [triples(n)[0][:2]] + triples(n)[1:])
+    assert rmat.invariance(3, [one]) is None
+    assert rmat.invariance(3, []) is None
+
+
 def test_cross_is_an_involution_that_fixes_1_and_maps_p_to_k():
     # seeded maps on 1-3 slots over ints, Fractions and RatFuns: crossing
     # twice gives the map back, and every value keeps its type
@@ -228,8 +279,8 @@ def test_times_folds_a_rational_into_a_pair():
 
 def test_colour_conservation_matches_every_diagonal_unit():
     # the identity window plus one entry at every pair of coordinates, at
-    # n <= 2, m <= 3 and both variants: one commutator against the
-    # base-(2m + 1) weights decides as the n + 1 units E_jj do
+    # n <= 2, m <= 3 and both variants: equal row and column weights
+    # decide as the n + 1 units E_jj do
     for n, m, variant in itertools.product((1, 2), (1, 2, 3), (0, 1)):
         dim = (n + 1) ** m
         seen = set()
@@ -347,11 +398,39 @@ def test_pair_diff_is_the_diff_of_the_divided_maps():
     assert sparse.diff(({0: {0: -3}}, 4), ({0: {0: 3}}, 2)) == Fraction(9, 4)
 
 
+def test_combine_is_the_entrywise_sum_of_scaled_maps():
+    # seeded maps and scalars, int and Fraction: the entrywise sum of the
+    # scaled maps with zeros and empty rows dropped; a map minus itself
+    # cancels to the empty map, and an entry or a row that cancels is not
+    # kept
+    rng = random.Random(47)
+    values = [-3, -1, 2, 5, Fraction(1, 2), Fraction(-4, 3)]
+    for _ in range(200):
+        dim = rng.randint(1, 9)
+        terms = [(rng.choice([-2, -1, 1, 3, Fraction(1, 3)]),
+                  random_row_map(rng, dim, values))
+                 for _ in range(rng.randint(0, 3))]
+        want = {}
+        for a, x in terms:
+            for r, row in sparse.scale(x, a).items():
+                for c, v in row.items():
+                    want[(r, c)] = want.get((r, c), 0) + v
+        got = sparse.combine(*terms)
+        assert {(r, c): v for r, row in got.items() for c, v in row.items()} \
+            == {k: v for k, v in want.items() if v}, terms
+        assert all(got.values()) and 0 not in leaves(got)
+        x = terms[0][1] if terms else {}
+        assert sparse.combine((2, x), (-1, x), (-1, x)) == {}
+    a, b = {0: {0: 1, 1: 2}, 1: {1: 3}}, {0: {1: 2}, 1: {1: 3}, 2: {0: 1}}
+    assert sparse.combine((1, a), (-1, b)) == {0: {0: 1}, 2: {0: -1}}
+    assert sparse.combine() == {} and sparse.combine((0, a)) == {}
+
+
 def test_diagonal_commutator_is_the_two_product_form():
     # a diagonal op D takes the one-pass path, (D_r - D_c) * a[r][c]; the
     # result is the exact Fraction of the two products' diff, over int
     # and Fraction entries, a diagonal with zeros left out, empty maps and
-    # the window weights of colour_conserving
+    # diagonal site_action maps on mixed kinds
     rng = random.Random(37)
     values = [-7, -2, 1, 3, 8, Fraction(5, 3), Fraction(-1, 2)]
     kinds = set()

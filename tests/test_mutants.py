@@ -88,24 +88,17 @@ def same_kind_digit_zero_weight(monkeypatch):
     monkeypatch.setattr(rmat, "_vertex_rows", rows)
 
 
-def rmat_mutant(monkeypatch, name, old, new):
-    """An rmat source mutant, bound again where lattice and snail import
-    it."""
-    source_mutant(monkeypatch, rmat, name, old, new)
-    for module in (lattice, snail):
-        monkeypatch.setattr(module, name, getattr(rmat, name))
-
-
 def generators_below_n(monkeypatch):
-    # the generators of nodes 1..n-1 only, none at n = 1
-    rmat_mutant(monkeypatch, "chevalley_generators", "range(1, n + 1)",
-                "range(1, n)")
+    # the generators of nodes 1..n-1 only, none at n = 1; only rmat holds
+    # the name (test_imports), so rebinding it there reaches every check
+    source_mutant(monkeypatch, rmat, "chevalley_generators",
+                  "range(1, n + 1)", "range(1, n)")
 
 
 def fbar_slot_undualized(monkeypatch):
     # an antifundamental slot acted on by g, not by its dual -C g^T C
-    rmat_mutant(monkeypatch, "site_action", 'dual if kind == "fbar" else g',
-                "g")
+    source_mutant(monkeypatch, rmat, "site_action",
+                  'dual if kind == "fbar" else g', "g")
 
 
 def cross_column_unreversed(monkeypatch):
@@ -355,12 +348,14 @@ MUTANTS = {
                                                   snail_n2),
         "same-kind vertex weighted on digit 0": (same_kind_digit_zero_weight,
                                                  snail_n2),
+        "generators of nodes below n": (generators_below_n, snail_n2),
     },
     "fused loop weights against snake character": {
         "loop pair argument one past the shift": (fused_shift_plus_one,
                                                   snail_n2),
         "same-kind vertex weighted on digit 0": (same_kind_digit_zero_weight,
                                                  snail_n2),
+        "generators of nodes below n": (generators_below_n, snail_n2),
     },
     "tower contraction order": {
         "tower residue doubled": (tower_residue_doubled, snail_n2),
@@ -446,6 +441,14 @@ def test_every_check_has_a_mutant(capsys):
     assert len(checks) == 27 and checks <= MUTANTS.keys(), (
         checks - MUTANTS.keys())
     capsys.readouterr()
+
+
+def test_digit_zero_weight_keeps_colour_and_breaks_invariance(monkeypatch):
+    # E_00 (x) 1 is diagonal, so every entry still joins equal weights
+    same_kind_digit_zero_weight(monkeypatch)
+    bad = failing(lattice_at(2)())
+    assert "window global invariance" in bad
+    assert "window colour conservation" not in bad
 
 
 def test_kr_chain_step_fails_the_kr_t_system_alone(monkeypatch):

@@ -601,6 +601,15 @@ def test_l1_fusion_validation():
         l1_fusion_check(2, spec2, 3)
 
 
+def test_l1_fusion_rejects_a_strip_of_another_rank():
+    # a rank-3 strip at n = 2 used to multiply maps of different
+    # dimensions into a residual
+    spec = LatticeSpec(3, 3, 1, [0, Fraction(1, 3), Fraction(2, 7)],
+                       [Fraction(1, 5)])
+    with pytest.raises(ValueError, match="n = 2 and a strip of rank 3"):
+        l1_fusion_check(2, spec, 3)
+
+
 # ---------------------------------------------------------------------------
 # the sparse row map contract
 
