@@ -18,9 +18,15 @@ into a closed-form map on the two lines, and no chain holds them.
 Windows and window-shift images are sparse (map, s) pairs (see sparse),
 integer row maps over a positive int, a window's own trace, built and
 compared fraction-free; slot j of a window carries site m-j, so site 1
-sits on the last slot.  A one-pair variant-0 window is an element of
-Z[S_m] (permalg) made a row map once; every other line of vertices is
-one rmat.vertex_chain product over ints at rational arguments.  The
+sits on the last slot.  A one-pair window is an algebra element
+(permalg) made a row map once: of Z[S_m] in variant 0, and in variant 1
+of the walled Brauer algebra B_{m-1,1}(n+1) whose fbar strand is site
+1's.  The window difference equations compare such elements, a window
+map applied as a level on elements (_level), and make no row map where
+they agree; the row level_step, AOperator and _folded_window serve the
+residue towers, the tests and the row side of "window in the
+permutation basis".  Every other line of vertices is one
+rmat.vertex_chain product over ints at rational arguments.  The
 window's trace or the map's scalar absorbs the lines' integer scales.
 The dense forms (embed_pair, ptrace_slot, max_abs_diff, monodromy_matrix,
 transfer_matrix, their labeled tensors) are the tests' oracles, which no
@@ -30,7 +36,6 @@ pure.  The symmetry checks read rmat.invariance and rmat.weights.
 
 from fractions import Fraction
 import functools
-import math
 import operator
 import random
 
@@ -289,8 +294,8 @@ def _folded_window(n, m, L, b, rows):
     """The unnormalized window of a one-pair strip at b from its two
     lines' window vertices on m + 1 slots, and its scale: a*T1*T2 +
     c*T12, with (a, c) the L - m outside columns (_outside_columns), T_j
-    line j traced and T12 line 1 then line 2 on one line slot, traced;
-    in variant 0 the row way of "window in the permutation basis"."""
+    line j traced and T12 line 1 then line 2 on one line slot, traced:
+    the row way of "window in the permutation basis"."""
     a, c, s = _outside_columns(n, b, L - m)
     # each line's first m vertices, its line moved from slot L to slot m
     first, second = [tuple(v[:3] + ((v[3][0], m),) for v in row[:m])
@@ -333,18 +338,37 @@ def _strip(spec, m, mu_window, variant, crossing):
     return labels, crossing, rows, columns
 
 
-def _line_window(n, m, L, b, row):
-    """_folded_window's variant-0 window in Z[S_m], and its scale: with
-    (a, c) as there, a*E(l)^2 + c*E(l^2), l the product of alpha +
-    beta*(i m) over the line's window vertices, x = alpha/beta on slot i."""
+def _vertex(n, size, factor):
+    """A vertex_chain factor (kind1, kind2, x, (p, q)) as an element on
+    size strands, and its scale s: alpha + beta*(p q) with rmat's integer
+    weights, for mixed kinds the crossed form of alpha*1 + beta*K."""
+    kind1, kind2, x, (p, q) = factor
+    shift = x if kind1 == kind2 else x + h_shift(n)
+    s = shift.denominator
+    return permalg.vertex(size, shift.numerator, s if kind1 == kind2 else -s,
+                          p, q), s
+
+
+def _line_window(n, m, L, b, rows):
+    """_folded_window's window in the algebra, and its scale: with (a, c)
+    as there, a*E(l1)E(l2) + c*E(l1 l2), l_j line j's window vertices on
+    the m window strands and the line strand m, E the trace over it.  In
+    variant 0 the lines are one and the elements are in Z[S_m]; in
+    variant 1 they are in the walled Brauer algebra B_{m-1,1}(n+1) whose
+    fbar strand is site 1's, m - 1, crossed there (permalg.mul)."""
     a, c, s = _outside_columns(n, b, L - m)
-    line = {tuple(range(m + 1)): 1}
-    for _kind, _line, x, (i, _slot) in row[:m]:
-        line = permalg.times_vertex(line, x.numerator, x.denominator, i, m)
-    once = permalg.trace_last(line, n + 1)
-    loop = permalg.trace_last(permalg.mul(line, line), n + 1) if c else {}
-    return (permalg.combine((a, permalg.mul(once, once)), (c, loop)),
-            math.prod(v[2].denominator for v in row[:m]) ** 2 * s)
+    walled = (m - 1, n + 1) if any(v[0] == "fbar" for v in rows[0]) else ()
+    lines = {}
+    for row in dict.fromkeys(rows):
+        x, scale = {tuple(range(m + 1)): 1}, 1
+        for v in row[:m]:
+            e, sv = _vertex(n, m + 1, v[:3] + ((v[3][0], m),))
+            x, scale = permalg.mul(x, e, *walled), scale * sv
+        lines[row] = x, scale, permalg.trace_last(x, n + 1)
+    (l1, s1, once1), (l2, s2, once2) = map(lines.get, rows)
+    loop = permalg.trace_last(permalg.mul(l1, l2, *walled), n + 1) if c else {}
+    return (permalg.combine((a, permalg.mul(once1, once2, *walled)),
+                            (c, loop)), s1 * s2 * s)
 
 
 def density_matrix(spec, m, mu_window, variant=0, crossing=None):
@@ -362,40 +386,65 @@ def density_matrix(spec, m, mu_window, variant=0, crossing=None):
     normalization raises with the parameters in the message.
 
     At N = 1 the L - m outside columns fold into a*1 + c*P on the two
-    lines.  In variant 0 the two lines are one, and the window is an
-    element of Z[S_m] (_line_window, see permalg) whose trace is read
-    before its row map is made, once; in variant 1 the chains hold the m
-    window sites and a line slot only (_folded_window).  At N >= 2 the
-    lines keep every site and the outside sites are traced after the
-    row product: there the fold expands into 12 to 24 permutations of
-    the four lines, which a prototype found exact but 3 to 10 times
-    slower at m >= 2.  column_partition builds z independently at every N."""
-    return _window(spec, m, mu_window, variant, crossing,
-                   spec.N == 1 and variant == 0)
+    lines, and the window is an algebra element (_line_window): of
+    Z[S_m] in variant 0, of B_{m-1,1}(n+1) in crossed form in variant 1.
+    Its trace is read before its row map is made, once (_image).  At
+    N >= 2 the lines keep every site and the outside sites are traced
+    after the row product: there the fold expands into 12 to 24
+    permutations of the four lines, which a prototype found exact but 3
+    to 10 times slower at m >= 2.  column_partition builds z
+    independently at every N."""
+    return _window(spec, m, mu_window, variant, crossing, spec.N == 1)
+
+
+def _nonvanishing(spec, z, labels, variant):
+    if z == 0:
+        raise VanishingNormalization(
+            f"vanishing normalization: n={spec.n} L={spec.L} N={spec.N} "
+            f"betas={spec.betas} window={labels} variant={variant}")
+
+
+def _image(x, variant, d):
+    """The row map of a window element: permalg.image, crossed on the last
+    slot (site 1) in variant 1."""
+    t = permalg.image(x, d)
+    return sparse.cross(t, d) if variant else t
+
+
+def _window_element(spec, m, mu_window, variant, crossing):
+    """At N = 1 the window as (labels, crossing, (x, z), norm): x its
+    element (_line_window) signed so that its trace z is positive."""
+    labels, crossing, rows, _ = _strip(spec, m, mu_window, variant, crossing)
+    x, scale = _line_window(spec.n, m, spec.L, spec.betas[0], rows)
+    z = permalg.trace(x, spec.n + 1)
+    _nonvanishing(spec, z, labels, variant)
+    pair = (x, z) if z > 0 else (permalg.combine((-1, x)), -z)
+    return labels, crossing, pair, Fraction(z, scale)
 
 
 def _window(spec, m, mu_window, variant, crossing, algebra):
-    """density_matrix, its window built in Z[S_m] if algebra, else on rows."""
+    """density_matrix, its window built in the algebra if algebra, else on
+    rows."""
     n, L = spec.n, spec.L
-    labels, crossing, rows, _ = _strip(spec, m, mu_window, variant, crossing)
     if algebra:
-        x, scale = _line_window(n, m, L, spec.betas[0], rows[0])
-    elif spec.N == 1:
-        t, scale = _folded_window(n, m, L, spec.betas[0], rows)
+        labels, crossing, (x, z), norm = _window_element(
+            spec, m, mu_window, variant, crossing)
+        pair = _image(x, variant, n + 1), z
     else:
-        t, scale = _traced_product(n, L + 1, rows)
-        for slot in range(L - 1, m - 1, -1):
-            t = sparse.ptrace(t, slot, slot + 1, n + 1)
-    z = permalg.trace(x, n + 1) if algebra else sparse.trace(t)
-    if z == 0:
-        raise VanishingNormalization(
-            f"vanishing normalization: n={n} L={L} N={spec.N} "
-            f"betas={spec.betas} window={labels} variant={variant}")
-    if algebra:
-        t = permalg.image(x, n + 1)
-    win = DensityWindow(n, m, variant, (t, z) if z > 0 else
-                        (sparse.scale(t, -1), -z), labels, crossing)
-    win.norm = Fraction(z, scale)
+        labels, crossing, rows, _ = _strip(spec, m, mu_window, variant,
+                                           crossing)
+        if spec.N == 1:
+            t, scale = _folded_window(n, m, L, spec.betas[0], rows)
+        else:
+            t, scale = _traced_product(n, L + 1, rows)
+            for slot in range(L - 1, m - 1, -1):
+                t = sparse.ptrace(t, slot, slot + 1, n + 1)
+        z = sparse.trace(t)
+        _nonvanishing(spec, z, labels, variant)
+        pair = (t, z) if z > 0 else (sparse.scale(t, -1), -z)
+        norm = Fraction(z, scale)
+    win = DensityWindow(n, m, variant, pair, labels, crossing)
+    win.norm = norm
     return win
 
 
@@ -408,10 +457,10 @@ def column_partition(spec, m, mu_window, variant=0, crossing=None):
     return Fraction(sparse.trace(t), scale)
 
 
-def colour_conserving(win):
+def colour_conserving(win, w):
     """Every stored entry of the window joins two coordinates of equal
-    rmat.weights: the window commutes with every E_jj."""
-    w = weights(win.n, win.kinds)
+    weight, w = rmat.weights(win.n, win.kinds): the window commutes with
+    every E_jj."""
     return all(w[r] == w[c] for r, row in win.pair[0].items() for c in row)
 
 
@@ -503,6 +552,28 @@ def level_step(which, n, nu, mus, pair):
     a, s = sparse.scaled_mul(vertex_chain(n, m, left), pair)
     b, sb = vertex_chain(n, m, right)
     return sparse.mul(sparse.cross(a, d), sparse.cross(b, d)), s * sb
+
+
+def _level(which, n, nu, mus, x):
+    """level_step on a window element, and the level's scale.  The level
+    is cross(CL.x) cross(CR), crossed on the line strand m - 1, and
+    cross(CR) is CR's crossed vertices in reverse order, as each meets
+    the line strand and a site of its own.  The crossing of an element of
+    Z[S_m] is the B_{m-1,1}(n+1) element of the same crossed form, so
+    only the raising level's right factors and the lowering level's left
+    ones take the walled product."""
+    m = len(mus) + 1
+    left, right = level_chain(which, n, nu, mus)
+    scale = 1
+    for v in reversed(left):
+        e, s = _vertex(n, m, v)
+        x = permalg.mul(e, x, *((m - 1, n + 1) if which == 2 else ()))
+        scale *= s
+    for v in reversed(right):
+        e, s = _vertex(n, m, v)
+        x = permalg.mul(x, e, *((m - 1, n + 1) if which == 1 else ()))
+        scale *= s
+    return x, scale
 
 
 class AOperator:
@@ -605,7 +676,7 @@ def a_residue_closed(n, mu_rest):
 # finite-strip verification of the two window difference equations
 
 def verify_finite_rqkz(spec, m):
-    """Entrywise check of both window difference equations.
+    """Exact check of both window difference equations.
 
     The window's first vertical is pinned to the horizontal parameter
     beta: the raising map at beta takes the variant-0 window at
@@ -614,7 +685,11 @@ def verify_finite_rqkz(spec, m):
     it back (eq2).  eq1 holds on windows crossed (1, m, ..., 2), eq2 on
     the default crossing (m, ..., 2, 1), and at 3 <= m < L neither in
     the other's; at m = L the two crossings give the same windows, built
-    once.  Exact residuals over the full matrix-unit basis."""
+    once.  Windows and maps are algebra elements (_window_element,
+    _level), each side over its trace.  Equal elements certify equal
+    operators, residual 0, and no row map is built; elements that differ
+    are compared on their row maps, entry by entry (_shift_residual), as
+    where m > n + 1 the image forgets part of an element."""
     if spec.N != 1:
         raise ValueError("finite verification covers one horizontal pair")
     if not 2 <= m <= spec.L:
@@ -624,18 +699,14 @@ def verify_finite_rqkz(spec, m):
     beta = spec.betas[0]
     mu_rest = [spec.mus[i] for i in range(1, m)]
     labels = ([beta] + mu_rest, [h - beta] + mu_rest)
-    raising = (1, *range(m, 1, -1))
-    d0, d1 = (density_matrix(spec, m, labels[v], v) for v in (0, 1))
+    d0, d1 = (_window_element(spec, m, labels[v], v, None)[2] for v in (0, 1))
     # at m = L both crossings go once round the closed ring, and each
     # line's trace is cyclic: the raising windows are the default ones
-    up0, up1 = (DensityWindow(n, m, v, w.pair, labels[v], raising)
-                if m == spec.L else
-                density_matrix(spec, m, labels[v], v, raising)
-                for v, w in enumerate((d0, d1)))
-    lhs1 = a_operator(1, n, beta, mu_rest)(up0)
-    lhs2 = a_operator(2, n, beta - h, mu_rest)(d1)
-    r1 = sparse.diff(lhs1.pair, up1.pair)
-    r2 = sparse.diff(lhs2.pair, d0.pair)
+    up0, up1 = (d0, d1) if m == spec.L else (
+        _window_element(spec, m, labels[v], v, (1, *range(m, 1, -1)))[2]
+        for v in (0, 1))
+    r1 = _shift_residual(1, n, beta, mu_rest, up0, up1)
+    r2 = _shift_residual(2, n, beta - h, mu_rest, d1, d0)
     status = "pass" if (r1 == 0 and r2 == 0) else "fail"
     return VerificationReport(
         check="window difference equations",
@@ -647,6 +718,21 @@ def verify_finite_rqkz(spec, m):
                "on the default crossing (m, ..., 2, 1), exactly",
         witness={"eq1_residual": r1, "eq2_residual": r2,
                  "raised_label": h - beta})
+
+
+def _shift_residual(which, n, lam1, mu_rest, window, want):
+    """The largest entry of the window-shift map at lam1 applied to the
+    window pair (x, z), less the pair want: 0 where the elements agree
+    cross-multiplied, else sparse.diff of their row maps, so that no
+    report fails on the algebra alone."""
+    q = a_operator(which, n, lam1, mu_rest).prefactor
+    (x, z), (y, t) = window, want
+    x, s = _level(which, n, lam1, mu_rest, x)
+    if not permalg.combine((q.numerator * t, x), (-q.denominator * z * s, y)):
+        return Fraction(0)
+    d, variant = n + 1, 2 - which
+    return sparse.diff(sparse.times((_image(x, variant, d), z * s), q),
+                       (_image(y, variant, d), t))
 
 
 def projected_reduction_check(spec, m):
@@ -712,6 +798,7 @@ def seeded_rationals(seed, count, avoid=()):
 def lattice_reports(n, max_L, N, max_m, seed):
     reports = []
     d = n + 1
+    kind_weights = {}  # rmat.weights of each kinds tuple, built once
     for L in range(2, max_L + 1):
         beta = seeded_rationals(seed + L, 1, avoid=[0])[0]
         spec = LatticeSpec.staggered(n, L, N, [Fraction(0)] * L, beta)
@@ -725,15 +812,19 @@ def lattice_reports(n, max_L, N, max_m, seed):
                 win = density_matrix(spec, m, labels[:m], variant)
                 traces[f"m={m},variant={variant}"] = win.trace() == 1 and (
                     win.norm == column_partition(spec, m, labels[:m], variant))
-                if N == 1 and variant == 0:
+                if N == 1:
                     # the symmetry checks read the window built on rows
-                    on_rows = _window(spec, m, labels[:m], 0, None, False)
-                    bridge[f"m={m}"] = (on_rows.pair, on_rows.norm) == (
-                        win.pair, win.norm)
+                    on_rows = _window(spec, m, labels[:m], variant, None,
+                                      False)
+                    bridge[f"m={m},variant={variant}"] = (
+                        on_rows.pair, on_rows.norm) == (win.pair, win.norm)
                     win = on_rows
                 if m == mtop:
                     top[variant] = win
-                colours[f"m={m},variant={variant}"] = colour_conserving(win)
+                if win.kinds not in kind_weights:
+                    kind_weights[win.kinds] = weights(n, win.kinds)
+                colours[f"m={m},variant={variant}"] = colour_conserving(
+                    win, kind_weights[win.kinds])
         reports.append(VerificationReport(
             check="window unit trace",
             params={"n": n, "L": L, "N": N, "seed": seed},
@@ -746,8 +837,9 @@ def lattice_reports(n, max_L, N, max_m, seed):
                 check="window in the permutation basis",
                 params={"n": n, "L": L, "N": N, "seed": seed},
                 status="pass" if all(bridge.values()) else "fail",
-                anchor="each variant-0 window built in Z[S_m] is the window "
-                       "built on rows, with the same normalization",
+                anchor="each window built in Z[S_m] (variant 0) or in "
+                       "B_{m-1,1}(n+1) (variant 1) is the window built on "
+                       "rows, with the same normalization",
                 witness=bridge))
         reports.append(VerificationReport(
             check="window colour conservation",

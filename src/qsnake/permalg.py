@@ -1,5 +1,6 @@
-"""The group ring Z[S_M] of the permutations of M strands, and its image
-as a row map on (n+1)^M coordinates.
+"""The group ring Z[S_M] of the permutations of M strands, the walled
+Brauer algebra B(delta) with one antifundamental strand in crossed form,
+and their image as a row map on (n+1)^M coordinates.
 
 An element is a dict {permutation: int} storing no zero, a permutation a
 tuple sigma of 0..M-1 that moves the digit on slot j to slot sigma[j].
@@ -8,7 +9,16 @@ sigma[j] is c's digit on slot j, so sigma -> P_sigma is a homomorphism
 for the composition (sigma tau)[j] = sigma[tau[j]]: products of elements
 become sparse.mul products of their images.  Slot 0 holds a coordinate's
 most significant digit, as in sparse.  The trace of P_sigma is
-delta^(cycles of sigma), delta = n + 1.  All functions are pure.
+delta^(cycles of sigma), delta = n + 1.
+
+An element of B(delta) whose fbar strand is a is stored as its crossing
+on a: swapping a's row and column points turns each walled diagram into
+a permutation, one to one, so the same keys serve.  Its operator is the
+image crossed on slot a (sparse.cross when a is the last slot): a through
+strand equates its two digits, and a cup or cap between a and another
+strand asks its two digits to sum to n.  The crossing keeps the trace,
+and a trace over a strand other than a commutes with it.  mul given a is
+the diagram composition, delta per closed loop.  All functions are pure.
 """
 
 import itertools
@@ -33,19 +43,46 @@ def combine(*terms):
     return _collect((sigma, a * t) for a, x in terms for sigma, t in x.items())
 
 
-def times_vertex(x, alpha, beta, i, j):
-    """x * (alpha + beta * (i j)) for a nonzero x, (i j) the transposition
-    of strands i and j: x's keys kept, and relabelled by the swap."""
-    size = len(next(iter(x)))
+def vertex(size, alpha, beta, i, j):
+    """alpha + beta * (i j) on size strands, (i j) the transposition of
+    strands i and j."""
     swap = list(range(size))
     swap[i], swap[j] = j, i
-    return mul(x, {tuple(range(size)): alpha, tuple(swap): beta})
+    return combine((alpha, {tuple(range(size)): 1}), (beta, {tuple(swap): 1}))
 
 
-def mul(x, y):
-    """The product x * y."""
-    return _collect((pick(sigma), t * u) for tau, u in y.items()
-                    for pick in (_gather(tau),) for sigma, t in x.items())
+def mul(x, y, a=None, delta=None):
+    """The product x * y: in Z[S_M], or, given the fbar strand a, in
+    B(delta) on crossed forms.  Where sigma and tau both move a, their
+    composition differs from g = sigma tau at three points: column
+    tau^-1(a) goes to row a, column a to row sigma(a), and the column g
+    sends to a goes on to g(a); if g(a) = a, a closes a loop instead,
+    weighted delta."""
+    if a is None:
+        return _collect((pick(sigma), t * u) for tau, u in y.items()
+                        for pick in (_gather(tau),) for sigma, t in x.items())
+    return _collect(itertools.chain.from_iterable(
+        _walled(x, tau, u, a, delta) for tau, u in y.items()))
+
+
+def _walled(x, tau, u, a, delta):
+    """The terms of x * (u tau) in B(delta), strand a crossed."""
+    pick = _gather(tau)
+    if tau[a] == a:
+        yield from ((pick(sigma), t * u) for sigma, t in x.items())
+        return
+    back = tau.index(a)
+    for sigma, t in x.items():
+        g = pick(sigma)
+        w = sigma[a]
+        if w == a:
+            yield g, t * u
+            continue
+        v, pi = g[a], list(g)
+        pi[a], pi[back] = w, a
+        if v != a:
+            pi[g.index(a)] = v
+        yield tuple(pi), (t * u if v != a else delta * t * u)
 
 
 def trace_last(x, delta):

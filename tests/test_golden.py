@@ -23,10 +23,11 @@ SNAKE_N3_L7_SHA256 = (
 # compared, how many moved), the six "fused loop weights against snake
 # character" reports, the "window difference equations" anchor naming
 # the crossing each equation holds on, and the two "window in the
-# permutation basis" reports; ALL_JSON_CHECKS below says which reports a
-# change of it moved
+# permutation basis" reports, which compare both variants' algebra
+# windows with the row way's; ALL_JSON_CHECKS below says which reports
+# a change of it moved
 ALL_JSON_SHA256 = (
-    "4a1b2a582a5f4b62af853d618a2f82c4e0672b4ea5baed4c6a1de4dae39608a8")
+    "785aef4652243f20170df2672e28253fd8d6385fe604d52090daf63d88725368")
 
 # the same output split by check name: the first 16 hex digits of the
 # sha256 of each name's reports, in output order, as compact sorted JSON
@@ -58,7 +59,7 @@ ALL_JSON_CHECKS = {
     "window difference equations": "2f239a5c7e7173b2",
     "window exchange relation": "1ea9e7e87075e93c",
     "window global invariance": "ab019b8bab15b541",
-    "window in the permutation basis": "e69f8fa3e8c360a6",
+    "window in the permutation basis": "06782348a01ab68a",
     "window reduction": "066a312f78ab1f18",
     "window translation covariance": "0766403918568eb9",
     "window unit trace": "c0761341893cbcf5",
@@ -76,9 +77,10 @@ RQKZ_L5_JSON_SHA256 = (
 # reduction, invariance and exchange residuals, as the windows with
 # Fraction entries gave them; comparing (map, trace) pairs must reproduce
 # them byte for byte), with translation covariance read from the strip's
-# vertex arguments and one "window in the permutation basis" report per L
+# vertex arguments and one "window in the permutation basis" report per L,
+# over both variants
 LATTICE_L5_JSON_SHA256 = (
-    "a6844aba3539ab646b3facffdf2b4aabc230d22b997cc5aa2d180fc16d4eb525")
+    "ef7d873d85acb55b57d69939ecc46b40ef93b048533cedad5592c04175a74a0b")
 
 # sha256 of to_text of S_odd(3, 3, shift 4) * S_even(3, 3, shift 0), whose
 # coefficients are 1, 2 and 4, and of that product times the fundamental

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsnake import lattice, rmat, sparse
+from qsnake import lattice, permalg, rmat, sparse
 from qsnake.exactlin import RatFun, _frac_rank
 from qsnake.lattice import (
     _dense_to_sp,
@@ -53,9 +54,11 @@ from qsnake.rmat import (
     site_action,
     vertex_chain,
     vertex_matrix,
+    weights,
 )
 from qsnake.snail import (SnailSpec, _fusion_chain, _snail_matrix, _tower_scalar,
                           loop_kinds, snail_reports)
+from test_permalg import random_element
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -291,7 +294,8 @@ def test_colour_conservation_matches_every_diagonal_unit():
             units = ({j: {j: 1}} for j in range(n + 1))
             want = all(sparse.commutator(
                 win.pair, site_action(n, win.kinds, e)) == 0 for e in units)
-            assert colour_conserving(win) == want, (n, m, variant, r, c)
+            assert colour_conserving(win, weights(n, win.kinds)) == want, (
+                n, m, variant, r, c)
             seen.add(want)
         assert seen == {True, False}
 
@@ -784,10 +788,77 @@ def test_algebra_windows_match_the_rows_the_torus_and_the_columns():
     assert compared == {"columns": 133, "rows": 121, "torus": 83}, compared
 
 
+def test_variant_one_algebra_windows_match_the_rows():
+    # every variant-1 window of one pair at n <= 3, L <= 6, every m, the
+    # default, raising and a random crossing is built in B_{m-1,1}(n+1);
+    # its norm is column_partition's, and its pair and norm are the row
+    # way's where the row way has at most 4^5 coordinates
+    compared = {"columns": 0, "rows": 0}
+    for n, L in itertools.product((1, 2, 3), range(1, 7)):
+        spec, labels, seed = torus_strip(n, L, 1)
+        rng = random.Random(seed)
+        for m in range(1, L + 1):
+            for crossing in sorted(set(crossing_kinds(m, rng))):
+                where = (n, L, m, crossing)
+                win = density_matrix(spec, m, labels[:m], 1, crossing)
+                assert win.norm == column_partition(spec, m, labels[:m], 1,
+                                                    crossing), where
+                compared["columns"] += 1
+                if (n + 1) ** (m + 1) <= 4 ** 5:
+                    rows = lattice._window(spec, m, labels[:m], 1, crossing,
+                                           False)
+                    assert (rows.pair, rows.norm) == (win.pair, win.norm), (
+                        where)
+                    compared["rows"] += 1
+    assert compared == {"columns": 133, "rows": 121}, compared
+
+
+def test_algebra_level_is_the_row_level_step():
+    # the level on an element, crossed form in and out, against
+    # level_step on its row map: the raising level takes Z[S_m] to
+    # B_{m-1,1}(n+1), the lowering one back, at n <= 3 and m <= 4
+    rng = random.Random(37)
+    compared = 0
+    for n, m, which in itertools.product((1, 2, 3), (2, 3, 4), (1, 2)):
+        d = n + 1
+        for _ in range(3):
+            x = random_element(rng, m)
+            nu, *mus = seeded_labels(rng.randrange(10 ** 6), m)
+            y, s = lattice._level(which, n, nu, mus, x)
+            want = level_step(which, n, nu, mus,
+                              (lattice._image(x, which - 1, d), 1))
+            assert (lattice._image(y, 2 - which, d), s) == want, (n, m, which)
+            compared += 1
+    assert compared == 54
+
+
+def test_passing_rqkz_builds_no_row_map(monkeypatch):
+    # the window difference equations compare algebra elements: at
+    # rqkz --L 4 every report passes with no vertex chain, row product,
+    # image or crossing built; a variant-1 window is seen, so the
+    # wrappers are live
+    calls = []
+    for module, name in ((lattice, "vertex_chain"), (sparse, "mul"),
+                         (permalg, "image"), (sparse, "cross")):
+        def counted(*args, _kernel=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _kernel(*args)
+        for key, mod in list(sys.modules.items()):
+            if key == "qsnake" or key.startswith("qsnake."):
+                for attr, value in list(vars(mod).items()):
+                    if value is getattr(module, name):
+                        monkeypatch.setattr(mod, attr, counted)
+    reports = rqkz_reports(2, 4, 1, 0)
+    assert len(reports) == 6 and all(r.status == "pass" for r in reports)
+    assert calls == []
+    density_matrix(rqkz_spec(2, 3, 3), 2, seeded_labels(3, 2), 1)
+    assert calls == ["image", "cross"]
+
+
 def test_one_pair_windows_build_no_chain_on_the_outside(monkeypatch):
-    # at N = 1 a variant-0 window is built in the permutation basis, with
-    # no chain at all, and no variant-1 chain is wider than the m window
-    # slots and the line; at N = 2 the lines keep every site
+    # at N = 1 a window of either variant is built in the algebra, with
+    # no chain at all, and no chain of the row way is wider than the m
+    # window slots and the line; at N = 2 the lines keep every site
     widths = []
     chain = lattice.vertex_chain
 
@@ -801,11 +872,11 @@ def test_one_pair_windows_build_no_chain_on_the_outside(monkeypatch):
         for m, variant in itertools.product(range(1, L + 1), (0, 1)):
             widths.clear()
             density_matrix(spec, m, labels[:m], variant)
-            if N == 1 and variant == 0:
-                assert widths == [], (n, L, m, widths)
-            else:
-                assert widths and max(widths) == (
-                    m + 1 if N == 1 else L + 1), (n, L, N, m, variant, widths)
+            if N == 1:
+                assert widths == [], (n, L, m, variant, widths)
+                lattice._window(spec, m, labels[:m], variant, None, False)
+            assert widths and max(widths) == (
+                m + 1 if N == 1 else L + 1), (n, L, N, m, variant, widths)
 
 
 def test_raising_crossing_at_full_width_is_the_default(monkeypatch):
@@ -821,13 +892,13 @@ def test_raising_crossing_at_full_width_is_the_default(monkeypatch):
                                         (1, *range(L, 1, -1)))
                 assert raised.matrix == density_matrix(
                     spec, L, labels, variant).matrix, (n, L, variant)
-    calls = []
+    calls, build = [], lattice._window_element
 
     def counted(*args):
         calls.append(args)
-        return density_matrix(*args)
+        return build(*args)
 
-    monkeypatch.setattr(lattice, "density_matrix", counted)
+    monkeypatch.setattr(lattice, "_window_element", counted)
     rep = verify_finite_rqkz(rqkz_spec(2, 3, 33), 3)
     assert rep.status == "pass", rep.summary()
     assert len(calls) == 2
@@ -968,10 +1039,12 @@ def test_density_colour_conserving():
     spec = LatticeSpec(2, 2, 1, [0, 0], [Fraction(3, 11)])
     w = seeded_labels(19, 2)
     for variant in (0, 1):
-        assert colour_conserving(density_matrix(spec, 2, w, variant))
+        win = density_matrix(spec, 2, w, variant)
+        assert colour_conserving(win, weights(2, win.kinds))
     bad = identity_matrix(9)
     bad[0][4] = Fraction(1)  # weight (2,0,0) against (0,2,0)
-    assert not colour_conserving(DensityWindow(2, 2, 0, (bad, 1), [0, 0]))
+    assert not colour_conserving(DensityWindow(2, 2, 0, (bad, 1), [0, 0]),
+                                 weights(2, ("f", "f")))
 
 
 def test_window_suite_builds_no_window_wider_than_max_m(monkeypatch):
@@ -1537,20 +1610,19 @@ def test_window_suites_hand_the_sparse_kernels_no_fraction(monkeypatch):
 
 def test_window_checks_fail_on_a_wrong_scale_or_prefactor(monkeypatch):
     # a window scale one past its trace fails "window unit trace", and a
-    # window-shift image whose prefactor lost its denominator fails
+    # window-shift map whose prefactor lost its denominator fails
     # "window difference equations"
-    build, shift = lattice.density_matrix, AOperator.__call__
+    build, init = lattice.density_matrix, AOperator.__init__
 
     def off_by_one(*args):
         win = build(*args)
         win.pair = win.pair[0], win.pair[1] + 1
         return win
 
-    def no_denominator(self, win):
-        out = shift(self, win)
+    def no_denominator(self, *args):
+        init(self, *args)
         assert self.prefactor.denominator > 1
-        out.pair = out.pair[0], out.pair[1] // self.prefactor.denominator
-        return out
+        self.prefactor = Fraction(self.prefactor.numerator)
 
     with monkeypatch.context() as patch:
         patch.setattr(lattice, "density_matrix", off_by_one)
@@ -1558,7 +1630,7 @@ def test_window_checks_fail_on_a_wrong_scale_or_prefactor(monkeypatch):
                   if rep.check == "window unit trace"]
     assert len(traces) == 2 and all(rep.status == "fail" for rep in traces)
     assert not any(v for rep in traces for v in rep.witness.values())
-    monkeypatch.setattr(AOperator, "__call__", no_denominator)
+    monkeypatch.setattr(AOperator, "__init__", no_denominator)
     equations = rqkz_reports(2, 4, 1, 0)
     assert len(equations) == 6
     assert all(rep.status == "fail" for rep in equations)

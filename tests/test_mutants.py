@@ -63,6 +63,12 @@ def closed_loop_weight_n(monkeypatch):
                   "(delta - 1) * t")
 
 
+def cup_cap_loop_weight_n(monkeypatch):
+    # the walled product closes a cup-cap loop with weight n, not n + 1
+    source_mutant(monkeypatch, permalg, "_walled", "delta * t * u",
+                  "(delta - 1) * t * u")
+
+
 def variant_one_site_fundamental(monkeypatch):
     # variant 1 builds its site 1 as a fundamental site
     source_mutant(monkeypatch, lattice, "_strip", '-labels[0], "fbar"',
@@ -315,6 +321,7 @@ MUTANTS = {
     },
     "window in the permutation basis": {
         "closed loop of weight n": (closed_loop_weight_n, lattice_at(1)),
+        "cup-cap loop of weight n": (cup_cap_loop_weight_n, lattice_at(1)),
     },
     "window colour conservation": {
         "variant-1 site 1 fundamental": (variant_one_site_fundamental,
@@ -341,7 +348,7 @@ MUTANTS = {
     },
     "window difference equations": {
         "partner argument b - p - n": (partner_off_by_one, rqkz_l4),
-        "cross without column reversal": (cross_column_unreversed, rqkz_l4),
+        "cup-cap loop of weight n": (cup_cap_loop_weight_n, rqkz_l4),
     },
     "fused loop rank against snake dimension": {
         "loop pair argument one past the shift": (fused_shift_plus_one,
@@ -474,3 +481,26 @@ def test_partner_mutant_fails_every_equation_and_no_window_check(
     equations = rqkz_l4()
     assert len(equations) == 6
     assert all(r.status == "fail" for r in equations)
+
+
+def reduction_lengths():
+    """The strip lengths of the "window reduction" reports of lattice at
+    its defaults, through the module's own binding of lattice_reports."""
+    return [r.params["L"] for r in lattice.lattice_reports(2, 3, 1, 3, 0)
+            if r.check == "window reduction"]
+
+
+def test_window_reduction_runs_once_per_strip_length():
+    assert reduction_lengths() == [2, 3]
+
+
+def test_a_skipped_reduction_fails_the_count(monkeypatch):
+    # the guard mtop >= 2 made mtop > 2 drops the L = 2 reduction while
+    # every report that runs still passes: only the count sees it
+    source_mutant(monkeypatch, lattice, "lattice_reports",
+                  "if mtop >= 2:\n            resid = Fraction(0)\n"
+                  "            cases = 0",
+                  "if mtop > 2:\n            resid = Fraction(0)\n"
+                  "            cases = 0")
+    assert failing(lattice.lattice_reports(2, 3, 1, 3, 0)) == set()
+    assert reduction_lengths() == [3]

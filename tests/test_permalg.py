@@ -1,4 +1,5 @@
-"""The group ring Z[S_M] against the row-map kernels it stands for.
+"""The group ring Z[S_M] and the walled Brauer algebra in crossed form
+against the row-map kernels they stand for.
 
 Every identity is checked on the image, the row map on (n+1)^M
 coordinates, at M <= 4 strands and n <= 3, so M >= n + 2 occurs (n = 1
@@ -60,7 +61,7 @@ def test_trace_is_the_trace_of_the_image():
     assert permalg.trace({(0, 1, 2): 1, (1, 0, 2): -1}, 2) == 8 - 4
 
 
-def test_times_vertex_is_the_integer_vertex_chain():
+def test_vertex_is_the_integer_vertex_chain():
     # alpha + beta*(i j) is vertex_chain's same-kind vertex at alpha/beta,
     # alpha and beta coprime, times its scale beta
     rng = random.Random(11)
@@ -72,8 +73,8 @@ def test_times_vertex_is_the_integer_vertex_chain():
             chain, scale = vertex_chain(
                 n, size, [("f", "f", Fraction(alpha, beta), (i, j))])
             assert scale == beta
-            assert permalg.image(permalg.times_vertex(x, alpha, beta, i, j),
-                                 n + 1) == sparse.mul(
+            v = permalg.vertex(size, alpha, beta, i, j)
+            assert permalg.image(permalg.mul(x, v), n + 1) == sparse.mul(
                 permalg.image(x, n + 1), chain), (n, size, x, alpha, beta)
 
 
@@ -105,3 +106,80 @@ def test_image_sums_its_permutations_and_stores_no_zero():
         assert all(row for row in got.values())
     img = permalg.image({(0, 1, 2): 1, (1, 0, 2): -1}, 3)
     assert 0 not in img  # the column (0, 0, 0) cancels
+
+
+def crossed(a, slot, nslots, d):
+    """sparse.cross on any slot: the partial transpose there, conjugated
+    by the index reversal."""
+    w = d ** (nslots - 1 - slot)
+    out = {}
+    for r, row in a.items():
+        t = r // w % d
+        for c, v in row.items():
+            u = c // w % d
+            out.setdefault(r + (d - 1 - u - t) * w, {})[
+                c + (d - 1 - t - u) * w] = v
+    return out
+
+
+def test_crossing_any_slot_is_sparse_cross_on_the_last():
+    for n, size, x, _y in cases():
+        d = n + 1
+        img = permalg.image(x, d)
+        assert crossed(img, size - 1, size, d) == sparse.cross(img, d)
+        for slot in range(size):
+            assert crossed(crossed(img, slot, size, d), slot, size, d) == img
+
+
+def test_walled_product_is_the_operator_product():
+    # an element of B(delta) stored crossed on strand a stands for the
+    # crossing of its permutations' image on slot a, and mul with a is
+    # the product of those operators, on every strand a
+    compared = 0
+    for n, size, x, y in cases():
+        d = n + 1
+        for a in range(size):
+            def image(z):
+                return crossed(permalg.image(z, d), a, size, d)
+            assert image(permalg.mul(x, y, a, d)) == sparse.mul(
+                image(x), image(y)), (n, size, a, x, y)
+            compared += 1
+    assert compared == 4 * 3 * (1 + 2 + 3 + 4)
+    # (0 1) crossed on strand 1 is K, and K^2 = delta K closes one loop
+    assert permalg.mul({(1, 0): 1}, {(1, 0): 1}, 1, 3) == {(1, 0): 3}
+
+
+def diagram_image(sigma, d):
+    """The operator of the walled diagram whose crossing on the last
+    strand a is sigma, read off the diagram: sigma joins column point s
+    to row point sigma(s), and undoing the crossing swaps a's row and
+    column points.  A strand joining a row and a column point equates
+    their digits; a cup or cap, two points of one side, asks its two
+    digits to sum to n."""
+    size = len(sigma)
+    a = size - 1
+
+    def point(side, s):  # undo the crossing of strand a
+        return ("row" if side == "col" else "col", s) if s == a else (side, s)
+
+    arcs = [(point("col", s), point("row", sigma[s])) for s in range(size)]
+    out = {}
+    for r, c in itertools.product(itertools.product(range(d), repeat=size),
+                                  repeat=2):
+        digits = {"row": r, "col": c}
+        if all(digits[p][i] == digits[q][j] if p != q
+               else digits[p][i] + digits[q][j] == d - 1
+               for (p, i), (q, j) in arcs):
+            out.setdefault(int("".join(map(str, r)), d), {})[
+                int("".join(map(str, c)), d)] = 1
+    return out
+
+
+def test_crossing_commutes_with_the_image():
+    # the image of the B_{M-1,1} element whose crossed form is x, read off
+    # its diagrams, is sparse.cross of the image of x
+    for n, size, x, _y in cases():
+        d = n + 1
+        want = sparse.combine(*((t, diagram_image(sigma, d))
+                                for sigma, t in x.items()))
+        assert sparse.cross(permalg.image(x, d), d) == want, (n, size, x)
