@@ -4,14 +4,14 @@ Two scalar carriers: Fraction for plain rationals and RatFun for univariate
 rational functions in canonical form, with int coefficients throughout:
 Fraction appears only at construction, cleared once, and at evaluation.
 Every RatFun gcd, exact quotient and root order is one pseudo-division in
-Z[x].  LabeledTensor holds a dense object array with named, oriented legs;
-contract pairs in-legs with out-legs over stored entries only, in any
-order.  The labeled tensors are test oracles that import numpy in their
-bodies; the scalars and echelon never load it.  echelon eliminates over Q
-only, fraction-free: rows are cleared to integers once and divided by
-their pivots only on return; RatFun entries are refused.  No floating
-point anywhere: a float entry or coefficient raises TypeError.
-"""
+Z[x]; RatFun.from_roots, a constant times root multiplicities, takes no gcd.
+LabeledTensor holds a dense object array with named, oriented legs; contract
+pairs in-legs with out-legs over stored entries only, in any order.  The
+labeled tensors are test oracles that import numpy in their bodies; the
+scalars and echelon never load it.  echelon eliminates over Q only,
+fraction-free: rows are cleared to integers once and divided by their pivots
+only on return; RatFun entries are refused.  No float anywhere: a float
+entry or coefficient raises TypeError."""
 
 import heapq
 from fractions import Fraction
@@ -140,6 +140,23 @@ class RatFun:
         if len(h) > 1:
             c, b = _pdiv(c, h)[0], _pdiv(b, h)[0]
         return RatFun.__new__(RatFun)._set(_pmul(a, c), _pmul(b, d))
+
+    @staticmethod
+    def from_roots(c, roots):
+        """c * prod (x - r)^k over roots {r: k}, each side expanded once in
+        den(r)*x - num(r): no gcd, as no root sits on both sides."""
+        if not all(isinstance(v, (int, Fraction)) for v in (c, *roots)):
+            raise TypeError(f"{c!r} or a root in {roots!r} is not rational")
+        c = Fraction(c)
+        if not c:
+            return RatFun(())
+        sides, scale = [(1,), (1,)], [c.numerator, c.denominator]
+        for r, k in roots.items():  # x - r = (den(r)*x - num(r)) / den(r)
+            scale[k > 0] *= r.denominator ** abs(k)
+            for _ in range(abs(k)):
+                sides[k < 0] = _pmul(sides[k < 0], (-r.numerator, r.denominator))
+        return RatFun.__new__(RatFun)._set(
+            *(_pmul(p, (s,)) for p, s in zip(sides, scale)))
 
     @staticmethod
     def const(c):

@@ -34,13 +34,14 @@ suite calls; only they load numpy, from their bodies.  All functions are
 pure.  The symmetry checks read rmat.invariance and rmat.weights.
 """
 
+from collections import Counter
 from fractions import Fraction
 import functools
 import operator
 import random
 
 from . import permalg, sparse
-from .exactlin import RatFun, pole_order_at, residue_at, tensor_from_matrix
+from .exactlin import pole_order_at, residue_at, tensor_from_matrix
 from .report import OutOfScope, VerificationReport
 from .rmat import (PrefactorExpr, h_shift, identity_matrix, invariance,
                    prefactor_reduce, vertex_chain, weights)
@@ -473,24 +474,21 @@ def a_prefactor_expr(which, n, mu_rest, shift=0):
     which=1 collects rho(lam-mu)rho(mu-lam) over the passive sites with
     the rational normalizers of the fundamental vertices; which=2 the
     reciprocal mixed-vertex pairs.  shift substitutes lam -> lam + shift
-    before reduction (used for composites)."""
+    before reduction (used for composites).  With d = mu - shift, a site
+    adds rho(lam-d+t)^e rho(d+t-lam)^e = (rho(lam-d+t)/rho(lam-d-t))^e and
+    -1/((lam-(d-a))(lam-(d+a))), (e, t, a) = (1, 0, 1) or (-1, h, h - 1)."""
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
     h = h_shift(n)
-    x = RatFun.x()
-    s = Fraction(shift)
-    expr = PrefactorExpr(n, 1)
+    e, t, a = (1, 0, 1) if which == 1 else (-1, h, h - 1)
+    factors, roots = Counter(), Counter()
     for mu in mu_rest:
-        mu = Fraction(mu)
-        if which == 1:
-            expr = expr * PrefactorExpr.rho(n, s - mu)
-            expr = expr * PrefactorExpr.rho(n, mu - s, 1, -1)
-            expr = expr * (1 / ((x + s - mu + 1) * (mu - x - s + 1)))
-        else:
-            expr = expr * PrefactorExpr.rho(n, s - mu + h, -1)
-            expr = expr * PrefactorExpr.rho(n, mu - s + h, -1, -1)
-            expr = expr * (1 / ((x + s - mu + h - 1) * (mu - x - s + h - 1)))
-    return expr
+        d = Fraction(mu) - Fraction(shift)
+        factors[t - d] += e
+        factors[-d - t] -= e
+        roots[d - a] -= 1
+        roots[d + a] -= 1
+    return PrefactorExpr(n, (-1) ** len(mu_rest), factors, roots)
 
 
 def reduced_prefactor(n, mu_rest, levels):

@@ -16,10 +16,11 @@ The gl_{n+1} action on slots, the dual on antifundamental ones, is
 site_action; invariance and weights, every symmetry check, read it.
 Crossing is sparse.cross, which gives the dual and K (the crossed flip
 P), and which "vertex crossing" certifies against the mixed vertex rows.
-The transcendental scalar prefactor rho is never evaluated; it is carried
-formally and removed through its two functional relations.
-"""
+The transcendental scalar prefactor rho is never evaluated: a prefactor
+is a constant, root multiplicities and rho exponents, reduced through
+rho's two functional relations and built into one RatFun at the end."""
 
+from collections import Counter
 from fractions import Fraction
 import functools
 import itertools
@@ -260,40 +261,41 @@ def weights(n, kinds):
 
 
 class PrefactorExpr:
-    """Formal product of rho(sign*lam + shift)^exp factors times a RatFun.
-
-    The first functional relation rho(x)rho(-x) = 1 is wired in as the
+    """Formal product const * prod (lam - r)^k * prod rho(lam + s)^e: a
+    Fraction and the multiplicities roots {r: k} and factors {s: e}, which
+    products add; .rational is RatFun.from_roots(const, roots).  The
+    first functional relation rho(x)rho(-x) = 1 is wired in as the
     canonical form rho(-lam + s) = rho(lam - s)^(-1), so factors are
     stored with positive lam coefficient only.  The second relation
     rho(x)rho(n+1-x) = x(x-(n+1))/((x-1)(x-n)) then acts on factor pairs
-    whose shifts differ by exactly n+1 with opposite exponents.
-    """
+    whose shifts differ by exactly n+1 with opposite exponents."""
 
-    def __init__(self, n, rational=None, factors=None):
-        self.n = int(n)
-        self.rational = RatFun.coerce(rational if rational is not None else 1)
-        self.factors = {Fraction(shift): int(e)
-                        for shift, e in dict(factors or {}).items() if e}
+    def __init__(self, n, const=1, factors=None, roots=None):
+        self.n, self.const = int(n), Fraction(const)
+        self.factors, self.roots = ({s: e for s, e in (d or {}).items() if e}
+                                    for d in (factors, roots))
+
+    @property
+    def rational(self):
+        return RatFun.from_roots(self.const, self.roots)
 
     @staticmethod
     def rho(n, shift=0, power=1, lam_sign=1):
         """A single rho(lam_sign*lam + shift)^power factor."""
-        shift = Fraction(shift)
-        if lam_sign == 1:
-            return PrefactorExpr(n, 1, {shift: power})
-        if lam_sign == -1:
-            return PrefactorExpr(n, 1, {-shift: -power})
-        raise ValueError("lam_sign must be +1 or -1")
+        if lam_sign not in (1, -1):
+            raise ValueError("lam_sign must be +1 or -1")
+        return PrefactorExpr(n, 1, {lam_sign * Fraction(shift):
+                                    lam_sign * power})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RatFun)):
-            return PrefactorExpr(self.n, self.rational * other, self.factors)
+        if not isinstance(other, PrefactorExpr):
+            other = PrefactorExpr(self.n, other)
         if other.n != self.n:
             raise ValueError("rank mismatch in prefactor product")
-        factors = dict(self.factors)
-        for s, e in other.factors.items():
-            factors[s] = factors.get(s, 0) + e
-        return PrefactorExpr(self.n, self.rational * other.rational, factors)
+        factors, roots = Counter(self.factors), Counter(self.roots)
+        factors.update(other.factors)
+        roots.update(other.roots)
+        return PrefactorExpr(self.n, self.const * other.const, factors, roots)
 
     __rmul__ = __mul__
 
@@ -307,24 +309,23 @@ class PrefactorExpr:
         """Telescope each class of shifts congruent mod n+1 to its lowest
         member by the ladder rho(y)/rho(y-(n+1)) = y(y-(n+1))/((y-1)(y-n))
         of both relations: a class whose exponents sum to zero cancels,
-        any other leaves one factor, at its lowest shift."""
-        step, x = self.n + 1, RatFun.x()
-        classes = {}
+        any other leaves one factor, at its lowest shift.  A rung taken e
+        times at y = lam + Y adds e to roots -Y, n+1-Y and -e to 1-Y, n-Y."""
+        step, classes = self.n + 1, {}
         for s, e in self.factors.items():
             classes.setdefault(s % step, {})[s] = e
-        rational, factors = self.rational, {}
+        roots, factors = Counter(self.roots), {}
         for members in classes.values():
             low, top, e = min(members), max(members), 0
             # the rung from y-(n+1) up to y carries every member at y or above
             for y in (top - k * step for k in range((top - low) // step)):
                 e += members.get(y, 0)
-                y = x + RatFun.const(y)
-                rung = (y * (y - step)) / ((y - 1) * (y - self.n))
-                for _ in range(abs(e)):
-                    rational = rational * rung if e > 0 else rational / rung
+                for r, mult in ((-y, e), (step - y, e), (1 - y, -e),
+                                (self.n - y, -e)):
+                    roots[r] += mult
             if e + members[low]:
                 factors[low] = e + members[low]
-        return PrefactorExpr(self.n, rational, factors)
+        return PrefactorExpr(self.n, self.const, factors, roots)
 
     def __repr__(self):
         parts = [f"({self.rational!r})"]

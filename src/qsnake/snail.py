@@ -89,23 +89,22 @@ class SnailSpec:
 # scalar pole bookkeeping
 
 def pole_profile(n, k, l):
-    """Product of the four scalar families around one pole candidate.
-
-    The variable is centred on the candidate labelled by l in 0..n, so
-    the reported order is read off at 0: two denominator families each
-    contribute a j=1 zero (at l=0 and l=1 respectively), the numerator
-    family never vanishes there.  Returns (f, pole order of f at 0)."""
+    """Product of the four scalar families around one pole candidate, its
+    4k linear factors held as root multiplicities and built into one
+    RatFun.  The variable is centred on the candidate labelled by l in
+    0..n, so the reported order is read off at 0: two denominator families
+    each contribute a j=1 zero (at l=0 and l=1 respectively), the
+    numerator family never vanishes there.  Returns (f, its order at 0)."""
     if k < 1:
         raise ValueError("need k >= 1")
     if not 0 <= l <= n:
         raise ValueError(f"candidate label {l} outside 0..{n}")
-    x = RatFun.x()
-    f = RatFun.const(1)
+    roots = Counter()
     for j in range(1, k + 1):
-        f = f * (x - j * (n + 1) - l + 1)
-        f = f / (x - j * (n + 1) - l)
-        f = f / (x - (j - 1) * (n + 1) - l)
-        f = f / (x - (j - 1) * (n + 1) - l + 1)
+        roots[j * (n + 1) + l - 1] += 1
+        roots.subtract([j * (n + 1) + l, (j - 1) * (n + 1) + l,
+                        (j - 1) * (n + 1) + l - 1])
+    f = RatFun.from_roots(1, roots)
     return f, pole_order_at(f, Fraction(0))
 
 

@@ -556,6 +556,38 @@ def test_ratfun_refuses_inexact_coefficients(bad):
             RatFun(num, den)
 
 
+def test_from_roots_is_the_product_of_its_linear_factors():
+    # random multisets of fractional roots, multiplicities up to +-3, a
+    # root whose multiplicity cancels to 0 and random constants, against
+    # the product of (x - r)^k in RatFun arithmetic
+    rng = random.Random(38)
+    x = RatFun.x()
+    for case in range(300):
+        pool = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                for _ in range(rng.randint(0, 5))]
+        roots = {r: rng.choice((-3, -2, -1, 1, 2, 3)) for r in pool}
+        roots[Fraction(rng.randint(-9, 9), 7)] = 0
+        c = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+        want = RatFun.const(c)
+        for r, k in roots.items():
+            for _ in range(abs(k)):
+                want = want * (x - r) if k > 0 else want / (x - r)
+        got = RatFun.from_roots(c, roots)
+        assert (got.num, got.den, hash(got)) == (
+            want.num, want.den, hash(want)), (c, roots)
+    assert RatFun.from_roots(Fraction(-2, 3), {}) == Fraction(-2, 3)
+    assert RatFun.from_roots(1, {2: 1, Fraction(1, 2): -2}) == (
+        (x - 2) / (x - Fraction(1, 2)) / (x - Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("bad", [0.5, 1j, Decimal(1), "1", np.float64(2)])
+def test_from_roots_refuses_inexact_roots_and_constants(bad):
+    with pytest.raises(TypeError):
+        RatFun.from_roots(1, {bad: 1})
+    with pytest.raises(TypeError):
+        RatFun.from_roots(bad, {1: 1})
+
+
 def _pdivmod(p, q):
     """Division with remainder over Q, the route RatFun took before it
     divided in Z[x]; kept as the oracle of the integer one."""

@@ -57,7 +57,7 @@ from qsnake.rmat import (
     weights,
 )
 from qsnake.snail import (SnailSpec, _fusion_chain, _snail_matrix, _tower_scalar,
-                          loop_kinds, snail_reports)
+                          loop_kinds, pole_reports, snail_reports)
 from test_permalg import random_element
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -1301,6 +1301,88 @@ def test_reduced_prefactor_is_the_inverse_unitarity_product():
                 y = x + RatFun.const(shift - mu)
                 want = want / (RatFun.const(c * c) - y * y)
         assert reduced_prefactor(n, mus, levels) == want, (n, mus, levels)
+
+
+def former_reduced_prefactor(n, mu_rest, levels):
+    """The former reduced_prefactor, kept as its oracle: each level's
+    normalizers 1/((y + a)(a - y)), y = lam + shift - mu, and every rung
+    of the rho ladder multiplied in as RatFun products and quotients."""
+    h, x, step = h_shift(n), RatFun.x(), n + 1
+    rational, factors = RatFun.const(1), {}
+    for which, shift in levels:
+        for mu in mu_rest:
+            y = x + RatFun.const(shift - mu)
+            if which == 1:
+                rational = rational / ((y + 1) * (1 - y))
+                pairs = ((shift - mu, 1), (shift - mu, -1))
+            else:
+                rational = rational / ((y + h - 1) * (h - 1 - y))
+                pairs = ((shift - mu + h, -1), (shift - mu - h, 1))
+            for sh, e in pairs:
+                factors[sh] = factors.get(sh, 0) + e
+    classes = {}
+    for sh, e in factors.items():
+        if e:
+            classes.setdefault(sh % step, {})[sh] = e
+    for members in classes.values():
+        low, top, e = min(members), max(members), 0
+        for y in (top - k * step for k in range((top - low) // step)):
+            e += members.get(y, 0)
+            y = x + RatFun.const(y)
+            rung = (y * (y - step)) / ((y - 1) * (y - n))
+            for _ in range(abs(e)):
+                rational = rational * rung if e > 0 else rational / rung
+        assert e + members[low] == 0
+    return rational
+
+
+def test_reduced_prefactor_is_the_former_ratfun_product():
+    # n <= 5, seeded mu lists with repeats (so roots meet and cancel
+    # across levels) and 1-4 random levels, then the towers' level lists
+    # for k <= 3 and the composite round trip
+    rng = random.Random(38)
+    cases = []
+    for case in range(150):
+        n = 1 + case % 5
+        pool = seeded_labels(rng.randrange(10 ** 6), 2) + [
+            Fraction(rng.randint(-6, 6), rng.choice((1, 2)))]
+        mus = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+        shifts = [0, Fraction(1), -h_shift(n), Fraction(rng.randint(-9, 9), 2)]
+        cases.append((n, mus, [(rng.choice((1, 2)), rng.choice(shifts))
+                               for _ in range(rng.randint(1, 4))]))
+    for n in range(1, 6):
+        h, mus = h_shift(n), seeded_labels(n, 2)
+        for k in (1, 2, 3):
+            cases.append((n, mus[:1], [(2 if t % 2 else 1, -t * h)
+                                       for t in range(1, 2 * k)]))
+        cases.append((n, mus, [(1, 0), (2, -h)]))
+    for n, mus, levels in cases:
+        got = reduced_prefactor(n, mus, levels)
+        want = former_reduced_prefactor(n, mus, levels)
+        assert (got == want and (got.num, got.den) == (want.num, want.den)
+                and repr(got) == repr(want)), (n, mus, levels)
+
+
+def test_passing_suites_make_no_ratfun_product(monkeypatch):
+    # prefactors and pole profiles are root multiplicities built into one
+    # RatFun: a passing rqkz --L 4, the pole sweep at k <= 2 and the
+    # towers at k = 1, 2 take no RatFun product or quotient; one product
+    # afterwards shows the wrapper is live
+    calls = []
+    times = RatFun._times
+
+    def counted(*args):
+        calls.append(args)
+        return times(*args)
+
+    monkeypatch.setattr(RatFun, "_times", staticmethod(counted))
+    reports = rqkz_reports(2, 4, 1, 0) + pole_reports((1, 2))
+    assert len(reports) == 9 and all(r.status == "pass" for r in reports)
+    (mu,) = seeded_labels(7, 1)
+    for k in (1, 2):
+        _snail_matrix(SnailSpec(2, k, 2, [mu]))
+    assert calls == []
+    assert RatFun.x() * RatFun.x() == RatFun((0, 0, 1)) and len(calls) == 1
 
 
 def test_finite_rqkz_validation():

@@ -8,6 +8,7 @@ is a check that nothing has yet shown can fail.
 
 import inspect
 import math
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -23,14 +24,17 @@ from qsnake.snail import pole_reports, snail_reports
 
 
 def source_mutant(monkeypatch, module, name, old, new):
-    """module.name recompiled from its source with the one occurrence of
-    old replaced by new, in the module's namespace."""
-    src = inspect.getsource(getattr(module, name))
+    """module.name, a function or a "Class.method", recompiled from its
+    source with the one occurrence of old replaced by new, in the
+    module's namespace."""
+    owner, _, attr = name.rpartition(".")
+    owner = getattr(module, owner) if owner else module
+    src = textwrap.dedent(inspect.getsource(getattr(owner, attr)))
     assert src.count(old) == 1, (name, old)
     scope = {}
     exec(compile(src.replace(old, new), module.__file__, "exec"),
          vars(module), scope)
-    monkeypatch.setattr(module, name, scope[name])
+    monkeypatch.setattr(owner, attr, scope[attr])
 
 
 def line_plus_beta(monkeypatch):
@@ -134,12 +138,18 @@ def tower_residue_doubled(monkeypatch):
 
 
 def pole_denominator_shifted(monkeypatch):
-    # the last denominator family one further from the candidate; a
-    # numerator mutant cannot fail the sweep, that factor never vanishes
-    # at 0
+    # the last denominator family's root one further from the candidate;
+    # a numerator mutant cannot fail the sweep, that factor never
+    # vanishes at 0
     source_mutant(monkeypatch, snail, "pole_profile",
-                  "x - (j - 1) * (n + 1) - l + 1",
-                  "x - (j - 1) * (n + 1) - l + 2")
+                  "(j - 1) * (n + 1) + l - 1]",
+                  "(j - 1) * (n + 1) + l - 2]")
+
+
+def rung_root_off_by_one(monkeypatch):
+    # each ladder rung's denominator root 1 - Y at 2 - Y
+    source_mutant(monkeypatch, rmat, "PrefactorExpr.reduce", "(1 - y, -e)",
+                  "(2 - y, -e)")
 
 
 def character_mutant(monkeypatch, name, old, new):
@@ -349,6 +359,7 @@ MUTANTS = {
     "window difference equations": {
         "partner argument b - p - n": (partner_off_by_one, rqkz_l4),
         "cup-cap loop of weight n": (cup_cap_loop_weight_n, rqkz_l4),
+        "ladder rung root 1 - Y at 2 - Y": (rung_root_off_by_one, rqkz_l4),
     },
     "fused loop rank against snake dimension": {
         "loop pair argument one past the shift": (fused_shift_plus_one,

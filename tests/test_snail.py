@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from qsnake import rmat, snail, sparse
-from qsnake.exactlin import RatFun, _frac_rank, contract, echelon, matrix_rank
+from qsnake.exactlin import (RatFun, _frac_rank, contract, echelon, matrix_rank,
+                              pole_order_at)
 from qsnake.lattice import (
     AOperator,
     LatticeSpec,
@@ -113,6 +114,28 @@ def test_pole_profile_invariant():
             for l in range(0, n + 1):
                 _, order = pole_profile(n, k, l)
                 assert order == (1 if l in (0, 1) else 0), (n, k, l)
+
+
+def former_pole_profile(n, k, l):
+    """The former pole_profile, kept as its oracle: the 4k linear factors
+    multiplied and divided in as RatFuns."""
+    x, f = RatFun.x(), RatFun.const(1)
+    for j in range(1, k + 1):
+        f = f * (x - j * (n + 1) - l + 1)
+        f = f / (x - j * (n + 1) - l)
+        f = f / (x - (j - 1) * (n + 1) - l)
+        f = f / (x - (j - 1) * (n + 1) - l + 1)
+    return f, pole_order_at(f, Fraction(0))
+
+
+def test_pole_profile_is_the_former_ratfun_product():
+    for n in range(1, 6):
+        for k in range(1, 5):
+            for l in range(n + 1):
+                f, order = pole_profile(n, k, l)
+                g, want = former_pole_profile(n, k, l)
+                assert f == g and repr(f) == repr(g) and order == want, (
+                    n, k, l)
 
 
 def test_pole_profile_validation():
