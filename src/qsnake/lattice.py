@@ -21,10 +21,11 @@ compared fraction-free; slot j of a window carries site m-j, so site 1
 sits on the last slot.  A one-pair window is an algebra element
 (permalg) made a row map once: of Z[S_m] in variant 0, and in variant 1
 of the walled Brauer algebra B_{m-1,1}(n+1) whose fbar strand is site
-1's.  The window difference equations compare such elements, a window
-map applied as a level on elements (_level), and make no row map where
-they agree; the row level_step, AOperator and _folded_window serve the
-residue towers, the tests and the row side of "window in the
+1's.  The window difference equations and "window reduction" compare
+such elements, a window map applied as a level (_level) or an edge site
+traced off, and make no row map where they agree; column_partition sums
+its columns in Z[S_2].  The row level_step, AOperator and _folded_window
+serve the residue towers, the tests and the row side of "window in the
 permutation basis".  Every other line of vertices is one
 rmat.vertex_chain product over ints at rational arguments.  The
 window's trace or the map's scalar absorbs the lines' integer scales.
@@ -394,7 +395,7 @@ def density_matrix(spec, m, mu_window, variant=0, crossing=None):
     after the row product: there the fold expands into 12 to 24
     permutations of the four lines, which a prototype found exact but 3
     to 10 times slower at m >= 2.  column_partition builds z
-    independently at every N."""
+    independently: in Z[S_2] at N = 1, on rows at N >= 2."""
     return _window(spec, m, mu_window, variant, crossing, spec.N == 1)
 
 
@@ -452,10 +453,20 @@ def _window(spec, m, mu_window, variant, crossing, algebra):
 def column_partition(spec, m, mu_window, variant=0, crossing=None):
     """density_matrix's normalization z summed column by column, no row
     line built: tr_H of the product in crossing order of C_i = tr_i of
-    slot i's vertices with the 2N lines (H) in product order."""
+    slot i's vertices with the 2N lines (H) in product order: summed in
+    Z[S_2] at N = 1, every column multiplied in (none folded), on rows at
+    N >= 2.  An fbar site takes no walled product: tr_s(cross(A) cross(B))
+    = tr_s(A B) for the crossing on the traced strand s."""
     columns = _strip(spec, m, mu_window, variant, crossing)[3]
-    t, scale = _traced_product(spec.n, 2 * spec.N + 1, columns)
-    return Fraction(sparse.trace(t), scale)
+    if spec.N != 1:
+        t, scale = _traced_product(spec.n, 2 * spec.N + 1, columns)
+        return Fraction(sparse.trace(t), scale)
+    x, scale = {(0, 1): 1}, 1
+    for col in columns:  # its two site vertices (_vertex) on 3 strands
+        (a, sa), (b, sb) = (_vertex(spec.n, 3, v) for v in col)
+        c = permalg.trace_last(permalg.mul(a, b), spec.n + 1)
+        x, scale = permalg.mul(x, c), scale * sa * sb
+    return Fraction(permalg.trace(x, spec.n + 1), scale)
 
 
 def colour_conserving(win, w):
@@ -720,17 +731,41 @@ def verify_finite_rqkz(spec, m):
 
 def _shift_residual(which, n, lam1, mu_rest, window, want):
     """The largest entry of the window-shift map at lam1 applied to the
-    window pair (x, z), less the pair want: 0 where the elements agree
-    cross-multiplied, else sparse.diff of their row maps, so that no
-    report fails on the algebra alone."""
+    window pair (x, z), less the pair want (_residual)."""
     q = a_operator(which, n, lam1, mu_rest).prefactor
-    (x, z), (y, t) = window, want
-    x, s = _level(which, n, lam1, mu_rest, x)
-    if not permalg.combine((q.numerator * t, x), (-q.denominator * z * s, y)):
+    x, s = _level(which, n, lam1, mu_rest, window[0])
+    return _residual(n + 1, 2 - which, (x, window[1] * s), want, q)
+
+
+def _residual(d, variant, pair, want, q=1):
+    """sparse.diff of q times the element pair (x, s) and the pair want:
+    0 where the elements agree cross-multiplied, no row map built, else
+    their images compared (_image), so no report fails on the algebra."""
+    (x, s), (y, t) = pair, want
+    if not permalg.combine((q.numerator * t, x), (-q.denominator * s, y)):
         return Fraction(0)
-    d, variant = n + 1, 2 - which
-    return sparse.diff(sparse.times((_image(x, variant, d), z * s), q),
+    return sparse.diff(sparse.times((_image(x, variant, d), s), q),
                        (_image(y, variant, d), t))
+
+
+def _reduction_window(spec, m, labels, variant):
+    """The default-crossed window's pair, its element's at N = 1."""
+    if spec.N == 1:
+        return _window_element(spec, m, labels, variant, None)[2]
+    return density_matrix(spec, m, labels, variant).pair
+
+
+def _reduction_residual(spec, m, labels, variant, slot, small):
+    """"window reduction": the m-window on labels with its edge site on
+    slot (0 or m - 1) traced, less the (m-1)-window's pair small.  At
+    N = 1 the edge strand is traced in the algebra (it is never the fbar
+    strand, so the trace commutes with the crossing) and compared there."""
+    x, s = _reduction_window(spec, m, labels, variant)
+    d = spec.n + 1
+    if spec.N != 1:
+        return sparse.diff((sparse.ptrace(x, slot, m, d), s), small)
+    edge = permalg.trace_last if slot else permalg.trace_first
+    return _residual(d, variant, (edge(x, d), s), small)
 
 
 def projected_reduction_check(spec, m):
@@ -795,7 +830,6 @@ def seeded_rationals(seed, count, avoid=()):
 
 def lattice_reports(n, max_L, N, max_m, seed):
     reports = []
-    d = n + 1
     kind_weights = {}  # rmat.weights of each kinds tuple, built once
     for L in range(2, max_L + 1):
         beta = seeded_rationals(seed + L, 1, avoid=[0])[0]
@@ -851,15 +885,14 @@ def lattice_reports(n, max_L, N, max_m, seed):
             resid = Fraction(0)
             cases = 0
             rest = labels[1:mtop]
-            small = {v: density_matrix(spec, mtop - 1, rest, v).pair
+            small = {v: _reduction_window(spec, mtop - 1, rest, v)
                      for v in (0, 1)}
             # (variant, labels of the big window, slot of the traced site)
             for variant, big, slot in ((0, [Fraction(0)] + rest, mtop - 1),
                                        (0, rest + [Fraction(0)], 0),
                                        (1, rest + [Fraction(0)], 0)):
-                mat, s = density_matrix(spec, mtop, big, variant).pair
-                traced = sparse.ptrace(mat, slot, mtop, d), s
-                resid = max(resid, sparse.diff(traced, small[variant]))
+                resid = max(resid, _reduction_residual(
+                    spec, mtop, big, variant, slot, small[variant]))
                 cases += 1
             reports.append(VerificationReport(
                 check="window reduction",

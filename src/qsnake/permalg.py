@@ -100,6 +100,12 @@ def trace_last(x, delta):
     return _collect(out)
 
 
+def trace_first(x, delta):
+    """E over strand 0: trace_last, strand 0 relabelled last, j as j - 1."""
+    return trace_last({tuple((v - 1) % len(s) for v in s[1:] + s[:1]): t
+                       for s, t in x.items()}, delta)
+
+
 def trace(x, delta):
     """The trace of x's image, sum of t_sigma * delta^(cycles of sigma):
     E applied to each strand in turn."""

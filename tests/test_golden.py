@@ -82,6 +82,16 @@ RQKZ_L5_JSON_SHA256 = (
 LATTICE_L5_JSON_SHA256 = (
     "ef7d873d85acb55b57d69939ecc46b40ef93b048533cedad5592c04175a74a0b")
 
+# sha256 of the standard output of `qsnake lattice --n 1 --L 5 --m 5
+# --json -` at seed 0, as the row maps gave it: there m > n + 1, where the
+# image of a window element is not faithful, so two elements can differ
+# while their images agree.  "window reduction" compares elements (all 12
+# of its comparisons here agree as elements) and falls back to their
+# images where they differ, and must reproduce the row residuals byte
+# for byte
+LATTICE_N1_L5_M5_JSON_SHA256 = (
+    "9e7d8663641663bd857e01086b0be73326aa57e6054ac34823e7848653ec4386")
+
 # sha256 of to_text of S_odd(3, 3, shift 4) * S_even(3, 3, shift 0), whose
 # coefficients are 1, 2 and 4, and of that product times the fundamental
 # character of node 1 at shift 0 (coefficients 1, 2, 3, 4, 6 and 8):
@@ -161,3 +171,11 @@ def test_lattice_l5_json_byte_identical(capsys):
     assert main(["lattice", "--L", "5", "--json", "-"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == LATTICE_L5_JSON_SHA256
+
+
+def test_lattice_past_the_faithful_range_byte_identical(capsys):
+    assert main(["lattice", "--n", "1", "--L", "5", "--m", "5", "--json",
+                 "-"]) == 0
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == LATTICE_N1_L5_M5_JSON_SHA256)

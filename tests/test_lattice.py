@@ -813,6 +813,113 @@ def test_variant_one_algebra_windows_match_the_rows():
     assert compared == {"columns": 133, "rows": 121}, compared
 
 
+def row_column_partition(spec, m, labels, variant, crossing):
+    """column_partition summed on rows, as it was at every N: each
+    column's vertex_chain on 2N + 1 slots traced over its site, their
+    product in crossing order, then its trace."""
+    columns = lattice._strip(spec, m, labels, variant, crossing)[3]
+    t, scale = lattice._traced_product(spec.n, 2 * spec.N + 1, columns)
+    return Fraction(sparse.trace(t), scale)
+
+
+def test_column_partition_in_z_s2_is_the_row_sum():
+    # at N = 1 the columns are summed in Z[S_2]: the same Fraction as the
+    # column chains on 3 slots, at n <= 4, L <= 7, every m, both variants,
+    # the default, raising and a random crossing
+    compared = 0
+    for n, L in itertools.product((1, 2, 3, 4), range(1, 8)):
+        spec, labels, seed = torus_strip(n, L, 1)
+        rng = random.Random(seed)
+        for m in range(1, L + 1):
+            for crossing, variant in itertools.product(
+                    sorted(set(crossing_kinds(m, rng))), (0, 1)):
+                got = column_partition(spec, m, labels[:m], variant, crossing)
+                want = row_column_partition(spec, m, labels[:m], variant,
+                                            crossing)
+                assert type(got) is Fraction and got == want, (
+                    n, L, m, crossing, variant)
+                compared += 1
+    assert compared == 494
+
+
+def test_column_partition_builds_no_row_map_at_one_pair(monkeypatch):
+    # at N = 1 column_partition calls no vertex_chain, sparse.ptrace or
+    # sparse.mul; at N = 2 it still calls each, so the wrappers are live
+    calls = []
+    for module, name in ((lattice, "vertex_chain"), (rmat, "vertex_chain"),
+                         (sparse, "ptrace"), (sparse, "mul")):
+        def counted(*args, _kernel=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _kernel(*args)
+        monkeypatch.setattr(module, name, counted)
+    for n, L in ((1, 4), (2, 4), (3, 3)):
+        spec, labels, _seed = torus_strip(n, L, 1)
+        for m, variant in itertools.product(range(1, L + 1), (0, 1)):
+            column_partition(spec, m, labels[:m], variant)
+    assert calls == []
+    spec, labels, _seed = torus_strip(2, 3, 2)
+    column_partition(spec, 2, labels[:2], 1)
+    assert set(calls) == {"vertex_chain", "ptrace", "mul"}
+
+
+def antisymmetrizer(size):
+    """The sum of sign(sigma) sigma over S_size, which every image on
+    fewer than size digits sends to 0."""
+    return {sigma: (-1) ** sum(a > b for a, b in itertools.combinations(
+        sigma, 2)) for sigma in itertools.permutations(range(size))}
+
+
+def test_edge_strand_traces_are_the_traced_images():
+    # trace_first and trace_last of an element, imaged as a window of
+    # either variant (lattice._image, crossed on the last slot in variant
+    # 1), are sparse.ptrace of its image on slot 0 and on the last slot,
+    # at n <= 3 and m <= 5, also where m > n + 1 and the image is not
+    # faithful.  Slot 0 is never the fbar slot, so its trace keeps the
+    # crossing; the trace over the fbar slot drops it
+    rng = random.Random(39)
+    compared = 0
+    for n, m, variant in itertools.product((1, 2, 3), range(2, 6), (0, 1)):
+        d = n + 1
+        elements = [random_element(rng, m, terms=8) for _ in range(3)]
+        if m > d:
+            elements.append(permalg.combine(
+                (1, elements[0]), (rng.choice((-2, 3)), antisymmetrizer(m))))
+        for x in elements:
+            image = lattice._image(x, variant, d)
+            assert lattice._image(permalg.trace_first(x, d), variant, d) == (
+                sparse.ptrace(image, 0, m, d)), (n, m, variant, x)
+            assert permalg.image(permalg.trace_last(x, d), d) == (
+                sparse.ptrace(image, m - 1, m, d)), (n, m, variant, x)
+            compared += 1
+    assert compared == 84
+
+
+def test_residual_reads_the_images_where_the_elements_differ(monkeypatch):
+    # equal elements, cross-multiplied, give 0 and build no image;
+    # elements that differ by a kernel element of the image (the
+    # antisymmetrizer on 3 strands at n = 1) give 0 from their images, and
+    # elements that differ in the image give sparse.diff of the images
+    d, x = 2, random_element(random.Random(5), 3)
+    images = []
+    image = lattice._image
+    monkeypatch.setattr(lattice, "_image", lambda *args: images.append(
+        args) or image(*args))
+    for variant in (0, 1):
+        assert lattice._residual(d, variant, (permalg.combine((3, x)), 6),
+                                 (x, 2)) == 0
+        assert lattice._residual(d, variant, (x, 3), (x, 2),
+                                 Fraction(3, 2)) == 0
+    assert images == []
+    for variant in (0, 1):
+        kernel = permalg.combine((1, x), (5, antisymmetrizer(3)))
+        assert lattice._residual(d, variant, (kernel, 3), (x, 3)) == 0
+        other = permalg.combine((1, x), (1, {(0, 1, 2): 1}))
+        got = lattice._residual(d, variant, (other, 3), (x, 2))
+        assert got == sparse.diff((image(other, variant, d), 3),
+                                  (image(x, variant, d), 2)) != 0
+    assert len(images) == 8
+
+
 def test_algebra_level_is_the_row_level_step():
     # the level on an element, crossed form in and out, against
     # level_step on its row map: the raising level takes Z[S_m] to

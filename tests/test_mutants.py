@@ -73,6 +73,21 @@ def cup_cap_loop_weight_n(monkeypatch):
                   "(delta - 1) * t * u")
 
 
+def column_loop_weight_n(monkeypatch):
+    # column_partition traces each column's site strand with loop weight n
+    source_mutant(monkeypatch, lattice, "column_partition",
+                  "permalg.mul(a, b), spec.n + 1)",
+                  "permalg.mul(a, b), spec.n)")
+
+
+def reduction_opposite_edge(monkeypatch):
+    # "window reduction" traces the edge strand opposite the site whose
+    # label sits at the environment value
+    source_mutant(monkeypatch, lattice, "_reduction_residual",
+                  "permalg.trace_last if slot else permalg.trace_first",
+                  "permalg.trace_first if slot else permalg.trace_last")
+
+
 def variant_one_site_fundamental(monkeypatch):
     # variant 1 builds its site 1 as a fundamental site
     source_mutant(monkeypatch, lattice, "_strip", '-labels[0], "fbar"',
@@ -328,6 +343,8 @@ MUTANTS = {
         "outside columns to the power k + 1": (outside_power_plus_one,
                                                lattice_at(1)),
         "outside sites folded at 1": (outside_sites_at_one, lattice_at(1)),
+        "column traced with loop weight n": (column_loop_weight_n,
+                                             lattice_at(1)),
     },
     "window in the permutation basis": {
         "closed loop of weight n": (closed_loop_weight_n, lattice_at(1)),
@@ -342,6 +359,8 @@ MUTANTS = {
     },
     "window reduction": {
         "outside sites folded at 1": (outside_sites_at_one, lattice_at(1)),
+        "reduction traces the opposite edge strand": (reduction_opposite_edge,
+                                                      lattice_at(1)),
     },
     "window global invariance": {
         "same-kind vertex weighted on digit 0": (same_kind_digit_zero_weight,
