@@ -22,11 +22,12 @@ sits on the last slot.  A one-pair window is an algebra element
 (permalg) made a row map once: of Z[S_m] in variant 0, and in variant 1
 of the walled Brauer algebra B_{m-1,1}(n+1) whose fbar strand is site
 1's.  The window difference equations and "window reduction" compare
-such elements, a window map applied as a level (_level) or an edge site
-traced off, and make no row map where they agree; column_partition sums
-its columns in Z[S_2].  The row level_step, AOperator and _folded_window
-serve the residue towers, the tests and the row side of "window in the
-permutation basis".  Every other line of vertices is one
+such elements, a window map applied as a level (element_level, also the
+towers' single-level residue) or an edge site traced off, and make no
+row map where they agree; column_partition sums its columns in Z[S_2].
+The row level_step, AOperator and _folded_window serve the residue
+towers, the tests and the row side of "window in the permutation
+basis".  Every other line of vertices is one
 rmat.vertex_chain product over ints at rational arguments.  The
 window's trace or the map's scalar absorbs the lines' integer scales.
 The dense forms (embed_pair, ptrace_slot, max_abs_diff, monodromy_matrix,
@@ -563,7 +564,7 @@ def level_step(which, n, nu, mus, pair):
     return sparse.mul(sparse.cross(a, d), sparse.cross(b, d)), s * sb
 
 
-def _level(which, n, nu, mus, x):
+def element_level(which, n, nu, mus, x):
     """level_step on a window element, and the level's scale.  The level
     is cross(CL.x) cross(CR), crossed on the line strand m - 1, and
     cross(CR) is CR's crossed vertices in reverse order, as each meets
@@ -651,7 +652,7 @@ def composite_prefactor(n, mu_rest):
     return reduced_prefactor(n, mu_rest, [(1, 0), (2, -h_shift(n))])
 
 
-def _lowering_residue(n, mu_rest):
+def lowering_residue(n, mu_rest):
     """(pole, residue) of the lowering scalar at mu_2 - (n+1)/2."""
     pole = Fraction(mu_rest[0]) - h_shift(n)
     return pole, simple_pole_residue(
@@ -664,7 +665,7 @@ def a_residue_parts(n, mu_rest):
     At the pole the passive vertex at site 2 degenerates to minus the
     rank-1 singlet.  Returns (scalar residue, sparse chain product
     CL.K.CR on m+1 slots at the pole, K the mixed vertex at -(n+1)/2)."""
-    pole, res = _lowering_residue(n, mu_rest)
+    pole, res = lowering_residue(n, mu_rest)
     m = len(mu_rest) + 1
     cl, cr = level_chain(2, n, pole, mu_rest)
     k = ("f", "fbar", -h_shift(n), (m - 1, m))
@@ -675,7 +676,7 @@ def a_residue_parts(n, mu_rest):
 def a_residue_closed(n, mu_rest):
     """The lowering level step at the pole applied to the identity on the
     m window sites (site m first), scaled by the residue."""
-    pole, res = _lowering_residue(n, mu_rest)
+    pole, res = lowering_residue(n, mu_rest)
     ident = identity_matrix((n + 1) ** (len(mu_rest) + 1))
     mat, s = level_step(2, n, pole, mu_rest, sparse.integral(ident))
     return sparse.scale(mat, res / s)
@@ -733,7 +734,7 @@ def _shift_residual(which, n, lam1, mu_rest, window, want):
     """The largest entry of the window-shift map at lam1 applied to the
     window pair (x, z), less the pair want (_residual)."""
     q = a_operator(which, n, lam1, mu_rest).prefactor
-    x, s = _level(which, n, lam1, mu_rest, window[0])
+    x, s = element_level(which, n, lam1, mu_rest, window[0])
     return _residual(n + 1, 2 - which, (x, window[1] * s), want, q)
 
 

@@ -19,20 +19,19 @@ only its rows of dominant rmat.weights are built.
 Scalars are handled symbolically: the product of per-level prefactors
 reduces through the rho ladder to an explicit rational function whose
 residue at the pole folds into the tower's integer (map, s) pair.  The
-fused loop product is one rmat.vertex_chain.  Every report multiplies
-integer pairs, the one formal level of the single-level assembly aside."""
+fused loop product is one rmat.vertex_chain and the single-level residue
+one lattice.element_level; RatFun is only a scalar."""
 
 from collections import Counter
 from fractions import Fraction
 import itertools
 import math
 
-from . import sparse
-from .exactlin import (RatFun, echelon, pole_order_at, residue_at,
-                       tensor_from_matrix)
-from .lattice import (LatticeSpec, density_matrix, level_step,
-                      projected_reduction_check, reduced_prefactor,
-                      seeded_rationals, simple_pole_residue)
+from . import permalg, sparse
+from .exactlin import RatFun, echelon, pole_order_at, tensor_from_matrix
+from .lattice import (LatticeSpec, density_matrix, element_level, level_step,
+                      lowering_residue, projected_reduction_check,
+                      reduced_prefactor, seeded_rationals, simple_pole_residue)
 from .qchar import module_dim, snake_qchar
 from .report import VerificationReport
 from .rmat import h_shift, invariance, vertex_chain, weights
@@ -419,13 +418,13 @@ def snail_wellformed_reports(n, seed):
     reports = [contraction_order_check(SnailSpec(n, 1, 2, [mu]))]
 
     towers = {k: _snail_matrix(SnailSpec(n, k, 2, [mu])) for k in (1, 2)}
-    # the lowering level with its line parameter left formal, scaled by
-    # its scalar and reduced entrywise to the residue at the pole
-    red = reduced_prefactor(n, [mu], [(2, 0)])
-    formal, s = level_step(2, n, RatFun.x(), [mu], vertex_chain(n, 2, []))
-    single = {r: {c: residue_at(red * v, mu - h_shift(n))
-                  for c, v in row.items()} for r, row in formal.items()}
-    resid = sparse.diff(towers[1], (single, s))
+    # the lowering level's entries are polynomials in its line parameter,
+    # so the residue of scalar x level is the scalar's residue times the
+    # level at the pole: here in the algebra, on the identity of Z[S_2]
+    pole, res = lowering_residue(n, [mu])
+    x, s = element_level(2, n, pole, [mu], {(0, 1): 1})
+    resid = sparse.diff(towers[1],
+                        sparse.times((permalg.image(x, n + 1), s), res))
     reports.append(VerificationReport(
         check="tower against single-level assembly",
         params={"n": n, "k": 1, "m": 2, "mu2": mu, "seed": seed},

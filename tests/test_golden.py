@@ -92,6 +92,13 @@ LATTICE_L5_JSON_SHA256 = (
 LATTICE_N1_L5_M5_JSON_SHA256 = (
     "9e7d8663641663bd857e01086b0be73326aa57e6054ac34823e7848653ec4386")
 
+# sha256 of the standard output of `qsnake snail --n 3 --max-k 2 --seed 1
+# --json -`, as the formal RatFun level gave "tower against single-level
+# assembly": the tower checks at rank 3, which `all` (rank 2) never
+# reaches; the algebra level at the pole must reproduce it byte for byte
+SNAIL_N3_K2_SEED1_JSON_SHA256 = (
+    "028ae4eb16184aaa42781832f55870a371b11f1b78420da5d28cd63a8e6da020")
+
 # sha256 of to_text of S_odd(3, 3, shift 4) * S_even(3, 3, shift 0), whose
 # coefficients are 1, 2 and 4, and of that product times the fundamental
 # character of node 1 at shift 0 (coefficients 1, 2, 3, 4, 6 and 8):
@@ -179,3 +186,11 @@ def test_lattice_past_the_faithful_range_byte_identical(capsys):
     out = capsys.readouterr().out
     assert (hashlib.sha256(out.encode()).hexdigest()
             == LATTICE_N1_L5_M5_JSON_SHA256)
+
+
+def test_snail_rank_three_json_byte_identical(capsys):
+    assert main(["snail", "--n", "3", "--max-k", "2", "--seed", "1",
+                 "--json", "-"]) == 0
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == SNAIL_N3_K2_SEED1_JSON_SHA256)

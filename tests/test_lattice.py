@@ -57,7 +57,8 @@ from qsnake.rmat import (
     weights,
 )
 from qsnake.snail import (SnailSpec, _fusion_chain, _snail_matrix, _tower_scalar,
-                          loop_kinds, pole_reports, snail_reports)
+                          loop_kinds, pole_reports, snail_reports,
+                          snail_wellformed_reports)
 from test_permalg import random_element
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -931,7 +932,7 @@ def test_algebra_level_is_the_row_level_step():
         for _ in range(3):
             x = random_element(rng, m)
             nu, *mus = seeded_labels(rng.randrange(10 ** 6), m)
-            y, s = lattice._level(which, n, nu, mus, x)
+            y, s = lattice.element_level(which, n, nu, mus, x)
             want = level_step(which, n, nu, mus,
                               (lattice._image(x, which - 1, d), 1))
             assert (lattice._image(y, 2 - which, d), s) == want, (n, m, which)
@@ -1472,24 +1473,33 @@ def test_reduced_prefactor_is_the_former_ratfun_product():
 
 def test_passing_suites_make_no_ratfun_product(monkeypatch):
     # prefactors and pole profiles are root multiplicities built into one
-    # RatFun: a passing rqkz --L 4, the pole sweep at k <= 2 and the
-    # towers at k = 1, 2 take no RatFun product or quotient; one product
-    # afterwards shows the wrapper is live
+    # RatFun: a passing rqkz --L 4, the pole sweep at k <= 2, the towers
+    # at k = 1, 2 and the tower suite at ranks 2 and 3 (its single-level
+    # residue an algebra level at the pole) take no RatFun sum, product or
+    # quotient; one product and one sum afterwards show the wrappers live
     calls = []
-    times = RatFun._times
+    times, add = RatFun._times, RatFun.__add__
 
-    def counted(*args):
-        calls.append(args)
-        return times(*args)
+    def counted(fn):
+        def wrapped(*args):
+            calls.append((fn.__name__, args))
+            return fn(*args)
+        return wrapped
 
-    monkeypatch.setattr(RatFun, "_times", staticmethod(counted))
-    reports = rqkz_reports(2, 4, 1, 0) + pole_reports((1, 2))
-    assert len(reports) == 9 and all(r.status == "pass" for r in reports)
+    monkeypatch.setattr(RatFun, "_times", staticmethod(counted(times)))
+    for name in ("__add__", "__radd__"):
+        monkeypatch.setattr(RatFun, name, counted(add))
+    reports = (rqkz_reports(2, 4, 1, 0) + pole_reports((1, 2))
+               + snail_wellformed_reports(2, 0)
+               + snail_wellformed_reports(3, 0))
+    assert len(reports) == 15 and all(r.status == "pass" for r in reports)
     (mu,) = seeded_labels(7, 1)
     for k in (1, 2):
         _snail_matrix(SnailSpec(2, k, 2, [mu]))
     assert calls == []
     assert RatFun.x() * RatFun.x() == RatFun((0, 0, 1)) and len(calls) == 1
+    assert RatFun.x() + 1 == RatFun((1, 1)) and len(calls) == 2
+    assert 1 + RatFun.x() == RatFun((1, 1)) and len(calls) == 3
 
 
 def test_finite_rqkz_validation():

@@ -152,6 +152,14 @@ def tower_residue_doubled(monkeypatch):
                   "sparse.times(pair, res)", "sparse.times(pair, 2 * res)")
 
 
+def algebra_transposition_negated(monkeypatch):
+    # the algebra vertex alpha - beta*(p q): only element-built operators
+    # see it, the row-built towers and windows keep rmat's vertices
+    source_mutant(monkeypatch, lattice, "_vertex",
+                  "s if kind1 == kind2 else -s,",
+                  "-(s if kind1 == kind2 else -s),")
+
+
 def pole_denominator_shifted(monkeypatch):
     # the last denominator family's root one further from the candidate;
     # a numerator mutant cannot fail the sweep, that factor never
@@ -399,6 +407,8 @@ MUTANTS = {
     },
     "tower against single-level assembly": {
         "tower residue doubled": (tower_residue_doubled, snail_n2),
+        "algebra vertex with its transposition weight negated": (
+            algebra_transposition_negated, snail_n2),
     },
     "fused window invariance": {
         "same-kind vertex weighted on digit 0": (same_kind_digit_zero_weight,
@@ -486,6 +496,16 @@ def test_digit_zero_weight_keeps_colour_and_breaks_invariance(monkeypatch):
     bad = failing(lattice_at(2)())
     assert "window global invariance" in bad
     assert "window colour conservation" not in bad
+
+
+def test_algebra_vertex_mutant_fails_the_single_level_check_alone(
+        monkeypatch):
+    # the towers are built on rows, so of the tower checks only the
+    # single-level residue, an algebra level, reads lattice._vertex
+    algebra_transposition_negated(monkeypatch)
+    for n in (1, 2, 3):
+        assert failing(snail.snail_wellformed_reports(n, 0)) == {
+            "tower against single-level assembly"}, n
 
 
 def test_kr_chain_step_fails_the_kr_t_system_alone(monkeypatch):

@@ -6,9 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qsnake import rmat, snail, sparse
+from qsnake import permalg, rmat, snail, sparse
 from qsnake.exactlin import (RatFun, _frac_rank, contract, echelon, matrix_rank,
-                              pole_order_at)
+                              pole_order_at, residue_at)
 from qsnake.lattice import (
     AOperator,
     LatticeSpec,
@@ -16,8 +16,12 @@ from qsnake.lattice import (
     a_residue_closed,
     a_residue_parts,
     density_matrix,
+    element_level,
     embed_pair,
+    level_step,
+    lowering_residue,
     max_abs_diff,
+    reduced_prefactor,
     seeded_rationals,
 )
 from qsnake.qchar import SnakeSpec, module_dim, snake_qchar
@@ -30,6 +34,7 @@ from qsnake.rmat import (
     k_matrix,
     permutation_matrix,
     site_action,
+    vertex_chain,
     vertex_matrix,
 )
 from qsnake.snail import (
@@ -359,14 +364,46 @@ def test_snail_agrees_with_single_lowering_assembly():
 
 
 def test_tower_check_against_the_formal_lowering_residue():
-    # the suite's right side is the lowering level at a formal line
-    # parameter, scaled by its scalar and reduced entrywise to the residue
-    # at the pole; it must equal the one-level tower at every rank
+    # the suite's right side is the lowering level applied in the algebra
+    # at the pole, times the scalar's residue there; it must equal the
+    # one-level tower at every rank.  The formal route, now the oracle
+    # formal_lowering_residue, is compared with that right side below
     for n in range(1, 6):
         for seed in (0, 1):
             reports = {r.check: r for r in snail_wellformed_reports(n, seed)}
             rep = reports["tower against single-level assembly"]
             assert rep.status == "pass", rep.summary()
+
+
+def formal_lowering_residue(n, mus):
+    """The lowering level with its line parameter left formal, scaled by
+    its scalar and reduced entrywise to the residue at the pole, as a
+    (map, s) pair with Fraction entries: the RatFun route to the
+    single-level residue."""
+    red = reduced_prefactor(n, mus, [(2, 0)])
+    formal, s = level_step(2, n, RatFun.x(), mus,
+                           vertex_chain(n, len(mus) + 1, []))
+    pole = mus[0] - h_shift(n)
+    return {r: {c: residue_at(red * v, pole) for c, v in row.items()}
+            for r, row in formal.items()}, s
+
+
+def test_algebra_lowering_residue_matches_the_formal_route():
+    # the suite's integer pair (the scalar's residue times the algebra
+    # level at the pole on the identity) against the formal RatFun level
+    # reduced entry by entry, and against the row level at the pole
+    for n in range(1, 6):
+        for m in (2, 3):
+            for seed in (0, 1, 2):
+                mus = seeded_rationals(seed + 7, m - 1, avoid=[0])
+                pole, res = lowering_residue(n, mus)
+                x, s = element_level(2, n, pole, mus,
+                                     {tuple(range(m)): 1})
+                pair = sparse.times((permalg.image(x, n + 1), s), res)
+                assert all(type(v) is int for row in pair[0].values()
+                           for v in row.values())
+                assert sparse.diff(pair, formal_lowering_residue(n, mus)) == 0
+                assert sparse.diff(pair, (a_residue_closed(n, mus), 1)) == 0
 
 
 def inserted_tower(spec):
