@@ -11,8 +11,9 @@ Pearce, "Polynomial division using dynamic arrays, heaps, and packed
 exponent vectors", CASC 2007): each variable owns a one-byte slot (W = 8
 bits) of one Python int and holds its exponent there as a signed digit,
 -127..127, so the product of two monomials is the sum of their codes.
-Products count code sums in C, per pair of coefficient groups; to_text
-sorts each code on one bytes key read off its slots in use.  Every
+Products count code sums in C, per pair of coefficient groups; the
+canonical keys are cut from one byte matrix, a column per slot in use,
+and to_text formats each 8-byte key chunk once.  Every
 monomial and combination carries a bound on the absolute value of its
 exponents; an operation whose bound could leave the digit range is
 recomputed exactly from the decoded exponents instead, so neighbouring
@@ -23,8 +24,9 @@ first seen; nothing is ordered by them.
 from collections import _count_elements
 from collections.abc import Mapping
 from functools import reduce
-from itertools import compress, groupby, product, repeat, starmap
-from operator import add, getitem, itemgetter, or_, xor
+from itertools import chain, compress, groupby, product, repeat, starmap
+from operator import add, itemgetter, or_, xor
+from sys import byteorder
 
 from .exactlin import echelon
 
@@ -37,6 +39,7 @@ MAX_EXPONENT = _HALF - 1  # exponents lie in -MAX_EXPONENT..MAX_EXPONENT
 _EXPONENTS = (*range(-MAX_EXPONENT, 0), *range(1, MAX_EXPONENT + 1), 0)
 _KEY_BYTE = bytes.maketrans(bytes(e + _HALF for e in _EXPONENTS),
                             bytes(range(len(_EXPONENTS))))
+_ABSENT = bytes([len(_EXPONENTS) - 1])  # the key byte of an absent variable
 
 
 class CartanData:
@@ -376,39 +379,55 @@ class LaurentCombination:
     def __repr__(self):
         if not self._terms:
             return "0"
-        key, bound = _canonical_key(self._terms)[1], self._bound
-        return " + ".join(f"{self._terms[code]}*({LoopMonomial._wrap(code, bound)!r})"
-                          for code in sorted(self._terms, key=key))
+        terms, bound = self._terms, self._bound
+        keys = _canonical_keys(terms)[1]
+        return " + ".join(f"{terms[code]}*({LoopMonomial._wrap(code, bound)!r})"
+                          for _key, code in sorted(zip(keys, terms)))
 
 
 def multiply(p, q):
     return p * q
 
 
-def _canonical_key(codes):
-    """(slots, key): the slots the codes use, in variable order, and the
-    canonical sort key of a code: its bytes on those slots, trailing zeros
-    stripped, translated by _KEY_BYTE.  Bytes order on keys is the order
-    on (variable, exponent) pair lists: a prefix sorts first, and an
-    absent variable after any exponent of it."""
+def _canonical_keys(codes):
+    """(slots, keys): the slots the codes use, in variable order, and each
+    code's canonical sort key: its bytes on those slots translated by
+    _KEY_BYTE, trailing absent bytes stripped.  Bytes order on keys is
+    the order on (variable, exponent) pair lists: a prefix sorts first,
+    and an absent variable after any exponent of it.  The keys are rows
+    of one matrix, filled a column at a time from the biased codes."""
     bias, variables = _SLOTS.bias, _SLOTS.variables
     used = reduce(or_, map(xor, map(add, codes, repeat(bias)), repeat(bias)), 0)
     size = len(variables)
     slots = sorted(compress(range(size), used.to_bytes(size, "little")),
                    key=variables.__getitem__)
-    # two zero pad slots make pick a tuple; a biased zero digit is _HALF
-    pick, pad = itemgetter(*slots, size, size), bias | _HALF << (W * size)
-    zero = bytes([_HALF])
-    return slots, lambda code: bytes(pick((code + pad).to_bytes(
-        size + 1, "little"))).rstrip(zero).translate(_KEY_BYTE)
+    width, rows = len(slots) or 1, len(codes)
+    # the codes are biased again, not kept: a list of them outweighs the bytes
+    digits = b"".join(map(int.to_bytes, map(add, codes, repeat(bias)),
+                          repeat(size), repeat("little")))
+    matrix = bytearray(_ABSENT * (rows * width))
+    for j, s in enumerate(slots):
+        matrix[j::width] = digits[s::size].translate(_KEY_BYTE)
+    del digits
+    matrix = bytes(matrix)
+    return slots, [matrix[r:r + width].rstrip(_ABSENT)
+                   for r in range(0, rows * width, width)]
+
+
+def _chunk_tokens(variables, end):
+    """Memo table from an 8-byte key word on these variables to its
+    tokens, then end."""
+    return _Memo(lambda word: "".join(
+        [f" Y[{i},{k}]^{e}" for (i, k), b in zip(variables, word.to_bytes(8, byteorder))
+         if (e := _EXPONENTS[b])]) + end)
 
 
 def _sorted_terms(p, sign):
     """Terms whose exponents, times sign, are all nonnegative, in key order."""
     bias, terms = _SLOTS.bias, p._terms
     codes = [code for code in terms if (sign * code + bias) & bias == bias]
-    codes.sort(key=_canonical_key(codes)[1])
-    return [(LoopMonomial._wrap(code, p._bound), terms[code]) for code in codes]
+    return [(LoopMonomial._wrap(code, p._bound), terms[code])
+            for _key, code in sorted(zip(_canonical_keys(codes)[1], codes))]
 
 
 def dominant_monomials(p):
@@ -467,16 +486,25 @@ def a_decompose(cartan, m):
 def to_text(p):
     """Serialize a combination, one monomial per line: 'coeff Y[i,k]^e ...'.
 
-    Lines are sorted on the canonical key (_canonical_key), so equal
-    combinations serialize byte-identically.  Rows are joined from one
-    token table per slot, so each token is formatted once.
+    Lines are sorted on the canonical keys (_canonical_keys), so equal
+    combinations serialize byte-identically.  The sorted keys, padded to
+    whole 8-byte words, are read as ints; each column of words maps
+    through one token table, so each chunk's tokens are formatted once,
+    and the text is joined once from the coefficients and the columns.
     """
     terms = p._terms
-    slots, key = _canonical_key(terms)
-    rows = sorted((key(code), c) for code, c in terms.items())
-    tokens = [_Memo(lambda b, v=_SLOTS.variables[s]: f" Y[{v[0]},{v[1]}]^{e}"
-                    if (e := _EXPONENTS[b]) else "") for s in slots]
-    return "".join([f"{c}{''.join(map(getitem, tokens, key))}\n" for key, c in rows])
+    slots, keys = _canonical_keys(terms)
+    coeffs = dict(zip(keys, terms.values()))
+    keys.sort()
+    chunks = -(-len(slots) // 8) or 1
+    padded = map(bytes.ljust, keys, repeat(8 * chunks), repeat(_ABSENT))
+    words = memoryview(b"".join(padded)).cast("Q")
+    variables = [_SLOTS.variables[s] for s in slots]
+    columns = [map(_chunk_tokens(variables[8 * j:8 * j + 8],
+                                 "\n" if j == chunks - 1 else "").__getitem__,
+                   words[j::chunks]) for j in range(chunks)]
+    return "".join(chain.from_iterable(
+        zip(map(str, map(coeffs.__getitem__, keys)), *columns)))
 
 
 def from_text(text):

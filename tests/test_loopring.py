@@ -1,3 +1,8 @@
+import sys
+from functools import reduce
+from itertools import compress
+from operator import getitem, itemgetter, or_
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +23,7 @@ from qsnake.loopring import (
     to_text,
     y_var,
 )
+from qsnake.qchar import snake_qchar
 
 
 def comb(*pairs):
@@ -239,6 +245,84 @@ def test_text_of_the_unit_and_of_a_subset_of_slots():
     for want, p in cases.items():
         assert to_text(p) == former_to_text(p) == want
         assert from_text(want) == p
+
+
+def rowwise_to_text(p):
+    """The row-by-row to_text: one bytes key and one row join per code."""
+    bias, variables = loopring._SLOTS.bias, loopring._SLOTS.variables
+    terms, size = p._terms, len(variables)
+    used = reduce(or_, ((code + bias) ^ bias for code in terms), 0)
+    slots = sorted(compress(range(size), used.to_bytes(size, "little")),
+                   key=variables.__getitem__)
+    # two zero pad slots make pick a tuple; a biased zero digit is _HALF
+    pick = itemgetter(*slots, size, size)
+    pad = bias | loopring._HALF << (loopring.W * size)
+    zero = bytes([loopring._HALF])
+
+    def key(code):
+        return bytes(pick((code + pad).to_bytes(size + 1, "little"))).rstrip(
+            zero).translate(loopring._KEY_BYTE)
+
+    rows = sorted((key(code), c) for code, c in terms.items())
+    tokens = [loopring._Memo(lambda b, v=variables[s]: f" Y[{v[0]},{v[1]}]^{e}"
+                             if (e := loopring._EXPONENTS[b]) else "")
+              for s in slots]
+    return "".join([f"{c}{''.join(map(getitem, tokens, key))}\n"
+                    for key, c in rows])
+
+
+# 28 variables, first seen in an order that is not the canonical one
+SCRAMBLED = [(i, k) for k in (713, 711, 716, 710, 714, 712, 715)
+             for i in (4, 1, 3, 2)]
+LoopMonomial(dict.fromkeys(SCRAMBLED, 1))
+TEXT_EXPONENTS = st.one_of(st.integers(-3, 3).filter(bool),
+                           st.sampled_from((-MAX_EXPONENT, MAX_EXPONENT)))
+
+
+@st.composite
+def slot_combinations(draw):
+    """(used, p): a combination on exactly `used` slots, across the 8-byte
+    chunk boundaries; with no slot it is zero or a multiple of the unit."""
+    used = draw(st.sampled_from((0, 1, 7, 8, 9, 16, 17)))
+    variables = draw(st.permutations(SCRAMBLED))[:used]
+    terms = {}
+    for _ in range(draw(st.integers(0, 12))):
+        exps = draw(st.dictionaries(st.sampled_from(variables), TEXT_EXPONENTS)
+                    if variables else st.just({}))
+        terms[LoopMonomial(exps)] = draw(st.integers(-40, 40))
+    # one term on every drawn variable, so that each of their slots is used
+    cover = LoopMonomial({v: draw(TEXT_EXPONENTS) for v in variables})
+    terms[cover] = draw(st.integers(-5, 5).filter(lambda c: c or not used))
+    return used, LaurentCombination(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(slot_combinations())
+def test_text_matches_the_rowwise_oracle_across_chunks(case):
+    used, p = case
+    assert len(loopring._canonical_keys(p._terms)[0]) == used
+    text = to_text(p)
+    assert text == rowwise_to_text(p) == former_to_text(p)
+    assert from_text(text) == p
+
+
+def test_snake_listing_makes_few_python_calls():
+    # the 10,864-term listing of `qchar --n 3 --snake-l 7`: no Python
+    # call per monomial, only per slot chunk and per distinct chunk value
+    char = snake_qchar(3, "even", 7, 0)
+    assert len(char) == 10864
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        to_text(char)
+    finally:
+        sys.setprofile(None)
+    assert calls < len(char) // 2, calls
 
 
 def test_products_cancel_across_coefficient_groups():

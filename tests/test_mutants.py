@@ -16,9 +16,6 @@ import pytest
 from qsnake import lattice, permalg, qchar, rmat, snail, sparse
 from qsnake.cli import run_subcommand
 from qsnake.lattice import lattice_reports, rqkz_reports
-from qsnake.qchar import (census_reports, factor_reports, kr_reports,
-                          qchar_fundamental_reports, snake_trio_reports,
-                          tsystem_reports)
 from qsnake.rmat import rmatrix_reports
 from qsnake.snail import pole_reports, snail_reports
 
@@ -193,6 +190,12 @@ def snake_without_overshoot(monkeypatch):
                      "out = out - prefixes[t - 1]", "out = out")
 
 
+def pairwise_without_unit(monkeypatch):
+    # the staggered products compared with the unbalanced ones, no unit
+    character_mutant(monkeypatch, "tsystem_reports",
+                     "rhs2 + LaurentCombination.unit()", "rhs2")
+
+
 def kr_box_too_many(monkeypatch):
     character_mutant(monkeypatch, "kr_qchar", "range(1, k + 1)",
                      "range(1, k + 2)")
@@ -288,10 +291,12 @@ def mixed_beta_flipped(monkeypatch):
 
 
 def characters():
-    """The character suites at ranks 2 and 3, snakes of up to 3 points."""
-    return (qchar_fundamental_reports((2, 3)) + snake_trio_reports(3)
-            + tsystem_reports(3) + kr_reports() + census_reports(3)
-            + factor_reports(3))
+    """The character suites at ranks 2 and 3, snakes of up to 3 points,
+    looked up on qchar so that a mutant of a suite itself applies."""
+    return (qchar.qchar_fundamental_reports((2, 3))
+            + qchar.snake_trio_reports(3) + qchar.tsystem_reports(3)
+            + qchar.kr_reports() + qchar.census_reports(3)
+            + qchar.factor_reports(3))
 
 
 def lattice_at(N):
@@ -332,6 +337,8 @@ MUTANTS = {
     "pairwise snake identity": {
         "snake without its overshoot step": (snake_without_overshoot,
                                              characters),
+        "pairwise identity without the unit": (pairwise_without_unit,
+                                               characters),
     },
     "kirillov-reshetikhin dimensions": {
         "one box too many": (kr_box_too_many, characters),
