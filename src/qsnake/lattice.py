@@ -910,7 +910,7 @@ def lattice_reports(n, max_L, N, max_m, seed):
             status="pass" if resid == 0 else "fail",
             anchor="every diagonal symmetry generator commutes with the "
                    "window exactly",
-            witness={"commutators": 3 * n * len(top), "max_residual": resid}))
+            witness={"commutators": (n + 1) * len(top), "max_residual": resid}))
 
         if mtop >= 2:
             resid = Fraction(0)

@@ -13,7 +13,7 @@ vertex_chain, the builder of every window, tower and fused product,
 applies; rmatrix_reports certifies vertex_chain itself, at one integer
 point per identity (kronecker_base).  vertex_matrix is a test view.
 The gl_{n+1} action on slots, the dual on antifundamental ones, is
-site_action; invariance and weights, every symmetry check, read it.
+site_action; weights reads it, invariance its E_01 with S_{n+1}.
 Crossing is sparse.cross, which gives the dual and K (the crossed flip
 P), and which "vertex crossing" certifies against the mixed vertex rows.
 The transcendental scalar prefactor rho is never evaluated: a prefactor
@@ -216,7 +216,7 @@ def antisym_fusion(n):
 
 
 def chevalley_generators(n):
-    """Int triples (e_i, f_i, h_i) of the standard action on V, i = 1..n."""
+    """Int (e_i, f_i, h_i), i = 1..n: the tests' 3n oracle, a traced name."""
     return [({i - 1: {i: 1}}, {i: {i - 1: 1}}, {i - 1: {i - 1: 1}, i: {i: -1}})
             for i in range(1, n + 1)]
 
@@ -239,14 +239,25 @@ def site_action(n, kinds, g):
 
 
 def invariance(n, operators):
-    """Largest sparse.commutator of any (kinds, pair) item, kinds a tuple,
-    with site_action of each Chevalley generator; None unless 3n ran."""
-    gens = [g for triple in chevalley_generators(n) for g in triple]
-    acts = {kinds: [site_action(n, kinds, g) for g in gens]
+    """Largest sparse.diff of op * map and map * op over each (kinds,
+    (map, s)) item and each op of its kinds: site_action of E_01 and the
+    n adjacent colour transpositions (i-1 i) on every slot, an fbar slot
+    by C sigma C (digit t to n - sigma(n - t)).  That is gl_{n+1}
+    invariance: they conjugate E_01 to each E_ij, i != j, [E_ij, E_ji] =
+    E_ii - E_jj, and S_{n+1} sits in GL_{n+1}.  None unless all n ran."""
+    d, swaps = n + 1, range(1, n + 1)
+    acts = {kinds: [site_action(n, kinds, {0: {1: 1}})]
             for kinds in {kinds for kinds, _ in operators}}
-    resid = max((sparse.commutator(pair, a) for kinds, pair in operators
-                 for a in acts[kinds]), default=Fraction(0))
-    return resid if len(gens) == 3 * n else None
+    for kinds, i in itertools.product(acts, swaps):
+        sigma = [*range(i - 1), i, i - 1, *range(i + 1, d)]
+        tabs, image = {"f": sigma, "fbar": [n - t for t in sigma[::-1]]}, [0]
+        for kind in kinds:
+            image = [c * d + t for c in image for t in tabs[kind]]
+        acts[kinds].append({r: {c: 1} for r, c in enumerate(image)})
+    resid = max((sparse.diff((sparse.mul(op, a), s), (sparse.mul(a, op), s))
+                 for kinds, (a, s) in operators for op in acts[kinds]),
+                default=Fraction(0))
+    return resid if len(swaps) == n else None
 
 
 def weights(n, kinds):

@@ -245,14 +245,14 @@ def fused_loop_reports(n, k):
 
     A coordinate's weight is rmat.weights, +e_j for an f digit j and
     -e_{n-j} for an fbar digit j, modulo (1, ..., 1).  Both reports fail
-    unless every distinct loop-pair vertex commutes with the Chevalley
-    generators on its two slots (rmat.invariance); then so does the
-    product: the h's make it block-diagonal by weight, the e's and f's
-    let the Weyl group S_{n+1} permute the blocks, ranks kept.  So only
-    the rows of dominant weight are built, one echelon counts each
-    block's pivots (rows of different weights have disjoint supports),
-    and the rank sums pivot count times Weyl orbit size.  A mismatch is
-    reported, not raised."""
+    unless every distinct loop-pair vertex commutes with E_01 and the
+    colour transpositions on its two slots (rmat.invariance), so with
+    gl_{n+1}; so then does the product: it is block-diagonal by weight,
+    and the transpositions, the Weyl group S_{n+1}, permute the blocks,
+    ranks kept.  So only the dominant rows are built, one echelon counts
+    each block's pivots (rows of different weights have disjoint
+    supports), and the rank sums pivot count times Weyl orbit size.  A
+    mismatch is reported, not raised."""
     l = 2 * k - 1
     kinds = loop_kinds(n, l)
     resid = invariance(n, [(v[:2], vertex_chain(n, 2, [(*v, (0, 1))]))

@@ -1,7 +1,7 @@
 """Sparse row maps, the operator format of every exact check, and the
 kernels that multiply, combine, embed, trace, cross and compare them;
-commutator is the one comparison of rmat.invariance, combine the one
-linear combination and cross the one crossing of every operator.
+combine is the one linear combination, cross the one crossing of every
+operator and diff the one comparison of two pairs.
 
 An operator on k slots of dimension d is a row map {row: {col: value}}
 on d^k coordinates, storing no zero and no empty row; slot 0 holds a
@@ -165,15 +165,3 @@ def diff(a, b):
                 best = abs(x - y)
     return Fraction(best, s * t)
 
-
-def commutator(pair, op):
-    """diff of (op * map, s) and (map * op, s) for the pair (map, s): the
-    largest absolute entry of the commutator of op with map / s.  For a
-    diagonal op, D, the entries are (D_r - D_c) * map[r][c], in one pass."""
-    a, s = pair
-    diag = {r: row[r] for r, row in op.items() if row.keys() == {r}}
-    if len(diag) < len(op):
-        return diff((mul(op, a), s), (mul(a, op), s))
-    return Fraction(max((abs((diag.get(r, 0) - diag.get(c, 0)) * v)
-                         for r, row in a.items() for c, v in row.items()),
-                        default=0), s)

@@ -22,12 +22,14 @@ SNAKE_N3_L7_SHA256 = (
 # covariance" reports read from the strip's vertex arguments (vertices
 # compared, how many moved), the six "fused loop weights against snake
 # character" reports, the "window difference equations" anchor naming
-# the crossing each equation holds on, and the two "window in the
+# the crossing each equation holds on, the two "window in the
 # permutation basis" reports, which compare both variants' algebra
-# windows with the row way's; ALL_JSON_CHECKS below says which reports
-# a change of it moved
+# windows with the row way's, and the "window global invariance"
+# witness counting the n + 1 maps (E_01 and the colour transpositions)
+# applied per window; ALL_JSON_CHECKS below says which reports a change
+# of it moved
 ALL_JSON_SHA256 = (
-    "785aef4652243f20170df2672e28253fd8d6385fe604d52090daf63d88725368")
+    "8fb6410fdfa53281b31bd52d6fe41a41993e9205e2916df55ab5aef2eed3ea3d")
 
 # the same output split by check name: the first 16 hex digits of the
 # sha256 of each name's reports, in output order, as compact sorted JSON
@@ -58,7 +60,7 @@ ALL_JSON_CHECKS = {
     "window colour conservation": "556628a6808e508f",
     "window difference equations": "2f239a5c7e7173b2",
     "window exchange relation": "1ea9e7e87075e93c",
-    "window global invariance": "ab019b8bab15b541",
+    "window global invariance": "1d3602504113d614",
     "window in the permutation basis": "06782348a01ab68a",
     "window reduction": "066a312f78ab1f18",
     "window translation covariance": "0766403918568eb9",
@@ -78,9 +80,10 @@ RQKZ_L5_JSON_SHA256 = (
 # Fraction entries gave them; comparing (map, trace) pairs must reproduce
 # them byte for byte), with translation covariance read from the strip's
 # vertex arguments and one "window in the permutation basis" report per L,
-# over both variants
+# over both variants, and (n + 1) maps counted per window by "window
+# global invariance"
 LATTICE_L5_JSON_SHA256 = (
-    "ef7d873d85acb55b57d69939ecc46b40ef93b048533cedad5592c04175a74a0b")
+    "be6bdeec708f043d80083ce124cc14bf63f6ad9c2f6f2bc276d113c80a20c75c")
 
 # sha256 of the standard output of `qsnake lattice --n 1 --L 5 --m 5
 # --json -` at seed 0, as the row maps gave it: there m > n + 1, where the
@@ -88,9 +91,9 @@ LATTICE_L5_JSON_SHA256 = (
 # while their images agree.  "window reduction" compares elements (all 12
 # of its comparisons here agree as elements) and falls back to their
 # images where they differ, and must reproduce the row residuals byte
-# for byte
+# for byte; "window global invariance" counts (n + 1) maps per window
 LATTICE_N1_L5_M5_JSON_SHA256 = (
-    "9e7d8663641663bd857e01086b0be73326aa57e6054ac34823e7848653ec4386")
+    "440b6a012b27a82fb844b0291862685f57c6770bd0eaa11af39dfa03268b6f05")
 
 # sha256 of the standard output of `qsnake snail --n 3 --max-k 2 --seed 1
 # --json -`, as the formal RatFun level gave "tower against single-level

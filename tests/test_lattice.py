@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsnake import lattice, permalg, rmat, sparse
+from qsnake import lattice, permalg, rmat, snail, sparse
+from qsnake.cli import run_subcommand
 from qsnake.exactlin import RatFun, _frac_rank
 from qsnake.lattice import (
     _dense_to_sp,
@@ -59,6 +60,7 @@ from qsnake.rmat import (
 from qsnake.snail import (SnailSpec, _fusion_chain, _snail_matrix, _tower_scalar,
                           loop_kinds, pole_reports, snail_reports,
                           snail_wellformed_reports)
+from test_mutants import MUTANTS, generators_below_n
 from test_permalg import random_element
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -202,30 +204,83 @@ def test_weights_are_the_unit_diagonals_and_the_digit_rule():
                     assert got[c] == tuple(want), (n, kinds, digits)
 
 
+def chevalley_sweep(n, kinds, pair):
+    """The 3n-generator oracle: the largest entry of the commutator of
+    map / s with site_action of each Chevalley generator."""
+    a, s = pair
+    acts = (site_action(n, kinds, g)
+            for triple in chevalley_generators(n) for g in triple)
+    return max(sparse.diff((sparse.mul(g, a), s), (sparse.mul(a, g), s))
+               for g in acts)
+
+
+def invariance_inputs(monkeypatch, run):
+    """The operators of every call of invariance that run() makes, from
+    the window and snail suites, as (n, (kinds, pair)) items; then every
+    patch of monkeypatch is undone, a mutant applied before run too."""
+    seen = []
+    for module in (lattice, snail):
+        def record(n, operators, _certify=module.invariance):
+            seen.extend((n, op) for op in operators)
+            return _certify(n, operators)
+        monkeypatch.setattr(module, "invariance", record)
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def random_invariance_inputs(rng, n, nslots):
+    """Seeded (kinds, pair) items on nslots slots of mixed kinds: a vertex
+    chain at integer arguments (invariant), alone or plus a random integer
+    map, the diagonal of the coordinates of colour j on slot p, or that of
+    those whose colours agree on slots p and q (fixed by every colour
+    permutation); a digit t has colour t on an f slot, n - t on fbar."""
+    kinds = tuple(rng.choice(("f", "fbar")) for _ in range(nslots))
+    factors = []
+    for _ in range(rng.randint(0, 3) if nslots > 1 else 0):
+        p, q = rng.sample(range(nslots), 2)
+        factors.append((kinds[p], kinds[q], rng.randint(-3, 3), (p, q)))
+    chain, s = vertex_chain(n, nslots, factors)
+    p, q = rng.sample(range(nslots), 2) if nslots > 1 else (0, 0)
+    j = rng.randrange(n + 1)
+    colours = [[t if kind == "f" else n - t for kind, t in zip(kinds, digits)]
+               for digits in itertools.product(range(n + 1), repeat=nslots)]
+    extras = [{}, random_row_map(rng, len(colours), [1, -2, 5])] + [
+        {c: {c: 1} for c, col in enumerate(colours) if keep(col)}
+        for keep in (lambda col: col[p] == j, lambda col: col[p] == col[q])]
+    return [(kinds, (sparse.combine((1, chain), (rng.randint(1, 3) * s, x)),
+                     s)) for x in extras]
+
+
 def test_invariance_is_the_explicit_generator_sweep(monkeypatch):
-    # random integer maps on mixed kinds against every generator's
-    # commutator; an invariant map gives 0, no operator gives Fraction(0),
-    # and one generator short gives None
+    # the certificate (E_01 and the colour transpositions) reads 0 exactly
+    # where the 3n Chevalley sweep does: on seeded maps at n = 1..4, on
+    # every operator of `all` at seeds 0-3, and on every operator of each
+    # MUTANTS row's run with the mutant applied
     rng = random.Random(53)
-    for n in (1, 2, 3):
-        gens = [g for triple in chevalley_generators(n) for g in triple]
-        for nslots in (1, 2, 3):
-            ops = []
-            for _ in range(3):
-                kinds = tuple(rng.choice(("f", "fbar")) for _ in range(nslots))
-                pair = (random_row_map(rng, (n + 1) ** nslots, [1, -2, 5]),
-                        rng.randint(1, 4))
-                ops.append((kinds, pair))
-            want = max(sparse.commutator(pair, site_action(n, kinds, g))
-                       for kinds, pair in ops for g in gens)
-            assert rmat.invariance(n, ops) == want
-        one = (("f", "fbar"), vertex_chain(n, 2, [("f", "fbar", 2, (0, 1))]))
-        assert rmat.invariance(n, [one]) == 0
-        assert rmat.invariance(n, []) == 0
-        assert type(rmat.invariance(n, [])) is Fraction
-    triples = rmat.chevalley_generators
-    monkeypatch.setattr(rmat, "chevalley_generators",
-                        lambda n: [triples(n)[0][:2]] + triples(n)[1:])
+    items = [(n, op) for n in (1, 2, 3, 4) for nslots in (1, 2, 3)
+             for _ in range(4)
+             for op in random_invariance_inputs(rng, n, nslots)]
+    for seed in range(4):
+        items += invariance_inputs(monkeypatch, lambda: run_subcommand(
+            "all", {"seed": seed}))
+    for apply, run in (row for rows in MUTANTS.values()
+                       for row in rows.values()):
+        apply(monkeypatch)
+        items += invariance_inputs(monkeypatch, run)
+    seen = set()
+    for n, op in items:
+        zero = rmat.invariance(n, [op]) == 0
+        assert zero == (chevalley_sweep(n, *op) == 0), (n, op)
+        seen.add((n, zero))
+    assert {(n, zero) for n in (1, 2, 3, 4)
+            for zero in (True, False)} <= seen, seen
+    one = (("f", "fbar"), vertex_chain(3, 2, [("f", "fbar", 2, (0, 1))]))
+    assert rmat.invariance(3, [one]) == 0
+    assert rmat.invariance(3, []) == 0
+    assert type(rmat.invariance(3, [])) is Fraction
+    # a transposition list cut short
+    generators_below_n(monkeypatch)
     assert rmat.invariance(3, [one]) is None
     assert rmat.invariance(3, []) is None
 
@@ -292,9 +347,11 @@ def test_colour_conservation_matches_every_diagonal_unit():
             mat = {i: {i: 1} for i in range(dim)}
             mat[r][c] = mat[r].get(c, 0) + 1
             win = DensityWindow(n, m, variant, (mat, 1), [0] * m)
-            units = ({j: {j: 1}} for j in range(n + 1))
-            want = all(sparse.commutator(
-                win.pair, site_action(n, win.kinds, e)) == 0 for e in units)
+            units = (site_action(n, win.kinds, {j: {j: 1}})
+                     for j in range(n + 1))
+            a, s = win.pair
+            want = all(sparse.diff((sparse.mul(e, a), s),
+                                   (sparse.mul(a, e), s)) == 0 for e in units)
             assert colour_conserving(win, weights(n, win.kinds)) == want, (
                 n, m, variant, r, c)
             seen.add(want)
@@ -429,38 +486,6 @@ def test_combine_is_the_entrywise_sum_of_scaled_maps():
     a, b = {0: {0: 1, 1: 2}, 1: {1: 3}}, {0: {1: 2}, 1: {1: 3}, 2: {0: 1}}
     assert sparse.combine((1, a), (-1, b)) == {0: {0: 1}, 2: {0: -1}}
     assert sparse.combine() == {} and sparse.combine((0, a)) == {}
-
-
-def test_diagonal_commutator_is_the_two_product_form():
-    # a diagonal op D takes the one-pass path, (D_r - D_c) * a[r][c]; the
-    # result is the exact Fraction of the two products' diff, over int
-    # and Fraction entries, a diagonal with zeros left out, empty maps and
-    # diagonal site_action maps on mixed kinds
-    rng = random.Random(37)
-    values = [-7, -2, 1, 3, 8, Fraction(5, 3), Fraction(-1, 2)]
-    kinds = set()
-    for case in range(300):
-        dim = rng.randint(1, 12)
-        a = {} if case % 13 == 0 else random_row_map(rng, dim, values)
-        op = {r: {r: v} for r in range(dim)
-              if (v := rng.choice(values + [0, 0]))}
-        s = rng.randint(1, 9)
-        want = sparse.diff((sparse.mul(op, a), s), (sparse.mul(a, op), s))
-        got = sparse.commutator((a, s), op)
-        assert got == want and type(got) is Fraction, (a, op, s)
-        kinds.add("zero" if want == 0 else "nonzero")
-    assert kinds == {"zero", "nonzero"}
-    # a non-diagonal op still takes the two products
-    a, op = {0: {1: 2}}, {0: {0: 1, 1: 1}, 1: {1: 3}}
-    assert sparse.commutator((a, 2), op) == sparse.diff(
-        (sparse.mul(op, a), 2), (sparse.mul(a, op), 2)) == 2
-    for n, m in ((1, 3), (2, 2)):
-        weights = {j: {j: (2 * m + 1) ** j} for j in range(n + 1)}
-        diag = site_action(n, ["fbar"] + ["f"] * (m - 1), weights)
-        assert all(row.keys() == {r} for r, row in diag.items())
-        a = random_row_map(rng, (n + 1) ** m, [1, -4, 9])
-        assert sparse.commutator((a, 3), diag) == sparse.diff(
-            (sparse.mul(diag, a), 3), (sparse.mul(a, diag), 3))
 
 
 # ---------------------------------------------------------------------------
@@ -1791,8 +1816,7 @@ def test_window_suites_hand_the_sparse_kernels_no_fraction(monkeypatch):
     # row-map kernels, as a map entry, a scale or a scalar
     calls, offenders = [], []
     # times is handed its rational factor, which it folds in as ints
-    kernels = ("mul", "ptrace", "scale", "trace", "commutator", "diff",
-               "cross", "times")
+    kernels = ("mul", "ptrace", "scale", "trace", "diff", "cross", "times")
     for name in kernels:
         def wrapped(*args, _kernel=getattr(sparse, name), _name=name):
             calls.append(_name)

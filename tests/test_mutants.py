@@ -91,30 +91,14 @@ def variant_one_site_fundamental(monkeypatch):
                   '-labels[0], "f"')
 
 
-def same_kind_digit_zero_weight(monkeypatch):
-    # a same-kind vertex plus E_00 (x) 1: colour-conserving, not invariant
-    rows_of = rmat._vertex_rows
-
-    def rows(n, kind1, kind2, x, dw):
-        out, s = rows_of(n, kind1, kind2, x, dw)
-        if kind1 != kind2:
-            return out, s
-        weighted = []
-        for r, row in enumerate(out):
-            entries = dict(row)
-            if r < n + 1:  # digit 0 on the first slot
-                entries[0] = entries.get(0, 0) + s
-            weighted.append(tuple((o, w) for o, w in entries.items() if w))
-        return weighted, s
-
-    monkeypatch.setattr(rmat, "_vertex_rows", rows)
-
-
 def generators_below_n(monkeypatch):
-    # the generators of nodes 1..n-1 only, none at n = 1; only rmat holds
-    # the name (test_imports), so rebinding it there reaches every check
-    source_mutant(monkeypatch, rmat, "chevalley_generators",
-                  "range(1, n + 1)", "range(1, n)")
+    # the colour transpositions of nodes 1..n-1 only, none at n = 1; the
+    # window and snail suites hold the name invariance too, so it is
+    # rebound there
+    source_mutant(monkeypatch, rmat, "invariance", "range(1, n + 1)",
+                  "range(1, n)")
+    for module in (lattice, snail):
+        monkeypatch.setattr(module, "invariance", rmat.invariance)
 
 
 def fbar_slot_undualized(monkeypatch):
@@ -262,6 +246,41 @@ def vertex_edit(kinds, alpha=0, beta=0):
     return edit
 
 
+def diagonal_edit(on):
+    """A row edit: s added on the diagonal (offset 0) of each same-kind
+    row (a, b) with on(n, a, b), a colour-conserving diagonal map added
+    to the vertex."""
+    def edit(k1, k2, rows, s):
+        if k1 != k2:
+            return rows, s
+        d = math.isqrt(len(rows))
+        edited = []
+        for r, row in enumerate(rows):
+            entries = dict(row)
+            if on(d - 1, *divmod(r, d)):
+                entries[0] = entries.get(0, 0) + s
+            edited.append(tuple((o, w) for o, w in entries.items() if w))
+        return edited, s
+    return edit
+
+
+def same_kind_digit_zero_weight(monkeypatch):
+    # a same-kind vertex plus E_00 (x) 1: colour-conserving, not invariant
+    mutate_rows(monkeypatch, diagonal_edit(lambda n, a, b: a == 0))
+
+
+def same_kind_digit_n_weight(monkeypatch):
+    # plus E_nn (x) 1, which commutes with E_01 at n >= 2: only the colour
+    # transpositions see it
+    mutate_rows(monkeypatch, diagonal_edit(lambda n, a, b: a == n))
+
+
+def same_kind_equal_colours(monkeypatch):
+    # plus sum_a E_aa (x) E_aa, which every colour permutation fixes: only
+    # E_01 sees it
+    mutate_rows(monkeypatch, diagonal_edit(lambda n, a, b: a == b))
+
+
 def r12_argument_plus_one(monkeypatch):
     mutate_factors(monkeypatch, argument_edit((0, 1), lambda x: x + 1))
 
@@ -380,6 +399,10 @@ MUTANTS = {
     "window global invariance": {
         "same-kind vertex weighted on digit 0": (same_kind_digit_zero_weight,
                                                  lattice_at(2)),
+        "same-kind vertex weighted on digit n": (same_kind_digit_n_weight,
+                                                 lattice_at(2)),
+        "same-kind vertex plus its equal-colour projector": (
+            same_kind_equal_colours, lattice_at(2)),
         "generators of nodes below n": (generators_below_n, lattice_at(1)),
         "fbar slot acted on by g": (fbar_slot_undualized, lattice_at(1)),
     },
@@ -420,6 +443,10 @@ MUTANTS = {
     "fused window invariance": {
         "same-kind vertex weighted on digit 0": (same_kind_digit_zero_weight,
                                                  snail_n2),
+        "same-kind vertex weighted on digit n": (same_kind_digit_n_weight,
+                                                 snail_n2),
+        "same-kind vertex plus its equal-colour projector": (
+            same_kind_equal_colours, snail_n2),
         "generators of nodes below n": (generators_below_n, snail_n2),
     },
     "pole profile sweep": {
@@ -503,6 +530,37 @@ def test_digit_zero_weight_keeps_colour_and_breaks_invariance(monkeypatch):
     bad = failing(lattice_at(2)())
     assert "window global invariance" in bad
     assert "window colour conservation" not in bad
+
+
+def test_digit_n_weight_commutes_with_e01(monkeypatch):
+    # E_nn (x) 1 commutes with E_01 at n >= 2: E_01's commutator alone
+    # reads 0 on the vertex, the colour transpositions do not
+    same_kind_digit_n_weight(monkeypatch)
+    for n in (2, 3):
+        kinds = ("f", "f")
+        a, s = rmat.vertex_chain(n, 2, [(*kinds, 3, (0, 1))])
+        e01 = rmat.site_action(n, kinds, {0: {1: 1}})
+        assert sparse.diff((sparse.mul(e01, a), s),
+                           (sparse.mul(a, e01), s)) == 0
+        assert rmat.invariance(n, [(kinds, (a, s))]) != 0
+    bad = failing(lattice_at(2)())
+    assert "window global invariance" in bad
+    assert "window colour conservation" not in bad
+
+
+def test_equal_colour_projector_commutes_with_the_transpositions(
+        monkeypatch):
+    # every colour permutation fixes sum_a E_aa (x) E_aa: with E_01 acting
+    # as zero the certificate reads 0 on the vertex, with it not
+    same_kind_equal_colours(monkeypatch)
+    for n in (1, 2, 3):
+        ops = [(kinds, rmat.vertex_chain(n, 2, [(*kinds, 3, (0, 1))]))
+               for kinds in (("f", "f"), ("fbar", "fbar"))]
+        assert all(rmat.invariance(n, [op]) != 0 for op in ops)
+        with monkeypatch.context() as m:
+            m.setattr(rmat, "site_action", lambda n, kinds, g: {})
+            assert rmat.invariance(n, ops) == 0
+    assert "window colour conservation" not in failing(lattice_at(2)())
 
 
 def test_algebra_vertex_mutant_fails_the_single_level_check_alone(
