@@ -13,7 +13,7 @@ vertex_chain, the builder of every window, tower and fused product,
 applies; rmatrix_reports certifies vertex_chain itself, at one integer
 point per identity (kronecker_base).  vertex_matrix is a test view.
 The gl_{n+1} action on slots, the dual on antifundamental ones, is
-site_action; weights reads it, invariance its E_01 with S_{n+1}.
+site_action; weights reads it, invariance its E_01 and S_{n+1}'s.
 Crossing is sparse.cross, which gives the dual and K (the crossed flip
 P), and which "vertex crossing" certifies against the mixed vertex rows.
 The transcendental scalar prefactor rho is never evaluated: a prefactor
@@ -239,24 +239,27 @@ def site_action(n, kinds, g):
 
 
 def invariance(n, operators):
-    """Largest sparse.diff of op * map and map * op over each (kinds,
-    (map, s)) item and each op of its kinds: site_action of E_01 and the
-    n adjacent colour transpositions (i-1 i) on every slot, an fbar slot
-    by C sigma C (digit t to n - sigma(n - t)).  That is gl_{n+1}
-    invariance: they conjugate E_01 to each E_ij, i != j, [E_ij, E_ji] =
-    E_ii - E_jj, and S_{n+1} sits in GL_{n+1}.  None unless all n ran."""
-    d, swaps = n + 1, range(1, n + 1)
-    acts = {kinds: [site_action(n, kinds, {0: {1: 1}})]
+    """Largest sparse.diff over the (kinds, (map, s)) items of E_01 * map
+    and map * E_01 (site_action), and of map and its relabelling {p[r]:
+    {p[c]: v}}, p each adjacent colour transposition sigma on every slot (fbar:
+    digit t to n - sigma(n - t)), whose entries are the commutator's.  So
+    gl_{n+1} invariance: they conjugate E_01 to each E_ij, [E_ij, E_ji] =
+    E_ii - E_jj, and S_{n+1} is in GL_{n+1}.  None unless all n ran."""
+    d, swaps, resid = n + 1, range(1, n + 1), Fraction(0)
+    acts = {kinds: (site_action(n, kinds, {0: {1: 1}}), [])
             for kinds in {kinds for kinds, _ in operators}}
     for kinds, i in itertools.product(acts, swaps):
         sigma = [*range(i - 1), i, i - 1, *range(i + 1, d)]
-        tabs, image = {"f": sigma, "fbar": [n - t for t in sigma[::-1]]}, [0]
-        for kind in kinds:
-            image = [c * d + t for c in image for t in tabs[kind]]
-        acts[kinds].append({r: {c: 1} for r, c in enumerate(image)})
-    resid = max((sparse.diff((sparse.mul(op, a), s), (sparse.mul(a, op), s))
-                 for kinds, (a, s) in operators for op in acts[kinds]),
-                default=Fraction(0))
+        tabs = {"f": sigma, "fbar": [n - t for t in sigma[::-1]]}
+        acts[kinds][1].append(functools.reduce(lambda image, kind: [
+            c * d + t for c in image for t in tabs[kind]], kinds, [0]))
+    for kinds, (a, s) in operators:
+        e01, images = acts[kinds]
+        resid = max(resid, sparse.diff((sparse.mul(e01, a), s),
+                                       (sparse.mul(a, e01), s)), *(
+            sparse.diff(({p[r]: {p[c]: v for c, v in row.items()}
+                          for r, row in a.items()}, s), (a, s))
+            for p in images))
     return resid if len(swaps) == n else None
 
 

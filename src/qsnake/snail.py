@@ -412,7 +412,7 @@ DEFAULT_RANK_PAIRS = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3))
 
 def snail_wellformed_reports(n, seed):
     """The contraction-order check, then the towers k = 1, 2 at m = 2
-    against the single-level residue and the diagonal symmetry, all at
+    against the single-level residue and gl_{n+1} invariance, all at
     rank n."""
     mu = seeded_rationals(seed + 7, 1, avoid=[0])[0]
     reports = [contraction_order_check(SnailSpec(n, 1, 2, [mu]))]
@@ -438,8 +438,8 @@ def snail_wellformed_reports(n, seed):
         check="fused window invariance",
         params={"n": n, "k_values": [1, 2], "m": 2, "mu2": mu, "seed": seed},
         status="pass" if resid == 0 else "fail",
-        anchor="the closed tower commutes with every diagonal symmetry "
-               "generator",
+        anchor="E_01 commutes with the closed tower, and every adjacent "
+               "colour transposition relabels it to itself",
         witness={"max_residual": resid}))
     return reports
 

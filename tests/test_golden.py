@@ -26,10 +26,11 @@ SNAKE_N3_L7_SHA256 = (
 # permutation basis" reports, which compare both variants' algebra
 # windows with the row way's, and the "window global invariance"
 # witness counting the n + 1 maps (E_01 and the colour transpositions)
-# applied per window; ALL_JSON_CHECKS below says which reports a change
-# of it moved
+# applied per window, and the "window global invariance" and "fused
+# window invariance" anchors naming E_01 and the colour transpositions;
+# ALL_JSON_CHECKS below says which reports a change of it moved
 ALL_JSON_SHA256 = (
-    "8fb6410fdfa53281b31bd52d6fe41a41993e9205e2916df55ab5aef2eed3ea3d")
+    "9402ed75b9396e6e8278e1d9ecc88f1a7fd675bf5620ba60febbe3896440ff14")
 
 # the same output split by check name: the first 16 hex digits of the
 # sha256 of each name's reports, in output order, as compact sorted JSON
@@ -42,7 +43,7 @@ ALL_JSON_CHECKS = {
     "fundamental closed form": "c3301794460a2d8e",
     "fused loop rank against snake dimension": "d129337be3ce32bd",
     "fused loop weights against snake character": "359e918943240b86",
-    "fused window invariance": "f0331f4f4bcc36bd",
+    "fused window invariance": "9c60c949bf24bee4",
     "fused window relation at one loop": "1399c2a20042c7e7",
     "kirillov-reshetikhin dimensions": "2e353929f9eb1f2c",
     "kirillov-reshetikhin t-system": "9462fe2d3a8e7295",
@@ -60,7 +61,7 @@ ALL_JSON_CHECKS = {
     "window colour conservation": "556628a6808e508f",
     "window difference equations": "2f239a5c7e7173b2",
     "window exchange relation": "1ea9e7e87075e93c",
-    "window global invariance": "1d3602504113d614",
+    "window global invariance": "c0623903ebb6d57d",
     "window in the permutation basis": "06782348a01ab68a",
     "window reduction": "066a312f78ab1f18",
     "window translation covariance": "0766403918568eb9",
@@ -81,9 +82,10 @@ RQKZ_L5_JSON_SHA256 = (
 # them byte for byte), with translation covariance read from the strip's
 # vertex arguments and one "window in the permutation basis" report per L,
 # over both variants, and (n + 1) maps counted per window by "window
-# global invariance"
+# global invariance", whose anchor names E_01 and the colour
+# transpositions
 LATTICE_L5_JSON_SHA256 = (
-    "be6bdeec708f043d80083ce124cc14bf63f6ad9c2f6f2bc276d113c80a20c75c")
+    "05335ef4500bf1216a6e7068605fca0145f11edde51c76bc9f73d83da42bef52")
 
 # sha256 of the standard output of `qsnake lattice --n 1 --L 5 --m 5
 # --json -` at seed 0, as the row maps gave it: there m > n + 1, where the
@@ -92,15 +94,18 @@ LATTICE_L5_JSON_SHA256 = (
 # of its comparisons here agree as elements) and falls back to their
 # images where they differ, and must reproduce the row residuals byte
 # for byte; "window global invariance" counts (n + 1) maps per window
+# and names E_01 and the colour transpositions in its anchor
 LATTICE_N1_L5_M5_JSON_SHA256 = (
-    "440b6a012b27a82fb844b0291862685f57c6770bd0eaa11af39dfa03268b6f05")
+    "28f06187cefc4aec60afca0b68a7f46503b17323b7625d0010acb5bde732118c")
 
 # sha256 of the standard output of `qsnake snail --n 3 --max-k 2 --seed 1
 # --json -`, as the formal RatFun level gave "tower against single-level
 # assembly": the tower checks at rank 3, which `all` (rank 2) never
-# reaches; the algebra level at the pole must reproduce it byte for byte
+# reaches; the algebra level at the pole must reproduce it byte for
+# byte; "fused window invariance" names E_01 and the colour
+# transpositions in its anchor
 SNAIL_N3_K2_SEED1_JSON_SHA256 = (
-    "028ae4eb16184aaa42781832f55870a371b11f1b78420da5d28cd63a8e6da020")
+    "e207f3223dbec5a685e499e70b088efc5da0d3c0754b6e559c7d59db062883fd")
 
 # sha256 of to_text of S_odd(3, 3, shift 4) * S_even(3, 3, shift 0), whose
 # coefficients are 1, 2 and 4, and of that product times the fundamental

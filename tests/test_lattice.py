@@ -1,3 +1,4 @@
+from collections import Counter
 import functools
 import itertools
 import random
@@ -60,7 +61,7 @@ from qsnake.rmat import (
 from qsnake.snail import (SnailSpec, _fusion_chain, _snail_matrix, _tower_scalar,
                           loop_kinds, pole_reports, snail_reports,
                           snail_wellformed_reports)
-from test_mutants import MUTANTS, generators_below_n
+from test_mutants import MUTANTS, crossing_reversed, generators_below_n
 from test_permalg import random_element
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -214,6 +215,26 @@ def chevalley_sweep(n, kinds, pair):
                for g in acts)
 
 
+def permutation_commutators(n, kinds, pair):
+    """The certificate as two products per map: the largest entry of the
+    commutator of map / s with site_action of E_01 and with each adjacent
+    colour transposition built as a permutation map, which moves digit t
+    of an f slot to sigma(t) and of an fbar slot to n - sigma(n - t)."""
+    a, s = pair
+    d = n + 1
+    coords = list(itertools.product(range(d), repeat=len(kinds)))
+    index = {digits: k for k, digits in enumerate(coords)}
+    acts = [site_action(n, kinds, {0: {1: 1}})]
+    for i in range(1, d):
+        sigma = list(range(d))
+        sigma[i - 1], sigma[i] = i, i - 1
+        acts.append({index[digits]: {index[tuple(
+            sigma[t] if kind == "f" else n - sigma[n - t]
+            for kind, t in zip(kinds, digits))]: 1} for digits in coords})
+    return max(sparse.diff((sparse.mul(g, a), s), (sparse.mul(a, g), s))
+               for g in acts)
+
+
 def invariance_inputs(monkeypatch, run):
     """The operators of every call of invariance that run() makes, from
     the window and snail suites, as (n, (kinds, pair)) items; then every
@@ -254,8 +275,10 @@ def random_invariance_inputs(rng, n, nslots):
 
 def test_invariance_is_the_explicit_generator_sweep(monkeypatch):
     # the certificate (E_01 and the colour transpositions) reads 0 exactly
-    # where the 3n Chevalley sweep does: on seeded maps at n = 1..4, on
-    # every operator of `all` at seeds 0-3, and on every operator of each
+    # where the 3n Chevalley sweep does, and reads the value of the
+    # commutators with E_01 and the permutation maps (each transposition
+    # applied as a relabelling): on seeded maps at n = 1..4, on every
+    # operator of `all` at seeds 0-3, and on every operator of each
     # MUTANTS row's run with the mutant applied
     rng = random.Random(53)
     items = [(n, op) for n in (1, 2, 3, 4) for nslots in (1, 2, 3)
@@ -270,7 +293,9 @@ def test_invariance_is_the_explicit_generator_sweep(monkeypatch):
         items += invariance_inputs(monkeypatch, run)
     seen = set()
     for n, op in items:
-        zero = rmat.invariance(n, [op]) == 0
+        resid = rmat.invariance(n, [op])
+        assert resid == permutation_commutators(n, *op), (n, op)
+        zero = resid == 0
         assert zero == (chevalley_sweep(n, *op) == 0), (n, op)
         seen.add((n, zero))
     assert {(n, zero) for n in (1, 2, 3, 4)
@@ -1148,6 +1173,56 @@ def test_density_exchange_braid_variant1():
     assert max_abs_diff(conj, dense(swapped)) == 0
 
 
+def conjugation_exchange(n, max_L, N, max_m, seed):
+    """"window exchange relation" of lattice_reports in the conjugation
+    form: per strip length with m >= 2, the largest entry of braid W
+    braid^-1 less W', braid = P R(x), braid^-1 = R(-x) P / (1 - x^2),
+    on the suite's draws and the suite's W (built on rows at N = 1)."""
+    out = []
+    for L in range(2, max_L + 1):
+        beta = seeded_rationals(seed + L, 1, avoid=[0])[0]
+        spec = LatticeSpec.staggered(n, L, N, [Fraction(0)] * L, beta)
+        m = min(L, max_m)
+        if m < 2:
+            continue
+        w = seeded_rationals(seed + L + 100, m, avoid=[0, beta])
+        win, s = (lattice._window(spec, m, w, 0, None, False) if N == 1
+                  else density_matrix(spec, m, w, 0)).pair
+        resid = Fraction(0)
+        for i in range(1, m):
+            ws = w[:i - 1] + [w[i], w[i - 1]] + w[i + 1:]
+            pair = (m - i - 1, m - i)
+            x = w[i] - w[i - 1]
+            braid, sb = vertex_chain(n, m, [("f", "f", 0, pair),
+                                            ("f", "f", x, pair)])
+            inv, si = vertex_chain(n, m, [("f", "f", -x, pair),
+                                          ("f", "f", 0, pair)])
+            conj = sparse.times((sparse.mul(sparse.mul(braid, win), inv),
+                                 s * sb * si), 1 / (1 - x * x))
+            resid = max(resid, sparse.diff(
+                conj, density_matrix(spec, m, ws, 0).pair))
+        out.append(resid)
+    return out
+
+
+def test_exchange_relation_is_the_conjugation_form(monkeypatch):
+    # braid W = W' braid reads 0 exactly where braid W braid^-1 = W' does,
+    # at n = 1..3, N = 1, 2 and seeds 0-3, as built and with every line
+    # crossing the window sites in reverse (the report then fails)
+    zeros = set()
+    for mutant in (None, crossing_reversed):
+        if mutant:
+            mutant(monkeypatch)
+        for n, N, seed in itertools.product((1, 2, 3), (1, 2), range(4)):
+            got = [r.witness["max_residual"] == 0
+                   for r in lattice.lattice_reports(n, 3, N, 3, seed)
+                   if r.check == "window exchange relation"]
+            want = [r == 0 for r in conjugation_exchange(n, 3, N, 3, seed)]
+            assert got == want and len(got) == 2, (n, N, seed, mutant)
+            zeros.update(got)
+    assert zeros == {True, False}
+
+
 def dual_action(g):
     c = _sp_to_dense(charge_conj_matrix(g.shape[0] - 1), g.shape[0])
     return -(c @ g.T @ c)
@@ -1815,13 +1890,11 @@ def test_window_suites_hand_the_sparse_kernels_no_fraction(monkeypatch):
     # of the window suites compares such pairs: no Fraction reaches the
     # row-map kernels, as a map entry, a scale or a scalar
     calls, offenders = [], []
-    # times is handed its rational factor, which it folds in as ints
-    kernels = ("mul", "ptrace", "scale", "trace", "diff", "cross", "times")
+    kernels = ("mul", "ptrace", "scale", "trace", "diff", "cross")
     for name in kernels:
         def wrapped(*args, _kernel=getattr(sparse, name), _name=name):
             calls.append(_name)
-            maps = args[:1] if _name == "times" else args
-            if any(isinstance(v, Fraction) for v in leaves(maps)):
+            if any(isinstance(v, Fraction) for v in leaves(args)):
                 offenders.append(_name)
             return _kernel(*args)
         monkeypatch.setattr(sparse, name, wrapped)
@@ -1829,6 +1902,52 @@ def test_window_suites_hand_the_sparse_kernels_no_fraction(monkeypatch):
     assert all(rep.status == "pass" for rep in reports)
     assert set(calls) == set(kernels) and len(calls) > 200
     assert offenders == []
+
+
+def test_certificates_make_one_product_per_relation(monkeypatch):
+    # invariance makes E_01's two products per operator and none for a
+    # colour transposition; "window exchange relation" makes one, braid W,
+    # per label swap, builds only the braid P R(x) and folds in no
+    # rational: braid W = W' braid needs no inverse braid
+    calls, chains = Counter(), []
+
+    def counted(name):
+        kernel = getattr(sparse, name)
+
+        def wrapped(*args):
+            frame = sys._getframe(1)
+            while frame.f_code.co_filename == sparse.__file__:
+                frame = frame.f_back
+            calls[name, frame.f_code.co_name] += 1
+            return kernel(*args)
+        return wrapped
+
+    for name in ("mul", "times"):
+        monkeypatch.setattr(sparse, name, counted(name))
+    rng = random.Random(59)
+    for n in (1, 2, 3):
+        ops = [op for nslots in (1, 2, 3)
+               for op in random_invariance_inputs(rng, n, nslots)]
+        calls.clear()
+        rmat.invariance(n, ops)
+        assert calls == {("mul", "invariance"): 2 * len(ops)}, n
+
+    def chain(n, nslots, factors, start=None):
+        if sys._getframe(1).f_code.co_name == "lattice_reports":
+            chains.append(factors)
+        return vertex_chain(n, nslots, factors, start)
+
+    monkeypatch.setattr(lattice, "vertex_chain", chain)
+    calls.clear()
+    swaps = sum(r.witness["pairs"] for r in lattice_reports(2, 3, 1, 3, 0)
+                if r.check == "window exchange relation")
+    assert swaps == 3
+    assert calls["mul", "lattice_reports"] == swaps
+    assert calls["times", "lattice_reports"] == 0
+    # each chain is [P, R(x)]: the same-kind vertex at 0, then at x != 0
+    assert len(chains) == 2 * swaps and all(
+        [(k1, k2, x == 0) for k1, k2, x, _ in factors]
+        == [("f", "f", True), ("f", "f", False)] for factors in chains), chains
 
 
 def test_window_checks_fail_on_a_wrong_scale_or_prefactor(monkeypatch):

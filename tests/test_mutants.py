@@ -15,7 +15,7 @@ import pytest
 
 from qsnake import lattice, permalg, qchar, rmat, snail, sparse
 from qsnake.cli import run_subcommand
-from qsnake.lattice import lattice_reports, rqkz_reports
+from qsnake.lattice import rqkz_reports
 from qsnake.rmat import rmatrix_reports
 from qsnake.snail import pole_reports, snail_reports
 
@@ -119,6 +119,12 @@ def crossing_reversed(monkeypatch):
     source_mutant(monkeypatch, lattice, "_strip",
                   "order = [m - site for site in crossing]",
                   "order = [site - 1 for site in crossing]")
+
+
+def braid_at_minus_x(monkeypatch):
+    # "window exchange relation" braids with P R(-x), on both sides
+    source_mutant(monkeypatch, lattice, "lattice_reports",
+                  '("f", "f", x, pair)', '("f", "f", -x, pair)')
 
 
 def fused_shift_plus_one(monkeypatch):
@@ -319,8 +325,9 @@ def characters():
 
 
 def lattice_at(N):
-    """lattice at its defaults (n = 2, L <= 3, m <= 3, seed 0), N pairs."""
-    return lambda: lattice_reports(2, 3, N, 3, 0)
+    """lattice at its defaults (n = 2, L <= 3, m <= 3, seed 0), N pairs,
+    looked up on lattice so that a mutant of the suite itself applies."""
+    return lambda: lattice.lattice_reports(2, 3, N, 3, 0)
 
 
 def rqkz_l4():
@@ -408,6 +415,7 @@ MUTANTS = {
     },
     "window exchange relation": {
         "crossing reversed": (crossing_reversed, lattice_at(1)),
+        "braid at -x": (braid_at_minus_x, lattice_at(1)),
     },
     "window translation covariance": {
         "line argument p + b, N = 1": (line_plus_beta, lattice_at(1)),

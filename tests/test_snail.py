@@ -484,7 +484,7 @@ def test_snail_matches_chain_tower_reference():
 
 def test_snail_reach_inserted_and_invariant():
     # towers past the reach of the chain layout: the inserted realization
-    # agrees, and every diagonal symmetry generator commutes
+    # agrees, and every Chevalley generator commutes with the tower
     mus = [Fraction(2, 7), Fraction(5, 9)]
     for n, k, m in ((2, 4, 2), (2, 5, 2), (3, 3, 2), (2, 3, 3)):
         spec = SnailSpec(n, k, m, mus[:m - 1])
