@@ -18,18 +18,20 @@ into a closed-form map on the two lines, and no chain holds them.
 Windows and window-shift images are sparse (map, s) pairs (see sparse),
 integer row maps over a positive int, a window's own trace, built and
 compared fraction-free; slot j of a window carries site m-j, so site 1
-sits on the last slot.  A one-pair window is an algebra element
-(permalg) made a row map once: of Z[S_m] in variant 0, and in variant 1
-of the walled Brauer algebra B_{m-1,1}(n+1) whose fbar strand is site
-1's.  The window difference equations and "window reduction" compare
-such elements, a window map applied as a level (element_level, also the
-towers' single-level residue) or an edge site traced off, and make no
-row map where they agree; column_partition sums its columns in Z[S_2].
-The row level_step, AOperator and _folded_window serve the residue
-towers, the tests and the row side of "window in the permutation
-basis".  Every other line of vertices is one
-rmat.vertex_chain product over ints at rational arguments.  The
-window's trace or the map's scalar absorbs the lines' integer scales.
+sits on the last slot.  A one-pair window is an algebra element (permalg)
+made a row map once: of Z[S_m] in variant 0, and in variant 1 of the
+walled Brauer algebra B_{m-1,1}(n+1) whose fbar strand is site 1's.  The
+window difference equations, "window reduction" and the exchange
+relation compare such elements, a window map applied as a level
+(element_level, also the towers' single-level residue), an edge site
+traced off or a braid multiplied in, and make no row map where they
+agree; column_partition sums its columns in Z[S_2].  The row level_step
+and AOperator serve the residue towers and the tests, and the rows of
+dominant weight (_folded_window), which fix an equivariant window, are
+the row side of "window in the permutation basis".  Every other line of
+vertices is one rmat.vertex_chain product over ints at rational
+arguments.  The window's trace or the map's scalar absorbs the lines'
+integer scales.
 The dense forms (embed_pair, ptrace_slot, max_abs_diff, monodromy_matrix,
 transfer_matrix, their labeled tensors) are the tests' oracles, which no
 suite calls; only they load numpy, from their bodies.  All functions are
@@ -39,6 +41,7 @@ pure.  The symmetry checks read rmat.invariance and rmat.weights.
 from collections import Counter
 from fractions import Fraction
 import functools
+import math
 import operator
 import random
 
@@ -208,8 +211,9 @@ class DensityWindow:
     j carries site m-j (site 1 last); site_labels are (site 1, ...,
     site m).  variant 1 means site 1 is the antifundamental line.
     crossing orders the sites as every horizontal line crosses them.
-    norm is the partition function z of density_matrix, else None."""
-    norm = None
+    norm is the partition function z of density_matrix, else None, and
+    element the pair (x, s) of its algebra element at N = 1, else None."""
+    norm = element = None
 
     def __init__(self, n, m, variant, pair, site_labels, crossing=None):
         self.n = int(n)
@@ -293,26 +297,29 @@ def _outside_columns(n, b, k):
     return (plus + minus) // 2, (plus - minus) // 2, c1 ** k
 
 
-def _folded_window(n, m, L, b, rows):
+def _folded_window(n, m, L, b, rows, starts=None):
     """The unnormalized window of a one-pair strip at b from its two
     lines' window vertices on m + 1 slots, and its scale: a*T1*T2 +
     c*T12, with (a, c) the L - m outside columns (_outside_columns), T_j
     line j traced and T12 line 1 then line 2 on one line slot, traced:
-    the row way of "window in the permutation basis"."""
+    the row way of "window in the permutation basis", with T1*T2 =
+    tr((T1 (x) 1) C2), C2 line 2's chain, and every chain started from
+    the identity rows starts (all if None)."""
     a, c, s = _outside_columns(n, b, L - m)
+    d = n + 1
     # each line's first m vertices, its line moved from slot L to slot m
     first, second = [tuple(v[:3] + ((v[3][0], m),) for v in row[:m])
                      for row in rows]
-    line = vertex_chain(n, m + 1, first)
-    traced = sparse.ptrace(line[0], m, m + 1, n + 1), line[1]
-    t, scale = sparse.scaled_mul(traced, traced if second == first else
-                                 _traced_product(n, m + 1, [second]))
-    loop = sparse.ptrace(vertex_chain(n, m + 1, second, line)[0], m,
-                         m + 1, n + 1) if c else {}
-    return sparse.combine((a, t), (c, loop)), scale * s
+    line = vertex_chain(n, m + 1, first, ({r: {r: 1} for r in (
+        range(d ** (m + 1)) if starts is None else starts)}, 1))
+    once = sparse.extend(sparse.ptrace(line[0], m, m + 1, d), d), line[1]
+    t, scale = vertex_chain(n, m + 1, second, once)
+    loop = vertex_chain(n, m + 1, second, line)[0] if c else {}
+    return sparse.combine((a, sparse.ptrace(t, m, m + 1, d)),
+                          (c, sparse.ptrace(loop, m, m + 1, d))), scale * s
 
 
-def _strip(spec, m, mu_window, variant, crossing):
+def _strip(spec, m, mu_window, variant, crossing=None):
     """A window's validated labels and crossing, then its vertex chains:
     the 2N lines in product order (per pair the line at b, then its
     partner), each on an extra last slot, and the L columns in crossing
@@ -396,8 +403,10 @@ def density_matrix(spec, m, mu_window, variant=0, crossing=None):
     after the row product: there the fold expands into 12 to 24
     permutations of the four lines, which a prototype found exact but 3
     to 10 times slower at m >= 2.  column_partition builds z
-    independently: in Z[S_2] at N = 1, on rows at N >= 2."""
-    return _window(spec, m, mu_window, variant, crossing, spec.N == 1)
+    independently: in Z[S_2] at N = 1, on rows at N >= 2; at N = 1
+    _dominant_bridge compares the rows of dominant weight on rows."""
+    return _window(spec, variant, _strip(spec, m, mu_window, variant,
+                                         crossing), spec.N == 1)
 
 
 def _nonvanishing(spec, z, labels, variant):
@@ -414,28 +423,27 @@ def _image(x, variant, d):
     return sparse.cross(t, d) if variant else t
 
 
-def _window_element(spec, m, mu_window, variant, crossing):
-    """At N = 1 the window as (labels, crossing, (x, z), norm): x its
+def _window_element(spec, variant, strip):
+    """At N = 1 the window on the strip (_strip) as ((x, z), norm): x its
     element (_line_window) signed so that its trace z is positive."""
-    labels, crossing, rows, _ = _strip(spec, m, mu_window, variant, crossing)
-    x, scale = _line_window(spec.n, m, spec.L, spec.betas[0], rows)
+    labels, _, rows, _ = strip
+    x, scale = _line_window(spec.n, len(labels), spec.L, spec.betas[0], rows)
     z = permalg.trace(x, spec.n + 1)
     _nonvanishing(spec, z, labels, variant)
     pair = (x, z) if z > 0 else (permalg.combine((-1, x)), -z)
-    return labels, crossing, pair, Fraction(z, scale)
+    return pair, Fraction(z, scale)
 
 
-def _window(spec, m, mu_window, variant, crossing, algebra):
-    """density_matrix, its window built in the algebra if algebra, else on
-    rows."""
+def _window(spec, variant, strip, algebra):
+    """density_matrix on the strip (_strip), its window built in the
+    algebra if algebra, its element then kept as .element, else on rows."""
     n, L = spec.n, spec.L
+    labels, crossing, rows, _ = strip
+    m, element = len(labels), None
     if algebra:
-        labels, crossing, (x, z), norm = _window_element(
-            spec, m, mu_window, variant, crossing)
-        pair = _image(x, variant, n + 1), z
+        element, norm = _window_element(spec, variant, strip)
+        pair = _image(element[0], variant, n + 1), element[1]
     else:
-        labels, crossing, rows, _ = _strip(spec, m, mu_window, variant,
-                                           crossing)
         if spec.N == 1:
             t, scale = _folded_window(n, m, L, spec.betas[0], rows)
         else:
@@ -447,18 +455,37 @@ def _window(spec, m, mu_window, variant, crossing, algebra):
         pair = (t, z) if z > 0 else (sparse.scale(t, -1), -z)
         norm = Fraction(z, scale)
     win = DensityWindow(n, m, variant, pair, labels, crossing)
-    win.norm = norm
+    win.norm, win.element = norm, element
     return win
 
 
-def column_partition(spec, m, mu_window, variant=0, crossing=None):
-    """density_matrix's normalization z summed column by column, no row
-    line built: tr_H of the product in crossing order of C_i = tr_i of
-    slot i's vertices with the 2N lines (H) in product order: summed in
-    Z[S_2] at N = 1, every column multiplied in (none folded), on rows at
-    N >= 2.  An fbar site takes no walled product: tr_s(cross(A) cross(B))
-    = tr_s(A B) for the crossing on the traced strand s."""
-    columns = _strip(spec, m, mu_window, variant, crossing)[3]
+def _dominant_bridge(spec, strip, win, w):
+    """"window in the permutation basis" at N = 1 as (equal, rows): rows
+    _folded_window from the identity rows whose window digits x have a
+    dominant weight w[x], with every line digit; equal if they are win's,
+    and so are, signed, the trace (each dominant diagonal entry times
+    its S_{n+1} orbit size) and the norm.  Both commute with the colour
+    permutations, the image by construction, the rows where each vertex
+    does, so equal dominant rows give equal maps."""
+    d = spec.n + 1
+    dominant = [x for x, v in enumerate(w) if list(v) == sorted(v)[::-1]]
+    t, scale = _folded_window(spec.n, win.m, spec.L, spec.betas[0], strip[2],
+                              [x * d + u for x in dominant for u in range(d)])
+    z = sum(t.get(x, {}).get(x, 0) * math.factorial(d) // math.prod(
+        map(math.factorial, Counter(w[x]).values())) for x in dominant)
+    t = sparse.scale(t, -1) if z < 0 else t
+    return (all(t.get(x) == win.pair[0].get(x) for x in dominant)
+            and (abs(z), Fraction(z, scale)) == (win.pair[1], win.norm)), t
+
+
+def column_partition(spec, columns):
+    """density_matrix's normalization z summed over the columns of its
+    strip (_strip), no row line built: tr_H of the product in crossing
+    order of C_i = tr_i of slot i's vertices with the 2N lines (H) in
+    product order: summed in Z[S_2] at N = 1, every column multiplied in
+    (none folded), on rows at N >= 2.  An fbar site takes no walled
+    product: tr_s(cross(A) cross(B)) = tr_s(A B) for the crossing on the
+    traced strand s."""
     if spec.N != 1:
         t, scale = _traced_product(spec.n, 2 * spec.N + 1, columns)
         return Fraction(sparse.trace(t), scale)
@@ -470,11 +497,12 @@ def column_partition(spec, m, mu_window, variant=0, crossing=None):
     return Fraction(permalg.trace(x, spec.n + 1), scale)
 
 
-def colour_conserving(win, w):
-    """Every stored entry of the window joins two coordinates of equal
-    weight, w = rmat.weights(win.n, win.kinds): the window commutes with
-    every E_jj."""
-    return all(w[r] == w[c] for r, row in win.pair[0].items() for c in row)
+def colour_conserving(win, w, *maps):
+    """Every stored entry of the window, and of each row map in maps,
+    joins two coordinates of equal weight, w = rmat.weights(win.n,
+    win.kinds): the window commutes with every E_jj."""
+    return all(w[r] == w[c] for a in (win.pair[0], *maps)
+               for r, row in a.items() for c in row)
 
 
 # ---------------------------------------------------------------------------
@@ -709,12 +737,12 @@ def verify_finite_rqkz(spec, m):
     beta = spec.betas[0]
     mu_rest = [spec.mus[i] for i in range(1, m)]
     labels = ([beta] + mu_rest, [h - beta] + mu_rest)
-    d0, d1 = (_window_element(spec, m, labels[v], v, None)[2] for v in (0, 1))
+    d0, d1 = (_window_element(spec, v, _strip(spec, m, labels[v], v))[0]
+              for v in (0, 1))
     # at m = L both crossings go once round the closed ring, and each
     # line's trace is cyclic: the raising windows are the default ones
-    up0, up1 = (d0, d1) if m == spec.L else (
-        _window_element(spec, m, labels[v], v, (1, *range(m, 1, -1)))[2]
-        for v in (0, 1))
+    up0, up1 = (d0, d1) if m == spec.L else (_window_element(spec, v, _strip(
+        spec, m, labels[v], v, (1, *range(m, 1, -1))))[0] for v in (0, 1))
     r1 = _shift_residual(1, n, beta, mu_rest, up0, up1)
     r2 = _shift_residual(2, n, beta - h, mu_rest, d1, d0)
     status = "pass" if (r1 == 0 and r2 == 0) else "fail"
@@ -752,7 +780,8 @@ def _residual(d, variant, pair, want, q=1):
 def _reduction_window(spec, m, labels, variant):
     """The default-crossed window's pair, its element's at N = 1."""
     if spec.N == 1:
-        return _window_element(spec, m, labels, variant, None)[2]
+        return _window_element(spec, variant,
+                               _strip(spec, m, labels, variant))[0]
     return density_matrix(spec, m, labels, variant).pair
 
 
@@ -832,6 +861,10 @@ def seeded_rationals(seed, count, avoid=()):
 def lattice_reports(n, max_L, N, max_m, seed):
     reports = []
     kind_weights = {}  # rmat.weights of each kinds tuple, built once
+    # a vertex is affine in its argument: invariant at two, at every one
+    vertices = N != 1 or invariance(n, [
+        (k, vertex_chain(n, 2, [(*k, x, (0, 1))]))
+        for k in (("f", "f"), ("fbar", "f")) for x in (0, 1)]) == 0
     for L in range(2, max_L + 1):
         beta = seeded_rationals(seed + L, 1, avoid=[0])[0]
         spec = LatticeSpec.staggered(n, L, N, [Fraction(0)] * L, beta)
@@ -842,22 +875,19 @@ def lattice_reports(n, max_L, N, max_m, seed):
         traces, colours, bridge = {}, {}, {}
         for m in range(1, mtop + 1):
             for variant in (0, 1):
-                win = density_matrix(spec, m, labels[:m], variant)
-                traces[f"m={m},variant={variant}"] = win.trace() == 1 and (
-                    win.norm == column_partition(spec, m, labels[:m], variant))
-                if N == 1:
-                    # the symmetry checks read the window built on rows
-                    on_rows = _window(spec, m, labels[:m], variant, None,
-                                      False)
-                    bridge[f"m={m},variant={variant}"] = (
-                        on_rows.pair, on_rows.norm) == (win.pair, win.norm)
-                    win = on_rows
+                key = f"m={m},variant={variant}"
+                strip = _strip(spec, m, labels[:m], variant)
+                win = _window(spec, variant, strip, N == 1)
+                traces[key] = win.trace() == 1 and (
+                    win.norm == column_partition(spec, strip[3]))
                 if m == mtop:
                     top[variant] = win
                 if win.kinds not in kind_weights:
                     kind_weights[win.kinds] = weights(n, win.kinds)
-                colours[f"m={m},variant={variant}"] = colour_conserving(
-                    win, kind_weights[win.kinds])
+                w, rows = kind_weights[win.kinds], {}
+                if N == 1:  # the rows that decide the bridge
+                    bridge[key], rows = _dominant_bridge(spec, strip, win, w)
+                colours[key] = colour_conserving(win, w, rows)
         reports.append(VerificationReport(
             check="window unit trace",
             params={"n": n, "L": L, "N": N, "seed": seed},
@@ -869,7 +899,8 @@ def lattice_reports(n, max_L, N, max_m, seed):
             reports.append(VerificationReport(
                 check="window in the permutation basis",
                 params={"n": n, "L": L, "N": N, "seed": seed},
-                status="pass" if all(bridge.values()) else "fail",
+                status="pass" if all(bridge.values()) and vertices
+                else "fail",
                 anchor="each window built in Z[S_m] (variant 0) or in "
                        "B_{m-1,1}(n+1) (variant 1) is the window built on "
                        "rows, with the same normalization",
@@ -922,10 +953,19 @@ def lattice_reports(n, max_L, N, max_m, seed):
                 # W' = braid W braid^-1, as braid R(-x) P = 1 - x^2 is not
                 # 0: seeded_rationals draws no labels a half-integer apart
                 braid = [("f", "f", 0, pair), ("f", "f", x, pair)]
-                after = density_matrix(spec, mtop, ws, 0).pair
-                resid = max(resid, sparse.diff(sparse.scaled_mul(
-                    vertex_chain(n, mtop, braid), top[0].pair),
-                    vertex_chain(n, mtop, braid, after)))
+                strip = _strip(spec, mtop, ws, 0)
+                if N == 1:  # braid W against W' braid in Z[S_m]
+                    (e0, s0), (e1, s1) = (_vertex(n, mtop, v) for v in braid)
+                    b, (y, z) = permalg.mul(e0, e1), top[0].element
+                    after, z2 = _window_element(spec, 0, strip)[0]
+                    resid = max(resid, _residual(
+                        n + 1, 0, (permalg.mul(b, y), z * s0 * s1),
+                        (permalg.mul(after, b), z2 * s0 * s1)))
+                else:
+                    resid = max(resid, sparse.diff(sparse.scaled_mul(
+                        vertex_chain(n, mtop, braid), top[0].pair),
+                        vertex_chain(n, mtop, braid,
+                                     _window(spec, 0, strip, False).pair)))
             reports.append(VerificationReport(
                 check="window exchange relation",
                 params={"n": n, "L": L, "N": N, "m": mtop, "seed": seed},
@@ -939,7 +979,7 @@ def lattice_reports(n, max_L, N, max_m, seed):
         wfull = seeded_rationals(seed + L + 300, L, avoid=[0, beta])
         shifted_spec = LatticeSpec(n, L, N, [Fraction(0)] * L,
                                    [b + delta for b in spec.betas])
-        here, there = (sum(_strip(s, L, w, 0, None)[2], ()) for s, w in (
+        here, there = (sum(_strip(s, L, w, 0)[2], ()) for s, w in (
             (spec, wfull), (shifted_spec, [x + delta for x in wfull])))
         moved = sum(u != v for u, v in zip(here, there))
         reports.append(VerificationReport(

@@ -1,6 +1,7 @@
 from collections import Counter
 import functools
 import itertools
+import math
 import random
 import sys
 import time
@@ -703,6 +704,19 @@ def reference_window(spec, m, labels, variant, crossing,
     return sparse.scale(t, Fraction(1, sparse.trace(t)))
 
 
+def row_window(spec, m, labels, variant, crossing=None):
+    """The window built on rows from every row (at N = 1 _folded_window
+    started from the whole identity): the full-row oracle."""
+    return lattice._window(spec, variant, lattice._strip(
+        spec, m, labels, variant, crossing), False)
+
+
+def partition(spec, m, labels, variant=0, crossing=None):
+    """column_partition on the columns of the window's strip."""
+    return column_partition(spec, lattice._strip(spec, m, labels, variant,
+                                                 crossing)[3])
+
+
 def torus_strip(n, L, N):
     """A staggered strip with window labels clear of the vertex poles:
     (spec, labels, seed)."""
@@ -801,7 +815,7 @@ def test_folded_windows_match_the_torus_up_to_five_outside_sites():
                 assert win.matrix == reference_window(
                     spec, m, labels[:m], variant, crossing), (
                         n, L, m, crossing, variant)
-                assert win.norm == column_partition(spec, m, labels[:m],
+                assert win.norm == partition(spec, m, labels[:m],
                                                     variant, crossing)
                 compared += 1
     assert compared == 76
@@ -823,12 +837,11 @@ def test_algebra_windows_match_the_rows_the_torus_and_the_columns():
             for crossing in sorted(set(crossing_kinds(m, rng))):
                 where = (n, L, m, crossing)
                 win = density_matrix(spec, m, labels[:m], 0, crossing)
-                assert win.norm == column_partition(spec, m, labels[:m], 0,
+                assert win.norm == partition(spec, m, labels[:m], 0,
                                                     crossing), where
                 compared["columns"] += 1
                 if (n + 1) ** (m + 1) <= 4 ** 5:
-                    rows = lattice._window(spec, m, labels[:m], 0, crossing,
-                                           False)
+                    rows = row_window(spec, m, labels[:m], 0, crossing)
                     assert (rows.pair, rows.norm) == (win.pair, win.norm), (
                         where)
                     compared["rows"] += 1
@@ -852,16 +865,72 @@ def test_variant_one_algebra_windows_match_the_rows():
             for crossing in sorted(set(crossing_kinds(m, rng))):
                 where = (n, L, m, crossing)
                 win = density_matrix(spec, m, labels[:m], 1, crossing)
-                assert win.norm == column_partition(spec, m, labels[:m], 1,
+                assert win.norm == partition(spec, m, labels[:m], 1,
                                                     crossing), where
                 compared["columns"] += 1
                 if (n + 1) ** (m + 1) <= 4 ** 5:
-                    rows = lattice._window(spec, m, labels[:m], 1, crossing,
-                                           False)
+                    rows = row_window(spec, m, labels[:m], 1, crossing)
                     assert (rows.pair, rows.norm) == (win.pair, win.norm), (
                         where)
                     compared["rows"] += 1
     assert compared == {"columns": 133, "rows": 121}, compared
+
+
+def test_dominant_row_bridge_is_the_full_row_window():
+    # the bridge's rows, _folded_window started from the identity rows of
+    # dominant window weight, are those rows of the full-row oracle (the
+    # same function started from every row), the orbit-weighted dominant
+    # diagonal is its trace, and the bridge passes against it and the
+    # algebra window, norms compared: n = 1..3, L <= 5, every m where the
+    # full rows have at most 4^5 coordinates, both variants, the default,
+    # raising and a random crossing
+    compared = 0
+    for n, L in itertools.product((1, 2, 3), range(1, 6)):
+        spec, labels, seed = torus_strip(n, L, 1)
+        rng, d, b = random.Random(seed), n + 1, spec.betas[0]
+        for m in range(1, L + 1):
+            if d ** (m + 1) > 4 ** 5:
+                continue
+            for crossing, variant in itertools.product(
+                    sorted(set(crossing_kinds(m, rng))), (0, 1)):
+                where = (n, L, m, crossing, variant)
+                strip = lattice._strip(spec, m, labels[:m], variant, crossing)
+                full = lattice._window(spec, variant, strip, False)
+                w = weights(n, full.kinds)
+                top = [x for x, v in enumerate(w)
+                       if list(v) == sorted(v, reverse=True)]
+                # the full window before its sign normalization
+                every = sparse.scale(full.pair[0], 1 if full.norm > 0 else -1)
+                some = lattice._folded_window(
+                    n, m, L, b, strip[2], [x * d + u for x in top
+                                           for u in range(d)])[0]
+                assert some == {x: every[x] for x in top if x in every}, where
+                assert sparse.trace(every) == sum(
+                    some.get(x, {}).get(x, 0) * math.factorial(d)
+                    // math.prod(map(math.factorial, Counter(w[x]).values()))
+                    for x in top), where
+                equal, rows = lattice._dominant_bridge(spec, strip, full, w)
+                assert equal and rows == {x: full.pair[0][x] for x in top
+                                          if x in full.pair[0]}, where
+                algebra = lattice._window(spec, variant, strip, True)
+                assert lattice._dominant_bridge(spec, strip, algebra, w)[0]
+                compared += 1
+    assert compared == 174, compared
+
+
+def test_two_slot_vertex_is_affine_in_its_argument():
+    # V(x) - V(y), each vertex_chain map over its scale, is (x - y) times
+    # the identity for every kind pair at seeded rationals, n = 1..4: so
+    # the vertex certificate at two arguments covers every argument
+    for n in range(1, 5):
+        xs = seeded_rationals(n, 8)
+        for kinds, (x, y) in itertools.product(
+                itertools.product(("f", "fbar"), repeat=2), zip(xs, xs[1:])):
+            (a, s), (b, t) = (vertex_chain(n, 2, [(*kinds, v, (0, 1))])
+                              for v in (x, y))
+            step = sparse.combine((Fraction(1, s), a), (-Fraction(1, t), b))
+            assert step == {r: {r: x - y} for r in range((n + 1) ** 2)}, (
+                n, kinds, x, y)
 
 
 def row_column_partition(spec, m, labels, variant, crossing):
@@ -884,7 +953,7 @@ def test_column_partition_in_z_s2_is_the_row_sum():
         for m in range(1, L + 1):
             for crossing, variant in itertools.product(
                     sorted(set(crossing_kinds(m, rng))), (0, 1)):
-                got = column_partition(spec, m, labels[:m], variant, crossing)
+                got = partition(spec, m, labels[:m], variant, crossing)
                 want = row_column_partition(spec, m, labels[:m], variant,
                                             crossing)
                 assert type(got) is Fraction and got == want, (
@@ -906,10 +975,10 @@ def test_column_partition_builds_no_row_map_at_one_pair(monkeypatch):
     for n, L in ((1, 4), (2, 4), (3, 3)):
         spec, labels, _seed = torus_strip(n, L, 1)
         for m, variant in itertools.product(range(1, L + 1), (0, 1)):
-            column_partition(spec, m, labels[:m], variant)
+            partition(spec, m, labels[:m], variant)
     assert calls == []
     spec, labels, _seed = torus_strip(2, 3, 2)
-    column_partition(spec, 2, labels[:2], 1)
+    partition(spec, 2, labels[:2], 1)
     assert set(calls) == {"vertex_chain", "ptrace", "mul"}
 
 
@@ -1032,7 +1101,7 @@ def test_one_pair_windows_build_no_chain_on_the_outside(monkeypatch):
             density_matrix(spec, m, labels[:m], variant)
             if N == 1:
                 assert widths == [], (n, L, m, variant, widths)
-                lattice._window(spec, m, labels[:m], variant, None, False)
+                row_window(spec, m, labels[:m], variant)
             assert widths and max(widths) == (
                 m + 1 if N == 1 else L + 1), (n, L, N, m, variant, widths)
 
@@ -1186,7 +1255,7 @@ def conjugation_exchange(n, max_L, N, max_m, seed):
         if m < 2:
             continue
         w = seeded_rationals(seed + L + 100, m, avoid=[0, beta])
-        win, s = (lattice._window(spec, m, w, 0, None, False) if N == 1
+        win, s = (row_window(spec, m, w, 0) if N == 1
                   else density_matrix(spec, m, w, 0)).pair
         resid = Fraction(0)
         for i in range(1, m):
@@ -1257,14 +1326,15 @@ def test_density_colour_conserving():
 
 def test_window_suite_builds_no_window_wider_than_max_m(monkeypatch):
     # translation covariance reads the strip's vertex arguments, so no
-    # lattice report builds a full-strip window beyond --m
-    widths, build = [], lattice.density_matrix
-
-    def recorded(spec, m, *args, **kwargs):
-        widths.append(m)
-        return build(spec, m, *args, **kwargs)
-
-    monkeypatch.setattr(lattice, "density_matrix", recorded)
+    # lattice report builds a full-strip window beyond --m: every window,
+    # element and bridge row map is recorded with its width
+    widths = []
+    for name in ("_window", "_window_element", "_folded_window"):
+        def recorded(*args, _build=getattr(lattice, name), _name=name):
+            widths.append(args[1] if _name == "_folded_window"
+                          else len(args[2][0]))
+            return _build(*args)
+        monkeypatch.setattr(lattice, name, recorded)
     for max_L, N, max_m in ((7, 1, 3), (4, 2, 2)):
         widths.clear()
         reports = lattice_reports(2, max_L, N, max_m, 0)
@@ -1776,7 +1846,7 @@ def test_density_matrix_equals_the_fraction_reference():
                     n, L, N, m, crossing, variant)
             assert all(type(v) is Fraction for v in entries(win.matrix))
             # the row-summed normalization is the column-summed one
-            assert win.norm == column_partition(spec, m, labels[:m],
+            assert win.norm == partition(spec, m, labels[:m],
                                                 variant, crossing)
             compared.add((turn, variant))
     assert len(compared) == 6
@@ -1875,7 +1945,7 @@ def test_window_normalizations_are_exact_never_float():
         for m, variant in itertools.product(range(1, L + 1), (0, 1)):
             win = density_matrix(spec, m, labels[:m], variant)
             figures = (win.norm, win.trace(),
-                       column_partition(spec, m, labels[:m], variant))
+                       partition(spec, m, labels[:m], variant))
             assert all(type(v) in (int, Fraction) for v in figures), (
                 n, L, N, m, variant, figures)
     reports = lattice_reports(2, 4, 1, 4, 0) + rqkz_reports(2, 4, 1, 0)
@@ -1890,7 +1960,7 @@ def test_window_suites_hand_the_sparse_kernels_no_fraction(monkeypatch):
     # of the window suites compares such pairs: no Fraction reaches the
     # row-map kernels, as a map entry, a scale or a scalar
     calls, offenders = [], []
-    kernels = ("mul", "ptrace", "scale", "trace", "diff", "cross")
+    kernels = ("mul", "ptrace", "scale", "trace", "diff", "cross", "extend")
     for name in kernels:
         def wrapped(*args, _kernel=getattr(sparse, name), _name=name):
             calls.append(_name)
@@ -1906,10 +1976,10 @@ def test_window_suites_hand_the_sparse_kernels_no_fraction(monkeypatch):
 
 def test_certificates_make_one_product_per_relation(monkeypatch):
     # invariance makes E_01's two products per operator and none for a
-    # colour transposition; "window exchange relation" makes one, braid W,
-    # per label swap, builds only the braid P R(x) and folds in no
-    # rational: braid W = W' braid needs no inverse braid
-    calls, chains = Counter(), []
+    # colour transposition; at N = 2 "window exchange relation" makes
+    # one, braid W, per label swap, builds only the braid P R(x) and folds
+    # in no rational: braid W = W' braid needs no inverse braid
+    calls = Counter()
 
     def counted(name):
         kernel = getattr(sparse, name)
@@ -1933,28 +2003,62 @@ def test_certificates_make_one_product_per_relation(monkeypatch):
         assert calls == {("mul", "invariance"): 2 * len(ops)}, n
 
     def chain(n, nslots, factors, start=None):
-        if sys._getframe(1).f_code.co_name == "lattice_reports":
-            chains.append(factors)
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's
+            frame = frame.f_back
+        caller = frame.f_code.co_name
+        if caller == "lattice_reports":
+            chains.append((nslots, factors))
+        elif caller == "_folded_window" and all(
+                row == {r: 1} for r, row in start[0].items()):
+            starts.append((nslots, len(start[0])))
         return vertex_chain(n, nslots, factors, start)
 
+    def dominant(n, m, variant):
+        """The identity rows of dominant window weight, times the n + 1
+        line digits."""
+        kinds = ("f",) * (m - 1) + (("fbar",) if variant else ("f",))
+        return (n + 1) * sum(list(w) == sorted(w, reverse=True)
+                             for w in weights(n, kinds))
+
     monkeypatch.setattr(lattice, "vertex_chain", chain)
-    calls.clear()
-    swaps = sum(r.witness["pairs"] for r in lattice_reports(2, 3, 1, 3, 0)
-                if r.check == "window exchange relation")
-    assert swaps == 3
-    assert calls["mul", "lattice_reports"] == swaps
-    assert calls["times", "lattice_reports"] == 0
-    # each chain is [P, R(x)]: the same-kind vertex at 0, then at x != 0
-    assert len(chains) == 2 * swaps and all(
-        [(k1, k2, x == 0) for k1, k2, x, _ in factors]
-        == [("f", "f", True), ("f", "f", False)] for factors in chains), chains
+    # at N = 1 "window exchange relation" compares elements: no product,
+    # no chain; lattice_reports builds only the vertex certificate's
+    # single vertices, (f, f) and (fbar, f) at two arguments each
+    for N in (1, 2):
+        calls.clear()
+        chains, starts = [], []
+        swaps = sum(r.witness["pairs"] for r in lattice_reports(2, 3, N, 3, 0)
+                    if r.check == "window exchange relation")
+        assert swaps == 3
+        assert calls["mul", "lattice_reports"] == (swaps if N == 2 else 0)
+        assert calls["times", "lattice_reports"] == 0
+        if N == 2:
+            # each chain is [P, R(x)]: the same-kind vertex at 0, then at
+            # x != 0
+            assert len(chains) == 2 * swaps and all(
+                [(k1, k2, x == 0) for k1, k2, x, _ in factors]
+                == [("f", "f", True), ("f", "f", False)]
+                for _, factors in chains), chains
+            assert starts == []
+            continue
+        assert sorted((factors[0][:2], factors[0][2]) for nslots, factors
+                      in chains if nslots == 2 and len(factors) == 1) == [
+            (("f", "f"), 0), (("f", "f"), 1), (("fbar", "f"), 0),
+            (("fbar", "f"), 1)] and len(chains) == 4, chains
+        # each bridge window's line chain starts from its dominant rows,
+        # with every line digit: at (n, m) = (2, 3), variant 0, 30 of 81
+        assert starts == [(m + 1, dominant(2, m, variant))
+                          for L in (2, 3) for m in range(1, L + 1)
+                          for variant in (0, 1)], starts
+        assert starts[-2] == (4, 30) and 3 ** 4 == 81
 
 
 def test_window_checks_fail_on_a_wrong_scale_or_prefactor(monkeypatch):
     # a window scale one past its trace fails "window unit trace", and a
     # window-shift map whose prefactor lost its denominator fails
     # "window difference equations"
-    build, init = lattice.density_matrix, AOperator.__init__
+    build, init = lattice._window, AOperator.__init__
 
     def off_by_one(*args):
         win = build(*args)
@@ -1967,7 +2071,7 @@ def test_window_checks_fail_on_a_wrong_scale_or_prefactor(monkeypatch):
         self.prefactor = Fraction(self.prefactor.numerator)
 
     with monkeypatch.context() as patch:
-        patch.setattr(lattice, "density_matrix", off_by_one)
+        patch.setattr(lattice, "_window", off_by_one)
         traces = [rep for rep in lattice_reports(2, 3, 1, 3, 0)
                   if rep.check == "window unit trace"]
     assert len(traces) == 2 and all(rep.status == "fail" for rep in traces)

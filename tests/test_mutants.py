@@ -287,6 +287,45 @@ def same_kind_equal_colours(monkeypatch):
     mutate_rows(monkeypatch, diagonal_edit(lambda n, a, b: a == b))
 
 
+def same_kind_digits_n_n(monkeypatch):
+    # plus E_nn (x) E_nn: at m = 1 every dominant window row has window
+    # digit 0 when it meets a vertex, or line digit 0 in the loop, so no
+    # row of the bridge reaches it and only the vertex certificate sees it
+    mutate_rows(monkeypatch, diagonal_edit(lambda n, a, b: a == b == n))
+
+
+def image_weighted_on_digit_n(monkeypatch):
+    # every window image plus E_nn on slot 0: colour-conserving and, at
+    # n >= 2, commuting with E_01, so of the invariance certificate only
+    # the colour transpositions see it
+    image = lattice._image
+
+    def weighted(x, variant, d):
+        w = d ** (len(next(iter(x))) - 1)
+        return sparse.combine((1, image(x, variant, d)), (1, {
+            r: {r: 1} for r in range((d - 1) * w, d * w)}))
+    monkeypatch.setattr(lattice, "_image", weighted)
+
+
+def non_dominant_rows_doubled(monkeypatch):
+    # vertex_chain doubles each row of its product whose weight, the
+    # slots' kinds read off the factors, is not dominant; rebound in
+    # every module that holds the name
+    chain_of = rmat.vertex_chain
+
+    def doubled(n, nslots, factors, start=None):
+        kinds = ["f"] * nslots
+        for k1, k2, _x, (p, q) in factors:
+            kinds[p], kinds[q] = k1, k2
+        w = rmat.weights(n, kinds)
+        out, s = chain_of(n, nslots, factors, start)
+        return {r: row if list(w[r]) == sorted(w[r], reverse=True) else
+                {c: 2 * v for c, v in row.items()}
+                for r, row in out.items()}, s
+    for module in (rmat, lattice, snail):
+        monkeypatch.setattr(module, "vertex_chain", doubled)
+
+
 def r12_argument_plus_one(monkeypatch):
     mutate_factors(monkeypatch, argument_edit((0, 1), lambda x: x + 1))
 
@@ -328,6 +367,11 @@ def lattice_at(N):
     """lattice at its defaults (n = 2, L <= 3, m <= 3, seed 0), N pairs,
     looked up on lattice so that a mutant of the suite itself applies."""
     return lambda: lattice.lattice_reports(2, 3, N, 3, 0)
+
+
+def lattice_m1():
+    """lattice at n = 2, L <= 3 and m = 1, seed 0."""
+    return lattice.lattice_reports(2, 3, 1, 1, 0)
 
 
 def rqkz_l4():
@@ -390,6 +434,10 @@ MUTANTS = {
     "window in the permutation basis": {
         "closed loop of weight n": (closed_loop_weight_n, lattice_at(1)),
         "cup-cap loop of weight n": (cup_cap_loop_weight_n, lattice_at(1)),
+        "same-kind vertex weighted on digits (n, n)": (same_kind_digits_n_n,
+                                                       lattice_m1),
+        "same-kind vertex weighted on digit 0": (same_kind_digit_zero_weight,
+                                                 lattice_at(1)),
     },
     "window colour conservation": {
         "variant-1 site 1 fundamental": (variant_one_site_fundamental,
@@ -412,6 +460,8 @@ MUTANTS = {
             same_kind_equal_colours, lattice_at(2)),
         "generators of nodes below n": (generators_below_n, lattice_at(1)),
         "fbar slot acted on by g": (fbar_slot_undualized, lattice_at(1)),
+        "image weighted on digit n": (image_weighted_on_digit_n,
+                                      lattice_at(1)),
     },
     "window exchange relation": {
         "crossing reversed": (crossing_reversed, lattice_at(1)),
@@ -468,6 +518,8 @@ MUTANTS = {
     },
     "vertex unitarity": {
         "same-kind alpha + s": (same_alpha_plus_s, rmatrix_n123),
+        "vertex_chain doubles its non-dominant rows": (
+            non_dominant_rows_doubled, rmatrix_n123),
     },
     "vertex crossing": {
         "same-kind alpha + s": (same_alpha_plus_s, rmatrix_n123),
@@ -569,6 +621,49 @@ def test_equal_colour_projector_commutes_with_the_transpositions(
             m.setattr(rmat, "site_action", lambda n, kinds, g: {})
             assert rmat.invariance(n, ops) == 0
     assert "window colour conservation" not in failing(lattice_at(2)())
+
+
+def test_unreached_vertex_edit_fails_the_bridge_by_its_certificate(
+        monkeypatch):
+    # E_nn (x) E_nn on the same-kind vertex leaves every dominant row of
+    # the m = 1 windows as it was, at n = 1..3: the bridge compares them
+    # equal, and fails only because the vertex certificate does
+    same_kind_digits_n_n(monkeypatch)
+    for n in (1, 2, 3):
+        bridges = [r for r in lattice.lattice_reports(n, 3, 1, 1, 0)
+                   if r.check == "window in the permutation basis"]
+        assert len(bridges) == 2 and all(
+            r.status == "fail" and all(r.witness.values()) for r in bridges)
+
+
+def test_image_weight_fails_the_transposition_step_alone(monkeypatch):
+    # on every window "window global invariance" reads under the mutant,
+    # E_01's commutator is 0 and the certificate is not
+    image_weighted_on_digit_n(monkeypatch)
+    calls = []
+    monkeypatch.setattr(lattice, "invariance", lambda n, ops: calls.append(
+        (n, ops)) or rmat.invariance(n, ops))
+    assert "window global invariance" in failing(lattice_at(1)())
+    windows = [(n, op) for n, ops in calls[1:] for op in ops]  # [0]: vertices
+    assert len(windows) == 4
+    for n, (kinds, (a, s)) in windows:
+        e01 = rmat.site_action(n, kinds, {0: {1: 1}})
+        assert sparse.diff((sparse.mul(e01, a), s),
+                           (sparse.mul(a, e01), s)) == 0
+        assert rmat.invariance(n, [(kinds, (a, s))]) != 0
+
+
+def test_non_dominant_row_mutant_fails_vertex_unitarity_in_all(monkeypatch,
+                                                              capsys):
+    # the risk of building only dominant window rows is a kernel defect
+    # on the other rows alone: `all` kills vertex_chain's, by "vertex
+    # unitarity" on the full two-slot chains, by the towers, and by the
+    # bridge's vertex certificate
+    non_dominant_rows_doubled(monkeypatch)
+    bad = failing(run_subcommand("all", {"seed": 0}))
+    assert {"vertex unitarity", "tower contraction order",
+            "window in the permutation basis"} <= bad, bad
+    capsys.readouterr()
 
 
 def test_algebra_vertex_mutant_fails_the_single_level_check_alone(
