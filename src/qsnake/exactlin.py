@@ -422,6 +422,13 @@ def echelon(rows):
     stored primitive and divided by their pivots only on return.  Each
     row is a nonzero multiple of the one elimination over Q reaches, with
     the same support."""
+    return {c: {j: Fraction(v, row[c]) for j, v in row.items()}
+            for c, row in primitive_echelon(rows).items()}
+
+
+def primitive_echelon(rows):
+    """echelon's rows before their division by the pivot: the same pivots,
+    each row primitive over Z."""
     piv = {}
     for row in rows:
         for v in row.values():
@@ -459,9 +466,6 @@ def echelon(rows):
             if g != 1:
                 row = {j: v // g for j, v in row.items()}
             piv[min(row)] = row
-    for c, row in piv.items():
-        inv = Fraction(1) / row[c]
-        piv[c] = {j: v * inv for j, v in row.items()}
     return piv
 
 

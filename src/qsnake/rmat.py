@@ -13,7 +13,8 @@ vertex_chain, the builder of every window, tower and fused product,
 applies; rmatrix_reports certifies vertex_chain itself, at one integer
 point per identity (kronecker_base).  vertex_matrix is a test view.
 The gl_{n+1} action on slots, the dual on antifundamental ones, is
-site_action; weights reads it, invariance its E_01 and S_{n+1}'s.
+site_action; weights reads it, invariance its E_01 and S_{n+1}'s,
+highest_weight_rows its raising maps.
 Crossing is sparse.cross, which gives the dual and K (the crossed flip
 P), and which "vertex crossing" certifies against the mixed vertex rows.
 The transcendental scalar prefactor rho is never evaluated: a prefactor
@@ -26,7 +27,8 @@ import functools
 import itertools
 
 from . import sparse
-from .exactlin import LabeledTensor, Leg, RatFun, echelon, tensor_from_matrix
+from .exactlin import (LabeledTensor, Leg, RatFun, echelon, primitive_echelon,
+                       tensor_from_matrix)
 from .report import VerificationReport
 
 
@@ -221,20 +223,22 @@ def chevalley_generators(n):
             for i in range(1, n + 1)]
 
 
-def site_action(n, kinds, g):
+def site_action(n, kinds, g, rows=None):
     """The int one-slot map g acting on every slot of a product of the
     given kinds, slot 0 first: the sum over slots of g's action there,
-    identity elsewhere.  An "f" slot carries g, an "fbar" slot the dual
-    -C g^T C, C the index reversal: minus g's crossing, sparse.cross."""
+    identity elsewhere, only on the given rows if any.  An "f" slot
+    carries g, an "fbar" slot the dual -C g^T C, C the index reversal:
+    minus g's crossing, sparse.cross."""
     d, nslots = n + 1, len(kinds)
     dual = sparse.scale(sparse.cross(g, d), -1)
+    keep = range(d ** nslots) if rows is None else set(rows)
     terms = []
     for s, kind in enumerate(kinds):
         w = d ** (nslots - 1 - s)
         terms.append((1, {r: {r + (b - a) * w: v for b, v in row.items()}
                           for a, row in (dual if kind == "fbar" else g).items()
                           for hi in range(a * w, d ** nslots, d * w)
-                          for r in range(hi, hi + w)}))
+                          for r in range(hi, hi + w) if r in keep}))
     return sparse.combine(*terms)
 
 
@@ -272,6 +276,39 @@ def weights(n, kinds):
     return [tuple(map(sum, zip(*w))) for w in itertools.product(*(
         [tuple(e.get(a, {}).get(a, 0) for e in units[k]) for a in range(d)]
         for k in kinds))]
+
+
+def highest_weight_rows(n, kinds, blocks):
+    """{c: row}: an integer basis of each block's (coordinates of one
+    weight) rows that every raising map site_action(n, kinds, {i: {i - 1:
+    1}}), i = 1..n, kills, keyed in the block.  The maps raise to n weights,
+    so one echelon of their sum, the identity appended, pivots the kernel;
+    the rows go in last first, which keeps its fill-in small."""
+    up = site_action(n, kinds, {i: {i - 1: 1} for i in range(1, n + 1)},
+                     [c for block in blocks for c in block])
+    top, out = (n + 1) ** len(kinds), {}
+    for block in blocks:
+        for p, row in primitive_echelon([{**up.get(c, {}), top + c: 1}
+                                         for c in reversed(block)]).items():
+            if p >= top:
+                out[p - top] = {c - top: v for c, v in row.items()}
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def kostka(shape, content):
+    """The Kostka number K(shape, content): the semistandard tableaux of
+    the partition shape with content[i] entries i, so the dimension of
+    the weight content in the gl irreducible of highest weight shape
+    (Fulton, Young Tableaux, 2.2).  The largest entry fills a horizontal
+    strip over a partition rest, shape[i + 1] <= rest[i] <= shape[i];
+    entries up to len(content) leave the rows below it empty."""
+    if not content or any(shape[len(content):]):
+        return int(not any(shape))
+    *head, last = content
+    return sum(kostka(rest, tuple(head)) for rest in itertools.product(*(
+        range(b, a + 1) for a, b in zip(shape, shape[1:] + (0,))))
+        if sum(shape) - sum(rest) == last)
 
 
 class PrefactorExpr:

@@ -14,7 +14,7 @@ which ties the construction to the alternating snake characters: the
 ordered product of vertex matrices over the loop pairs has rank equal to
 the snake dimension, each weight block the weight's snake multiplicity;
 its vertices are certified invariant one by one (rmat.invariance), so
-only its rows of dominant rmat.weights are built.
+only its highest-weight rows are built.
 
 Scalars are handled symbolically: the product of per-level prefactors
 reduces through the rho ladder to an explicit rational function whose
@@ -28,13 +28,15 @@ import itertools
 import math
 
 from . import permalg, sparse
-from .exactlin import RatFun, echelon, pole_order_at, tensor_from_matrix
+from .exactlin import (RatFun, echelon, pole_order_at, primitive_echelon,
+                       tensor_from_matrix)
 from .lattice import (LatticeSpec, density_matrix, element_level, level_step,
                       lowering_residue, projected_reduction_check,
                       reduced_prefactor, seeded_rationals, simple_pole_residue)
 from .qchar import module_dim, snake_qchar
 from .report import VerificationReport
-from .rmat import h_shift, invariance, vertex_chain, weights
+from .rmat import (h_shift, highest_weight_rows, invariance, kostka,
+                   vertex_chain, weights)
 
 
 def loop_kinds(n, l):
@@ -202,17 +204,16 @@ def contraction_order_check(spec):
 # ---------------------------------------------------------------------------
 # fused loop operators
 
-def _fusion_chain(n, l, rows=None):
+def _fusion_chain(n, l, start=None):
     """(s * fusion_matrix(n, l), s), the integer map and its scale, or
-    only the named rows of it: the chain starts from those identity rows."""
+    start times it, start a pair (integer rows, keyed as they come; scale)."""
     if l < 1:
         raise ValueError("need at least one loop")
     h = h_shift(n)
     kinds = loop_kinds(n, l)
     return vertex_chain(n, l, [
         (kinds[i - 1], kinds[j - 1], (j - i) * h, (i - 1, j - 1))
-        for i in range(1, l + 1) for j in range(i + 1, l + 1)],
-        None if rows is None else ({r: {r: 1} for r in rows}, 1))
+        for i in range(1, l + 1) for j in range(i + 1, l + 1)], start)
 
 
 def fusion_matrix(n, loop_count):
@@ -237,6 +238,26 @@ def fusion_operator(n, loop_count):
                               [s + "_in" for s in labels], [d] * l)
 
 
+def _fused_pivots(n, kinds):
+    """The fused chain's pivot count on each dominant weight block, keyed
+    by the weight modulo (1, ..., 1), last part 0.  The chain is
+    gl_{n+1}-equivariant, so it maps the highest-weight rows of weight lam
+    (rmat.highest_weight_rows) onto its image's: one echelon counts m_lam,
+    the image's irreducibles of highest weight lam, weights shifted by the
+    fbar slots to partitions, and block mu holds sum m_lam K(lam, mu)."""
+    f = kinds.count("fbar")
+    wts = [tuple(v + f for v in w) for w in weights(n, kinds)]
+    blocks = {}
+    for c, w in enumerate(wts):
+        if list(w) == sorted(w)[::-1]:
+            blocks.setdefault(w, []).append(c)
+    start = highest_weight_rows(n, kinds, blocks.values())
+    found = Counter(wts[c] for c in primitive_echelon(
+        _fusion_chain(n, len(kinds), (start, 1))[0].values()))
+    return Counter({tuple(v - mu[n] for v in mu): sum(
+        m * kostka(lam, mu) for lam, m in found.items()) for mu in blocks})
+
+
 def fused_loop_reports(n, k):
     """The fused (2k-1)-loop product's rank against the snake dimension
     (equal, the image carries the alternating snake module), and each
@@ -249,19 +270,15 @@ def fused_loop_reports(n, k):
     colour transpositions on its two slots (rmat.invariance), so with
     gl_{n+1}; so then does the product: it is block-diagonal by weight,
     and the transpositions, the Weyl group S_{n+1}, permute the blocks,
-    ranks kept.  So only the dominant rows are built, one echelon counts
-    each block's pivots (rows of different weights have disjoint
-    supports), and the rank sums pivot count times Weyl orbit size.  A
-    mismatch is reported, not raised."""
+    ranks kept.  So only the highest-weight rows are built, the dominant
+    blocks' pivot counts follow (_fused_pivots), and the rank sums pivot
+    count times Weyl orbit size.  A mismatch is reported, not raised."""
     l = 2 * k - 1
     kinds = loop_kinds(n, l)
     resid = invariance(n, [(v[:2], vertex_chain(n, 2, [(*v, (0, 1))]))
                            for v in {(kinds[i], kinds[j], (j - i) * h_shift(n))
                                      for j in range(l) for i in range(j)}])
-    wts = [tuple(v - w[n] for v in w) for w in weights(n, kinds)]  # w[n] 0
-    rows = [c for c, w in enumerate(wts) if list(w) == sorted(w)[::-1]]
-    pivots = Counter(wts[c] for c in echelon(
-        _fusion_chain(n, l, rows)[0].values()))
+    pivots = _fused_pivots(n, kinds)
     rank = sum(c * math.factorial(n + 1) // math.prod(
         map(math.factorial, Counter(w).values())) for w, c in pivots.items())
     char, mult = snake_qchar(n, "odd", l), Counter()

@@ -133,6 +133,24 @@ def fused_shift_plus_one(monkeypatch):
                   "(j - i) * h + 1")
 
 
+def raising_below_n(monkeypatch):
+    # the highest-weight rows killed by the raising maps of nodes 1..n-1
+    # only, so the kernel keeps rows that E_n raises; rebound in snail
+    source_mutant(monkeypatch, rmat, "highest_weight_rows",
+                  "range(1, n + 1)", "range(1, n)")
+    monkeypatch.setattr(snail, "highest_weight_rows",
+                        rmat.highest_weight_rows)
+
+
+def kostka_strip_too_wide(monkeypatch):
+    # the largest entry's strip may reach one box left of the row below,
+    # two boxes in one column; at n = 2 first seen at k = 3, as
+    # K((4, 4, 0), (3, 3, 2)) = 2; rebound in snail
+    source_mutant(monkeypatch, rmat, "kostka", "range(b, a + 1)",
+                  "range(b - 1, a + 1)")
+    monkeypatch.setattr(snail, "kostka", rmat.kostka)
+
+
 def tower_residue_doubled(monkeypatch):
     # the closed tower scaled by twice its residue
     source_mutant(monkeypatch, snail, "_snail_matrix",
@@ -383,6 +401,11 @@ def snail_n2():
     return snail_reports(2, 2, 0)
 
 
+def snail_n2_k3():
+    """snail --n 2 at its defaults: rank 2, k <= 3, seed 0."""
+    return snail_reports(2, 3, 0)
+
+
 def pole_k2():
     return pole_reports((1, 2))
 
@@ -479,6 +502,9 @@ MUTANTS = {
     "fused loop rank against snake dimension": {
         "loop pair argument one past the shift": (fused_shift_plus_one,
                                                   snail_n2),
+        "raising maps of nodes below n": (raising_below_n, snail_n2),
+        "kostka strip one box too wide": (kostka_strip_too_wide,
+                                          snail_n2_k3),
         "same-kind vertex weighted on digit 0": (same_kind_digit_zero_weight,
                                                  snail_n2),
         "generators of nodes below n": (generators_below_n, snail_n2),
@@ -486,6 +512,9 @@ MUTANTS = {
     "fused loop weights against snake character": {
         "loop pair argument one past the shift": (fused_shift_plus_one,
                                                   snail_n2),
+        "raising maps of nodes below n": (raising_below_n, snail_n2),
+        "kostka strip one box too wide": (kostka_strip_too_wide,
+                                          snail_n2_k3),
         "same-kind vertex weighted on digit 0": (same_kind_digit_zero_weight,
                                                  snail_n2),
         "generators of nodes below n": (generators_below_n, snail_n2),

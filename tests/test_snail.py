@@ -1,4 +1,5 @@
 from collections import Counter
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -250,31 +251,97 @@ def coordinate_weight(n, kinds, c):
 
 
 def test_dominant_rows_and_their_orbits_cover_the_chain(monkeypatch):
-    # the rows built, pinned, are every coordinate of dominant weight, and
-    # their Weyl orbits tile all (n+1)^l coordinates
-    built = {(1, 1): 1, (1, 2): 4, (1, 3): 16, (2, 1): 1, (2, 2): 8,
-             (2, 3): 66, (3, 2): 10, (3, 3): 129, (2, 4): 561}
+    # the rows built, pinned, are the highest-weight rows of the dominant
+    # blocks, whose Weyl orbits tile all (n+1)^l coordinates; M_lam rows
+    # of weight lam give sum_lam M_lam K(lam, mu) = |block mu|, the
+    # weights shifted by the fbar slots to partitions
+    built = {(1, 1): 1, (1, 2): 3, (1, 3): 10, (2, 1): 1, (2, 2): 4,
+             (2, 3): 21, (3, 2): 4, (3, 3): 25, (2, 4): 127, (1, 4): 35,
+             (1, 5): 126}
     chain, seen = snail._fusion_chain, {}
 
-    def recorded(n, l, rows=None):
-        seen[n, l] = rows
-        return chain(n, l, rows)
+    def recorded(n, l, start=None):
+        seen[n, l] = start
+        return chain(n, l, start)
 
     monkeypatch.setattr(snail, "_fusion_chain", recorded)
     for (n, k), count in built.items():
         l = 2 * k - 1
         fused_loop_reports(n, k)
-        rows = seen[n, l]
-        assert len(rows) == count, (n, k)
+        rows, scale = seen[n, l]
+        assert len(rows) == count and scale == 1, (n, k)
         kinds = loop_kinds(n, l)
-        weights = [coordinate_weight(n, kinds, c) for c in range((n + 1) ** l)]
-        dominant = [c for c, w in enumerate(weights) if list(w) == sorted(
-            w, reverse=True)]
-        assert rows == dominant, (n, k)
-        blocks = Counter(weights[c] for c in rows)
+        f = kinds.count("fbar")
+        weights = [tuple(v + f for v in coordinate_weight(n, kinds, c))
+                   for c in range((n + 1) ** l)]
+        blocks = Counter(w for w in weights if list(w) == sorted(
+            w, reverse=True))
         assert sum(size * math.factorial(n + 1) // math.prod(
             map(math.factorial, Counter(w).values()))
             for w, size in blocks.items()) == (n + 1) ** l, (n, k)
+        assert all(weights[c] == weights[r] in blocks
+                   for r, row in rows.items() for c in row), (n, k)
+        found = Counter(weights[r] for r in rows)
+        for mu, size in blocks.items():
+            assert sum(m * rmat.kostka(lam, mu)
+                       for lam, m in found.items()) == size, (n, k, mu)
+
+
+def dominant_row_pivots(n, k):
+    """The fused chain's pivot count in each dominant weight block, read
+    off every row of dominant weight, modulo (1, ..., 1): the reports'
+    route before they built highest-weight rows only, kept as oracle."""
+    l = 2 * k - 1
+    wts = [tuple(v - w[n] for v in w)
+           for w in rmat.weights(n, loop_kinds(n, l))]
+    rows = {c: {c: 1} for c, w in enumerate(wts)
+            if list(w) == sorted(w, reverse=True)}
+    return Counter(wts[c] for c in echelon(
+        _fusion_chain(n, l, (rows, 1))[0].values()))
+
+
+@pytest.mark.parametrize("n, k", [(1, k) for k in range(1, 6)]
+                         + [(2, k) for k in range(1, 5)]
+                         + [(3, k) for k in range(1, 4)])
+def test_highest_weight_pivots_equal_the_dominant_row_pivots(n, k):
+    got = snail._fused_pivots(n, loop_kinds(n, 2 * k - 1))
+    assert +got == dominant_row_pivots(n, k)
+
+
+def tableau_contents(shape, d):
+    """Counter of the contents of every semistandard tableau of shape with
+    entries 0..d-1, filled box by box along the rows: entries weakly
+    increase along a row and strictly down a column."""
+    boxes = [(i, j) for i, a in enumerate(shape) for j in range(a)]
+    out, filled = Counter(), {}
+
+    def fill(t):
+        if t == len(boxes):
+            out[tuple(Counter(filled.values())[e] for e in range(d))] += 1
+            return
+        i, j = boxes[t]
+        for e in range(max(filled.get((i, j - 1), 0),
+                           filled.get((i - 1, j), -1) + 1), d):
+            filled[i, j] = e
+            fill(t + 1)
+        filled.pop((i, j), None)
+
+    fill(0)
+    return out
+
+
+def test_kostka_counts_the_semistandard_tableaux():
+    for n in (1, 2, 3):
+        d = n + 1
+        for size in range(9):
+            compositions = [c for c in itertools.product(
+                range(size + 1), repeat=d) if sum(c) == size]
+            for shape in (c for c in compositions
+                          if list(c) == sorted(c, reverse=True)):
+                want = tableau_contents(shape, d)
+                for content in compositions:
+                    assert rmat.kostka(shape, content) == want[content], (
+                        shape, content)
 
 
 @pytest.mark.parametrize("n, k", DEFAULT_RANK_PAIRS + ((3, 2), (3, 3)))
