@@ -6,13 +6,12 @@ output, plus a canonical JSON array written to --json PATH ('-' for
 standard output).  Exit code 0 when no hard check failed, 1 otherwise,
 2 on usage errors.  Exploratory reports never touch the exit code.
 
-This module parses options and dispatches over SUITES; the report
-builders live beside the modules whose claims they check.  Seeds are
-recorded in the reports and report order is canonical, so identical
-invocations give byte-identical JSON.
+This module parses options in one pass over a flag table and dispatches
+over SUITES; the report builders live beside the modules whose claims
+they check.  Seeds are recorded in the reports and report order is
+canonical, so identical invocations give byte-identical JSON.
 """
 
-import argparse
 import json
 import sys
 
@@ -195,18 +194,39 @@ def scenario_flags(path):
     return flags
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="qsnake",
-        description="exact verification suites for snake characters, "
-                    "vertex weights and finite-strip windows")
-    parser.add_argument("command", choices=SUBCOMMANDS)
-    for key in INT_OPTIONS:
-        parser.add_argument(_flag(key), type=int)
-    parser.add_argument("--parity", choices=("even", "odd"))
-    parser.add_argument("--json", metavar="PATH")
-    parser.add_argument("--scenario", metavar="PATH")
-    return parser
+def parse(argv):
+    """The command line as a dict: "command", every OPTIONS key, "json"
+    and "scenario", None where unset.  One subcommand and the flags _flag
+    names, as --flag value (a value not starting --) or --flag=value, in
+    any order; the last of a flag wins.  Usage errors are ValueErrors."""
+    args = dict.fromkeys(("command", *OPTIONS, "json", "scenario"))
+    flags = {_flag(key): key for key in args if key != "command"}
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("-"):
+            if args["command"] is not None:
+                raise ValueError(f"unexpected argument {token!r}")
+            if token not in SUBCOMMANDS:
+                raise ValueError(f"unknown subcommand {token!r}")
+            args["command"] = token
+            continue
+        flag, eq, val = token.partition("=")
+        if flag not in flags:
+            raise ValueError(f"unknown flag {flag!r}")
+        if not eq and (val := next(tokens, "--")).startswith("--"):
+            raise ValueError(f"{flag} expects a value")
+        key = flags[flag]
+        if key in INT_OPTIONS:
+            try:
+                val = int(val)
+            except ValueError:
+                raise ValueError(f"{flag} expects an integer, got {val!r}")
+        elif key == "parity" and val not in ("even", "odd"):
+            raise ValueError(f"--parity must be even or odd, got {val!r}")
+        args[key] = val
+    if args["command"] is None:
+        raise ValueError("missing subcommand: " + ", ".join(SUBCOMMANDS))
+    return args
 
 
 def emit(reports, json_path):
@@ -228,21 +248,22 @@ def emit(reports, json_path):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    if "-h" in argv or "--help" in argv:
+        print(f"usage: qsnake {{{'|'.join(SUBCOMMANDS)}}} ["
+              + " INT] [".join(map(_flag, INT_OPTIONS)) + " INT] "
+              "[--parity even|odd] [--json PATH] [--scenario PATH]")
+        return 0
     try:
-        try:
-            args = parser.parse_args(argv)
-            if args.scenario:  # its lines come first, so argv's flags win
-                args = parser.parse_args(scenario_flags(args.scenario) + argv)
-        except SystemExit as exc:  # argparse's usage errors and --help
-            return int(exc.code or 0)
-        if args.json not in (None, "-"):
-            open(args.json, "a").close()  # fail before any suite runs
-        reports = run_subcommand(args.command, vars(args))
+        args = parse(argv)
+        if args["scenario"]:  # its lines come first, so argv's flags win
+            args = parse(scenario_flags(args["scenario"]) + argv)
+        if args["json"] not in (None, "-"):
+            open(args["json"], "a").close()  # fail before any suite runs
+        reports = run_subcommand(args["command"], args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return emit(reports, args.json)
+    return emit(reports, args["json"])
 
 
 if __name__ == "__main__":

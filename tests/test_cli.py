@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -226,10 +227,13 @@ def test_scenario_flags_and_precedence(tmp_path, capsys):
     assert main(["qchar", "--scenario", str(scn)]) == 0
     out = capsys.readouterr().out
     assert sum(1 for l in out.splitlines() if l.startswith("1 Y[")) == 21
-    # explicit flags win over the scenario file
-    assert main(["qchar", "--scenario", str(scn), "--snake-l", "1"]) == 0
-    out = capsys.readouterr().out
-    assert sum(1 for l in out.splitlines() if l.startswith("1 Y[")) == 3
+    # explicit flags win over the scenario file, on either side of the
+    # subcommand
+    for argv in (["qchar", "--scenario", str(scn), "--snake-l", "1"],
+                 ["--snake-l=1", "--scenario", str(scn), "qchar"]):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert sum(1 for l in out.splitlines() if l.startswith("1 Y[")) == 3
 
 
 def test_usage_errors(tmp_path, capsys):
@@ -255,8 +259,68 @@ def test_unwritable_json_path_is_a_usage_error(tmp_path, capsys):
 
 
 def test_help_exits_zero(capsys):
-    assert main(["--help"]) == 0
-    capsys.readouterr()
+    # -h or --help anywhere, even beside a usage error, prints the one
+    # usage line, built from the subcommand and flag tables
+    for argv in (["--help"], ["-h"], ["pole", "-h"],
+                 ["--n", "2", "--help", "snail"], ["nosuch", "--bogus", "-h"]):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.count("\n") == 1
+        assert out.startswith("usage: qsnake {qchar|census|tsystem|rmatrix|"
+                              "lattice|rqkz|pole|snail|all} [--n INT] ")
+        for flag in ("--snake-l INT", "--max-k INT", "--parity even|odd",
+                     "--json PATH", "--scenario PATH"):
+            assert f"[{flag}]" in out
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["pole"], {"command": "pole"}),
+    (["--n", "3", "pole"], {"command": "pole", "n": 3}),
+    (["pole", "--n=3", "--k", "2"], {"command": "pole", "n": 3, "k": 2}),
+    (["--max-k=2", "snail", "--n", "1"],
+     {"command": "snail", "max_k": 2, "n": 1}),
+    (["qchar", "--shift", "-3", "--snake-l", "2"],
+     {"command": "qchar", "shift": -3, "snake_l": 2}),
+    (["lattice", "--seed=-1"], {"command": "lattice", "seed": -1}),
+    (["pole", "--n", "2", "--n", "3", "--n=1"], {"command": "pole", "n": 1}),
+    (["all", "--json", "-"], {"command": "all", "json": "-"}),
+    (["all", "--json=out.json", "--json", "-"],
+     {"command": "all", "json": "-"}),
+    (["qchar", "--parity", "odd", "--parity=even"],
+     {"command": "qchar", "parity": "even"}),
+    (["all", "--scenario", "a.txt"], {"command": "all", "scenario": "a.txt"}),
+])
+def test_parse_accepted_forms(argv, want):
+    unset = dict.fromkeys(("command", *cli.OPTIONS, "json", "scenario"))
+    assert cli.parse(argv) == {**unset, **want}
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "missing subcommand: qchar, census, tsystem, rmatrix, lattice, "
+         "rqkz, pole, snail, all"),
+    (["--n", "2"], "missing subcommand: qchar, census, tsystem, rmatrix, "
+                   "lattice, rqkz, pole, snail, all"),
+    (["nosuch"], "unknown subcommand 'nosuch'"),
+    (["pole", "snail"], "unexpected argument 'snail'"),
+    (["pole", "--n", "2", "3"], "unexpected argument '3'"),
+    (["pole", "--bogus", "2"], "unknown flag '--bogus'"),
+    (["pole", "--max_l", "2"], "unknown flag '--max_l'"),
+    (["snail", "--max_k=2"], "unknown flag '--max_k'"),
+    (["qchar", "--snake", "3"], "unknown flag '--snake'"),
+    (["pole", "-n", "2"], "unknown flag '-n'"),
+    (["pole", "--n"], "--n expects a value"),
+    (["all", "--json", "--seed", "1"], "--json expects a value"),
+    (["pole", "--n", "two"], "--n expects an integer, got 'two'"),
+    (["pole", "--n=2.5"], "--n expects an integer, got '2.5'"),
+    (["pole", "--n="], "--n expects an integer, got ''"),
+    (["qchar", "--parity", "sideways"],
+     "--parity must be even or odd, got 'sideways'"),
+])
+def test_parse_usage_errors(argv, message, capsys):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cli.parse(argv)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_emit_exit_codes(capsys, tmp_path):
@@ -376,8 +440,8 @@ def test_every_workload_line_resolves_its_options(monkeypatch):
              for line in workloads.lines_for(w, 7)]
     ran = []
     for line in lines:
-        args = cli.build_parser().parse_args(line)
-        ran += cli.run_subcommand(line[0], vars(args))
+        args = cli.parse(line)
+        ran += cli.run_subcommand(args["command"], args)
     assert lines and len(ran) == len(lines)
     assert "qchar snake_l" in ran
 

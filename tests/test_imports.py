@@ -6,8 +6,9 @@ function, is read with ast.  A name with a leading underscore is a
 module's private helper and must not be imported by another module.  The
 command line module parses options and dispatches, so it does not import
 numpy; no module imports numpy at module level, so no command line run
-loads it (only the dense test oracles do).  The modules import each
-other without a cycle.  Every top-level function and class is used
+loads it (only the dense test oracles do), and importing the command
+line module loads neither argparse nor its gettext.  The modules import
+each other without a cycle.  Every top-level function and class is used
 somewhere in src/qsnake outside its own definition, or is wrapped by a
 traced benchmark run (perfbench/spans.py TRACED, loaded by path as
 test_traced_names does).  No module reads a window's Fraction view, and
@@ -101,8 +102,11 @@ def _without_numpy(code, *argv):
 
 
 def test_cli_runs_without_numpy():
+    # nor do argparse and its gettext load: cli.parse reads the line
     out = _without_numpy("import qsnake.cli\n"
-                         "assert sys.modules['numpy'] is None")
+                         "assert sys.modules['numpy'] is None\n"
+                         "assert not {'argparse', 'gettext'}"
+                         " & set(sys.modules)")
     assert out.returncode == 0, out.stderr.decode()
     run = "from qsnake.cli import main\nsys.exit(main(sys.argv[1:]))"
     out = _without_numpy(run, "all", "--json", "-", "--seed", "0")
